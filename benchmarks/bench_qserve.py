@@ -35,7 +35,7 @@ from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
 from repro.engine import ProvingEngine, ReceiptCache
 from repro.net import AsyncQueryClient, ProverServer
-from repro.qserve import BatchQueryProver, QueryService
+from repro.qserve import QueryService
 
 from _workloads import committed_workload
 
@@ -72,7 +72,7 @@ def test_qserve_serve_100_clients(benchmark, report, serve_service):
     """100 concurrent clients against a warm multi-tenant server."""
     service = serve_service
     qserve = QueryService(service, max_inflight=N_CLIENTS * 2,
-                          batch=True, batch_window=0.005)
+                          batch_window=0.005)
     for sql in QUERIES:  # warm both cache tiers
         service.answer_query(sql)
     expected = {sql: service.answer_query(sql).receipt.journal.data
@@ -130,14 +130,17 @@ def test_qserve_cold_batch(benchmark, report, serve_service):
         _sleep_penalty()
         with ProvingEngine(backend="thread", max_workers=4,
                            cache=ReceiptCache()) as engine:
-            return BatchQueryProver(engine).prove_batch(
+            # The query service's batching call, opts included.
+            return QueryProver(
+                engine.opts, engine=engine).prove_queries_partitioned(
                 QUERIES, service.state, receipt, 4)
 
     results = benchmark.pedantic(cold_batch, rounds=5, iterations=1,
                                  warmup_rounds=1)
     for sql, result in zip(QUERIES, results):
         assert not isinstance(result, Exception), result
-        assert result.receipt.journal.data == \
+        response, _info = result
+        assert response.receipt.journal.data == \
             serial[sql].receipt.journal.data
     report.table(
         "qserve-cold-batch",

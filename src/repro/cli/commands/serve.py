@@ -90,11 +90,7 @@ class ServeCommand:
                             default=0.005,
                             help="seconds the query service waits to "
                                  "batch compatible queries into one "
-                                 "shared scan")
-        parser.add_argument("--qserve-batch", action="store_true",
-                            help="batch compatible queries through the "
-                                 "proving engine (also via "
-                                 "REPRO_QSERVE_BATCH=1; needs an "
+                                 "shared scan (batching needs an "
                                  "engine, e.g. --query-partitions)")
         parser.add_argument("--stream-crossover", action="store_true",
                             help="with --stream, let the planner's "
@@ -124,7 +120,7 @@ class ServeCommand:
             stream_crossover=args.stream_crossover)
         qserve = None
         if args.max_inflight is not None \
-                or args.tenant_rate is not None or args.qserve_batch:
+                or args.tenant_rate is not None:
             from ...qserve import QueryService
             qserve = QueryService(
                 service,
@@ -133,8 +129,7 @@ class ServeCommand:
                               else 64),
                 tenant_rate=args.tenant_rate,
                 tenant_burst=args.tenant_burst,
-                batch_window=args.batch_window,
-                batch=args.qserve_batch or None)
+                batch_window=args.batch_window)
         server = ProverServer(
             service, host=args.host, port=args.port,
             qserve=qserve,

@@ -51,18 +51,22 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..engine.jobs import JobResult, ProofJob, execute_job
+from ..engine.jobs import (
+    JobResult,
+    ProofJob,
+    execute_job,
+    resolve_job_guest,
+    verify_job_receipt,
+)
 from ..errors import (
     ClusterUnavailable,
     ConfigurationError,
     PoolShutdown,
     ReproError,
-    VerificationError,
 )
 from ..net.messages import _CODE_TO_CLASS
 from ..obs import names as obs_names
 from ..obs import runtime as obs
-from ..zkvm.verifier import Verifier
 from .nodes import HEALTHY, QUARANTINED, NodeState, WorkerClient
 
 #: Wire codes reporting a *deterministic* job outcome — failures that
@@ -388,19 +392,10 @@ class ClusterDispatcher:
         task = lease.task
         if self.opts.verify_results:
             try:
-                image_id = _resolve_image_id(task.job)
-                # verify_conditional, not verify: a remote receipt may
-                # legitimately carry unresolved assumptions (the update
-                # strategy resolves them downstream).  Seal, image id,
-                # exit code and journal digest are still checked, so a
-                # forged result cannot slip through.
-                Verifier().verify_conditional(result.receipt, image_id)
-                claimed = result.receipt.claim.input_digest
-                if claimed != task.job.env_commitment:
-                    raise VerificationError(
-                        f"receipt binds input {claimed.hex()[:16]}…, "
-                        f"job committed "
-                        f"{task.job.env_commitment.hex()[:16]}…")
+                verify_job_receipt(
+                    result.receipt,
+                    resolve_job_guest(task.job).image_id,
+                    task.job.env_commitment)
             except ReproError as exc:
                 self._reject(lease, exc)
                 return
@@ -621,18 +616,3 @@ class ClusterDispatcher:
             quarantined, state=QUARANTINED)
         registry.gauge(obs_names.CLUSTER_DEGRADED).set(
             1 if healthy == 0 else 0)
-
-
-def _resolve_image_id(job: ProofJob) -> Any:
-    """The job's guest image id, importing the hint module on a miss
-    (same resolution the workers use in :func:`execute_job`)."""
-    from ..core.guest_programs import resolve_guest
-    try:
-        program = resolve_guest(job.guest_id)
-    except ConfigurationError:
-        if not job.guest_module:
-            raise
-        import importlib
-        importlib.import_module(job.guest_module)
-        program = resolve_guest(job.guest_id)
-    return program.image_id

@@ -14,10 +14,10 @@ The circuits:
   guest that verifies each partition claim.
 * :data:`query_partition_guest` / :data:`query_merge_guest` — the same
   decomposition applied to queries: each partition proves partial
-  aggregates over an aligned slot range of the committed tree (bound to
-  the aggregation root through a subtree sibling path) and the merge
-  guest folds the partials into a journal byte-identical to
-  :data:`query_guest`'s.
+  aggregates for a list of queries over an aligned slot range of the
+  committed tree (bound to the aggregation root through a subtree
+  sibling path) and one merge per query folds that query's partials
+  into a journal byte-identical to :data:`query_guest`'s.
 
 Everything the guests hash or verify is charged to the cycle meter; the
 constants below set the generic-compute costs (decode, merge, predicate
@@ -418,191 +418,30 @@ def merge_guest(env: GuestEnv) -> None:
     })
 
 
-@guest_program("telemetry-query-partition-v1")
+@guest_program("telemetry-query-partition-v2")
 def query_partition_guest(env: GuestEnv) -> None:
-    """Partitioned §4.2 query proving: partial aggregates over one
-    aligned slot range of the committed CLog.
+    """Partitioned §4.2 query proving: partial aggregates for one or
+    more queries over one aligned slot range of the committed CLog.
 
-    Input frames: partition header (query, partition geometry, subtree
-    sibling path); aggregation-receipt binding; then the partition's
-    entries (key, payload) in slot order.  The guest rebuilds the
-    partition's aligned-subtree node from its entries (padding with
-    empty-subtree roots, mirroring the main tree's right-padding rule)
-    and folds it up the sibling path to the aggregation root — proving
-    the entries are exactly slots ``[start, start + count)`` of the
-    attested dataset, so partitions that each verify and together tile
-    ``[0, size)`` give the same completeness guarantee as a full scan.
-    The journal carries mergeable accumulator states, not final values.
-    """
-    header = env.read()
-    binding = env.read()
-    env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE, "verify")
-    claim_digest = _guest_claim_digest(env, binding)
-    agg_values = decode_stream(binding["journal"])
-    agg_header = next(agg_values, None)
-    if not isinstance(agg_header, dict):
-        env.abort("aggregation journal has no header")
-    env.verify(binding["image_id"], claim_digest)
-    root: Digest = agg_header["new_root"]
-    size: int = agg_header["size"]
-    if size <= 0:
-        env.abort("cannot partition an empty CLog")
+    Input frames: partition header (a ``queries`` list, partition
+    geometry, subtree sibling path); aggregation-receipt binding; then
+    the partition's entries (key, payload) in slot order.  The guest
+    rebuilds the partition's aligned-subtree node from its entries
+    (padding with empty-subtree roots, mirroring the main tree's
+    right-padding rule) and folds it up the sibling path to the
+    aggregation root — proving the entries are exactly slots
+    ``[start, start + count)`` of the attested dataset, so partitions
+    that each verify and together tile ``[0, size)`` give the same
+    completeness guarantee as a full scan.  That work (decoding every
+    entry, hashing the subtree against the committed root) is paid once
+    however many queries ride the scan; each query is then evaluated
+    over the shared entry views, so per-query marginal cost is
+    evaluation only.
 
-    partition: int = header["partition"]
-    num_partitions: int = header["num_partitions"]
-    chunk_po2: int = header["chunk_po2"]
-    start: int = header["start"]
-    count: int = header["count"]
-    siblings: list[Digest] = header["siblings"]
-
-    depth = 0
-    while (1 << depth) < size:
-        depth += 1
-    if not 0 <= chunk_po2 <= depth:
-        env.abort("chunk size out of range for the committed tree")
-    chunk = 1 << chunk_po2
-    if num_partitions != (size + chunk - 1) // chunk:
-        env.abort("partition count does not tile the committed tree")
-    if not 0 <= partition < num_partitions:
-        env.abort("partition index out of range")
-    if start != partition << chunk_po2 \
-            or count != min(size - start, chunk) or count <= 0:
-        env.abort("partition range does not match its slot alignment")
-    if len(siblings) != depth - chunk_po2:
-        env.abort("sibling path length does not match partition depth")
-
-    hasher = env.merkle_hasher()
-    leaves, views = _read_entry_views(env, hasher, count)
-    subtree = MerkleTree(leaves, hasher=hasher)
-    sub_root = subtree.root
-    for height in range(subtree.depth, chunk_po2):
-        sub_root = hasher.node(sub_root, EMPTY_ROOTS[height])
-    if _path_root(hasher, sub_root, partition, siblings) != root:
-        env.abort("partition entries do not reproduce the committed root")
-
-    sql: str = header["query"]
-    env.tick(len(sql) * PARSE_CYCLES_PER_BYTE, "parse")
-    query = parse_query(sql)
-    partial = evaluate_partial(
-        query, views,
-        cost_hook=lambda nodes: env.tick(nodes * QUERY_NODE_CYCLES,
-                                         "evaluate"))
-    journal = {
-        "query": sql,
-        "root": root,
-        "round": agg_header["round"],
-        "size": size,
-        "partition": partition,
-        "num_partitions": num_partitions,
-        "chunk_po2": chunk_po2,
-        "start": start,
-        "group_by": partial.group_by,
-    }
-    journal.update(partial.to_wire())
-    env.commit(journal)
-
-
-@guest_program("telemetry-query-merge-v1")
-def query_merge_guest(env: GuestEnv) -> None:
-    """Fold per-partition partial query aggregates into the final §4.2
-    query journal.
-
-    Verifies one resolved partition receipt per partition — pinning the
-    partition guest's image id, so a journal of the right shape from
-    any *other* guest cannot be folded in — checks the partials tile
-    the committed entry set exactly (same query/root/round/size, every
-    partition index exactly once, scanned counts summing to the size),
-    and commits a journal byte-identical to the single-pass
-    :data:`query_guest`'s.
-    """
-    header = env.read()
-    sql: str = header["query"]
-    num_partitions: int = header["num_partitions"]
-    if num_partitions < 1:
-        env.abort("merge needs at least one partition")
-    root: Digest | None = None
-    round_index = None
-    size = None
-    chunk_po2 = None
-    seen: set[int] = set()
-    scanned_total = 0
-    partials: list[dict[str, Any]] = []
-    for _ in range(num_partitions):
-        binding = env.read()
-        if binding["image_id"] != query_partition_guest.image_id:
-            env.abort("partition receipt was not produced by the "
-                      "query partition guest")
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        env.verify(binding["image_id"], claim_digest)
-        values = list(decode_stream(binding["journal"]))
-        part = values[0] if len(values) == 1 else None
-        if not isinstance(part, dict):
-            env.abort("partition journal is not a single header")
-        if part["query"] != sql:
-            env.abort("partition proved a different query")
-        if part["num_partitions"] != num_partitions:
-            env.abort("partition disagrees on the partition count")
-        if root is None:
-            root = part["root"]
-            round_index = part["round"]
-            size = part["size"]
-            chunk_po2 = part["chunk_po2"]
-        elif part["root"] != root or part["round"] != round_index \
-                or part["size"] != size \
-                or part["chunk_po2"] != chunk_po2:
-            env.abort("partitions bind different aggregation states")
-        index = part["partition"]
-        if index in seen:
-            env.abort(f"partition {index} appears twice")
-        seen.add(index)
-        if part["start"] != index << chunk_po2:
-            env.abort("partition start does not match its index")
-        scanned_total += part["scanned"]
-        partials.append(part)
-    if len(seen) != num_partitions or scanned_total != size:
-        env.abort("partitions do not cover the committed entry set")
-
-    env.tick(len(sql) * PARSE_CYCLES_PER_BYTE, "parse")
-    query = parse_query(sql)
-    result = merge_partials(
-        query, partials,
-        cost_hook=lambda states: env.tick(states * MERGE_CYCLES,
-                                          "merge"))
-    env.commit({
-        "query": sql,
-        "root": root,
-        "round": round_index,
-        "labels": list(result.labels),
-        "values": list(result.values),
-        "matched": result.matched,
-        "scanned": result.scanned,
-        "group_by": result.group_by,
-        "groups": [[key, list(values)]
-                   for key, values in result.groups],
-    })
-
-
-@guest_program("telemetry-query-batch-partition-v1")
-def query_batch_partition_guest(env: GuestEnv) -> None:
-    """Batched partitioned query proving: partial aggregates for
-    *several* queries over one aligned slot range, in one scan.
-
-    Identical binding discipline to :data:`query_partition_guest` —
-    the same geometry checks, the same subtree-to-root fold — but the
-    header carries a ``queries`` list and the expensive work (decoding
-    every entry, hashing the subtree against the committed root) is
-    paid once for the whole batch.  Each query is then evaluated over
-    the shared entry views, so per-query marginal cost is evaluation
-    only.
-
-    Journal: one *batch header* frame (partition geometry + the shared
-    root/round/size and the scanned count), then one frame per query in
-    header order carrying that query's text and mergeable partial
-    state.  The multi-frame journal is what forces a dedicated merge
-    guest: :data:`query_merge_guest` requires single-header partition
-    journals.
+    Journal: one header frame (partition geometry, the shared
+    root/round/size, ``num_queries`` and the scanned count), then one
+    frame per query in header order carrying that query's text and
+    mergeable accumulator states — not final values.
     """
     header = env.read()
     binding = env.read()
@@ -620,7 +459,7 @@ def query_batch_partition_guest(env: GuestEnv) -> None:
 
     queries: list[str] = header["queries"]
     if not queries:
-        env.abort("batch partition needs at least one query")
+        env.abort("partition needs at least one query")
     partition: int = header["partition"]
     num_partitions: int = header["num_partitions"]
     chunk_po2: int = header["chunk_po2"]
@@ -676,19 +515,21 @@ def query_batch_partition_guest(env: GuestEnv) -> None:
         env.commit(frame)
 
 
-@guest_program("telemetry-query-batch-merge-v1")
-def query_batch_merge_guest(env: GuestEnv) -> None:
-    """Fold *one query's* partials out of batched partition receipts.
+@guest_program("telemetry-query-merge-v2")
+def query_merge_guest(env: GuestEnv) -> None:
+    """Fold *one query's* partials out of the partition receipts into
+    the final §4.2 query journal.
 
-    The batch emits one merge receipt per query, so every client still
-    gets a standalone proof: this guest verifies every batch-partition
-    receipt (pinning :data:`query_batch_partition_guest`'s image id),
-    checks the partitions tile the committed entry set exactly — same
-    root/round/size/chunk, every partition index once, scanned counts
-    summing to the size — selects its query's partial frame from each
-    multi-frame journal (cross-checking the frame's query text), and
-    commits a journal byte-identical to the single-pass
-    :data:`query_guest`'s for that query.
+    A fan-out emits one merge receipt per query, so every client gets a
+    standalone proof: this guest verifies one resolved partition
+    receipt per partition — pinning :data:`query_partition_guest`'s
+    image id, so a journal of the right shape from any *other* guest
+    cannot be folded in — checks the partitions tile the committed
+    entry set exactly (same root/round/size/chunk, every partition
+    index exactly once, scanned counts summing to the size), selects
+    frame ``1 + query_index`` from each journal (cross-checking the
+    frame's query text), and commits a journal byte-identical to the
+    single-pass :data:`query_guest`'s for that query.
     """
     header = env.read()
     sql: str = header["query"]
@@ -707,9 +548,9 @@ def query_batch_merge_guest(env: GuestEnv) -> None:
     partials: list[dict[str, Any]] = []
     for _ in range(num_partitions):
         binding = env.read()
-        if binding["image_id"] != query_batch_partition_guest.image_id:
+        if binding["image_id"] != query_partition_guest.image_id:
             env.abort("partition receipt was not produced by the "
-                      "batch query partition guest")
+                      "query partition guest")
         env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
                  "verify")
         claim_digest = _guest_claim_digest(env, binding)
@@ -717,12 +558,12 @@ def query_batch_merge_guest(env: GuestEnv) -> None:
         values = list(decode_stream(binding["journal"]))
         part = values[0] if values else None
         if not isinstance(part, dict) or "num_queries" not in part:
-            env.abort("partition journal has no batch header")
+            env.abort("partition journal has no header frame")
         if len(values) != 1 + part["num_queries"]:
             env.abort("partition journal frame count does not match "
-                      "its batch header")
+                      "its header")
         if query_index >= part["num_queries"]:
-            env.abort("query index out of range for the batch")
+            env.abort("query index out of range for the partition")
         if part["num_partitions"] != num_partitions:
             env.abort("partition disagrees on the partition count")
         if root is None:
@@ -743,7 +584,7 @@ def query_batch_merge_guest(env: GuestEnv) -> None:
         scanned_total += part["scanned"]
         frame = values[1 + query_index]
         if not isinstance(frame, dict) or frame.get("query") != sql:
-            env.abort("selected batch frame proves a different query")
+            env.abort("selected frame proves a different query")
         partials.append(frame)
     if len(seen) != num_partitions or scanned_total != size:
         env.abort("partitions do not cover the committed entry set")
@@ -1180,7 +1021,6 @@ def resolve_guest(name: str) -> GuestProgram:
 
 for _program in (aggregation_guest, query_guest, partition_guest,
                  merge_guest, query_partition_guest, query_merge_guest,
-                 query_batch_partition_guest, query_batch_merge_guest,
                  delta_aggregation_guest, fold_guest,
                  federation_join_guest):
     register_guest(_program)

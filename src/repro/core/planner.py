@@ -12,8 +12,10 @@ the same cost constants (`repro.core.guest_programs`,
 estimate the cost model converts to seconds per backend.  Accuracy is
 checked in the tests (within a few percent of the metered execution).
 
-It also prices the *partitioned* strategy (`estimate_partitioned`):
-per-partition partial-query proofs plus the merge guest, with the
+It also prices the *partitioned* strategy (`estimate_partitioned`) for
+one query — the length-1 case of the fan-out, which is what the
+crossover compares against the full scan: per-partition partial-query
+proofs plus the merge guest, with the
 end-to-end latency modeled as ``max(partition) + merge`` — which is how
 ``choose_strategy`` decides whether splitting a query across the
 proving engine pays for a given entry count.
@@ -55,9 +57,14 @@ _FLOAT_VALUE_BYTES = 9
 # Encoded per-term *partial accumulator state* ({"c","t","mn","mx"}):
 # int totals stay ints; float totals are exact [numerator, denominator]
 # fraction pairs, which dominate the row.
-_COUNT_STATE_BYTES = 24
-_INT_STATE_BYTES = 40
-_FLOAT_STATE_BYTES = 65
+_COUNT_STATE_BYTES = 23
+_INT_STATE_BYTES = 30
+_FLOAT_STATE_BYTES = 57
+# A partition journal's header frame (root digest + eight small ints)
+# and the fixed part of each per-query frame around its SQL text and
+# accumulator states.
+_PARTITION_HEADER_BYTES = 140
+_QUERY_FRAME_OVERHEAD = 66
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,11 @@ def _tagged_hash_cycles(payload_bytes: int) -> int:
     return ((payload_bytes + 9 + 63) // 64) * cy.SHA256_COMPRESS_CYCLES
 
 
+# Recomputing a receipt's claim digest in-guest: the (empty)
+# assumptions list, then the 144-byte claim preimage.
+_CLAIM_DIGEST_CYCLES = _tagged_hash_cycles(0) + _tagged_hash_cycles(144)
+
+
 def _tree_depth(size: int) -> int:
     depth = 0
     while (1 << depth) < max(size, 1):
@@ -190,6 +202,16 @@ def _subtree_hashes(count: int) -> int:
         width = (width + 1) // 2
         hashes += width
     return hashes
+
+
+def _priced(sql: str, entries: int, cycles: float) -> QueryCostEstimate:
+    total = int(cycles)
+    return QueryCostEstimate(
+        sql=sql,
+        entries=entries,
+        predicted_cycles=total,
+        predicted_segments=len(_segment_sizes(total)),
+    )
 
 
 class QueryPlanner:
@@ -220,27 +242,23 @@ class QueryPlanner:
         chunk = 1 << chunk_po2
         partition_estimates = []
         partial_bytes = []
+        ranges = []
         for index in range(count):
             lo = index << chunk_po2
             hi = min(self.entries, lo + chunk)
-            journal_bytes = self._partial_journal_bytes(
-                sql, query, lo, hi)
-            partial_bytes.append(journal_bytes)
+            ranges.append((lo, hi))
+            frame_bytes = self._partial_frame_bytes(sql, query, lo, hi)
+            partial_bytes.append(frame_bytes)
             partition_estimates.append(self._estimate_partition(
-                sql, query, hi - lo, chunk_po2, journal_bytes))
-        merge_estimate = self._estimate_merge(sql, query, partial_bytes,
-                                              lo_hi_pairs=[
-                                                  (i << chunk_po2,
-                                                   min(self.entries,
-                                                       (i + 1) << chunk_po2))
-                                                  for i in range(count)])
+                sql, query, hi - lo, chunk_po2, frame_bytes))
         return PartitionedQueryCostEstimate(
             sql=sql,
             entries=self.entries,
             num_partitions=count,
             chunk_po2=chunk_po2,
             partition_estimates=tuple(partition_estimates),
-            merge_estimate=merge_estimate,
+            merge_estimate=self._estimate_merge(sql, query,
+                                                partial_bytes, ranges),
         )
 
     def choose_strategy(self, sql: str, num_partitions: int | None,
@@ -285,23 +303,18 @@ class QueryPlanner:
         cycles += cy.io_cycles(result_bytes) \
             + _tagged_hash_cycles(result_bytes)
 
-        total = int(cycles)
-        return QueryCostEstimate(
-            sql=sql,
-            entries=n,
-            predicted_cycles=total,
-            predicted_segments=len(_segment_sizes(total)),
-        )
+        return _priced(sql, n, cycles)
 
     def _estimate_partition(self, sql: str, query: Query, count: int,
                             chunk_po2: int,
-                            journal_bytes: int) -> QueryCostEstimate:
-        """Mirror `query_partition_guest` for one ``count``-entry chunk."""
+                            frame_bytes: int) -> QueryCostEstimate:
+        """Mirror `query_partition_guest` for one ``count``-entry chunk
+        proving one query (``frame_bytes``: its journal frame)."""
         depth = _tree_depth(self.entries)
         path_len = depth - chunk_po2
         cycles = cy.EXECUTION_BASE_CYCLES
-        # Partition header frame (query + geometry + sibling path).
-        cycles += cy.io_cycles(90 + len(sql)
+        # Partition header frame (queries + geometry + sibling path).
+        cycles += cy.io_cycles(95 + len(sql)
                                + _DIGEST_BYTES * path_len)
         cycles += self._binding_cycles()
         cycles += count * self._per_entry_cycles()
@@ -312,31 +325,30 @@ class QueryPlanner:
         cycles += node_hashes * _tagged_hash_cycles(64)
         cycles += len(sql) * PARSE_CYCLES_PER_BYTE
         cycles += count * query.node_count * QUERY_NODE_CYCLES
-        cycles += cy.io_cycles(journal_bytes) \
-            + _tagged_hash_cycles(journal_bytes)
-        total = int(cycles)
-        return QueryCostEstimate(
-            sql=sql,
-            entries=count,
-            predicted_cycles=total,
-            predicted_segments=len(_segment_sizes(total)),
-        )
+        # Journal: the header frame, then the query's frame — each its
+        # own commit (word-rounded I/O, separately padded hash).
+        for committed in (_PARTITION_HEADER_BYTES, frame_bytes):
+            cycles += cy.io_cycles(committed) \
+                + _tagged_hash_cycles(committed)
+        return _priced(sql, count, cycles)
 
     def _estimate_merge(self, sql: str, query: Query,
                         partial_bytes: list[int],
                         lo_hi_pairs: list[tuple[int, int]]
                         ) -> QueryCostEstimate:
-        """Mirror `query_merge_guest` over the partition journals."""
+        """Mirror `query_merge_guest` over the partition journals
+        (``partial_bytes``: each partition's frame for this query)."""
         cycles = cy.EXECUTION_BASE_CYCLES
-        cycles += cy.io_cycles(40 + len(sql))  # merge header frame
+        cycles += cy.io_cycles(55 + len(sql))  # merge header frame
         terms = len(query.aggregates)
-        for journal_bytes, (lo, hi) in zip(partial_bytes, lo_hi_pairs):
+        for frame_bytes, (lo, hi) in zip(partial_bytes, lo_hi_pairs):
+            journal_bytes = _PARTITION_HEADER_BYTES + frame_bytes
             # Binding frame I/O + journal hash/decode + claim recompute
             # + the recorded assumption.
             cycles += cy.io_cycles(journal_bytes + 160)
             cycles += _tagged_hash_cycles(journal_bytes)
             cycles += journal_bytes * DECODE_CYCLES_PER_BYTE
-            cycles += 3 * _tagged_hash_cycles(96)
+            cycles += _CLAIM_DIGEST_CYCLES
             cycles += cy.ASSUMPTION_CYCLES
             rows = self._group_cardinality(query, lo, hi) \
                 if query.group_by is not None else 1
@@ -346,13 +358,7 @@ class QueryPlanner:
             + self._group_rows_bytes(query, 0, self.entries)
         cycles += cy.io_cycles(result_bytes) \
             + _tagged_hash_cycles(result_bytes)
-        total = int(cycles)
-        return QueryCostEstimate(
-            sql=sql,
-            entries=self.entries,
-            predicted_cycles=total,
-            predicted_segments=len(_segment_sizes(total)),
-        )
+        return _priced(sql, self.entries, cycles)
 
     # -- shared terms --------------------------------------------------------
 
@@ -361,7 +367,7 @@ class QueryPlanner:
         recompute the claim digest, record the assumption."""
         return (_tagged_hash_cycles(self.agg_journal_bytes)
                 + self.agg_journal_bytes * DECODE_CYCLES_PER_BYTE
-                + 3 * _tagged_hash_cycles(96)  # claim + assumptions
+                + _CLAIM_DIGEST_CYCLES
                 + cy.ASSUMPTION_CYCLES
                 + cy.io_cycles(self.agg_journal_bytes + 200))
 
@@ -410,17 +416,19 @@ class QueryPlanner:
             + sum(_value_bytes(a) for a in query.aggregates)
         return int(cardinality * per_row)
 
-    def _partial_journal_bytes(self, sql: str, query: Query, lo: int,
-                               hi: int) -> int:
-        """Encoded bytes of one partition's partial-state journal."""
-        base = 160 + len(sql) + _DIGEST_BYTES
+    def _partial_frame_bytes(self, sql: str, query: Query, lo: int,
+                             hi: int) -> int:
+        """Encoded bytes of one query's partial-state frame in one
+        partition's journal."""
+        base = _QUERY_FRAME_OVERHEAD + len(sql)
         if query.group_by is None:
             return base + sum(_state_bytes(a) for a in query.aggregates)
         cardinality, key_bytes = self._group_profile(
             query.group_by.name, lo, hi)
         per_row = _GROUP_ROW_OVERHEAD + key_bytes \
             + sum(_state_bytes(a) for a in query.aggregates)
-        return int(base + cardinality * per_row)
+        return int(base + len(query.group_by.name)
+                   + cardinality * per_row)
 
 
 def _term_kind(aggregate: Aggregate) -> FieldKind | None:

@@ -12,12 +12,13 @@ Two proving strategies produce that same journal:
   re-scans the entire entry set (§7 measures ~16 minutes at 3,000
   entries, which is the bottleneck this module exists to attack);
 * **partitioned** — the entry set is split into aligned slot ranges,
-  each proven as a *partial* query (bound to the aggregation root via a
+  each proven as *partial* queries (bound to the aggregation root via a
   subtree sibling path) on the :class:`~repro.engine.ProvingEngine`
-  work queue, then folded by a small merge guest into a journal
-  byte-identical to the full scan's.  The planner picks whichever is
-  modeled faster; clients verify both through the same
-  ``VerifierClient.verify_query``.
+  work queue, then folded — one small merge proof per query — into
+  journals byte-identical to the full scan's.  One scan serves any
+  number of distinct queries over the same committed state.  The
+  planner picks whichever is modeled faster for a lone query; clients
+  verify both through the same ``VerifierClient.verify_query``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ class PartitionedQueryInfo:
 
     Duck-compatible with :class:`ProveInfo` where the service relies on
     it (``.receipt``, ``.stats``); ``stats`` totals the work across
-    every partition plus the merge.  The latency model mirrors
+    every partition plus this query's merge (queries proven through one
+    fan-out share — and each report — the same ``partition_infos``).
+    The latency model mirrors
     :class:`~repro.core.parallel.ParallelAggregationResult`: partitions
     prove concurrently, the merge after the slowest of them.
     """
@@ -142,15 +145,6 @@ class PartitionedQueryInfo:
                       for info in self.partition_infos)
         return slowest + model.prove_seconds(self.merge_info.stats,
                                              backend)
-
-    def sequential_seconds(self, model: CostModel,
-                           backend: ProverBackend =
-                           ProverBackend.CPU_ZKVM) -> float:
-        """The same work proven one partition at a time."""
-        total = sum(model.prove_seconds(info.stats, backend)
-                    for info in self.partition_infos)
-        return total + model.prove_seconds(self.merge_info.stats,
-                                           backend)
 
 
 class QueryProver:
@@ -226,19 +220,47 @@ class QueryProver:
             self, sql: str, state: CLogState, agg_receipt: Receipt,
             num_partitions: int | None = None,
     ) -> tuple[QueryResponse, PartitionedQueryInfo]:
-        """Prove ``sql`` as partial queries over aligned slot ranges.
+        """Prove ``sql`` as partial queries over aligned slot ranges:
+        the length-1 case of :meth:`prove_queries_partitioned`."""
+        (outcome,) = self.prove_queries_partitioned(
+            [sql], state, agg_receipt, num_partitions)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-        Every partition job and the merge job go through the engine's
-        work queue — pooled workers prove them concurrently and the
-        content-addressed :class:`~repro.engine.cache.ReceiptCache`
-        replays recurring partitions.  The merge receipt is resolved
+    def prove_queries_partitioned(
+            self, sqls: list[str], state: CLogState,
+            agg_receipt: Receipt, num_partitions: int | None = None,
+    ) -> list[Any]:
+        """Prove every query in ``sqls`` through one partition fan-out.
+
+        One partition job per aligned slot range binds the range to the
+        committed root once and evaluates **every** query over the
+        shared entry views; one merge job per query folds that query's
+        partial frames into a journal byte-identical to the full
+        scan's — so each caller still gets a standalone receipt that
+        cannot tell how many strangers shared its scan.  Every job rides
+        the engine's work queue and content-addressed
+        :class:`~repro.engine.cache.ReceiptCache` (which is what makes
+        retrying a faulted fan-out cheap).  Merge receipts are resolved
         against the partition receipts (themselves resolved against
-        ``agg_receipt``), so the response receipt is unconditional and
-        verifies exactly like a full-scan one.
+        ``agg_receipt``), so every response receipt is unconditional.
+
+        Returns one entry per query, **in order**: a ``(QueryResponse,
+        PartitionedQueryInfo)`` pair, or the ``Exception`` that query's
+        merge died with.  A *partition* failure (or a failure building
+        the merges) poisons the whole fan-out and raises — no query can
+        be answered without the shared scan.  ``sqls`` must be unique:
+        each merge selects its frame by position (callers dedupe and
+        fan the response back out).
         """
         if self._engine is None:
             raise ConfigurationError(
                 "partitioned query proving needs a ProvingEngine")
+        if not sqls:
+            raise ConfigurationError("fan-out needs at least one query")
+        if len(set(sqls)) != len(sqls):
+            raise ConfigurationError("fan-out queries must be unique")
         requested = num_partitions if num_partitions is not None \
             else self._num_partitions
         if requested is None or requested < 1:
@@ -247,6 +269,7 @@ class QueryProver:
         if size == 0:
             raise ProofError(
                 "cannot prove a partitioned query over an empty CLog")
+        from ..engine.jobs import ProofJob
         from .planner import partition_layout
         chunk_po2, count = partition_layout(size, requested)
         chunk = 1 << chunk_po2
@@ -255,99 +278,104 @@ class QueryProver:
         binding = make_receipt_binding(agg_receipt)
 
         start = time.perf_counter()
-        with obs.tracer().span(obs_names.SPAN_QUERY_PROVE, sql=sql,
-                               entries=size) as outer:
+        tracer = obs.tracer()
+        with tracer.span(obs_names.SPAN_QUERY_PROVE, sql="; ".join(sqls),
+                         entries=size) as outer:
             outer.set("partitions", count)
-            with obs.tracer().span(obs_names.SPAN_QUERY_PARALLEL_ROUND,
-                                   partitions=count):
+            with tracer.span(obs_names.SPAN_QUERY_PARALLEL_ROUND,
+                             partitions=count, queries=len(sqls)):
                 jobs = []
                 for index in range(count):
                     lo = index << chunk_po2
                     hi = min(size, lo + chunk)
-                    jobs.append(self._partition_job(
-                        sql, binding, entries[lo:hi], index, count,
-                        chunk_po2,
-                        tree.prove_subtree(chunk_po2, index).siblings))
+                    builder = ExecutorEnvBuilder()
+                    builder.write({
+                        "queries": list(sqls),
+                        "partition": index,
+                        "num_partitions": count,
+                        "chunk_po2": chunk_po2,
+                        "start": lo,
+                        "count": hi - lo,
+                        "siblings": list(tree.prove_subtree(
+                            chunk_po2, index).siblings),
+                    })
+                    builder.write(binding)
+                    for entry in entries[lo:hi]:
+                        builder.write({"key": entry.key.pack(),
+                                       "payload": entry.to_payload()})
+                    jobs.append(ProofJob.from_parts(
+                        query_partition_guest, builder.build(),
+                        self._opts))
 
-                # Populated by build_merge on the completion-callback
-                # thread; reads below are ordered after it by
-                # merge_ready/merge_future.
+                # Populated by build_merges on the completion-callback
+                # thread; reads below are ordered after it by collect().
                 resolved: list[Receipt] = []
 
-                def build_merge(results: list[Any]) -> Any:
-                    from ..engine.jobs import ProofJob
-                    merge_builder = ExecutorEnvBuilder()
-                    merge_builder.write({"query": sql,
-                                         "num_partitions": count})
+                def build_merges(results: list[Any]) -> list[Any]:
+                    bindings = []
                     for result in results:
                         part_receipt = resolve(result.receipt,
                                                agg_receipt)
                         resolved.append(part_receipt)
-                        merge_builder.write(
+                        bindings.append(
                             make_receipt_binding(part_receipt))
-                    return ProofJob.from_parts(
-                        query_merge_guest, merge_builder.build(),
-                        self._opts)
+                    merge_jobs = []
+                    for query_index, sql in enumerate(sqls):
+                        merge_builder = ExecutorEnvBuilder()
+                        merge_builder.write({
+                            "query": sql,
+                            "query_index": query_index,
+                            "num_partitions": count,
+                        })
+                        for part_binding in bindings:
+                            merge_builder.write(part_binding)
+                        merge_jobs.append(ProofJob.from_parts(
+                            query_merge_guest, merge_builder.build(),
+                            self._opts))
+                    return merge_jobs
 
-                schedule = self._engine.submit_fanout(jobs, build_merge)
-                partition_results = []
-                for index, future in enumerate(
-                        schedule.partition_futures):
-                    with obs.tracer().span(
-                            obs_names.SPAN_QUERY_PARALLEL_PARTITION,
-                            partition=index) as span:
-                        result = future.result()
-                        span.add_cycles(result.stats.total_cycles)
-                        span.set("cached", result.cached)
-                    partition_results.append(result)
-                schedule.merge_ready.wait()
-                if schedule.merge_future is None:
-                    raise ProofError("query merge was never submitted")
-                with obs.tracer().span(
-                        obs_names.SPAN_QUERY_PARALLEL_MERGE,
-                        partitions=count) as span:
-                    merge_result = schedule.merge_future.result()
-                    span.add_cycles(merge_result.stats.total_cycles)
-                    receipt = resolve_all(merge_result.receipt,
-                                          resolved)
-            outer.add_cycles(
-                sum(r.stats.total_cycles for r in partition_results)
-                + merge_result.stats.total_cycles)
+                schedule = self._engine.submit_fanout(jobs, build_merges)
+                partition_results, merge_futures = schedule.collect(
+                    obs_names.SPAN_QUERY_PARALLEL_PARTITION)
+                partition_infos = tuple(partition_results)
+                if len(merge_futures) != len(sqls):
+                    # build_merges raised: its parked failure is the
+                    # whole fan-out's, not one query's.
+                    merge_futures[0].result()
+                cycles = sum(r.stats.total_cycles
+                             for r in partition_infos)
+                outcomes: list[Any] = []
+                for query_index, future in enumerate(merge_futures):
+                    with tracer.span(obs_names.SPAN_QUERY_PARALLEL_MERGE,
+                                     partitions=count,
+                                     query=query_index) as span:
+                        try:
+                            merge_result = future.result()
+                        except Exception as exc:
+                            # One query's merge death must not take
+                            # down the queries that shared its scan.
+                            outcomes.append(exc)
+                            continue
+                        span.add_cycles(merge_result.stats.total_cycles)
+                        cycles += merge_result.stats.total_cycles
+                        receipt = resolve_all(merge_result.receipt,
+                                              resolved)
+                    outcomes.append((
+                        _build_response(sqls[query_index], receipt),
+                        PartitionedQueryInfo(
+                            receipt=receipt,
+                            partition_infos=partition_infos,
+                            merge_info=merge_result,
+                            num_partitions=count,
+                            chunk_po2=chunk_po2)))
+            outer.add_cycles(cycles)
         registry = obs.registry()
-        registry.counter(obs_names.QUERY_PROOFS).inc()
+        registry.counter(obs_names.QUERY_PROOFS).inc(
+            sum(1 for o in outcomes if not isinstance(o, Exception)))
         registry.counter(obs_names.QUERY_PARTITIONS).inc(count)
         registry.histogram(obs_names.QUERY_SECONDS).observe(
             time.perf_counter() - start)
-        info = PartitionedQueryInfo(
-            receipt=receipt,
-            partition_infos=tuple(partition_results),
-            merge_info=merge_result,
-            num_partitions=count,
-            chunk_po2=chunk_po2,
-        )
-        return _build_response(sql, receipt), info
-
-    def _partition_job(self, sql: str, binding: dict[str, Any],
-                       entries: list[Any], index: int, count: int,
-                       chunk_po2: int,
-                       siblings: tuple[Digest, ...]) -> Any:
-        from ..engine.jobs import ProofJob
-        builder = ExecutorEnvBuilder()
-        builder.write({
-            "query": sql,
-            "partition": index,
-            "num_partitions": count,
-            "chunk_po2": chunk_po2,
-            "start": index << chunk_po2,
-            "count": len(entries),
-            "siblings": list(siblings),
-        })
-        builder.write(binding)
-        for entry in entries:
-            builder.write({"key": entry.key.pack(),
-                           "payload": entry.to_payload()})
-        return ProofJob.from_parts(query_partition_guest,
-                                   builder.build(), self._opts)
+        return outcomes
 
 
 def _build_response(sql: str, receipt: Receipt) -> QueryResponse:

@@ -24,7 +24,6 @@ from ..merkle.tree import EMPTY_ROOTS
 from ..zkvm import Receipt, Verifier
 from .guest_programs import (
     aggregation_guest,
-    query_batch_merge_guest,
     query_guest,
     query_merge_guest,
 )
@@ -77,15 +76,14 @@ class VerifierClient:
             fold_guest.image_id,
         )
         self.aggregation_image_id = aggregation_guest.image_id
-        # A query answer arrives as a full-scan receipt, a partitioned
-        # merge receipt, or a batched-merge receipt (one per query of a
-        # proving batch); all three commit the same journal layout, and
-        # each merge guest pins its partition image id internally, so
-        # the client only needs the outer image.
+        # A query answer arrives as a full-scan receipt or a fan-out
+        # merge receipt (one per query that shared the partition scan);
+        # both commit the same journal layout, and the merge guest pins
+        # its partition image id internally, so the client only needs
+        # the outer image.
         self.query_image_ids = (
             query_guest.image_id,
             query_merge_guest.image_id,
-            query_batch_merge_guest.image_id,
         )
         self.query_image_id = query_guest.image_id
 

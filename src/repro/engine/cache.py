@@ -11,10 +11,12 @@ pure content: safe to replay forever, from any tier, on any backend.
   Backends without checkpoint support degrade to memory-only silently
   (one warning); a flaky persistent tier must never fail a prove.
 
-Nothing in a cached receipt is trusted blindly by downstream code: the
-merge guest re-verifies every partition claim in-guest, and the host
-``resolve`` path re-verifies assumption receipts, so a corrupted
-persistent entry fails exactly like a tampered receipt.
+The persistent tier is **not trusted**: ``repro worker --db`` shares it
+with untrusted nodes.  Entries are sealed under a content digest (any
+byte flip is a miss), and a hit is re-verified — seal, image id, exit
+code, journal digest, input binding — exactly like a remote worker's
+result before it is promoted to the memory tier.  A failing entry is a
+logged miss: the job re-proves.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from collections import OrderedDict
 from typing import Any
 
 from ..errors import ReproError, StorageError
-from ..hashing import Digest
+from ..hashing import Digest, open_blob, seal_blob
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..serialization import decode, encode
 from ..storage.backend import LogStore
-from .jobs import JobResult
+from .jobs import JobResult, ProofJob, verify_job_receipt
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +61,14 @@ class ReceiptCache:
 
     # -- lookup --------------------------------------------------------------
 
-    def get(self, key: Digest) -> JobResult | None:
+    def get(self, key: Digest, job: ProofJob,
+            image_id: Digest) -> JobResult | None:
         """Return the cached result for ``key`` or ``None``.
 
-        A persistent-tier hit is promoted into the memory tier; every
-        lookup lands one ``repro_engine_cache_total`` series.
+        ``job`` and its guest's ``image_id`` are what ``key`` was
+        derived from: a persistent-tier hit must verify against them
+        before it is promoted into the memory tier.  Every lookup lands
+        one ``repro_engine_cache_total`` series.
         """
         counter = obs.registry().counter(obs_names.ENGINE_CACHE,
                                         ("tier", "result"))
@@ -76,7 +81,7 @@ class ReceiptCache:
             counter.inc(tier="memory", result="hit")
             return cached.replace_cached(True)
         counter.inc(tier="memory", result="miss")
-        result = self._get_persistent(key)
+        result = self._get_persistent(key, job, image_id)
         if result is not None:
             counter.inc(tier="persistent", result="hit")
             with self._lock:
@@ -129,22 +134,32 @@ class ReceiptCache:
     def _checkpoint_name(self, key: Digest) -> str:
         return f"{self._namespace}/{key.hex()}"
 
-    def _get_persistent(self, key: Digest) -> JobResult | None:
+    def _get_persistent(self, key: Digest, job: ProofJob,
+                        image_id: Digest) -> JobResult | None:
         if not self._persistent_ok:
             return None
         try:
             blob = self._store.get_checkpoint(self._checkpoint_name(key))
-            if blob is None:
-                return None
-            return JobResult.from_wire(decode(blob))
         except StorageError:
             self._degrade("read")
             return None
-        except ReproError as exc:
-            # A corrupt entry is a miss, never an error: re-prove.
-            logger.warning("receipt cache: dropping undecodable entry "
-                           "%s (%s)", key.short(), exc)
+        if blob is None:
             return None
+        payload = open_blob(blob)
+        if payload is None:
+            logger.warning("receipt cache: dropping corrupt entry %s "
+                           "(digest mismatch)", key.short())
+            return None
+        try:
+            result = JobResult.from_wire(decode(payload))
+            verify_job_receipt(result.receipt, image_id,
+                               job.env_commitment)
+        except ReproError as exc:
+            # A bad entry is a miss, never an error: re-prove.
+            logger.warning("receipt cache: dropping entry %s that does "
+                           "not verify (%s)", key.short(), exc)
+            return None
+        return result
 
     def _put_persistent(self, key: Digest, result: JobResult) -> None:
         if not self._persistent_ok:
@@ -154,7 +169,7 @@ class ReceiptCache:
         slim = JobResult(receipt=result.receipt, stats=result.stats)
         try:
             self._store.put_checkpoint(self._checkpoint_name(key),
-                                       encode(slim.to_wire()))
+                                       seal_blob(encode(slim.to_wire())))
             obs.registry().counter(obs_names.ENGINE_CACHE,
                                    ("tier", "result")).inc(
                 tier="persistent", result="store")

@@ -28,13 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigurationError, SerializationError
+from ..errors import (
+    ConfigurationError,
+    SerializationError,
+    VerificationError,
+)
 from ..hashing import TAG_ENGINE_KEY, TAG_ENGINE_OPTS, Digest, tagged_hash
 from ..serialization import decode, encode
 from ..zkvm.executor import ExecutorInput
 from ..zkvm.guest import GuestProgram
 from ..zkvm.prover import ProveStats, ProverOpts, Prover
 from ..zkvm.receipt import Receipt, ReceiptKind
+from ..zkvm.verifier import Verifier
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,47 @@ class JobResult:
                 f"malformed job result wire: {exc}") from exc
 
 
+def resolve_job_guest(job: ProofJob) -> GuestProgram:
+    """The job's guest program, wherever the job landed.
+
+    Spawned workers only import repro.core; a guest registered by
+    another module (tests, plugins) registers itself when its defining
+    module is imported, so on a registry miss the job's hint completes
+    the registry — then resolve again, raising the real error if the
+    guest still is not there.
+    """
+    from ..core.guest_programs import resolve_guest
+    try:
+        return resolve_guest(job.guest_id)
+    except ConfigurationError:
+        if not job.guest_module:
+            raise
+        import importlib
+        importlib.import_module(job.guest_module)
+        return resolve_guest(job.guest_id)
+
+
+def verify_job_receipt(receipt: Receipt, image_id: Digest,
+                       input_digest: Digest) -> None:
+    """Raise unless ``receipt`` proves the job that commits
+    ``input_digest`` under guest ``image_id`` — the gate for receipts
+    this process did not prove itself (a remote worker's result, a
+    persistent cache entry on a store shared with untrusted nodes).
+
+    ``verify_conditional``, not ``verify``: such a receipt may
+    legitimately carry unresolved assumptions (the update strategy
+    resolves them downstream).  Seal, image id, exit code and journal
+    digest are still checked, and the input binding stops a valid
+    receipt for *other* inputs being passed off as this job's.
+    """
+    Verifier().verify_conditional(receipt, image_id)
+    claimed = receipt.claim.input_digest
+    if claimed != input_digest:
+        raise VerificationError(
+            f"receipt binds input {claimed.hex()[:16]}…, "
+            f"job committed {input_digest.hex()[:16]}…")
+
+
 def execute_job(job: ProofJob, capture_obs: bool = False) -> JobResult:
     """Resolve the guest and prove the job (any process, any thread).
 
@@ -172,20 +218,7 @@ def execute_job(job: ProofJob, capture_obs: bool = False) -> JobResult:
     GuestAbort`, :class:`~repro.errors.ProofError`) — all picklable, so
     they propagate intact through a ``ProcessPoolExecutor`` future.
     """
-    from ..core.guest_programs import resolve_guest
-    try:
-        program = resolve_guest(job.guest_id)
-    except ConfigurationError:
-        # Spawned workers only import repro.core; a guest registered by
-        # another module (tests, plugins) registers itself when its
-        # defining module is imported, so the hint completes the
-        # registry — then resolve again, raising the real error if the
-        # guest still is not there.
-        if not job.guest_module:
-            raise
-        import importlib
-        importlib.import_module(job.guest_module)
-        program = resolve_guest(job.guest_id)
+    program = resolve_job_guest(job)
     if capture_obs:
         from ..obs import runtime as obs
         with obs.capture() as handle:

@@ -193,8 +193,9 @@ class ProverPool:
         key = None
         if self.cache is not None:
             from ..core.guest_programs import resolve_guest
-            key = job.cache_key(resolve_guest(job.guest_id).image_id)
-            hit = self.cache.get(key)
+            image_id = resolve_guest(job.guest_id).image_id
+            key = job.cache_key(image_id)
+            hit = self.cache.get(key, job, image_id)
             if hit is not None:
                 with self._lock:
                     self._jobs_cached += 1

@@ -13,7 +13,8 @@ proofs interleave with other rounds' partition proofs and the pool
 stays saturated.  Round failures are isolated: a failed partition
 poisons only its round's outcome (the merge is never submitted), which
 is what lets the daemon quarantine one window while the rest of the
-queue proves on.
+queue proves on.  The countdown is :meth:`ProvingEngine.submit_fanout`,
+which partitioned queries and federation joins ride too.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ProofError
 from ..obs import names as obs_names
 from ..obs import runtime as obs
+from ..obs.tracing import NULL_TRACER
 from ..zkvm import ExecutorEnvBuilder, ProverOpts
 from ..zkvm.costmodel import CostModel
 from ..zkvm.recursion import resolve_all
@@ -130,36 +132,35 @@ class ProvingEngine:
                      ) -> list[RoundOutcome]:
         """Prove several independent rounds through one work queue.
 
-        Every round's partition jobs are submitted immediately; each
-        round's merge job is submitted from a completion callback as
-        soon as *its* partitions are done — no cross-round barrier.
-        Returns one :class:`RoundOutcome` per input round, in order.
+        Every round is one :meth:`submit_fanout`, all submitted before
+        any is waited on: each round's merge job is submitted from a
+        completion callback as soon as *its* partitions are done — no
+        cross-round barrier.  Returns one :class:`RoundOutcome` per
+        input round, in order.
         """
         from ..core.guest_programs import partition_guest
         start = time.perf_counter()
-        schedules = []
-        for index, windows in enumerate(rounds):
+        pending = []
+        for windows in rounds:
             partitions = partition_windows(windows, num_partitions)
             obs.registry().counter(obs_names.PARALLEL_PARTITIONS).inc(
                 len(partitions))
-            schedules.append(_RoundSchedule(index, partitions))
-        # Enqueue every round's partition jobs before waiting on any —
-        # this is the work queue: partitions of round k+1 prove while
-        # round k merges.
-        for schedule in schedules:
-            futures = []
-            for pindex, partition in enumerate(schedule.partitions):
-                job = ProofJob.from_parts(
-                    partition_guest,
-                    _partition_env(self.policy, pindex, partition),
-                    self.opts)
-                futures.append(self.pool.submit(job))
-            schedule.arm(futures, self._submit_merge)
-        outcomes = [self._collect(schedule) for schedule in schedules]
+            # A generator: each job is encoded as it is submitted, so
+            # building partition k+1 overlaps proving partition k.
+            jobs = (ProofJob.from_parts(
+                        partition_guest,
+                        _partition_env(self.policy, pindex, partition),
+                        self.opts)
+                    for pindex, partition in enumerate(partitions))
+            pending.append((partitions,
+                            self.submit_fanout(jobs, self._merge_jobs)))
+        outcomes = [self._collect(index, partitions, schedule)
+                    for index, (partitions, schedule)
+                    in enumerate(pending)]
         elapsed = time.perf_counter() - start
         registry = obs.registry()
         registry.histogram(obs_names.ENGINE_ROUND_REAL_SECONDS).observe(
-            elapsed / max(len(schedules), 1))
+            elapsed / max(len(pending), 1))
         model = CostModel()
         for outcome in outcomes:
             if outcome.ok:
@@ -168,75 +169,28 @@ class ProvingEngine:
                     outcome.result.modeled_seconds(model))
         return outcomes
 
-    def submit_fanout(self, jobs: list[ProofJob],
-                      build_merge: Any) -> "_RoundSchedule":
-        """Submit sibling jobs whose merge folds their results.
+    def submit_fanout(self, jobs: Iterable[ProofJob],
+                      build_merges: Any) -> "_RoundSchedule":
+        """Submit sibling jobs whose merge stage folds their results.
 
-        The generic form of the partition-and-merge schedule: every job
-        in ``jobs`` enters the work queue immediately, and
-        ``build_merge(results)`` — called from a completion callback
-        the moment the last sibling finishes — returns the merge
-        :class:`ProofJob`, which is submitted without a barrier.  The
-        caller drives collection through the returned schedule:
-        ``partition_futures`` (one per job, in order), ``merge_ready``
-        (set once the merge is submitted, or once a sibling failure
-        poisons the fan-out), and ``merge_future`` (``None`` iff
-        poisoned).  Partitioned query proving routes through here so
-        query jobs share the pool, cache, and fault sites with
-        aggregation rounds.
+        The one fan-out primitive: every job in ``jobs`` enters the
+        work queue immediately, and ``build_merges(results)`` — called
+        from a completion callback the moment the last sibling
+        finishes — returns the **list** of merge :class:`ProofJob` s,
+        all submitted without a barrier.  One merge is a round; N is
+        query fan-out's shape (one scan shared by N queries, one merge
+        receipt each).  Collect through :meth:`_RoundSchedule.collect`.
         """
-        if not jobs:
+        futures = [self.pool.submit(job) for job in jobs]
+        if not futures:
             raise ConfigurationError("fan-out needs at least one job")
-
-        def submit(schedule: "_RoundSchedule",
-                   results: list[JobResult]) -> None:
-            schedule.merge_future = self.pool.submit(build_merge(results))
-            schedule.merge_ready.set()
-
-        schedule = _RoundSchedule(0, [[job] for job in jobs])
-        schedule.arm([self.pool.submit(job) for job in jobs], submit)
-        return schedule
-
-    def submit_fanout_multi(self, jobs: list[ProofJob],
-                            build_merges: Any) -> "_RoundSchedule":
-        """:meth:`submit_fanout` with a fanned-back-out merge stage.
-
-        ``build_merges(results)`` returns a **list** of merge
-        :class:`ProofJob` s — one per downstream consumer — all
-        submitted together the moment the last sibling finishes.  This
-        is batched query proving's shape: one partition scan shared by
-        N queries, then N independent merge proofs so every query still
-        gets its own receipt.  The caller collects through
-        ``schedule.merge_futures`` (in ``build_merges`` output order);
-        ``merge_ready`` is set once they are submitted, or once a
-        sibling failure poisons the fan-out (``merge_futures`` stays
-        empty and ``merge_future`` is ``None`` — unless ``build_merges``
-        itself raised, in which case ``merge_future`` carries the
-        parked exception).
-        """
-        if not jobs:
-            raise ConfigurationError("fan-out needs at least one job")
-
-        def submit(schedule: "_RoundSchedule",
-                   results: list[JobResult]) -> None:
-            merge_jobs = build_merges(results)
-            if not merge_jobs:
-                raise ConfigurationError(
-                    "multi-merge fan-out built no merge jobs")
-            schedule.merge_futures = [self.pool.submit(job)
-                                      for job in merge_jobs]
-            schedule.merge_future = schedule.merge_futures[0]
-            schedule.merge_ready.set()
-
-        schedule = _RoundSchedule(0, [[job] for job in jobs])
-        schedule.arm([self.pool.submit(job) for job in jobs], submit)
-        return schedule
+        return _RoundSchedule(self.pool, futures, build_merges)
 
     # -- internals -----------------------------------------------------------
 
-    def _submit_merge(self, schedule: "_RoundSchedule",
-                      partition_results: list[JobResult]) -> None:
-        """Completion callback: this round's partitions are all proven."""
+    def _merge_jobs(self, partition_results: list[JobResult]
+                    ) -> list[ProofJob]:
+        """A round's merge stage: one job folding every partition."""
         from ..core.aggregation import make_receipt_binding
         from ..core.guest_programs import merge_guest
         builder = ExecutorEnvBuilder()
@@ -247,44 +201,32 @@ class ProvingEngine:
         })
         for result in partition_results:
             builder.write(make_receipt_binding(result.receipt))
-        job = ProofJob.from_parts(merge_guest, builder.build(),
-                                  self.opts)
-        schedule.merge_future = self.pool.submit(job)
-        schedule.merge_ready.set()
+        return [ProofJob.from_parts(merge_guest, builder.build(),
+                                    self.opts)]
 
-    def _collect(self, schedule: "_RoundSchedule") -> RoundOutcome:
+    def _collect(self, index: int, partitions: list[list[Any]],
+                 schedule: "_RoundSchedule") -> RoundOutcome:
         """Wait out one round, emitting the host-side span tree."""
         from ..core.parallel import ParallelAggregationResult
         try:
-            with obs.tracer().span(
-                    obs_names.SPAN_PARALLEL_ROUND,
-                    partitions=len(schedule.partitions)):
-                partition_results = []
-                for pindex, future in enumerate(
-                        schedule.partition_futures):
-                    with obs.tracer().span(
-                            obs_names.SPAN_PARALLEL_PARTITION,
-                            partition=pindex,
-                            routers=len(schedule.partitions[pindex])
-                            ) as span:
-                        result = future.result()
-                        span.add_cycles(result.stats.total_cycles)
-                        span.set("cached", result.cached)
-                    partition_results.append(result)
-                schedule.merge_ready.wait()
+            with obs.tracer().span(obs_names.SPAN_PARALLEL_ROUND,
+                                   partitions=len(partitions)):
+                partition_results, (merge_future,) = schedule.collect(
+                    obs_names.SPAN_PARALLEL_PARTITION,
+                    [{"routers": len(p)} for p in partitions])
                 with obs.tracer().span(
                         obs_names.SPAN_PARALLEL_MERGE,
                         partitions=len(partition_results)) as span:
-                    merge_result = schedule.merge_future.result()
+                    merge_result = merge_future.result()
                     span.add_cycles(merge_result.stats.total_cycles)
                     receipt = resolve_all(
                         merge_result.receipt,
                         [r.receipt for r in partition_results])
         except Exception as exc:
-            return RoundOutcome(index=schedule.index, error=exc)
+            return RoundOutcome(index=index, error=exc)
         header = next(receipt.journal.values())
         return RoundOutcome(
-            index=schedule.index,
+            index=index,
             result=ParallelAggregationResult(
                 receipt=receipt,
                 partition_infos=tuple(partition_results),
@@ -297,24 +239,47 @@ class ProvingEngine:
 class _RoundSchedule:
     """Countdown latch from partition futures to the merge submission."""
 
-    def __init__(self, index: int, partitions: list[list[Any]]) -> None:
-        self.index = index
-        self.partitions = partitions
-        self.partition_futures: list[Future] = []
-        self.merge_future: Future | None = None
+    def __init__(self, pool: ProverPool, futures: list[Future],
+                 build_merges: Any) -> None:
+        self.partition_futures = futures
         self.merge_futures: list[Future] = []
         self.merge_ready = threading.Event()
+        self._pool = pool
+        self._build_merges = build_merges
         self._lock = threading.Lock()
-        self._remaining = 0
-        self._failed = False
-
-    def arm(self, futures: list[Future],
-            submit_merge: Any) -> None:
-        self.partition_futures = futures
         self._remaining = len(futures)
-        self._submit_merge = submit_merge
+        self._failed = False
+        # Last: an already-finished future runs its callback right here.
         for future in futures:
             future.add_done_callback(self._partition_done)
+
+    def collect(self, span_name: str | None = None,
+                labels: list[dict[str, Any]] | None = None
+                ) -> tuple[list[JobResult], list[Future]]:
+        """Wait for the fan-out: ``(partition results, merge futures)``.
+
+        Raises the first partition failure (a poisoned fan-out never
+        submits its merges).  With ``span_name``, each partition wait
+        is one such span carrying ``partition``, ``cycles``, ``cached``
+        and that partition's ``labels`` entry.  The merge futures come
+        back unwaited, in ``build_merges`` order, so a caller can
+        settle them one by one; if ``build_merges`` itself raised they
+        are a single pre-failed future carrying that exception.
+        """
+        tracer = obs.tracer() if span_name is not None else NULL_TRACER
+        results = []
+        for index, future in enumerate(self.partition_futures):
+            with tracer.span(span_name, partition=index,
+                             **(labels[index] if labels else {})
+                             ) as span:
+                result = future.result()
+                span.add_cycles(result.stats.total_cycles)
+                span.set("cached", result.cached)
+            results.append(result)
+        self.merge_ready.wait()
+        if not self.merge_futures:
+            raise ProofError("fan-out merge stage was never submitted")
+        return results, self.merge_futures
 
     def _partition_done(self, future: Future) -> None:
         with self._lock:
@@ -331,18 +296,22 @@ class _RoundSchedule:
             self.merge_ready.set()
             return
         try:
-            self._submit_merge(
-                self, [f.result() for f in self.partition_futures])
+            merge_jobs = self._build_merges(
+                [f.result() for f in self.partition_futures])
+            if not merge_jobs:
+                raise ConfigurationError("fan-out built no merge jobs")
+            self.merge_futures = [self._pool.submit(job)
+                                  for job in merge_jobs]
         except Exception as exc:
             # Anything thrown before submit() hands back a future
             # (receipt-binding/encoding bugs) runs on an executor
             # callback thread where a raise would vanish — park the
-            # exception on a pre-failed merge future so _collect
-            # surfaces it as the round's error.
-            failed: Future = Future()
-            failed.set_exception(exc)
-            self.merge_future = failed
-            self.merge_ready.set()
+            # exception on a pre-failed merge future so collect()
+            # surfaces it as the fan-out's error.
+            parked: Future = Future()
+            parked.set_exception(exc)
+            self.merge_futures = [parked]
+        self.merge_ready.set()
 
 
 def _partition_env(policy: Any, index: int,

@@ -158,11 +158,11 @@ class FederationJoinProver:
             agg_receipts.append(agg_receipt)
             jobs.append(self._totals_job(state, agg_receipt))
 
-        # Populated by build_merge on the completion-callback thread;
-        # reads below are ordered after it by merge_ready/merge_future.
+        # Populated by build_merges on the completion-callback thread;
+        # reads below are ordered after it by collect().
         resolved: list[Receipt] = []
 
-        def build_merge(results: list[Any]) -> ProofJob:
+        def build_merges(results: list[Any]) -> list[ProofJob]:
             builder = ExecutorEnvBuilder()
             builder.write(
                 {
@@ -177,17 +177,11 @@ class FederationJoinProver:
                 receipt = resolve(result.receipt, agg_receipts[index])
                 resolved.append(receipt)
                 builder.write(make_receipt_binding(receipt))
-            return ProofJob.from_parts(federation_join_guest, builder.build(), self._opts)
+            return [ProofJob.from_parts(federation_join_guest, builder.build(), self._opts)]
 
-        schedule = self._engine.submit_fanout(jobs, build_merge)
-        total_cycles = 0
-        for future in schedule.partition_futures:
-            total_cycles += future.result().stats.total_cycles
-        schedule.merge_ready.wait()
-        if schedule.merge_future is None:
-            raise ProofError("federation join merge was never submitted")
-        merge_result = schedule.merge_future.result()
-        total_cycles += merge_result.stats.total_cycles
+        totals, (merge_future,) = self._engine.submit_fanout(jobs, build_merges).collect()
+        merge_result = merge_future.result()
+        total_cycles = sum(result.stats.total_cycles for result in (*totals, merge_result))
         span.add_cycles(total_cycles)
         receipt = resolve_all(merge_result.receipt, resolved)
         return FederationJoinResult(

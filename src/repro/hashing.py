@@ -44,7 +44,10 @@ TAG_CHAIN = "repro/core/chain"
 TAG_ENGINE_OPTS = "repro/engine/opts"
 TAG_ENGINE_KEY = "repro/engine/cache-key"
 TAG_QSERVE_KEY = "repro/qserve/result-key"
-TAG_QSERVE_BLOB = "repro/qserve/result-blob"
+# The digest envelope on persistent cache entries (query results and
+# engine receipts); the value predates the shared helper, so sealed
+# entries already in a store stay readable.
+TAG_SEALED_BLOB = "repro/qserve/result-blob"
 
 
 class Digest:
@@ -158,6 +161,28 @@ def hash_many(tag: str, items: Iterable[bytes]) -> Digest:
         h.update(len(item).to_bytes(8, "big"))
         h.update(item)
     return Digest(h.digest())
+
+
+def seal_blob(payload: bytes) -> bytes:
+    """Prefix ``payload`` with its content digest.
+
+    The envelope the persistent cache tiers store under: the wire codec
+    tolerates some single-byte mutations (e.g. in a value field) that
+    decode cleanly into a *different* object; sealing turns every such
+    mutation into a miss instead of a silently altered hit.
+    """
+    return tagged_hash(TAG_SEALED_BLOB, payload).raw + payload
+
+
+def open_blob(blob: bytes) -> bytes | None:
+    """The payload of a :func:`seal_blob` envelope, or ``None`` if the
+    blob is truncated or any byte of it was altered."""
+    if len(blob) <= DIGEST_SIZE:
+        return None
+    digest, payload = blob[:DIGEST_SIZE], blob[DIGEST_SIZE:]
+    if tagged_hash(TAG_SEALED_BLOB, payload).raw != digest:
+        return None
+    return payload
 
 
 class IncrementalHasher:

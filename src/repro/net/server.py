@@ -42,7 +42,6 @@ from ..errors import (
     ProtocolError,
     ReproError,
 )
-from ..qserve.service import env_qserve_batch
 from ..serialization import query_response_to_wire
 from .framing import (
     DEFAULT_MAX_FRAME_SIZE,
@@ -78,12 +77,8 @@ class ProverServer:
         self.bulletin = service.bulletin
         self.daemon = daemon  # optional AggregationDaemon for `status`
         # The multi-tenant serving layer is opt-in: pass a configured
-        # QueryService (``serve --max-inflight/--tenant-rate``), or set
-        # REPRO_QSERVE_BATCH=1 to get a default one.  Without it,
-        # queries run one-per-request on the executor as before.
-        if qserve is None and env_qserve_batch():
-            from ..qserve import QueryService
-            qserve = QueryService(service)
+        # QueryService (``serve --max-inflight/--tenant-rate``).
+        # Without it, queries run one-per-request on the executor.
         self.qserve = qserve
         self.host = host
         self.port = port  # 0 until start() binds an ephemeral port

@@ -6,13 +6,13 @@ This package adds the serving layer a multi-tenant deployment needs:
 
 * :mod:`.admission` — per-tenant token-bucket rate limits, a bounded
   in-flight count, and round-robin fairness across tenant FIFOs;
-* :mod:`.batch` — batched query proving: compatible queries share one
-  partition scan while each still gets its own standalone receipt,
-  byte-identical in journal to a serially proven one;
 * :mod:`.cache` — the tiered (memory + checkpoint-KV) result cache,
   keyed by (sql, round, committed root);
 * :mod:`.service` — :class:`QueryService`, the asyncio front-end that
-  ties them together for :class:`repro.net.ProverServer`.
+  ties them together for :class:`repro.net.ProverServer`, and — on an
+  engine-backed service — proves compatible queries through one shared
+  partition fan-out (:mod:`repro.core.query_proof`) while each still
+  gets its own standalone receipt.
 """
 
 from .admission import (
@@ -20,24 +20,18 @@ from .admission import (
     FairQueue,
     TokenBucket,
 )
-from .batch import BatchQueryProver
 from .cache import QueryResultCache, result_cache_key
 from .service import (
     DEFAULT_BATCH_PARTITIONS,
-    ENV_QSERVE_BATCH,
     QueryService,
-    env_qserve_batch,
 )
 
 __all__ = [
     "AdmissionController",
-    "BatchQueryProver",
     "DEFAULT_BATCH_PARTITIONS",
-    "ENV_QSERVE_BATCH",
     "FairQueue",
     "QueryResultCache",
     "QueryService",
     "TokenBucket",
-    "env_qserve_batch",
     "result_cache_key",
 ]

@@ -38,10 +38,10 @@ from typing import Any
 
 from ..errors import ConfigurationError, ReproError, StorageError
 from ..hashing import (
-    DIGEST_SIZE,
-    TAG_QSERVE_BLOB,
     TAG_QSERVE_KEY,
     Digest,
+    open_blob,
+    seal_blob,
     tagged_hash,
 )
 from ..obs import names as obs_names
@@ -220,7 +220,7 @@ class QueryResultCache:
             return None
         if blob is None:
             return None
-        payload = self._open_blob(blob)
+        payload = open_blob(blob)
         if payload is None:
             logger.warning("query result cache: dropping corrupt "
                            "entry %s (digest mismatch)", key.short())
@@ -244,30 +244,10 @@ class QueryResultCache:
         try:
             self._store.put_checkpoint(
                 self._checkpoint_name(key),
-                self._seal_blob(encode_query_response(response)))
+                seal_blob(encode_query_response(response)))
             self._count("persistent", "store")
         except StorageError:
             self._degrade("write")
-
-    @staticmethod
-    def _seal_blob(payload: bytes) -> bytes:
-        """Prefix the payload with its content digest.
-
-        The wire codec tolerates some single-byte mutations (e.g. in a
-        value field) that decode cleanly into a *different* response;
-        the digest envelope turns every such mutation into a miss
-        instead of a silently altered answer.
-        """
-        return tagged_hash(TAG_QSERVE_BLOB, payload).raw + payload
-
-    @staticmethod
-    def _open_blob(blob: bytes) -> bytes | None:
-        if len(blob) <= DIGEST_SIZE:
-            return None
-        digest, payload = blob[:DIGEST_SIZE], blob[DIGEST_SIZE:]
-        if tagged_hash(TAG_QSERVE_BLOB, payload).raw != digest:
-            return None
-        return payload
 
     def _degrade(self, op: str) -> None:
         if self._persistent_ok:

@@ -9,9 +9,11 @@ multi-tenant concerns the in-process query path never had:
   ``admission-rejected`` wire error instead of unbounded queueing, and
   a hot tenant only ever drains its own FIFO — the dispatcher serves
   tenants round-robin.
-* **Batching** (:mod:`.batch`): admitted queries wait up to
-  ``batch_window`` seconds; compatible ones (same requested round,
-  same committed root at admission) then share one partition scan,
+* **Batching**: admitted queries wait up to ``batch_window`` seconds;
+  on an engine-backed service, two or more distinct compatible ones
+  (same requested round, same committed root at admission) then share
+  one partition scan
+  (:meth:`~repro.core.query_proof.QueryProver.prove_queries_partitioned`),
   while every query still receives its own standalone receipt.
 * **Result caching** (:mod:`.cache`): the service promotes the prover
   service's :class:`~repro.qserve.cache.QueryResultCache` to the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,21 +39,12 @@ from ..hashing import Digest
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 from .admission import AdmissionController
-from .batch import BatchQueryProver
 
 logger = logging.getLogger(__name__)
-
-ENV_QSERVE_BATCH = "REPRO_QSERVE_BATCH"
 
 #: Partition count for batched proving when the service did not
 #: configure ``query_partitions`` itself.
 DEFAULT_BATCH_PARTITIONS = 4
-
-
-def env_qserve_batch() -> bool:
-    """``True`` when ``REPRO_QSERVE_BATCH`` requests batched proving."""
-    return os.environ.get(ENV_QSERVE_BATCH, "").strip().lower() \
-        not in ("", "0", "false", "no")
 
 
 @dataclass
@@ -75,8 +67,7 @@ class QueryService:
                  tenant_rate: float | None = None,
                  tenant_burst: float | None = None,
                  batch_window: float = 0.005,
-                 batch_max: int = 16,
-                 batch: bool | None = None) -> None:
+                 batch_max: int = 16) -> None:
         if batch_window < 0:
             raise ConfigurationError("batch_window must be >= 0")
         if batch_max < 1:
@@ -91,12 +82,11 @@ class QueryService:
         # Batched proving needs the engine's fan-out queue; without one
         # the service still admits, caches, and fair-queues — it just
         # proves each query serially off-loop.
-        if batch is None:
-            batch = env_qserve_batch()
-        self.batch_enabled = bool(batch) \
-            and getattr(service, "engine", None) is not None
-        self._batch_prover = BatchQueryProver(service.engine) \
-            if self.batch_enabled else None
+        engine = getattr(service, "engine", None)
+        self._fanout_prover = None
+        if engine is not None:
+            from ..core.query_proof import QueryProver
+            self._fanout_prover = QueryProver(engine.opts, engine=engine)
         # The shared tiers: persistence + counters are the query
         # service's contract, so turn both on for the service's cache.
         service.query_cache.attach_store(service.store)
@@ -194,7 +184,7 @@ class QueryService:
             "max_inflight": self._admission.max_inflight,
             "queued": len(self._admission.queue),
             "tenant_rate": self._admission.tenant_rate,
-            "batch": self.batch_enabled,
+            "batch": self._fanout_prover is not None,
             "batch_window": self.batch_window,
             "batch_max": self.batch_max,
             "cache": self.service.query_cache.stats(),
@@ -209,12 +199,7 @@ class QueryService:
             if self._closed:
                 return
             while len(self._admission.queue):
-                # The batching window: give concurrent submitters a
-                # beat to land in the queue so compatible queries share
-                # one scan.  Skipped once a full batch is waiting.
-                if self.batch_window > 0 \
-                        and len(self._admission.queue) < self.batch_max:
-                    await asyncio.sleep(self.batch_window)
+                await self._linger()
                 if self._closed:
                     return
                 tickets = list(
@@ -232,6 +217,26 @@ class QueryService:
                     self._gauge()
             if self._closed:
                 return
+
+    async def _linger(self) -> None:
+        """The batching window: give concurrent submitters a beat to
+        land in the queue so compatible queries share one scan.
+
+        Returns early once a full batch is waiting, and — because it
+        waits on the wake event rather than sleeping — the moment
+        :meth:`stop` is called, so shutdown never waits out the window.
+        """
+        deadline = self._loop.time() + self.batch_window
+        while not self._closed \
+                and len(self._admission.queue) < self.batch_max:
+            remaining = deadline - self._loop.time()
+            if remaining <= 0:
+                return
+            try:
+                await asyncio.wait_for(self._wake.wait(), remaining)
+            except asyncio.TimeoutError:
+                return
+            self._wake.clear()
 
     @staticmethod
     def _group(tickets: list[_Ticket]) -> list[list[_Ticket]]:
@@ -276,7 +281,7 @@ class QueryService:
                 return outcomes
             sqls = list(pending)
             round_index = tickets[0].round_index
-            if self._batch_prover is not None and len(sqls) > 1:
+            if self._fanout_prover is not None and len(sqls) > 1:
                 span.set("strategy", "batched")
                 results = self._prove_batched(sqls, round_index,
                                               registry)
@@ -311,8 +316,10 @@ class QueryService:
                 # query serially (still off-loop, still cached).
                 return [self._prove_serial(sql, round_index)
                         for sql in sqls]
-            return self._batch_prover.prove_batch(
+            outcomes = self._fanout_prover.prove_queries_partitioned(
                 sqls, state, receipt, partitions)
+            return [outcome if isinstance(outcome, Exception)
+                    else outcome[0] for outcome in outcomes]
 
         try:
             results = attempt()
@@ -363,7 +370,5 @@ class QueryService:
 
 __all__ = [
     "DEFAULT_BATCH_PARTITIONS",
-    "ENV_QSERVE_BATCH",
     "QueryService",
-    "env_qserve_batch",
 ]

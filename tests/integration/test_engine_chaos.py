@@ -397,8 +397,7 @@ class TestQServeBatchFaults:
                 f"engine.worker:proof:start={num_partitions + 1},"
                 "count=1", seed=SEED))
             inject_faults(service, injector)
-            qserve = QueryService(service, batch=True,
-                                  batch_window=0.2)
+            qserve = QueryService(service, batch_window=0.2)
             responses = self._submit_all(qserve, self.SQLS)
             for sql, response in zip(self.SQLS, responses):
                 assert not isinstance(response, BaseException), response
@@ -433,23 +432,25 @@ class TestQServeBatchFaults:
         try:
             service_a.aggregate_window(0)
             stale_root = service_a.state.root
-            qserve_a = QueryService(service_a, batch=True,
-                                    batch_window=30.0)
+            # The huge batch window guarantees the victim is still
+            # queued when the service dies (and, since stop() cuts the
+            # linger short, costs the test nothing).
+            qserve_a = QueryService(service_a, batch_window=30.0)
+            # One answer lands in the persistent tier before the
+            # long-window service starts: the service path shares the
+            # cache QueryService just promoted to persistent.
+            stale = service_a.answer_query(sql)
 
             async def crash_mid_batch():
                 await qserve_a.start()
-                # One answer lands in the persistent tier first.
-                proven = await qserve_a.submit(sql)
-                # The second is queued when the service dies: the huge
-                # batch window guarantees it is still waiting.
                 victim = asyncio.ensure_future(
                     qserve_a.submit(self.SQLS[1]))
                 await asyncio.sleep(0.05)
                 await qserve_a.stop()
-                return proven, await asyncio.gather(
-                    victim, return_exceptions=True)
+                return await asyncio.gather(victim,
+                                            return_exceptions=True)
 
-            stale, (victim_outcome,) = asyncio.run(crash_mid_batch())
+            (victim_outcome,) = asyncio.run(crash_mid_batch())
             assert stale.root == stale_root
             assert isinstance(victim_outcome, NetworkError)
         finally:
@@ -463,8 +464,7 @@ class TestQServeBatchFaults:
         try:
             service_b.aggregate_window(1)
             assert service_b.state.root != stale_root
-            qserve_b = QueryService(service_b, batch=True,
-                                    batch_window=0.05)
+            qserve_b = QueryService(service_b, batch_window=0.05)
             # With the persistent tier attached, the stale answer is
             # still invisible to the diverged chain (root-keyed)...
             assert service_b.query_cache.get(

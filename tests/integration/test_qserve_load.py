@@ -75,7 +75,7 @@ class TestQServeLoad:
         service, bulletin = backdrop
         service.query_cache.clear()
         qserve = QueryService(service, max_inflight=N_CLIENTS * 2,
-                              batch=True, batch_window=0.01)
+                              batch_window=0.01)
         server = serve(service, qserve)
         with server:
             outcomes = asyncio.run(self._flood(server))
@@ -176,8 +176,7 @@ class TestQServeLoad:
         # miss, or every submit would resolve without holding a slot.
         sql = ("SELECT SUM(octets), COUNT(*) FROM clogs "
                "GROUP BY dst_port")
-        qserve = QueryService(service, max_inflight=4, batch=True,
-                              batch_window=0.05)
+        qserve = QueryService(service, max_inflight=4, batch_window=0.05)
         server = serve(service, qserve)
         with server:
             outcomes = asyncio.run(self._burst(server, 24, sql))

@@ -1,18 +1,13 @@
-"""Property tests for the multi-tenant query-serving layer.
+"""Property tests for the multi-tenant query-serving layer's cache.
 
-Two invariants:
+**Cache round-trip** — a persistent-tier hit decodes to the exact
+receipt bytes that were stored, under arbitrary store/reload
+orderings; any corruption of the stored blob degrades to a miss
+(re-prove), never to a wrong or undecodable answer.
 
-* **Batch transparency** — for any mix of queries from the grammar,
-  any batch cut, and any partition count, the batched multi-journal
-  pipeline commits, per query, a journal *byte-identical* to the
-  serial full scan's.  This is the soundness core of batching: a
-  client receipt must not reveal (or depend on) how many strangers
-  shared its scan, and the result cache can serve batched and serial
-  answers interchangeably.
-* **Cache round-trip** — a persistent-tier hit decodes to the exact
-  receipt bytes that were stored, under arbitrary store/reload
-  orderings; any corruption of the stored blob degrades to a miss
-  (re-prove), never to a wrong or undecodable answer.
+(Batch transparency — a batched query's journal is byte-identical to
+the serial full scan's whatever batch it rode in — is the fan-out's
+own property and lives in ``test_query_parallel_props.py``.)
 """
 
 import pytest
@@ -21,18 +16,15 @@ from hypothesis import strategies as st
 
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
-from repro.engine import ProvingEngine
-from repro.qserve import BatchQueryProver, QueryResultCache, \
-    result_cache_key
+from repro.qserve import QueryResultCache, result_cache_key
 from repro.serialization import encode_query_response
 from repro.storage import MemoryLogStore
-from repro.zkvm import ProverOpts
 
 from ..conftest import make_committed_records
 
-# The same merge-shape coverage as the partitioned-query properties:
-# plain counts, int and float folds, AVG fractions, filters, and
-# grouped variants over low- and high-cardinality keys.
+# One response per merge shape: plain counts, int and float folds, AVG
+# fractions, filters, and grouped variants over low- and
+# high-cardinality keys.
 QUERIES = [
     "SELECT COUNT(*) FROM clogs",
     "SELECT SUM(octets), MIN(packets), MAX(packets) FROM clogs",
@@ -47,73 +39,16 @@ QUERIES = [
 
 
 @pytest.fixture(scope="module")
-def proven():
+def responses():
     store, bulletin, _ = make_committed_records(60, seed=23)
     service = ProverService(store, bulletin)
     service.aggregate_window(0)
-    engine = ProvingEngine(prover_opts=ProverOpts.groth16(),
-                           backend="thread", max_workers=2)
-    serial = {}
-    for sql in QUERIES:
-        response, _ = QueryProver().prove_query(
-            sql, service.state, service.chain.latest.receipt)
-        serial[sql] = response
-    yield service, engine, serial
-    engine.close()
-
-
-class TestBatchTransparency:
-    @given(mix=st.lists(st.sampled_from(QUERIES), unique=True,
-                        min_size=1, max_size=len(QUERIES)),
-           partitions=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[
-                  HealthCheck.function_scoped_fixture,
-                  HealthCheck.too_slow])
-    def test_batched_journals_byte_identical_to_serial(
-            self, proven, mix, partitions):
-        service, engine, serial = proven
-        prover = BatchQueryProver(engine)
-        results = prover.prove_batch(mix, service.state,
-                                     service.chain.latest.receipt,
-                                     partitions)
-        assert len(results) == len(mix)
-        for sql, result in zip(mix, results):
-            assert not isinstance(result, Exception), result
-            assert result.sql == sql
-            assert result.receipt.journal.data == \
-                serial[sql].receipt.journal.data
-            # Fully resolved: the composed receipt stands alone.
-            assert not result.receipt.claim.assumptions
-
-    @given(cut=st.integers(min_value=1, max_value=len(QUERIES) - 1),
-           partitions=st.integers(min_value=2, max_value=5))
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[
-                  HealthCheck.function_scoped_fixture,
-                  HealthCheck.too_slow])
-    def test_batch_cuts_are_invisible(self, proven, cut, partitions):
-        """Splitting one workload into two consecutive batches yields
-        the same per-query journals as any other cut — batch
-        membership never leaks into a receipt."""
-        service, engine, serial = proven
-        prover = BatchQueryProver(engine)
-        receipt = service.chain.latest.receipt
-        results = []
-        for chunk in (QUERIES[:cut], QUERIES[cut:]):
-            results.extend(prover.prove_batch(
-                chunk, service.state, receipt, partitions))
-        for sql, result in zip(QUERIES, results):
-            assert result.receipt.journal.data == \
-                serial[sql].receipt.journal.data
+    return [QueryProver().prove_query(
+                sql, service.state, service.chain.latest.receipt)[0]
+            for sql in QUERIES]
 
 
 class TestCacheRoundTrip:
-    @pytest.fixture(scope="class")
-    def responses(self, proven):
-        _, _, serial = proven
-        return list(serial.values())
-
     @given(order=st.permutations(range(len(QUERIES))))
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[

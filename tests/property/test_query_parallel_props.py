@@ -2,13 +2,15 @@
 
 Two invariants:
 
-* **Strategy equivalence** — for any query in the grammar and any
-  partition count, the partitioned pipeline commits a journal
-  *byte-identical* to the serial full scan's (so receipts are
-  interchangeable, caches agree, and clients cannot tell the
-  strategies apart).  Float aggregates make this non-trivial: partial
-  sums fold in subtree order, so the accumulators carry exact dyadic
-  rationals and round to a float only once, at merge.
+* **Strategy equivalence** — for any query in the grammar, any
+  partition count and any batch it shares a scan with, the fan-out
+  commits a journal *byte-identical* to the serial full scan's (so
+  receipts are interchangeable, caches agree, and clients cannot tell
+  the strategies apart — nor how many strangers shared their scan).
+  Float aggregates make this non-trivial: partial sums fold in subtree
+  order, so the accumulators carry exact dyadic rationals and round to
+  a float only once, at merge.  The monolithic ``query_guest`` is the
+  oracle throughout.
 * **Planner self-consistency** — a cost estimate's ``seconds()`` is
   priced from the same segmentation that produced
   ``predicted_segments``; the two sources can never disagree (the PR 5
@@ -17,7 +19,7 @@ Two invariants:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import (
@@ -27,6 +29,7 @@ from repro.core.planner import (
 )
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
+from repro.core.verifier_client import VerifierClient
 from repro.engine import ProvingEngine
 from repro.zkvm import ProverOpts
 from repro.zkvm import cycles as cy
@@ -50,6 +53,10 @@ QUERIES = [
 ]
 
 
+BATCH_SIZES = (1, 2, 5)
+PARTITION_COUNTS = (1, 2, 4, 8)
+
+
 @pytest.fixture(scope="module")
 def proven():
     store, bulletin, _ = make_committed_records(70, seed=31)
@@ -57,31 +64,53 @@ def proven():
     service.aggregate_window(0)
     engine = ProvingEngine(prover_opts=ProverOpts.groth16(),
                            backend="thread", max_workers=2)
-    yield service, engine
+    receipt = service.chain.latest.receipt
+    oracle = {sql: QueryProver().prove_query(sql, service.state,
+                                             receipt)[0]
+              for sql in QUERIES}
+    client = VerifierClient(bulletin)
+    (round_view,) = client.verify_chain(service.chain.receipts())
+    yield service, engine, oracle, client, round_view
     engine.close()
 
 
 class TestStrategyEquivalence:
-    @given(sql=st.sampled_from(QUERIES),
-           partitions=st.integers(min_value=1, max_value=9))
-    @settings(max_examples=12, deadline=None,
+    @given(order=st.permutations(QUERIES),
+           partitions=st.sampled_from(PARTITION_COUNTS))
+    @example(order=QUERIES, partitions=1)
+    @example(order=QUERIES, partitions=2)
+    @example(order=QUERIES, partitions=4)
+    @example(order=QUERIES, partitions=8)
+    @settings(max_examples=8, deadline=None,
               suppress_health_check=[
                   HealthCheck.function_scoped_fixture,
                   HealthCheck.too_slow])
-    def test_partitioned_journal_is_byte_identical(self, proven, sql,
+    def test_partitioned_journal_is_byte_identical(self, proven, order,
                                                    partitions):
-        service, engine = proven
+        """Every query, at batch sizes 1, 2 and 5, in whatever company
+        the shuffle puts it: the journal is the oracle's, the receipt
+        stands alone, and the unchanged client accepts it.  (Cutting
+        one workload into batches differently is this same property —
+        batch membership never reaches a receipt.)"""
+        service, engine, oracle, client, round_view = proven
         receipt = service.chain.latest.receipt
-        serial, _ = QueryProver().prove_query(
-            sql, service.state, receipt)
-        partitioned, info = QueryProver(
-            engine=engine).prove_query_partitioned(
-            sql, service.state, receipt, partitions)
-        assert partitioned.receipt.journal.data == \
-            serial.receipt.journal.data
-        assert not partitioned.receipt.claim.assumptions
-        assert info.num_partitions == \
-            partition_layout(len(service.state), partitions)[1]
+        prover = QueryProver(engine=engine)
+        count = partition_layout(len(service.state), partitions)[1]
+        for size in BATCH_SIZES:
+            for start in range(0, len(order), size):
+                batch = list(order[start:start + size])
+                outcomes = prover.prove_queries_partitioned(
+                    batch, service.state, receipt, partitions)
+                assert len(outcomes) == len(batch)
+                for sql, (response, info) in zip(batch, outcomes):
+                    assert response.sql == sql
+                    assert response.receipt.journal.data == \
+                        oracle[sql].receipt.journal.data
+                    # Fully resolved: the receipt stands alone.
+                    assert not response.receipt.claim.assumptions
+                    assert info.num_partitions == count
+                    verified = client.verify_query(response, round_view)
+                    assert verified.values == oracle[sql].values
 
 
 class TestPlannerSelfConsistency:

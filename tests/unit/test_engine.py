@@ -67,6 +67,14 @@ def _crash_guest_fn(env):
     _os._exit(13)  # simulates a worker process dying mid-proof
 
 
+def _other_echo_guest_fn(env):
+    env.commit({"other": env.read()})
+
+
+other_echo_guest = register_guest(GuestProgram(_other_echo_guest_fn,
+                                               name="test/other-echo"))
+
+
 crash_guest = register_guest(GuestProgram(_crash_guest_fn,
                                           name="test/crash"))
 
@@ -195,14 +203,19 @@ class TestGuestRegistry:
             resolve_guest("no/such/guest")
 
 
+def cache_get(cache, job, guest=echo_guest):
+    """Look ``job`` up the way ``ProverPool.submit`` does."""
+    return cache.get(job.cache_key(guest.image_id), job, guest.image_id)
+
+
 class TestReceiptCache:
     def test_miss_then_hit(self):
         cache = ReceiptCache()
         job = echo_job()
         key = job.cache_key(echo_guest.image_id)
-        assert cache.get(key) is None
+        assert cache_get(cache, job) is None
         cache.put(key, execute_job(job))
-        hit = cache.get(key)
+        hit = cache_get(cache, job)
         assert hit is not None and hit.cached is True
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
@@ -210,17 +223,16 @@ class TestReceiptCache:
 
     def test_lru_eviction(self):
         cache = ReceiptCache(memory_entries=2)
-        results = {}
+        jobs = {}
         for value in ("a", "b", "c"):
-            job = echo_job(value)
-            key = job.cache_key(echo_guest.image_id)
-            results[value] = key
-            cache.put(key, execute_job(job))
+            job = jobs[value] = echo_job(value)
+            cache.put(job.cache_key(echo_guest.image_id),
+                      execute_job(job))
         # "a" is the least recently used of three entries in a 2-slot
         # cache — evicted; "b" and "c" survive.
-        assert cache.get(results["a"]) is None
-        assert cache.get(results["b"]) is not None
-        assert cache.get(results["c"]) is not None
+        assert cache_get(cache, jobs["a"]) is None
+        assert cache_get(cache, jobs["b"]) is not None
+        assert cache_get(cache, jobs["c"]) is not None
 
     def test_persistent_tier_survives_new_cache(self):
         store = MemoryLogStore()
@@ -228,7 +240,7 @@ class TestReceiptCache:
         key = job.cache_key(echo_guest.image_id)
         ReceiptCache(store=store).put(key, execute_job(job))
         fresh = ReceiptCache(store=store)
-        hit = fresh.get(key)
+        hit = cache_get(fresh, job)
         assert hit is not None and hit.cached is True
         assert fresh.stats()["hits"] == 1
 
@@ -238,7 +250,7 @@ class TestReceiptCache:
         key = job.cache_key(echo_guest.image_id)
         ReceiptCache(store=store).put(key, execute_job(job))
         fresh = ReceiptCache(store=store)
-        fresh.get(key)
+        cache_get(fresh, job)
         assert fresh.stats()["memory_entries"] == 1
 
     def test_corrupt_persistent_entry_is_a_miss(self):
@@ -248,7 +260,61 @@ class TestReceiptCache:
         key = job.cache_key(echo_guest.image_id)
         store.put_checkpoint(f"receipt-cache/{key.hex()}",
                              b"not a receipt")
-        assert cache.get(key) is None
+        assert cache_get(cache, job) is None
+
+    def test_any_flipped_byte_is_a_miss_and_reproves(self):
+        """The persistent tier is shared with untrusted nodes
+        (``repro worker --db``): flip each byte of a stored entry and
+        the pool must re-prove — never hand the entry back."""
+        store = MemoryLogStore()
+        job = echo_job("sealed")
+        key = job.cache_key(echo_guest.image_id)
+        honest = execute_job(job)
+        ReceiptCache(store=store).put(key, honest)
+        name = f"receipt-cache/{key.hex()}"
+        blob = store.get_checkpoint(name)
+        for position in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[position] ^= 0x01
+            store.put_checkpoint(name, bytes(flipped))
+            cache = ReceiptCache(store=store)
+            assert cache_get(cache, job) is None, position
+            assert cache.stats()["memory_entries"] == 0
+        # Through the pool: the corrupt entry (last flip still stored)
+        # is a miss, the job re-proves, and the answer is the honest one.
+        with ProverPool(backend="serial",
+                        cache=ReceiptCache(store=store)) as pool:
+            result = pool.submit(job).result()
+            assert result.cached is False
+            assert result.receipt.to_wire() == honest.receipt.to_wire()
+            assert pool.snapshot()["jobs_cached"] == 0
+
+    def test_sealed_entry_for_another_image_is_a_miss(self):
+        """A validly sealed, validly proven receipt filed under the
+        wrong key: the digest envelope opens, so only re-verification
+        against the job's own image id keeps it out."""
+        store = MemoryLogStore()
+        job = echo_job("swap")
+        key = job.cache_key(echo_guest.image_id)
+        builder = ExecutorEnvBuilder()
+        builder.write("swap")
+        foreign = execute_job(ProofJob.from_parts(
+            other_echo_guest, builder.build()))
+        assert foreign.receipt.claim.input_digest == job.env_commitment
+        ReceiptCache(store=store).put(key, foreign)
+        cache = ReceiptCache(store=store)
+        assert cache_get(cache, job) is None
+        assert cache.stats()["memory_entries"] == 0
+
+    def test_sealed_entry_for_another_input_is_a_miss(self):
+        """Right guest, wrong inputs: a genuine receipt for a different
+        job must not be replayed as this one's."""
+        store = MemoryLogStore()
+        job = echo_job("wanted")
+        key = job.cache_key(echo_guest.image_id)
+        ReceiptCache(store=store).put(key,
+                                      execute_job(echo_job("other")))
+        assert cache_get(ReceiptCache(store=store), job) is None
 
     def test_degrades_to_memory_only_on_storage_error(self):
         class ExplodingStore(MemoryLogStore):
@@ -259,7 +325,7 @@ class TestReceiptCache:
         job = echo_job("degrade")
         key = job.cache_key(echo_guest.image_id)
         cache.put(key, execute_job(job))  # must not raise
-        assert cache.get(key) is not None  # memory tier still serves
+        assert cache_get(cache, job) is not None  # memory tier serves
         assert cache.stats()["persistent"] is False
 
     def test_obs_snapshot_stripped_from_persistent_tier(self):
@@ -272,7 +338,7 @@ class TestReceiptCache:
                                  stats=result.stats,
                                  obs_snapshot={"counters": {}}))
         fresh = ReceiptCache(store=store)
-        assert fresh.get(key).obs_snapshot is None
+        assert cache_get(fresh, job).obs_snapshot is None
 
 
 class TestPoolConfig:
@@ -543,15 +609,53 @@ class TestProvingEngine:
         thread leaving _collect to crash on a None merge future."""
         boom = SerializationError("receipt binding exploded")
 
-        def broken_submit(schedule, partition_results):
+        def broken_build(partition_results):
             raise boom
 
         with ProvingEngine(backend="serial") as engine:
-            monkeypatch.setattr(engine, "_submit_merge", broken_submit)
+            monkeypatch.setattr(engine, "_merge_jobs", broken_build)
             outcomes = engine.prove_rounds([router_inputs(2)],
                                            num_partitions=2)
         assert outcomes[0].ok is False
         assert outcomes[0].error is boom
+
+    def test_fanout_submits_every_built_merge(self):
+        """The one fan-out primitive: N sibling jobs, then however many
+        merge jobs the builder returns, collected in builder order."""
+        with ProvingEngine(backend="thread", max_workers=2) as engine:
+            schedule = engine.submit_fanout(
+                [echo_job("p0"), echo_job("p1")],
+                lambda results: [echo_job(f"m{i}") for i in range(3)])
+            partitions, merges = schedule.collect()
+            assert [next(r.receipt.journal.values())["echo"]
+                    for r in partitions] == ["p0", "p1"]
+            assert [next(f.result().receipt.journal.values())["echo"]
+                    for f in merges] == ["m0", "m1", "m2"]
+
+    def test_fanout_rejects_empty_stages(self):
+        with ProvingEngine(backend="serial") as engine:
+            with pytest.raises(ConfigurationError):
+                engine.submit_fanout([], lambda results: [echo_job()])
+            # An empty merge stage is the builder's bug; it surfaces
+            # through the parked future like any builder failure.
+            _, (parked,) = engine.submit_fanout(
+                [echo_job()], lambda results: []).collect()
+            with pytest.raises(ConfigurationError):
+                parked.result()
+
+    def test_fanout_poisoned_by_a_failed_sibling(self):
+        injector = FaultInjector(
+            FaultPlan.parse("engine.worker:proof:start=2,count=1",
+                            seed=0))
+        built = []
+        with ProvingEngine(backend="serial",
+                           injector=injector) as engine:
+            schedule = engine.submit_fanout(
+                [echo_job("a"), echo_job("b")],
+                lambda results: built.append(results) or [echo_job()])
+            with pytest.raises(ProofError):
+                schedule.collect()
+        assert built == []  # no merge for a poisoned fan-out
 
     def test_warm_round_replays_from_cache(self):
         """Re-proving an identical round must hit the cache for every

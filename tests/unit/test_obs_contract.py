@@ -489,8 +489,7 @@ class TestQServeContract:
         try:
             service.aggregate_all_committed()
             qserve = QueryService(service, tenant_rate=2.0,
-                                  tenant_burst=2.0, batch=True,
-                                  batch_window=0.05)
+                                  tenant_burst=2.0, batch_window=0.05)
             with obs.capture() as cap:
                 # Two distinct queries land in one batch...
                 async def batch_two():
@@ -559,8 +558,7 @@ class TestQServeContract:
                                 prove_workers=2)
         service.aggregate_all_committed()
         qserve = QueryService(service, tenant_rate=2.0,
-                              tenant_burst=2.0, batch=True,
-                              batch_window=0.2)
+                              tenant_burst=2.0, batch_window=0.2)
         with obs.capture():
             server = ProverServer(service, qserve=qserve)
             try:

@@ -2,10 +2,12 @@
 
 Covers the three loop-affine admission pieces (token bucket, fair
 queue, admission controller), the tiered result cache, and the typed
-error surface of :class:`~repro.qserve.service.QueryService` /
-:class:`~repro.qserve.batch.BatchQueryProver`.  Everything here is
-deterministic: buckets run on injected clocks, and the only proving is
-a couple of tiny real rounds for the service-level tests.
+error surface of :class:`~repro.qserve.service.QueryService` and the
+fan-out it batches through
+(:meth:`~repro.core.query_proof.QueryProver.prove_queries_partitioned`).
+Everything here is deterministic: buckets run on injected clocks, and
+the only proving is a couple of tiny real rounds for the service-level
+tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import asyncio
 import pytest
 
 from repro.core.prover_service import ProverService
+from repro.core.query_proof import QueryProver
 from repro.errors import (
     AdmissionRejected,
     ChainError,
@@ -272,6 +275,7 @@ class TestQueryResultCache:
     def test_mismatched_entry_is_never_served(self):
         """An entry filed under the wrong key (sql/root cross-check)
         decodes fine but must not be returned."""
+        from repro.hashing import seal_blob
         from repro.serialization import encode_query_response
         (response,) = _responses(1)
         store = MemoryLogStore()
@@ -282,7 +286,7 @@ class TestQueryResultCache:
         # rejected by the (sql, root) cross-check alone.
         store.put_checkpoint(
             f"query-results/{key.hex()}",
-            QueryResultCache._seal_blob(encode_query_response(response)))
+            seal_blob(encode_query_response(response)))
         assert cache.get(other_sql, response.round,
                          response.root) is None
 
@@ -426,7 +430,8 @@ class TestQueryService:
 
     def test_stop_fails_queued_tickets(self, served):
         """Tickets still queued at stop() get a typed failure rather
-        than hanging forever."""
+        than hanging forever — and stop() itself returns at once, not
+        after the batch window the dispatcher is lingering in."""
         qserve = QueryService(served, batch_window=30.0)
         served.query_cache.clear()
 
@@ -437,10 +442,38 @@ class TestQueryService:
             # Let the submit reach the queue (the long batch window
             # keeps the dispatcher from proving it yet).
             await asyncio.sleep(0.05)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
             await qserve.stop()
+            assert loop.time() - started < 1.0
             with pytest.raises(NetworkError):
                 await task
             assert qserve.stats()["inflight"] == 0
+
+        run(scenario())
+
+    def test_batch_window_still_lingers(self, served):
+        """The interruptible linger is still a linger: a lone query
+        waits out the window before it is proven, and a second one
+        landing inside the window rides the same drain."""
+        qserve = QueryService(served, batch_window=0.2)
+        served.query_cache.clear()
+
+        async def scenario():
+            await qserve.start()
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                first = asyncio.ensure_future(qserve.submit(
+                    "SELECT MIN(packets) FROM clogs"))
+                await asyncio.sleep(0.05)
+                assert qserve.stats()["queued"] == 1
+                second = asyncio.ensure_future(qserve.submit(
+                    "SELECT MAX(packets) FROM clogs"))
+                await asyncio.gather(first, second)
+                assert loop.time() - started >= 0.2
+            finally:
+                await qserve.stop()
 
         run(scenario())
 
@@ -453,27 +486,33 @@ class TestQueryService:
     def test_batch_disabled_without_engine(self):
         store, bulletin, _ = make_committed_records(10, seed=5)
         service = ProverService(store, bulletin)  # no engine
-        qserve = QueryService(service, batch=True)
-        assert qserve.batch_enabled is False
+        assert QueryService(service).stats()["batch"] is False
+
+    def test_batch_follows_the_engine(self, served):
+        """Batching is what an engine-backed service does: the stat is
+        derived from the attached engine, not from a switch."""
+        assert served.engine is not None
+        assert QueryService(served).stats()["batch"] is True
 
 
 class TestBatchQueryProver:
+    """Input validation of the shared-scan fan-out the service batches
+    through (:meth:`QueryProver.prove_queries_partitioned`)."""
+
     def test_duplicate_sqls_rejected(self, served):
-        from repro.qserve import BatchQueryProver
-        prover = BatchQueryProver(served.engine)
+        prover = QueryProver(engine=served.engine)
         sql = "SELECT COUNT(*) FROM clogs"
         with pytest.raises(ConfigurationError):
-            prover.prove_batch([sql, sql], served.state,
-                               served.chain.latest.receipt, 2)
+            prover.prove_queries_partitioned(
+                [sql, sql], served.state, served.chain.latest.receipt, 2)
 
     def test_empty_batch_and_empty_state_rejected(self, served):
         from repro.core.clog import CLogState
-        from repro.qserve import BatchQueryProver
-        prover = BatchQueryProver(served.engine)
+        prover = QueryProver(engine=served.engine)
         with pytest.raises(ConfigurationError):
-            prover.prove_batch([], served.state,
-                               served.chain.latest.receipt, 2)
+            prover.prove_queries_partitioned(
+                [], served.state, served.chain.latest.receipt, 2)
         with pytest.raises(ProofError):
-            prover.prove_batch(["SELECT COUNT(*) FROM clogs"],
-                               CLogState(),
-                               served.chain.latest.receipt, 2)
+            prover.prove_queries_partitioned(
+                ["SELECT COUNT(*) FROM clogs"], CLogState(),
+                served.chain.latest.receipt, 2)

@@ -1,11 +1,13 @@
 """Unit tests for partitioned query proving.
 
-Covers the new guest pair (partition + merge), the aligned-chunk
-layout, the host-side :meth:`QueryProver.prove_query_partitioned`
-pipeline through the engine, and the soundness boundaries: a partial
-result only counts when it binds the committed aggregation root
-through its subtree path, and the merge only counts when it folds
-every partition exactly once from the trusted partition image.
+Covers the query fan-out guest pair (partition + merge), the
+aligned-chunk layout, the host-side
+:meth:`QueryProver.prove_queries_partitioned` pipeline through the
+engine (and its length-1 case, ``prove_query_partitioned``), and the
+soundness boundaries: a partial result only counts when it binds the
+committed aggregation root through its subtree path, and a merge only
+counts when it folds every partition exactly once from the trusted
+partition image and selects the frame that proves *its* query.
 """
 
 import pytest
@@ -26,12 +28,15 @@ from repro.core.query_proof import (
 from repro.core.verifier_client import VerifierClient
 from repro.engine import ProvingEngine
 from repro.errors import (
+    ChainError,
     ConfigurationError,
     GuestAbort,
     ProofError,
     VerificationError,
 )
+from repro.serialization import decode_stream, encode
 from repro.zkvm import ExecutorEnvBuilder, Prover, ProverOpts
+from repro.zkvm.recursion import resolve
 
 from ..conftest import make_committed_records
 
@@ -163,6 +168,8 @@ class TestPartitionedProving:
         assert verified.root == service.state.root
         assert response.receipt.claim.image_id == \
             query_merge_guest.image_id
+        assert set(client.query_image_ids) == {
+            query_guest.image_id, query_merge_guest.image_id}
 
     def test_verifier_rejects_untrusted_image(self, proven):
         """A bare partition receipt is NOT a query answer: its journal
@@ -206,7 +213,7 @@ class TestPartitionedProving:
 
 
 class TestPartitionGuestAborts:
-    def _partition_env(self, service, sql, index, partitions,
+    def _partition_env(self, service, sqls, index, partitions,
                        siblings=None, start=None):
         size = len(service.state)
         chunk_po2, count = partition_layout(size, partitions)
@@ -220,7 +227,7 @@ class TestPartitionGuestAborts:
                 tree.prove_subtree(chunk_po2, index).siblings)
         builder = ExecutorEnvBuilder()
         builder.write({
-            "query": sql,
+            "queries": sqls,
             "partition": index,
             "num_partitions": count,
             "chunk_po2": chunk_po2,
@@ -236,17 +243,28 @@ class TestPartitionGuestAborts:
 
     def test_partition_journal_binds_geometry(self, proven):
         service, _, _ = proven
-        sql = "SELECT COUNT(*) FROM clogs"
+        sqls = ["SELECT COUNT(*) FROM clogs",
+                "SELECT SUM(octets) FROM clogs"]
         info = Prover().prove(query_partition_guest, self._partition_env(
-            service, sql, 1, 4))
-        journal = info.receipt.journal.decode_one()
-        assert journal["root"] == service.state.root
-        assert journal["partition"] == 1
-        assert journal["num_partitions"] == 4
+            service, sqls, 1, 4))
+        header, *frames = info.receipt.journal.values()
+        assert header["root"] == service.state.root
+        assert header["partition"] == 1
+        assert header["num_partitions"] == 4
+        assert header["num_queries"] == 2
         chunk_po2, _ = partition_layout(len(service.state), 4)
-        assert journal["scanned"] == min(
+        assert header["scanned"] == min(
             len(service.state) - (1 << chunk_po2), 1 << chunk_po2)
-        assert len(journal["states"]) == 1
+        # One frame per query, in header order, each with one state
+        # per aggregate.
+        assert [frame["query"] for frame in frames] == sqls
+        assert all(len(frame["states"]) == 1 for frame in frames)
+
+    def test_empty_query_list_aborts(self, proven):
+        service, _, _ = proven
+        with pytest.raises(GuestAbort, match="at least one query"):
+            Prover().prove(query_partition_guest, self._partition_env(
+                service, [], 0, 4))
 
     def test_tampered_sibling_path_aborts(self, proven):
         service, _, _ = proven
@@ -256,67 +274,159 @@ class TestPartitionGuestAborts:
         siblings[0] = siblings[-1]
         with pytest.raises(GuestAbort, match="committed root"):
             Prover().prove(query_partition_guest, self._partition_env(
-                service, "SELECT COUNT(*) FROM clogs", 0, 4,
+                service, ["SELECT COUNT(*) FROM clogs"], 0, 4,
                 siblings=siblings))
 
     def test_misaligned_start_aborts(self, proven):
         service, _, _ = proven
         with pytest.raises(GuestAbort, match="slot alignment"):
             Prover().prove(query_partition_guest, self._partition_env(
-                service, "SELECT COUNT(*) FROM clogs", 1, 4, start=3))
+                service, ["SELECT COUNT(*) FROM clogs"], 1, 4, start=3))
 
 
 class TestMergeGuestAborts:
-    def _partial(self, service, engine, sql, partitions=2):
-        prover = QueryProver(engine=engine)
-        _, info = prover.prove_query_partitioned(
-            sql, service.state, service.chain.latest.receipt,
+    SQLS = ["SELECT COUNT(*) FROM clogs",
+            "SELECT SUM(octets) FROM clogs",
+            "SELECT MAX(packets) FROM clogs GROUP BY src_net16"]
+
+    def _partial(self, service, engine, sqls, partitions=2):
+        """Resolved partition receipts of one fan-out over ``sqls``."""
+        outcomes = QueryProver(engine=engine).prove_queries_partitioned(
+            sqls, service.state, service.chain.latest.receipt,
             partitions)
-        from repro.zkvm.recursion import resolve
+        _, info = outcomes[0]
         return [resolve(p.receipt, service.chain.latest.receipt)
                 for p in info.partition_infos]
 
-    def _merge_env(self, sql, receipts, count=None):
+    def _merge_env(self, sql, bindings, count=None, query_index=0):
         builder = ExecutorEnvBuilder()
-        builder.write({"query": sql,
-                       "num_partitions": count or len(receipts)})
-        for receipt in receipts:
-            builder.write(make_receipt_binding(receipt))
+        builder.write({"query": sql, "query_index": query_index,
+                       "num_partitions": count or len(bindings)})
+        for binding in bindings:
+            builder.write(binding if isinstance(binding, dict)
+                          else make_receipt_binding(binding))
         return builder.build()
+
+    def _forged(self, receipt, rewrite):
+        """``receipt``'s binding with its journal frames rewritten.
+
+        The merge guest reads the journal out of the binding and only
+        *assumes* the claim (resolution happens on the host, later), so
+        every structural check below must fire on the journal alone.
+        """
+        binding = make_receipt_binding(receipt)
+        frames = rewrite(list(decode_stream(binding["journal"])))
+        binding["journal"] = b"".join(encode(f) for f in frames)
+        return binding
+
+    def test_every_query_of_a_fanout_merges(self, proven):
+        """The positive control for the aborts below: each
+        ``query_index`` selects its own frame and reproduces the
+        monolithic journal."""
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS)
+        for index, sql in enumerate(self.SQLS):
+            info = Prover().prove(query_merge_guest, self._merge_env(
+                sql, partials, query_index=index))
+            serial, _ = QueryProver().prove_query(
+                sql, service.state, service.chain.latest.receipt)
+            assert info.receipt.journal.data == \
+                serial.receipt.journal.data
 
     def test_duplicate_partition_aborts(self, proven):
         service, _, engine = proven
-        sql = "SELECT COUNT(*) FROM clogs"
-        partials = self._partial(service, engine, sql)
+        partials = self._partial(service, engine, self.SQLS)
         with pytest.raises(GuestAbort, match="appears twice"):
             Prover().prove(query_merge_guest, self._merge_env(
-                sql, [partials[0], partials[0]]))
+                self.SQLS[0], [partials[0], partials[0]]))
 
     def test_missing_partition_aborts(self, proven):
         """Dropping a slot range must not yield a 'complete' answer —
         completeness is the property the merge enforces."""
         service, _, engine = proven
-        sql = "SELECT COUNT(*) FROM clogs"
-        partials = self._partial(service, engine, sql)
+        partials = self._partial(service, engine, self.SQLS)
         with pytest.raises(GuestAbort, match="partition count"):
             Prover().prove(query_merge_guest, self._merge_env(
-                sql, [partials[0]]))
+                self.SQLS[0], [partials[0]]))
 
     def test_query_text_mismatch_aborts(self, proven):
         service, _, engine = proven
-        partials = self._partial(service, engine,
-                                 "SELECT COUNT(*) FROM clogs")
+        partials = self._partial(service, engine, self.SQLS[:1])
         with pytest.raises(GuestAbort, match="different query"):
             Prover().prove(query_merge_guest, self._merge_env(
                 "SELECT SUM(octets) FROM clogs", partials))
+
+    def test_selected_frame_proves_a_different_query_aborts(self,
+                                                            proven):
+        """The right SQL at the wrong ``query_index``: the merge must
+        not fold a batch-mate's partials under this query's name."""
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS)
+        with pytest.raises(GuestAbort, match="different query"):
+            Prover().prove(query_merge_guest, self._merge_env(
+                self.SQLS[0], partials, query_index=1))
+
+    @pytest.mark.parametrize("query_index", [-1, 3, 99])
+    def test_query_index_out_of_range_aborts(self, proven,
+                                             query_index):
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS)
+        with pytest.raises(GuestAbort,
+                           match="out of range|non-negative"):
+            Prover().prove(query_merge_guest, self._merge_env(
+                self.SQLS[0], partials, query_index=query_index))
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda frames: frames[:-1],             # a frame dropped
+        lambda frames: frames + [frames[-1]],   # a frame appended
+        lambda frames: frames[:1],              # header only
+    ], ids=["dropped", "appended", "header-only"])
+    def test_frame_count_mismatch_aborts(self, proven, rewrite):
+        """``1 + num_queries`` frames, exactly: a journal that says
+        three queries and carries two (or four) is malformed whatever
+        the selected frame holds."""
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS)
+        bindings = [self._forged(partials[0], rewrite), partials[1]]
+        with pytest.raises(GuestAbort, match="frame count"):
+            Prover().prove(query_merge_guest, self._merge_env(
+                self.SQLS[0], bindings))
+
+    def test_headerless_journal_aborts(self, proven):
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS)
+        bindings = [self._forged(partials[0], lambda frames: frames[1:]),
+                    partials[1]]
+        with pytest.raises(GuestAbort, match="no header frame"):
+            Prover().prove(query_merge_guest, self._merge_env(
+                self.SQLS[0], bindings))
+
+    def test_forged_journal_never_resolves(self, proven):
+        """What backs the journal-only checks above: a rewrite they
+        cannot see (frames intact, one matched count inflated) still
+        leaves an assumption no genuine partition receipt discharges,
+        so the merge receipt stays conditional forever."""
+        from repro.zkvm.recursion import resolve_all
+        service, _, engine = proven
+        partials = self._partial(service, engine, self.SQLS[:1])
+
+        def inflate(frames):
+            frames[1] = dict(frames[1], matched=frames[1]["matched"] + 1)
+            return frames
+
+        bindings = [self._forged(partials[0], inflate), partials[1]]
+        info = Prover().prove(query_merge_guest, self._merge_env(
+            self.SQLS[0], bindings))
+        with pytest.raises(ChainError,
+                           match="does not match any recorded assumption"):
+            resolve_all(info.receipt, partials)
 
     def test_foreign_image_aborts(self, proven):
         """A receipt from any guest other than the partition guest —
         even a trusted one — must not enter the fold."""
         service, _, engine = proven
-        sql = "SELECT COUNT(*) FROM clogs"
         agg_receipt = service.chain.latest.receipt
         with pytest.raises(GuestAbort,
                            match="not.*produced by the query partition"):
             Prover().prove(query_merge_guest, self._merge_env(
-                sql, [agg_receipt], count=1))
+                self.SQLS[0], [agg_receipt], count=1))
