@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import ParallelAggregator
 from repro.core.prover_service import ProverService
+from repro.engine import ProvingEngine, ReceiptCache
 from repro.zkvm.costmodel import CostModel
 
 from _workloads import committed_workload
@@ -28,15 +28,20 @@ def window_inputs():
     return ProverService(store, bulletin).gather_window(0)
 
 
+def cold_round(window_inputs, num_partitions):
+    """One partition-and-merge round on an engine with an empty
+    receipt cache, so every proof in it is a cold prove."""
+    with ProvingEngine(cache=ReceiptCache()) as engine:
+        return engine.prove_round(window_inputs, num_partitions)
+
+
 @pytest.mark.parametrize("num_partitions", [1, 2, 4])
 def test_ablation_partition_sweep(benchmark, report, window_inputs,
                                   num_partitions):
-    # A fresh aggregator per round keeps every timed iteration a cold
-    # prove (the receipt cache is per-aggregator); multiple rounds keep
-    # the median stable enough for the CI regression gate.
+    # Multiple rounds keep the median stable enough for the CI
+    # regression gate.
     result = benchmark.pedantic(
-        lambda: ParallelAggregator().aggregate(window_inputs,
-                                               num_partitions),
+        cold_round, args=(window_inputs, num_partitions),
         rounds=5, iterations=1, warmup_rounds=1)
     parallel_s = result.modeled_seconds(MODEL)
     sequential_s = result.sequential_seconds(MODEL)
@@ -61,8 +66,7 @@ def test_ablation_partitioned_result_is_deterministic(window_inputs,
     (slot order — hence the root — legitimately depends on the merge
     order, but the *content* must not)."""
     results = {
-        n: ParallelAggregator().aggregate(window_inputs, n)
-        for n in (1, 2, 4)
+        n: cold_round(window_inputs, n) for n in (1, 2, 4)
     }
     report.table("ablate-parallel-consistency",
                  "Determinism & content independence across partitions",
@@ -70,6 +74,6 @@ def test_ablation_partitioned_result_is_deterministic(window_inputs,
     for n, result in results.items():
         report.row("ablate-parallel-consistency", n, result.size,
                    result.new_root.short())
-        rerun = ParallelAggregator().aggregate(window_inputs, n)
+        rerun = cold_round(window_inputs, n)
         assert rerun.new_root == result.new_root
     assert len({result.size for result in results.values()}) == 1

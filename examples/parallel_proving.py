@@ -16,7 +16,7 @@ Run:  python examples/parallel_proving.py
 
 from repro import build_paper_eval_system
 from repro.core.guest_programs import merge_guest
-from repro.core.parallel import ParallelAggregator
+from repro.engine import ProvingEngine
 from repro.zkvm import verify_receipt
 from repro.zkvm.costmodel import CostModel, ProverBackend
 
@@ -33,14 +33,16 @@ def main() -> None:
     print(f"{'partitions':>10} {'parallel':>10} {'sequential':>11} "
           f"{'speedup':>8}")
     final = None
-    for partitions in (1, 2, 4):
-        result = ParallelAggregator().aggregate(windows, partitions)
-        parallel_min = result.modeled_seconds(model) / 60
-        sequential_min = result.sequential_seconds(model) / 60
-        print(f"{partitions:>10} {parallel_min:>8.1f}m "
-              f"{sequential_min:>9.1f}m "
-              f"{sequential_min / parallel_min:>7.2f}x")
-        final = result
+    # One engine — one worker pool and receipt cache — for every round.
+    with ProvingEngine() as engine:
+        for partitions in (1, 2, 4):
+            result = engine.prove_round(windows, partitions)
+            parallel_min = result.modeled_seconds(model) / 60
+            sequential_min = result.sequential_seconds(model) / 60
+            print(f"{partitions:>10} {parallel_min:>8.1f}m "
+                  f"{sequential_min:>9.1f}m "
+                  f"{sequential_min / parallel_min:>7.2f}x")
+            final = result
 
     # The merged receipt is a single, ordinary receipt.
     verify_receipt(final.receipt, merge_guest.image_id)

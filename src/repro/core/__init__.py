@@ -22,7 +22,6 @@ from .federation import (
     ReconciliationReport,
     build_peering_scenario,
 )
-from .parallel import ParallelAggregationResult, ParallelAggregator
 from .policy import AggOp, AggregationPolicy, DEFAULT_POLICY
 from .prover_service import ProverService, QueryResponse
 from .rebuild import RebuildAggregator
@@ -48,8 +47,6 @@ __all__ = [
     "CLogState",
     "ChainLink",
     "DEFAULT_POLICY",
-    "ParallelAggregationResult",
-    "ParallelAggregator",
     "PeeringAuditor",
     "PeeringScenario",
     "ProverService",

@@ -15,6 +15,18 @@ from typing import Any, Iterator
 from ..errors import ChainError
 from ..hashing import Digest
 from ..zkvm import Receipt
+from .guest_programs import aggregation_guest, fold_guest
+from .rebuild import rebuild_aggregation_guest
+
+#: The guests whose receipts are chainable rounds: update-path,
+#: full-rebuild, and streamed composition (whose final fold commits the
+#: same journal byte-for-byte) are trusted code with interchangeable
+#: journal layouts.  A receipt from any other image is not a round.
+ROUND_IMAGE_IDS = (
+    aggregation_guest.image_id,
+    rebuild_aggregation_guest.image_id,
+    fold_guest.image_id,
+)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ evaluation) that the RISC-V instruction stream would incur.
 The module also hosts the **guest registry**: proof jobs cross process
 boundaries as data (:mod:`repro.engine`), so a worker needs to map a
 guest *name* back to the in-process :class:`GuestProgram` object.  All
-guests defined here register themselves; out-of-module guests (the
-rebuild strategy) are resolved lazily on first miss.
+guests defined here register themselves, as does the rebuild strategy's
+in :mod:`repro.core.rebuild`.
 """
 
 from __future__ import annotations
@@ -90,21 +90,34 @@ def _guest_claim_digest(env: GuestEnv, binding: dict[str, Any]) -> Digest:
     )
 
 
-def _read_entry_views(
+def assume_receipt(env: GuestEnv) -> dict[str, Any]:
+    """Read a receipt binding frame and assume its claim.
+
+    The claim digest is recomputed from the binding's own components,
+    so what the caller reads out of ``binding["journal"]`` is trusted
+    once the host resolves the assumption.  Pinning
+    ``binding["image_id"]`` stays with the caller.
+    """
+    binding = env.read()
+    env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE, "verify")
+    env.verify(binding["image_id"], _guest_claim_digest(env, binding))
+    return binding
+
+
+def read_entries(
         env: GuestEnv, hasher: Any, count: int,
 ) -> tuple[list[Digest], list[dict[str, Any]]]:
-    """Read ``count`` (key, payload) entry frames; hash leaves, build views.
+    """Read ``count`` (key, payload) entry frames: leaf digests and
+    decoded wire entries, in slot order.
 
     Buffered: the frames come through one ``read_batch`` syscall and the
-    decode ticks are charged in two batch calls with the same totals as
-    the per-entry loop this replaces (``len(payload) * DECODE_CYCLES_PER_
-    BYTE`` plus ``QUERY_VIEW_CYCLES`` per entry, both to "decode").
+    decode tick is one batch charge with the same total as a per-entry
+    loop (``len(payload) * DECODE_CYCLES_PER_BYTE`` to "decode").
     """
-    frames = env.read_batch(count)
     leaves: list[Digest] = []
-    views: list[dict[str, Any]] = []
+    wires: list[dict[str, Any]] = []
     payload_bytes = 0
-    for frame in frames:
+    for frame in env.read_batch(count):
         key_bytes: bytes = frame["key"]
         payload: bytes = frame["payload"]
         leaves.append(hasher.leaf(key_bytes + payload))
@@ -112,10 +125,19 @@ def _read_entry_views(
         wire = decode(payload)
         if wire["key"] != key_bytes:
             env.abort("entry payload key does not match frame key")
-        views.append(entry_view_from_wire(wire))
+        wires.append(wire)
     env.tick(payload_bytes * DECODE_CYCLES_PER_BYTE, "decode")
-    env.tick(len(frames) * QUERY_VIEW_CYCLES, "decode")
-    return leaves, views
+    return leaves, wires
+
+
+def _read_entry_views(
+        env: GuestEnv, hasher: Any, count: int,
+) -> tuple[list[Digest], list[dict[str, Any]]]:
+    """:func:`read_entries`, with each entry lowered to a query view
+    (``QUERY_VIEW_CYCLES`` per entry, to "decode")."""
+    leaves, wires = read_entries(env, hasher, count)
+    env.tick(len(wires) * QUERY_VIEW_CYCLES, "decode")
+    return leaves, [entry_view_from_wire(wire) for wire in wires]
 
 
 def _path_root(hasher: Any, leaf: Digest, index: int,
@@ -130,6 +152,131 @@ def _path_root(hasher: Any, leaf: Digest, index: int,
             digest = hasher.node(digest, sibling)
         pos >>= 1
     return digest
+
+
+# -- Algorithm 1, one step each ------------------------------------------------
+#
+# Every round strategy calls these; none restates them.  A verifier check
+# that lives in N copies is sound only while all N stay in step.
+
+def verify_previous_round(env: GuestEnv, round_index: int, root: Digest,
+                          size: int, depth: int | None = None) -> None:
+    """Step 1 — Verify Previous Aggregation (lines 1-4).
+
+    Round ``n > 0`` assumes the previous receipt, whose journal header
+    must name exactly the claimed starting state; round 0 must start
+    from the empty CLog.  ``depth`` is ``None`` for a strategy that
+    claims none (the rebuild guest recomputes the whole tree instead).
+    """
+    if round_index > 0:
+        binding = assume_receipt(env)
+        prev_header = next(decode_stream(binding["journal"]), None)
+        if not isinstance(prev_header, dict):
+            env.abort("previous journal has no header")
+        if prev_header.get("new_root") != root \
+                or prev_header.get("size") != size \
+                or (depth is not None
+                    and prev_header.get("depth") != depth) \
+                or prev_header.get("round") != round_index - 1:
+            env.abort("previous journal does not match claimed prev state")
+    elif size != 0 or root != EMPTY_ROOTS[0] or depth not in (None, 0):
+        env.abort("genesis round must start from an empty CLog")
+
+
+def verify_window_commitments(
+        env: GuestEnv, num_routers: int,
+) -> tuple[list[dict[str, Any]], list[bytes]]:
+    """Step 2 — Verify Authenticity of Raw Logs (lines 5-11).
+
+    Recomputes every router window's hash against its published
+    commitment.  Returns the journal's public ``windows`` list and the
+    round's record blobs in processing order (the caller prices their
+    decode).
+    """
+    windows: list[dict[str, Any]] = []
+    blobs: list[bytes] = []
+    for _ in range(num_routers):
+        router_input = env.read()
+        recomputed = env.hash_many(TAG_COMMITMENT, router_input["blobs"],
+                                   category="commitment")
+        if recomputed != router_input["commitment"]:
+            env.abort(
+                f"integrity check failed for router "
+                f"{router_input['router_id']!r} window "
+                f"{router_input['window_index']}: commitment mismatch")
+        windows.append({
+            "r": router_input["router_id"],
+            "w": router_input["window_index"],
+            "c": recomputed,
+        })
+        blobs.extend(router_input["blobs"])
+    return windows, blobs
+
+
+def apply_witness_ops(
+        env: GuestEnv, policy: AggregationPolicy, blobs: list[bytes],
+        num_ops: int, root: Digest, size: int, depth: int,
+) -> tuple[Digest, int, int, list[dict[str, Any]]]:
+    """Step 3 — Verify, Aggregate, and Update Merkle Tree (lines 12-23).
+
+    Pairs each record with its witness op (grow/update/insert), checks
+    the op against the running root and folds the record in along the
+    same sibling path.  Returns the ending ``(root, size, depth)`` and
+    one compact journal item per record.
+    """
+    hasher = env.merkle_hasher()
+    items: list[dict[str, Any]] = []
+    ops_remaining = num_ops
+    for blob in blobs:
+        env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
+        record_wire = decode(blob)
+        if ops_remaining <= 0:
+            env.abort("witness exhausted before all records aggregated")
+        op = env.read()
+        ops_remaining -= 1
+        if op["op"] == OP_GROW:
+            root = hasher.node(root, EMPTY_ROOTS[depth])
+            depth += 1
+            if ops_remaining <= 0:
+                env.abort("grow op not followed by an insert")
+            op = env.read()
+            ops_remaining -= 1
+        siblings: list[Digest] = op["siblings"]
+        if len(siblings) != depth:
+            env.abort("witness path length does not match tree depth")
+        slot: int = op["slot"]
+        key_bytes: bytes = record_wire["key"]
+        env.tick(MERGE_CYCLES, "aggregate")
+        record = NetFlowRecord.from_wire(record_wire)
+        if op["op"] == OP_UPDATE:
+            old_payload: bytes = op["old_payload"]
+            old_leaf = hasher.leaf(key_bytes + old_payload)
+            if _path_root(hasher, old_leaf, slot, siblings) != root:
+                env.abort("integrity check for existing CLog entry "
+                          "failed (line 17)")
+            env.tick(len(old_payload) * DECODE_CYCLES_PER_BYTE, "decode")
+            entry = CLogEntry.from_payload(old_payload)
+            if entry.key != record.key:
+                env.abort("witness entry key does not match record key")
+            new_entry = entry.merge(record, policy)
+        elif op["op"] == OP_INSERT:
+            if slot != size:
+                env.abort("insert must target the append slot")
+            if _path_root(hasher, EMPTY_ROOTS[0], slot, siblings) != root:
+                env.abort("vacant-slot proof failed")
+            new_entry = CLogEntry.fresh(record)
+            size += 1
+        else:
+            env.abort(f"unknown witness op {op['op']!r}")
+        new_payload = new_entry.to_payload()
+        new_leaf = hasher.leaf(key_bytes + new_payload)
+        root = _path_root(hasher, new_leaf, slot, siblings)
+        record_tag = env.tagged_hash(
+            TAG_RLOG, blob, category="commitment").raw[:RECORD_TAG_BYTES]
+        items.append({"s": slot, "l": new_leaf, "t": record_tag})
+    if ops_remaining != 0:
+        env.abort("witness has more ops than records")
+    return root, size, depth, items
 
 
 @guest_program("telemetry-aggregation-v1")
@@ -147,112 +294,17 @@ def aggregation_guest(env: GuestEnv) -> None:
     followed by one compact item per aggregated record.
     """
     header = env.read()
-    round_index = header["round"]
     policy = AggregationPolicy.from_wire(header["policy"])
-    current_root: Digest = header["prev_root"]
-    size: int = header["prev_size"]
-    depth: int = header["prev_depth"]
-    hasher = env.merkle_hasher()
-
-    # -- Step 1: Verify Previous Aggregation (lines 1-4) --------------------
-    if round_index > 0:
-        binding = env.read()
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        prev_values = decode_stream(binding["journal"])
-        prev_header = next(prev_values, None)
-        if not isinstance(prev_header, dict):
-            env.abort("previous journal has no header")
-        if prev_header.get("new_root") != current_root \
-                or prev_header.get("size") != size \
-                or prev_header.get("depth") != depth \
-                or prev_header.get("round") != round_index - 1:
-            env.abort("previous journal does not match claimed prev state")
-        env.verify(binding["image_id"], claim_digest)
-    else:
-        if size != 0 or current_root != EMPTY_ROOTS[0] or depth != 0:
-            env.abort("genesis round must start from an empty CLog")
-
-    # -- Step 2: Verify Authenticity of Raw Logs (lines 5-11) -----------------
-    windows: list[dict[str, Any]] = []
-    batch: list[tuple[bytes, dict[str, Any]]] = []
-    for _ in range(header["num_routers"]):
-        router_input = env.read()
-        recomputed = env.hash_many(TAG_COMMITMENT, router_input["blobs"],
-                                   category="commitment")
-        if recomputed != router_input["commitment"]:
-            env.abort(
-                f"integrity check failed for router "
-                f"{router_input['router_id']!r} window "
-                f"{router_input['window_index']}: commitment mismatch")
-        windows.append({
-            "r": router_input["router_id"],
-            "w": router_input["window_index"],
-            "c": recomputed,
-        })
-        for blob in router_input["blobs"]:
-            env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
-            wire = decode(blob)
-            batch.append((blob, wire))
-
-    # -- Step 3: Verify, Aggregate, and Update Merkle Tree (lines 12-23) -------
-    items: list[dict[str, Any]] = []
-    ops_remaining = header["num_ops"]
-    for blob, record_wire in batch:
-        if ops_remaining <= 0:
-            env.abort("witness exhausted before all records aggregated")
-        op = env.read()
-        ops_remaining -= 1
-        if op["op"] == OP_GROW:
-            current_root = hasher.node(current_root, EMPTY_ROOTS[depth])
-            depth += 1
-            if ops_remaining <= 0:
-                env.abort("grow op not followed by an insert")
-            op = env.read()
-            ops_remaining -= 1
-        siblings: list[Digest] = op["siblings"]
-        if len(siblings) != depth:
-            env.abort("witness path length does not match tree depth")
-        slot: int = op["slot"]
-        key_bytes: bytes = record_wire["key"]
-        env.tick(MERGE_CYCLES, "aggregate")
-        record = NetFlowRecord.from_wire(record_wire)
-        if op["op"] == OP_UPDATE:
-            old_payload: bytes = op["old_payload"]
-            old_leaf = hasher.leaf(key_bytes + old_payload)
-            if _path_root(hasher, old_leaf, slot, siblings) \
-                    != current_root:
-                env.abort("integrity check for existing CLog entry "
-                          "failed (line 17)")
-            env.tick(len(old_payload) * DECODE_CYCLES_PER_BYTE, "decode")
-            entry = CLogEntry.from_payload(old_payload)
-            if entry.key != record.key:
-                env.abort("witness entry key does not match record key")
-            new_entry = entry.merge(record, policy)
-        elif op["op"] == OP_INSERT:
-            if slot != size:
-                env.abort("insert must target the append slot")
-            if _path_root(hasher, EMPTY_ROOTS[0], slot, siblings) \
-                    != current_root:
-                env.abort("vacant-slot proof failed")
-            new_entry = CLogEntry.fresh(record)
-            size += 1
-        else:
-            env.abort(f"unknown witness op {op['op']!r}")
-        new_payload = new_entry.to_payload()
-        new_leaf = hasher.leaf(key_bytes + new_payload)
-        current_root = _path_root(hasher, new_leaf, slot, siblings)
-        record_tag = env.tagged_hash(
-            TAG_RLOG, blob, category="commitment").raw[:RECORD_TAG_BYTES]
-        items.append({"s": slot, "l": new_leaf, "t": record_tag})
-    if ops_remaining != 0:
-        env.abort("witness has more ops than records")
-
+    verify_previous_round(env, header["round"], header["prev_root"],
+                          header["prev_size"], header["prev_depth"])
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
+    root, size, depth, items = apply_witness_ops(
+        env, policy, blobs, header["num_ops"], header["prev_root"],
+        header["prev_size"], header["prev_depth"])
     env.commit({
-        "round": round_index,
+        "round": header["round"],
         "prev_root": header["prev_root"],
-        "new_root": current_root,
+        "new_root": root,
         "size": size,
         "depth": depth,
         "windows": windows,
@@ -260,6 +312,24 @@ def aggregation_guest(env: GuestEnv) -> None:
         "entries": len(items),
     })
     env.commit_many(items)
+
+
+def _commit_query_result(env: GuestEnv, sql: str, root: Digest,
+                         round_index: int, result: Any) -> None:
+    """The §4.2 query journal — one layout, whether the result came
+    from a full scan or from merged partition partials."""
+    env.commit({
+        "query": sql,
+        "root": root,
+        "round": round_index,
+        "labels": list(result.labels),
+        "values": list(result.values),
+        "matched": result.matched,
+        "scanned": result.scanned,
+        "group_by": result.group_by,
+        "groups": [[key, list(values)]
+                   for key, values in result.groups],
+    })
 
 
 @guest_program("telemetry-query-v1")
@@ -273,14 +343,10 @@ def query_guest(env: GuestEnv) -> None:
     provably ran over exactly the attested dataset.
     """
     header = env.read()
-    binding = env.read()
-    env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE, "verify")
-    claim_digest = _guest_claim_digest(env, binding)
-    agg_values = decode_stream(binding["journal"])
-    agg_header = next(agg_values, None)
+    binding = assume_receipt(env)
+    agg_header = next(decode_stream(binding["journal"]), None)
     if not isinstance(agg_header, dict):
         env.abort("aggregation journal has no header")
-    env.verify(binding["image_id"], claim_digest)
     root: Digest = agg_header["new_root"]
     size: int = agg_header["size"]
     if header["num_entries"] != size:
@@ -301,18 +367,7 @@ def query_guest(env: GuestEnv) -> None:
         query, views,
         cost_hook=lambda nodes: env.tick(nodes * QUERY_NODE_CYCLES,
                                          "evaluate"))
-    env.commit({
-        "query": sql,
-        "root": root,
-        "round": agg_header["round"],
-        "labels": list(result.labels),
-        "values": list(result.values),
-        "matched": result.matched,
-        "scanned": result.scanned,
-        "group_by": result.group_by,
-        "groups": [[key, list(values)]
-                   for key, values in result.groups],
-    })
+    _commit_query_result(env, sql, root, agg_header["round"], result)
 
 
 @guest_program("telemetry-partition-v1")
@@ -325,42 +380,27 @@ def partition_guest(env: GuestEnv) -> None:
     """
     header = env.read()
     policy = AggregationPolicy.from_wire(header["policy"])
-    windows: list[dict[str, Any]] = []
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
+    # Insertion-ordered: a flow keeps the slot of its first record.
     partials: dict[bytes, CLogEntry] = {}
-    order: list[bytes] = []
-    for _ in range(header["num_routers"]):
-        router_input = env.read()
-        recomputed = env.hash_many(TAG_COMMITMENT, router_input["blobs"],
-                                   category="commitment")
-        if recomputed != router_input["commitment"]:
-            env.abort(
-                f"integrity check failed for router "
-                f"{router_input['router_id']!r}")
-        windows.append({
-            "r": router_input["router_id"],
-            "w": router_input["window_index"],
-            "c": recomputed,
-        })
-        for blob in router_input["blobs"]:
-            env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
-            env.tick(MERGE_CYCLES, "aggregate")
-            record = NetFlowRecord.from_wire(decode(blob))
-            key_bytes = record.key.pack()
-            existing = partials.get(key_bytes)
-            if existing is None:
-                partials[key_bytes] = CLogEntry.fresh(record)
-                order.append(key_bytes)
-            else:
-                partials[key_bytes] = existing.merge(record, policy)
+    for blob in blobs:
+        env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
+        env.tick(MERGE_CYCLES, "aggregate")
+        record = NetFlowRecord.from_wire(decode(blob))
+        key_bytes = record.key.pack()
+        existing = partials.get(key_bytes)
+        if existing is None:
+            partials[key_bytes] = CLogEntry.fresh(record)
+        else:
+            partials[key_bytes] = existing.merge(record, policy)
     env.commit({
         "partition": header["partition"],
         "windows": windows,
         "policy": policy.digest(),
-        "entries": len(order),
+        "entries": len(partials),
     })
-    env.commit_many([{"k": key_bytes,
-                      "p": partials[key_bytes].to_payload()}
-                     for key_bytes in order])
+    env.commit_many([{"k": key_bytes, "p": entry.to_payload()}
+                     for key_bytes, entry in partials.items()])
 
 
 @guest_program("telemetry-merge-v1")
@@ -374,14 +414,11 @@ def merge_guest(env: GuestEnv) -> None:
     """
     header = env.read()
     policy = AggregationPolicy.from_wire(header["policy"])
+    # Insertion-ordered: a flow keeps the slot of its first partial.
     combined: dict[bytes, CLogEntry] = {}
-    order: list[bytes] = []
     windows: list[dict[str, Any]] = []
     for _ in range(header["num_partitions"]):
-        binding = env.read()
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
+        binding = assume_receipt(env)
         values = list(decode_stream(binding["journal"]))
         part_header = values[0] if values else None
         if not isinstance(part_header, dict):
@@ -391,7 +428,6 @@ def merge_guest(env: GuestEnv) -> None:
         if binding["image_id"] != partition_guest.image_id:
             env.abort("partition receipt was not produced by the "
                       "partition guest")
-        env.verify(binding["image_id"], claim_digest)
         windows.extend(part_header["windows"])
         for item in values[1:]:
             env.tick(len(item["p"]) * DECODE_CYCLES_PER_BYTE, "decode")
@@ -400,21 +436,20 @@ def merge_guest(env: GuestEnv) -> None:
             existing = combined.get(item["k"])
             if existing is None:
                 combined[item["k"]] = partial
-                order.append(item["k"])
             else:
                 combined[item["k"]] = existing.combine(partial, policy)
     hasher = env.merkle_hasher()
-    leaves = [hasher.leaf(key_bytes + combined[key_bytes].to_payload())
-              for key_bytes in order]
+    leaves = [hasher.leaf(key_bytes + entry.to_payload())
+              for key_bytes, entry in combined.items()]
     tree = MerkleTree(leaves, hasher=hasher)
     env.commit({
         "round": header["round"],
         "new_root": tree.root,
-        "size": len(order),
+        "size": len(combined),
         "depth": tree.depth,
         "windows": windows,
         "policy": policy.digest(),
-        "entries": len(order),
+        "entries": len(combined),
     })
 
 
@@ -444,14 +479,10 @@ def query_partition_guest(env: GuestEnv) -> None:
     mergeable accumulator states — not final values.
     """
     header = env.read()
-    binding = env.read()
-    env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE, "verify")
-    claim_digest = _guest_claim_digest(env, binding)
-    agg_values = decode_stream(binding["journal"])
-    agg_header = next(agg_values, None)
+    binding = assume_receipt(env)
+    agg_header = next(decode_stream(binding["journal"]), None)
     if not isinstance(agg_header, dict):
         env.abort("aggregation journal has no header")
-    env.verify(binding["image_id"], claim_digest)
     root: Digest = agg_header["new_root"]
     size: int = agg_header["size"]
     if size <= 0:
@@ -547,14 +578,10 @@ def query_merge_guest(env: GuestEnv) -> None:
     scanned_total = 0
     partials: list[dict[str, Any]] = []
     for _ in range(num_partitions):
-        binding = env.read()
+        binding = assume_receipt(env)
         if binding["image_id"] != query_partition_guest.image_id:
             env.abort("partition receipt was not produced by the "
                       "query partition guest")
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        env.verify(binding["image_id"], claim_digest)
         values = list(decode_stream(binding["journal"]))
         part = values[0] if values else None
         if not isinstance(part, dict) or "num_queries" not in part:
@@ -595,18 +622,7 @@ def query_merge_guest(env: GuestEnv) -> None:
         query, partials,
         cost_hook=lambda states: env.tick(states * MERGE_CYCLES,
                                           "merge"))
-    env.commit({
-        "query": sql,
-        "root": root,
-        "round": round_index,
-        "labels": list(result.labels),
-        "values": list(result.values),
-        "matched": result.matched,
-        "scanned": result.scanned,
-        "group_by": result.group_by,
-        "groups": [[key, list(values)]
-                   for key, values in result.groups],
-    })
+    _commit_query_result(env, sql, root, round_index, result)
 
 
 @guest_program("telemetry-delta-aggregation-v1")
@@ -628,119 +644,23 @@ def delta_aggregation_guest(env: GuestEnv) -> None:
     ``seq``) followed by the same per-record items.
     """
     header = env.read()
-    round_index = header["round"]
     seq: int = header["seq"]
     policy = AggregationPolicy.from_wire(header["policy"])
-    current_root: Digest = header["prev_root"]
-    size: int = header["prev_size"]
-    depth: int = header["prev_depth"]
-    hasher = env.merkle_hasher()
-
-    # -- Step 1 (delta 0 only): Verify Previous Aggregation ------------------
     if seq < 0:
         env.abort("delta sequence number must be non-negative")
     if seq == 0:
-        if round_index > 0:
-            binding = env.read()
-            env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                     "verify")
-            claim_digest = _guest_claim_digest(env, binding)
-            prev_values = decode_stream(binding["journal"])
-            prev_header = next(prev_values, None)
-            if not isinstance(prev_header, dict):
-                env.abort("previous journal has no header")
-            if prev_header.get("new_root") != current_root \
-                    or prev_header.get("size") != size \
-                    or prev_header.get("depth") != depth \
-                    or prev_header.get("round") != round_index - 1:
-                env.abort(
-                    "previous journal does not match claimed prev state")
-            env.verify(binding["image_id"], claim_digest)
-        else:
-            if size != 0 or current_root != EMPTY_ROOTS[0] or depth != 0:
-                env.abort("genesis round must start from an empty CLog")
-
-    # -- Step 2: Verify Authenticity of Raw Logs -----------------------------
-    windows: list[dict[str, Any]] = []
-    batch: list[tuple[bytes, dict[str, Any]]] = []
-    for _ in range(header["num_routers"]):
-        router_input = env.read()
-        recomputed = env.hash_many(TAG_COMMITMENT, router_input["blobs"],
-                                   category="commitment")
-        if recomputed != router_input["commitment"]:
-            env.abort(
-                f"integrity check failed for router "
-                f"{router_input['router_id']!r} window "
-                f"{router_input['window_index']}: commitment mismatch")
-        windows.append({
-            "r": router_input["router_id"],
-            "w": router_input["window_index"],
-            "c": recomputed,
-        })
-        for blob in router_input["blobs"]:
-            env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
-            wire = decode(blob)
-            batch.append((blob, wire))
-
-    # -- Step 3: Verify, Aggregate, and Update Merkle Tree -------------------
-    items: list[dict[str, Any]] = []
-    ops_remaining = header["num_ops"]
-    for blob, record_wire in batch:
-        if ops_remaining <= 0:
-            env.abort("witness exhausted before all records aggregated")
-        op = env.read()
-        ops_remaining -= 1
-        if op["op"] == OP_GROW:
-            current_root = hasher.node(current_root, EMPTY_ROOTS[depth])
-            depth += 1
-            if ops_remaining <= 0:
-                env.abort("grow op not followed by an insert")
-            op = env.read()
-            ops_remaining -= 1
-        siblings: list[Digest] = op["siblings"]
-        if len(siblings) != depth:
-            env.abort("witness path length does not match tree depth")
-        slot: int = op["slot"]
-        key_bytes: bytes = record_wire["key"]
-        env.tick(MERGE_CYCLES, "aggregate")
-        record = NetFlowRecord.from_wire(record_wire)
-        if op["op"] == OP_UPDATE:
-            old_payload: bytes = op["old_payload"]
-            old_leaf = hasher.leaf(key_bytes + old_payload)
-            if _path_root(hasher, old_leaf, slot, siblings) \
-                    != current_root:
-                env.abort("integrity check for existing CLog entry "
-                          "failed (line 17)")
-            env.tick(len(old_payload) * DECODE_CYCLES_PER_BYTE, "decode")
-            entry = CLogEntry.from_payload(old_payload)
-            if entry.key != record.key:
-                env.abort("witness entry key does not match record key")
-            new_entry = entry.merge(record, policy)
-        elif op["op"] == OP_INSERT:
-            if slot != size:
-                env.abort("insert must target the append slot")
-            if _path_root(hasher, EMPTY_ROOTS[0], slot, siblings) \
-                    != current_root:
-                env.abort("vacant-slot proof failed")
-            new_entry = CLogEntry.fresh(record)
-            size += 1
-        else:
-            env.abort(f"unknown witness op {op['op']!r}")
-        new_payload = new_entry.to_payload()
-        new_leaf = hasher.leaf(key_bytes + new_payload)
-        current_root = _path_root(hasher, new_leaf, slot, siblings)
-        record_tag = env.tagged_hash(
-            TAG_RLOG, blob, category="commitment").raw[:RECORD_TAG_BYTES]
-        items.append({"s": slot, "l": new_leaf, "t": record_tag})
-    if ops_remaining != 0:
-        env.abort("witness has more ops than records")
-
+        verify_previous_round(env, header["round"], header["prev_root"],
+                              header["prev_size"], header["prev_depth"])
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
+    root, size, depth, items = apply_witness_ops(
+        env, policy, blobs, header["num_ops"], header["prev_root"],
+        header["prev_size"], header["prev_depth"])
     env.commit({
-        "round": round_index,
+        "round": header["round"],
         "prev_root": header["prev_root"],
         "prev_size": header["prev_size"],
         "prev_depth": header["prev_depth"],
-        "new_root": current_root,
+        "new_root": root,
         "size": size,
         "depth": depth,
         "windows": windows,
@@ -779,15 +699,11 @@ def fold_guest(env: GuestEnv) -> None:
         env.abort("fold takes one or two children")
     children: list[tuple[dict[str, Any], list[Any]]] = []
     for _ in range(num_children):
-        binding = env.read()
+        binding = assume_receipt(env)
         if binding["image_id"] != delta_aggregation_guest.image_id \
                 and binding["image_id"] != fold_guest.image_id:
             env.abort("fold child receipt was not produced by the "
                       "delta or fold guest")
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        env.verify(binding["image_id"], claim_digest)
         values = list(decode_stream(binding["journal"]))
         child = values[0] if values else None
         if not isinstance(child, dict) or "seq" not in child:
@@ -813,36 +729,25 @@ def fold_guest(env: GuestEnv) -> None:
             env.abort("fold children sequence ranges do not abut")
     env.tick(MERGE_CYCLES, "merge")
 
-    windows = [window for child, _ in children
-               for window in child["windows"]]
-    entries = sum(child["entries"] for child, _ in children)
+    journal = {
+        "round": round_index,
+        "prev_root": left["prev_root"],
+        "new_root": last["new_root"],
+        "size": last["size"],
+        "depth": last["depth"],
+        "windows": [window for child, _ in children
+                    for window in child["windows"]],
+        "policy": policy_digest,
+        "entries": sum(child["entries"] for child, _ in children),
+    }
     if final:
         if left["seq"][0] != 0:
             env.abort("final fold must cover the round from delta 0")
-        env.commit({
-            "round": round_index,
-            "prev_root": left["prev_root"],
-            "new_root": last["new_root"],
-            "size": last["size"],
-            "depth": last["depth"],
-            "windows": windows,
-            "policy": policy_digest,
-            "entries": entries,
-        })
     else:
-        env.commit({
-            "round": round_index,
-            "prev_root": left["prev_root"],
-            "prev_size": left["prev_size"],
-            "prev_depth": left["prev_depth"],
-            "new_root": last["new_root"],
-            "size": last["size"],
-            "depth": last["depth"],
-            "windows": windows,
-            "policy": policy_digest,
-            "entries": entries,
-            "seq": [left["seq"][0], last["seq"][1]],
-        })
+        journal.update(prev_size=left["prev_size"],
+                       prev_depth=left["prev_depth"],
+                       seq=[left["seq"][0], last["seq"][1]])
+    env.commit(journal)
     for _, items in children:
         env.commit_many(items)
 
@@ -900,15 +805,11 @@ def federation_join_guest(env: GuestEnv) -> None:
     lost: list[int] = []
     flows: list[int] = []
     for index in range(num_providers):
-        binding = env.read()
+        binding = assume_receipt(env)
         if binding["image_id"] not in (query_guest.image_id,
                                        query_merge_guest.image_id):
             env.abort("federation join input was not produced by a "
                       "query guest")
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        env.verify(binding["image_id"], claim_digest)
         values = list(decode_stream(binding["journal"]))
         journal = values[0] if len(values) == 1 else None
         if not isinstance(journal, dict):
@@ -1002,16 +903,13 @@ def register_guest(program: GuestProgram) -> GuestProgram:
 
 
 def resolve_guest(name: str) -> GuestProgram:
-    """Look up a guest by name, loading lazy out-of-module guests.
+    """Look up a registered guest by name.
 
-    ``repro.core.rebuild`` imports *this* module, so its guest cannot
-    register at import time without a cycle; a first miss triggers the
-    import, after which the registry is complete.
+    Importing any ``repro.core`` module runs the package, which loads
+    every guest-defining module of the chain (``repro.core.chain`` names
+    the rebuild guest), so the registry is complete before a job runs.
     """
     program = GUEST_REGISTRY.get(name)
-    if program is None:
-        from . import rebuild  # noqa: F401  (registers its guest)
-        program = GUEST_REGISTRY.get(name)
     if program is None:
         raise ConfigurationError(
             f"unknown guest program {name!r}; registered: "

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ProofError
 from ..query import parse_query
 from ..query.ast import AggFunc, Aggregate, Query
 from ..query.fields import QUERYABLE_FIELDS, FieldKind
 from ..serialization import encode
+from ..zkvm import Executor
 from ..zkvm import cycles as cy
 from ..zkvm.costmodel import CostModel, ProverBackend
+from ..zkvm.receipt import ExitCode
+from .aggregation import build_round_input, decode_records, order_windows
 from .clog import CLogState
 from .guest_programs import (
     DECODE_CYCLES_PER_BYTE,
@@ -39,7 +42,12 @@ from .guest_programs import (
     PARSE_CYCLES_PER_BYTE,
     QUERY_NODE_CYCLES,
     QUERY_VIEW_CYCLES,
+    aggregation_guest,
+    delta_aggregation_guest,
+    fold_guest,
 )
+from .policy import DEFAULT_POLICY
+from .witness import build_witness
 
 # Bytes of a leaf-hash preimage beyond the payload (the packed key).
 _KEY_BYTES = 13
@@ -80,24 +88,13 @@ class QueryCostEstimate:
                 backend: ProverBackend = ProverBackend.CPU_ZKVM
                 ) -> float:
         model = model or CostModel()
-        # One segmentation drives both the padded-cycle sum and the
-        # per-segment overhead count — the same `_segment_sizes` walk
-        # that produced `predicted_segments` at estimate time, so the
-        # two can never disagree.
-        segments = _segment_sizes(self.predicted_cycles)
-        padded = sum(1 << _po2(size) for size in segments)
         if backend is ProverBackend.SPECIALIZED_HASH:
             # Rough: compressions ≈ hash cycles / cost-per-block.
             compressions = self.predicted_cycles \
                 // cy.SHA256_COMPRESS_CYCLES
             return compressions / model.specialized_hashes_per_second \
                 + model.base_overhead
-        seconds = padded / model.cpu_cycles_per_second \
-            + len(segments) * model.segment_overhead \
-            + model.base_overhead
-        if backend is ProverBackend.GPU_ZKVM:
-            seconds /= model.gpu_speedup
-        return seconds
+        return _zkvm_seconds(self.predicted_cycles, model, backend)
 
     def minutes(self, model: CostModel | None = None) -> float:
         return self.seconds(model) / 60.0
@@ -176,6 +173,25 @@ def _po2(count: int) -> int:
     while (1 << po2) < count:
         po2 += 1
     return po2
+
+
+def _zkvm_seconds(cycles: int, model: CostModel,
+                  backend: ProverBackend) -> float:
+    """Modeled CPU/GPU zkVM latency for ``cycles`` predicted cycles.
+
+    One segmentation drives both the padded-cycle sum and the
+    per-segment overhead count — the same `_segment_sizes` walk that
+    produces ``predicted_segments`` at estimate time, so the two can
+    never disagree.
+    """
+    segments = _segment_sizes(cycles)
+    padded = sum(1 << _po2(size) for size in segments)
+    seconds = padded / model.cpu_cycles_per_second \
+        + len(segments) * model.segment_overhead \
+        + model.base_overhead
+    if backend is ProverBackend.GPU_ZKVM:
+        seconds /= model.gpu_speedup
+    return seconds
 
 
 def _tagged_hash_cycles(payload_bytes: int) -> int:
@@ -473,18 +489,17 @@ class RoundCostEstimate:
     predicted_cycles: int
     predicted_segments: int
 
+    @classmethod
+    def of_session(cls, records: int, session) -> "RoundCostEstimate":
+        return cls(records=records,
+                   predicted_cycles=session.total_cycles,
+                   predicted_segments=session.segment_count)
+
     def seconds(self, model: CostModel | None = None,
                 backend: ProverBackend = ProverBackend.CPU_ZKVM
                 ) -> float:
-        model = model or CostModel()
-        segments = _segment_sizes(self.predicted_cycles)
-        padded = sum(1 << _po2(size) for size in segments)
-        seconds = padded / model.cpu_cycles_per_second \
-            + len(segments) * model.segment_overhead \
-            + model.base_overhead
-        if backend is ProverBackend.GPU_ZKVM:
-            seconds /= model.gpu_speedup
-        return seconds
+        return _zkvm_seconds(self.predicted_cycles, model or CostModel(),
+                             backend)
 
 
 @dataclass(frozen=True)
@@ -544,52 +559,18 @@ class RoundPlanner:
     """
 
     def __init__(self, policy=None) -> None:
-        from .policy import DEFAULT_POLICY
         self.policy = policy or DEFAULT_POLICY
 
     def estimate_monolithic(self, state: CLogState, windows,
                             prev_receipt=None) -> RoundCostEstimate:
         """Price the round as one ``aggregation_guest`` proof."""
-        from ..netflow.records import NetFlowRecord
-        from ..serialization import decode
-        from ..stream.pipeline import order_windows
-        from ..zkvm import Executor, ExecutorEnvBuilder
-        from .aggregation import make_receipt_binding
-        from .guest_programs import aggregation_guest
-        from .witness import build_witness
-        ordered = order_windows(list(windows))
-        records = [NetFlowRecord.from_wire(decode(blob))
-                   for window in ordered for blob in window.blobs]
+        ordered = order_windows(windows)
+        records = decode_records(ordered)
         witness = build_witness(state, records, self.policy)
-        builder = ExecutorEnvBuilder()
-        builder.write({
-            "round": state.round,
-            "policy": self.policy.to_wire(),
-            "prev_root": witness.prev_root,
-            "prev_size": witness.prev_size,
-            "prev_depth": witness.prev_depth,
-            "num_routers": len(ordered),
-            "num_ops": witness.op_count,
-        })
-        if state.round > 0:
-            builder.write(self._binding(prev_receipt, state.round,
-                                        make_receipt_binding))
-        for window in ordered:
-            builder.write({
-                "router_id": window.router_id,
-                "window_index": window.window_index,
-                "commitment": window.commitment,
-                "blobs": list(window.blobs),
-            })
-        for op in witness.ops:
-            builder.write(op)
-        session = self._execute(Executor(), aggregation_guest,
-                                builder.build())
-        return RoundCostEstimate(
-            records=len(records),
-            predicted_cycles=session.total_cycles,
-            predicted_segments=session.segment_count,
-        )
+        env_input = build_round_input(self.policy, state.round, witness,
+                                      ordered, prev_receipt)
+        session = self._execute(Executor(), aggregation_guest, env_input)
+        return RoundCostEstimate.of_session(len(records), session)
 
     def estimate_streamed(self, state: CLogState, batches,
                           prev_receipt=None) -> StreamedRoundCostEstimate:
@@ -600,17 +581,7 @@ class RoundPlanner:
         fold children bind the *executed* child sessions, so journal
         sizes (the part that grows) are exact.
         """
-        from ..netflow.records import NetFlowRecord
-        from ..serialization import decode
-        from ..stream.pipeline import (
-            build_delta_input,
-            build_fold_input,
-            order_windows,
-        )
-        from ..zkvm import Executor
-        from .aggregation import make_receipt_binding
-        from .guest_programs import delta_aggregation_guest, fold_guest
-        from .witness import build_witness
+        from ..stream.pipeline import build_fold_input
         executor = Executor()
         batches = list(batches) or [[]]
         work = state.clone()
@@ -627,32 +598,21 @@ class RoundPlanner:
             env_input = build_fold_input(self.policy, round_index,
                                          children, final)
             session = self._execute(executor, fold_guest, env_input)
-            fold_estimates.append(RoundCostEstimate(
-                records=0,
-                predicted_cycles=session.total_cycles,
-                predicted_segments=session.segment_count,
-            ))
+            fold_estimates.append(RoundCostEstimate.of_session(0, session))
             fold_push_indices.append(push_index)
             return self._session_binding(fold_guest, env_input, session)
 
         for seq, batch in enumerate(batches):
-            ordered = order_windows(list(batch))
-            records = [NetFlowRecord.from_wire(decode(blob))
-                       for window in ordered for blob in window.blobs]
+            ordered = order_windows(batch)
+            records = decode_records(ordered)
             witness = build_witness(work, records, self.policy)
-            binding = None
-            if seq == 0 and round_index > 0:
-                binding = self._binding(prev_receipt, round_index,
-                                        make_receipt_binding)
-            env_input = build_delta_input(self.policy, round_index, seq,
-                                          witness, ordered, binding)
+            env_input = build_round_input(self.policy, round_index,
+                                          witness, ordered, prev_receipt,
+                                          seq=seq)
             session = self._execute(executor, delta_aggregation_guest,
                                     env_input)
-            delta_estimates.append(RoundCostEstimate(
-                records=len(records),
-                predicted_cycles=session.total_cycles,
-                predicted_segments=session.segment_count,
-            ))
+            delta_estimates.append(
+                RoundCostEstimate.of_session(len(records), session))
             frontier.append((0, self._session_binding(
                 delta_aggregation_guest, env_input, session)))
             while len(frontier) >= 2 \
@@ -707,18 +667,7 @@ class RoundPlanner:
     # -- internals -----------------------------------------------------------
 
     @staticmethod
-    def _binding(prev_receipt, round_index: int, make_binding) -> dict:
-        from ..errors import ChainError
-        if prev_receipt is None:
-            raise ChainError(
-                f"estimating round {round_index} requires the round "
-                f"{round_index - 1} receipt")
-        return make_binding(prev_receipt)
-
-    @staticmethod
     def _execute(executor, program, env_input):
-        from ..errors import ProofError
-        from ..zkvm.receipt import ExitCode
         session = executor.execute(program, env_input)
         if session.exit_code is not ExitCode.HALTED:
             raise ProofError(

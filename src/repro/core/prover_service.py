@@ -26,13 +26,13 @@ from ..obs import runtime as obs
 from ..qserve.cache import QueryResultCache
 from ..serialization import decode, encode
 from ..storage.backend import LogStore
-from ..zkvm import ProveInfo, ProverOpts, Verifier
+from ..zkvm import ProveInfo, ProverOpts, Receipt, Verifier
 from .aggregation import (
     AggregationResult,
     Aggregator,
     RouterWindowInput,
 )
-from .chain import AggregationChain, ChainLink
+from .chain import ROUND_IMAGE_IDS, AggregationChain, ChainLink
 from .clog import CLogEntry, CLogState
 from .policy import DEFAULT_POLICY, AggregationPolicy
 from .query_proof import QueryProver, QueryResponse, env_query_partitions
@@ -99,15 +99,16 @@ class ProverService:
         if stream is None and self.engine is not None:
             from ..stream.pipeline import env_stream
             stream = env_stream() and strategy == "update"
-        self.stream_enabled = bool(stream)
+        # One round prover — every strategy shares ``aggregate(state,
+        # windows, prev_receipt)``; ``_streamer`` names the same object
+        # when (and only when) it can hold a round open.
         self._streamer = None
-        self._stream_windows: list[int] = []
-        if self.stream_enabled:
+        if stream:
             from ..stream import StreamingAggregator
-            self._streamer = StreamingAggregator(
+            self._aggregator = self._streamer = StreamingAggregator(
                 policy, prover_opts, engine=self.engine,
                 crossover=stream_crossover)
-        if strategy == "update":
+        elif strategy == "update":
             self._aggregator = Aggregator(policy, prover_opts,
                                           prover=prover)
         elif strategy == "rebuild":
@@ -202,7 +203,7 @@ class ProverService:
         that *stalled* (pending growing while rounds stand still) —
         before it was added, both looked identical here.
         """
-        status = {
+        return {
             "rounds": len(self.chain),
             "flows": len(self.state),
             "strategy": self.strategy,
@@ -221,7 +222,6 @@ class ProverService:
             "engine": (self.engine.snapshot()
                        if self.engine is not None else None),
         }
-        return status
 
     def stream_status(self) -> dict | None:
         """Streaming-mode sub-status, or ``None`` when not enabled."""
@@ -231,7 +231,7 @@ class ProverService:
             "open_round": self._streamer.open_round,
             "pending_deltas": self._streamer.pending_deltas,
             "frontier_nodes": len(self._streamer.frontier),
-            "ingested_windows": sorted(self._stream_windows),
+            "ingested_windows": sorted(self._open_round_windows()),
         }
 
     # -- aggregation ------------------------------------------------------------
@@ -284,9 +284,6 @@ class ProverService:
         """Run one aggregation round over several windows at once."""
         inputs: list[RouterWindowInput] = []
         for window_index in sorted(window_indices):
-            if window_index in self._aggregated_windows:
-                raise ProofError(
-                    f"window {window_index} was already aggregated")
             inputs.extend(self.gather_window(window_index))
         return self.prove_round(window_indices, inputs)
 
@@ -300,6 +297,8 @@ class ProverService:
         routers) and still land everything in one proof.  State, chain,
         and the aggregated-window set change only after the proof
         exists — a failed round leaves the service exactly as it was.
+        In stream mode an open round absorbs ``inputs`` and closes, so
+        the proven round also covers every previously ingested window.
         """
         for window_index in window_indices:
             if window_index in self._aggregated_windows:
@@ -307,31 +306,14 @@ class ProverService:
                     f"window {window_index} was already aggregated")
         prev_receipt = self.chain.latest_receipt if len(self.chain) \
             else None
-        if self._streamer is not None:
-            from ..stream.pipeline import batch_windows
-            if self._streamer.open_round is not None:
-                # Absorb these windows as further deltas of the open
-                # round, then close it; the result also covers every
-                # previously ingested window.  Guarded: a faulted fold
-                # must not leave these windows half-ingested — the
-                # retry re-ingests them with the deltas replaying from
-                # the receipt cache.
-                with self._streamer.guarded():
-                    for batch in (batch_windows(inputs) if inputs
-                                  else []):
-                        self._streamer.ingest(self.state, batch,
-                                              prev_receipt)
-                    result = self._streamer.close()
-                window_indices = sorted(set(window_indices)
-                                        | set(self._stream_windows))
-                self._stream_windows = []
-            else:
-                result = self._streamer.aggregate(self.state, inputs,
-                                                  prev_receipt)
-        else:
-            result = self._aggregator.aggregate(self.state, inputs,
-                                                prev_receipt)
-        # Commit the round only after the proof exists.
+        result = self._aggregator.aggregate(self.state, inputs,
+                                            prev_receipt)
+        # Commit the round only after the proof exists.  The journal
+        # says which windows it consumed — all of them, including any a
+        # streamed round ingested before this call.
+        consumed = sorted(
+            set(window_indices)
+            | {window["w"] for window in result.journal_header["windows"]})
         self.state = result.new_state
         if self.retain_history:
             self._history[result.round] = result.new_state
@@ -342,7 +324,7 @@ class ProverService:
             size=len(result.new_state),
             record_count=result.record_count,
         ))
-        self._aggregated_windows.update(window_indices)
+        self._aggregated_windows.update(consumed)
         self.last_prove_info = result.info
         registry = obs.registry()
         registry.gauge(obs_names.SERVICE_FLOWS).set(
@@ -350,7 +332,7 @@ class ProverService:
         registry.gauge(obs_names.SERVICE_ROUNDS).set(len(self.chain))
         logger.info(
             "round %d proven: windows=%s records=%d flows=%d root=%s…",
-            result.round, sorted(window_indices), result.record_count,
+            result.round, consumed, result.record_count,
             len(result.new_state), result.new_root.short())
         if self.auto_checkpoint:
             self.checkpoint()
@@ -375,16 +357,11 @@ class ProverService:
         if window_index in self._aggregated_windows:
             raise ProofError(
                 f"window {window_index} was already aggregated")
-        if window_index in self._stream_windows:
-            raise ProofError(
-                f"window {window_index} was already ingested into the "
-                f"open round")
         inputs = self.gather_window(window_index, skip_uncommitted)
         prev_receipt = self.chain.latest_receipt if len(self.chain) \
             else None
         with self._streamer.guarded():
             self._streamer.ingest(self.state, inputs, prev_receipt)
-        self._stream_windows.append(window_index)
         if self.auto_checkpoint:
             # Persist the frontier: a crash between here and the round
             # boundary resumes without re-proving this delta.
@@ -398,12 +375,27 @@ class ProverService:
         return self.prove_round([], [])
 
     def aggregate_all_committed(self) -> list[AggregationResult]:
-        """Aggregate every committed-but-unaggregated window, in order."""
+        """Aggregate every committed-but-unaggregated window, in order.
+
+        Windows already ingested into an open streamed round are not
+        gathered again: the first round proven here closes over them,
+        and if nothing else is pending the open round is closed as is.
+        """
         results = []
+        ingested = self._open_round_windows()
         for window_index in self.bulletin.windows():
-            if window_index not in self._aggregated_windows:
+            if window_index not in self._aggregated_windows \
+                    and window_index not in ingested:
                 results.append(self.aggregate_window(window_index))
+        if self._streamer is not None \
+                and self._streamer.open_round is not None:
+            results.append(self.close_stream_round())
         return results
+
+    def _open_round_windows(self) -> set[int]:
+        if self._streamer is None:
+            return set()
+        return {window for _, window in self._streamer.open_windows}
 
     # -- queries -------------------------------------------------------------------
 
@@ -537,8 +529,6 @@ class ProverService:
             work = self._streamer.work_state
             payload["stream"] = {
                 "round": self._streamer.open_round,
-                "windows": list(self._stream_windows),
-                "record_count": self._streamer.record_count,
                 "nodes": [node.to_wire()
                           for node in self._streamer.frontier.nodes],
                 "entries": [entry.to_wire()
@@ -595,15 +585,12 @@ class ProverService:
         self._aggregated_windows = windows
         self.query_cache.clear()
         if stream_resume is not None:
-            round_index, stream_windows, record_count, nodes, work = \
-                stream_resume
-            self._streamer.resume(round_index, work, nodes,
-                                  record_count)
-            self._stream_windows = list(stream_windows)
+            nodes, work = stream_resume
+            self._streamer.resume(state.round, work, nodes)
             logger.info(
                 "resumed streaming round %d: %d frontier node(s), "
-                "windows=%s", round_index, len(nodes),
-                sorted(stream_windows))
+                "windows=%s", state.round, len(nodes),
+                sorted(self._open_round_windows()))
         if self.retain_history and len(chain):
             # Only the latest round's state survives a crash; older
             # rounds need re-aggregation (retain_history is advisory).
@@ -658,9 +645,10 @@ class ProverService:
         (root, size, depth) continuity must hold from the restored
         round state through every node, and the rebuilt mid-round work
         state must recompute the last node's committed root.  Returns
-        the resume tuple, or ``None`` when there is nothing to resume
-        (including a streamed checkpoint restored by a non-streaming
-        service — the deltas stay pending and re-aggregate normally).
+        ``(nodes, work state)``, or ``None`` when there is nothing to
+        resume (including a streamed checkpoint restored by a
+        non-streaming service — the deltas stay pending and
+        re-aggregate normally).
         """
         if section is None:
             return None
@@ -670,12 +658,9 @@ class ProverService:
                 "mode is off; dropping it (windows stay pending)")
             return None
         from ..stream.frontier import FrontierNode
-        from ..zkvm import Receipt
         from .guest_programs import delta_aggregation_guest, fold_guest
         try:
             round_index = section["round"]
-            stream_windows = list(section["windows"])
-            record_count = section["record_count"]
             work = CLogState()
             for wire in section["entries"]:
                 work.set_entry(CLogEntry.from_wire(wire))
@@ -697,21 +682,9 @@ class ProverService:
             except (ReproError, KeyError, TypeError) as exc:
                 raise CheckpointError(
                     f"malformed frontier receipt: {exc}") from exc
-            verified = False
-            last_error: Exception | None = None
-            for image_id in (delta_aggregation_guest.image_id,
-                             fold_guest.image_id):
-                try:
-                    verifier.verify(receipt, image_id)
-                    verified = True
-                    break
-                except ReproError as exc:
-                    last_error = exc
-            if not verified:
-                raise CheckpointError(
-                    f"frontier receipt failed verification against the "
-                    f"delta and fold image ids: {last_error}"
-                ) from last_error
+            _verify_trusted(verifier, receipt,
+                            (delta_aggregation_guest.image_id,
+                             fold_guest.image_id), "frontier")
             header = next(receipt.journal.values(), None)
             if not isinstance(header, dict) or "seq" not in header:
                 raise CheckpointError(
@@ -750,7 +723,7 @@ class ProverService:
                 f"{work.root.short()}… but the frontier committed "
                 f"{nodes[-1].header['new_root'].short()}… — streaming "
                 f"section rejected")
-        return (round_index, stream_windows, record_count, nodes, work)
+        return nodes, work
 
     def _verify_snapshot(self, chain: AggregationChain,
                          state: CLogState) -> None:
@@ -769,18 +742,21 @@ class ProverService:
             raise CheckpointError(
                 f"restored state holds {len(state)} entries but round "
                 f"{latest.round} committed {latest.size}")
-        from .guest_programs import aggregation_guest, fold_guest
-        from .rebuild import rebuild_aggregation_guest
-        verifier = Verifier()
-        last_error: Exception | None = None
-        for image_id in (aggregation_guest.image_id,
-                         rebuild_aggregation_guest.image_id,
-                         fold_guest.image_id):
-            try:
-                verifier.verify(latest.receipt, image_id)
-                return
-            except ReproError as exc:
-                last_error = exc
+        _verify_trusted(Verifier(), latest.receipt, ROUND_IMAGE_IDS,
+                        "latest")
+
+
+def _verify_trusted(verifier: Verifier, receipt,
+                    trusted: tuple[Digest, ...], what: str) -> None:
+    """A restored receipt must name a trusted image *and* verify
+    against it — anything else rejects the checkpoint."""
+    image_id = receipt.claim.image_id
+    if image_id not in trusted:
         raise CheckpointError(
-            f"latest receipt failed verification against every trusted "
-            f"aggregation image id: {last_error}") from last_error
+            f"{what} receipt image {image_id.short()}… is not one of "
+            f"the trusted image ids")
+    try:
+        verifier.verify(receipt, image_id)
+    except ReproError as exc:
+        raise CheckpointError(
+            f"{what} receipt failed verification: {exc}") from exc

@@ -110,7 +110,7 @@ class PartitionedQueryInfo:
     every partition plus this query's merge (queries proven through one
     fan-out share — and each report — the same ``partition_infos``).
     The latency model mirrors
-    :class:`~repro.core.parallel.ParallelAggregationResult`: partitions
+    :class:`~repro.engine.scheduler.ParallelAggregationResult`: partitions
     prove concurrently, the merge after the slowest of them.
     """
 
@@ -122,20 +122,9 @@ class PartitionedQueryInfo:
 
     @property
     def stats(self) -> ProveStats:
-        infos = (*self.partition_infos, self.merge_info)
-        breakdown: dict[str, int] = {}
-        for info in infos:
-            for category, cycles in info.stats.cycle_breakdown.items():
-                breakdown[category] = breakdown.get(category, 0) + cycles
-        return ProveStats(
-            total_cycles=sum(i.stats.total_cycles for i in infos),
-            padded_cycles=sum(i.stats.padded_cycles for i in infos),
-            segment_count=sum(i.stats.segment_count for i in infos),
-            sha_compressions=sum(i.stats.sha_compressions
-                                 for i in infos),
-            wall_seconds=sum(i.stats.wall_seconds for i in infos),
-            cycle_breakdown=breakdown,
-        )
+        return ProveStats.combined(
+            info.stats
+            for info in (*self.partition_infos, self.merge_info))
 
     def modeled_seconds(self, model: CostModel,
                         backend: ProverBackend =

@@ -21,33 +21,35 @@ and locates the crossover.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
-from ..errors import ChainError, ProofError
+from ..hashing import TAG_RLOG
 from ..merkle import MerkleTree
-from ..obs import names as obs_names
-from ..obs import runtime as obs
-from ..merkle.tree import EMPTY_ROOTS
 from ..netflow.records import NetFlowRecord
-from ..serialization import decode, decode_stream
-from ..zkvm import ExecutorEnvBuilder, Prover, ProverOpts, Receipt
+from ..serialization import decode, encode
+from ..zkvm import ExecutorEnvBuilder, Receipt
 from ..zkvm.guest import GuestEnv, guest_program
 from ..zkvm.recursion import resolve
 from .aggregation import (
     AggregationResult,
+    Aggregator,
     RouterWindowInput,
+    decode_records,
     make_receipt_binding,
+    order_windows,
+    write_window_frames,
 )
 from .clog import CLogEntry, CLogState
 from .guest_programs import (
     DECODE_CYCLES_PER_BYTE,
     MERGE_CYCLES,
     RECORD_TAG_BYTES,
-    _guest_claim_digest,
+    read_entries,
     register_guest,
+    verify_previous_round,
+    verify_window_commitments,
 )
-from .policy import DEFAULT_POLICY, AggregationPolicy
+from .policy import AggregationPolicy
 
 
 @guest_program("telemetry-aggregation-rebuild-v1")
@@ -59,98 +61,48 @@ def rebuild_aggregation_guest(env: GuestEnv) -> None:
     The journal layout is identical to the update-path guest, so rounds
     of either strategy chain interchangeably.
     """
-    from ..hashing import TAG_COMMITMENT, TAG_RLOG
-
     header = env.read()
     round_index = header["round"]
     policy = AggregationPolicy.from_wire(header["policy"])
     prev_root = header["prev_root"]
     prev_size: int = header["prev_size"]
     hasher = env.merkle_hasher()
-
-    # -- Step 1: Verify Previous Aggregation ---------------------------------
-    if round_index > 0:
-        binding = env.read()
-        env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-                 "verify")
-        claim_digest = _guest_claim_digest(env, binding)
-        prev_header = next(decode_stream(binding["journal"]), None)
-        if not isinstance(prev_header, dict):
-            env.abort("previous journal has no header")
-        if prev_header.get("new_root") != prev_root \
-                or prev_header.get("size") != prev_size \
-                or prev_header.get("round") != round_index - 1:
-            env.abort("previous journal does not match claimed prev "
-                      "state")
-        env.verify(binding["image_id"], claim_digest)
-    else:
-        if prev_size != 0 or prev_root != EMPTY_ROOTS[0]:
-            env.abort("genesis round must start from an empty CLog")
+    verify_previous_round(env, round_index, prev_root, prev_size)
 
     # -- Reconstruct and check the previous CLog -------------------------------
-    slot_keys: list[bytes] = []
-    entries: dict[bytes, dict[str, Any]] = {}
-    prev_leaves = []
-    payload_bytes = 0
-    for frame in env.read_batch(prev_size):
-        key_bytes: bytes = frame["key"]
-        payload: bytes = frame["payload"]
-        prev_leaves.append(hasher.leaf(key_bytes + payload))
-        payload_bytes += len(payload)
-        wire = decode(payload)
-        if wire["key"] != key_bytes:
-            env.abort("entry payload key does not match frame key")
-        slot_keys.append(key_bytes)
-        entries[key_bytes] = wire
-    env.tick(payload_bytes * DECODE_CYCLES_PER_BYTE, "decode")
+    prev_leaves, wires = read_entries(env, hasher, prev_size)
+    slot_keys: list[bytes] = [wire["key"] for wire in wires]
+    entries: dict[bytes, dict[str, Any]] = dict(zip(slot_keys, wires))
     if MerkleTree(prev_leaves, hasher=hasher).root != prev_root:
         env.abort("previous entries do not reproduce the committed "
                   "root")
 
     # -- Step 2 + 3: verify windows, aggregate into the dict --------------------
-    windows: list[dict[str, Any]] = []
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
     record_tags: list[tuple[bytes, bytes]] = []  # (key, tag)
-    for _ in range(header["num_routers"]):
-        router_input = env.read()
-        recomputed = env.hash_many(TAG_COMMITMENT,
-                                   router_input["blobs"],
-                                   category="commitment")
-        if recomputed != router_input["commitment"]:
-            env.abort(
-                f"integrity check failed for router "
-                f"{router_input['router_id']!r} window "
-                f"{router_input['window_index']}: commitment mismatch")
-        windows.append({
-            "r": router_input["router_id"],
-            "w": router_input["window_index"],
-            "c": recomputed,
-        })
-        for blob in router_input["blobs"]:
-            env.tick(len(blob) * DECODE_CYCLES_PER_BYTE
-                     + MERGE_CYCLES, "aggregate")
-            record = NetFlowRecord.from_wire(decode(blob))
-            key_bytes = record.key.pack()
-            existing_wire = entries.get(key_bytes)
-            if existing_wire is None:
-                entry = CLogEntry.fresh(record)
-                slot_keys.append(key_bytes)
-            else:
-                entry = CLogEntry.from_wire(existing_wire) \
-                    .merge(record, policy)
-            entries[key_bytes] = entry.to_wire()
-            tag = env.tagged_hash(
-                TAG_RLOG, blob,
-                category="commitment").raw[:RECORD_TAG_BYTES]
-            record_tags.append((key_bytes, tag))
+    for blob in blobs:
+        env.tick(len(blob) * DECODE_CYCLES_PER_BYTE + MERGE_CYCLES,
+                 "aggregate")
+        record = NetFlowRecord.from_wire(decode(blob))
+        key_bytes = record.key.pack()
+        existing_wire = entries.get(key_bytes)
+        if existing_wire is None:
+            entry = CLogEntry.fresh(record)
+            slot_keys.append(key_bytes)
+        else:
+            entry = CLogEntry.from_wire(existing_wire) \
+                .merge(record, policy)
+        entries[key_bytes] = entry.to_wire()
+        tag = env.tagged_hash(
+            TAG_RLOG, blob,
+            category="commitment").raw[:RECORD_TAG_BYTES]
+        record_tags.append((key_bytes, tag))
 
     # -- Rebuild the new tree ----------------------------------------------------
     slot_of = {key: slot for slot, key in enumerate(slot_keys)}
-    new_leaves = []
-    payloads: dict[bytes, bytes] = {}
-    for key_bytes in slot_keys:
-        payload = _encode_wire(env, entries[key_bytes])
-        payloads[key_bytes] = payload
-        new_leaves.append(hasher.leaf(key_bytes + payload))
+    new_leaves = [
+        hasher.leaf(key_bytes + _encode_wire(env, entries[key_bytes]))
+        for key_bytes in slot_keys]
     new_tree = MerkleTree(new_leaves, hasher=hasher)
 
     env.commit({
@@ -171,7 +123,6 @@ def rebuild_aggregation_guest(env: GuestEnv) -> None:
 
 
 def _encode_wire(env: GuestEnv, wire: dict[str, Any]) -> bytes:
-    from ..serialization import encode
     payload = encode(wire)
     env.tick(len(payload) * DECODE_CYCLES_PER_BYTE, "decode")
     return payload
@@ -180,49 +131,16 @@ def _encode_wire(env: GuestEnv, wire: dict[str, Any]) -> bytes:
 register_guest(rebuild_aggregation_guest)
 
 
-class RebuildAggregator:
+class RebuildAggregator(Aggregator):
     """Drop-in alternative to :class:`~repro.core.aggregation.Aggregator`
     proving rounds by full reconstruction."""
 
-    def __init__(self, policy: AggregationPolicy = DEFAULT_POLICY,
-                 prover_opts: ProverOpts | None = None,
-                 prover: Any | None = None) -> None:
-        self.policy = policy
-        self._prover = prover if prover is not None \
-            else Prover(prover_opts or ProverOpts.groth16())
+    strategy = "rebuild"
 
-    def aggregate(self, state: CLogState,
-                  windows: list[RouterWindowInput],
-                  prev_receipt: Receipt | None) -> AggregationResult:
-        if state.round > 0 and prev_receipt is None:
-            raise ChainError(
-                f"round {state.round} requires the round "
-                f"{state.round - 1} receipt")
-        start = time.perf_counter()
-        with obs.tracer().span(obs_names.SPAN_AGG_ROUND,
-                               round=state.round,
-                               windows=len(windows),
-                               strategy="rebuild") as span:
-            result = self._aggregate_inner(state, windows,
-                                           prev_receipt)
-            span.add_cycles(result.info.stats.total_cycles)
-            span.set("records", result.record_count)
-        registry = obs.registry()
-        registry.counter(obs_names.AGG_ROUNDS, ("strategy",)).inc(
-            strategy="rebuild")
-        registry.counter(obs_names.AGG_RECORDS, ("strategy",)).inc(
-            result.record_count, strategy="rebuild")
-        registry.histogram(obs_names.AGG_SECONDS,
-                           ("strategy",)).observe(
-            time.perf_counter() - start, strategy="rebuild")
-        return result
-
-    def _aggregate_inner(self, state: CLogState,
-                         windows: list[RouterWindowInput],
-                         prev_receipt: Receipt | None
-                         ) -> AggregationResult:
-        ordered = sorted(windows,
-                         key=lambda w: (w.window_index, w.router_id))
+    def _prove(self, state: CLogState,
+               windows: list[RouterWindowInput],
+               prev_receipt: Receipt | None) -> AggregationResult:
+        ordered = order_windows(windows)
         builder = ExecutorEnvBuilder()
         builder.write({
             "round": state.round,
@@ -236,13 +154,7 @@ class RebuildAggregator:
         for entry in state.entries_in_slot_order():
             builder.write({"key": entry.key.pack(),
                            "payload": entry.to_payload()})
-        for window in ordered:
-            builder.write({
-                "router_id": window.router_id,
-                "window_index": window.window_index,
-                "commitment": window.commitment,
-                "blobs": list(window.blobs),
-            })
+        write_window_frames(builder, ordered)
         info = self._prover.prove(rebuild_aggregation_guest,
                                   builder.build())
         receipt = info.receipt
@@ -251,27 +163,18 @@ class RebuildAggregator:
 
         # Advance the host state the same way the guest did.
         new_state = state.clone()
-        record_count = 0
-        for window in ordered:
-            for blob in window.blobs:
-                record = NetFlowRecord.from_wire(decode(blob))
-                existing = new_state.get(record.key)
-                new_state.set_entry(
-                    existing.merge(record, self.policy) if existing
-                    else CLogEntry.fresh(record))
-                record_count += 1
+        records = decode_records(ordered)
+        for record in records:
+            existing = new_state.get(record.key)
+            new_state.set_entry(
+                existing.merge(record, self.policy) if existing
+                else CLogEntry.fresh(record))
         new_state.round = state.round + 1
-        header = next(receipt.journal.values(), None)
-        if not isinstance(header, dict) \
-                or header.get("new_root") != new_state.root:
-            raise ProofError(
-                "rebuild guest root diverged from the host state — "
-                "host/guest aggregation logic is out of sync")
         return AggregationResult(
             round=state.round,
             receipt=receipt,
             info=info,
             new_state=new_state,
-            record_count=record_count,
+            record_count=len(records),
             new_root=new_state.root,
         )

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ProofError
-from ..hashing import TAG_COMMITMENT
 from ..netflow.records import FlowKey, NetFlowRecord
-from ..serialization import decode, encode
+from ..serialization import decode, decode_stream, encode
 from ..sketch import CountMinSketch, SpaceSaving
 from ..zkvm import (
     ExecutorEnvBuilder,
@@ -37,8 +36,17 @@ from ..zkvm import (
 from ..zkvm import cycles as cy
 from ..zkvm.guest import GuestEnv, guest_program
 from ..zkvm.recursion import resolve
-from .aggregation import RouterWindowInput, make_receipt_binding
-from .guest_programs import DECODE_CYCLES_PER_BYTE, _guest_claim_digest
+from .aggregation import (
+    RouterWindowInput,
+    decode_records,
+    make_receipt_binding,
+    write_window_frames,
+)
+from .guest_programs import (
+    DECODE_CYCLES_PER_BYTE,
+    assume_receipt,
+    verify_window_commitments,
+)
 
 # Per-update compute beyond the row hashing (bucket adds, comparisons).
 SKETCH_UPDATE_CYCLES = 40
@@ -57,34 +65,20 @@ def sketch_build_guest(env: GuestEnv) -> None:
     cm = CountMinSketch(width=header["width"], depth=header["depth"],
                         seed=header["seed"])
     heavy = SpaceSaving(capacity=header["capacity"])
-    windows: list[dict[str, Any]] = []
-    for _ in range(header["num_routers"]):
-        router_input = env.read()
-        recomputed = env.hash_many(TAG_COMMITMENT,
-                                   router_input["blobs"],
-                                   category="commitment")
-        if recomputed != router_input["commitment"]:
-            env.abort(
-                f"integrity check failed for router "
-                f"{router_input['router_id']!r}: commitment mismatch")
-        windows.append({
-            "r": router_input["router_id"],
-            "w": router_input["window_index"],
-            "c": recomputed,
-        })
-        for blob in router_input["blobs"]:
-            env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
-            record = NetFlowRecord.from_wire(decode(blob))
-            key_bytes = record.key.pack()
-            cm.add(key_bytes, record.packets)
-            _charge_sketch_update(env, cm.depth)
-            heavy.add(key_bytes, record.packets)
-            env.tick(SKETCH_UPDATE_CYCLES, "sketch")
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
+    for blob in blobs:
+        env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
+        record = NetFlowRecord.from_wire(decode(blob))
+        key_bytes = record.key.pack()
+        cm.add(key_bytes, record.packets)
+        _charge_sketch_update(env, cm.depth)
+        heavy.add(key_bytes, record.packets)
+        env.tick(SKETCH_UPDATE_CYCLES, "sketch")
     # Committing the state digest costs hashing the serialized state.
     state_bytes = encode(cm.to_state())
     env.tick(len(state_bytes) * DECODE_CYCLES_PER_BYTE, "sketch")
-    digest = env.sha256(state_bytes, category="sketch")  # meter only
-    del digest  # canonical digest below (tagged) is what we publish
+    # Meter only: the canonical (tagged) digest below is what we publish.
+    env.sha256(state_bytes, category="sketch")
     env.commit({
         "windows": windows,
         "cm_digest": cm.digest(),
@@ -100,15 +94,10 @@ def sketch_build_guest(env: GuestEnv) -> None:
 def sketch_estimate_guest(env: GuestEnv) -> None:
     """Prove a point-frequency estimate against a committed sketch."""
     header = env.read()
-    binding = env.read()
-    env.tick(len(binding["journal"]) * DECODE_CYCLES_PER_BYTE,
-             "verify")
-    claim_digest = _guest_claim_digest(env, binding)
-    from ..serialization import decode_stream
+    binding = assume_receipt(env)
     build_journal = next(decode_stream(binding["journal"]), None)
     if not isinstance(build_journal, dict):
         env.abort("build journal has no header")
-    env.verify(binding["image_id"], claim_digest)
 
     state = env.read()
     state_bytes = encode(state)
@@ -175,23 +164,15 @@ class SketchTelemetry:
             "seed": self.seed, "capacity": self.capacity,
             "num_routers": len(ordered), "top_k": top_k,
         })
-        for window in ordered:
-            builder.write({
-                "router_id": window.router_id,
-                "window_index": window.window_index,
-                "commitment": window.commitment,
-                "blobs": list(window.blobs),
-            })
+        write_window_frames(builder, ordered)
         info = self._prover.prove(sketch_build_guest, builder.build())
         # Reconstruct the provider-side sketch (same determinism the
         # guest used).
         sketch = CountMinSketch(self.width, self.depth, self.seed)
         heavy = SpaceSaving(self.capacity)
-        for window in ordered:
-            for blob in window.blobs:
-                record = NetFlowRecord.from_wire(decode(blob))
-                sketch.add(record.key.pack(), record.packets)
-                heavy.add(record.key.pack(), record.packets)
+        for record in decode_records(ordered):
+            sketch.add(record.key.pack(), record.packets)
+            heavy.add(record.key.pack(), record.packets)
         journal = info.receipt.journal.decode_one()
         if journal["cm_digest"] != sketch.digest():
             raise ProofError("host sketch diverged from guest sketch")

@@ -22,11 +22,8 @@ from ..errors import ChainError, VerificationError
 from ..hashing import Digest
 from ..merkle.tree import EMPTY_ROOTS
 from ..zkvm import Receipt, Verifier
-from .guest_programs import (
-    aggregation_guest,
-    query_guest,
-    query_merge_guest,
-)
+from .chain import ROUND_IMAGE_IDS
+from .guest_programs import query_guest, query_merge_guest
 from .query_proof import QueryResponse
 
 
@@ -63,19 +60,8 @@ class VerifierClient:
     def __init__(self, bulletin: BulletinBoard) -> None:
         self.bulletin = bulletin
         self._verifier = Verifier()
-        # Clients know the published guest programs' image ids.  All
-        # three aggregation strategies — update-path, full-rebuild, and
-        # streamed composition (whose final fold receipt commits the
-        # same journal byte-for-byte) — are trusted code with
-        # interchangeable journal layouts.
-        from .guest_programs import fold_guest
-        from .rebuild import rebuild_aggregation_guest
-        self.aggregation_image_ids = (
-            aggregation_guest.image_id,
-            rebuild_aggregation_guest.image_id,
-            fold_guest.image_id,
-        )
-        self.aggregation_image_id = aggregation_guest.image_id
+        # Clients know the published guest programs' image ids.
+        self.aggregation_image_ids = ROUND_IMAGE_IDS
         # A query answer arrives as a full-scan receipt or a fan-out
         # merge receipt (one per query that shared the partition scan);
         # both commit the same journal layout, and the merge guest pins
@@ -85,7 +71,6 @@ class VerifierClient:
             query_guest.image_id,
             query_merge_guest.image_id,
         )
-        self.query_image_id = query_guest.image_id
 
     # -- aggregation receipts ------------------------------------------------
 
@@ -112,6 +97,13 @@ class VerifierClient:
             windows=tuple((w["r"], w["w"]) for w in header["windows"]),
             entries=header["entries"],
         )
+        # A round may consume each (router, window) once: a repeated
+        # pair proves the same committed records twice under one
+        # commitment (across rounds, verify_chain refuses the replay).
+        if len(set(verified.windows)) != len(verified.windows):
+            raise ChainError(
+                f"round {verified.round} consumes a (router, window) "
+                f"pair more than once: {sorted(verified.windows)}")
         # Window commitments in the journal must match the public board.
         for window_info in header["windows"]:
             published = self.bulletin.get(window_info["r"],

@@ -30,7 +30,12 @@ from .pool import (
     env_nodes,
     resolve_pool_config,
 )
-from .scheduler import ProvingEngine, RoundOutcome, partition_windows
+from .scheduler import (
+    ParallelAggregationResult,
+    ProvingEngine,
+    RoundOutcome,
+    partition_windows,
+)
 
 __all__ = [
     "BACKENDS",
@@ -38,6 +43,7 @@ __all__ = [
     "ENV_NODES",
     "ENV_WORKERS",
     "JobResult",
+    "ParallelAggregationResult",
     "PooledProver",
     "ProofJob",
     "ProverPool",

@@ -84,8 +84,7 @@ def env_nodes() -> tuple[str, ...] | None:
 
 def resolve_pool_config(opts: ProverOpts | None = None,
                         backend: str | None = None,
-                        max_workers: int | None = None,
-                        default_backend: str = "thread"
+                        max_workers: int | None = None
                         ) -> tuple[str, int | None]:
     """Resolve (backend, workers): explicit args > opts > env > default.
 
@@ -109,7 +108,7 @@ def resolve_pool_config(opts: ProverOpts | None = None,
         # out remotely unless something chose a backend outright.
         chosen = "remote"
     if chosen is None:
-        chosen = "process" if (from_env and workers) else default_backend
+        chosen = "process" if (from_env and workers) else "thread"
     if chosen not in BACKENDS:
         raise ConfigurationError(
             f"unknown pool backend {chosen!r}; expected one of "

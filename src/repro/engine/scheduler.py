@@ -25,19 +25,48 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ..core.aggregation import make_receipt_binding, write_window_frames
+from ..core.guest_programs import merge_guest, partition_guest
+from ..core.policy import DEFAULT_POLICY
 from ..errors import ConfigurationError, ProofError
+from ..hashing import Digest
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..obs.tracing import NULL_TRACER
-from ..zkvm import ExecutorEnvBuilder, ProverOpts
-from ..zkvm.costmodel import CostModel
+from ..zkvm import ExecutorEnvBuilder, ProverOpts, Receipt
+from ..zkvm.costmodel import CostModel, ProverBackend
 from ..zkvm.recursion import resolve_all
 from .cache import ReceiptCache
 from .jobs import JobResult, ProofJob
 from .pool import PooledProver, ProverPool, resolve_pool_config
 
-# The partition/merge guests and result type live in repro.core, which
-# imports this package — resolve lazily at call time.
+
+@dataclass(frozen=True)
+class ParallelAggregationResult:
+    """Receipts and latency model for one partition-and-merge round."""
+
+    receipt: Receipt
+    partition_infos: tuple[JobResult, ...]
+    merge_info: JobResult
+    new_root: Digest
+    size: int
+
+    def modeled_seconds(self, model: CostModel,
+                        backend: ProverBackend =
+                        ProverBackend.CPU_ZKVM) -> float:
+        """End-to-end latency with partitions proven concurrently."""
+        slowest = max(model.prove_seconds(info.stats, backend)
+                      for info in self.partition_infos)
+        return slowest + model.prove_seconds(self.merge_info.stats,
+                                             backend)
+
+    def sequential_seconds(self, model: CostModel,
+                           backend: ProverBackend =
+                           ProverBackend.CPU_ZKVM) -> float:
+        """The same work proven one partition at a time."""
+        total = sum(model.prove_seconds(info.stats, backend)
+                    for info in self.partition_infos)
+        return total + model.prove_seconds(self.merge_info.stats, backend)
 
 
 @dataclass
@@ -45,7 +74,7 @@ class RoundOutcome:
     """One round's result-or-error from a multi-round schedule."""
 
     index: int
-    result: Any | None = None
+    result: ParallelAggregationResult | None = None
     error: Exception | None = None
 
     @property
@@ -85,7 +114,6 @@ class ProvingEngine:
                  injector: Any | None = None,
                  nodes: Any = None,
                  cluster_opts: Any = None) -> None:
-        from ..core.policy import DEFAULT_POLICY
         self.policy = policy or DEFAULT_POLICY
         self.opts = prover_opts or ProverOpts.succinct()
         if nodes and backend is None:
@@ -120,8 +148,15 @@ class ProvingEngine:
     # -- scheduling ----------------------------------------------------------
 
     def prove_round(self, windows: list[Any],
-                    num_partitions: int | None = None) -> Any:
-        """Prove one partition-and-merge round; raises on failure."""
+                    num_partitions: int | None = None
+                    ) -> ParallelAggregationResult:
+        """Prove one partition-and-merge round (§7 "Proof
+        parallelization"); raises on failure.
+
+        An engine primitive, not a chainable round strategy: the merge
+        journal carries no ``prev_root`` and is not byte-comparable to
+        Algorithm 1's.
+        """
         outcome = self.prove_rounds([windows], num_partitions)[0]
         if outcome.error is not None:
             raise outcome.error
@@ -138,7 +173,6 @@ class ProvingEngine:
         cross-round barrier.  Returns one :class:`RoundOutcome` per
         input round, in order.
         """
-        from ..core.guest_programs import partition_guest
         start = time.perf_counter()
         pending = []
         for windows in rounds:
@@ -191,8 +225,6 @@ class ProvingEngine:
     def _merge_jobs(self, partition_results: list[JobResult]
                     ) -> list[ProofJob]:
         """A round's merge stage: one job folding every partition."""
-        from ..core.aggregation import make_receipt_binding
-        from ..core.guest_programs import merge_guest
         builder = ExecutorEnvBuilder()
         builder.write({
             "round": 0,
@@ -207,7 +239,6 @@ class ProvingEngine:
     def _collect(self, index: int, partitions: list[list[Any]],
                  schedule: "_RoundSchedule") -> RoundOutcome:
         """Wait out one round, emitting the host-side span tree."""
-        from ..core.parallel import ParallelAggregationResult
         try:
             with obs.tracer().span(obs_names.SPAN_PARALLEL_ROUND,
                                    partitions=len(partitions)):
@@ -322,11 +353,5 @@ def _partition_env(policy: Any, index: int,
         "policy": policy.to_wire(),
         "num_routers": len(windows),
     })
-    for window in windows:
-        builder.write({
-            "router_id": window.router_id,
-            "window_index": window.window_index,
-            "commitment": window.commitment,
-            "blobs": list(window.blobs),
-        })
+    write_window_frames(builder, windows)
     return builder.build()

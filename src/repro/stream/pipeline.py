@@ -22,26 +22,31 @@ re-prove — the property the chaos suite exercises.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any
 
 from ..core.aggregation import (
     AggregationResult,
     Aggregator,
     RouterWindowInput,
+    build_round_input,
+    check_guest_root,
+    decode_records,
     make_receipt_binding,
+    order_windows,
+    prove_round,
+    require_prev_receipt,
 )
 from ..core.clog import CLogState
 from ..core.guest_programs import delta_aggregation_guest, fold_guest
+from ..core.planner import choose_round_strategy
 from ..core.policy import DEFAULT_POLICY, AggregationPolicy
-from ..core.witness import AggregationWitness, build_witness
+from ..core.witness import build_witness
 from ..errors import ChainError, ProofError
-from ..netflow.records import NetFlowRecord
 from ..obs import names as obs_names
 from ..obs import runtime as obs
-from ..serialization import decode
 from ..zkvm import ExecutorEnvBuilder, ProverOpts, Receipt
 from ..zkvm.executor import ExecutorInput
 from ..zkvm.prover import ProveStats
@@ -61,17 +66,6 @@ def env_stream() -> bool:
         not in ("", "0", "false", "no")
 
 
-def order_windows(
-        windows: list[RouterWindowInput]) -> list[RouterWindowInput]:
-    """The canonical guest processing order: by window, then router.
-
-    Shared by the monolithic aggregators and the streaming pipeline —
-    byte-identity of the final journal depends on both sides walking
-    records identically.
-    """
-    return sorted(windows, key=lambda w: (w.window_index, w.router_id))
-
-
 def batch_windows(windows: list[RouterWindowInput]
                   ) -> list[list[RouterWindowInput]]:
     """Split a round's windows into per-window-index delta batches.
@@ -81,51 +75,8 @@ def batch_windows(windows: list[RouterWindowInput]
     empty batch so the round can be proven (as a zero-window delta plus
     a promotion fold).
     """
-    batches: dict[int, list[RouterWindowInput]] = {}
-    for window in order_windows(windows):
-        batches.setdefault(window.window_index, []).append(window)
-    if not batches:
-        return [[]]
-    return [batches[index] for index in sorted(batches)]
-
-
-def build_delta_input(policy: AggregationPolicy, round_index: int,
-                      seq: int, witness: AggregationWitness,
-                      ordered: list[RouterWindowInput],
-                      prev_binding: dict[str, Any] | None
-                      ) -> ExecutorInput:
-    """Frames for one ``delta_aggregation_guest`` execution.
-
-    ``prev_binding`` is required exactly when ``seq == 0`` and
-    ``round_index > 0`` — only the round's first delta performs step 1.
-    """
-    builder = ExecutorEnvBuilder()
-    builder.write({
-        "round": round_index,
-        "policy": policy.to_wire(),
-        "prev_root": witness.prev_root,
-        "prev_size": witness.prev_size,
-        "prev_depth": witness.prev_depth,
-        "num_routers": len(ordered),
-        "num_ops": witness.op_count,
-        "seq": seq,
-    })
-    if seq == 0 and round_index > 0:
-        if prev_binding is None:
-            raise ChainError(
-                f"delta 0 of round {round_index} requires the round "
-                f"{round_index - 1} receipt binding")
-        builder.write(prev_binding)
-    for window in ordered:
-        builder.write({
-            "router_id": window.router_id,
-            "window_index": window.window_index,
-            "commitment": window.commitment,
-            "blobs": list(window.blobs),
-        })
-    for op in witness.ops:
-        builder.write(op)
-    return builder.build()
+    batches = groupby(order_windows(windows), key=lambda w: w.window_index)
+    return [list(batch) for _, batch in batches] or [[]]
 
 
 def build_fold_input(policy: AggregationPolicy, round_index: int,
@@ -144,21 +95,6 @@ def build_fold_input(policy: AggregationPolicy, round_index: int,
     return builder.build()
 
 
-def _combine_stats(parts: list[ProveStats]) -> ProveStats:
-    breakdown: dict[str, int] = {}
-    for part in parts:
-        for category, cycles in part.cycle_breakdown.items():
-            breakdown[category] = breakdown.get(category, 0) + cycles
-    return ProveStats(
-        total_cycles=sum(p.total_cycles for p in parts),
-        padded_cycles=sum(p.padded_cycles for p in parts),
-        segment_count=sum(p.segment_count for p in parts),
-        sha_compressions=sum(p.sha_compressions for p in parts),
-        wall_seconds=sum(p.wall_seconds for p in parts),
-        cycle_breakdown=breakdown,
-    )
-
-
 @dataclass(frozen=True)
 class StreamedRoundInfo:
     """Aggregate prove info for a streamed round (duck-``ProveInfo``).
@@ -173,16 +109,6 @@ class StreamedRoundInfo:
     stats: ProveStats
     delta_results: tuple[Any, ...]
     fold_results: tuple[Any, ...]
-
-    @property
-    def cached_deltas(self) -> int:
-        return sum(1 for r in self.delta_results
-                   if getattr(r, "cached", False))
-
-    @property
-    def cached_folds(self) -> int:
-        return sum(1 for r in self.fold_results
-                   if getattr(r, "cached", False))
 
 
 class StreamingAggregator:
@@ -199,33 +125,27 @@ class StreamingAggregator:
       ``crossover=True``) falls back to the monolithic guest whenever
       the planner prices it cheaper for this round's shape.
 
-    ``engine`` must be a :class:`~repro.engine.scheduler.ProvingEngine`;
-    all proving goes through its pool and receipt cache.
+    ``engine`` is the caller's
+    :class:`~repro.engine.scheduler.ProvingEngine` (the caller closes
+    it); all proving goes through its pool and receipt cache.
     """
 
     def __init__(self, policy: AggregationPolicy = DEFAULT_POLICY,
-                 prover_opts: ProverOpts | None = None,
-                 engine: Any = None,
-                 crossover: bool = False) -> None:
-        if engine is None:
-            from ..engine import ProvingEngine
-            engine = ProvingEngine(policy=policy,
-                                   prover_opts=prover_opts
-                                   or ProverOpts.groth16())
+                 prover_opts: ProverOpts | None = None, *,
+                 engine: Any, crossover: bool = False) -> None:
         self.policy = policy
         self.engine = engine
         self._opts = prover_opts or ProverOpts.groth16()
         self._prover = engine.prover(self._opts)
         self.crossover = crossover
-        self._fallback: Aggregator | None = None
+        self._fallback = Aggregator(policy, self._opts,
+                                    prover=self._prover)
         self._reset()
 
     def _reset(self) -> None:
         self._frontier = FoldFrontier()
         self._open_round: int | None = None
         self._work: CLogState | None = None
-        self._record_count = 0
-        self._windows_seen = 0
         self._delta_results: list[Any] = []
         self._fold_results: list[Any] = []
 
@@ -246,14 +166,17 @@ class StreamingAggregator:
         return self._frontier.next_seq
 
     @property
+    def open_windows(self) -> set[tuple[str, int]]:
+        """The ``(router, window)`` pairs the open round has consumed,
+        read off the frontier's proven journals (so a resume needs none)."""
+        return {(window["r"], window["w"])
+                for node in self._frontier.nodes
+                for window in node.header["windows"]}
+
+    @property
     def work_state(self) -> CLogState | None:
         """The open round's evolving CLog state (ingested-so-far)."""
         return self._work
-
-    @property
-    def record_count(self) -> int:
-        """Records ingested into the open round so far."""
-        return self._record_count
 
     # -- streaming API -------------------------------------------------------
 
@@ -266,11 +189,15 @@ class StreamingAggregator:
         check it still names the same round.  ``prev_receipt`` is
         consumed by delta 0 (step-1 binding) and ignored afterwards.
         """
+        repeated = self.open_windows.intersection(
+            (window.router_id, window.window_index) for window in windows)
+        if repeated:
+            router_id, window_index = min(repeated)
+            raise ProofError(
+                f"window {window_index} (router {router_id!r}) was "
+                f"already ingested into the open round")
         if self._open_round is None:
-            if state.round > 0 and prev_receipt is None:
-                raise ChainError(
-                    f"round {state.round} requires the round "
-                    f"{state.round - 1} receipt")
+            require_prev_receipt(state.round, prev_receipt)
             self._open_round = state.round
             self._work = state.clone()
         elif state.round != self._open_round:
@@ -279,14 +206,11 @@ class StreamingAggregator:
                 f"{self._open_round} is still open")
         seq = self._frontier.next_seq
         ordered = order_windows(windows)
-        records = [NetFlowRecord.from_wire(decode(blob))
-                   for window in ordered for blob in window.blobs]
+        records = decode_records(ordered)
         witness = build_witness(self._work, records, self.policy)
-        binding = None
-        if seq == 0 and self._open_round > 0:
-            binding = make_receipt_binding(prev_receipt)
-        env_input = build_delta_input(self.policy, self._open_round,
-                                      seq, witness, ordered, binding)
+        env_input = build_round_input(self.policy, self._open_round,
+                                      witness, ordered, prev_receipt,
+                                      seq=seq)
         with obs.tracer().span(obs_names.SPAN_STREAM_DELTA,
                                round=self._open_round, seq=seq,
                                windows=len(ordered),
@@ -294,16 +218,11 @@ class StreamingAggregator:
             result = self._prover.prove(delta_aggregation_guest,
                                         env_input)
             span.add_cycles(result.stats.total_cycles)
-            span.set("cached", bool(getattr(result, "cached", False)))
+            span.set("cached", result.cached)
         receipt = result.receipt
         if seq == 0 and self._open_round > 0:
             receipt = resolve(receipt, prev_receipt)
-        header = next(receipt.journal.values(), None)
-        if not isinstance(header, dict) \
-                or header.get("new_root") != witness.new_root:
-            raise ProofError(
-                "delta guest root diverged from the host witness — "
-                "host/guest aggregation logic is out of sync")
+        header = check_guest_root(receipt, witness.new_root)
         node = FrontierNode(receipt=receipt, header=header, height=0,
                             seq_lo=seq, seq_hi=seq)
         # Push (which may fire carry folds) before recording anything:
@@ -312,17 +231,14 @@ class StreamingAggregator:
         # the receipt cache and re-proves only the faulted fold.
         self._frontier.push(node, self._fold_nodes)
         self._delta_results.append(result)
-        obs.registry().counter(
-            obs_names.STREAM_DELTAS, ("cached",)).inc(
-            cached=str(bool(getattr(result, "cached", False))).lower())
+        obs.registry().counter(obs_names.STREAM_DELTAS, ("cached",)).inc(
+            cached=str(result.cached).lower())
         obs.registry().gauge(obs_names.STREAM_FRONTIER).set(
             len(self._frontier))
         # The witness bumped the round on its result state; the round is
         # still open, so pin it back until close().
         witness.new_state.round = self._open_round
         self._work = witness.new_state
-        self._record_count += len(records)
-        self._windows_seen += len(ordered)
         return node
 
     def close(self) -> AggregationResult:
@@ -334,16 +250,11 @@ class StreamingAggregator:
         if self._open_round is None or self._work is None:
             raise ChainError("no streaming round is open")
         final_node = self._frontier.close(self._fold_nodes)
-        header = final_node.header
-        if header.get("new_root") != self._work.root:
-            raise ProofError(
-                "streamed round root diverged from the host state — "
-                "host/guest aggregation logic is out of sync")
+        check_guest_root(final_node.receipt, self._work.root)
         new_state = self._work
         new_state.round = self._open_round + 1
-        stats = _combine_stats(
-            [r.stats for r in self._delta_results]
-            + [r.stats for r in self._fold_results])
+        stats = ProveStats.combined(
+            r.stats for r in self._delta_results + self._fold_results)
         info = StreamedRoundInfo(
             receipt=final_node.receipt,
             stats=stats,
@@ -355,8 +266,8 @@ class StreamingAggregator:
             receipt=final_node.receipt,
             info=info,
             new_state=new_state,
-            record_count=self._record_count,
-            new_root=header["new_root"],
+            record_count=final_node.header["entries"],
+            new_root=new_state.root,
         )
         registry = obs.registry()
         registry.counter(obs_names.STREAM_ROUNDS, ("strategy",)).inc(
@@ -364,10 +275,6 @@ class StreamingAggregator:
         registry.gauge(obs_names.STREAM_FRONTIER).set(0)
         self._reset()
         return result
-
-    def abandon(self) -> None:
-        """Drop the open round's frontier (e.g. a superseding restore)."""
-        self._reset()
 
     @contextmanager
     def guarded(self):
@@ -380,14 +287,12 @@ class StreamingAggregator:
         half-ingested may survive in the frontier or the bookkeeping.
         """
         snapshot = (FoldFrontier(self._frontier.nodes),
-                    self._open_round, self._work, self._record_count,
-                    self._windows_seen, len(self._delta_results),
-                    len(self._fold_results))
+                    self._open_round, self._work,
+                    len(self._delta_results), len(self._fold_results))
         try:
             yield
         except Exception:
             (self._frontier, self._open_round, self._work,
-             self._record_count, self._windows_seen,
              num_deltas, num_folds) = snapshot
             del self._delta_results[num_deltas:]
             del self._fold_results[num_folds:]
@@ -403,58 +308,39 @@ class StreamingAggregator:
         """Prove one round with the monolithic aggregator's signature.
 
         Windows are batched per window index and streamed; an already
-        open round absorbs the windows as further deltas before
-        closing.  With ``crossover=True`` and no open round, the
-        planner's cost model may route the whole round through the
-        monolithic guest instead (identical journal either way).
+        open round absorbs the windows as further deltas (none, when
+        the caller only wants it closed) before closing, and the result
+        covers every window ingested since it opened.  With
+        ``crossover=True`` and no open round, the planner's cost model
+        may route the whole round through the monolithic guest instead
+        (identical journal either way).
         """
-        batches = batch_windows(windows)
+        batches = batch_windows(windows) \
+            if windows or self._open_round is None else []
         if self._open_round is None and self.crossover \
-                and self._crossover_prefers_monolithic(state, batches,
-                                                       prev_receipt):
+                and choose_round_strategy(
+                    state, batches, policy=self.policy,
+                    prev_receipt=prev_receipt) == "monolithic":
             obs.registry().counter(obs_names.STREAM_ROUNDS,
                                    ("strategy",)).inc(
                 strategy="monolithic")
-            if self._fallback is None:
-                self._fallback = Aggregator(self.policy, self._opts,
-                                            prover=self._prover)
             return self._fallback.aggregate(state, windows, prev_receipt)
-        start = time.perf_counter()
-        with obs.tracer().span(obs_names.SPAN_AGG_ROUND,
-                               round=state.round,
-                               windows=len(windows),
-                               strategy="streamed") as span, \
-                self.guarded():
-            for batch in batches:
-                self.ingest(state, batch, prev_receipt)
-            result = self.close()
-            span.add_cycles(result.info.stats.total_cycles)
-            span.set("records", result.record_count)
-        registry = obs.registry()
-        registry.counter(obs_names.AGG_ROUNDS, ("strategy",)).inc(
-            strategy="streamed")
-        registry.counter(obs_names.AGG_RECORDS, ("strategy",)).inc(
-            result.record_count, strategy="streamed")
-        registry.histogram(obs_names.AGG_SECONDS,
-                           ("strategy",)).observe(
-            time.perf_counter() - start, strategy="streamed")
-        return result
 
-    def _crossover_prefers_monolithic(
-            self, state: CLogState,
-            batches: list[list[RouterWindowInput]],
-            prev_receipt: Receipt | None) -> bool:
-        from ..core.planner import choose_round_strategy
-        strategy = choose_round_strategy(
-            state, batches, policy=self.policy,
-            prev_receipt=prev_receipt)
-        return strategy == "monolithic"
+        def stream() -> AggregationResult:
+            # Guarded: a faulted delta or fold must not leave windows
+            # half-ingested; a retry replays deltas from the receipt cache.
+            with self.guarded():
+                for batch in batches:
+                    self.ingest(state, batch, prev_receipt)
+                return self.close()
+
+        return prove_round("streamed", state, windows, prev_receipt,
+                           stream)
 
     # -- checkpoint / restore ------------------------------------------------
 
     def resume(self, round_index: int, work_state: CLogState,
-               nodes: list[FrontierNode], record_count: int,
-               windows_seen: int = 0) -> None:
+               nodes: list[FrontierNode]) -> None:
         """Adopt a persisted frontier mid-round (crash recovery).
 
         ``work_state`` must be the CLog state *after* every delta in
@@ -471,8 +357,6 @@ class StreamingAggregator:
         self._open_round = round_index
         self._work = work_state.clone()
         self._work.round = round_index
-        self._record_count = record_count
-        self._windows_seen = windows_seen
         obs.registry().gauge(obs_names.STREAM_FRONTIER).set(
             len(self._frontier))
 
@@ -492,16 +376,15 @@ class StreamingAggregator:
                                final=final) as span:
             result = self._prover.prove(fold_guest, env_input)
             span.add_cycles(result.stats.total_cycles)
-            span.set("cached", bool(getattr(result, "cached", False)))
+            span.set("cached", result.cached)
         receipt = resolve_all(result.receipt,
                               [node.receipt for node in children])
         header = next(receipt.journal.values(), None)
         if not isinstance(header, dict):
             raise ProofError("fold journal missing header")
         self._fold_results.append(result)
-        obs.registry().counter(
-            obs_names.STREAM_FOLDS, ("cached", "kind")).inc(
-            cached=str(bool(getattr(result, "cached", False))).lower(),
+        obs.registry().counter(obs_names.STREAM_FOLDS, ("cached", "kind")).inc(
+            cached=str(result.cached).lower(),
             kind="final" if final else "merge")
         return FrontierNode(
             receipt=receipt,

@@ -16,15 +16,19 @@ Every operation is charged to the cycle meter, so executions have
 deterministic cycle counts that the prover cost model converts into
 modeled proving latency.
 
-The program's *image id* is the digest of its source code and name — the
+The program's *image id* is the digest of its name, its source code and
+the source of every helper function it calls from its own package — the
 binding between a receipt and "which program produced this", like the
 RISC-V ELF image id in RISC Zero.
 """
 
 from __future__ import annotations
 
+import dis
 import inspect
-from typing import Any, Callable
+from functools import cached_property
+from types import CodeType, FunctionType
+from typing import Any, Callable, Iterator
 
 from .. import hotpath
 from ..errors import ConfigurationError
@@ -64,7 +68,12 @@ class GuestProgram:
             raise ConfigurationError("guest program must be callable")
         self.fn = fn
         self.name = name or getattr(fn, "__qualname__", "anonymous")
-        self.image_id = compute_image_id(fn, self.name)
+
+    @cached_property
+    def image_id(self) -> Digest:
+        # Lazy: a guest may call helpers (or pin guests) defined below
+        # it, which exist only once its module has finished importing.
+        return compute_image_id(self.fn, self.name)
 
     def __call__(self, env: "GuestEnv") -> None:
         self.fn(env)
@@ -74,16 +83,58 @@ class GuestProgram:
 
 
 def compute_image_id(fn: Callable[..., Any], name: str) -> Digest:
-    """Digest of the guest's source — the receipt↔code binding."""
+    """Digest of the guest's source — the receipt↔code binding.
+
+    Covers ``fn`` and, transitively, every module-level function it
+    reaches by global name inside its own package — the guest "crate" —
+    so a line changed in a shared Algorithm 1 step changes the image id
+    of every guest calling it.  Code from other packages (serialization,
+    hashing, the query evaluator) is the toolchain and stays outside.
+    """
+    helpers = sorted(f"{helper.__qualname__}\n{_source(helper)}"
+                     for helper in _called_helpers(fn))
+    return tagged_hash(TAG_IMAGE_ID, name.encode("utf-8"),
+                       _source(fn).encode("utf-8"),
+                       *(text.encode("utf-8") for text in helpers))
+
+
+def _source(fn: Callable[..., Any]) -> str:
     try:
-        source = inspect.getsource(fn)
+        return inspect.getsource(fn)
     except (OSError, TypeError):
         # Lambdas defined in a REPL etc.: fall back to the code object's
         # bytecode, which is still deterministic for a fixed interpreter.
         code = getattr(fn, "__code__", None)
-        source = code.co_code.hex() if code is not None else repr(fn)
-    return tagged_hash(TAG_IMAGE_ID, name.encode("utf-8"),
-                       source.encode("utf-8"))
+        return code.co_code.hex() if code is not None else repr(fn)
+
+
+def _package(fn: Callable[..., Any]) -> str:
+    return (getattr(fn, "__module__", None) or "").rpartition(".")[0]
+
+
+def _global_names(code: CodeType) -> Iterator[str]:
+    for instruction in dis.get_instructions(code):
+        if instruction.opname == "LOAD_GLOBAL":
+            yield instruction.argval
+    for const in code.co_consts:
+        if isinstance(const, CodeType):  # lambdas, comprehensions
+            yield from _global_names(const)
+
+
+def _called_helpers(fn: Callable[..., Any]) -> list[FunctionType]:
+    package = _package(fn)
+    helpers: list[FunctionType] = []
+    pending = [fn] if isinstance(fn, FunctionType) else []
+    while pending:
+        current = pending.pop()
+        for global_name in _global_names(current.__code__):
+            target = current.__globals__.get(global_name)
+            if isinstance(target, FunctionType) and target is not fn \
+                    and target not in helpers \
+                    and _package(target) == package:
+                helpers.append(target)
+                pending.append(target)
+    return helpers
 
 
 def guest_program(name: str | None = None):

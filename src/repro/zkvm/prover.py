@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import GuestAbort, ProofError
 from ..hashing import TAG_SEAL, Digest, tagged_hash
@@ -83,6 +84,24 @@ class ProveStats:
     sha_compressions: int
     wall_seconds: float
     cycle_breakdown: dict[str, int]
+
+    @classmethod
+    def combined(cls, parts: Iterable["ProveStats"]) -> "ProveStats":
+        """The total work of several proofs (a streamed round's deltas
+        and folds, a fan-out's partitions and merge)."""
+        parts = list(parts)
+        breakdown: dict[str, int] = {}
+        for part in parts:
+            for category, cycles in part.cycle_breakdown.items():
+                breakdown[category] = breakdown.get(category, 0) + cycles
+        return cls(
+            total_cycles=sum(p.total_cycles for p in parts),
+            padded_cycles=sum(p.padded_cycles for p in parts),
+            segment_count=sum(p.segment_count for p in parts),
+            sha_compressions=sum(p.sha_compressions for p in parts),
+            wall_seconds=sum(p.wall_seconds for p in parts),
+            cycle_breakdown=breakdown,
+        )
 
 
 @dataclass(frozen=True)

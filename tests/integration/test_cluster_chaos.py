@@ -195,9 +195,13 @@ class TestKillMidWindow:
         with WorkerProc() as survivor:
             victim = WorkerProc()
             with obs.capture() as cap:
+                # stream=False: the baseline proves monolithically, and
+                # receipts (not just journals) are compared below — a
+                # REPRO_STREAM=1 leg would swap in the fold image.
                 service = ProverService(
                     store_b, bulletin_b,
-                    prove_nodes=(victim.endpoint, survivor.endpoint))
+                    prove_nodes=(victim.endpoint, survivor.endpoint),
+                    stream=False)
                 try:
                     service.aggregate_window(0)
                     victim.sigkill()
@@ -230,9 +234,12 @@ class TestKillMidWindow:
 
         store_b, bulletin_b = build_committed(windows=1)
         with obs.capture() as cap:
+            # stream=False for the same reason as above: whole
+            # receipts are compared against a monolithic baseline.
             service = ProverService(
                 store_b, bulletin_b,
-                prove_nodes=(dead_endpoint(), dead_endpoint()))
+                prove_nodes=(dead_endpoint(), dead_endpoint()),
+                stream=False)
             try:
                 service.aggregate_window(0)
                 got = [r.to_json_bytes()

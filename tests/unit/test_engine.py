@@ -188,6 +188,9 @@ class TestGuestRegistry:
         assert resolve_guest("test/echo") is echo_guest
         assert resolve_guest(aggregation_guest.name) is aggregation_guest
         assert resolve_guest(query_guest.name) is query_guest
+        from repro.core.rebuild import rebuild_aggregation_guest
+        assert resolve_guest(rebuild_aggregation_guest.name) \
+            is rebuild_aggregation_guest
 
     def test_reregister_same_program_idempotent(self):
         assert register_guest(echo_guest) is echo_guest
@@ -374,6 +377,7 @@ class TestPoolConfig:
         assert resolve_pool_config() == ("remote", None)
 
     def test_explicit_backend_beats_env_nodes(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROVE_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_PROVE_NODES", "127.0.0.1:7601")
         assert resolve_pool_config(backend="serial") == ("serial", None)
 
@@ -565,18 +569,6 @@ class TestPartitionWindows:
 
 
 class TestProvingEngine:
-    def test_round_matches_parallel_aggregator(self):
-        """The engine's scheduler is the machinery under
-        ParallelAggregator — both must land on the same root."""
-        from repro.core.parallel import ParallelAggregator
-        inputs = router_inputs(n_routers=3)
-        via_agg = ParallelAggregator().aggregate(inputs)
-        with ProvingEngine(backend="thread", max_workers=2) as engine:
-            via_engine = engine.prove_round(inputs)
-        assert via_engine.new_root == via_agg.new_root
-        assert via_engine.receipt.to_wire() == \
-            via_agg.receipt.to_wire()
-
     def test_prove_rounds_work_queue(self):
         """Multiple rounds flow through one pool; each produces its
         own verifiable merge proof."""

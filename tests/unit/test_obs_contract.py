@@ -170,7 +170,7 @@ class TestParallelContract:
     def test_parallel_round_spans(self):
         from repro.commitments import window_digest
         from repro.core.aggregation import RouterWindowInput
-        from repro.core.parallel import ParallelAggregator
+        from repro.engine import ProvingEngine
         from ..conftest import make_record
         inputs = []
         for i in (1, 2):
@@ -180,8 +180,8 @@ class TestParallelContract:
             inputs.append(RouterWindowInput(
                 router_id=f"r{i}", window_index=0,
                 commitment=window_digest(list(blobs)), blobs=blobs))
-        with obs.capture() as cap:
-            ParallelAggregator().aggregate(inputs)
+        with obs.capture() as cap, ProvingEngine() as engine:
+            engine.prove_round(inputs)
             names = set(cap.exporter.names())
             assert PARALLEL_SPANS <= names
             assert len(cap.exporter.by_name(
@@ -331,15 +331,14 @@ class TestEngineContract:
 
     The engine is explicit opt-in on :class:`ProverService`, so the
     sequential contract above stays byte-for-byte unchanged; these
-    names appear only when a pool is configured (or a
-    ``ParallelAggregator`` round runs, which always routes through the
-    engine).
+    names appear only when a pool is configured (or a caller holds a
+    ``ProvingEngine`` and proves a partition-and-merge round on it).
     """
 
     def test_parallel_round_emits_engine_metrics(self):
-        from repro.core.parallel import ParallelAggregator
         from repro.commitments import window_digest
         from repro.core.aggregation import RouterWindowInput
+        from repro.engine import ProvingEngine
         from ..conftest import make_record
         inputs = []
         for i in (1, 2):
@@ -349,9 +348,9 @@ class TestEngineContract:
             inputs.append(RouterWindowInput(
                 router_id=f"r{i}", window_index=0,
                 commitment=window_digest(list(blobs)), blobs=blobs))
-        aggregator = ParallelAggregator(backend="serial")
-        with obs.capture() as cap:
-            aggregator.aggregate(inputs)
+        with obs.capture() as cap, \
+                ProvingEngine(backend="serial") as engine:
+            engine.prove_round(inputs)
             for name, labels in ENGINE_METRIC_LABELS.items():
                 assert cap.registry.label_names(name) == labels, name
             jobs = cap.registry.get("repro_engine_jobs_total")
@@ -360,7 +359,7 @@ class TestEngineContract:
             assert jobs.value(guest="telemetry-merge-v1",
                               outcome="ok") == 1
             # Warm round: every proof replays from the cache.
-            aggregator.aggregate(inputs)
+            engine.prove_round(inputs)
             assert jobs.value(guest="telemetry-partition-v1",
                               outcome="cached") == 2
             cache = cap.registry.get("repro_engine_cache_total")

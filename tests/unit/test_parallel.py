@@ -1,12 +1,13 @@
-"""Unit tests for parallel (partitioned) aggregation."""
+"""Unit tests for parallel (partitioned) aggregation —
+``ProvingEngine.prove_round``, §7's partition-and-merge round."""
 
 import pytest
 
 from repro.commitments import window_digest
 from repro.core.aggregation import RouterWindowInput
 from repro.core.guest_programs import merge_guest
-from repro.core.parallel import ParallelAggregator
 from repro.core.policy import AggOp, AggregationPolicy
+from repro.engine import ProvingEngine
 from repro.errors import ConfigurationError, GuestAbort
 from repro.hashing import sha256
 from repro.zkvm import verify_receipt
@@ -26,6 +27,12 @@ def inputs_for(records_by_router):
 
 
 @pytest.fixture
+def engine():
+    with ProvingEngine() as engine:
+        yield engine
+
+
+@pytest.fixture
 def four_router_inputs():
     return inputs_for({
         f"r{i}": [make_record(router_id=f"r{i}", sport=1000 + j)
@@ -35,13 +42,14 @@ def four_router_inputs():
 
 
 class TestParallelAggregation:
-    def test_produces_verifiable_receipt(self, four_router_inputs):
-        result = ParallelAggregator().aggregate(four_router_inputs)
+    def test_produces_verifiable_receipt(self, engine,
+                                         four_router_inputs):
+        result = engine.prove_round(four_router_inputs)
         verify_receipt(result.receipt, merge_guest.image_id)
         assert result.size == 3  # 3 distinct flows across 4 routers
         assert len(result.partition_infos) == 4
 
-    def test_matches_sequential_aggregation_content(self,
+    def test_matches_sequential_aggregation_content(self, engine,
                                                     four_router_inputs):
         """Partitioned merge must combine to the same per-flow values a
         sequential aggregation produces (associative policy)."""
@@ -49,37 +57,38 @@ class TestParallelAggregation:
         from repro.core.clog import CLogState
         sequential = Aggregator().aggregate(CLogState(),
                                             four_router_inputs, None)
-        parallel = ParallelAggregator().aggregate(four_router_inputs)
+        parallel = engine.prove_round(four_router_inputs)
         seq_entries = {e.key: e for e in
                        sequential.new_state.entries_in_slot_order()}
         # Decode parallel journal partials indirectly via size check +
         # root determinism across runs.
-        again = ParallelAggregator().aggregate(four_router_inputs)
+        with ProvingEngine() as fresh:
+            again = fresh.prove_round(four_router_inputs)
         assert parallel.new_root == again.new_root
         assert parallel.size == len(seq_entries)
 
-    def test_partition_count_clamped(self, four_router_inputs):
-        result = ParallelAggregator().aggregate(four_router_inputs,
-                                                num_partitions=100)
+    def test_partition_count_clamped(self, engine, four_router_inputs):
+        result = engine.prove_round(four_router_inputs,
+                                    num_partitions=100)
         assert len(result.partition_infos) == 4  # one per router max
 
-    def test_fewer_partitions_than_routers(self, four_router_inputs):
-        result = ParallelAggregator().aggregate(four_router_inputs,
-                                                num_partitions=2)
+    def test_fewer_partitions_than_routers(self, engine,
+                                           four_router_inputs):
+        result = engine.prove_round(four_router_inputs, num_partitions=2)
         assert len(result.partition_infos) == 2
         verify_receipt(result.receipt, merge_guest.image_id)
 
-    def test_modeled_speedup(self, four_router_inputs):
-        result = ParallelAggregator().aggregate(four_router_inputs)
+    def test_modeled_speedup(self, engine, four_router_inputs):
+        result = engine.prove_round(four_router_inputs)
         model = CostModel()
         assert result.modeled_seconds(model) < \
             result.sequential_seconds(model)
 
     def test_modeled_seconds_is_critical_path_not_sum(
-            self, four_router_inputs):
+            self, engine, four_router_inputs):
         """The parallel model is max(partitions) + merge; the sum of
         partition times belongs to sequential_seconds only."""
-        result = ParallelAggregator().aggregate(four_router_inputs)
+        result = engine.prove_round(four_router_inputs)
         model = CostModel()
         partition_times = [model.prove_seconds(info.stats)
                            for info in result.partition_infos]
@@ -90,75 +99,83 @@ class TestParallelAggregation:
             sum(partition_times) + merge_time)
 
     def test_single_partition_degenerates_to_sequential(
-            self, four_router_inputs):
+            self, engine, four_router_inputs):
         """With one partition there is no parallelism to exploit:
         modeled and sequential latency coincide."""
-        result = ParallelAggregator().aggregate(four_router_inputs,
-                                                num_partitions=1)
+        result = engine.prove_round(four_router_inputs, num_partitions=1)
         assert len(result.partition_infos) == 1
         model = CostModel()
         assert result.modeled_seconds(model) == pytest.approx(
             result.sequential_seconds(model))
 
-    def test_empty_inputs_rejected(self):
+    def test_empty_inputs_rejected(self, engine):
         with pytest.raises(ConfigurationError):
-            ParallelAggregator().aggregate([])
+            engine.prove_round([])
 
-    def test_bad_partition_count(self, four_router_inputs):
+    def test_bad_partition_count(self, engine, four_router_inputs):
         with pytest.raises(ConfigurationError):
-            ParallelAggregator().aggregate(four_router_inputs,
-                                           num_partitions=0)
+            engine.prove_round(four_router_inputs, num_partitions=0)
 
-    def test_tampered_partition_aborts(self, four_router_inputs):
+    def test_tampered_partition_aborts(self, engine, four_router_inputs):
         forged = [four_router_inputs[0]] + [
             RouterWindowInput(router_id=i.router_id,
                               window_index=i.window_index,
                               commitment=sha256(b"nope"), blobs=i.blobs)
             for i in four_router_inputs[1:2]
         ] + four_router_inputs[2:]
-        with pytest.raises(GuestAbort):
-            ParallelAggregator().aggregate(forged)
+        with pytest.raises(GuestAbort, match="commitment mismatch"):
+            engine.prove_round(forged)
 
     def test_non_associative_policy_fails(self, four_router_inputs):
         policy = AggregationPolicy(packets=AggOp.LAST)
-        with pytest.raises((ConfigurationError, GuestAbort)):
-            ParallelAggregator(policy=policy).aggregate(
-                four_router_inputs)
+        with ProvingEngine(policy=policy) as engine, \
+                pytest.raises((ConfigurationError, GuestAbort)):
+            engine.prove_round(four_router_inputs)
 
 
 class TestConstructorValidation:
-    """Bad configuration must fail at construction — before any pool
-    or worker is spun up — identically on every backend."""
+    """Bad configuration must fail before any job reaches a worker —
+    identically on every backend.  (The class and test names predate
+    the engine: the partition count is now a ``prove_round`` argument,
+    the backend still a constructor one.)"""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_zero_partitions_rejected_in_constructor(self, backend):
-        with pytest.raises(ConfigurationError):
-            ParallelAggregator(num_partitions=0, backend=backend)
+    def test_zero_partitions_rejected_in_constructor(
+            self, backend, four_router_inputs):
+        with ProvingEngine(backend=backend) as engine:
+            with pytest.raises(ConfigurationError):
+                engine.prove_round(four_router_inputs, num_partitions=0)
+            snap = engine.snapshot()
+            assert snap["jobs_done"] == snap["in_flight"] == 0
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_negative_partitions_rejected_in_constructor(self, backend):
-        with pytest.raises(ConfigurationError):
-            ParallelAggregator(num_partitions=-3, backend=backend)
+    def test_negative_partitions_rejected_in_constructor(
+            self, backend, four_router_inputs):
+        with ProvingEngine(backend=backend) as engine:
+            with pytest.raises(ConfigurationError):
+                engine.prove_round(four_router_inputs, num_partitions=-3)
+            snap = engine.snapshot()
+            assert snap["jobs_done"] == snap["in_flight"] == 0
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            ParallelAggregator(backend="quantum")
+            ProvingEngine(backend="quantum")
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_constructor_partitions_used_by_aggregate(
             self, backend, four_router_inputs):
-        result = ParallelAggregator(
-            num_partitions=2, backend=backend).aggregate(
-                four_router_inputs)
+        with ProvingEngine(backend=backend) as engine:
+            result = engine.prove_round(four_router_inputs,
+                                        num_partitions=2)
         assert len(result.partition_infos) == 2
 
     def test_receipt_cache_shared_across_aggregate_calls(
             self, four_router_inputs):
-        """The aggregator's cache persists across rounds: a repeated
+        """The engine's cache persists across rounds: a repeated
         identical round replays every proof."""
-        aggregator = ParallelAggregator(backend="serial")
-        cold = aggregator.aggregate(four_router_inputs)
-        warm = aggregator.aggregate(four_router_inputs)
+        with ProvingEngine(backend="serial") as engine:
+            cold = engine.prove_round(four_router_inputs)
+            warm = engine.prove_round(four_router_inputs)
         assert warm.receipt.to_wire() == cold.receipt.to_wire()
         assert all(info.cached for info in warm.partition_infos)
         assert warm.merge_info.cached

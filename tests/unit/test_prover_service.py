@@ -79,6 +79,72 @@ class TestAggregation:
         assert ("r2", 1) in windows
 
 
+class TestStreamedWindowsProvenOnce:
+    """No call sequence may prove a committed window's records twice:
+    a window ingested into the open streamed round is refused on the
+    way in again, and ``aggregate_all_committed`` counts it once."""
+
+    RECORDS_PER_WINDOW = 3
+
+    @pytest.fixture
+    def stream_service(self):
+        from repro.commitments import BulletinBoard, Commitment, \
+            window_digest
+        from repro.storage import MemoryLogStore
+        from ..conftest import make_record
+        store, bulletin = MemoryLogStore(), BulletinBoard()
+        for window in (0, 1):
+            records = [make_record(sport=1000 + 10 * window + i)
+                       for i in range(self.RECORDS_PER_WINDOW)]
+            store.append_records("r1", window, records)
+            bulletin.publish(Commitment(
+                router_id="r1", window_index=window,
+                digest=window_digest([r.to_bytes() for r in records]),
+                record_count=len(records), published_at_ms=5_000))
+        service = ProverService(store, bulletin, stream=True)
+        yield service
+        service.close()
+
+    def test_aggregate_all_committed_counts_ingested_window_once(
+            self, stream_service):
+        stream_service.ingest_window(0)
+        results = stream_service.aggregate_all_committed()
+        assert stream_service.pending_windows() == []
+        assert stream_service.aggregated_windows == {0, 1}
+        assert sum(r.record_count for r in results) \
+            == 2 * self.RECORDS_PER_WINDOW
+        assert len(stream_service.state) == 2 * self.RECORDS_PER_WINDOW
+
+    def test_aggregate_all_committed_closes_a_fully_ingested_round(
+            self, stream_service):
+        stream_service.ingest_window(0)
+        stream_service.ingest_window(1)
+        (result,) = stream_service.aggregate_all_committed()
+        assert result.record_count == 2 * self.RECORDS_PER_WINDOW
+        assert stream_service.pending_windows() == []
+        assert stream_service.stream_status()["open_round"] is None
+
+    @pytest.mark.parametrize("again", [
+        lambda service: service.ingest_window(0),
+        lambda service: service.aggregate_window(0),
+        lambda service: service.aggregate_windows([0, 1]),
+        lambda service: service.prove_round(
+            [0], service.gather_window(0)),
+    ], ids=["ingest_window", "aggregate_window", "aggregate_windows",
+            "prove_round"])
+    def test_window_in_open_round_is_refused(self, stream_service,
+                                             again):
+        stream_service.ingest_window(0)
+        with pytest.raises(ProofError, match="already ingested"):
+            again(stream_service)
+        # The refusal left the open round as it was; closing it covers
+        # window 0 exactly once.
+        assert stream_service.stream_status()["pending_deltas"] == 1
+        result = stream_service.close_stream_round()
+        assert result.record_count == self.RECORDS_PER_WINDOW
+        assert stream_service.pending_windows() == [1]
+
+
 class TestQueries:
     def test_query_before_aggregation_fails(self, service):
         from repro.errors import ChainError

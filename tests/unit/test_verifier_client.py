@@ -74,6 +74,71 @@ class TestAggregationVerification:
             seen.update(v.windows)
 
 
+class TestDoubleConsumptionWithinOneRound:
+    """A round whose journal lists a (router, window) pair twice proves
+    that window's records twice from one commitment.  Every guest check
+    passes (each copy matches the published hash), so the client must
+    refuse it from the public journal alone."""
+
+    @pytest.fixture
+    def committed(self):
+        from repro.commitments import BulletinBoard, Commitment, \
+            window_digest
+        from repro.core.aggregation import RouterWindowInput
+        from repro.core.verifier_client import VerifierClient
+        from ..conftest import make_record
+        bulletin, inputs = BulletinBoard(), []
+        for window in (0, 1):
+            blobs = tuple(make_record(sport=1000 + 10 * window + i)
+                          .to_bytes() for i in range(3))
+            digest = window_digest(list(blobs))
+            bulletin.publish(Commitment(
+                router_id="r1", window_index=window, digest=digest,
+                record_count=3, published_at_ms=5_000))
+            inputs.append(RouterWindowInput("r1", window, digest, blobs))
+        return VerifierClient(bulletin), inputs
+
+    def test_update_path_round_with_repeated_pair_rejected(self,
+                                                           committed):
+        from repro.core.aggregation import Aggregator
+        from repro.core.clog import CLogState
+        client, inputs = committed
+        honest = Aggregator().aggregate(CLogState(), inputs, None)
+        assert client.verify_chain([honest.receipt])[0].entries == 6
+        doubled = Aggregator().aggregate(CLogState(), inputs + inputs,
+                                         None)
+        assert doubled.record_count == 12  # proven: the guest is happy
+        with pytest.raises(ChainError, match="more than once"):
+            client.verify_chain([doubled.receipt])
+
+    def test_streamed_round_with_pair_in_two_deltas_rejected(self,
+                                                             committed):
+        """The streamer's own guard refuses the repeat, so the forging
+        host switches it off: same window, proven again from the
+        intermediate state, folded like any other delta."""
+        from repro.core.aggregation import Aggregator
+        from repro.core.clog import CLogState
+        from repro.engine import ProvingEngine
+        from repro.stream import StreamingAggregator
+
+        class ForgingStreamer(StreamingAggregator):
+            open_windows = frozenset()
+
+        client, inputs = committed
+        window = inputs[:1]
+        with ProvingEngine(backend="serial") as engine:
+            streamer = ForgingStreamer(engine=engine)
+            streamer.ingest(CLogState(), window)
+            streamer.ingest(CLogState(), window)
+            doubled = streamer.close()
+        monolithic = Aggregator().aggregate(CLogState(), window + window,
+                                            None)
+        assert doubled.receipt.journal.data \
+            == monolithic.receipt.journal.data
+        with pytest.raises(ChainError, match="more than once"):
+            client.verify_chain([doubled.receipt])
+
+
 class TestQueryVerification:
     def test_query_verifies(self, aggregated_system):
         system = aggregated_system

@@ -135,6 +135,51 @@ class TestGuestProgram:
 
         assert compute_image_id(fn, "p") == compute_image_id(fn, "p")
 
+    def test_image_id_covers_helpers(self, tmp_path):
+        """Two guests identical but for one line of a helper they call
+        (here: transitively) must get different image ids — most of
+        Algorithm 1 lives in such helpers, outside the decorated
+        function."""
+        import importlib.util
+        import inspect
+
+        template = (
+            "def _charge(env):\n"
+            "    env.tick({cycles})\n"
+            "\n"
+            "def step(env):\n"
+            "    _charge(env)\n"
+            "\n"
+            "def guest(env):\n"
+            "    step(env)\n"
+            "    env.commit(1)\n")
+
+        def load(name, cycles):
+            path = tmp_path / f"{name}.py"
+            path.write_text(template.format(cycles=cycles))
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.guest
+
+        first, second, twin = (load("variant_a", 1), load("variant_b", 2),
+                               load("variant_c", 1))
+        assert inspect.getsource(first) == inspect.getsource(second)
+        assert compute_image_id(first, "p") != compute_image_id(second, "p")
+        assert compute_image_id(first, "p") == compute_image_id(twin, "p")
+
+    def test_image_id_ignores_other_packages(self):
+        """Library code from outside the guest's package (here
+        ``repro.serialization``) is the toolchain, not the guest."""
+        import inspect
+        from repro.hashing import TAG_IMAGE_ID
+
+        def fn(env):
+            env.commit(encode(1))
+
+        assert compute_image_id(fn, "p") == tagged_hash(
+            TAG_IMAGE_ID, b"p", inspect.getsource(fn).encode("utf-8"))
+
     def test_decorator(self):
         @guest_program("named")
         def prog(env):
