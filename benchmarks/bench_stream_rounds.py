@@ -14,9 +14,11 @@ Across 4x window growth (W = 256 → 1024) the streamed round must stay
 flat within 10% — metered guest cycles grow only by the Merkle-path
 log-depth term — while the rebuild round grows ≥ 2.5x.  Both bounds
 are hard assertions on *metered* cycles and modeled prover seconds
-(deterministic, machine-independent); the wall-clock medians of the
-streamed rounds feed the CI regression gate (``check_regression.py``
-against ``results/baseline.json``).
+(deterministic, machine-independent).  The host half of the claim is
+asserted in wall-clock: the W = 1024 median may cost at most 1.3x the
+W = 256 median (the host neither re-encodes nor re-hashes the state
+to open a round), and the three medians feed the CI regression gate
+(``check_regression.py`` against ``results/baseline.json``).
 
 The preload ends with a small Δ-sized round on purpose: the measured
 round verifies its predecessor's receipt in-guest, so a predecessor
@@ -44,6 +46,7 @@ W_SIZES = (256, 512, 1024)
 DELTA = 64
 BATCHES = 2
 FLATNESS = 1.10
+WALL_FLATNESS = 1.3
 LINEAR_GROWTH = 2.5
 
 
@@ -134,14 +137,19 @@ def round_costs(size: int) -> dict:
     return _COSTS[size]
 
 
+_WALL_MEDIANS: dict[int, float] = {}
+
+
 @pytest.mark.parametrize("size", W_SIZES)
 def test_stream_round_fixed_delta(benchmark, report, size):
     """Wall-clock of one streamed Δ-round over a W-entry CLog (cold
     cache each iteration) — the gated regression number."""
     result = benchmark.pedantic(lambda: streamed_round(size),
-                                rounds=5, iterations=1,
+                                rounds=15, iterations=1,
                                 warmup_rounds=1)
     assert result.record_count == DELTA
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        _WALL_MEDIANS[size] = benchmark.stats.stats.median
     costs = round_costs(size)
     report.table(
         "stream-rounds",
@@ -153,6 +161,18 @@ def test_stream_round_fixed_delta(benchmark, report, size):
     report.row("stream-rounds", size, costs["depth"],
                costs["streamed_cycles"], costs["streamed_seconds"],
                costs["rebuild_cycles"], costs["rebuild_seconds"])
+
+
+def test_streamed_wall_clock_flat():
+    """ROADMAP item 2's host half, in wall-clock: 4x the window at the
+    same Δ may cost at most 1.3x — opening a round copies the state's
+    structure, it does not re-encode or re-hash it."""
+    if set(_WALL_MEDIANS) != set(W_SIZES):
+        pytest.skip("needs the timed test_stream_round_fixed_delta runs")
+    ratio = _WALL_MEDIANS[W_SIZES[-1]] / _WALL_MEDIANS[W_SIZES[0]]
+    assert ratio <= WALL_FLATNESS, (
+        f"streamed round wall-clock grew {ratio:.2f}x across "
+        f"{W_SIZES[-1] // W_SIZES[0]}x window growth")
 
 
 def test_streamed_flat_rebuild_linear(report):

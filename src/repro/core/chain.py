@@ -10,7 +10,7 @@ is the provider-side ledger of those links; clients re-verify it with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..errors import ChainError
 from ..hashing import Digest
@@ -27,6 +27,17 @@ ROUND_IMAGE_IDS = (
     rebuild_aggregation_guest.image_id,
     fold_guest.image_id,
 )
+
+
+def require_distinct_windows(what: str,
+                             windows: Sequence[tuple[str, int]]) -> None:
+    """One proof may consume each (router, window) once: a repeated
+    pair proves the same committed records twice under one commitment
+    (across rounds, ``verify_chain`` refuses the replay)."""
+    if len(set(windows)) != len(windows):
+        raise ChainError(
+            f"{what} consumes a (router, window) pair more than once: "
+            f"{sorted(windows)}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ guest executes the exact same code the host uses.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any
 
@@ -238,12 +239,20 @@ class CLogState:
         return self._entries.get(key)
 
     def entries_in_slot_order(self) -> list[CLogEntry]:
-        ordered = sorted(self._entries,
-                         key=lambda k: self._map.index_of(k))
-        return [self._entries[k] for k in ordered]
+        # Slots are append-only and an update keeps its dict position,
+        # so insertion order is slot order.
+        return list(self._entries.values())
 
     def entry_views(self) -> list[dict[str, Any]]:
         return [e.query_view() for e in self.entries_in_slot_order()]
+
+    def entry_frames(self, start: int = 0,
+                     stop: int | None = None) -> list[dict[str, bytes]]:
+        """The guest input frame of every entry in slots
+        ``[start, stop)``: the packed key and the payload bytes the
+        Merkle map committed, with nothing re-encoded."""
+        return [{"key": key, "payload": payload}
+                for key, payload in self._map.slot_items(start, stop)]
 
     # -- mutation -------------------------------------------------------------------
 
@@ -253,9 +262,11 @@ class CLogState:
         return self._map.set(entry.key, entry.to_payload())
 
     def clone(self) -> "CLogState":
-        """Deep copy for witness building (host-side, cheap)."""
-        other = CLogState()
-        for entry in self.entries_in_slot_order():
-            other.set_entry(entry)
-        other.round = self.round
+        """An independent copy: the entry dict and the Merkle map's
+        slots, payloads and tree levels are copied as they stand, so
+        the cost is a few list copies whatever the state holds and no
+        entry is re-encoded or re-hashed."""
+        other = copy.copy(self)
+        other._entries = dict(self._entries)
+        other._map = self._map.copy()
         return other

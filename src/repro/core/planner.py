@@ -238,10 +238,10 @@ class QueryPlanner:
         self.entries = len(state)
         self.agg_journal_bytes = agg_journal_bytes
         self._state = state
-        payload_sizes = [len(entry.to_payload())
-                         for entry in state.entries_in_slot_order()]
-        self.avg_payload = (sum(payload_sizes) / len(payload_sizes)
-                            if payload_sizes else 0.0)
+        payload_bytes = sum(len(payload) for _key, payload
+                            in state.merkle_map.slot_items())
+        self.avg_payload = (payload_bytes / self.entries
+                            if self.entries else 0.0)
         self._views: list[dict] | None = None
         self._group_profiles: dict[str, tuple[int, float]] = {}
 

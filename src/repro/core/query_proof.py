@@ -193,9 +193,8 @@ class QueryProver:
             builder = ExecutorEnvBuilder()
             builder.write({"query": sql, "num_entries": len(state)})
             builder.write(make_receipt_binding(agg_receipt))
-            for entry in state.entries_in_slot_order():
-                builder.write({"key": entry.key.pack(),
-                               "payload": entry.to_payload()})
+            for frame in state.entry_frames():
+                builder.write(frame)
             info = self._prover.prove(query_guest, builder.build())
             receipt = resolve(info.receipt, agg_receipt)
             span.add_cycles(info.stats.total_cycles)
@@ -262,7 +261,6 @@ class QueryProver:
         from .planner import partition_layout
         chunk_po2, count = partition_layout(size, requested)
         chunk = 1 << chunk_po2
-        entries = state.entries_in_slot_order()
         tree = state.merkle_map.tree
         binding = make_receipt_binding(agg_receipt)
 
@@ -289,9 +287,8 @@ class QueryProver:
                             chunk_po2, index).siblings),
                     })
                     builder.write(binding)
-                    for entry in entries[lo:hi]:
-                        builder.write({"key": entry.key.pack(),
-                                       "payload": entry.to_payload()})
+                    for frame in state.entry_frames(lo, hi):
+                        builder.write(frame)
                     jobs.append(ProofJob.from_parts(
                         query_partition_guest, builder.build(),
                         self._opts))

@@ -151,9 +151,8 @@ class RebuildAggregator(Aggregator):
         })
         if state.round > 0:
             builder.write(make_receipt_binding(prev_receipt))
-        for entry in state.entries_in_slot_order():
-            builder.write({"key": entry.key.pack(),
-                           "payload": entry.to_payload()})
+        for frame in state.entry_frames():
+            builder.write(frame)
         write_window_frames(builder, ordered)
         info = self._prover.prove(rebuild_aggregation_guest,
                                   builder.build())

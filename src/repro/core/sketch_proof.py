@@ -42,6 +42,7 @@ from .aggregation import (
     make_receipt_binding,
     write_window_frames,
 )
+from .chain import require_distinct_windows
 from .guest_programs import (
     DECODE_CYCLES_PER_BYTE,
     assume_receipt,
@@ -201,12 +202,15 @@ class SketchTelemetry:
 def verify_sketch_build(receipt: Receipt, bulletin) -> dict[str, Any]:
     """Client-side check of a sketch-build receipt.
 
-    Verifies the proof against the public build image and cross-checks
-    every consumed window commitment against the bulletin; returns the
-    public journal (digest, total, heavy hitters).
+    Verifies the proof against the public build image, refuses a
+    journal that consumes a (router, window) pair twice, and
+    cross-checks every consumed window commitment against the bulletin;
+    returns the public journal (digest, total, heavy hitters).
     """
     Verifier().verify(receipt, sketch_build_guest.image_id)
     journal = receipt.journal.decode_one()
+    require_distinct_windows(
+        "sketch build", [(w["r"], w["w"]) for w in journal["windows"]])
     for window in journal["windows"]:
         published = bulletin.get(window["r"], window["w"])
         if published.digest != window["c"]:

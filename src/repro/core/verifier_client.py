@@ -22,7 +22,7 @@ from ..errors import ChainError, VerificationError
 from ..hashing import Digest
 from ..merkle.tree import EMPTY_ROOTS
 from ..zkvm import Receipt, Verifier
-from .chain import ROUND_IMAGE_IDS
+from .chain import ROUND_IMAGE_IDS, require_distinct_windows
 from .guest_programs import query_guest, query_merge_guest
 from .query_proof import QueryResponse
 
@@ -97,13 +97,8 @@ class VerifierClient:
             windows=tuple((w["r"], w["w"]) for w in header["windows"]),
             entries=header["entries"],
         )
-        # A round may consume each (router, window) once: a repeated
-        # pair proves the same committed records twice under one
-        # commitment (across rounds, verify_chain refuses the replay).
-        if len(set(verified.windows)) != len(verified.windows):
-            raise ChainError(
-                f"round {verified.round} consumes a (router, window) "
-                f"pair more than once: {sorted(verified.windows)}")
+        require_distinct_windows(f"round {verified.round}",
+                                 verified.windows)
         # Window commitments in the journal must match the public board.
         for window_info in header["windows"]:
             published = self.bulletin.get(window_info["r"],

@@ -203,6 +203,6 @@ class FederationJoinProver:
         builder = ExecutorEnvBuilder()
         builder.write({"query": FEDERATION_TOTALS_SQL, "num_entries": len(state)})
         builder.write(make_receipt_binding(agg_receipt))
-        for entry in state.entries_in_slot_order():
-            builder.write({"key": entry.key.pack(), "payload": entry.to_payload()})
+        for frame in state.entry_frames():
+            builder.write(frame)
         return ProofJob.from_parts(query_guest, builder.build(), self._opts)

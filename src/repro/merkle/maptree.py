@@ -9,6 +9,7 @@ tree's proofs, so the per-update cost stays at ``depth`` hashes.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterator, Mapping
 
 from ..errors import MerkleError
@@ -33,7 +34,11 @@ class MerkleMap:
         self._key_bytes = key_bytes or _default_key_bytes
         self._tree = MerkleTree(hasher=self._hasher)
         self._index: dict[object, int] = {}
-        self._payloads: dict[object, bytes] = {}
+        # Per slot: the key's bytes and the payload, exactly as hashed
+        # into the leaf (slots are append-only, so ``_index`` iterates
+        # in slot order too).
+        self._slot_keys: list[bytes] = []
+        self._payloads: list[bytes] = []
 
     # -- mapping interface ----------------------------------------------------
 
@@ -50,16 +55,19 @@ class MerkleMap:
         return iter(self._index)
 
     def items(self) -> Iterator[tuple[object, bytes]]:
-        return iter(self._payloads.items())
+        return zip(self._index, self._payloads)
+
+    def slot_items(self, start: int = 0, stop: int | None = None
+                   ) -> Iterator[tuple[bytes, bytes]]:
+        """``(key bytes, payload)`` of slots ``[start, stop)``, in order."""
+        return zip(self._slot_keys[start:stop], self._payloads[start:stop])
 
     def get(self, key: object) -> bytes | None:
-        return self._payloads.get(key)
+        slot = self._index.get(key)
+        return None if slot is None else self._payloads[slot]
 
     def payload(self, key: object) -> bytes:
-        try:
-            return self._payloads[key]
-        except KeyError:
-            raise MerkleError(f"unknown key {key!r}") from None
+        return self._payloads[self.index_of(key)]
 
     def index_of(self, key: object) -> int:
         try:
@@ -71,19 +79,32 @@ class MerkleMap:
 
     def set(self, key: object, payload: bytes) -> int:
         """Insert or update ``key``; returns the leaf slot index."""
-        leaf = self._leaf_digest(key, payload)
-        if key in self._index:
-            slot = self._index[key]
-            self._tree.update(slot, leaf)
-        else:
-            slot = self._tree.append(leaf)
+        slot = self._index.get(key)
+        if slot is None:
+            key_bytes = self._key_bytes(key)
+            slot = self._tree.append(self._hasher.leaf(key_bytes + payload))
             self._index[key] = slot
-        self._payloads[key] = payload
+            self._slot_keys.append(key_bytes)
+            self._payloads.append(payload)
+        else:
+            self._tree.update(
+                slot, self._hasher.leaf(self._slot_keys[slot] + payload))
+            self._payloads[slot] = payload
         return slot
 
     def update_many(self, entries: Mapping[object, bytes]) -> None:
         for key, payload in entries.items():
             self.set(key, payload)
+
+    def copy(self) -> "MerkleMap":
+        """An independent map with the same slots, payloads and tree:
+        structure is copied, nothing is re-encoded or re-hashed."""
+        other = copy.copy(self)
+        other._tree = self._tree.copy()
+        other._index = dict(self._index)
+        other._slot_keys = list(self._slot_keys)
+        other._payloads = list(self._payloads)
+        return other
 
     # -- authentication -----------------------------------------------------------
 
@@ -107,37 +128,7 @@ class MerkleMap:
 
     def expected_leaf(self, key: object, payload: bytes) -> Digest:
         """What the leaf digest *should* be for (key, payload)."""
-        return self._leaf_digest(key, payload)
-
-    def snapshot(self) -> "MerkleMapSnapshot":
-        """An immutable view (root + slots) for cross-round verification."""
-        return MerkleMapSnapshot(
-            root=self._tree.root,
-            size=len(self._index),
-            depth=self._tree.depth,
-            slots={key: slot for key, slot in self._index.items()},
-        )
-
-    # -- internals -------------------------------------------------------------------
-
-    def _leaf_digest(self, key: object, payload: bytes) -> Digest:
         return self._hasher.leaf(self._key_bytes(key) + payload)
-
-
-class MerkleMapSnapshot:
-    """Frozen (root, slot-assignment) view of a :class:`MerkleMap`."""
-
-    __slots__ = ("root", "size", "depth", "slots")
-
-    def __init__(self, root: Digest, size: int, depth: int,
-                 slots: dict[object, int]) -> None:
-        self.root = root
-        self.size = size
-        self.depth = depth
-        self.slots = slots
-
-    def slot_of(self, key: object) -> int | None:
-        return self.slots.get(key)
 
 
 def _default_key_bytes(key: object) -> bytes:

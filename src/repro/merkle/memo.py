@@ -1,12 +1,14 @@
 """Content-keyed memo cache for Merkle subtree digests.
 
-Aggregation rebuilds the CLog tree every round, but most subtrees are
-unchanged between rounds — only the slots touched by new records move.
-Because a tagged Merkle digest is a pure function of its content
-(``leaf(data)`` of the payload bytes, ``node(l, r)`` of the two child
-digests), a process-global cache keyed by that content lets
-:mod:`repro.merkle.tree` and :mod:`repro.core.rebuild` skip the SHA-256
-work for every subtree that was already hashed in a previous round.
+The host's CLog tree is updated in place and copied structurally, so
+it never re-hashes a leaf it committed.  The *guests* do: the query,
+partition and rebuild guests build the tree from the entry frames on
+every execution, and between two executions most subtrees are unchanged
+— only the slots touched by new records move.  A tagged Merkle digest
+is a pure function of its content (``leaf(data)``, ``node(l, r)``), so a
+process-global cache keyed by that content lets those from-scratch
+builds (:mod:`repro.merkle.tree` under the metered guest hasher) skip
+the SHA-256 work for every subtree an earlier round or query hashed.
 
 Correctness is structural: a cache hit returns the digest of exactly the
 bytes that would have been hashed, so roots, proofs, and journals are
@@ -79,7 +81,7 @@ class DigestMemo:
         }
 
 
-# Process-global caches shared by every tree rebuild in this process.
+# Process-global caches shared by every tree build in this process.
 # Node keys are the 64-byte child-digest concatenation; leaf keys are the
 # raw payload bytes (CLog wire entries are small and repeat across
 # rounds for unchanged flows).

@@ -8,10 +8,14 @@ this overhead stems from Merkle tree updates performed within the zkVM",
 
 Levels are stored densely: ``_levels[0]`` is the leaf level (digests of
 occupied slots only; padding is implicit), ``_levels[depth]`` is the root.
+Appending past the padded capacity adds one level over the old root
+rather than re-hashing the tree, so an append costs ``depth + 1`` node
+hashes at every size.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Sequence
 
 from ..errors import MerkleError
@@ -65,9 +69,8 @@ class MerkleTree:
                  hasher: MerkleHasher | None = None) -> None:
         self._hasher = hasher or default_hasher()
         self._empty = _empty_roots(self._hasher)
-        self._leaves: list[Digest] = list(leaves)
-        self._levels: list[list[Digest]] = []
-        self._rebuild()
+        self._levels: list[list[Digest]] = [list(leaves)]
+        self._build_levels()
 
     # -- construction helpers ---------------------------------------------
 
@@ -78,12 +81,19 @@ class MerkleTree:
         h = hasher or default_hasher()
         return cls((h.leaf(p) for p in payloads), hasher=h)
 
+    def copy(self) -> "MerkleTree":
+        """An independent tree over the same leaves: every level list is
+        copied, nothing is hashed."""
+        other = copy.copy(self)
+        other._levels = [list(level) for level in self._levels]
+        return other
+
     # -- inspection ---------------------------------------------------------
 
     @property
     def size(self) -> int:
         """Number of occupied leaves."""
-        return len(self._leaves)
+        return len(self._levels[0])
 
     @property
     def depth(self) -> int:
@@ -96,10 +106,10 @@ class MerkleTree:
 
     def leaf(self, index: int) -> Digest:
         self._check_index(index)
-        return self._leaves[index]
+        return self._levels[0][index]
 
     def leaves(self) -> Sequence[Digest]:
-        return tuple(self._leaves)
+        return tuple(self._levels[0])
 
     # -- mutation -----------------------------------------------------------
 
@@ -108,13 +118,15 @@ class MerkleTree:
 
         Returns the index of the new leaf.
         """
-        index = len(self._leaves)
-        self._leaves.append(leaf)
-        if index < self._capacity():
-            self._levels[0].append(leaf)
-            self._update_path(index)
-        else:
-            self._rebuild()
+        index = self.size
+        depth = self.depth
+        if index == 1 << depth:
+            # Capacity exhausted: one more level over the old root, the
+            # same step the aggregation guest's ``grow`` op takes.
+            self._levels.append(
+                [self._hasher.node(self.root, self._empty[depth])])
+        self._levels[0].append(leaf)
+        self._update_path(index)
         return index
 
     def update(self, index: int, leaf: Digest) -> None:
@@ -124,7 +136,6 @@ class MerkleTree:
         paper attributes the zkVM overhead to.
         """
         self._check_index(index)
-        self._leaves[index] = leaf
         self._levels[0][index] = leaf
         self._update_path(index)
 
@@ -137,19 +148,9 @@ class MerkleTree:
     def prove(self, index: int) -> InclusionProof:
         """Produce an inclusion proof for the leaf at ``index``."""
         self._check_index(index)
-        siblings: list[Digest] = []
-        pos = index
-        for height in range(self.depth):
-            level = self._levels[height]
-            sibling_pos = pos ^ 1
-            if sibling_pos < len(level):
-                siblings.append(level[sibling_pos])
-            else:
-                siblings.append(self._empty[height])
-            pos >>= 1
-        return InclusionProof(leaf_index=index, leaf=self._leaves[index],
-                              siblings=tuple(siblings),
-                              tree_size=len(self._leaves))
+        return InclusionProof(leaf_index=index, leaf=self._levels[0][index],
+                              siblings=self._siblings(0, index),
+                              tree_size=self.size)
 
     def prove_vacant(self, index: int) -> InclusionProof:
         """Prove that the *next* slot (``index == size``) is empty.
@@ -161,26 +162,16 @@ class MerkleTree:
         legally target), and the padded capacity must accommodate it —
         grow the tree first otherwise (see the aggregation witness).
         """
-        if index != len(self._leaves):
+        if index != self.size:
             raise MerkleError(
                 f"vacant proofs only cover the append slot "
-                f"{len(self._leaves)}, not {index}")
-        if self._levels and index >= (1 << self.depth) and index > 0:
+                f"{self.size}, not {index}")
+        if index >= (1 << self.depth) and index > 0:
             raise MerkleError(
                 f"slot {index} exceeds padded capacity {1 << self.depth}; "
                 "grow the tree first")
-        siblings: list[Digest] = []
-        pos = index
-        for height in range(self.depth):
-            level = self._levels[height]
-            sibling_pos = pos ^ 1
-            if sibling_pos < len(level):
-                siblings.append(level[sibling_pos])
-            else:
-                siblings.append(self._empty[height])
-            pos >>= 1
         return InclusionProof(leaf_index=index, leaf=self._empty[0],
-                              siblings=tuple(siblings),
+                              siblings=self._siblings(0, index),
                               tree_size=index + 1)
 
     def node_at(self, level: int, pos: int) -> Digest:
@@ -189,7 +180,7 @@ class MerkleTree:
         if not 0 <= level <= self.depth:
             raise MerkleError(f"level {level} out of range")
         end_leaf = (pos + 1) << level
-        if end_leaf > len(self._leaves):
+        if end_leaf > self.size:
             raise MerkleError(
                 f"subtree ({level}, {pos}) is not fully occupied")
         return self._levels[level][pos]
@@ -211,19 +202,9 @@ class MerkleTree:
         if not 0 <= pos < len(self._levels[level]):
             raise MerkleError(
                 f"subtree ({level}, {pos}) holds no occupied leaves")
-        siblings: list[Digest] = []
-        node_pos = pos
-        for height in range(level, self.depth):
-            nodes = self._levels[height]
-            sibling_pos = node_pos ^ 1
-            if sibling_pos < len(nodes):
-                siblings.append(nodes[sibling_pos])
-            else:
-                siblings.append(self._empty[height])
-            node_pos >>= 1
         return SubtreeProof(level=level, index=pos,
-                            siblings=tuple(siblings),
-                            tree_size=len(self._leaves))
+                            siblings=self._siblings(level, pos),
+                            tree_size=self.size)
 
     def prove_consistency(self, old_size: int):
         """Prove this tree extends its own earlier ``old_size``-leaf
@@ -240,25 +221,26 @@ class MerkleTree:
 
     # -- internals -------------------------------------------------------------
 
-    def _capacity(self) -> int:
-        return 1 << self.depth if self._levels else 0
-
     def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self._leaves):
+        if not 0 <= index < self.size:
             raise MerkleError(
-                f"leaf index {index} out of range (size {len(self._leaves)})"
+                f"leaf index {index} out of range (size {self.size})"
             )
 
-    def _required_depth(self, size: int) -> int:
-        depth = 0
-        while (1 << depth) < size:
-            depth += 1
-        return depth
+    def _siblings(self, level: int, pos: int) -> tuple[Digest, ...]:
+        """The path from node ``(level, pos)`` to the root; a sibling
+        past the occupied nodes is the empty subtree of its height."""
+        siblings: list[Digest] = []
+        for height in range(level, self.depth):
+            nodes = self._levels[height]
+            siblings.append(nodes[pos ^ 1] if pos ^ 1 < len(nodes)
+                            else self._empty[height])
+            pos >>= 1
+        return tuple(siblings)
 
-    def _rebuild(self) -> None:
-        depth = self._required_depth(max(len(self._leaves), 1))
-        self._levels = [list(self._leaves)]
-        for height in range(depth):
+    def _build_levels(self) -> None:
+        """Hash every level above the leaves (construction only)."""
+        for height in range(max(self.size - 1, 0).bit_length()):
             below = self._levels[height]
             above: list[Digest] = []
             for i in range(0, len(below), 2):

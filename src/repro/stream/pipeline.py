@@ -199,7 +199,9 @@ class StreamingAggregator:
         if self._open_round is None:
             require_prev_receipt(state.round, prev_receipt)
             self._open_round = state.round
-            self._work = state.clone()
+            # build_witness copies before it replays, so the caller's
+            # state is only ever read through this reference.
+            self._work = state
         elif state.round != self._open_round:
             raise ChainError(
                 f"round {state.round} windows ingested while round "

@@ -17,11 +17,13 @@ from repro.core.guest_programs import (
     query_guest,
 )
 from repro.core.policy import DEFAULT_POLICY
+from repro.core.query_proof import QueryProver
 from repro.core.rebuild import RebuildAggregator, rebuild_aggregation_guest
 from repro.core.sketch_proof import SketchTelemetry
 from repro.core.witness import build_witness
 from repro.engine import ProvingEngine
 from repro.errors import ChainError, GuestAbort
+from repro.federation.join import FederationJoinProver
 from repro.hashing import sha256
 from repro.merkle.tree import EMPTY_ROOTS
 from repro.serialization import encode
@@ -338,6 +340,60 @@ class TestPinnedRoundContract:
         for index, info in enumerate(result.partition_infos):
             assert pin_of(info.receipt.journal, info.stats) \
                 == PINNED[f"partition{index}"]
+
+
+# Guest *inputs* are a contract too: ``input_digest`` is sealed into the
+# claim and keys every ``ReceiptCache`` entry.  Captured at the commit
+# before the entry frames were read off the Merkle map's stored key and
+# payload bytes instead of being re-encoded per entry.
+PINNED_INPUTS = {
+    "full_scan": "cc18222f6c0dd028800f0f1aee54e65a"
+                 "fad71a640ed738abb28d8147453f4c1b",
+    "partition0": "1be26cb6ff1990c12d658d5aa45c660c"
+                  "6b3bcaab5fcf992e4b730a788343ae68",
+    "partition1": "dc3e3ca9fe28758c84c5679a81d701a5"
+                  "e5182b6a53af53bfb183605926c6f49f",
+    "federation_totals": "e6d29c337481f95a3a8205d99ec4d8ad"
+                         "face8e37fb8b1633bf0bec0dad154b2c",
+    "rebuild": "66d3cb84ffc008d350cd1bfc2f14a7db"
+               "0e08efe8a4e9b7c62a1f902e022f27cd",
+}
+
+
+class TestPinnedInputFrames:
+    SQL = "SELECT COUNT(*), SUM(packets) FROM clogs WHERE src_port >= 1003"
+
+    @pytest.fixture(scope="class")
+    def proven(self, genesis):
+        """Nine flows at depth 4, so two partitions are 8 + 1 slots."""
+        return Aggregator().aggregate(
+            genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
+
+    def test_full_scan_query(self, proven):
+        _response, info = QueryProver().prove_query(
+            self.SQL, proven.new_state, proven.receipt)
+        assert info.receipt.claim.input_digest.hex() \
+            == PINNED_INPUTS["full_scan"]
+
+    def test_partition_jobs(self, proven, serial_engine):
+        _response, info = QueryProver(engine=serial_engine) \
+            .prove_query_partitioned(self.SQL, proven.new_state,
+                                     proven.receipt, 2)
+        assert [part.receipt.claim.input_digest.hex()
+                for part in info.partition_infos] \
+            == [PINNED_INPUTS["partition0"], PINNED_INPUTS["partition1"]]
+
+    def test_federation_totals_job(self, proven, serial_engine):
+        job = FederationJoinProver(engine=serial_engine)._totals_job(
+            proven.new_state, proven.receipt)
+        assert job.env_commitment.hex() \
+            == PINNED_INPUTS["federation_totals"]
+
+    def test_rebuild_round(self, genesis):
+        result = RebuildAggregator().aggregate(
+            genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
+        assert result.receipt.claim.input_digest.hex() \
+            == PINNED_INPUTS["rebuild"]
 
 
 # -- the shared steps abort the same way from every caller ---------------------

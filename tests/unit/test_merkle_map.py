@@ -72,14 +72,22 @@ class TestAuthentication:
         assert m1.root != m2.root  # slots are positional
 
     def test_snapshot(self):
+        """``copy()`` is the frozen view: later writes to either side
+        stay there, and the copy still proves what it held."""
         m = MerkleMap()
         m.set("a", b"1")
-        snap = m.snapshot()
+        snap = m.copy()
         m.set("b", b"2")
+        m.set("a", b"1-updated")
         assert snap.root != m.root
-        assert snap.size == 1
-        assert snap.slot_of("a") == 0
-        assert snap.slot_of("b") is None
+        assert len(snap) == 1
+        assert snap.index_of("a") == 0
+        assert "b" not in snap
+        assert snap.payload("a") == b"1"
+        snap.prove("a").verify(snap.root)
+        snap.set("c", b"3")
+        assert "c" not in m
+        assert list(m.slot_items()) == [(b"a", b"1-updated"), (b"b", b"2")]
 
 
 class TestKeyBytes:

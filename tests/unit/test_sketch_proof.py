@@ -11,7 +11,12 @@ from repro.core.sketch_proof import (
     verify_sketch_build,
     verify_sketch_estimate,
 )
-from repro.errors import GuestAbort, ProofError, VerificationError
+from repro.errors import (
+    ChainError,
+    GuestAbort,
+    ProofError,
+    VerificationError,
+)
 from repro.hashing import sha256
 from repro.netflow.records import FlowKey
 from repro.zkvm import verify_receipt
@@ -64,6 +69,20 @@ class TestBuild:
             + list(windows[1:])
         with pytest.raises(GuestAbort, match="commitment mismatch"):
             telemetry.build(forged)
+
+    def test_repeated_window_pair_rejected(self, setup):
+        """The build guest checks each window against its commitment,
+        not against the others: a host that feeds one window twice
+        gets a valid proof of a double count, and only the client's
+        journal check (the one ``verify_aggregation`` makes) stops it."""
+        _store, bulletin, windows, telemetry, build, _truth = setup
+        doubled = telemetry.build(list(windows) + list(windows[:1]))
+        verify_receipt(doubled.receipt, sketch_build_guest.image_id)
+        assert doubled.journal["total_packets"] \
+            > build.journal["total_packets"]
+        with pytest.raises(ChainError, match="sketch build consumes a "
+                           r"\(router, window\) pair more than once"):
+            verify_sketch_build(doubled.receipt, bulletin)
 
     def test_journal_hides_sketch_contents(self, setup):
         *_rest, build, _truth = setup

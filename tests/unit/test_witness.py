@@ -1,9 +1,13 @@
 """Unit tests for aggregation witness construction."""
 
+from repro.core import clog as clog_module
 from repro.core.clog import CLogEntry, CLogState
 from repro.core.policy import DEFAULT_POLICY
 from repro.core.witness import OP_GROW, OP_INSERT, OP_UPDATE, build_witness
+from repro.merkle import MerkleTree
+from repro.merkle.hasher import default_hasher
 from repro.merkle.tree import EMPTY_ROOTS
+from repro.serialization import encode
 
 from ..conftest import make_record
 
@@ -115,3 +119,85 @@ class TestMixedRound:
         witness = build_witness(state, [], DEFAULT_POLICY)
         assert witness.ops == ()
         assert witness.new_root == state.root
+
+
+class CountingHasher:
+    """The default hasher, counting what it is asked to hash."""
+
+    algorithm = default_hasher().algorithm
+
+    def __init__(self):
+        self.leaves = self.nodes = 0
+
+    def leaf(self, data):
+        self.leaves += 1
+        return default_hasher().leaf(data)
+
+    def node(self, left, right):
+        self.nodes += 1
+        return default_hasher().node(left, right)
+
+    def empty(self):
+        return default_hasher().empty()
+
+
+class TestHostCostIsPerRecord:
+    """ROADMAP item 2, counted rather than timed: a witness costs what
+    its records touch, whatever the state holds."""
+
+    def witness_cost(self, monkeypatch, size):
+        hasher = CountingHasher()
+        state = CLogState(hasher=hasher)
+        for i in range(size):
+            state.set_entry(CLogEntry.fresh(make_record(sport=i)))
+        assert len(state) == size == 1 << state.depth  # full: inserts grow
+        records = [make_record(sport=i, router_id="r2") for i in range(4)] \
+            + [make_record(src="10.9.9.9", sport=i) for i in range(4)]
+        encoded = []
+        monkeypatch.setattr(
+            clog_module, "encode",
+            lambda wire: encoded.append(wire["key"]) or encode(wire))
+        hasher.leaves = hasher.nodes = 0
+        witness = build_witness(state, records, DEFAULT_POLICY)
+        kinds = [op["op"] for op in witness.ops]
+        assert kinds == [OP_UPDATE] * 4 + [OP_GROW] + [OP_INSERT] * 4
+        # Only the touched entries are encoded, once each.
+        assert encoded == [record.key.pack() for record in records]
+        assert hasher.leaves == 8
+        # 4 updates x depth, one growth step, 4 inserts x (depth + 1).
+        depth = state.depth
+        assert hasher.nodes == 4 * depth + 1 + 4 * (depth + 1)
+        assert hasher.leaves + hasher.nodes <= 8 * (depth + 2)
+        return depth, hasher.leaves + hasher.nodes
+
+    def test_hashes_and_encodes_scale_with_records_not_state(
+            self, monkeypatch):
+        small_depth, small = self.witness_cost(monkeypatch, 256)
+        large_depth, large = self.witness_cost(monkeypatch, 4096)
+        assert (small_depth, large_depth) == (8, 12)
+        # 16x the state: the same work plus one hash per record per
+        # extra level.
+        assert large - small == 8 * (large_depth - small_depth)
+
+    def test_growth_step_costs_one_node_hash(self):
+        hasher = CountingHasher()
+        tree = MerkleTree(hasher=hasher)
+        for i in range(64):
+            tree.append(hasher.leaf(b"%d" % i))
+        hasher.nodes = 0
+        tree.append(hasher.leaf(b"64"))  # past capacity: depth 6 -> 7
+        assert tree.depth == 7
+        assert hasher.nodes == 1 + 7
+        assert tree.root == MerkleTree(tree.leaves()).root
+
+    def test_clone_hashes_and_encodes_nothing(self, monkeypatch):
+        hasher = CountingHasher()
+        state = CLogState(hasher=hasher)
+        for record in fresh_records(100):
+            state.set_entry(CLogEntry.fresh(record))
+        monkeypatch.setattr(clog_module, "encode", None)
+        hasher.leaves = hasher.nodes = 0
+        clone = state.clone()
+        assert (hasher.leaves, hasher.nodes) == (0, 0)
+        assert clone.root == state.root
+        assert clone.entry_frames() == state.entry_frames()
