@@ -18,8 +18,6 @@ import hashlib
 from functools import lru_cache
 from typing import Iterable
 
-from . import hotpath
-
 DIGEST_SIZE = 32
 
 # Canonical domain tags used across the library.  Centralising them here
@@ -108,34 +106,23 @@ _ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
 
 
 @lru_cache(maxsize=None)
-def _tag_prefix(tag: str) -> bytes:
+def _tag_template(tag: str) -> "hashlib._Hash":
+    # Midstate template: the 64-byte tag prefix is absorbed exactly once
+    # per tag and every tagged hash starts from a ``copy()`` of it,
+    # skipping one SHA-256 compression per call.  This is the host-side
+    # analogue of the accelerator's midstate caching that
+    # ``cycles.sha256_cycles(midstate=True)`` already models.
     tag_digest = hashlib.sha256(tag.encode("utf-8")).digest()
-    return tag_digest + tag_digest
-
-
-# Midstate templates: the 64-byte tag prefix is absorbed exactly once per
-# tag and every later tagged hash starts from a ``copy()`` of the
-# template, skipping one SHA-256 compression per call.  This is the
-# host-side analogue of the accelerator's midstate caching that
-# ``cycles.sha256_cycles(midstate=True)`` already models — the digests
-# are bit-identical either way.
-_TAG_TEMPLATES: dict[str, "hashlib._Hash"] = {}
+    return hashlib.sha256(tag_digest + tag_digest)
 
 
 def _tag_hasher(tag: str) -> "hashlib._Hash":
-    template = _TAG_TEMPLATES.get(tag)
-    if template is None:
-        template = hashlib.sha256(_tag_prefix(tag))
-        _TAG_TEMPLATES[tag] = template
-    return template.copy()
+    return _tag_template(tag).copy()
 
 
 def tagged_hash(tag: str, *parts: bytes) -> Digest:
     """Hash ``parts`` under domain ``tag`` (BIP-340 style)."""
-    if hotpath.enabled():
-        h = _tag_hasher(tag)
-    else:
-        h = hashlib.sha256(_tag_prefix(tag))
+    h = _tag_hasher(tag)
     for part in parts:
         h.update(part)
     return Digest(h.digest())
@@ -153,10 +140,7 @@ def hash_many(tag: str, items: Iterable[bytes]) -> Digest:
     prefixes each item with its 8-byte big-endian length so that the item
     boundaries are unambiguous for variable-length inputs.
     """
-    if hotpath.enabled():
-        h = _tag_hasher(tag)
-    else:
-        h = hashlib.sha256(_tag_prefix(tag))
+    h = _tag_hasher(tag)
     for item in items:
         h.update(len(item).to_bytes(8, "big"))
         h.update(item)
@@ -195,7 +179,7 @@ class IncrementalHasher:
 
     def __init__(self, tag: str) -> None:
         self._tag = tag
-        self._hasher = hashlib.sha256(_tag_prefix(tag))
+        self._hasher = _tag_hasher(tag)
         self._count = 0
 
     @property

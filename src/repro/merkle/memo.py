@@ -12,10 +12,12 @@ the SHA-256 work for every subtree an earlier round or query hashed.
 
 Correctness is structural: a cache hit returns the digest of exactly the
 bytes that would have been hashed, so roots, proofs, and journals are
-bit-identical with the cache on or off (property-tested in
-``tests/property/test_hotpath_props.py``).  The *metered* guest hasher
-still charges the cycle meter on every call — the cache saves host CPU,
-never modeled guest cycles.
+bit-identical cold, warm, or against plain ``tagged_hash`` (the oracle
+in ``tests/reference/``, which the property suite compares it with).
+The *metered* guest hasher still charges the cycle meter on every call
+— the cache saves host CPU, never modeled guest cycles.  There is no
+switch: this is the one way a Merkle digest is computed, on the host and
+in the guests.
 
 The cache is a bounded LRU so long-running daemons (serve/worker) cannot
 grow it without limit; eviction only costs a re-hash later.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .. import hotpath
 from ..hashing import TAG_LEAF, TAG_NODE, Digest, tagged_hash
 
 
@@ -92,8 +93,6 @@ _LEAF_MEMO = DigestMemo()
 def node_digest(left: Digest, right: Digest) -> Digest:
     """``tagged_hash(TAG_NODE, left || right)`` with cross-round memo."""
     key = left.raw + right.raw
-    if not hotpath.enabled():
-        return tagged_hash(TAG_NODE, key)
     digest = _NODE_MEMO.get(key)
     if digest is None:
         digest = tagged_hash(TAG_NODE, key)
@@ -103,8 +102,6 @@ def node_digest(left: Digest, right: Digest) -> Digest:
 
 def leaf_digest(data: bytes) -> Digest:
     """``tagged_hash(TAG_LEAF, data)`` with cross-round memo."""
-    if not hotpath.enabled():
-        return tagged_hash(TAG_LEAF, data)
     key = bytes(data)
     digest = _LEAF_MEMO.get(key)
     if digest is None:

@@ -11,9 +11,8 @@ import ipaddress
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .. import hotpath
 from ..errors import QueryError
 from .ast import (
     AggFunc,
@@ -228,76 +227,124 @@ class _Accumulator:
         raise QueryError(f"unknown aggregate {func!r}")
 
 
+def _sort_key(key: Any) -> tuple[str, Any]:
+    return (str(type(key)), key)
+
+
+# ``(group_key, accumulators)`` in key order; an ungrouped query has the
+# single row ``(None, accumulators)``.
+_Rows = list[tuple[Any, list[_Accumulator]]]
+
+
+def _fed(aggregates: Sequence[Aggregate], matching: Iterable[EntryView],
+         count: int | None = None) -> list[_Accumulator]:
+    """Fresh accumulators fed every entry of ``matching`` — or, for a
+    COUNT(*)-only select list whose caller already knows how many
+    entries that is, just told the ``count``."""
+    accumulators = [_Accumulator(a) for a in aggregates]
+    if count is not None:
+        for accumulator in accumulators:
+            accumulator.count = count
+    else:
+        for entry in matching:
+            for accumulator in accumulators:
+                accumulator.feed(entry)
+    return accumulators
+
+
+def _bucketed(aggregates: Sequence[Aggregate], group_field: str,
+              matching: Iterable[EntryView]) -> _Rows:
+    """GROUP BY: one accumulator row per distinct key of ``matching``."""
+    buckets: dict[Any, list[_Accumulator]] = {}
+    for entry in matching:
+        key = _field_value(entry, group_field)
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = [_Accumulator(a) for a in aggregates]
+            buckets[key] = bucket
+        for accumulator in bucket:
+            accumulator.feed(entry)
+    return [(key, buckets[key]) for key in sorted(buckets, key=_sort_key)]
+
+
+def _scan(query: Query, entries: Iterable[EntryView],
+          cost_hook: Callable[[int], None] | None,
+          ) -> tuple[int, int, _Rows]:
+    """The one pass over ``entries``: ``(matched, scanned, rows)``.
+
+    How the matching entries are found depends on the shape of the
+    input alone.  Where :mod:`.vectorized` can build the WHERE mask it
+    charges ``cost_hook`` once for the whole batch (same total — every
+    in-tree hook is linear, so metered cycles are unchanged) and names
+    the matching indices and, for GROUP BY, each bucket's.  Where it
+    answers ``None`` the entries are walked lazily, so each is charged,
+    then tested, then fed before the next is touched: an error on entry
+    *k* surfaces after exactly *k + 1* hook calls.  Either way the same
+    accumulators are fed the same entries in the same order.
+    """
+    # Imported here, not at module level: numpy is ~12 MiB of resident
+    # memory that a process proving only rounds never needs.
+    from . import vectorized
+    if not isinstance(entries, (list, tuple)):
+        entries = list(entries)
+    aggregates = query.aggregates
+    columns: dict[str, Any] = {}
+    indices = vectorized.matched_indices(query, entries, cost_hook, columns)
+    matched = 0 if indices is None else len(indices)
+
+    def walk() -> Iterator[EntryView]:
+        nonlocal matched
+        per_entry_nodes = query.node_count
+        for entry in entries:
+            if cost_hook is not None:
+                cost_hook(per_entry_nodes)
+            if evaluate_predicate(query.where, entry):
+                matched += 1
+                yield entry
+
+    pick = entries.__getitem__
+    matching = walk() if indices is None else map(pick, indices)
+    # With the indices in hand, COUNT(*) needs sizes and reads no entry.
+    count_only = indices is not None \
+        and all(a.field is None for a in aggregates)
+    if query.group_by is None:
+        rows = [(None, _fed(aggregates, matching,
+                            matched if count_only else None))]
+    else:
+        group_field = query.group_by.name
+        members = None if indices is None else vectorized.bucket_members(
+            group_field, entries, indices, columns)
+        if members is None:
+            rows = _bucketed(aggregates, group_field, matching)
+        else:
+            rows = [(key, _fed(aggregates, map(pick, bucket),
+                               len(bucket) if count_only else None))
+                    for key, bucket in members]
+    return matched, len(entries), rows
+
+
+def _result(query: Query, matched: int, scanned: int,
+            rows: _Rows) -> QueryResult:
+    values = tuple((key, tuple(a.result() for a in accumulators))
+                   for key, accumulators in rows)
+    if query.group_by is None:
+        return QueryResult(labels=query.labels, values=values[0][1],
+                           matched=matched, scanned=scanned)
+    return QueryResult(labels=query.labels, values=(), matched=matched,
+                       scanned=scanned, group_by=query.group_by.name,
+                       groups=values)
+
+
 def evaluate(query: Query, entries: Iterable[EntryView],
              cost_hook: Callable[[int], None] | None = None) -> QueryResult:
     """Run ``query`` over entry views.
 
-    ``cost_hook(nodes)`` is invoked once per scanned entry with the
-    number of AST nodes its evaluation touched; the zkVM guest uses it to
-    charge compute cycles.  The vectorized fast path batches those
-    invocations into one call with the same total — every in-tree hook
-    is linear, so metered cycles are unchanged.
+    ``cost_hook(nodes)`` receives the number of AST nodes evaluation
+    touched — per scanned entry, or once for the whole batch with the
+    same total (see :func:`_scan`); the zkVM guest uses it to charge
+    compute cycles.
     """
-    if hotpath.enabled():
-        if not isinstance(entries, (list, tuple)):
-            entries = list(entries)
-        from . import vectorized
-        result = vectorized.try_evaluate(query, entries, cost_hook)
-        if result is not None:
-            return result
-    per_entry_nodes = query.node_count
-    matched = 0
-    scanned = 0
-    if query.group_by is None:
-        accumulators = [_Accumulator(a) for a in query.aggregates]
-        for entry in entries:
-            scanned += 1
-            if cost_hook is not None:
-                cost_hook(per_entry_nodes)
-            if not evaluate_predicate(query.where, entry):
-                continue
-            matched += 1
-            for accumulator in accumulators:
-                accumulator.feed(entry)
-        return QueryResult(
-            labels=query.labels,
-            values=tuple(a.result() for a in accumulators),
-            matched=matched,
-            scanned=scanned,
-        )
-    # GROUP BY: one accumulator row per distinct key.
-    group_field = query.group_by.name
-    buckets: dict[Any, list[_Accumulator]] = {}
-    for entry in entries:
-        scanned += 1
-        if cost_hook is not None:
-            cost_hook(per_entry_nodes)
-        if not evaluate_predicate(query.where, entry):
-            continue
-        matched += 1
-        key = _field_value(entry, group_field)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = [_Accumulator(a) for a in query.aggregates]
-            buckets[key] = bucket
-        for accumulator in bucket:
-            accumulator.feed(entry)
-    groups = tuple(
-        (key, tuple(a.result() for a in buckets[key]))
-        for key in sorted(buckets, key=lambda k: (str(type(k)), k))
-    )
-    return QueryResult(
-        labels=query.labels,
-        values=(),
-        matched=matched,
-        scanned=scanned,
-        group_by=group_field,
-        groups=groups,
-    )
-
-
-def _sort_key(key: Any) -> tuple[str, Any]:
-    return (str(type(key)), key)
+    return _result(query, *_scan(query, entries, cost_hook))
 
 
 @dataclass(frozen=True)
@@ -335,59 +382,15 @@ def evaluate_partial(
     ``merge_partials`` folds across slices.  Metering via ``cost_hook``
     is identical to :func:`evaluate`.
     """
-    if hotpath.enabled():
-        if not isinstance(entries, (list, tuple)):
-            entries = list(entries)
-        from . import vectorized
-        result = vectorized.try_evaluate_partial(query, entries, cost_hook)
-        if result is not None:
-            return result
-    per_entry_nodes = query.node_count
-    matched = 0
-    scanned = 0
+    matched, scanned, rows = _scan(query, entries, cost_hook)
+    states = tuple((key, tuple(a.state() for a in accumulators))
+                   for key, accumulators in rows)
     if query.group_by is None:
-        accumulators = [_Accumulator(a) for a in query.aggregates]
-        for entry in entries:
-            scanned += 1
-            if cost_hook is not None:
-                cost_hook(per_entry_nodes)
-            if not evaluate_predicate(query.where, entry):
-                continue
-            matched += 1
-            for accumulator in accumulators:
-                accumulator.feed(entry)
-        return PartialQueryResult(
-            matched=matched,
-            scanned=scanned,
-            group_by=None,
-            states=tuple(a.state() for a in accumulators),
-        )
-    group_field = query.group_by.name
-    buckets: dict[Any, list[_Accumulator]] = {}
-    for entry in entries:
-        scanned += 1
-        if cost_hook is not None:
-            cost_hook(per_entry_nodes)
-        if not evaluate_predicate(query.where, entry):
-            continue
-        matched += 1
-        key = _field_value(entry, group_field)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = [_Accumulator(a) for a in query.aggregates]
-            buckets[key] = bucket
-        for accumulator in bucket:
-            accumulator.feed(entry)
-    return PartialQueryResult(
-        matched=matched,
-        scanned=scanned,
-        group_by=group_field,
-        states=(),
-        group_states=tuple(
-            (key, tuple(a.state() for a in buckets[key]))
-            for key in sorted(buckets, key=_sort_key)
-        ),
-    )
+        return PartialQueryResult(matched=matched, scanned=scanned,
+                                  group_by=None, states=states[0][1])
+    return PartialQueryResult(matched=matched, scanned=scanned,
+                              group_by=query.group_by.name, states=(),
+                              group_states=states)
 
 
 def merge_partials(
@@ -419,12 +422,7 @@ def merge_partials(
                 cost_hook(num_terms)
             for accumulator, state in zip(accumulators, states):
                 accumulator.absorb(state)
-        return QueryResult(
-            labels=query.labels,
-            values=tuple(a.result() for a in accumulators),
-            matched=matched,
-            scanned=scanned,
-        )
+        return _result(query, matched, scanned, [(None, accumulators)])
     buckets: dict[Any, list[_Accumulator]] = {}
     for partial in partials:
         matched += partial["matched"]
@@ -445,15 +443,5 @@ def merge_partials(
                 cost_hook(num_terms)
             for accumulator, state in zip(bucket, states):
                 accumulator.absorb(state)
-    groups = tuple(
-        (key, tuple(a.result() for a in buckets[key]))
-        for key in sorted(buckets, key=_sort_key)
-    )
-    return QueryResult(
-        labels=query.labels,
-        values=(),
-        matched=matched,
-        scanned=scanned,
-        group_by=query.group_by.name,
-        groups=groups,
-    )
+    return _result(query, matched, scanned, [
+        (key, buckets[key]) for key in sorted(buckets, key=_sort_key)])

@@ -1,16 +1,20 @@
-"""Vectorized (numpy) predicate scans over CLog entry views.
+"""What numpy computes for a query scan: the WHERE mask and GROUP BY
+bucket membership.
 
-The reference evaluator walks the predicate AST once per entry — for a
-partition of tens of thousands of slots that tree walk dominates query
-guest time.  This module evaluates the WHERE clause as numpy column
-masks instead, then feeds only the *matching* entries through the exact
-:class:`~repro.query.evaluator._Accumulator` machinery, so results —
-including the order-independent ``Fraction`` sums that make partitioned
-queries bit-identical — are unchanged.
+Left to itself, :func:`repro.query.evaluator._scan` walks the predicate
+AST once per entry — for a partition of tens of thousands of slots that
+tree walk dominates query guest time.  This module evaluates the WHERE
+clause as numpy column masks instead and hands back the *matching*
+indices (and, for GROUP BY, which of them share a key); the scan then
+feeds exactly those entries through its one ``_Accumulator`` loop, so
+results — including the order-independent ``Fraction`` sums that make
+partitioned queries bit-identical — do not depend on which way the rows
+were found.
 
-Strictness over speed: the mask builder vectorizes only cases whose
-numpy semantics provably match the reference evaluator's Python
-semantics —
+The choice between the mask and the per-entry walk is made from the
+*shape of the input*, never by a switch.  Strictness over speed: the
+mask builder vectorizes only cases whose numpy semantics provably match
+the walk's Python semantics —
 
 * int columns within int64 compared to int64-range int literals;
 * float columns compared to float literals (or ints exactly
@@ -20,10 +24,12 @@ semantics —
 
 — and returns ``None`` for anything else (mixed-type columns, bools,
 ``PrefixMatch``, out-of-range literals, missing columns), in which case
-the caller falls back to the reference loop with its exact error
-behavior.  ``cost_hook`` is invoked once with the batch total instead
-of once per entry; every in-tree hook charges ``env.tick`` linearly, so
-metered cycle totals are identical (property-tested).
+the scan walks entry by entry with its exact error behavior.
+``cost_hook`` is invoked once with the batch total instead of once per
+entry; every in-tree hook charges ``env.tick`` linearly, so metered
+cycle totals are identical (property-tested against the plain loop in
+``tests/reference/query.py``, which also pins which shapes take which
+way).
 """
 
 from __future__ import annotations
@@ -31,20 +37,10 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _np = None
+import numpy as _np
 
 from .ast import BinaryOp, Comparison, Logical, LogicalOp, Predicate, Query
-from .evaluator import (
-    EntryView,
-    PartialQueryResult,
-    QueryResult,
-    _Accumulator,
-    _field_value,
-    _sort_key,
-)
+from .evaluator import EntryView
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -61,7 +57,7 @@ def _build_column(entries: Sequence[EntryView],
         try:
             append(entry[name])
         except KeyError:
-            return None  # reference path raises the canonical QueryError
+            return None  # the walk raises the canonical QueryError
     has_int = has_float = has_str = False
     for value in values:
         if type(value) is int:
@@ -73,14 +69,14 @@ def _build_column(entries: Sequence[EntryView],
         elif type(value) is str:
             has_str = True
         else:
-            return None  # bools, None, bytes, subclasses: reference path
+            return None  # bools, None, bytes, subclasses: walk
     if has_str:
         if has_int or has_float:
             return None
         return "str", _np.array(values)
     if has_float:
         if has_int:
-            return None  # mixed exactness — keep the reference semantics
+            return None  # mixed exactness — keep the walk's semantics
         return "float", _np.array(values, dtype=_np.float64)
     if has_int:
         return "int", _np.array(values, dtype=_np.int64)
@@ -112,7 +108,7 @@ def _comparison_mask(predicate: Comparison, entries: Sequence[EntryView],
             return None
         if math.isnan(literal):
             # NaN comparisons agree between numpy and Python, but numpy
-            # emits RuntimeWarnings; keep the reference path quiet-clean.
+            # emits RuntimeWarnings; keep the run quiet-clean.
             return None
     else:  # str
         if not isinstance(literal, str):
@@ -153,14 +149,17 @@ def _predicate_mask(predicate: Predicate | None,
         if predicate.op is LogicalOp.OR:
             return _np.logical_or.reduce(masks)
         return ~masks[0]
-    return None  # PrefixMatch (CIDR membership) stays on the reference path
+    return None  # PrefixMatch (CIDR membership) is walked per entry
 
 
-def _matched_indices(query: Query, entries: Sequence[EntryView],
-                     cost_hook: Callable[[int], None] | None,
-                     columns: dict[str, Any]) -> Any | None:
-    if _np is None or not isinstance(entries, (list, tuple)):
-        return None
+def matched_indices(query: Query, entries: Sequence[EntryView],
+                    cost_hook: Callable[[int], None] | None,
+                    columns: dict[str, Any]) -> Any | None:
+    """Indices of the entries satisfying WHERE, or None to walk instead.
+
+    ``columns`` caches the arrays built on the way, for
+    :func:`bucket_members`.  Nothing is charged when the answer is None.
+    """
     mask = _predicate_mask(query.where, entries, columns)
     if mask is None:
         return None
@@ -172,27 +171,20 @@ def _matched_indices(query: Query, entries: Sequence[EntryView],
     return _np.nonzero(mask)[0]
 
 
-def _grouped_buckets(query: Query, entries: Sequence[EntryView],
-                     indices: Any,
-                     columns: dict[str, Any]
-                     ) -> list[tuple[Any, list[_Accumulator]]] | None:
-    """Vectorized GROUP BY: ``(key, accumulators)`` in key-sorted order.
+def bucket_members(group_field: str, entries: Sequence[EntryView],
+                   indices: Any, columns: dict[str, Any]
+                   ) -> list[tuple[Any, Any]] | None:
+    """GROUP BY membership: ``(key, indices)`` per bucket, in key order.
 
-    Bucket *membership* — the per-row key extraction, dict insert and
-    final sort the reference loop does — collapses into one
-    ``np.unique(..., return_inverse=True)`` over the group column plus a
-    stable argsort, reusing any column the WHERE mask already built.
-    Only the matched rows of each bucket still walk through
-    ``_Accumulator.feed`` (their Fraction sums are what keeps
-    partitioned results bit-identical); COUNT(*)-only queries skip even
-    that.  Returns ``None`` when the group column is not safely
-    vectorizable — float columns stay on the reference loop because
+    The per-row key extraction, dict insert and final sort of the
+    bucket loop collapse into one ``np.unique(..., return_inverse=True)``
+    over the group column plus a stable argsort, reusing any column the
+    WHERE mask already built.  Returns ``None`` when the group column is
+    not safely vectorizable — float columns keep the dict loop because
     ``np.unique`` totally orders NaN while ``sorted`` raises — and the
-    caller must then fall back to ``_grouped_buckets_reference``, NOT
-    bail to the caller's reference path: ``cost_hook`` has already been
-    charged for the scan by the time grouping starts.
+    caller then buckets the same ``indices`` itself: ``cost_hook`` has
+    already been charged for the scan by the time grouping starts.
     """
-    group_field = query.group_by.name
     if group_field not in columns:
         columns[group_field] = _build_column(entries, group_field)
     column = columns[group_field]
@@ -204,125 +196,8 @@ def _grouped_buckets(query: Query, entries: Sequence[EntryView],
     uniques, inverse = _np.unique(array[indices], return_inverse=True)
     order = _np.argsort(inverse, kind="stable")
     splits = _np.flatnonzero(_np.diff(inverse[order])) + 1
-    members = _np.split(indices[order], splits)
-    # `.tolist()` yields native int/str keys — identical to the
-    # reference `_field_value` keys, so journals stay byte-identical;
+    # `.tolist()` yields native int/str keys — identical to the dict
+    # loop's `_field_value` keys, so journals stay byte-identical;
     # np.unique's ascending order equals `sorted(..., key=_sort_key)`
     # for a homogeneous int64 or str column.
-    count_only = all(a.field is None for a in query.aggregates)
-    grouped: list[tuple[Any, list[_Accumulator]]] = []
-    for key, bucket_indices in zip(uniques.tolist(), members):
-        accumulators = [_Accumulator(a) for a in query.aggregates]
-        if count_only:
-            for accumulator in accumulators:
-                accumulator.count = int(bucket_indices.shape[0])
-        else:
-            for index in bucket_indices:
-                entry = entries[index]
-                for accumulator in accumulators:
-                    accumulator.feed(entry)
-        grouped.append((key, accumulators))
-    return grouped
-
-
-def _grouped_buckets_reference(query: Query,
-                               entries: Sequence[EntryView],
-                               indices: Any
-                               ) -> list[tuple[Any, list[_Accumulator]]]:
-    """The exact reference bucket loop, over pre-matched indices."""
-    group_field = query.group_by.name
-    buckets: dict[Any, list[_Accumulator]] = {}
-    for index in indices:
-        entry = entries[index]
-        key = _field_value(entry, group_field)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = [_Accumulator(a) for a in query.aggregates]
-            buckets[key] = bucket
-        for accumulator in bucket:
-            accumulator.feed(entry)
-    return [(key, buckets[key])
-            for key in sorted(buckets, key=_sort_key)]
-
-
-def try_evaluate(query: Query, entries: Sequence[EntryView],
-                 cost_hook: Callable[[int], None] | None = None,
-                 ) -> QueryResult | None:
-    """Vectorized :func:`~repro.query.evaluator.evaluate`; None = bail."""
-    columns: dict[str, Any] = {}
-    indices = _matched_indices(query, entries, cost_hook, columns)
-    if indices is None:
-        return None
-    matched = int(indices.shape[0])
-    scanned = len(entries)
-    if query.group_by is None:
-        accumulators = [_Accumulator(a) for a in query.aggregates]
-        if all(a.aggregate.field is None for a in accumulators):
-            for accumulator in accumulators:  # COUNT(*)-only fast path
-                accumulator.count = matched
-        else:
-            for index in indices:
-                entry = entries[index]
-                for accumulator in accumulators:
-                    accumulator.feed(entry)
-        return QueryResult(
-            labels=query.labels,
-            values=tuple(a.result() for a in accumulators),
-            matched=matched,
-            scanned=scanned,
-        )
-    grouped = _grouped_buckets(query, entries, indices, columns)
-    if grouped is None:
-        grouped = _grouped_buckets_reference(query, entries, indices)
-    return QueryResult(
-        labels=query.labels,
-        values=(),
-        matched=matched,
-        scanned=scanned,
-        group_by=query.group_by.name,
-        groups=tuple(
-            (key, tuple(a.result() for a in accumulators))
-            for key, accumulators in grouped
-        ),
-    )
-
-
-def try_evaluate_partial(query: Query, entries: Sequence[EntryView],
-                         cost_hook: Callable[[int], None] | None = None,
-                         ) -> PartialQueryResult | None:
-    """Vectorized :func:`~repro.query.evaluator.evaluate_partial`."""
-    columns: dict[str, Any] = {}
-    indices = _matched_indices(query, entries, cost_hook, columns)
-    if indices is None:
-        return None
-    matched = int(indices.shape[0])
-    scanned = len(entries)
-    if query.group_by is None:
-        accumulators = [_Accumulator(a) for a in query.aggregates]
-        if all(a.aggregate.field is None for a in accumulators):
-            for accumulator in accumulators:
-                accumulator.count = matched
-        else:
-            for index in indices:
-                entry = entries[index]
-                for accumulator in accumulators:
-                    accumulator.feed(entry)
-        return PartialQueryResult(
-            matched=matched,
-            scanned=scanned,
-            group_by=None,
-            states=tuple(a.state() for a in accumulators),
-        )
-    grouped = _grouped_buckets(query, entries, indices, columns)
-    if grouped is None:
-        grouped = _grouped_buckets_reference(query, entries, indices)
-    return PartialQueryResult(
-        matched=matched,
-        scanned=scanned,
-        group_by=query.group_by.name,
-        states=(),
-        group_states=tuple(
-            (key, tuple(a.state() for a in accumulators))
-            for key, accumulators in grouped
-        ),
-    )
+    return list(zip(uniques.tolist(), _np.split(indices[order], splits)))

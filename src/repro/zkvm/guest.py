@@ -30,13 +30,10 @@ from functools import cached_property
 from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator
 
-from .. import hotpath
 from ..errors import ConfigurationError
 from ..hashing import (
     TAG_EMPTY,
     TAG_IMAGE_ID,
-    TAG_LEAF,
-    TAG_NODE,
     Digest,
     tagged_hash,
 )
@@ -199,20 +196,19 @@ class GuestEnv:
     def read_batch(self, count: int) -> list[Any]:
         """Read ``count`` input values through one buffered syscall.
 
-        The hot path slices the frame buffer once and prices the whole
-        transfer with a single batched I/O charge; per-frame word
-        rounding is preserved, so the metered cycle total is identical
-        to ``count`` individual :meth:`read` calls.
+        Slices the frame buffer once and prices the whole transfer with
+        a single batched I/O charge; per-frame word rounding is
+        preserved, so the metered cycle total is identical to ``count``
+        individual :meth:`read` calls.  A batch reaching past the end of
+        input aborts before charging anything or consuming any frame.
         """
         if count < 0:
             raise ConfigurationError("read_batch count must be non-negative")
         if count == 0:
-            # An empty batch must not touch the meter: the loop below
-            # would never charge, and a zero-amount charge would still
-            # materialize an "io" category in the breakdown.
+            # An empty batch must not touch the meter: a zero-amount
+            # charge would still materialize an "io" category in the
+            # breakdown, which per-value reads never do.
             return []
-        if not hotpath.enabled():
-            return [self.read() for _ in range(count)]
         end = self._frame_pos + count
         if end > len(self._frames):
             self.abort("guest read past end of input")
@@ -244,10 +240,6 @@ class GuestEnv:
         """
         if not values:
             return  # keep the meter breakdown free of zero entries
-        if not hotpath.enabled():
-            for value in values:
-                self.commit(value)
-            return
         frames = [encode(value) for value in values]
         lengths = [len(frame) for frame in frames]
         self._meter.charge(cy.io_cycles_batch(lengths), "io")
@@ -337,18 +329,13 @@ class MeteredMerkleHasher:
     _NODE_INPUT_BYTES = 2 * 32
 
     def leaf(self, data: bytes) -> Digest:
-        if not hotpath.enabled():
-            return self._env.tagged_hash(TAG_LEAF, data,
-                                         category=self._category)
         # Cycles are charged unconditionally — the memo saves host CPU,
-        # never modeled guest work — so cycle totals stay identical.
+        # never modeled guest work — so cycle totals equal
+        # ``env.tagged_hash(TAG_LEAF, data)``'s.
         self._env.meter.charge_sha(len(data), self._category)
         return merkle_memo.leaf_digest(data)
 
     def node(self, left: Digest, right: Digest) -> Digest:
-        if not hotpath.enabled():
-            return self._env.tagged_hash(TAG_NODE, left.raw, right.raw,
-                                         category=self._category)
         self._env.meter.charge_sha(self._NODE_INPUT_BYTES, self._category)
         return merkle_memo.node_digest(left, right)
 

@@ -349,5 +349,9 @@ class _fake_server:
 
     def __exit__(self, *exc_info: object) -> None:
         self._running = False
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join returns at once.
+        self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive()

@@ -1,22 +1,23 @@
-"""Byte-identity property suite for the hot-path optimizations.
+"""Byte-identity property suite for the hot paths.
 
-Every optimization behind the ``REPRO_HOTPATH`` gate — midstate tag
-templates, the fast serialization decoder, buffered guest I/O with
-batched SHA accounting, the memoized Merkle digest cache, vectorized
-predicate scans — must be *observationally identical* to the reference
-implementation it shadows.  These tests machine-check that claim by
-running the same workloads with the gate on and off and asserting
+Midstate tag templates, the index-based serialization decoder, buffered
+guest I/O with batched SHA accounting, the memoized Merkle digest cache
+and numpy predicate masks are the only implementations ``src/`` has.
+Each must be *observationally identical* to the straightforward version
+it replaced, which lives on as an oracle in ``tests/reference/`` (or is
+simply the loop over the public per-value call).  These tests
+machine-check that by running the same inputs both ways and asserting
 equality of journal bytes, cycle totals and breakdowns, sha-compression
 counts, digests, and query results.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import hotpath
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
 from repro.errors import QueryError, SerializationError
@@ -25,11 +26,17 @@ from repro.merkle import MerkleTree, TaggedMerkleHasher, clear_memos
 from repro.netflow import NetworkTopology, TrafficGenerator
 from repro.netflow.generator import TrafficConfig
 from repro.netflow.records import NetFlowRecord
-from repro.query import evaluate, evaluate_partial, parse_query
+from repro.query import evaluate, evaluate_partial, parse_query, vectorized
 from repro.serialization import decode, encode
 from repro.storage import MemoryLogStore
 from repro.zkvm.guest import GuestEnv
 from repro.zkvm import ExecutorEnvBuilder, Prover, ProverOpts, guest_program
+
+from .. import reference
+from ..reference import guest as reference_guest
+from ..reference import hashing as reference_hashing
+from ..reference import query as reference_query
+from ..reference import serialization as reference_serialization
 
 
 def _meter_state(env: GuestEnv) -> tuple:
@@ -57,22 +64,17 @@ class TestSerializationIdentity:
     @settings(max_examples=200, deadline=None)
     def test_decode_identical_on_and_off(self, value):
         data = encode(value)
-        with hotpath.force(True):
-            fast = decode(data)
-        with hotpath.disabled():
-            reference = decode(data)
-        assert fast == reference
+        assert decode(data) == reference_serialization.decode(data)
 
     @given(st.binary(max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_garbage_errors_identical(self, data):
         outcomes = []
-        for gate in (True, False):
-            with hotpath.force(gate):
-                try:
-                    outcomes.append(("ok", decode(data)))
-                except SerializationError as exc:
-                    outcomes.append(("err", str(exc)))
+        for decoder in (decode, reference_serialization.decode):
+            try:
+                outcomes.append(("ok", decoder(data)))
+            except SerializationError as exc:
+                outcomes.append(("err", str(exc)))
         assert outcomes[0] == outcomes[1]
 
 
@@ -82,28 +84,24 @@ class TestHashingIdentity:
     @given(st.lists(st.binary(max_size=40), max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_tagged_and_framed_hashing(self, parts):
-        with hotpath.force(True):
-            fast = (tagged_hash(TAG_CLOG, *parts),
-                    hash_many(TAG_CLOG, parts))
-        with hotpath.disabled():
-            reference = (tagged_hash(TAG_CLOG, *parts),
-                         hash_many(TAG_CLOG, parts))
-        assert fast == reference
+        assert tagged_hash(TAG_CLOG, *parts) \
+            == reference_hashing.tagged_hash(TAG_CLOG, *parts)
+        assert hash_many(TAG_CLOG, parts) \
+            == reference_hashing.hash_many(TAG_CLOG, parts)
 
     @given(st.lists(st.binary(min_size=1, max_size=30), min_size=1,
                     max_size=24))
     @settings(max_examples=100, deadline=None)
     def test_merkle_roots_and_proofs(self, payloads):
         hasher = TaggedMerkleHasher()
-        with hotpath.force(True):
-            clear_memos()
-            leaves = [hasher.leaf(p) for p in payloads]
-            tree_fast = MerkleTree(leaves, hasher=hasher)
-            # Second build must hit the memo and stay identical.
-            tree_warm = MerkleTree(leaves, hasher=hasher)
-        with hotpath.disabled():
-            leaves_ref = [hasher.leaf(p) for p in payloads]
-            tree_ref = MerkleTree(leaves_ref, hasher=hasher)
+        clear_memos()
+        leaves = [hasher.leaf(p) for p in payloads]
+        tree_fast = MerkleTree(leaves, hasher=hasher)
+        # Second build must hit the memo and stay identical.
+        tree_warm = MerkleTree(leaves, hasher=hasher)
+        plain = reference_hashing.PlainMerkleHasher()
+        leaves_ref = [plain.leaf(p) for p in payloads]
+        tree_ref = MerkleTree(leaves_ref, hasher=plain)
         assert leaves == leaves_ref
         assert tree_fast.root == tree_ref.root == tree_warm.root
         for index in range(len(payloads)):
@@ -118,25 +116,21 @@ class TestGuestIOIdentity:
     @settings(max_examples=100, deadline=None)
     def test_read_batch_matches_read_loop(self, values):
         frames = tuple(encode(v) for v in values)
-        with hotpath.force(True):
-            env_fast = GuestEnv(frames)
-            got_fast = env_fast.read_batch(len(values))
-        with hotpath.disabled():
-            env_ref = GuestEnv(frames)
-            got_ref = [env_ref.read() for _ in range(len(values))]
+        env_fast = GuestEnv(frames)
+        got_fast = env_fast.read_batch(len(values))
+        env_ref = GuestEnv(frames)
+        got_ref = [env_ref.read() for _ in range(len(values))]
         assert got_fast == got_ref
         assert _meter_state(env_fast) == _meter_state(env_ref)
 
     @given(st.lists(values_strategy, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_commit_many_matches_commit_loop(self, values):
-        with hotpath.force(True):
-            env_fast = GuestEnv(())
-            env_fast.commit_many(values)
-        with hotpath.disabled():
-            env_ref = GuestEnv(())
-            for value in values:
-                env_ref.commit(value)
+        env_fast = GuestEnv(())
+        env_fast.commit_many(values)
+        env_ref = GuestEnv(())
+        for value in values:
+            env_ref.commit(value)
         assert env_fast.journal_data == env_ref.journal_data
         assert _meter_state(env_fast) == _meter_state(env_ref)
 
@@ -144,26 +138,23 @@ class TestGuestIOIdentity:
                     max_size=16))
     @settings(max_examples=60, deadline=None)
     def test_metered_merkle_charges_despite_memo(self, payloads):
-        def build(env):
-            hasher = env.merkle_hasher()
+        def build(hasher):
             leaves = [hasher.leaf(p) for p in payloads]
             return MerkleTree(leaves, hasher=hasher).root
 
-        with hotpath.force(True):
-            clear_memos()
-            env_cold = GuestEnv(())
-            root_cold = build(env_cold)
-            env_warm = GuestEnv(())  # all digests now memoized
-            root_warm = build(env_warm)
-        with hotpath.disabled():
-            env_ref = GuestEnv(())
-            root_ref = build(env_ref)
+        clear_memos()
+        env_cold = GuestEnv(())
+        root_cold = build(env_cold.merkle_hasher())
+        env_warm = GuestEnv(())  # all digests now memoized
+        root_warm = build(env_warm.merkle_hasher())
+        env_ref = GuestEnv(())  # one metered env.tagged_hash per digest
+        root_ref = build(reference_guest.MeteredMerkleHasher(env_ref))
         assert root_cold == root_warm == root_ref
         assert _meter_state(env_cold) == _meter_state(env_warm) \
             == _meter_state(env_ref)
 
 
-# -- vectorized query scans ---------------------------------------------------
+# -- query scans: numpy mask vs per-entry walk --------------------------------
 
 def _entry(i: int) -> dict:
     return {
@@ -177,29 +168,37 @@ def _entry(i: int) -> dict:
     }
 
 
-QUERY_POOL = (
-    "SELECT COUNT(*) FROM clogs",
-    "SELECT COUNT(*) FROM clogs WHERE packets > 100",
-    "SELECT SUM(octets) FROM clogs WHERE protocol = 6",
-    "SELECT SUM(hop_count), COUNT(*) FROM clogs "
-    'WHERE src_ip = "10.0.1.3" AND packets >= 10',
-    "SELECT AVG(loss_rate) FROM clogs WHERE loss_rate > 0.5",
-    "SELECT MIN(octets), MAX(octets) FROM clogs "
-    "WHERE packets > 50 OR hop_count = 2",
-    "SELECT SUM(packets) FROM clogs WHERE NOT protocol = 17",
-    'SELECT COUNT(*) FROM clogs WHERE src_ip IN "10.0.0.0/16"',
-    "SELECT SUM(octets) FROM clogs GROUP BY protocol",
-    "SELECT COUNT(*), AVG(packets) FROM clogs "
-    "WHERE octets < 5000 GROUP BY hop_count",
-    # str group column: vectorized np.unique bucketing
-    "SELECT SUM(packets) FROM clogs "
-    "WHERE packets > 20 GROUP BY src_ip",
-    # float group column: must bail to the reference bucket loop
-    "SELECT COUNT(*) FROM clogs GROUP BY loss_rate",
-    # COUNT(*)-only grouped: per-bucket count fast path
-    "SELECT COUNT(*) FROM clogs WHERE protocol = 6 "
-    "GROUP BY hop_count",
+# Each row: the SQL, whether the WHERE clause becomes a numpy mask over
+# `_entry` rows (else every entry is walked), and for GROUP BY whether
+# np.unique finds the buckets (else the dict loop does).  The choice is
+# made from the input's shape, so it is pinned here: a bail set that
+# silently widens or narrows moves work between paths and must fail.
+QUERY_PATHS = (
+    ("SELECT COUNT(*) FROM clogs", True, None),
+    ("SELECT COUNT(*) FROM clogs WHERE packets > 100", True, None),
+    ("SELECT SUM(octets) FROM clogs WHERE protocol = 6", True, None),
+    ("SELECT SUM(hop_count), COUNT(*) FROM clogs "
+     'WHERE src_ip = "10.0.1.3" AND packets >= 10', True, None),
+    ("SELECT AVG(loss_rate) FROM clogs WHERE loss_rate > 0.5", True, None),
+    ("SELECT MIN(octets), MAX(octets) FROM clogs "
+     "WHERE packets > 50 OR hop_count = 2", True, None),
+    ("SELECT SUM(packets) FROM clogs WHERE NOT protocol = 17", True, None),
+    # CIDR membership has no numpy form: walked per entry
+    ('SELECT COUNT(*) FROM clogs WHERE src_ip IN "10.0.0.0/16"',
+     False, None),
+    ("SELECT SUM(octets) FROM clogs GROUP BY protocol", True, True),
+    ("SELECT COUNT(*), AVG(packets) FROM clogs "
+     "WHERE octets < 5000 GROUP BY hop_count", True, True),
+    # str group column: np.unique bucketing
+    ("SELECT SUM(packets) FROM clogs "
+     "WHERE packets > 20 GROUP BY src_ip", True, True),
+    # float group column: mask, then the dict bucket loop
+    ("SELECT COUNT(*) FROM clogs GROUP BY loss_rate", True, False),
+    # COUNT(*)-only grouped: per-bucket count, no entry read
+    ("SELECT COUNT(*) FROM clogs WHERE protocol = 6 "
+     "GROUP BY hop_count", True, True),
 )
+QUERY_POOL = tuple(sql for sql, _, _ in QUERY_PATHS)
 
 
 class TestVectorizedScanIdentity:
@@ -211,34 +210,55 @@ class TestVectorizedScanIdentity:
         query = parse_query(sql)
         costs_fast: list[int] = []
         costs_ref: list[int] = []
-        with hotpath.force(True):
-            fast = evaluate(query, views, cost_hook=costs_fast.append)
-            fast_partial = evaluate_partial(query, views)
-        with hotpath.disabled():
-            reference = evaluate(query, views,
-                                 cost_hook=costs_ref.append)
-            reference_partial = evaluate_partial(query, views)
-        assert fast == reference
+        fast = evaluate(query, views, cost_hook=costs_fast.append)
+        fast_partial = evaluate_partial(query, views)
+        expected = reference_query.evaluate(
+            query, views, cost_hook=costs_ref.append)
+        expected_partial = reference_query.evaluate_partial(query, views)
+        assert fast == expected
         assert sum(costs_fast) == sum(costs_ref)
-        assert fast_partial == reference_partial
+        assert fast_partial == expected_partial
+        # src's own per-entry walk, reached on any shape by refusing
+        # the mask, is the oracle's loop call for call.
+        costs_walk: list[int] = []
+        with mock.patch.object(vectorized, "matched_indices",
+                               reference.refuse_mask):
+            walked = evaluate(query, views, cost_hook=costs_walk.append)
+            walked_partial = evaluate_partial(query, views)
+        assert walked == expected
+        assert costs_walk == costs_ref
+        assert walked_partial == expected_partial
+
+    @pytest.mark.parametrize("sql, masked, unique_buckets", QUERY_PATHS)
+    def test_path_taken_is_pinned(self, sql, masked, unique_buckets):
+        views = [_entry(i) for i in range(40)]
+        query = parse_query(sql)
+        columns: dict = {}
+        indices = vectorized.matched_indices(query, views, None, columns)
+        assert (indices is not None) is masked
+        if query.group_by is not None and masked:
+            members = vectorized.bucket_members(
+                query.group_by.name, views, indices, columns)
+            assert (members is not None) is unique_buckets
+        # ...and the walk really is per entry: one hook call each.
+        calls: list[int] = []
+        evaluate(query, views, cost_hook=calls.append)
+        assert len(calls) == (1 if masked else len(views))
 
     def test_type_mismatch_error_preserved(self):
         views = [_entry(0)]
         query = parse_query(
             'SELECT COUNT(*) FROM clogs WHERE packets < "abc"')
-        for gate in (True, False):
-            with hotpath.force(gate):
-                with pytest.raises(QueryError, match="cannot compare"):
-                    evaluate(query, views)
+        for run in (evaluate, reference_query.evaluate):
+            with pytest.raises(QueryError, match="cannot compare"):
+                run(query, views)
 
     def test_float_sum_stays_exact(self):
         views = [_entry(i) for i in range(64)]
         query = parse_query("SELECT SUM(loss_rate) FROM clogs")
-        with hotpath.force(True):
-            fast = evaluate(query, views)
-        with hotpath.disabled():
-            reference = evaluate(query, views)
-        assert fast.values == reference.values
+        fast = evaluate(query, views)
+        expected_result = reference_query.evaluate(query, views)
+        assert fast.values == expected_result.values
         expected = float(sum(Fraction(v["loss_rate"]) for v in views))
         assert fast.values[0] == expected
 
@@ -306,25 +326,11 @@ def _round_fingerprint(num_records: int, partitions: int | None):
 class TestWorkloadByteIdentity:
     @pytest.mark.parametrize("partitions", [None, 2])
     def test_round_and_query_journals(self, partitions):
-        with hotpath.force(True):
-            clear_memos()
-            fast = _round_fingerprint(90, partitions)
-        with hotpath.disabled():
-            reference = _round_fingerprint(90, partitions)
-        assert fast == reference
-
-
-# -- the gate itself ----------------------------------------------------------
-
-class TestGate:
-    def test_force_restores_previous_state(self):
-        before = hotpath.enabled()
-        with hotpath.force(not before):
-            assert hotpath.enabled() is (not before)
-            with hotpath.disabled():
-                assert not hotpath.enabled()
-            assert hotpath.enabled() is (not before)
-        assert hotpath.enabled() is before
+        clear_memos()
+        fast = _round_fingerprint(90, partitions)
+        with reference.reference_paths():
+            expected = _round_fingerprint(90, partitions)
+        assert fast == expected
 
 
 @guest_program("hotpath-prop-pipeline")
@@ -350,15 +356,14 @@ class TestProvenGuestIdentity:
             return Prover(ProverOpts.groth16()).prove(
                 _pipeline_guest, builder.build())
 
-        with hotpath.force(True):
-            clear_memos()
-            fast = prove()
-        with hotpath.disabled():
-            reference = prove()
+        clear_memos()
+        fast = prove()
+        with reference.reference_paths():
+            expected = prove()
         assert fast.receipt.journal.data \
-            == reference.receipt.journal.data
+            == expected.receipt.journal.data
         assert fast.receipt.claim.digest() \
-            == reference.receipt.claim.digest()
-        assert fast.stats.total_cycles == reference.stats.total_cycles
+            == expected.receipt.claim.digest()
+        assert fast.stats.total_cycles == expected.stats.total_cycles
         assert fast.stats.sha_compressions \
-            == reference.stats.sha_compressions
+            == expected.stats.sha_compressions

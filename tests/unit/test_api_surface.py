@@ -1,5 +1,7 @@
 """Gap-filling tests for small public API surfaces."""
 
+import inspect
+
 import pytest
 
 from repro.hashing import sha256
@@ -116,3 +118,57 @@ class TestReceiptBindings:
         binding = sha256(b"b")
         assert expand_seal(binding, 64) == expand_seal(binding, 256)[:64]
         assert len(expand_seal(binding, 100)) == 100
+
+
+class TestLedgerSeams:
+    """The public names ``benchmarks/ledger`` hangs its probes on.
+
+    The ledger is the fixed judge and cannot be edited by the PR it
+    judges, so a rename here nulls a probe silently — or, for
+    ``repro.hotpath``, fails every run outright.  Each seam is checked
+    the way the ledger calls it.
+    """
+
+    @staticmethod
+    def _accepts(fn, *names):
+        parameters = inspect.signature(fn).parameters
+        return all(name in parameters for name in names)
+
+    def test_environment_report(self):
+        import repro.hotpath
+        import repro.obs.runtime
+        assert repro.hotpath.enabled() is True
+        assert isinstance(repro.obs.runtime.is_enabled(), bool)
+
+    def test_prover_injection_seams(self):
+        from repro.core.aggregation import Aggregator
+        from repro.core.query_proof import QueryProver
+        from repro.zkvm import Prover
+        assert self._accepts(Aggregator, "policy", "prover")
+        assert self._accepts(QueryProver, "prover")
+        assert self._accepts(Prover, "opts", "executor")
+
+    def test_engine_job_seams(self):
+        from repro.engine.jobs import encode_job, execute_job
+        assert self._accepts(execute_job, "job")
+        assert self._accepts(encode_job, "job", "capture_obs")
+
+    def test_round_host_seams(self):
+        from repro.core.clog import CLogState
+        from repro.core.witness import build_witness
+        assert list(inspect.signature(CLogState.clone).parameters) \
+            == ["self"]
+        assert list(inspect.signature(build_witness).parameters) \
+            == ["state", "records", "policy"]  # called positionally
+
+    def test_codec_and_memo_seams(self):
+        from repro.merkle.memo import memo_stats
+        from repro.serialization import (decode, decode_receipt,
+                                         encode_receipt)
+        assert self._accepts(decode, "data")
+        assert self._accepts(decode_receipt, "data")
+        assert self._accepts(encode_receipt, "receipt")
+        stats = memo_stats()
+        assert set(stats) == {"node", "leaf"}
+        for counters in stats.values():
+            assert {"size", "hits", "misses"} <= set(counters)

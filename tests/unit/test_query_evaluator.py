@@ -99,8 +99,8 @@ class TestFiltering:
 
 class TestCostHook:
     def test_hook_total_matches_scanned_entries(self):
-        # The vectorized fast path may batch invocations; the metered
-        # total (what the guest charges) must equal per-entry charging.
+        # The numpy mask batches invocations; the metered total (what
+        # the guest charges) must equal per-entry charging.
         calls = []
         query = parse_query("SELECT COUNT(*) FROM clogs "
                             "WHERE packets > 20")
@@ -108,15 +108,32 @@ class TestCostHook:
         assert sum(calls) == 3 * query.node_count
 
     def test_hook_called_per_entry_on_reference_path(self):
-        from repro import hotpath
+        # Shapes the mask builder refuses are walked entry by entry —
+        # one hook call each, not one for the batch: CIDR membership
+        # has no numpy form, and neither does a mixed-type column.
+        for sql, data in [
+            ('SELECT COUNT(*) FROM clogs WHERE src_ip IN "10.1.0.0/16"',
+             entries()),
+            ("SELECT COUNT(*) FROM clogs WHERE packets > 20",
+             entries() + [{"packets": 7.5}]),
+        ]:
+            calls = []
+            query = parse_query(sql)
+            result = evaluate(query, data, cost_hook=calls.append)
+            assert len(calls) == result.scanned == len(data)
+            assert all(c == query.node_count for c in calls)
 
+    def test_walk_charges_only_up_to_the_failing_entry(self):
+        # Charge -> test -> feed is interleaved per entry, so an error
+        # on entry k surfaces after exactly k + 1 hook calls.
         calls = []
-        query = parse_query("SELECT COUNT(*) FROM clogs "
-                            "WHERE packets > 20")
-        with hotpath.disabled():
-            evaluate(query, entries(), cost_hook=calls.append)
-        assert len(calls) == 3
-        assert all(c == query.node_count for c in calls)
+        data = entries() + [{"src_ip": "10.1.0.7", "packets": "many"}] \
+            + entries()
+        query = parse_query('SELECT SUM(packets) FROM clogs '
+                            'WHERE src_ip IN "10.0.0.0/8"')
+        with pytest.raises(QueryError, match="non-numeric"):
+            evaluate(query, data, cost_hook=calls.append)
+        assert len(calls) == 4
 
 
 class TestResultAccess:

@@ -28,6 +28,23 @@ class TestGuestIO:
         with pytest.raises(GuestAbortSignal):
             env.read()
 
+    def test_read_batch_past_end_aborts_before_charging(self):
+        env = env_with(1, 2, 3)
+        with pytest.raises(GuestAbortSignal,
+                           match="guest read past end of input"):
+            env.read_batch(5)
+        assert env.frames_remaining == 3
+        assert env.meter.total == cy.EXECUTION_BASE_CYCLES
+        assert "io" not in env.meter.by_category
+
+    def test_empty_batches_leave_no_io_category(self):
+        env = env_with(1)
+        assert env.read_batch(0) == []
+        env.commit_many([])
+        assert env.frames_remaining == 1
+        assert env.journal_data == b""
+        assert "io" not in env.meter.by_category
+
     def test_commit_builds_journal(self):
         env = env_with()
         env.commit({"x": 1})
