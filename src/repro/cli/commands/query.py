@@ -9,7 +9,7 @@ from ...core.verifier_client import VerifierClient
 from ...errors import ReproError
 from ..framework import CommandResult, register
 from ..options import add_bulletin, add_db
-from ..persistence import rebuild_service
+from ..persistence import load_bulletin, rebuild_service
 
 
 def print_verified_query(args: argparse.Namespace, response,
@@ -41,7 +41,10 @@ class QueryCommand:
         parser.add_argument("--connect", metavar="HOST:PORT",
                             default=None,
                             help="query a running `repro serve` "
-                                 "instance instead of local files")
+                                 "instance instead of local files; "
+                                 "the answer is verified against "
+                                 "--bulletin when given, else "
+                                 "against the prover's own board")
         parser.add_argument("--out", type=pathlib.Path, default=None,
                             help="write the query receipt JSON here")
         parser.add_argument("--tenant", default=None,
@@ -82,11 +85,15 @@ class QueryCommand:
                                 scanned=verified.scanned)
 
     def _run_remote(self, args: argparse.Namespace) -> CommandResult:
-        """Issue the query over the wire; verify from fetched material."""
+        """Issue the query over the wire; verify it against the
+        ``--bulletin`` file, or the prover's own board without one."""
         from ...net import QueryClient
-        with QueryClient(args.connect) as client:
+        bulletin = (load_bulletin(args.bulletin)
+                    if args.bulletin is not None else None)
+        with QueryClient(args.connect, bulletin=bulletin) as client:
             response, verified = client.verified_query(
                 args.sql, tenant=args.tenant)
         print_verified_query(args, response, verified)
+        print(f"  anchor: {args.bulletin or 'prover'}")
         return CommandResult.ok(matched=verified.matched,
                                 scanned=verified.scanned)

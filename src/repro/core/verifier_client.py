@@ -138,17 +138,23 @@ class VerifierClient:
         """
         if not receipts:
             raise ChainError("empty receipt chain")
-        verified: list[VerifiedAggregation] = []
-        seen_windows: set[tuple[str, int]] = set()
-        prev: VerifiedAggregation | None = None
+        return self.extend_chain([], set(), receipts)
+
+    def extend_chain(self, verified: list[VerifiedAggregation],
+                     consumed: set[tuple[str, int]],
+                     receipts: list[Receipt]
+                     ) -> list[VerifiedAggregation]:
+        """Extend ``verified`` (rounds from genesis, which aggregated the
+        ``consumed`` windows) in place by the receipts that follow."""
+        prev = verified[-1] if verified else None
         for receipt in receipts:
             current = self.verify_aggregation(receipt, prev)
-            duplicates = seen_windows.intersection(current.windows)
+            duplicates = consumed.intersection(current.windows)
             if duplicates:
                 raise ChainError(
                     f"windows consumed twice across the chain: "
                     f"{sorted(duplicates)}")
-            seen_windows.update(current.windows)
+            consumed.update(current.windows)
             verified.append(current)
             prev = current
         return verified
@@ -217,7 +223,12 @@ class VerifierClient:
         in-process checks — chain from genesis, then the query bound to
         the round it claims.
         """
-        chain = self.verify_chain(receipts)
+        return self.verify_query_in(response, self.verify_chain(receipts))
+
+    def verify_query_in(self, response: QueryResponse,
+                        chain: list[VerifiedAggregation]) -> VerifiedQuery:
+        """Verify a query response against the round it claims in an
+        already-verified chain."""
         if not 0 <= response.round < len(chain):
             raise VerificationError(
                 f"response claims round {response.round} but the "

@@ -252,10 +252,14 @@ class ServiceClient:
         """
         return self._request(MessageKind.METRICS)
 
-    def fetch_bulletin(self) -> BulletinBoard:
-        """Rebuild the server's bulletin board from the wire."""
-        body = self._request(MessageKind.GET_BULLETIN)
-        board = BulletinBoard()
+    def fetch_bulletin(self, since: int = 0,
+                       board: BulletinBoard | None = None
+                       ) -> BulletinBoard:
+        """The server's bulletin from index ``since`` on, published into
+        ``board`` (a fresh one by default; publishing a commitment that
+        contradicts a held one raises ``IntegrityError``)."""
+        body = self._request(MessageKind.GET_BULLETIN, _since_body(since))
+        board = BulletinBoard() if board is None else board
         for wire in body["commitments"]:
             try:
                 board.publish(Commitment.from_wire(wire))
@@ -297,7 +301,24 @@ class RouterClient(ServiceClient):
 
 
 class QueryClient(ServiceClient):
-    """Verifier-side stub: proven queries + the material to check them."""
+    """Verifier-side stub: proven queries + the material to check them.
+
+    It holds a board that only grows and the rounds verified against
+    it.  ``bulletin``, the trust anchor, is the routers' own board;
+    without it the anchor is the prover's board, synced as it grows.
+    """
+
+    def __init__(self, host: str, port: int | None = None, *,
+                 bulletin: BulletinBoard | None = None,
+                 **options: Any) -> None:
+        super().__init__(host, port, **options)
+        from ..core.verifier_client import VerifierClient
+        self._anchored = bulletin is not None
+        self._verifier = VerifierClient(
+            bulletin if bulletin is not None else BulletinBoard())
+        self._rounds: list[Any] = []  # VerifiedAggregation per round
+        self._consumed: set[tuple[str, int]] = set()
+        self._sync_lock = threading.Lock()
 
     def query(self, sql: str,
               round_index: int | None = None,
@@ -317,10 +338,12 @@ class QueryClient(ServiceClient):
         reply = self._request(MessageKind.QUERY, body)
         return query_response_from_wire(reply["response"])
 
-    def fetch_receipt_chain(self) -> list[Any]:
-        """The server's full aggregation receipt chain."""
+    def fetch_receipt_chain(self, since: int = 0) -> list[Any]:
+        """The server's aggregation receipts from round ``since`` on
+        (the full chain by default)."""
         from ..zkvm import Receipt
-        body = self._request(MessageKind.FETCH_RECEIPT_CHAIN)
+        body = self._request(MessageKind.FETCH_RECEIPT_CHAIN,
+                             _since_body(since))
         try:
             return [Receipt.from_wire(w) for w in body["receipts"]]
         except (KeyError, TypeError, ValueError) as exc:
@@ -330,20 +353,34 @@ class QueryClient(ServiceClient):
     def verified_query(self, sql: str,
                        round_index: int | None = None,
                        tenant: str | None = None) -> tuple[Any, Any]:
-        """Query, then verify entirely from fetched public material.
+        """Query, then verify the answer against the held chain.
 
-        Pulls the bulletin and receipt chain alongside the response and
-        runs the standard client-side verification
-        (:meth:`VerifierClient.verify_response`) — the remote analogue
-        of ``TelemetrySystem.query``.  Returns
-        ``(QueryResponse, VerifiedQuery)``.
+        A round already verified costs this one request.  A newer one
+        first syncs what the server added (board unless anchored, then
+        receipts), which must extend the held head: a diverged chain
+        raises :class:`~repro.errors.ChainError` and is never re-read
+        from genesis.  Returns ``(QueryResponse, VerifiedQuery)``.
         """
-        from ..core.verifier_client import VerifierClient
         response = self.query(sql, round_index, tenant=tenant)
-        verifier = VerifierClient(self.fetch_bulletin())
-        verified = verifier.verify_response(response,
-                                            self.fetch_receipt_chain())
-        return response, verified
+        if response.round >= len(self._rounds):
+            self._sync(response.round)
+        return response, self._verifier.verify_query_in(response,
+                                                        self._rounds)
+
+    def _sync(self, round_index: int) -> None:
+        with self._sync_lock:
+            if round_index < len(self._rounds):
+                return  # another thread synced while this one waited
+            if not self._anchored:
+                board = self._verifier.bulletin
+                self.fetch_bulletin(len(board), board)
+            self._verifier.extend_chain(
+                self._rounds, self._consumed,
+                self.fetch_receipt_chain(len(self._rounds)))
+
+
+def _since_body(since: int) -> dict[str, Any] | None:
+    return {"since": since} if since else None  # {}: every server
 
 
 def _quiet_close(sock: socket.socket) -> None:

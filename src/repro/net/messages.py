@@ -13,7 +13,8 @@ Request kinds and their bodies:
 =====================  ====================================================
 ``health``             ``{}`` → server status snapshot
 ``commit-window``      ``{commitment}`` → router publishes to the bulletin
-``get-bulletin``       ``{}`` → every published commitment
+``get-bulletin``       ``{since: int?}`` → published commitments from
+                       index ``since`` on (all when absent)
 ``run-round``          ``{windows: [int] | None}`` → aggregation round(s)
 ``query``              ``{sql, round: int | None, tenant: str?}`` →
                        proven QueryResponse.  ``tenant`` (optional,
@@ -23,7 +24,8 @@ Request kinds and their bodies:
                        An over-limit or over-capacity request is
                        rejected with the ``admission-rejected`` code
                        instead of being queued.
-``fetch-receipt-chain``  ``{}`` → the full aggregation receipt chain
+``fetch-receipt-chain``  ``{since: int?}`` → aggregation receipts from
+                       round ``since`` on (all when absent)
 ``status``             ``{}`` → service status + supervised-daemon
                        health (``daemon`` is None when the server has
                        no attached daemon)

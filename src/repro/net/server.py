@@ -334,12 +334,12 @@ class ProverServer:
         if kind == MessageKind.METRICS.value:
             return obs.metrics_snapshot()
         if kind == MessageKind.GET_BULLETIN.value:
-            return self._handle_get_bulletin()
+            return self._handle_get_bulletin(body)
         if kind == MessageKind.COMMIT_WINDOW.value:
             return self._handle_commit_window(body)
         if kind == MessageKind.FETCH_RECEIPT_CHAIN.value:
             return await self._in_executor(
-                self._handle_fetch_receipt_chain)
+                lambda: self._handle_fetch_receipt_chain(body))
         if kind == MessageKind.RUN_ROUND.value:
             assert self._round_lock is not None
             async with self._round_lock:
@@ -378,8 +378,9 @@ class ProverServer:
                        if self.qserve is not None else None),
         }
 
-    def _handle_get_bulletin(self) -> dict[str, Any]:
-        return {"commitments": [c.to_wire() for c in self.bulletin]}
+    def _handle_get_bulletin(self, body: dict[str, Any]) -> dict[str, Any]:
+        commitments = list(self.bulletin)[_since(body):]
+        return {"commitments": [c.to_wire() for c in commitments]}
 
     def _handle_commit_window(self,
                               body: dict[str, Any]) -> dict[str, Any]:
@@ -441,9 +442,19 @@ class ProverServer:
                                             tenant=tenant)
         return {"response": query_response_to_wire(response)}
 
-    def _handle_fetch_receipt_chain(self) -> dict[str, Any]:
-        return {"receipts": [r.to_wire()
-                             for r in self.service.chain.receipts()]}
+    def _handle_fetch_receipt_chain(self,
+                                    body: dict[str, Any]) -> dict[str, Any]:
+        receipts = self.service.chain.receipts()[_since(body):]
+        return {"receipts": [r.to_wire() for r in receipts]}
+
+
+def _since(body: dict[str, Any]) -> int:
+    """The optional ``since`` index of a bulletin or chain fetch."""
+    since = body.get("since", 0)
+    if isinstance(since, bool) or not isinstance(since, int) or since < 0:
+        raise ProtocolError(
+            f"since must be a non-negative int, got {since!r}")
+    return since
 
 
 def _require(body: dict[str, Any], key: str, expected: type) -> Any:

@@ -17,24 +17,33 @@ import threading
 
 import pytest
 
-from repro.commitments import BulletinBoard
+from repro.commitments import BulletinBoard, Commitment, window_digest
+from repro.core.chain import ROUND_IMAGE_IDS
 from repro.core.prover_service import ProverService
 from repro.core.verifier_client import VerifierClient
 from repro.errors import (
+    ChainError,
     ConnectionFailed,
     FrameTooLarge,
+    IntegrityError,
     MissingCommitment,
     ProofError,
+    ProtocolError,
     QuerySyntaxError,
     ReproError,
     RetryExhausted,
     TruncatedFrame,
+    VerificationError,
 )
 from repro.net import ProverServer, QueryClient, RetryPolicy, \
     RouterClient
 from repro.net.framing import HEADER, MAGIC, WIRE_VERSION, encode_frame
+from repro.obs import names as obs_names
+from repro.obs import runtime as obs
+from repro.storage import MemoryLogStore
+from repro.zkvm import Receipt
 
-from ..conftest import make_committed_records
+from ..conftest import make_committed_records, make_record
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01,
                          max_delay=0.05)
@@ -316,6 +325,264 @@ class TestFaults:
             stalled.close()
         finally:
             quick.stop_background()
+
+
+def _commit(service, window: int, records) -> None:
+    service.store.append_records("r1", window, records)
+    service.bulletin.publish(Commitment(
+        "r1", window, window_digest([r.to_bytes() for r in records]),
+        len(records), window * 5_000))
+
+
+def _grow(service, window: int, sport_base: int = 1000) -> None:
+    """Commit and prove one single-record r1 window as the next round."""
+    _commit(service, window, [make_record(sport=sport_base + window)])
+    service.aggregate_window(window)
+
+
+def _chain_service(rounds: int, sport_base: int = 1000) -> ProverService:
+    service = ProverService(MemoryLogStore(), BulletinBoard(),
+                            retain_history=True)  # answers old rounds
+    for window in range(rounds):
+        _grow(service, window, sport_base)
+    return service
+
+
+def _serve(service, port: int = 0) -> ProverServer:
+    return ProverServer(service, port=port, idle_timeout=5.0)
+
+
+def _requests(registry) -> dict[str, int]:
+    """Client requests sent, by kind, as ``obs`` counted them."""
+    return {series["labels"]["kind"]: series["value"]
+            for family in registry.snapshot()["counters"]
+            if family["name"] == obs_names.NET_CLIENT_REQUESTS
+            for series in family["series"]}
+
+
+def _bytes_in(registry) -> int:
+    family = registry.get(obs_names.NET_CLIENT_BYTES)
+    return family.value(direction="in")
+
+
+@pytest.fixture
+def round_work(monkeypatch):
+    """Counts aggregation receipts the client decodes and verifies."""
+    counts = {"decoded": 0, "verified": 0}
+    lock = threading.Lock()  # a lost update would hide a double count
+    from_wire = Receipt.from_wire
+    verify = VerifierClient.verify_aggregation
+
+    def decode(wire):
+        receipt = from_wire(wire)
+        if receipt.claim.image_id in ROUND_IMAGE_IDS:
+            with lock:
+                counts["decoded"] += 1
+        return receipt
+
+    def verify_aggregation(self, receipt, prev=None):
+        with lock:
+            counts["verified"] += 1
+        return verify(self, receipt, prev)
+
+    monkeypatch.setattr(Receipt, "from_wire", staticmethod(decode))
+    monkeypatch.setattr(VerifierClient, "verify_aggregation",
+                        verify_aggregation)
+    return counts
+
+
+class TestHeldHead:
+    """``QueryClient`` keeps its verified chain head and syncs only
+    what the server added past it."""
+
+    def test_warm_query_is_one_request(self, round_work):
+        with _serve(_chain_service(3)) as server, \
+                QueryClient(server.host, server.port) as client:
+            client.verified_query(SQL)  # cold: syncs rounds 0-2
+            assert round_work == {"decoded": 3, "verified": 3}
+            with obs.capture() as cap:
+                response, verified = client.verified_query(SQL)
+                assert _requests(cap.registry) == {"query": 1}
+        assert round_work == {"decoded": 3, "verified": 3}
+        assert verified.round == response.round == 2
+
+    def test_new_round_fetches_only_its_receipt(self, round_work):
+        service = _chain_service(3)
+        with _serve(service) as server, \
+                QueryClient(server.host, server.port) as client:
+            client.verified_query(SQL)
+            _grow(service, 3)
+            with obs.capture() as cap:
+                _response, verified = client.verified_query(SQL)
+                assert _requests(cap.registry) == {
+                    "query": 1, "get-bulletin": 1,
+                    "fetch-receipt-chain": 1}
+        assert verified.round == 3
+        assert round_work == {"decoded": 4, "verified": 4}
+
+    def test_sync_bytes_flat_in_round_count(self):
+        service = _chain_service(2)
+        with _serve(service) as server, \
+                QueryClient(server.host, server.port) as client:
+            client.verified_query(SQL)
+            synced = []
+            for window in range(2, 10):
+                _grow(service, window)
+                with obs.capture() as cap:
+                    client.verified_query(SQL)
+                    synced.append(_bytes_in(cap.registry))
+            full_chain = [r.to_wire() for r in
+                          client.fetch_receipt_chain()]
+        from repro.serialization import encode
+        # One query answer, one commitment and one receipt per sync,
+        # at 3 rounds and at 10 alike; the chain itself grows.
+        assert synced == [synced[0]] * len(synced)
+        assert synced[0] < len(encode(full_chain)) / 3
+
+    def test_older_round_verifies_without_fetch(self, round_work):
+        with _serve(_chain_service(3)) as server, \
+                QueryClient(server.host, server.port) as client:
+            client.verified_query(SQL)
+            with obs.capture() as cap:
+                response, verified = client.verified_query(
+                    SQL, round_index=0)
+                assert _requests(cap.registry) == {"query": 1}
+        assert response.round == verified.round == 0
+        assert round_work["decoded"] == 3
+
+    def test_diverged_server_is_refused(self):
+        retry = RetryPolicy(max_attempts=4, base_delay=0.05)
+        server = _serve(_chain_service(3)).start_background()
+        port = server.port
+        with QueryClient(server.host, port, retry=retry) as client:
+            client.verified_query(SQL)
+            server.stop_background()
+            # Same windows, different records: a chain that does not
+            # extend the head the client holds.
+            with _serve(_chain_service(5, sport_base=2000), port=port):
+                with pytest.raises(ChainError):
+                    client.verified_query(SQL)
+                with pytest.raises(ChainError):  # and again: no resync
+                    client.verified_query(SQL)
+                with pytest.raises(VerificationError):
+                    client.verified_query(SQL, round_index=1)
+
+    def test_board_rewriting_a_held_commitment_is_refused(self):
+        retry = RetryPolicy(max_attempts=4, base_delay=0.05)
+        server = _serve(_chain_service(3)).start_background()
+        port = server.port
+        rewritten = ProverService(MemoryLogStore(), BulletinBoard())
+        records = {w: [make_record(sport=1000 + w)] for w in range(4)}
+        records[0] = [make_record(sport=999)]
+        for window in (1, 2, 3, 0):  # the rewrite lands past the prefix
+            _commit(rewritten, window, records[window])
+        for window in range(4):
+            rewritten.aggregate_window(window)
+        with QueryClient(server.host, port, retry=retry) as client:
+            client.verified_query(SQL)
+            server.stop_background()
+            with _serve(rewritten, port=port):
+                with pytest.raises(IntegrityError):
+                    client.verified_query(SQL)
+
+    def test_threads_sharing_a_client_verify_a_new_round_once(
+            self, round_work):
+        import sys
+        threads = 8  # more than this machine's cores
+        service = _chain_service(3)
+        with _serve(service) as server, \
+                QueryClient(server.host, server.port,
+                            pool_size=threads) as client:
+            client.verified_query(SQL)
+            _grow(service, 3)
+            start = threading.Barrier(threads, timeout=10)
+
+            def one(_):
+                start.wait()
+                return client.verified_query(SQL)[1].round
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                    rounds = list(pool.map(one, range(threads),
+                                           timeout=30))
+            finally:
+                sys.setswitchinterval(interval)
+        assert rounds == [3] * threads
+        assert round_work == {"decoded": 4, "verified": 4}
+
+
+class TestSince:
+    @pytest.mark.parametrize("since", [-1, "3", True])
+    def test_bad_since_is_a_bad_request(self, since):
+        with _serve(_chain_service(1)) as server, \
+                QueryClient(server.host, server.port) as client:
+            with pytest.raises(ProtocolError):
+                client.fetch_bulletin(since)
+            with pytest.raises(ProtocolError):
+                client.fetch_receipt_chain(since)
+
+    def test_since_slices_and_past_the_end_is_empty(self):
+        service = _chain_service(3)
+        with _serve(service) as server, \
+                QueryClient(server.host, server.port) as client:
+            assert len(client.fetch_bulletin(1)) == 2
+            tail = client.fetch_receipt_chain(1)
+            assert [r.claim.digest() for r in tail] == [
+                r.claim.digest() for r in service.chain.receipts()[1:]]
+            assert client.fetch_receipt_chain(3) == []
+            assert len(client.fetch_bulletin(3)) == 0
+            assert client.fetch_receipt_chain(99) == []
+
+
+def _forged_deployment():
+    """The routers' board, and a prover whose store *and* board carry
+    one record the routers never sent, consistently re-committed."""
+    store, routers_board, _count = make_committed_records(40)
+    forged = ProverService(MemoryLogStore(), BulletinBoard())
+    for index, honest in enumerate(routers_board):
+        blobs = store.window_blobs(honest.router_id, 0)
+        if index == 0:
+            blobs.append(make_record(router_id=honest.router_id,
+                                     sport=4242).to_bytes())
+        forged.store.replace_window(honest.router_id, 0, blobs)
+        forged.bulletin.publish(Commitment(
+            honest.router_id, 0, window_digest(blobs), len(blobs),
+            honest.published_at_ms))
+    forged.aggregate_all_committed()
+    return routers_board, forged
+
+
+class TestTrustAnchor:
+    def test_anchor_decides_whether_a_forged_prover_passes(self):
+        routers_board, forged = _forged_deployment()
+        with _serve(forged) as server:
+            with QueryClient(server.host, server.port) as client:
+                _response, verified = client.verified_query(SQL)
+            assert verified.values[0] == verified.scanned  # accepted
+            with QueryClient(server.host, server.port,
+                             bulletin=routers_board) as client, \
+                    obs.capture() as cap:
+                with pytest.raises(VerificationError):
+                    client.verified_query(SQL)
+                assert "get-bulletin" not in _requests(cap.registry)
+
+    def test_cli_connect_verifies_against_bulletin_file(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+        from repro.cli.persistence import save_bulletin
+        routers_board, forged = _forged_deployment()
+        board_file = tmp_path / "bulletin.json"
+        save_bulletin(routers_board, board_file)
+        with _serve(forged) as server:
+            endpoint = f"{server.host}:{server.port}"
+            assert main(["query", "--connect", endpoint, SQL]) == 0
+            assert "anchor: prover" in capsys.readouterr().out
+            assert main(["query", "--connect", endpoint, "--bulletin",
+                         str(board_file), SQL]) == 2
+            assert "differs from the published one" \
+                in capsys.readouterr().err
 
 
 class _fake_server:

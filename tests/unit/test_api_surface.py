@@ -213,3 +213,39 @@ class TestLedgerSeams:
         from repro.qserve import QueryService
         assert self._accepts(QueryService, "service", "max_inflight")
         assert self._accepts(ProverServer, "service", "qserve")
+
+    def test_wire_client_seams(self):
+        """The served workloads: routers publish and run a round over
+        the wire, then ``QueryClient(host, port)`` queries — whole
+        board and chain with no arguments, ``verified_query`` a pair."""
+        from repro.commitments import BulletinBoard
+        from repro.core.prover_service import ProverService
+        from repro.net import ProverServer, QueryClient, RouterClient
+        from ..conftest import make_committed_records
+        assert list(inspect.signature(QueryClient).parameters)[:2] \
+            == ["host", "port"]  # called positionally
+        assert self._accepts(QueryClient.query, "sql")
+        assert self._accepts(RouterClient.publish_all, "commitments")
+        assert self._accepts(RouterClient.run_round, "windows")
+        store, routers_board, _count = make_committed_records(40)
+        service = ProverService(store, BulletinBoard())
+        server = ProverServer(service)
+        assert server.start_background() is server
+        try:
+            router = RouterClient(server.host, server.port)
+            client = QueryClient(server.host, server.port)
+            with router, client:
+                assert router.publish_all(routers_board) == 4
+                assert [r["round"] for r in router.run_round([0])] == [0]
+                sql = "SELECT COUNT(*) FROM clogs"
+                assert client.query(sql).round == 0
+                board = client.fetch_bulletin()
+                assert list(board) == list(routers_board)
+                chain = client.fetch_receipt_chain()
+                assert [r.claim.digest() for r in chain] == [
+                    r.claim.digest() for r in service.chain.receipts()]
+                pair = client.verified_query(sql)
+                assert isinstance(pair, tuple) and len(pair) == 2
+                assert pair[1].values == pair[0].values
+        finally:
+            server.stop_background()
