@@ -252,14 +252,11 @@ class ServiceClient:
         """
         return self._request(MessageKind.METRICS)
 
-    def fetch_bulletin(self, since: int = 0,
-                       board: BulletinBoard | None = None
-                       ) -> BulletinBoard:
-        """The server's bulletin from index ``since`` on, published into
-        ``board`` (a fresh one by default; publishing a commitment that
-        contradicts a held one raises ``IntegrityError``)."""
+    def fetch_bulletin(self, since: int = 0) -> BulletinBoard:
+        """The server's bulletin from index ``since`` on (all of it by
+        default), rebuilt from the wire."""
         body = self._request(MessageKind.GET_BULLETIN, _since_body(since))
-        board = BulletinBoard() if board is None else board
+        board = BulletinBoard()
         for wire in body["commitments"]:
             try:
                 board.publish(Commitment.from_wire(wire))
@@ -371,16 +368,18 @@ class QueryClient(ServiceClient):
         with self._sync_lock:
             if round_index < len(self._rounds):
                 return  # another thread synced while this one waited
-            if not self._anchored:
+            if not self._anchored:  # IntegrityError if it rewrites one
                 board = self._verifier.bulletin
-                self.fetch_bulletin(len(board), board)
+                for commitment in self.fetch_bulletin(len(board)):
+                    board.publish(commitment)
             self._verifier.extend_chain(
                 self._rounds, self._consumed,
                 self.fetch_receipt_chain(len(self._rounds)))
 
 
 def _since_body(since: int) -> dict[str, Any] | None:
-    return {"since": since} if since else None  # {}: every server
+    # "From the start" is sent as {}, which servers without since read.
+    return {"since": since} if since else None
 
 
 def _quiet_close(sock: socket.socket) -> None:
