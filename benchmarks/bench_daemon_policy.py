@@ -70,8 +70,10 @@ def replay(batch_limit: int):
             for w in consumed:
                 staleness_ms.append(clock.now_ms()
                                     - (w + 1) * WINDOW_MS)
-    # End of stream: flush the tail.
-    while daemon.drain():
+    # End of stream: flush the tail in the policy's batches (past the
+    # lag cap every pending window is due).
+    clock.advance_ms(daemon.policy.max_lag_ms)
+    while daemon.step() is not None:
         pass
     total_prove_s = sum(MODEL.prove_seconds(r.info.stats)
                         for r in daemon.stats.results)

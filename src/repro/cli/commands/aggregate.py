@@ -30,6 +30,8 @@ class AggregateCommand:
         service = rebuild_service(args.db, args.bulletin, None,
                                   strategy=args.strategy)
         results = service.aggregate_all_committed()
+        # Receipts over a chain that skips a window are not written.
+        service.require_unquarantined(str(args.db))
         if not results:
             print("nothing to aggregate (no committed windows)")
             return CommandResult.failure(

@@ -89,12 +89,6 @@ class ServeCommand:
                                  "batch compatible queries into one "
                                  "shared scan (batching needs an "
                                  "engine, e.g. --query-partitions)")
-        parser.add_argument("--stream-crossover", action="store_true",
-                            help="with --stream, let the planner's "
-                                 "cost model fall back to the "
-                                 "monolithic guest for rounds it "
-                                 "prices cheaper (tiny or single-batch "
-                                 "rounds)")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
         from ...net import ProverServer
@@ -113,8 +107,7 @@ class ServeCommand:
             prove_workers=args.prove_workers,
             prove_nodes=prove_nodes,
             query_partitions=args.query_partitions,
-            stream=args.stream,
-            stream_crossover=args.stream_crossover)
+            stream=args.stream)
         qserve = None
         if args.max_inflight is not None \
                 or args.tenant_rate is not None:

@@ -73,8 +73,7 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                     prove_workers: int | None = None,
                     prove_nodes: tuple[str, ...] | None = None,
                     query_partitions: int | None = None,
-                    stream: bool = False,
-                    stream_crossover: bool = False
+                    stream: bool = False
                     ) -> ProverService:
     """A prover service over the persisted store/bulletin.
 
@@ -92,8 +91,7 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                             prove_workers=prove_workers,
                             prove_nodes=prove_nodes,
                             query_partitions=query_partitions,
-                            stream=stream,
-                            stream_crossover=stream_crossover)
+                            stream=stream)
     if restore:
         if service.restore():
             return service

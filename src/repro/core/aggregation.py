@@ -82,6 +82,11 @@ class AggregationResult:
             raise ProofError("aggregation journal missing header")
         return header
 
+    @property
+    def windows(self) -> set[int]:
+        """Window indices the round consumed, read off its journal."""
+        return {window["w"] for window in self.journal_header["windows"]}
+
 
 def order_windows(windows: Iterable[RouterWindowInput]) -> list[RouterWindowInput]:
     """The canonical guest processing order: by window, then router.

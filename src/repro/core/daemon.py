@@ -19,8 +19,11 @@ failing are quarantined (dead-lettered) after ``max_attempts`` so the
 rest of the pipeline keeps moving, a router whose commitment is late
 past ``commitment_deadline_ms`` is skipped rather than allowed to stall
 the window, and :meth:`health` reports a three-state machine
-(``healthy`` / ``degraded`` / ``stalled``) that the net ``status``
-endpoint and :mod:`repro.obs` gauges surface.
+(``healthy`` / ``degraded`` / ``stalled``) that :mod:`repro.obs` gauges
+surface.  The quarantine is the service's
+(:meth:`~repro.core.prover_service.ProverService.quarantine`), shared
+with every other round driver; a window whose single-window round
+aborts in the guest lands there at once, without retries.
 
 Driven by explicit ``step`` calls (tests, simulations with a virtual
 clock) or ``run_threaded`` for wall-clock deployments; the thread
@@ -126,19 +129,16 @@ class AggregationDaemon:
         self._first_seen_ms: dict[int, int] = {}
         self._attempts: dict[int, int] = {}
         self._retry_at_ms: dict[int, int] = {}
-        self._quarantined: dict[int, str] = {}
         self._isolate: set[int] = set()
         self._consecutive_failures = 0
 
     # -- observation -----------------------------------------------------------
 
     def pending_windows(self) -> list[int]:
-        """Committed, non-quarantined windows not yet aggregated,
+        """The service's :meth:`~ProverService.candidate_windows`,
         oldest first."""
-        consumed = self.service.aggregated_windows
         now = self.clock.now_ms()
-        pending = [w for w in self.service.bulletin.windows()
-                   if w not in consumed and w not in self._quarantined]
+        pending = self.service.candidate_windows()
         for window in pending:
             self._first_seen_ms.setdefault(window, now)
         return pending
@@ -168,8 +168,8 @@ class AggregationDaemon:
 
     @property
     def quarantined(self) -> dict[int, str]:
-        """window_index → reason for every dead-lettered window."""
-        return dict(self._quarantined)
+        """The service's quarantine: window_index → reason."""
+        return self.service.quarantined
 
     def health(self) -> dict:
         """The daemon's three-state health view.
@@ -180,18 +180,12 @@ class AggregationDaemon:
           quarantined or waiting out a retry backoff.
         * ``healthy`` — nothing is failing.
         """
-        if self._consecutive_failures >= self.policy.stall_after:
-            state = "stalled"
-        elif self._quarantined or self._attempts \
-                or self._consecutive_failures > 0:
-            state = "degraded"
-        else:
-            state = "healthy"
+        state = HEALTH_STATES[self._health_code()]
         engine = getattr(self.service, "engine", None)
         return {
             "state": state,
             "consecutive_failures": self._consecutive_failures,
-            "quarantined": dict(self._quarantined),
+            "quarantined": self.quarantined,
             "retrying": sorted(self._attempts),
             "pending": len(self.pending_windows()),
             "oldest_lag_ms": self.oldest_lag_ms(),
@@ -224,7 +218,8 @@ class AggregationDaemon:
             self._on_prove_failure(gathered, exc)
             self._finish_step(success=False)
             return None
-        for window in gathered:
+        # A streamed round also consumes the windows ingested before it.
+        for window in set(gathered) | result.windows:
             self._forget(window)
         self.stats.rounds += 1
         self.stats.windows_consumed += len(gathered)
@@ -234,37 +229,6 @@ class AggregationDaemon:
                                ("outcome",)).inc(outcome="round")
         self._finish_step(success=True)
         return result
-
-    def drain(self) -> int:
-        """Aggregate everything pending regardless of policy timing;
-        returns the number of rounds run.  Quarantined windows stay
-        quarantined; faults propagate (drain is the *strict* driver —
-        use :meth:`step` for supervised operation)."""
-        rounds = 0
-        while True:
-            pending = self.pending_windows()
-            if not pending:
-                return rounds
-            batch = pending[:self.policy.batch_limit]
-            result = self.service.aggregate_windows(batch)
-            for window in batch:
-                self._forget(window)
-            self.stats.rounds += 1
-            self.stats.windows_consumed += len(batch)
-            self.stats.records_aggregated += result.record_count
-            self.stats.results.append(result)
-            rounds += 1
-
-    def requeue(self, window_index: int) -> bool:
-        """Operator hook: pull a window out of quarantine for another
-        round of attempts (e.g. after the underlying outage is fixed).
-        Returns True if the window was quarantined."""
-        was = self._quarantined.pop(window_index, None) is not None
-        if was:
-            self._attempts.pop(window_index, None)
-            self._retry_at_ms.pop(window_index, None)
-            self._set_gauges()
-        return was
 
     def run_threaded(self, stop: threading.Event,
                      poll_ms: int = 200) -> threading.Thread:
@@ -361,16 +325,17 @@ class AggregationDaemon:
         obs.registry().counter(
             obs_names.DAEMON_FAULTS, ("error",)).inc(
             error=type(exc).__name__)
-        attempts = self._attempts.get(window, 0) + 1
-        self._attempts[window] = attempts
-        if attempts >= self.policy.max_attempts:
-            reason = f"{type(exc).__name__}: {exc}"
-            logger.error(
-                "window %d quarantined after %d attempts: %s",
-                window, attempts, reason)
-            self._quarantined[window] = reason
-            self._forget(window, keep_quarantine=True)
+        if window in self.service.quarantined:
+            # The service quarantined it itself (a guest abort).
+            self._forget(window)
             return
+        attempts = self._attempts.get(window, 0) + 1
+        if attempts >= self.policy.max_attempts:
+            self.service.quarantine(
+                window, f"{type(exc).__name__}: {exc}")
+            self._forget(window)
+            return
+        self._attempts[window] = attempts
         delay = min(
             self.policy.retry_base_ms
             * self.policy.retry_multiplier ** (attempts - 1),
@@ -385,14 +350,11 @@ class AggregationDaemon:
             "%d ms", window, attempts, self.policy.max_attempts, exc,
             int(delay))
 
-    def _forget(self, window: int,
-                keep_quarantine: bool = False) -> None:
+    def _forget(self, window: int) -> None:
         self._first_seen_ms.pop(window, None)
         self._attempts.pop(window, None)
         self._retry_at_ms.pop(window, None)
         self._isolate.discard(window)
-        if not keep_quarantine:
-            self._quarantined.pop(window, None)
 
     def _finish_step(self, success: bool) -> None:
         if success:
@@ -403,15 +365,17 @@ class AggregationDaemon:
                                    ("outcome",)).inc(outcome="faulted")
         self._set_gauges()
 
+    def _health_code(self) -> int:
+        """Index into :data:`HEALTH_STATES`."""
+        if self._consecutive_failures >= self.policy.stall_after:
+            return 2
+        if self.service.quarantined or self._attempts \
+                or self._consecutive_failures > 0:
+            return 1
+        return 0
+
     def _set_gauges(self) -> None:
         registry = obs.registry()
         registry.gauge(obs_names.DAEMON_QUARANTINED).set(
-            len(self._quarantined))
-        if self._consecutive_failures >= self.policy.stall_after:
-            code = 2
-        elif self._quarantined or self._attempts \
-                or self._consecutive_failures > 0:
-            code = 1
-        else:
-            code = 0
-        registry.gauge(obs_names.DAEMON_HEALTH).set(code)
+            len(self.service.quarantined))
+        registry.gauge(obs_names.DAEMON_HEALTH).set(self._health_code())

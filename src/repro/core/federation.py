@@ -58,6 +58,16 @@ class PeeringDomain:
             prover=ProverService(store, bulletin),
         )
 
+    def aggregate_all(self) -> None:
+        """Prove every pending window, or refuse over partial state.
+
+        A quarantined window is committed data the chain will never
+        cover; proofs over the rest would mis-localize a dispute to the
+        boundary, so the domain refuses instead of answering.
+        """
+        self.prover.aggregate_all_committed()
+        self.prover.require_unquarantined(f"domain {self.name!r}")
+
     def commit_window(self, window_index: int, records: list[NetFlowRecord]) -> None:
         by_router: dict[str, list[NetFlowRecord]] = {}
         for record in records:
@@ -199,8 +209,7 @@ class PeeringAuditor:
             # before querying — a partially aggregated domain would
             # otherwise reconcile over stale state and mis-localize the
             # dispute to the boundary.
-            if domain.prover.pending_windows():
-                domain.prover.aggregate_all_committed()
+            domain.aggregate_all()
         a_response = a.prover.answer_query(
             "SELECT SUM(packets), SUM(lost_packets), COUNT(*) FROM clogs"
         )

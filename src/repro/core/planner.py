@@ -25,16 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError, ProofError
+from ..errors import ConfigurationError
 from ..query import parse_query
 from ..query.ast import AggFunc, Aggregate, Query
 from ..query.fields import QUERYABLE_FIELDS, FieldKind
 from ..serialization import encode
-from ..zkvm import Executor
 from ..zkvm import cycles as cy
 from ..zkvm.costmodel import CostModel, ProverBackend
-from ..zkvm.receipt import ExitCode
-from .aggregation import build_round_input, decode_records, order_windows
 from .clog import CLogState
 from .guest_programs import (
     DECODE_CYCLES_PER_BYTE,
@@ -42,12 +39,7 @@ from .guest_programs import (
     PARSE_CYCLES_PER_BYTE,
     QUERY_NODE_CYCLES,
     QUERY_VIEW_CYCLES,
-    aggregation_guest,
-    delta_aggregation_guest,
-    fold_guest,
 )
-from .policy import DEFAULT_POLICY
-from .witness import build_witness
 
 # Bytes of a leaf-hash preimage beyond the payload (the packed key).
 _KEY_BYTES = 13
@@ -476,226 +468,3 @@ def estimate_query_cost(service, sql: str) -> QueryCostEstimate:
     journal_bytes = service.chain.latest.receipt.journal_size \
         if len(service.chain) else 0
     return QueryPlanner(service.state, journal_bytes).estimate(sql)
-
-
-# -- round planning: monolithic vs streamed composition ----------------------
-
-@dataclass(frozen=True)
-class RoundCostEstimate:
-    """Predicted proving cost for one aggregation proof (a monolithic
-    round, one delta, or one fold)."""
-
-    records: int
-    predicted_cycles: int
-    predicted_segments: int
-
-    @classmethod
-    def of_session(cls, records: int, session) -> "RoundCostEstimate":
-        return cls(records=records,
-                   predicted_cycles=session.total_cycles,
-                   predicted_segments=session.segment_count)
-
-    def seconds(self, model: CostModel | None = None,
-                backend: ProverBackend = ProverBackend.CPU_ZKVM
-                ) -> float:
-        return _zkvm_seconds(self.predicted_cycles, model or CostModel(),
-                             backend)
-
-
-@dataclass(frozen=True)
-class StreamedRoundCostEstimate:
-    """Predicted cost of proving one round as deltas + a fold tree.
-
-    ``close_path`` marks the proofs that cannot overlap the stream: the
-    last delta (its batch only exists at the round boundary) and every
-    fold triggered by that final push or by closing the frontier.  All
-    earlier deltas and carries prove while the window is still filling,
-    so the *boundary latency* a streamed round adds is the close path,
-    not the total.
-    """
-
-    delta_estimates: tuple[RoundCostEstimate, ...]
-    fold_estimates: tuple[RoundCostEstimate, ...]
-    close_fold_start: int
-
-    @property
-    def records(self) -> int:
-        return sum(d.records for d in self.delta_estimates)
-
-    @property
-    def predicted_cycles(self) -> int:
-        return sum(d.predicted_cycles for d in self.delta_estimates) \
-            + sum(f.predicted_cycles for f in self.fold_estimates)
-
-    def close_path_seconds(self, model: CostModel | None = None,
-                           backend: ProverBackend =
-                           ProverBackend.CPU_ZKVM) -> float:
-        """Modeled latency from the round boundary to the final receipt."""
-        model = model or CostModel()
-        seconds = self.delta_estimates[-1].seconds(model, backend)
-        for estimate in self.fold_estimates[self.close_fold_start:]:
-            seconds += estimate.seconds(model, backend)
-        return seconds
-
-    def total_seconds(self, model: CostModel | None = None,
-                      backend: ProverBackend = ProverBackend.CPU_ZKVM
-                      ) -> float:
-        """Every delta and fold priced sequentially (total prover work)."""
-        model = model or CostModel()
-        return sum(e.seconds(model, backend)
-                   for e in self.delta_estimates + self.fold_estimates)
-
-
-class RoundPlanner:
-    """Prices a round's two proving strategies before proving it.
-
-    Unlike the query planner (whose analytic walk avoids touching the
-    entries), round shapes vary too much for a closed form to stay
-    honest — so the round planner *executes* the guests (milliseconds
-    of host work, metered cycles, no proving) on exactly the frames the
-    aggregators would build, then prices the metered cycles through the
-    cost model.  The estimate is exact by construction, which is what
-    keeps it inside the planner's ±10% accuracy contract.
-    """
-
-    def __init__(self, policy=None) -> None:
-        self.policy = policy or DEFAULT_POLICY
-
-    def estimate_monolithic(self, state: CLogState, windows,
-                            prev_receipt=None) -> RoundCostEstimate:
-        """Price the round as one ``aggregation_guest`` proof."""
-        ordered = order_windows(windows)
-        records = decode_records(ordered)
-        witness = build_witness(state, records, self.policy)
-        env_input = build_round_input(self.policy, state.round, witness,
-                                      ordered, prev_receipt)
-        session = self._execute(Executor(), aggregation_guest, env_input)
-        return RoundCostEstimate.of_session(len(records), session)
-
-    def estimate_streamed(self, state: CLogState, batches,
-                          prev_receipt=None) -> StreamedRoundCostEstimate:
-        """Price the round as per-batch deltas folded over a frontier.
-
-        Replays the exact delta/fold schedule the
-        :class:`~repro.stream.pipeline.StreamingAggregator` would run —
-        fold children bind the *executed* child sessions, so journal
-        sizes (the part that grows) are exact.
-        """
-        from ..stream.pipeline import build_fold_input
-        executor = Executor()
-        batches = list(batches) or [[]]
-        work = state.clone()
-        round_index = state.round
-        delta_estimates: list[RoundCostEstimate] = []
-        fold_estimates: list[RoundCostEstimate] = []
-        fold_push_indices: list[int] = []
-        # (height, synthetic child binding) — the executed analogue of
-        # the pipeline's FoldFrontier.
-        frontier: list[tuple[int, dict]] = []
-
-        def fold(children: list[dict], final: bool,
-                 push_index: int) -> dict:
-            env_input = build_fold_input(self.policy, round_index,
-                                         children, final)
-            session = self._execute(executor, fold_guest, env_input)
-            fold_estimates.append(RoundCostEstimate.of_session(0, session))
-            fold_push_indices.append(push_index)
-            return self._session_binding(fold_guest, env_input, session)
-
-        for seq, batch in enumerate(batches):
-            ordered = order_windows(batch)
-            records = decode_records(ordered)
-            witness = build_witness(work, records, self.policy)
-            env_input = build_round_input(self.policy, round_index,
-                                          witness, ordered, prev_receipt,
-                                          seq=seq)
-            session = self._execute(executor, delta_aggregation_guest,
-                                    env_input)
-            delta_estimates.append(
-                RoundCostEstimate.of_session(len(records), session))
-            frontier.append((0, self._session_binding(
-                delta_aggregation_guest, env_input, session)))
-            while len(frontier) >= 2 \
-                    and frontier[-1][0] == frontier[-2][0]:
-                right_height, right = frontier.pop()
-                _, left = frontier.pop()
-                frontier.append((right_height + 1,
-                                 fold([left, right], False, seq)))
-            witness.new_state.round = round_index
-            work = witness.new_state
-
-        close_fold_start = len(fold_estimates)
-        last_push = len(batches) - 1
-        while fold_push_indices and close_fold_start > 0 \
-                and fold_push_indices[close_fold_start - 1] == last_push:
-            close_fold_start -= 1
-        if len(frontier) == 1:
-            fold([frontier[0][1]], True, last_push)
-        else:
-            height, acc = frontier[0]
-            for next_height, nxt in frontier[1:-1]:
-                acc = fold([acc, nxt], False, last_push)
-                height = max(height, next_height) + 1
-            fold([acc, frontier[-1][1]], True, last_push)
-        return StreamedRoundCostEstimate(
-            delta_estimates=tuple(delta_estimates),
-            fold_estimates=tuple(fold_estimates),
-            close_fold_start=close_fold_start,
-        )
-
-    def choose(self, state: CLogState, batches, prev_receipt=None,
-               model: CostModel | None = None,
-               backend: ProverBackend = ProverBackend.CPU_ZKVM) -> str:
-        """``"streamed"`` when the close path beats the monolithic
-        proof, else ``"monolithic"``.  Per-proof base overhead means a
-        round with few batches (or a tiny window) proves faster as one
-        monolithic guest run; streaming wins once the round's full
-        window dwarfs its final batch.
-        """
-        batches = [list(batch) for batch in batches]
-        if len(batches) < 2:
-            return "monolithic"
-        model = model or CostModel()
-        windows = [window for batch in batches for window in batch]
-        monolithic = self.estimate_monolithic(
-            state, windows, prev_receipt).seconds(model, backend)
-        streamed = self.estimate_streamed(
-            state, batches, prev_receipt).close_path_seconds(
-            model, backend)
-        return "streamed" if streamed < monolithic else "monolithic"
-
-    # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _execute(executor, program, env_input):
-        session = executor.execute(program, env_input)
-        if session.exit_code is not ExitCode.HALTED:
-            raise ProofError(
-                f"round estimate aborted in {program.name}: "
-                f"{session.abort_reason}")
-        return session
-
-    @staticmethod
-    def _session_binding(program, env_input, session) -> dict:
-        """A receipt binding for a child that was executed, not proven
-        — claim fields come from the metered session, so fold frames
-        (and their journal-size-driven cycle counts) match the real
-        pipeline's."""
-        return {
-            "image_id": program.image_id,
-            "input_digest": env_input.digest,
-            "exit_code": int(session.exit_code),
-            "total_cycles": session.total_cycles,
-            "segment_count": session.segment_count,
-            "journal": session.journal.data,
-        }
-
-
-def choose_round_strategy(state: CLogState, batches, policy=None,
-                          prev_receipt=None,
-                          model: CostModel | None = None,
-                          backend: ProverBackend =
-                          ProverBackend.CPU_ZKVM) -> str:
-    """Convenience wrapper over :meth:`RoundPlanner.choose`."""
-    return RoundPlanner(policy).choose(state, batches, prev_receipt,
-                                       model, backend)

@@ -16,6 +16,7 @@ from ..errors import (
     ChainError,
     CheckpointError,
     ConfigurationError,
+    GuestAbort,
     MissingCommitment,
     ProofError,
     ReproError,
@@ -61,8 +62,7 @@ class ProverService:
                  prove_workers: int | None = None,
                  prove_nodes: Any = None,
                  query_partitions: int | None = None,
-                 stream: bool = False,
-                 stream_crossover: bool = False) -> None:
+                 stream: bool = False) -> None:
         if query_cache_size < 1:
             raise ConfigurationError("query_cache_size must be >= 1")
         if query_partitions is not None and query_partitions < 1:
@@ -104,8 +104,7 @@ class ProverService:
         if stream:
             from ..stream import StreamingAggregator
             self._aggregator = self._streamer = StreamingAggregator(
-                policy, prover_opts, engine=self.engine,
-                crossover=stream_crossover)
+                policy, prover_opts, engine=self.engine)
         elif strategy == "update":
             self._aggregator = Aggregator(policy, prover_opts,
                                           prover=prover)
@@ -125,6 +124,10 @@ class ProverService:
             prover_opts, prover=prover, engine=self.engine,
             num_partitions=self.query_partitions)
         self._aggregated_windows: set[int] = set()
+        # window → reason for every window no round will be run over
+        # again until :meth:`requeue`; the one quarantine every driver
+        # (``aggregate_all_committed``, RUN_ROUND, the daemon) shares.
+        self._quarantined: dict[int, str] = {}
         # Memory-only here; QueryService attaches the store's
         # persistent tier (``query_cache.attach_store``).
         self.query_cache = QueryResultCache(
@@ -147,9 +150,46 @@ class ProverService:
         A window stays pending until the round consuming it is *proven*
         — in stream mode an ingested (delta-proven but unclosed) window
         is still pending, because no chained receipt covers it yet.
+        Quarantined windows are left out: no driver will try them.
         """
         return [window for window in self.bulletin.windows()
-                if window not in self._aggregated_windows]
+                if window not in self._aggregated_windows
+                and window not in self._quarantined]
+
+    def candidate_windows(self) -> list[int]:
+        """The windows a round driver should gather next, in commit
+        order: pending ones not already ingested into the open streamed
+        round (the next proven round closes over those anyway)."""
+        ingested = self._open_round_windows()
+        return [window for window in self.pending_windows()
+                if window not in ingested]
+
+    @property
+    def quarantined(self) -> dict[int, str]:
+        """window → reason for every quarantined window."""
+        return dict(self._quarantined)
+
+    def quarantine(self, window_index: int, reason: str) -> None:
+        """Take a window out of every driver's candidates."""
+        logger.error("window %d quarantined: %s", window_index, reason)
+        self._quarantined[window_index] = reason
+
+    def requeue(self, window_index: int) -> bool:
+        """Operator hook: pull a window out of quarantine for another
+        attempt (e.g. after a store outage is fixed).  Returns True if
+        the window was quarantined."""
+        return self._quarantined.pop(window_index, None) is not None
+
+    def require_unquarantined(self, subject: str) -> None:
+        """Raise :class:`~repro.errors.ProofError` naming every
+        quarantined window, for callers that must not proceed over a
+        chain that leaves committed data out."""
+        if self._quarantined:
+            detail = "; ".join(f"window {window}: {reason}"
+                               for window, reason
+                               in sorted(self.quarantined.items()))
+            raise ProofError(
+                f"{subject} has quarantined window(s): {detail}")
 
     def status(self) -> dict:
         """Operational snapshot (the wire health endpoint's body).
@@ -159,6 +199,8 @@ class ProverService:
         that is *catching up* (pending shrinking or empty) from one
         that *stalled* (pending growing while rounds stand still) —
         before it was added, both looked identical here.
+        ``quarantined`` lists the windows no driver will retry, each
+        with the error that put it there.
         """
         return {
             "rounds": len(self.chain),
@@ -167,6 +209,9 @@ class ProverService:
             "aggregated_windows": sorted(self._aggregated_windows),
             "committed_windows": self.bulletin.windows(),
             "pending_windows": self.pending_windows(),
+            "quarantined": [{"window": window, "reason": reason}
+                            for window, reason
+                            in sorted(self.quarantined.items())],
             "cached_queries":
                 self.query_cache.stats()["memory_entries"],
             "query_cache_max": self.query_cache_size,
@@ -256,6 +301,12 @@ class ProverService:
         exists — a failed round leaves the service exactly as it was.
         In stream mode an open round absorbs ``inputs`` and closes, so
         the proven round also covers every previously ingested window.
+
+        A round over exactly one window that raises
+        :class:`~repro.errors.GuestAbort` quarantines that window before
+        re-raising: the same bytes always abort the same way, so there
+        is nothing to retry.  A proven round clears the quarantine of
+        every window it consumed.
         """
         for window_index in window_indices:
             if window_index in self._aggregated_windows:
@@ -263,14 +314,20 @@ class ProverService:
                     f"window {window_index} was already aggregated")
         prev_receipt = self.chain.latest_receipt if len(self.chain) \
             else None
-        result = self._aggregator.aggregate(self.state, inputs,
-                                            prev_receipt)
+        try:
+            result = self._aggregator.aggregate(self.state, inputs,
+                                                prev_receipt)
+        except GuestAbort as exc:
+            if len(window_indices) == 1:
+                self.quarantine(window_indices[0],
+                                f"{type(exc).__name__}: {exc}")
+            raise
         # Commit the round only after the proof exists.  The journal
         # says which windows it consumed — all of them, including any a
         # streamed round ingested before this call.
-        consumed = sorted(
-            set(window_indices)
-            | {window["w"] for window in result.journal_header["windows"]})
+        consumed = sorted(set(window_indices) | result.windows)
+        for window_index in consumed:
+            self._quarantined.pop(window_index, None)
         self.state = result.new_state
         if self.retain_history:
             self._history[result.round] = result.new_state
@@ -331,18 +388,22 @@ class ProverService:
         return self.prove_round([], [])
 
     def aggregate_all_committed(self) -> list[AggregationResult]:
-        """Aggregate every committed-but-unaggregated window, in order.
+        """Aggregate every :meth:`candidate_windows` window, one round
+        each, in commit order.
 
         Windows already ingested into an open streamed round are not
         gathered again: the first round proven here closes over them,
         and if nothing else is pending the open round is closed as is.
+        A window whose round aborts in the guest is quarantined (see
+        :meth:`prove_round`) and skipped, so one tampered window cannot
+        stop the chain; every other error propagates.
         """
         results = []
-        ingested = self._open_round_windows()
-        for window_index in self.bulletin.windows():
-            if window_index not in self._aggregated_windows \
-                    and window_index not in ingested:
+        for window_index in self.candidate_windows():
+            try:
                 results.append(self.aggregate_window(window_index))
+            except GuestAbort:
+                continue
         if self._streamer is not None \
                 and self._streamer.open_round is not None:
             results.append(self.close_stream_round())

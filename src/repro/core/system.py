@@ -78,7 +78,8 @@ class TelemetrySystem:
         self.simulator.flush()
 
     def aggregate_all(self) -> int:
-        """Aggregate every committed window; returns the round count."""
+        """Aggregate every committed window; returns the round count.
+        A window whose round aborts lands in ``prover.quarantined``."""
         return len(self.prover.aggregate_all_committed())
 
     def query(self, sql: str):

@@ -115,11 +115,13 @@ class FederationScenario:
         """Prove every pending window in every domain, publish roots.
 
         Each provider aggregates with its *own* prover over its own
-        store — cross-domain work only ever exchanges receipts.
+        store — cross-domain work only ever exchanges receipts.  A
+        provider with a quarantined window raises
+        :class:`~repro.errors.ProofError` naming it rather than publish
+        a root over partial state.
         """
         for domain in self.providers:
-            if domain.prover.pending_windows():
-                domain.prover.aggregate_all_committed()
+            domain.aggregate_all()
             chain = domain.prover.chain
             if not len(chain):
                 raise ProofError(f"provider {domain.name!r} has nothing committed to aggregate")

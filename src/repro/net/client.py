@@ -234,12 +234,11 @@ class ServiceClient:
         return self._request(MessageKind.HEALTH)
 
     def fetch_status(self) -> dict[str, Any]:
-        """Service status plus supervised-daemon health.
+        """Service status plus query-service stats.
 
-        Returns ``{"service": {...}, "daemon": {...} | None}`` —
-        ``daemon`` carries the :meth:`AggregationDaemon.health` view
-        (state machine, quarantined windows, retry queue) when the
-        server was constructed with one.
+        Returns ``{"service": {...}, "qserve": {...} | None}`` —
+        ``service`` is ``ProverService.status()``, whose
+        ``quarantined`` lists the windows no round will retry.
         """
         return self._request(MessageKind.STATUS)
 

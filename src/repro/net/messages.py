@@ -26,9 +26,9 @@ Request kinds and their bodies:
                        instead of being queued.
 ``fetch-receipt-chain``  ``{since: int?}`` → aggregation receipts from
                        round ``since`` on (all when absent)
-``status``             ``{}`` → service status + supervised-daemon
-                       health (``daemon`` is None when the server has
-                       no attached daemon)
+``status``             ``{}`` → ``{service, qserve}``: the service
+                       status (quarantined windows included) and the
+                       query service's stats (None without one)
 ``metrics``            ``{}`` → observability snapshot
                        (``{enabled, metrics}``; empty when the server
                        runs with the default no-op registry)

@@ -67,7 +67,6 @@ class ProverServer:
 
     def __init__(self, service: Any, host: str = "127.0.0.1",
                  port: int = 0, *,
-                 daemon: Any = None,
                  qserve: Any = None,
                  max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
                  request_timeout: float = 60.0,
@@ -75,7 +74,6 @@ class ProverServer:
                  max_connections: int = 64) -> None:
         self.service = service
         self.bulletin = service.bulletin
-        self.daemon = daemon  # optional AggregationDaemon for `status`
         # The multi-tenant serving layer is opt-in: pass a configured
         # QueryService (``serve --max-inflight/--tenant-rate``).
         # Without it, queries run one-per-request on the executor.
@@ -369,11 +367,9 @@ class ProverServer:
         return status
 
     def _handle_status(self) -> dict[str, Any]:
-        """Service status plus the supervised daemon's health view."""
+        """Service status plus the query service's stats."""
         return {
             "service": self.service.status(),
-            "daemon": (self.daemon.health()
-                       if self.daemon is not None else None),
             "qserve": (self.qserve.stats()
                        if self.qserve is not None else None),
         }

@@ -28,7 +28,6 @@ from typing import Any
 
 from ..core.aggregation import (
     AggregationResult,
-    Aggregator,
     RouterWindowInput,
     build_round_input,
     check_guest_root,
@@ -40,7 +39,6 @@ from ..core.aggregation import (
 )
 from ..core.clog import CLogState
 from ..core.guest_programs import delta_aggregation_guest, fold_guest
-from ..core.planner import choose_round_strategy
 from ..core.policy import DEFAULT_POLICY, AggregationPolicy
 from ..core.witness import build_witness
 from ..errors import ChainError, ProofError
@@ -108,9 +106,7 @@ class StreamingAggregator:
       round boundary;
     * **drop-in** — ``aggregate(state, windows, prev_receipt)`` with the
       monolithic :class:`~repro.core.aggregation.Aggregator` signature,
-      which batches per window index, streams them through, and (with
-      ``crossover=True``) falls back to the monolithic guest whenever
-      the planner prices it cheaper for this round's shape.
+      which batches per window index and streams them through.
 
     ``engine`` is the caller's
     :class:`~repro.engine.scheduler.ProvingEngine` (the caller closes
@@ -119,14 +115,10 @@ class StreamingAggregator:
 
     def __init__(self, policy: AggregationPolicy = DEFAULT_POLICY,
                  prover_opts: ProverOpts | None = None, *,
-                 engine: Any, crossover: bool = False) -> None:
+                 engine: Any) -> None:
         self.policy = policy
         self.engine = engine
-        self._opts = prover_opts or ProverOpts.groth16()
-        self._prover = engine.prover(self._opts)
-        self.crossover = crossover
-        self._fallback = Aggregator(policy, self._opts,
-                                    prover=self._prover)
+        self._prover = engine.prover(prover_opts or ProverOpts.groth16())
         self._reset()
 
     def _reset(self) -> None:
@@ -299,21 +291,10 @@ class StreamingAggregator:
         Windows are batched per window index and streamed; an already
         open round absorbs the windows as further deltas (none, when
         the caller only wants it closed) before closing, and the result
-        covers every window ingested since it opened.  With
-        ``crossover=True`` and no open round, the planner's cost model
-        may route the whole round through the monolithic guest instead
-        (identical journal either way).
+        covers every window ingested since it opened.
         """
         batches = batch_windows(windows) \
             if windows or self._open_round is None else []
-        if self._open_round is None and self.crossover \
-                and choose_round_strategy(
-                    state, batches, policy=self.policy,
-                    prev_receipt=prev_receipt) == "monolithic":
-            obs.registry().counter(obs_names.STREAM_ROUNDS,
-                                   ("strategy",)).inc(
-                strategy="monolithic")
-            return self._fallback.aggregate(state, windows, prev_receipt)
 
         def stream() -> AggregationResult:
             # Guarded: a faulted delta or fold must not leave windows

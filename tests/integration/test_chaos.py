@@ -133,7 +133,7 @@ class TestChaosConvergence:
         # The operator hook pulls the window back into rotation (the
         # bulletin is append-only, so the bad commitment itself cannot
         # be withdrawn — requeue is for when the *store* was at fault).
-        assert daemon.requeue(1) is True
+        assert service.requeue(1) is True
         assert 1 in daemon.pending_windows()
 
 
@@ -199,10 +199,6 @@ class TestChaosWithRecovery:
                                   auto_checkpoint=True)
         assert recovered.restore() is True
         assert recovered.aggregated_windows == {0, 1}
-        daemon = AggregationDaemon(
-            recovered, SimClock(),
-            DaemonPolicy(batch_limit=1, max_lag_ms=0, stall_after=50),
-            seed=SEED)
-        daemon.drain()
+        recovered.aggregate_all_committed()
         assert recovered.aggregated_windows == {0, 1, 2, 3}
         assert recovered.state.root == clean_run_roots()

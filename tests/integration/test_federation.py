@@ -7,7 +7,7 @@ from repro.core.federation import (
     ReconciliationReport,
     build_peering_scenario,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProofError
 
 
 @pytest.fixture(scope="module")
@@ -46,15 +46,33 @@ class TestHonestReconciliation:
 class TestDisputes:
     def test_understating_b_breaks_its_own_proofs(self):
         """B rewrites its ingress logs to claim it received less
-        (billing dispute): B's chain simply cannot be produced."""
+        (billing dispute): B's chain simply cannot be produced — the
+        window is quarantined and the auditor refuses to reconcile."""
         scenario = build_peering_scenario(num_flows=30, seed=13)
         from repro.core.tamper import modify_record_field
         record = scenario.domain_b.store.window_records("r3", 0)[0]
         modify_record_field(scenario.domain_b.store, "r3", 0, 0,
                             packets=record.packets // 2,
                             octets=record.octets // 2)
-        with pytest.raises(Exception):
-            scenario.domain_b.prover.aggregate_all_committed()
+        prover_b = scenario.domain_b.prover
+        assert prover_b.aggregate_all_committed() == []
+        assert "commitment mismatch" in prover_b.quarantined[0]
+        with pytest.raises(ProofError,
+                           match="'isp-b' has quarantined window.*"
+                                 "window 0: GuestAbort"):
+            PeeringAuditor().reconcile(scenario)
+
+    def test_tampered_provider_publishes_no_root(self):
+        from repro.core.tamper import truncate_window
+        from repro.federation import build_federation_scenario
+        scenario = build_federation_scenario(num_providers=2,
+                                             num_flows=10, seed=9)
+        truncate_window(scenario.domain("isp-b").store, "r3", 0, keep=1)
+        with pytest.raises(ProofError,
+                           match="'isp-b' has quarantined window"):
+            scenario.aggregate_and_publish()
+        with pytest.raises(ProofError, match="published no roots"):
+            scenario.board.latest("isp-b")
 
     def test_mismatched_claims_flagged(self):
         """If the two domains genuinely account differently (here: a

@@ -25,6 +25,7 @@ from repro.errors import (
     ChainError,
     ConnectionFailed,
     FrameTooLarge,
+    GuestAbort,
     IntegrityError,
     MissingCommitment,
     ProofError,
@@ -159,34 +160,50 @@ class TestHappyPath:
         assert after["status"] == "ok"
 
 
+class TestQuarantine:
+    def test_poisoned_window_does_not_stop_the_chain(self):
+        """Window 0's commitment does not match its blob; windows 1-2
+        are honest.  RUN_ROUND proves 1-2, quarantines 0 where HEALTH
+        and STATUS show it, and never proves over it again unasked."""
+        service = ProverService(MemoryLogStore(), BulletinBoard())
+        service.store.append_records("r1", 0, [make_record(sport=1)])
+        service.bulletin.publish(Commitment(
+            "r1", 0, window_digest([b"tampered"]), 1, 0))
+        for window in (1, 2):
+            _commit(service, window, [make_record(sport=100 + window)])
+        attempts: list[list[int]] = []
+        prove_round = service.prove_round
+
+        def counting_prove_round(windows, inputs):
+            attempts.append(list(windows))
+            return prove_round(windows, inputs)
+
+        service.prove_round = counting_prove_round
+        with _serve(service) as server, \
+                RouterClient(server.host, server.port) as router, \
+                QueryClient(server.host, server.port) as client:
+            rounds = router.run_round()
+            assert [r["round"] for r in rounds] == [0, 1]
+            assert attempts == [[0], [1], [2]]
+            health = router.health()
+            status = client.fetch_status()
+            assert set(status) == {"service", "qserve"}
+            for body in (health, status["service"]):
+                (entry,) = body["quarantined"]
+                assert entry["window"] == 0
+                assert "commitment mismatch" in entry["reason"]
+                assert body["pending_windows"] == []
+                assert body["aggregated_windows"] == [1, 2]
+            response, verified = client.verified_query(SQL)
+            assert verified.values == response.values
+            assert router.run_round() == []
+            assert attempts == [[0], [1], [2]]
+            with pytest.raises(GuestAbort, match="commitment mismatch"):
+                router.run_round([0])
+        assert len(service.chain) == 2
+
+
 class TestStatusEndpoint:
-    def test_status_without_daemon(self, deployment):
-        server, _router_board = deployment
-        with QueryClient(server.host, server.port) as client:
-            body = client.fetch_status()
-        assert body["daemon"] is None
-        assert body["service"]["rounds"] == 0
-        assert "query_cache_max" in body["service"]
-
-    def test_status_surfaces_daemon_health(self):
-        from repro.core.daemon import AggregationDaemon
-        from repro.netflow.clock import SimClock
-        store, bulletin, _ = make_committed_records(20)
-        service = ProverService(store, bulletin)
-        daemon = AggregationDaemon(service, SimClock())
-        server = ProverServer(service, daemon=daemon,
-                              idle_timeout=5.0)
-        server.start_background()
-        try:
-            with QueryClient(server.host, server.port) as client:
-                body = client.fetch_status()
-        finally:
-            server.stop_background()
-        health = body["daemon"]
-        assert health["state"] == "healthy"
-        assert health["quarantined"] == {}
-        assert health["stats"]["rounds"] == 0
-
     def test_client_transport_fault_site_retries(self, deployment):
         """A net.transport fault on the first attempt is absorbed by
         the client's retry policy; the request still succeeds."""

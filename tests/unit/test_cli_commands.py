@@ -208,6 +208,30 @@ class TestEveryCommandSmokeRuns:
         assert exit_code == 1
         assert "nothing to aggregate" in capsys.readouterr().out
 
+    def test_aggregate_reports_quarantined_windows(self, tmp_path,
+                                                   capsys):
+        db = tmp_path / "logs.db"
+        receipts = tmp_path / "receipts"
+        base = ["--db", str(db), "--bulletin", str(tmp_path / "b.json")]
+        invoker = CommandInvoker(REGISTRY)
+        assert invoker.main(["simulate", *base, "--records", "40",
+                             "--routers", "2"]) == 0
+        store = SqliteLogStore(str(db))
+        router = sorted(store.router_ids())[0]
+        window = min(store.window_indices(router))
+        store.close()
+        assert invoker.main(["tamper", "--db", str(db), "--router",
+                             router, "--window", str(window)]) == 0
+        capsys.readouterr()
+        exit_code = invoker.main(["aggregate", *base,
+                                  "--receipts", str(receipts)])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert "has quarantined window(s)" in err
+        assert f"window {window}: GuestAbort" in err
+        assert "commitment mismatch" in err
+        assert not receipts.exists()
+
 
 class TestLocalQueryClosesService:
     def test_service_closed_on_success_and_failure(self, tmp_path,

@@ -84,33 +84,36 @@ class TestPolicy:
 
 
 class TestDrain:
+    """The strict drain is the service's ``aggregate_all_committed``:
+    one round per window, regardless of the daemon's batching."""
+
     def test_drain_consumes_everything(self, setup):
         store, bulletin, service, clock = setup
         daemon = AggregationDaemon(
             service, clock, DaemonPolicy(batch_limit=2))
         for window in range(5):
             commit(store, bulletin, window)
-        rounds = daemon.drain()
-        assert rounds == 3  # 2 + 2 + 1
+        rounds = service.aggregate_all_committed()
+        assert [r.windows for r in rounds] == [{w} for w in range(5)]
         assert daemon.pending_windows() == []
-        assert daemon.stats.windows_consumed == 5
-        assert len(service.chain) == 3
+        assert len(service.chain) == 5
 
     def test_drain_idempotent(self, setup):
         store, bulletin, service, clock = setup
-        daemon = AggregationDaemon(service, clock)
         commit(store, bulletin, 0)
-        assert daemon.drain() == 1
-        assert daemon.drain() == 0
+        assert len(service.aggregate_all_committed()) == 1
+        assert service.aggregate_all_committed() == []
 
 
 class TestStats:
     def test_records_counted(self, setup):
         store, bulletin, service, clock = setup
-        daemon = AggregationDaemon(service, clock)
+        daemon = AggregationDaemon(service, clock,
+                                   DaemonPolicy(max_lag_ms=0))
         commit(store, bulletin, 0, n=3)
         commit(store, bulletin, 1, n=2)
-        daemon.drain()
+        while daemon.step() is not None:
+            pass
         assert daemon.stats.records_aggregated == 5
         assert len(daemon.stats.results) == daemon.stats.rounds
 
@@ -139,7 +142,7 @@ class TestThreaded:
         finally:
             stop.set()
             thread.join(timeout=30)
-        daemon.drain()
+        service.aggregate_all_committed()
         assert len(service.chain) >= 1
         from repro.core.verifier_client import VerifierClient
         VerifierClient(bulletin).verify_chain(service.chain.receipts())

@@ -167,8 +167,8 @@ class TestQuarantine:
             daemon.step()
             clock.advance_ms(2_000)
         assert 0 in daemon.quarantined
-        assert daemon.requeue(0) is True
-        assert daemon.requeue(0) is False
+        assert service.requeue(0) is True
+        assert service.requeue(0) is False
         clock.advance_ms(2_000)
         assert daemon.step() is not None  # injector exhausted its 3
 
@@ -327,6 +327,33 @@ class TestStatusPendingWindows:
             service.close()
 
 
+class TestStreamedRound:
+    def test_daemon_skips_windows_ingested_into_the_open_round(self):
+        """Regression: the daemon gathered a window already ingested
+        into the open streamed round, failed that batch and the
+        isolated retry on "already ingested", and stayed degraded with
+        the window retrying forever."""
+        store = MemoryLogStore()
+        bulletin = BulletinBoard()
+        for window in range(3):
+            commit(store, bulletin, window)
+        service = ProverService(store, bulletin, stream=True)
+        try:
+            service.ingest_window(0)
+            daemon = make_daemon(service, SimClock())
+            result = daemon.step()
+            assert result is not None
+            assert result.windows == {0, 1, 2}
+            health = daemon.health()
+            assert health["state"] == "healthy"
+            assert health["retrying"] == []
+            assert health["pending"] == 0
+            assert service.aggregated_windows == {0, 1, 2}
+            assert daemon.step() is None
+        finally:
+            service.close()
+
+
 class TestBoundedStats:
     def test_results_keep_last_k(self, setup):
         store, bulletin, service, clock = setup
@@ -334,7 +361,8 @@ class TestBoundedStats:
                              results_kept=2)
         for window in range(4):
             commit(store, bulletin, window)
-        daemon.drain()
+        while daemon.step() is not None:
+            pass
         assert daemon.stats.rounds == 4
         assert len(daemon.stats.results) == 2  # only the tail kept
         assert daemon.stats.results[-1].round == 3

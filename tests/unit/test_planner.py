@@ -1,14 +1,13 @@
-"""Unit tests for the query and round cost planners."""
+"""Unit tests for the query cost planner."""
 
 import pytest
 
-from repro.core.planner import (QueryPlanner, RoundPlanner,
-                                choose_round_strategy)
+from repro.core.planner import QueryPlanner
 from repro.core.prover_service import ProverService
 from repro.errors import QuerySyntaxError
 from repro.zkvm.costmodel import CostModel, ProverBackend
 
-from ..conftest import make_committed_records, make_record
+from ..conftest import make_committed_records
 
 QUERIES = [
     "SELECT COUNT(*) FROM clogs",
@@ -205,90 +204,3 @@ class TestEdgeCases:
         estimate = planner.estimate("SELECT COUNT(*) FROM clogs")
         assert estimate.entries == 0
         assert estimate.predicted_cycles > 0  # fixed overheads remain
-
-
-def _round_inputs(start, count, window):
-    from repro.commitments import window_digest
-    from repro.core.aggregation import RouterWindowInput
-    blobs = tuple(
-        make_record(src=f"10.{(start + i) >> 8 & 255}.{(start + i) & 255}.7",
-                    sport=1000 + (start + i) % 5000).to_bytes()
-        for i in range(count))
-    return [RouterWindowInput("r1", window, window_digest(list(blobs)),
-                              blobs)]
-
-
-class TestRoundPlanner:
-    """The round planner's executor-metered estimates against real
-    rounds — the ±10% contract `docs/PERFORMANCE.md` advertises."""
-
-    @pytest.fixture(scope="class")
-    def round_state(self):
-        from repro.core.aggregation import Aggregator
-        from repro.core.clog import CLogState
-        genesis = Aggregator().aggregate(
-            CLogState(), _round_inputs(0, 200, 0), None)
-        return genesis.new_state, genesis.receipt
-
-    def _batches(self, n, per_batch=20):
-        return [_round_inputs(200 + b * per_batch, per_batch, 1 + b)
-                for b in range(n)]
-
-    def test_monolithic_estimate_within_ten_percent(self, round_state):
-        from repro.core.aggregation import Aggregator
-        state, prev = round_state
-        windows = [w for batch in self._batches(3) for w in batch]
-        estimate = RoundPlanner().estimate_monolithic(state, windows,
-                                                      prev)
-        result = Aggregator().aggregate(state.clone(), windows, prev)
-        actual = result.info.stats
-        assert estimate.records == 60
-        assert estimate.predicted_cycles == \
-            pytest.approx(actual.total_cycles, rel=0.10)
-        assert estimate.predicted_segments == actual.segment_count
-
-    def test_streamed_estimate_within_ten_percent(self, round_state):
-        from repro.core.policy import DEFAULT_POLICY
-        from repro.engine import ProvingEngine, ReceiptCache
-        from repro.stream import StreamingAggregator
-        from repro.zkvm import ProverOpts
-        state, prev = round_state
-        batches = self._batches(3)
-        estimate = RoundPlanner().estimate_streamed(state, batches, prev)
-        with ProvingEngine(backend="serial",
-                           cache=ReceiptCache()) as engine:
-            streamer = StreamingAggregator(DEFAULT_POLICY,
-                                           ProverOpts.groth16(),
-                                           engine=engine)
-            for batch in batches:
-                streamer.ingest(state, batch, prev)
-            result = streamer.close()
-        jobs = list(result.info.delta_results) \
-            + list(result.info.fold_results)
-        assert len(estimate.delta_estimates) == \
-            len(result.info.delta_results)
-        assert len(estimate.fold_estimates) == \
-            len(result.info.fold_results)
-        assert estimate.records == 60
-        assert estimate.predicted_cycles == pytest.approx(
-            sum(job.stats.total_cycles for job in jobs), rel=0.10)
-
-    def test_close_path_is_cheaper_than_total(self, round_state):
-        state, prev = round_state
-        estimate = RoundPlanner().estimate_streamed(
-            state, self._batches(3), prev)
-        model = CostModel()
-        assert estimate.close_path_seconds(model) < \
-            estimate.total_seconds(model)
-
-    def test_crossover(self, round_state):
-        state, prev = round_state
-        # One batch never amortizes the fold overhead.
-        assert choose_round_strategy(
-            state, [_round_inputs(200, 32, 1)],
-            prev_receipt=prev) == "monolithic"
-        # Many batches: the close path (last delta + final folds) beats
-        # re-proving the whole round at the boundary.
-        many = [_round_inputs(200 + b * 32, 32, 1 + b) for b in range(8)]
-        assert choose_round_strategy(
-            state, many, prev_receipt=prev) == "streamed"

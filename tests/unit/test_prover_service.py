@@ -145,6 +145,78 @@ class TestStreamedWindowsProvenOnce:
         assert stream_service.pending_windows() == [1]
 
 
+class TestQuarantine:
+    """One tampered window is quarantined by the service and every
+    later window still proves."""
+
+    @pytest.fixture
+    def poisoned(self):
+        from repro.commitments import BulletinBoard, Commitment, \
+            window_digest
+        from repro.storage import MemoryLogStore
+        from ..conftest import make_record
+        store, bulletin = MemoryLogStore(), BulletinBoard()
+        store.append_records("r1", 0, [make_record(sport=1)])
+        bulletin.publish(Commitment(
+            "r1", 0, window_digest([b"tampered"]), 1, 0))
+        for window in (1, 2):
+            records = [make_record(sport=100 + window)]
+            store.append_records("r1", window, records)
+            bulletin.publish(Commitment(
+                "r1", window,
+                window_digest([r.to_bytes() for r in records]),
+                1, window * 5_000))
+        return ProverService(store, bulletin)
+
+    def test_aggregate_all_committed_skips_the_poisoned_window(
+            self, poisoned):
+        results = poisoned.aggregate_all_committed()
+        assert [r.windows for r in results] == [{1}, {2}]
+        assert list(poisoned.quarantined) == [0]
+        assert "commitment mismatch" in poisoned.quarantined[0]
+        assert poisoned.pending_windows() == []
+        (entry,) = poisoned.status()["quarantined"]
+        assert entry == {"window": 0,
+                         "reason": poisoned.quarantined[0]}
+        assert poisoned.aggregate_all_committed() == []
+
+    def test_explicit_round_still_aborts(self, poisoned):
+        from repro.errors import GuestAbort
+        with pytest.raises(GuestAbort):
+            poisoned.aggregate_window(0)
+        assert list(poisoned.quarantined) == [0]
+        with pytest.raises(GuestAbort):
+            poisoned.aggregate_window(0)
+        assert len(poisoned.chain) == 0
+
+    def test_batched_abort_quarantines_nothing(self, poisoned):
+        from repro.errors import GuestAbort
+        with pytest.raises(GuestAbort):
+            poisoned.aggregate_windows([0, 1])
+        assert poisoned.quarantined == {}
+
+    def test_requeue_returns_the_window_to_pending(self, poisoned):
+        poisoned.aggregate_all_committed()
+        assert poisoned.requeue(0) is True
+        assert poisoned.requeue(0) is False
+        assert poisoned.pending_windows() == [0]
+
+    def test_proven_round_clears_the_entry(self, poisoned):
+        poisoned.quarantine(1, "held by the operator")
+        assert poisoned.pending_windows() == [0, 2]
+        poisoned.aggregate_window(1)
+        assert poisoned.quarantined == {}
+
+    def test_other_errors_propagate_unquarantined(self, poisoned):
+        from repro.errors import StorageError
+        from repro.faults import FaultInjector, FaultPlan, inject_faults
+        inject_faults(poisoned, FaultInjector(FaultPlan.parse(
+            "store.window_blobs:storage:count=1")))
+        with pytest.raises(StorageError):
+            poisoned.aggregate_all_committed()
+        assert poisoned.quarantined == {}
+
+
 class TestQueries:
     def test_query_before_aggregation_fails(self, service):
         from repro.errors import ChainError
