@@ -204,6 +204,46 @@ class TestQuarantine:
 
 
 class TestStatusEndpoint:
+    def test_status_without_daemon(self, deployment):
+        server, _router_board = deployment
+        with QueryClient(server.host, server.port) as client:
+            body = client.fetch_status()
+        assert set(body) == {"service", "qserve"}
+        assert body["service"]["rounds"] == 0
+        assert body["service"]["quarantined"] == []
+        assert "query_cache_max" in body["service"]
+
+    def test_status_surfaces_daemon_health(self):
+        """A daemon driving the service quarantines a poisoned window
+        in the service's own map, so STATUS shows what the daemon's
+        health reports without the server knowing of the daemon."""
+        from repro.core.daemon import AggregationDaemon, DaemonPolicy
+        from repro.netflow.clock import SimClock
+        service = ProverService(MemoryLogStore(), BulletinBoard())
+        service.store.append_records("r1", 0, [make_record(sport=1)])
+        service.bulletin.publish(Commitment(
+            "r1", 0, window_digest([b"tampered"]), 1, 0))
+        for window in (1, 2):
+            _commit(service, window, [make_record(sport=100 + window)])
+        daemon = AggregationDaemon(service, SimClock(),
+                                   DaemonPolicy(max_lag_ms=0))
+        for _ in range(10):
+            if not daemon.pending_windows():
+                break
+            daemon.step()
+        with _serve(service) as server, \
+                QueryClient(server.host, server.port) as client:
+            body = client.fetch_status()
+        health = daemon.health()
+        assert health["state"] == "degraded"
+        assert health["stats"]["rounds"] == 2
+        (entry,) = body["service"]["quarantined"]
+        assert entry["window"] == 0
+        assert health["quarantined"] == {0: entry["reason"]}
+        assert "commitment mismatch" in entry["reason"]
+        assert body["service"]["aggregated_windows"] == [1, 2]
+        assert body["service"]["pending_windows"] == []
+
     def test_client_transport_fault_site_retries(self, deployment):
         """A net.transport fault on the first attempt is absorbed by
         the client's retry policy; the request still succeeds."""
