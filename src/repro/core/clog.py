@@ -17,7 +17,7 @@ from ..hashing import Digest
 from ..merkle import MerkleMap
 from ..merkle.hasher import MerkleHasher
 from ..netflow.records import FlowKey, NetFlowRecord
-from ..serialization import decode, encode
+from ..serialization import DictLayout, decode
 from .policy import AggregationPolicy, POLICY_FIELDS
 
 
@@ -143,8 +143,13 @@ class CLogEntry:
                 f"malformed CLogEntry wire: {exc}") from exc
 
     def to_payload(self) -> bytes:
-        """Canonical leaf payload bytes."""
-        return encode(self.to_wire())
+        """Canonical leaf payload bytes: ``encode(self.to_wire())``,
+        written straight from the fields."""
+        return _PAYLOAD.encode((
+            self.first_ms, self.hop_count, self.jitter_sum_us,
+            self.key.pack(), self.last_ms, self.lost_packets, self.octets,
+            self.packets, self.record_count, self.routers, self.rtt_sum_us,
+        ))
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "CLogEntry":
@@ -160,6 +165,14 @@ class CLogEntry:
         :mod:`repro.query.fields`)."""
         return entry_view_from_wire(self.to_wire())
 
+
+# The payload's wire keys in codec order; ``to_payload`` passes the
+# fields in the same order.
+_PAYLOAD = DictLayout((
+    "first_ms", "hop_count", "jitter_sum_us", "key", "last_ms",
+    "lost_packets", "octets", "packets", "record_count", "routers",
+    "rtt_sum_us",
+))
 
 # CLog field -> NetFlowRecord attribute for policy-governed counters.
 _RECORD_FIELD = {

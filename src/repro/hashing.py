@@ -104,6 +104,20 @@ class Digest:
 
 _ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
 
+_new_object = object.__new__
+_set_raw = Digest._raw.__set__  # the slot, past the immutability guard
+
+
+def _digest_of(raw: bytes) -> Digest:
+    """A :class:`Digest` over ``raw`` without ``__init__``'s checks.
+
+    Only for ``bytes`` already known to be ``DIGEST_SIZE`` long:
+    ``hashlib`` output and the serialization decoder's 32-byte slice.
+    """
+    digest = _new_object(Digest)
+    _set_raw(digest, raw)
+    return digest
+
 
 @lru_cache(maxsize=None)
 def _tag_template(tag: str) -> "hashlib._Hash":
@@ -125,12 +139,12 @@ def tagged_hash(tag: str, *parts: bytes) -> Digest:
     h = _tag_hasher(tag)
     for part in parts:
         h.update(part)
-    return Digest(h.digest())
+    return _digest_of(h.digest())
 
 
 def sha256(data: bytes) -> Digest:
     """Plain (untagged) SHA-256; only for interop points, prefer tags."""
-    return Digest(hashlib.sha256(data).digest())
+    return _digest_of(hashlib.sha256(data).digest())
 
 
 def hash_many(tag: str, items: Iterable[bytes]) -> Digest:
@@ -144,7 +158,7 @@ def hash_many(tag: str, items: Iterable[bytes]) -> Digest:
     for item in items:
         h.update(len(item).to_bytes(8, "big"))
         h.update(item)
-    return Digest(h.digest())
+    return _digest_of(h.digest())
 
 
 def seal_blob(payload: bytes) -> bytes:
@@ -197,7 +211,7 @@ class IncrementalHasher:
 
     def digest(self) -> Digest:
         # Copy so that the hasher can keep accepting updates afterwards.
-        return Digest(self._hasher.copy().digest())
+        return _digest_of(self._hasher.copy().digest())
 
 
 def sha256_block_count(num_bytes: int) -> int:

@@ -21,6 +21,10 @@ from ..errors import ConfigurationError
 from ..hashing import TAG_RLOG, Digest, tagged_hash
 from ..serialization import encode
 
+# (saddr, daddr, sport, dport, proto), network order: the packed key.
+_KEY_LAYOUT = struct.Struct(">IIHHB")
+_OCTETS = tuple(str(octet) for octet in range(256))
+
 
 def _addr_to_int(addr: str) -> int:
     try:
@@ -30,12 +34,18 @@ def _addr_to_int(addr: str) -> int:
 
 
 def _int_to_addr(value: int) -> str:
-    return str(ipaddress.IPv4Address(value))
+    return ".".join((_OCTETS[value >> 24], _OCTETS[(value >> 16) & 0xFF],
+                     _OCTETS[(value >> 8) & 0xFF], _OCTETS[value & 0xFF]))
 
 
 @dataclass(frozen=True, order=True)
 class FlowKey:
-    """The 5-tuple identifying a flow (Algorithm 1's ``FlowID``)."""
+    """The 5-tuple identifying a flow (Algorithm 1's ``FlowID``).
+
+    The 13-byte packing is computed once, when the key is built, and
+    kept beside the fields (outside equality, hashing and ordering):
+    every Merkle lookup and payload encode of a flow reads it.
+    """
 
     src_addr: str
     dst_addr: str
@@ -44,8 +54,8 @@ class FlowKey:
     protocol: int
 
     def __post_init__(self) -> None:
-        _addr_to_int(self.src_addr)  # validate
-        _addr_to_int(self.dst_addr)
+        src = _addr_to_int(self.src_addr)
+        dst = _addr_to_int(self.dst_addr)
         for name in ("src_port", "dst_port"):
             port = getattr(self, name)
             if not 0 <= port <= 0xFFFF:
@@ -53,30 +63,31 @@ class FlowKey:
         if not 0 <= self.protocol <= 0xFF:
             raise ConfigurationError(
                 f"protocol={self.protocol} out of range")
+        object.__setattr__(self, "_packed", _KEY_LAYOUT.pack(
+            src, dst, self.src_port, self.dst_port, self.protocol))
 
     def pack(self) -> bytes:
         """13-byte canonical packing (saddr, daddr, sport, dport, proto)."""
-        return struct.pack(
-            ">IIHHB",
-            _addr_to_int(self.src_addr),
-            _addr_to_int(self.dst_addr),
-            self.src_port,
-            self.dst_port,
-            self.protocol,
-        )
+        return self._packed
 
     @classmethod
     def unpack(cls, data: bytes) -> "FlowKey":
+        """The key packed in ``data``.  Every 13-byte string is a valid
+        key, so the fields are set straight from it, with no parse."""
         if len(data) != 13:
             raise ConfigurationError(
                 f"packed flow key must be 13 bytes, got {len(data)}")
-        saddr, daddr, sport, dport, proto = struct.unpack(">IIHHB", data)
-        return cls(src_addr=_int_to_addr(saddr), dst_addr=_int_to_addr(daddr),
-                   src_port=sport, dst_port=dport, protocol=proto)
+        saddr, daddr, sport, dport, proto = _KEY_LAYOUT.unpack(data)
+        key = object.__new__(cls)
+        key.__dict__.update(src_addr=_int_to_addr(saddr),
+                            dst_addr=_int_to_addr(daddr), src_port=sport,
+                            dst_port=dport, protocol=proto,
+                            _packed=bytes(data))
+        return key
 
     def to_bytes_key(self) -> bytes:
         """Merkle-map key bytes (see :class:`repro.merkle.MerkleMap`)."""
-        return self.pack()
+        return self._packed
 
     def reversed(self) -> "FlowKey":
         """The reverse direction of this flow."""

@@ -1,8 +1,9 @@
 """Byte-identity property suite for the hot paths.
 
-Midstate tag templates, the index-based serialization decoder, buffered
-guest I/O with batched SHA accounting, the memoized Merkle digest cache
-and numpy predicate masks are the only implementations ``src/`` has.
+Midstate tag templates, the index-based serialization decoder and
+exact-type encoder, the flow key's cached packing, buffered guest I/O
+with batched SHA accounting, the memoized Merkle digest cache and numpy
+predicate masks are the only implementations ``src/`` has.
 Each must be *observationally identical* to the straightforward version
 it replaced, which lives on as an oracle in ``tests/reference/`` (or is
 simply the loop over the public per-value call).  These tests
@@ -11,21 +12,27 @@ equality of journal bytes, cycle totals and breakdowns, sha-compression
 counts, digests, and query results.
 """
 
+import copy
+import dataclasses
+import ipaddress
+import pickle
+from enum import IntEnum
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
+from repro.core.clog import CLogEntry
 from repro.core.prover_service import ProverService
-from repro.errors import QueryError, SerializationError
-from repro.hashing import TAG_CLOG, hash_many, tagged_hash
+from repro.errors import ConfigurationError, QueryError, SerializationError
+from repro.hashing import TAG_CLOG, Digest, hash_many, tagged_hash
 from repro.merkle import MerkleTree, TaggedMerkleHasher, clear_memos
-from repro.netflow import NetworkTopology, TrafficGenerator
+from repro.netflow import NetworkTopology, TrafficGenerator, records
 from repro.netflow.generator import TrafficConfig
-from repro.netflow.records import NetFlowRecord
+from repro.netflow.records import FlowKey, NetFlowRecord
 from repro.query import evaluate, evaluate_partial, parse_query, vectorized
 from repro.serialization import decode, encode
 from repro.storage import MemoryLogStore
@@ -36,6 +43,7 @@ from .. import reference
 from ..reference import guest as reference_guest
 from ..reference import hashing as reference_hashing
 from ..reference import query as reference_query
+from ..reference import records as reference_records
 from ..reference import serialization as reference_serialization
 
 
@@ -59,12 +67,94 @@ values_strategy = st.recursive(
 )
 
 
+class Level(IntEnum):
+    LOW = 3
+    HIGH = 2**70
+
+
+class Name(str):
+    pass
+
+
+# What the exact-type dispatch hands to the general chain (bool,
+# subclasses, the other byte buffers, tuples), the small-int table's
+# edges, and the widest ints the decoder reads back.
+encode_strategy = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([-65, -64, 63, 64, 127, 128,
+                       -(2**1028), 2**1028 - 1])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=20) | st.text(max_size=20).map(Name)
+    | st.binary(max_size=40) | st.binary(max_size=40).map(bytearray)
+    | st.binary(max_size=40).map(memoryview)
+    | st.sampled_from(Level)
+    | st.binary(min_size=32, max_size=32).map(Digest),
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
+    | st.dictionaries(st.text(max_size=8) | st.text(max_size=8).map(Name),
+                      children, max_size=6),
+    max_leaves=25,
+)
+
+# Values neither encoder accepts, and dicts with a key that is not a str.
+UNENCODABLE = {
+    "object": object(),
+    "set": {1, 2},
+    "complex": 1j,
+    "object-in-list": [1, object()],
+    "object-value": {"a": object()},
+    "int-key": {1: "x"},
+    "none-key": {None: 1},
+    "bytes-key": {b"k": 1},
+    "mixed-keys": {"a": 1, 2: 3},
+    "nested-int-key": {"a": {2: 1}},
+    "float-key-in-list": [{"ok": 1}, {3.5: 2}],
+    "int-key-beside-object": {"b": object(), 1: 2},
+}
+
+
 class TestSerializationIdentity:
     @given(values_strategy)
     @settings(max_examples=200, deadline=None)
     def test_decode_identical_on_and_off(self, value):
         data = encode(value)
         assert decode(data) == reference_serialization.decode(data)
+
+    @given(encode_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_encode_identical_to_reference(self, value):
+        data = encode(value)
+        assert data == reference_serialization.encode(value)
+        assert decode(data) == reference_serialization.decode(data)
+
+    @pytest.mark.parametrize("value", UNENCODABLE.values(),
+                             ids=UNENCODABLE.keys())
+    def test_encode_errors_identical(self, value):
+        texts = []
+        for encoder in (encode, reference_serialization.encode):
+            with pytest.raises(SerializationError) as caught:
+                encoder(value)
+            texts.append(str(caught.value))
+        assert texts[0] == texts[1]
+
+    @given(st.builds(
+        CLogEntry,
+        key=st.binary(min_size=13, max_size=13).map(FlowKey.unpack),
+        packets=st.integers(0, 2**64), octets=st.integers(0, 2**64),
+        lost_packets=st.integers(0, 2**20), hop_count=st.integers(-70, 70),
+        first_ms=st.integers(-(2**40), 2**40),
+        last_ms=st.integers(-(2**40), 2**40),
+        rtt_sum_us=st.integers(0, 2**40),
+        jitter_sum_us=st.integers(0, 2**40),
+        record_count=st.integers(0, 300),
+        routers=st.lists(st.text(max_size=12), max_size=5).map(tuple)))
+    @settings(max_examples=200, deadline=None)
+    def test_clog_payload_writer_is_the_generic_codec(self, entry):
+        payload = entry.to_payload()
+        assert payload == encode(entry.to_wire()) \
+            == reference_serialization.encode(entry.to_wire())
+        assert CLogEntry.from_payload(payload) == entry
 
     @given(st.binary(max_size=60))
     @settings(max_examples=200, deadline=None)
@@ -76,6 +166,66 @@ class TestSerializationIdentity:
             except SerializationError as exc:
                 outcomes.append(("err", str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+# -- primitive identity: the flow key's cached packing -----------------------
+
+u32 = st.integers(0, 2**32 - 1)
+addresses = u32.map(lambda value: str(ipaddress.IPv4Address(value)))
+flow_keys = st.builds(FlowKey, addresses, addresses, st.integers(0, 0xFFFF),
+                      st.integers(0, 0xFFFF), st.integers(0, 0xFF))
+
+BAD_QUADS = ("", "1.2.3", "1.2.3.4.5", "01.2.3.4", "1.2.3.04", "256.1.1.1",
+             " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "0x1.2.3.4", "1.2.3.4/32",
+             "1..2.3", "1.2.3.4\x00", "١.2.3.4", "127.1", "4294967295",
+             "1.2.3.-4", "+1.2.3.4", "1.2.3.4.")
+
+
+def fields_packed(key: FlowKey) -> bool:
+    return key.pack() == key.to_bytes_key() == reference_records.pack(key)
+
+
+class TestFlowKeyIdentity:
+    @given(u32)
+    @example(0)
+    @example(2**32 - 1)
+    @settings(max_examples=200, deadline=None)
+    def test_int_to_addr_matches_ipaddress(self, value):
+        assert records._int_to_addr(value) \
+            == str(ipaddress.IPv4Address(value))
+
+    @given(flow_keys)
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_of_pack_is_the_key(self, key):
+        assert fields_packed(key)
+        unpacked = FlowKey.unpack(key.pack())
+        assert unpacked == key and hash(unpacked) == hash(key)
+        assert not unpacked < key and not key < unpacked
+        assert fields_packed(unpacked)
+
+    @given(flow_keys, flow_keys)
+    @settings(max_examples=100, deadline=None)
+    def test_derived_keys_pack_their_own_fields(self, key, other):
+        derived = [
+            dataclasses.replace(key, src_addr=other.src_addr,
+                                dst_port=other.dst_port),
+            key.reversed(),
+            copy.copy(key),
+            copy.deepcopy(key),
+            pickle.loads(pickle.dumps(key)),
+            pickle.loads(pickle.dumps(FlowKey.unpack(key.pack()))),
+        ]
+        for new in derived:
+            assert fields_packed(new)
+        assert derived[1].reversed() == key
+        assert derived[2] == derived[3] == derived[4] == derived[5] == key
+
+    @pytest.mark.parametrize("text", BAD_QUADS)
+    def test_bad_quads_raise_configuration_error(self, text):
+        with pytest.raises(ConfigurationError, match="invalid IPv4"):
+            FlowKey(text, "1.1.1.1", 1, 2, 6)
+        with pytest.raises(ConfigurationError, match="invalid IPv4"):
+            FlowKey("1.1.1.1", text, 1, 2, 6)
 
 
 # -- primitive identity: hashing and Merkle memo -----------------------------

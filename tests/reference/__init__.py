@@ -6,7 +6,9 @@ suite (``tests/property/test_hotpath_props.py``) can keep asserting that
 values, error texts, journal bytes and metered cycles are the same.
 Nothing under ``src/`` imports this package.
 
-* :mod:`.serialization` — the slicing ``_Reader`` decoder;
+* :mod:`.serialization` — the slicing ``_Reader`` decoder, and the
+  ``isinstance``-chain encoder that also wrote CLog payloads;
+* :mod:`.records` — ``FlowKey`` packing through ``ipaddress``;
 * :mod:`.hashing` — tagged hashing with a fresh prefix per call, and
   a Merkle hash strategy with no memo behind it;
 * :mod:`.guest` — ``read_batch`` / ``commit_many`` / metered Merkle
@@ -23,6 +25,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterator
 from unittest import mock
 
+import repro.core.clog
 import repro.hashing
 import repro.merkle.memo
 import repro.query.vectorized
@@ -45,6 +48,9 @@ def reference_paths() -> Iterator[None]:
     plain = hashing.PlainMerkleHasher()
     swaps = [
         (repro.serialization, "_decode_fast", serialization.decode_at),
+        (repro.serialization, "_encode", serialization.encode_into),
+        (repro.core.clog.CLogEntry, "to_payload",
+         serialization.clog_payload),
         (repro.hashing, "_tag_hasher", hashing.tag_hasher),
         (repro.merkle.memo, "leaf_digest", plain.leaf),
         (repro.merkle.memo, "node_digest", plain.node),

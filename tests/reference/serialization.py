@@ -1,6 +1,13 @@
-"""The slicing decoder ``repro.serialization`` shipped before its
-index-based one: a reader object that allocates a slice per tag and per
-varint byte.  Same values, same ``SerializationError`` texts."""
+"""The codec ``repro.serialization`` shipped before its fast paths.
+
+* the slicing decoder it had before the index-based one: a reader
+  object that allocates a slice per tag and per varint byte;
+* the encoder it had before exact-type dispatch, in-line one-byte
+  varints and cached dict-key prefixes: one ``isinstance`` chain,
+  every value and key encoded through it.
+
+Same values, same bytes, same ``SerializationError`` texts.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +27,8 @@ from repro.serialization import (
     _TAG_NONE,
     _TAG_STR,
     _TAG_TRUE,
+    _write_varint,
+    _zigzag_big,
 )
 
 
@@ -123,3 +132,63 @@ def decode_at(data: bytes, pos: int, end: int) -> tuple[Any, int]:
     assert end == len(data)
     reader = _Reader(data, pos)
     return _decode(reader), reader.pos
+
+
+def encode_into(out: bytearray, value: Any) -> None:
+    """``repro.serialization._encode``'s signature on the plain chain."""
+    if value is None:
+        out.append(_TAG_NONE)
+    elif value is False:
+        out.append(_TAG_FALSE)
+    elif value is True:
+        out.append(_TAG_TRUE)
+    elif isinstance(value, int):
+        out.append(_TAG_INT)
+        _write_varint(out, _zigzag_big(value))
+    elif isinstance(value, Digest):
+        out.append(_TAG_DIGEST)
+        out.extend(value.raw)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        data = bytes(value)
+        out.append(_TAG_BYTES)
+        _write_varint(out, len(data))
+        out.extend(data)
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out.append(_TAG_STR)
+        _write_varint(out, len(data))
+        out.extend(data)
+    elif isinstance(value, float):
+        out.append(_TAG_FLOAT)
+        out.extend(struct.pack(">d", value))
+    elif isinstance(value, (list, tuple)):
+        out.append(_TAG_LIST)
+        _write_varint(out, len(value))
+        for item in value:
+            encode_into(out, item)
+    elif isinstance(value, dict):
+        keys = list(value.keys())
+        if not all(isinstance(k, str) for k in keys):
+            raise SerializationError("dict keys must be str for canonical "
+                                     "encoding")
+        out.append(_TAG_DICT)
+        _write_varint(out, len(keys))
+        for key in sorted(keys):
+            encode_into(out, key)
+            encode_into(out, value[key])
+    else:
+        raise SerializationError(
+            f"cannot canonically encode {type(value).__name__}"
+        )
+
+
+def encode(value: Any) -> bytes:
+    """Canonically encode ``value`` to bytes."""
+    out = bytearray()
+    encode_into(out, value)
+    return bytes(out)
+
+
+def clog_payload(entry: Any) -> bytes:
+    """``CLogEntry.to_payload`` as the generic codec over its wire dict."""
+    return encode(entry.to_wire())

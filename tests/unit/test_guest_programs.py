@@ -31,6 +31,7 @@ from repro.stream import StreamingAggregator
 from repro.zkvm import ExecutorEnvBuilder, Prover, verify_receipt
 
 from ..conftest import make_record
+from ..counting import count_host_work
 
 
 def window_inputs(records_by_router: dict[str, list]):
@@ -340,6 +341,40 @@ class TestPinnedRoundContract:
         for index, info in enumerate(result.partition_infos):
             assert pin_of(info.receipt.journal, info.stats) \
                 == PINNED[f"partition{index}"]
+
+
+class TestPinnedHostWork:
+    """What one pinned round asks of the host, counted rather than
+    timed: ``TestPinnedRoundContract``'s update round (24 records over
+    the genesis state), every seam of :mod:`tests.counting`.
+
+    At the commit before ``FlowKey`` cached its packing and the codec
+    took exact-type fast paths, the same round counted: ``encode`` 107,
+    ``decode`` 101, ``decode_stream`` 2, ``_encode`` 1,828,
+    ``_decode_fast`` 2,363, ``CLogEntry.to_payload`` 48,
+    ``FlowKey.unpack`` 67 and ``IPv4Address`` 374.  A change that
+    moves one of these numbers says so here.
+    """
+
+    PINNED = {
+        "encode": 59,
+        "decode": 101,
+        "decode_stream": 2,
+        "_encode": 467,
+        "_decode_fast": 470,
+        "CLogEntry.to_payload": 48,
+        "FlowKey.unpack": 67,
+        "IPv4Address": 0,
+    }
+
+    def test_aggregation_round(self, genesis):
+        windows = pinned_windows(TestPinnedRoundContract.WINDOWS)
+        with count_host_work() as counts:
+            result = Aggregator().aggregate(genesis.new_state, windows,
+                                            genesis.receipt)
+        assert pin_of(result.receipt.journal, result.info.stats) \
+            == PINNED["aggregation"]
+        assert dict(counts) == self.PINNED
 
 
 # Guest *inputs* are a contract too: ``input_digest`` is sealed into the

@@ -1,10 +1,15 @@
 """Unit tests for the canonical serialization format."""
 
+from unittest import mock
+
 import pytest
 
+from repro import serialization
 from repro.errors import SerializationError
 from repro.hashing import Digest, sha256
-from repro.serialization import decode, decode_stream, encode
+from repro.serialization import DictLayout, decode, decode_stream, encode
+
+from ..reference import serialization as reference_serialization
 
 
 class TestRoundTrip:
@@ -109,3 +114,93 @@ class TestStream:
 
     def test_empty_stream(self):
         assert list(decode_stream(b"")) == []
+
+
+class TestInputType:
+    """``bytes(n)`` of an int is n zero bytes: ints must not slip
+    through ``decode`` as buffers."""
+
+    @pytest.mark.parametrize("value", [1, True])
+    def test_decode_refuses_int(self, value):
+        with pytest.raises(SerializationError, match="expected bytes"):
+            decode(value)
+
+    def test_decode_stream_refuses_int(self):
+        with pytest.raises(SerializationError, match="expected bytes"):
+            decode_stream(3)
+
+    def test_decode_refuses_str(self):
+        with pytest.raises(SerializationError, match="expected bytes"):
+            decode("abc")
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_buffers_still_decode(self, wrap):
+        data = encode({"a": [1, b"x"]})
+        assert decode(wrap(data)) == {"a": [1, b"x"]}
+        assert list(decode_stream(wrap(data + data))) \
+            == [{"a": [1, b"x"]}] * 2
+
+
+class TestIntBound:
+    """``encode`` writes exactly the ints ``decode`` reads back: a
+    varint is at most 147 bytes, so ints lie in [-2**1028, 2**1028)."""
+
+    @pytest.mark.parametrize("value", [2**1028 - 1, -(2**1028)],
+                             ids=["2**1028-1", "-2**1028"])
+    def test_widest_ints_roundtrip(self, value):
+        data = encode(value)
+        assert len(data) == 1 + 147
+        assert decode(data) == value
+
+    @pytest.mark.parametrize("value", [2**1028, -(2**1028) - 1, 2**5000],
+                             ids=["2**1028", "-2**1028-1", "2**5000"])
+    def test_wider_ints_refused(self, value):
+        with pytest.raises(SerializationError, match="too large"):
+            encode(value)
+        with pytest.raises(SerializationError, match="too large"):
+            encode({"n": value})
+
+    def test_decoder_refuses_a_148_byte_varint(self):
+        with pytest.raises(SerializationError, match="varint too long"):
+            decode(b"\x03" + b"\xff" * 147 + b"\x01")
+
+
+class TestDictLayout:
+    def test_encodes_like_the_dict(self):
+        layout = DictLayout(("a", "b", "long key " * 20))
+        values = (-65, [1, sha256(b"x")], "v")
+        assert layout.encode(values) \
+            == encode(dict(zip(layout.keys, values)))
+
+    @pytest.mark.parametrize("keys", [("b", "a"), ("a", "a")])
+    def test_keys_must_be_sorted_and_distinct(self, keys):
+        with pytest.raises(SerializationError, match="sorted"):
+            DictLayout(keys)
+
+    def test_value_count_must_match(self):
+        with pytest.raises(ValueError):
+            DictLayout(("a", "b")).encode((1,))
+
+
+class TestKeyPrefixTable:
+    def test_table_is_bounded_and_starts_over_when_full(self):
+        table = serialization._KEY_PREFIXES
+        limit = serialization._KEY_PREFIX_LIMIT
+        with mock.patch.dict(table, clear=True):
+            for i in range(limit + 10):
+                assert encode({f"k{i}": i}) \
+                    == reference_serialization.encode({f"k{i}": i})
+            assert len(table) == 10
+            encode({"k0": 0})
+            assert "k0" in table
+
+    def test_long_and_subclass_keys_are_not_kept(self):
+        class Name(str):
+            pass
+
+        table = serialization._KEY_PREFIXES
+        long_key = "x" * (serialization._KEY_PREFIX_MAX_LEN + 1)
+        with mock.patch.dict(table, clear=True):
+            value = {long_key: 1, Name("n"): 2}
+            assert encode(value) == reference_serialization.encode(value)
+            assert table == {}

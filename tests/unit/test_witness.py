@@ -1,13 +1,11 @@
 """Unit tests for aggregation witness construction."""
 
-from repro.core import clog as clog_module
 from repro.core.clog import CLogEntry, CLogState
 from repro.core.policy import DEFAULT_POLICY
 from repro.core.witness import OP_GROW, OP_INSERT, OP_UPDATE, build_witness
 from repro.merkle import MerkleTree
 from repro.merkle.hasher import default_hasher
 from repro.merkle.tree import EMPTY_ROOTS
-from repro.serialization import encode
 
 from ..conftest import make_record
 
@@ -154,9 +152,10 @@ class TestHostCostIsPerRecord:
         records = [make_record(sport=i, router_id="r2") for i in range(4)] \
             + [make_record(src="10.9.9.9", sport=i) for i in range(4)]
         encoded = []
+        write = CLogEntry.to_payload
         monkeypatch.setattr(
-            clog_module, "encode",
-            lambda wire: encoded.append(wire["key"]) or encode(wire))
+            CLogEntry, "to_payload",
+            lambda entry: encoded.append(entry.key.pack()) or write(entry))
         hasher.leaves = hasher.nodes = 0
         witness = build_witness(state, records, DEFAULT_POLICY)
         kinds = [op["op"] for op in witness.ops]
@@ -195,7 +194,7 @@ class TestHostCostIsPerRecord:
         state = CLogState(hasher=hasher)
         for record in fresh_records(100):
             state.set_entry(CLogEntry.fresh(record))
-        monkeypatch.setattr(clog_module, "encode", None)
+        monkeypatch.setattr(CLogEntry, "to_payload", None)
         hasher.leaves = hasher.nodes = 0
         clone = state.clone()
         assert (hasher.leaves, hasher.nodes) == (0, 0)
