@@ -88,9 +88,8 @@ class QueryService:
             from ..core.query_proof import QueryProver
             self._fanout_prover = QueryProver(engine.opts, engine=engine)
         # The shared tiers: persistence + counters are the query
-        # service's contract, so turn both on for the service's cache.
+        # service's contract; attaching the store turns both on.
         service.query_cache.attach_store(service.store)
-        service.query_cache.enable_observation()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 from ..errors import StorageError
 from ..netflow.records import NetFlowRecord
@@ -34,116 +36,99 @@ class SqliteLogStore(LogStore):
         self._conn.commit()
         self._closed = False
 
+    @contextmanager
+    def _guarded(self, action: str) -> Iterator[sqlite3.Connection]:
+        """The open connection, under the lock; any ``sqlite3.Error``
+        rolls back and surfaces as a typed :class:`StorageError`."""
+        with self._lock:
+            self._check_open()
+            try:
+                yield self._conn
+            except sqlite3.Error as exc:
+                self._conn.rollback()
+                raise StorageError(f"{action} failed: {exc}") from exc
+
     def append_records(self, router_id: str, window_index: int,
                        records: list[NetFlowRecord]) -> None:
         blobs = [record.to_bytes() for record in records]
-        with self._lock:
-            self._check_open()
-            try:
-                (next_seq,) = self._conn.execute(
-                    schema.SELECT_MAX_SEQ,
-                    (router_id, window_index)).fetchone()
-                next_seq += 1
-                self._conn.executemany(
-                    schema.INSERT_ROW,
-                    [(router_id, window_index, next_seq + i, blob)
-                     for i, blob in enumerate(blobs)])
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                self._conn.rollback()
-                raise StorageError(f"append failed: {exc}") from exc
+        with self._guarded("append") as conn:
+            (next_seq,) = conn.execute(
+                schema.SELECT_MAX_SEQ,
+                (router_id, window_index)).fetchone()
+            next_seq += 1
+            conn.executemany(
+                schema.INSERT_ROW,
+                [(router_id, window_index, next_seq + i, blob)
+                 for i, blob in enumerate(blobs)])
+            conn.commit()
 
     def overwrite_raw(self, router_id: str, window_index: int, seq: int,
                       data: bytes) -> None:
-        with self._lock:
-            self._check_open()
-            cursor = self._conn.execute(
+        with self._guarded("overwrite") as conn:
+            cursor = conn.execute(
                 schema.UPDATE_ROW, (bytes(data), router_id, window_index,
                                     seq))
-            self._conn.commit()
-            if cursor.rowcount != 1:
-                raise StorageError(
-                    f"no row ({router_id!r}, {window_index}, {seq})")
+            conn.commit()
+        if cursor.rowcount != 1:
+            raise StorageError(
+                f"no row ({router_id!r}, {window_index}, {seq})")
 
     def replace_window(self, router_id: str, window_index: int,
                        blobs: list[bytes]) -> None:
-        with self._lock:
-            self._check_open()
-            try:
-                self._conn.execute(schema.DELETE_WINDOW,
-                                   (router_id, window_index))
-                self._conn.executemany(
-                    schema.INSERT_ROW,
-                    [(router_id, window_index, seq, bytes(blob))
-                     for seq, blob in enumerate(blobs)])
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                self._conn.rollback()
-                raise StorageError(f"replace failed: {exc}") from exc
+        with self._guarded("replace") as conn:
+            conn.execute(schema.DELETE_WINDOW, (router_id, window_index))
+            conn.executemany(
+                schema.INSERT_ROW,
+                [(router_id, window_index, seq, bytes(blob))
+                 for seq, blob in enumerate(blobs)])
+            conn.commit()
 
     def purge_window(self, router_id: str, window_index: int) -> int:
-        with self._lock:
-            self._check_open()
-            cursor = self._conn.execute(
+        with self._guarded("purge") as conn:
+            cursor = conn.execute(
                 schema.DELETE_WINDOW, (router_id, window_index))
-            self._conn.commit()
-            return cursor.rowcount
+            conn.commit()
+        return cursor.rowcount
 
     def window_blobs(self, router_id: str,
                      window_index: int) -> list[bytes]:
-        with self._lock:
-            self._check_open()
-            rows = self._conn.execute(
+        with self._guarded("window read") as conn:
+            rows = conn.execute(
                 schema.SELECT_WINDOW_BLOBS,
                 (router_id, window_index)).fetchall()
         return [bytes(row[0]) for row in rows]
 
     def window_indices(self, router_id: str) -> list[int]:
-        with self._lock:
-            self._check_open()
-            rows = self._conn.execute(
+        with self._guarded("window list") as conn:
+            rows = conn.execute(
                 schema.SELECT_WINDOW_INDICES, (router_id,)).fetchall()
         return [row[0] for row in rows]
 
     def router_ids(self) -> list[str]:
-        with self._lock:
-            self._check_open()
-            rows = self._conn.execute(schema.SELECT_ROUTER_IDS).fetchall()
+        with self._guarded("router list") as conn:
+            rows = conn.execute(schema.SELECT_ROUTER_IDS).fetchall()
         return [row[0] for row in rows]
 
     def put_checkpoint(self, name: str, data: bytes) -> None:
-        with self._lock:
-            self._check_open()
-            try:
-                self._conn.execute(schema.UPSERT_CHECKPOINT,
-                                   (name, bytes(data)))
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                self._conn.rollback()
-                raise StorageError(
-                    f"checkpoint write failed: {exc}") from exc
+        with self._guarded("checkpoint write") as conn:
+            conn.execute(schema.UPSERT_CHECKPOINT, (name, bytes(data)))
+            conn.commit()
 
     def get_checkpoint(self, name: str) -> bytes | None:
-        with self._lock:
-            self._check_open()
-            row = self._conn.execute(
-                schema.SELECT_CHECKPOINT, (name,)).fetchone()
+        with self._guarded("checkpoint read") as conn:
+            row = conn.execute(schema.SELECT_CHECKPOINT, (name,)).fetchone()
         return bytes(row[0]) if row is not None else None
 
     def checkpoint_names(self) -> list[str]:
-        with self._lock:
-            self._check_open()
-            rows = self._conn.execute(
-                schema.SELECT_CHECKPOINT_NAMES).fetchall()
+        with self._guarded("checkpoint list") as conn:
+            rows = conn.execute(schema.SELECT_CHECKPOINT_NAMES).fetchall()
         return [row[0] for row in rows]
 
     def delete_checkpoint(self, name: str) -> bool:
-        with self._lock:
-            self._check_open()
-            cursor = self._conn.execute(
-                schema.DELETE_CHECKPOINT, (name,))
-            self._conn.commit()
-            return cursor.rowcount > 0
+        with self._guarded("checkpoint delete") as conn:
+            cursor = conn.execute(schema.DELETE_CHECKPOINT, (name,))
+            conn.commit()
+        return cursor.rowcount > 0
 
     def close(self) -> None:
         with self._lock:

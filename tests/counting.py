@@ -15,6 +15,11 @@ wraps each seam for the length of a ``with`` block:
 
 The codec's dict-key prefix table starts empty inside the block, so
 counts do not depend on what ran earlier in the process.
+
+``count_durable_io`` does the same for the checkpoint KV of both
+concrete stores (:data:`KV_SEAMS`): ``get_checkpoint`` and
+``put_checkpoint`` calls, and ``checkpoint_bytes`` — the bytes handed
+to ``put_checkpoint``.
 """
 
 from __future__ import annotations
@@ -30,9 +35,12 @@ from unittest import mock
 import repro.serialization as serialization
 from repro.core.clog import CLogEntry
 from repro.netflow.records import FlowKey
+from repro.storage import MemoryLogStore, SqliteLogStore
 
 SEAMS = ("encode", "decode", "decode_stream", "_encode", "_decode_fast",
          "CLogEntry.to_payload", "FlowKey.unpack", "IPv4Address")
+
+KV_SEAMS = ("get_checkpoint", "put_checkpoint", "checkpoint_bytes")
 
 
 def _counting(counts: Counter, name: str,
@@ -82,4 +90,29 @@ def count_host_work() -> Iterator[Counter]:
         stack.enter_context(mock.patch.object(
             ipaddress.IPv4Address, "__init__", _counting(
                 counts, "IPv4Address", ipaddress.IPv4Address.__init__)))
+        yield counts
+
+
+@contextmanager
+def count_durable_io() -> Iterator[Counter]:
+    """Count checkpoint-KV traffic on every :class:`MemoryLogStore` and
+    :class:`SqliteLogStore` inside the block (:data:`KV_SEAMS`)."""
+    counts: Counter = Counter({name: 0 for name in KV_SEAMS})
+
+    def sizing(fn: Callable[..., Any]) -> Callable[..., Any]:
+        @functools.wraps(fn)
+        def wrapper(self: Any, name: str, data: bytes) -> None:
+            counts["checkpoint_bytes"] += len(data)
+            return fn(self, name, data)
+        return wrapper
+
+    with ExitStack() as stack:
+        for store in (MemoryLogStore, SqliteLogStore):
+            stack.enter_context(mock.patch.object(
+                store, "get_checkpoint", _counting(
+                    counts, "get_checkpoint", store.get_checkpoint)))
+            stack.enter_context(mock.patch.object(
+                store, "put_checkpoint", _counting(
+                    counts, "put_checkpoint",
+                    sizing(store.put_checkpoint))))
         yield counts

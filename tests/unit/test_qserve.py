@@ -290,6 +290,21 @@ class TestQueryResultCache:
         assert cache.get(other_sql, response.round,
                          response.root) is None
 
+    def test_entry_for_another_round_is_never_served(self):
+        """A real answer sealed under the next round's key: its sql and
+        root match the lookup, so only the round keeps it out."""
+        from repro.hashing import seal_blob
+        from repro.serialization import encode_query_response
+        (response,) = _responses(1)
+        store = MemoryLogStore()
+        other_round = response.round + 1
+        key = result_cache_key(response.sql, other_round, response.root)
+        store.put_checkpoint(
+            f"query-results/{key.hex()}",
+            seal_blob(encode_query_response(response)))
+        assert QueryResultCache(store=store).get(
+            response.sql, other_round, response.root) is None
+
     def test_storage_error_degrades_to_memory_only(self):
         (response,) = _responses(1)
         store = BrokenStore()

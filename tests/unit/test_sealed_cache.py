@@ -1,0 +1,215 @@
+"""The one contract of :class:`~repro.storage.cache.SealedCache`, run through both of its
+codecs — :class:`~repro.engine.cache.ReceiptCache` and
+:class:`~repro.qserve.cache.QueryResultCache` — plus the durable reads and writes the caches
+cost, counted rather than timed.
+"""
+
+from __future__ import annotations
+
+from contextlib import closing
+
+import pytest
+
+from repro.core.prover_service import ProverService
+from repro.engine import ProvingEngine, ReceiptCache, execute_job
+from repro.obs import runtime as obs
+from repro.qserve import QueryResultCache, result_cache_key
+from repro.storage import MemoryLogStore
+
+from ..conftest import make_committed_records
+from ..counting import count_durable_io
+from .test_engine import echo_guest, echo_job, router_inputs
+from .test_qserve import BrokenStore, _responses
+from .test_storage import dropped_tables_store
+
+STATS_KEYS = {
+    "memory_entries",
+    "memory_max",
+    "persistent",
+    "hits",
+    "misses",
+    "stores",
+    "evictions",
+    "hit_rate",
+}
+
+
+class Receipts:
+    """Three echo-guest receipts, looked up the way ``ProverPool.submit`` does."""
+
+    cache = ReceiptCache
+    prefix = "receipt-cache"
+    counter = "repro_engine_cache_total"
+    counted_before_attach = True
+
+    def __init__(self) -> None:
+        self.jobs = [echo_job(f"sealed-{i}") for i in range(3)]
+        self.results = [execute_job(job) for job in self.jobs]
+
+    def key(self, i):
+        return self.jobs[i].cache_key(echo_guest.image_id)
+
+    def put(self, cache, i):
+        cache.put(self.key(i), self.results[i])
+
+    def get(self, cache, i):
+        return cache.get(self.key(i), self.jobs[i], echo_guest.image_id)
+
+
+class Answers:
+    """Three proven query responses."""
+
+    cache = QueryResultCache
+    prefix = "query-results"
+    counter = "repro_qserve_cache_total"
+    counted_before_attach = False
+
+    def __init__(self) -> None:
+        self.responses = _responses(3)
+
+    def key(self, i):
+        response = self.responses[i]
+        return result_cache_key(response.sql, response.round, response.root)
+
+    def put(self, cache, i):
+        cache.put(self.responses[i])
+
+    def get(self, cache, i):
+        response = self.responses[i]
+        return cache.get(response.sql, response.round, response.root)
+
+
+@pytest.fixture(scope="module", params=[Receipts, Answers], ids=["receipts", "answers"])
+def codec(request):
+    return request.param()
+
+
+class TestSealedCacheContract:
+    def test_stats_keys_are_one_set(self, codec):
+        assert set(codec.cache().stats()) == STATS_KEYS
+
+    def test_lru_bound_counts_evictions(self, codec):
+        cache = codec.cache(memory_entries=2)
+        for i in range(3):
+            codec.put(cache, i)
+        assert codec.get(cache, 0) is None
+        assert codec.get(cache, 1) is not None
+        assert codec.get(cache, 2) is not None
+        stats = cache.stats()
+        assert (stats["memory_entries"], stats["evictions"]) == (2, 1)
+
+    def test_persistent_hit_is_promoted(self, codec):
+        store = MemoryLogStore()
+        codec.put(codec.cache(store=store), 0)
+        fresh = codec.cache(store=store)
+        assert codec.get(fresh, 0) is not None
+        # Gone from the store, so the second hit can only be the memory tier.
+        store.delete_checkpoint(f"{codec.prefix}/{codec.key(0).hex()}")
+        assert codec.get(fresh, 0) is not None
+        stats = fresh.stats()
+        assert (stats["memory_entries"], stats["hits"], stats["misses"]) == (1, 2, 0)
+
+    def test_every_flipped_byte_is_a_miss(self, codec):
+        store = MemoryLogStore()
+        codec.put(codec.cache(store=store), 0)
+        name = f"{codec.prefix}/{codec.key(0).hex()}"
+        blob = store.get_checkpoint(name)
+        for position in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[position] ^= 0x01
+            store.put_checkpoint(name, bytes(flipped))
+            cache = codec.cache(store=store)
+            assert codec.get(cache, 0) is None, position
+            assert cache.stats()["memory_entries"] == 0
+        # Corruption is a miss, not a store failure: the tier stays up.
+        assert cache.stats()["persistent"] is True
+
+    def test_read_error_degrades_to_memory_only(self, codec):
+        store = BrokenStore()
+        codec.put(codec.cache(store=store), 0)
+        cache = codec.cache(store=store)
+        store.broken = True
+        assert codec.get(cache, 0) is None
+        assert cache.stats()["persistent"] is False
+        # The degraded tier is never read or written again, even once healthy.
+        store.broken = False
+        assert codec.get(cache, 0) is None
+        codec.put(cache, 1)
+        assert store.checkpoint_names() == [f"{codec.prefix}/{codec.key(0).hex()}"]
+        assert codec.get(cache, 1) is not None
+
+    def test_sqlite_read_error_is_a_miss(self, codec, tmp_path):
+        with closing(dropped_tables_store(tmp_path)) as store:
+            cache = codec.cache(store=store)
+            assert codec.get(cache, 0) is None
+            assert cache.stats()["persistent"] is False
+
+    def test_attach_store_is_late_bind_only_and_starts_the_counter(self, codec):
+        cache = codec.cache()
+        with obs.capture() as cap:
+            assert codec.get(cache, 0) is None
+        assert (cap.registry.get(codec.counter) is not None) == codec.counted_before_attach
+        store = MemoryLogStore()
+        with obs.capture() as cap:
+            cache.attach_store(store)
+            assert cache.stats()["persistent"] is True
+            assert codec.get(cache, 1) is None
+            codec.put(cache, 1)
+            cache.attach_store(MemoryLogStore())
+            codec.put(cache, 2)
+        counter = cap.registry.get(codec.counter)
+        assert counter.value(tier="memory", result="miss") == 1
+        assert counter.value(tier="persistent", result="miss") == 1
+        assert counter.value(tier="persistent", result="store") == 2
+        assert store.checkpoint_names() == sorted(
+            f"{codec.prefix}/{codec.key(i).hex()}" for i in (1, 2)
+        )
+
+
+SQL = "SELECT COUNT(*), SUM(packets) FROM clogs"
+
+
+def _cold_then_warm(action):
+    """KV counts of ``action()`` run twice: ``(cold, warm)``."""
+    pins = []
+    for _ in range(2):
+        with count_durable_io() as counts:
+            action()
+        pins.append(dict(counts))
+    return tuple(pins)
+
+
+def _served(attach):
+    store, bulletin, _ = make_committed_records(20, seed=3)
+    service = ProverService(store, bulletin)
+    service.aggregate_all_committed()
+    if attach:
+        service.query_cache.attach_store(store)
+    return _cold_then_warm(lambda: service.answer_query(SQL))
+
+
+def _engine_round():
+    inputs = router_inputs(3)
+    with ProvingEngine(backend="serial", store=MemoryLogStore()) as engine:
+        return _cold_then_warm(lambda: engine.prove_round(inputs, 2))
+
+
+class TestCountedDurableIO:
+    """Checkpoint-KV traffic of the cache paths, pinned as integers.
+
+    Captured before the two caches became codecs over one ``SealedCache``; the merge moved
+    none of them.  A round of two partitions is three jobs (two partitions and the merge).
+    """
+
+    NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
+
+    def test_default_service_query_touches_no_kv(self):
+        assert _served(attach=False) == (self.NONE, self.NONE)
+
+    def test_attached_query_cache_reads_and_writes_once_when_cold(self):
+        cold = {"get_checkpoint": 1, "put_checkpoint": 1, "checkpoint_bytes": 937}
+        assert _served(attach=True) == (cold, self.NONE)
+
+    def test_engine_round_reads_and_writes_once_per_job_when_cold(self):
+        cold = {"get_checkpoint": 3, "put_checkpoint": 3, "checkpoint_bytes": 9220}
+        assert _engine_round() == (cold, self.NONE)

@@ -1,5 +1,8 @@
 """Unit tests for both log-store backends (parametrized)."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.errors import StorageError
@@ -105,6 +108,22 @@ class TestLifecycle:
             store.router_ids()
 
 
+#: One call of every store method: name → arguments.
+STORE_CALLS = {
+    "append_records": ("r1", 0, records(1)),
+    "overwrite_raw": ("r1", 0, 0, b"x"),
+    "replace_window": ("r1", 0, [b"x"]),
+    "purge_window": ("r1", 0),
+    "window_blobs": ("r1", 0),
+    "window_indices": ("r1",),
+    "router_ids": (),
+    "put_checkpoint": ("c", b"x"),
+    "get_checkpoint": ("c",),
+    "checkpoint_names": (),
+    "delete_checkpoint": ("c",),
+}
+
+
 class TestSqliteSpecific:
     def test_persistence_to_file(self, tmp_path):
         path = str(tmp_path / "logs.db")
@@ -138,3 +157,25 @@ class TestSqliteSpecific:
     def test_bad_path_raises(self):
         with pytest.raises(StorageError):
             SqliteLogStore("/nonexistent-dir/sub/logs.db")
+
+    @pytest.mark.parametrize("method", sorted(STORE_CALLS))
+    def test_sqlite_error_is_typed(self, tmp_path, method):
+        """Every method turns a failing statement into a StorageError,
+        never a raw ``sqlite3.Error``."""
+        with closing(dropped_tables_store(tmp_path)) as store:
+            with pytest.raises(StorageError):
+                getattr(store, method)(*STORE_CALLS[method])
+
+
+def dropped_tables_store(tmp_path):
+    """A live store whose tables a second connection has dropped."""
+    path = str(tmp_path / "logs.db")
+    store = SqliteLogStore(path)
+    store.append_records("r1", 0, records(1))
+    store.put_checkpoint("c", b"x")
+    other = sqlite3.connect(path)
+    other.execute("DROP TABLE rlogs")
+    other.execute("DROP TABLE checkpoints")
+    other.commit()
+    other.close()
+    return store
