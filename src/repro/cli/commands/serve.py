@@ -63,12 +63,6 @@ class ServeCommand:
                                  "proofs merged through the engine "
                                  "when the planner models that faster "
                                  "(implies the engine)")
-        parser.add_argument("--stream", action="store_true",
-                            help="streaming composition: prove "
-                                 "per-batch deltas as windows commit "
-                                 "and fold them recursively, so each "
-                                 "round boundary pays O(delta) instead "
-                                 "of O(window) (implies the engine)")
         parser.add_argument("--max-inflight", type=int, default=None,
                             help="enable the multi-tenant query "
                                  "service with a bounded admission "
@@ -106,8 +100,7 @@ class ServeCommand:
             pool_backend=args.pool_backend,
             prove_workers=args.prove_workers,
             prove_nodes=prove_nodes,
-            query_partitions=args.query_partitions,
-            stream=args.stream)
+            query_partitions=args.query_partitions)
         qserve = None
         if args.max_inflight is not None \
                 or args.tenant_rate is not None:

@@ -72,8 +72,7 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                     pool_backend: str | None = None,
                     prove_workers: int | None = None,
                     prove_nodes: tuple[str, ...] | None = None,
-                    query_partitions: int | None = None,
-                    stream: bool = False
+                    query_partitions: int | None = None
                     ) -> ProverService:
     """A prover service over the persisted store/bulletin.
 
@@ -90,8 +89,7 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                             pool_backend=pool_backend,
                             prove_workers=prove_workers,
                             prove_nodes=prove_nodes,
-                            query_partitions=query_partitions,
-                            stream=stream)
+                            query_partitions=query_partitions)
     if restore:
         if service.restore():
             return service

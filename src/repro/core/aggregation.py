@@ -127,15 +127,9 @@ def build_round_input(
     witness: AggregationWitness,
     ordered: list[RouterWindowInput],
     prev_receipt: Receipt | None,
-    seq: int | None = None,
 ) -> ExecutorInput:
-    """Frames for one update-path execution of Algorithm 1.
-
-    ``seq`` is ``None`` for the monolithic ``aggregation_guest``; the
-    ``delta_aggregation_guest`` takes the same frames plus its position
-    in the round.  Only delta 0 performs step 1, so ``prev_receipt`` is
-    bound (and required) when ``round_index > 0`` and ``seq`` is not > 0.
-    """
+    """Frames for one update-path execution of Algorithm 1; round
+    ``n > 0`` binds (and requires) ``prev_receipt``."""
     header = {
         "round": round_index,
         "policy": policy.to_wire(),
@@ -145,11 +139,9 @@ def build_round_input(
         "num_routers": len(ordered),
         "num_ops": witness.op_count,
     }
-    if seq is not None:
-        header["seq"] = seq
     builder = ExecutorEnvBuilder()
     builder.write(header)
-    if round_index > 0 and not seq:
+    if round_index > 0:
         require_prev_receipt(round_index, prev_receipt)
         builder.write(make_receipt_binding(prev_receipt))
     write_window_frames(builder, ordered)

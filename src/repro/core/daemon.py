@@ -135,10 +135,10 @@ class AggregationDaemon:
     # -- observation -----------------------------------------------------------
 
     def pending_windows(self) -> list[int]:
-        """The service's :meth:`~ProverService.candidate_windows`,
+        """The service's :meth:`~ProverService.pending_windows`,
         oldest first."""
         now = self.clock.now_ms()
-        pending = self.service.candidate_windows()
+        pending = self.service.pending_windows()
         for window in pending:
             self._first_seen_ms.setdefault(window, now)
         return pending
@@ -218,8 +218,7 @@ class AggregationDaemon:
             self._on_prove_failure(gathered, exc)
             self._finish_step(success=False)
             return None
-        # A streamed round also consumes the windows ingested before it.
-        for window in set(gathered) | result.windows:
+        for window in gathered:
             self._forget(window)
         self.stats.rounds += 1
         self.stats.windows_consumed += len(gathered)

@@ -625,133 +625,6 @@ def query_merge_guest(env: GuestEnv) -> None:
     _commit_query_result(env, sql, root, round_index, result)
 
 
-@guest_program("telemetry-delta-aggregation-v1")
-def delta_aggregation_guest(env: GuestEnv) -> None:
-    """Algorithm 1 over one *batch* of freshly committed RLogs.
-
-    Identical to :data:`aggregation_guest` steps 2-3, but starting from
-    an intermediate (root, size, depth) rather than the round boundary:
-    a round's records are split across several deltas, proven as their
-    windows commit, and folded by :data:`fold_guest` into one receipt
-    whose journal is byte-identical to the monolithic guest's.
-
-    The header carries ``seq`` — this delta's position in the round.
-    Only delta 0 binds the previous round's receipt (step 1); every
-    later delta trusts nothing about its starting root by itself, and
-    becomes sound only once a fold chains it to delta 0 through the
-    intermediate-root continuity checks.  The journal is a *streamed*
-    header (the monolithic fields plus ``prev_size`` / ``prev_depth`` /
-    ``seq``) followed by the same per-record items.
-    """
-    header = env.read()
-    seq: int = header["seq"]
-    policy = AggregationPolicy.from_wire(header["policy"])
-    if seq < 0:
-        env.abort("delta sequence number must be non-negative")
-    if seq == 0:
-        verify_previous_round(env, header["round"], header["prev_root"],
-                              header["prev_size"], header["prev_depth"])
-    windows, blobs = verify_window_commitments(env, header["num_routers"])
-    root, size, depth, items = apply_witness_ops(
-        env, policy, blobs, header["num_ops"], header["prev_root"],
-        header["prev_size"], header["prev_depth"])
-    env.commit({
-        "round": header["round"],
-        "prev_root": header["prev_root"],
-        "prev_size": header["prev_size"],
-        "prev_depth": header["prev_depth"],
-        "new_root": root,
-        "size": size,
-        "depth": depth,
-        "windows": windows,
-        "policy": policy.digest(),
-        "entries": len(items),
-        "seq": [seq, seq],
-    })
-    env.commit_many(items)
-
-
-@guest_program("telemetry-fold-v1")
-def fold_guest(env: GuestEnv) -> None:
-    """Recursive fold: merge one or two streamed child receipts.
-
-    Each child is a :data:`delta_aggregation_guest` or :data:`fold_guest`
-    receipt over a contiguous run of the round's deltas — its image id
-    is pinned, so a journal of the right shape from any other guest
-    cannot enter the tree.  Two children must be *adjacent*: the right
-    child's starting (root, size, depth) is the left child's ending
-    state and their sequence ranges abut, which by induction chains
-    every item back to delta 0's verification of the previous round.
-
-    A non-final fold re-commits the merged streamed journal.  The
-    ``final`` fold additionally requires the merged run to start at
-    delta 0 and commits exactly the monolithic :data:`aggregation_guest`
-    journal — byte-identical, so clients and caches cannot tell a
-    streamed round from a monolithic one.
-    """
-    header = env.read()
-    round_index = header["round"]
-    policy = AggregationPolicy.from_wire(header["policy"])
-    policy_digest = policy.digest()
-    num_children: int = header["num_children"]
-    final: bool = header["final"]
-    if num_children not in (1, 2):
-        env.abort("fold takes one or two children")
-    children: list[tuple[dict[str, Any], list[Any]]] = []
-    for _ in range(num_children):
-        binding = assume_receipt(env)
-        if binding["image_id"] != delta_aggregation_guest.image_id \
-                and binding["image_id"] != fold_guest.image_id:
-            env.abort("fold child receipt was not produced by the "
-                      "delta or fold guest")
-        values = list(decode_stream(binding["journal"]))
-        child = values[0] if values else None
-        if not isinstance(child, dict) or "seq" not in child:
-            env.abort("fold child journal is not a streamed header")
-        if child["round"] != round_index:
-            env.abort("fold child proves a different round")
-        if child["policy"] != policy_digest:
-            env.abort("fold child used a different aggregation policy")
-        if child["entries"] != len(values) - 1:
-            env.abort("fold child item count does not match its header")
-        children.append((child, values[1:]))
-
-    left = children[0][0]
-    last = children[-1][0]
-    if num_children == 2:
-        right = children[1][0]
-        if right["prev_root"] != left["new_root"] \
-                or right["prev_size"] != left["size"] \
-                or right["prev_depth"] != left["depth"]:
-            env.abort("fold children are not contiguous: the right "
-                      "child does not start where the left child ended")
-        if right["seq"][0] != left["seq"][1] + 1:
-            env.abort("fold children sequence ranges do not abut")
-    env.tick(MERGE_CYCLES, "merge")
-
-    journal = {
-        "round": round_index,
-        "prev_root": left["prev_root"],
-        "new_root": last["new_root"],
-        "size": last["size"],
-        "depth": last["depth"],
-        "windows": [window for child, _ in children
-                    for window in child["windows"]],
-        "policy": policy_digest,
-        "entries": sum(child["entries"] for child, _ in children),
-    }
-    if final:
-        if left["seq"][0] != 0:
-            env.abort("final fold must cover the round from delta 0")
-    else:
-        journal.update(prev_size=left["prev_size"],
-                       prev_depth=left["prev_depth"],
-                       seq=[left["seq"][0], last["seq"][1]])
-    env.commit(journal)
-    for _, items in children:
-        env.commit_many(items)
-
-
 # The one query every provider proves for a federation round: total
 # traffic, total loss, flow count.  The join guest pins the exact SQL so
 # no provider can substitute a filtered view of its own round.
@@ -919,6 +792,5 @@ def resolve_guest(name: str) -> GuestProgram:
 
 for _program in (aggregation_guest, query_guest, partition_guest,
                  merge_guest, query_partition_guest, query_merge_guest,
-                 delta_aggregation_guest, fold_guest,
                  federation_join_guest):
     register_guest(_program)

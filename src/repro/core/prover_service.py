@@ -10,6 +10,7 @@ and can run off-path, at whatever cadence resources allow.
 from __future__ import annotations
 
 import logging
+from typing import Any
 
 from ..commitments import BulletinBoard
 from ..errors import (
@@ -27,7 +28,7 @@ from ..obs import runtime as obs
 from ..qserve.cache import QueryResultCache
 from ..serialization import decode, encode
 from ..storage.backend import LogStore
-from ..zkvm import ProveInfo, ProverOpts, Receipt, Verifier
+from ..zkvm import ProveInfo, ProverOpts, Verifier
 from .aggregation import (
     AggregationResult,
     Aggregator,
@@ -61,16 +62,15 @@ class ProverService:
                  pool_backend: str | None = None,
                  prove_workers: int | None = None,
                  prove_nodes: Any = None,
-                 query_partitions: int | None = None,
-                 stream: bool = False) -> None:
+                 query_partitions: int | None = None) -> None:
         if query_cache_size < 1:
             raise ConfigurationError("query_cache_size must be >= 1")
         if query_partitions is not None and query_partitions < 1:
             raise ConfigurationError("query_partitions must be >= 1")
-        if stream and strategy != "update":
+        if strategy not in ("update", "rebuild"):
             raise ConfigurationError(
-                "streaming composition requires the 'update' strategy "
-                "(rebuild rounds have no delta decomposition)")
+                f"unknown aggregation strategy {strategy!r}; "
+                "expected 'update' or 'rebuild'")
         self.store = store
         self.bulletin = bulletin
         self.policy = policy
@@ -83,7 +83,7 @@ class ProverService:
         # telemetry namespace).
         self.engine = None
         if pool_backend is not None or prove_workers is not None \
-                or prove_nodes or query_partitions is not None or stream:
+                or prove_nodes or query_partitions is not None:
             from ..engine import ProvingEngine
             # The receipt cache's persistent tier rides the store's
             # checkpoint KV, so identical proofs replay across restarts
@@ -98,24 +98,14 @@ class ProverService:
             if self.engine is not None else None
         self.query_partitions = query_partitions
         # One round prover — every strategy shares ``aggregate(state,
-        # windows, prev_receipt)``; ``_streamer`` names the same object
-        # when (and only when) it can hold a round open.
-        self._streamer = None
-        if stream:
-            from ..stream import StreamingAggregator
-            self._aggregator = self._streamer = StreamingAggregator(
-                policy, prover_opts, engine=self.engine)
-        elif strategy == "update":
+        # windows, prev_receipt)``.
+        if strategy == "update":
             self._aggregator = Aggregator(policy, prover_opts,
                                           prover=prover)
-        elif strategy == "rebuild":
+        else:
             from .rebuild import RebuildAggregator
             self._aggregator = RebuildAggregator(policy, prover_opts,
                                                  prover=prover)
-        else:
-            raise ProofError(
-                f"unknown aggregation strategy {strategy!r}; "
-                "expected 'update' or 'rebuild'")
         self.strategy = strategy
         self.auto_checkpoint = auto_checkpoint
         self.checkpoint_name = checkpoint_name
@@ -147,22 +137,12 @@ class ProverService:
     def pending_windows(self) -> list[int]:
         """Committed-but-unproven windows, in commit order.
 
-        A window stays pending until the round consuming it is *proven*
-        — in stream mode an ingested (delta-proven but unclosed) window
-        is still pending, because no chained receipt covers it yet.
+        A window stays pending until the round consuming it is *proven*.
         Quarantined windows are left out: no driver will try them.
         """
         return [window for window in self.bulletin.windows()
                 if window not in self._aggregated_windows
                 and window not in self._quarantined]
-
-    def candidate_windows(self) -> list[int]:
-        """The windows a round driver should gather next, in commit
-        order: pending ones not already ingested into the open streamed
-        round (the next proven round closes over those anyway)."""
-        ingested = self._open_round_windows()
-        return [window for window in self.pending_windows()
-                if window not in ingested]
 
     @property
     def quarantined(self) -> dict[int, str]:
@@ -218,22 +198,10 @@ class ProverService:
             "query_cache": self.query_cache.stats(),
             "auto_checkpoint": self.auto_checkpoint,
             "query_partitions": self.query_partitions,
-            "stream": self.stream_status(),
             "latest_root": (self.chain.latest.new_root.hex()
                             if len(self.chain) else None),
             "engine": (self.engine.snapshot()
                        if self.engine is not None else None),
-        }
-
-    def stream_status(self) -> dict | None:
-        """Streaming-mode sub-status, or ``None`` when not enabled."""
-        if self._streamer is None:
-            return None
-        return {
-            "open_round": self._streamer.open_round,
-            "pending_deltas": self._streamer.pending_deltas,
-            "frontier_nodes": len(self._streamer.frontier),
-            "ingested_windows": sorted(self._open_round_windows()),
         }
 
     # -- aggregation ------------------------------------------------------------
@@ -299,8 +267,6 @@ class ProverService:
         routers) and still land everything in one proof.  State, chain,
         and the aggregated-window set change only after the proof
         exists — a failed round leaves the service exactly as it was.
-        In stream mode an open round absorbs ``inputs`` and closes, so
-        the proven round also covers every previously ingested window.
 
         A round over exactly one window that raises
         :class:`~repro.errors.GuestAbort` quarantines that window before
@@ -323,8 +289,7 @@ class ProverService:
                                 f"{type(exc).__name__}: {exc}")
             raise
         # Commit the round only after the proof exists.  The journal
-        # says which windows it consumed — all of them, including any a
-        # streamed round ingested before this call.
+        # says which windows it consumed.
         consumed = sorted(set(window_indices) | result.windows)
         for window_index in consumed:
             self._quarantined.pop(window_index, None)
@@ -352,67 +317,21 @@ class ProverService:
             self.checkpoint()
         return result
 
-    # -- streaming ---------------------------------------------------------------
-
-    def ingest_window(self, window_index: int,
-                      skip_uncommitted: bool = False) -> int:
-        """Stream mode: prove a delta for one committed window *now*.
-
-        The window joins the open round's fold frontier; it is **not**
-        yet covered by a chained receipt (it stays pending until
-        :meth:`close_stream_round`), but its delta proof is done — the
-        round boundary only pays the final folds.  Returns the number
-        of deltas ingested into the open round so far.
-        """
-        if self._streamer is None:
-            raise ConfigurationError(
-                "ingest_window() requires stream mode (stream=True)")
-        if window_index in self._aggregated_windows:
-            raise ProofError(
-                f"window {window_index} was already aggregated")
-        inputs = self.gather_window(window_index, skip_uncommitted)
-        prev_receipt = self.chain.latest_receipt if len(self.chain) \
-            else None
-        with self._streamer.guarded():
-            self._streamer.ingest(self.state, inputs, prev_receipt)
-        if self.auto_checkpoint:
-            # Persist the frontier: a crash between here and the round
-            # boundary resumes without re-proving this delta.
-            self.checkpoint()
-        return self._streamer.pending_deltas
-
-    def close_stream_round(self) -> AggregationResult:
-        """Close the open streamed round and commit its final receipt."""
-        if self._streamer is None or self._streamer.open_round is None:
-            raise ChainError("no streaming round is open")
-        return self.prove_round([], [])
-
     def aggregate_all_committed(self) -> list[AggregationResult]:
-        """Aggregate every :meth:`candidate_windows` window, one round
+        """Aggregate every :meth:`pending_windows` window, one round
         each, in commit order.
 
-        Windows already ingested into an open streamed round are not
-        gathered again: the first round proven here closes over them,
-        and if nothing else is pending the open round is closed as is.
         A window whose round aborts in the guest is quarantined (see
         :meth:`prove_round`) and skipped, so one tampered window cannot
         stop the chain; every other error propagates.
         """
         results = []
-        for window_index in self.candidate_windows():
+        for window_index in self.pending_windows():
             try:
                 results.append(self.aggregate_window(window_index))
             except GuestAbort:
                 continue
-        if self._streamer is not None \
-                and self._streamer.open_round is not None:
-            results.append(self.close_stream_round())
         return results
-
-    def _open_round_windows(self) -> set[int]:
-        if self._streamer is None:
-            return set()
-        return {window for _, window in self._streamer.open_windows}
 
     # -- queries -------------------------------------------------------------------
 
@@ -536,21 +455,6 @@ class ProverService:
             "entries": [entry.to_wire()
                         for entry in self.state.entries_in_slot_order()],
         }
-        if self._streamer is not None \
-                and self._streamer.open_round is not None:
-            # Persist the open round's fold frontier (log-many receipts)
-            # so recovery replays only *unfolded* deltas; the delta
-            # proofs themselves also sit in the receipt cache's
-            # persistent tier, so even a dropped frontier re-proves
-            # nothing — this just skips the cache lookups and re-folds.
-            work = self._streamer.work_state
-            payload["stream"] = {
-                "round": self._streamer.open_round,
-                "nodes": [node.to_wire()
-                          for node in self._streamer.frontier.nodes],
-                "entries": [entry.to_wire()
-                            for entry in work.entries_in_slot_order()],
-            }
         counter = obs.registry().counter(obs_names.SERVICE_CHECKPOINTS,
                                          ("outcome",))
         try:
@@ -589,11 +493,8 @@ class ProverService:
             blob = self.store.get_checkpoint(name)
             if blob is None:
                 return False
-            chain, state, windows, payload = \
-                self._decode_checkpoint(blob)
+            chain, state, windows = self._decode_checkpoint(blob)
             self._verify_snapshot(chain, state)
-            stream_resume = self._verify_stream_section(
-                payload.get("stream"), state)
         except CheckpointError:
             counter.inc(outcome="err")
             raise
@@ -601,13 +502,6 @@ class ProverService:
         self.state = state
         self._aggregated_windows = windows
         self.query_cache.clear()
-        if stream_resume is not None:
-            nodes, work = stream_resume
-            self._streamer.resume(state.round, work, nodes)
-            logger.info(
-                "resumed streaming round %d: %d frontier node(s), "
-                "windows=%s", state.round, len(nodes),
-                sorted(self._open_round_windows()))
         if self.retain_history and len(chain):
             # Only the latest round's state survives a crash; older
             # rounds need re-aggregation (retain_history is advisory).
@@ -624,7 +518,7 @@ class ProverService:
 
     def _decode_checkpoint(self, blob: bytes
                            ) -> tuple[AggregationChain, CLogState,
-                                      set[int], dict]:
+                                      set[int]]:
         try:
             payload = decode(blob)
         except ReproError as exc:
@@ -652,95 +546,7 @@ class ProverService:
         except (ReproError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint: {exc}") from exc
-        return chain, state, windows, payload
-
-    def _verify_stream_section(self, section, state: CLogState):
-        """Check a persisted fold frontier before resuming it.
-
-        Nothing here is taken on faith either: every frontier receipt
-        must re-verify against the delta/fold image ids, the chain of
-        (root, size, depth) continuity must hold from the restored
-        round state through every node, and the rebuilt mid-round work
-        state must recompute the last node's committed root.  Returns
-        ``(nodes, work state)``, or ``None`` when there is nothing to
-        resume (including a streamed checkpoint restored by a
-        non-streaming service — the deltas stay pending and
-        re-aggregate normally).
-        """
-        if section is None:
-            return None
-        if self._streamer is None:
-            logger.warning(
-                "checkpoint carries a streaming frontier but stream "
-                "mode is off; dropping it (windows stay pending)")
-            return None
-        from ..stream.frontier import FrontierNode
-        from .guest_programs import delta_aggregation_guest, fold_guest
-        try:
-            round_index = section["round"]
-            work = CLogState()
-            for wire in section["entries"]:
-                work.set_entry(CLogEntry.from_wire(wire))
-            node_wires = section["nodes"]
-        except (ReproError, KeyError, TypeError) as exc:
-            raise CheckpointError(
-                f"malformed streaming section: {exc}") from exc
-        if round_index != state.round:
-            raise CheckpointError(
-                f"streaming section is for round {round_index} but the "
-                f"restored state is at round {state.round}")
-        if not node_wires:
-            return None
-        verifier = Verifier()
-        nodes: list[FrontierNode] = []
-        for wire in node_wires:
-            try:
-                receipt = Receipt.from_wire(wire["receipt"])
-            except (ReproError, KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"malformed frontier receipt: {exc}") from exc
-            _verify_trusted(verifier, receipt,
-                            (delta_aggregation_guest.image_id,
-                             fold_guest.image_id), "frontier")
-            header = next(receipt.journal.values(), None)
-            if not isinstance(header, dict) or "seq" not in header:
-                raise CheckpointError(
-                    "frontier receipt journal is not a streamed header")
-            nodes.append(FrontierNode.from_wire(wire, header))
-        expected = (state.root, len(state), state.depth)
-        expected_seq = 0
-        previous_height: int | None = None
-        for node in nodes:
-            header = node.header
-            if header.get("round") != round_index:
-                raise CheckpointError(
-                    "frontier node proves a different round")
-            if (header.get("prev_root"), header.get("prev_size"),
-                    header.get("prev_depth")) != expected:
-                raise CheckpointError(
-                    "frontier nodes are not contiguous with the "
-                    "restored round state")
-            if header.get("seq", [None])[0] != expected_seq \
-                    or node.seq_lo != expected_seq \
-                    or node.seq_hi != header["seq"][1]:
-                raise CheckpointError(
-                    "frontier node sequence ranges do not abut")
-            if previous_height is not None \
-                    and node.height >= previous_height:
-                raise CheckpointError(
-                    "frontier node heights must strictly decrease")
-            previous_height = node.height
-            expected = (header["new_root"], header["size"],
-                        header["depth"])
-            expected_seq = header["seq"][1] + 1
-        if nodes[-1].header["new_root"] != work.root \
-                or nodes[-1].header["size"] != len(work):
-            raise CheckpointError(
-                f"restored mid-round entries recompute root "
-                f"{work.root.short()}… but the frontier committed "
-                f"{nodes[-1].header['new_root'].short()}… — streaming "
-                f"section rejected")
-        return nodes, work
+        return chain, state, windows
 
     def _verify_snapshot(self, chain: AggregationChain,
                          state: CLogState) -> None:
@@ -759,21 +565,15 @@ class ProverService:
             raise CheckpointError(
                 f"restored state holds {len(state)} entries but round "
                 f"{latest.round} committed {latest.size}")
-        _verify_trusted(Verifier(), latest.receipt, ROUND_IMAGE_IDS,
-                        "latest")
-
-
-def _verify_trusted(verifier: Verifier, receipt,
-                    trusted: tuple[Digest, ...], what: str) -> None:
-    """A restored receipt must name a trusted image *and* verify
-    against it — anything else rejects the checkpoint."""
-    image_id = receipt.claim.image_id
-    if image_id not in trusted:
-        raise CheckpointError(
-            f"{what} receipt image {image_id.short()}… is not one of "
-            f"the trusted image ids")
-    try:
-        verifier.verify(receipt, image_id)
-    except ReproError as exc:
-        raise CheckpointError(
-            f"{what} receipt failed verification: {exc}") from exc
+        # The latest receipt must name a trusted round image *and*
+        # verify against it — anything else rejects the checkpoint.
+        image_id = latest.receipt.claim.image_id
+        if image_id not in ROUND_IMAGE_IDS:
+            raise CheckpointError(
+                f"latest receipt image {image_id.short()}… is not one of "
+                f"the trusted image ids")
+        try:
+            Verifier().verify(latest.receipt, image_id)
+        except ReproError as exc:
+            raise CheckpointError(
+                f"latest receipt failed verification: {exc}") from exc

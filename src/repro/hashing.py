@@ -20,6 +20,10 @@ from typing import Iterable
 
 DIGEST_SIZE = 32
 
+#: The runtime type of a ``hashlib.sha256()`` object (``hashlib._Hash``
+#: exists only in the type stubs).
+_Hash = type(hashlib.sha256())
+
 # Canonical domain tags used across the library.  Centralising them here
 # makes accidental reuse visible in review.
 TAG_LEAF = "repro/merkle/leaf"
@@ -120,7 +124,7 @@ def _digest_of(raw: bytes) -> Digest:
 
 
 @lru_cache(maxsize=None)
-def _tag_template(tag: str) -> "hashlib._Hash":
+def _tag_template(tag: str) -> _Hash:
     # Midstate template: the 64-byte tag prefix is absorbed exactly once
     # per tag and every tagged hash starts from a ``copy()`` of it,
     # skipping one SHA-256 compression per call.  This is the host-side
@@ -130,7 +134,7 @@ def _tag_template(tag: str) -> "hashlib._Hash":
     return hashlib.sha256(tag_digest + tag_digest)
 
 
-def _tag_hasher(tag: str) -> "hashlib._Hash":
+def _tag_hasher(tag: str) -> _Hash:
     return _tag_template(tag).copy()
 
 

@@ -26,8 +26,6 @@ SPAN_QUERY_PARALLEL_MERGE = "query.parallel.merge"
 SPAN_NET_SERVER_REQUEST = "net.server.request"
 SPAN_NET_CLIENT_REQUEST = "net.client.request"
 SPAN_ENGINE_JOB = "engine.job"
-SPAN_STREAM_DELTA = "stream.delta"
-SPAN_STREAM_FOLD = "stream.fold"
 SPAN_QSERVE_ADMIT = "qserve.admit"
 SPAN_QSERVE_BATCH = "qserve.batch"
 SPAN_CLUSTER_DISPATCH = "cluster.dispatch"
@@ -49,8 +47,6 @@ SPAN_NAMES = frozenset({
     SPAN_NET_SERVER_REQUEST,
     SPAN_NET_CLIENT_REQUEST,
     SPAN_ENGINE_JOB,
-    SPAN_STREAM_DELTA,
-    SPAN_STREAM_FOLD,
     SPAN_QSERVE_ADMIT,
     SPAN_QSERVE_BATCH,
     SPAN_CLUSTER_DISPATCH,
@@ -96,12 +92,6 @@ ENGINE_WORKERS_BUSY = "repro_engine_workers_busy"
 ENGINE_CACHE = "repro_engine_cache_total"
 ENGINE_ROUND_REAL_SECONDS = "repro_engine_round_real_seconds"
 ENGINE_ROUND_MODELED_SECONDS = "repro_engine_round_modeled_seconds"
-
-# streaming composition (delta proving + fold frontier)
-STREAM_DELTAS = "repro_stream_deltas_total"
-STREAM_FOLDS = "repro_stream_folds_total"
-STREAM_ROUNDS = "repro_stream_rounds_total"
-STREAM_FRONTIER = "repro_stream_frontier_nodes"
 
 # multi-tenant query serving (admission + batching + result cache)
 QSERVE_ADMITTED = "repro_qserve_admitted_total"
@@ -177,10 +167,6 @@ METRIC_LABELS: dict[str, tuple[str, ...]] = {
     ENGINE_CACHE: ("tier", "result"),
     ENGINE_ROUND_REAL_SECONDS: (),
     ENGINE_ROUND_MODELED_SECONDS: (),
-    STREAM_DELTAS: ("cached",),
-    STREAM_FOLDS: ("cached", "kind"),
-    STREAM_ROUNDS: ("strategy",),
-    STREAM_FRONTIER: (),
     QSERVE_ADMITTED: ("tenant",),
     QSERVE_REJECTED: ("tenant", "reason"),
     QSERVE_BATCHED: ("outcome",),

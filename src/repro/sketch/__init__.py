@@ -10,10 +10,9 @@ exactly like raw logs:
 
 * :class:`~repro.sketch.countmin.CountMinSketch` — frequency estimation
   (always overestimates);
-* :class:`~repro.sketch.countsketch.CountSketch` — unbiased frequency
-  estimation with median-of-rows;
-* :class:`~repro.sketch.hll.HyperLogLog` — flow cardinality;
 * :class:`~repro.sketch.spacesaving.SpaceSaving` — top-k heavy hitters.
+
+These are the two :mod:`repro.core.sketch_proof` proves over.
 
 All hash choices are seeded, tag-separated SHA-256 derivations, so two
 parties sketching the same stream always produce byte-identical
@@ -21,8 +20,6 @@ states — a requirement for hash-commitment checking.
 """
 
 from .countmin import CountMinSketch
-from .countsketch import CountSketch
-from .hll import HyperLogLog
 from .spacesaving import SpaceSaving
 
-__all__ = ["CountMinSketch", "CountSketch", "HyperLogLog", "SpaceSaving"]
+__all__ = ["CountMinSketch", "SpaceSaving"]

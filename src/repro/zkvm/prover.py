@@ -82,8 +82,8 @@ class ProveStats:
 
     @classmethod
     def combined(cls, parts: Iterable["ProveStats"]) -> "ProveStats":
-        """The total work of several proofs (a streamed round's deltas
-        and folds, a fan-out's partitions and merge)."""
+        """The total work of several proofs (a fan-out's partitions and
+        merge)."""
         parts = list(parts)
         breakdown: dict[str, int] = {}
         for part in parts:

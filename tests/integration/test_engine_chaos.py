@@ -154,145 +154,6 @@ class TestEngineWorkerFaults:
             service.close()
 
 
-class TestStreamFaults:
-    """Worker faults and crashes under streaming composition.
-
-    Streamed rounds keep their half-proven state in two places — the
-    in-memory fold frontier and the receipt cache — and recovery leans
-    on both: a transient fold fault retries with every already-proven
-    delta replaying from the cache, and a full crash restores the
-    persisted frontier without re-proving anything that folded.
-    """
-
-    def stream_service(self, windows=3):
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        populate(store, bulletin, windows=windows)
-        return ProverService(store, bulletin, pool_backend="thread",
-                             prove_workers=2, stream=True)
-
-    def reference_round(self, window_indices):
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        populate(store, bulletin, windows=max(window_indices) + 1)
-        service = ProverService(store, bulletin)
-        return service.aggregate_windows(list(window_indices))
-
-    def test_transient_fold_fault_retries_with_cached_deltas(self):
-        """A worker dies under the carry fold fired by the second
-        delta.  The ingest fails loudly; retrying it replays the delta
-        from the receipt cache and re-proves only the faulted fold, and
-        the closed round is bit-identical to a fault-free one."""
-        from repro.errors import ProofError
-        service = self.stream_service()
-        try:
-            assert service.ingest_window(0) == 1
-            # start=2: the retried window's delta (fire 1) proves, the
-            # carry fold it triggers (fire 2) dies.
-            injector = FaultInjector(FaultPlan.parse(
-                "engine.worker:proof:start=2,count=1", seed=SEED))
-            inject_faults(service, injector)
-            with pytest.raises(ProofError):
-                service.ingest_window(1)
-            # The failed ingest left the round exactly as it was: one
-            # delta on the frontier, window 1 still pending.
-            stream = service.stream_status()
-            assert stream["pending_deltas"] == 1
-            assert stream["ingested_windows"] == [0]
-            assert 1 in service.pending_windows()
-            # Retry absorbs the window; the two deltas fold into one
-            # frontier node.
-            assert service.ingest_window(1) == 2
-            assert service.stream_status()["frontier_nodes"] == 1
-            result = service.close_stream_round()
-            info = service.last_prove_info
-            # The retried delta replayed from the cache...
-            assert not info.delta_results[0].cached
-            assert info.delta_results[1].cached
-            # ...and every fold (the re-proven carry + the final) was
-            # proven fresh — the faulted job never produced a receipt.
-            assert not any(r.cached for r in info.fold_results)
-            assert injector.stats()["injected"]["engine.worker"] == 1
-            snap = service.status()["engine"]
-            assert snap["jobs_failed"] == 1
-            assert snap["in_flight"] == 0
-            reference = self.reference_round([0, 1])
-            assert result.receipt.journal.data == \
-                reference.receipt.journal.data
-            assert service.state.root == reference.new_state.root
-        finally:
-            service.close()
-
-    def test_faulted_close_keeps_frontier_and_retries(self):
-        """A worker death under the *final* fold must not consume the
-        frontier — closing again finishes the round."""
-        from repro.errors import ProofError
-        service = self.stream_service(windows=2)
-        try:
-            service.ingest_window(0)
-            service.ingest_window(1)
-            injector = FaultInjector(FaultPlan.parse(
-                "engine.worker:proof:count=1", seed=SEED))
-            inject_faults(service, injector)
-            with pytest.raises(ProofError):
-                service.close_stream_round()
-            stream = service.stream_status()
-            assert stream["open_round"] == 0
-            assert stream["frontier_nodes"] == 1
-            result = service.close_stream_round()
-            assert service.aggregated_windows == {0, 1}
-            reference = self.reference_round([0, 1])
-            assert result.receipt.journal.data == \
-                reference.receipt.journal.data
-        finally:
-            service.close()
-
-    def test_crash_and_restore_resume_persisted_frontier(self):
-        """A prover crashes mid-round with three deltas proven.  A
-        fresh service restores the checkpointed frontier and closes the
-        round by proving *only* the final fold — no delta re-proves."""
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        populate(store, bulletin, windows=3)
-        service = ProverService(store, bulletin, pool_backend="thread",
-                                prove_workers=2, stream=True)
-        try:
-            for window in range(3):
-                service.ingest_window(window)
-            service.checkpoint()
-        finally:
-            service.close()  # crash: the in-memory frontier is gone
-
-        revived = ProverService(store, bulletin, pool_backend="thread",
-                                prove_workers=2, stream=True)
-        try:
-            assert revived.restore() is True
-            stream = revived.stream_status()
-            assert stream["open_round"] == 0
-            assert stream["pending_deltas"] == 3
-            assert stream["frontier_nodes"] == 2
-            assert stream["ingested_windows"] == [0, 1, 2]
-            # Ingested windows are still pending: no receipt covers
-            # them until the restored round closes.
-            assert revived.pending_windows() == [0, 1, 2]
-            result = revived.close_stream_round()
-            # The only engine job after the crash is the final fold —
-            # the three deltas and the carry fold rode the checkpoint.
-            snap = revived.status()["engine"]
-            assert snap["jobs_done"] == 1
-            assert snap["jobs_failed"] == 0
-            info = revived.last_prove_info
-            assert info.delta_results == ()
-            assert len(info.fold_results) == 1
-            assert revived.aggregated_windows == {0, 1, 2}
-            reference = self.reference_round([0, 1, 2])
-            assert result.receipt.journal.data == \
-                reference.receipt.journal.data
-            assert revived.state.root == reference.new_state.root
-        finally:
-            revived.close()
-
-
 class TestQueryPartitionFaults:
     """A transient worker fault under a *query* partition job.
 

@@ -2,18 +2,17 @@
 
 Where a proof runs and how it is decomposed are deployment choices
 (§7 "proof parallelization"), made through ``ProverService`` arguments
-— the same ones ``repro serve --pool-backend / --query-partitions /
---stream`` sets.  This module drives one committed 3-window fixture
-through every cell of backend {serial, thread, process} ×
-``query_partitions`` {None, 2} × ``stream`` {False, True} and asserts,
-per cell, that
+— the same ones ``repro serve --pool-backend / --query-partitions``
+sets.  This module drives one committed 3-window fixture through every
+cell of backend {serial, thread, process} × ``query_partitions``
+{None, 2} and asserts, per cell, that
 
 * round and query journals are byte-identical to the engine-less
   default service's;
 * ``VerifierClient`` accepts the chain and every answer;
-* the cell took the path it names: ``stream=True`` rounds close through
-  the fold guest over delta proofs, and ``query_partitions=2`` answers
-  come out of the query merge guest over partition proofs.
+* the cell took the path it names: every round is one monolithic
+  aggregation-guest proof, and ``query_partitions=2`` answers come out
+  of the query merge guest over partition proofs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import itertools
 import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
-from repro.core.guest_programs import aggregation_guest, fold_guest, query_guest, query_merge_guest
+from repro.core.guest_programs import aggregation_guest, query_guest, query_merge_guest
 from repro.core.planner import QueryPlanner
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import PartitionedQueryInfo
@@ -33,8 +32,7 @@ from repro.netflow.generator import TrafficConfig
 from repro.storage import MemoryLogStore
 
 RECORDS_PER_WINDOW = 150
-#: Two rounds: window 0 alone, then windows 1 and 2 together (two delta
-#: batches folded into one round when streaming).
+#: Two rounds: window 0 alone, then windows 1 and 2 together.
 ROUNDS = ([0], [1, 2])
 QUERIES = (
     "SELECT COUNT(*), SUM(packets) FROM clogs",
@@ -42,12 +40,13 @@ QUERIES = (
     "SELECT SUM(octets) FROM clogs GROUP BY src_net16",
 )
 
-CELLS = list(itertools.product(("serial", "thread", "process"), (None, 2), (False, True)))
+CELLS = list(itertools.product(("serial", "thread", "process"), (None, 2)))
 
 
 def cell_id(cell: tuple) -> str:
-    backend, partitions, stream = cell
-    return f"{backend}-q{partitions or 'none'}-{'stream' if stream else 'mono'}"
+    """``mono``: every round is one monolithic aggregation-guest proof."""
+    backend, partitions = cell
+    return f"{backend}-q{partitions or 'none'}-mono"
 
 
 def fixture_windows() -> list[dict[str, list]]:
@@ -100,7 +99,6 @@ def run(service: ProverService) -> dict:
     return {
         "receipts": service.chain.receipts(),
         "round_journals": [r.receipt.journal.data for r in rounds],
-        "round_infos": [r.info for r in rounds],
         "answers": answers,
         "query_journals": [a.receipt.journal.data for a in answers],
         "query_infos": infos,
@@ -131,7 +129,7 @@ def test_default_service_is_monolithic_and_fixture_partitions(default_run):
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_cell_matches_default_service(cell, default_run):
-    backend, partitions, stream = cell
+    backend, partitions = cell
     store, bulletin = committed()
     service = ProverService(
         store,
@@ -139,7 +137,6 @@ def test_cell_matches_default_service(cell, default_run):
         pool_backend=backend,
         prove_workers=2,
         query_partitions=partitions,
-        stream=stream,
     )
     try:
         assert service.engine.pool.backend == backend
@@ -155,12 +152,7 @@ def test_cell_matches_default_service(cell, default_run):
     for answer in got["answers"]:
         verifier.verify_query(answer, chain[-1])
 
-    round_images = {r.claim.image_id for r in got["receipts"]}
-    if stream:
-        assert round_images == {fold_guest.image_id}
-        assert all(info.delta_results and info.fold_results for info in got["round_infos"])
-    else:
-        assert round_images == {aggregation_guest.image_id}
+    assert {r.claim.image_id for r in got["receipts"]} == {aggregation_guest.image_id}
     query_images = {a.receipt.claim.image_id for a in got["answers"]}
     if partitions:
         assert query_images == {query_merge_guest.image_id}

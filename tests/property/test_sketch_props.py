@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import CountMinSketch, HyperLogLog, SpaceSaving
+from repro.sketch import CountMinSketch, SpaceSaving
 
 streams = st.lists(
     st.tuples(st.integers(min_value=0, max_value=30),
@@ -94,25 +94,3 @@ class TestSpaceSavingProperties:
             from repro.sketch.common import item_bytes
             if item_bytes(item) in tracked:
                 assert sketch.estimate(item) >= count
-
-
-class TestHLLProperties:
-    @given(st.sets(st.integers(), max_size=300))
-    @settings(max_examples=60)
-    def test_merge_union_bound(self, items):
-        split = len(items) // 2
-        items = sorted(items)
-        a, b = HyperLogLog(precision=10), HyperLogLog(precision=10)
-        union = HyperLogLog(precision=10)
-        for i, item in enumerate(items):
-            (a if i < split else b).add(item)
-            union.add(item)
-        a.merge(b)
-        assert a.to_state() == union.to_state()
-
-    @given(st.sets(st.integers(), min_size=1, max_size=200))
-    def test_estimate_positive_when_nonempty(self, items):
-        hll = HyperLogLog(precision=8)
-        for item in items:
-            hll.add(item)
-        assert hll.estimate() > 0

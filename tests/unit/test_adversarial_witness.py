@@ -1,24 +1,18 @@
 """Adversarial witnesses: a malicious host cannot steer the aggregation
 guest off the committed data.
 
-These tests drive :data:`aggregation_guest` — and, through the
-``...Delta`` subclasses, :data:`delta_aggregation_guest` at ``seq == 0``
-— directly with hand-forged witness ops — wrong slots, stale proofs,
-swapped payloads, skipped grows — and require the guest to abort every
-time.  This is the soundness surface between the (untrusted) host
-orchestration and the (proven) guest execution; both guests call the
-same Algorithm 1 steps, and running the same cases against each keeps
-it that way.
+These tests drive :data:`aggregation_guest` directly with hand-forged
+witness ops — wrong slots, stale proofs, swapped payloads, skipped
+grows — and require the guest to abort every time.  This is the
+soundness surface between the (untrusted) host orchestration and the
+(proven) guest execution.
 """
 
 import pytest
 
 from repro.commitments import window_digest
 from repro.core.clog import CLogEntry, CLogState
-from repro.core.guest_programs import (
-    aggregation_guest,
-    delta_aggregation_guest,
-)
+from repro.core.guest_programs import aggregation_guest
 from repro.core.policy import DEFAULT_POLICY
 from repro.core.witness import build_witness
 from repro.errors import GuestAbort
@@ -41,7 +35,6 @@ def run_guest(guest, records, ops, prev_state=None, num_ops=None):
         "prev_depth": state.depth,
         "num_routers": 1,
         "num_ops": num_ops if num_ops is not None else len(ops),
-        "seq": 0,  # read by the delta guest only
     })
     builder.write({
         "router_id": "r1",
@@ -172,10 +165,6 @@ class TestForgedOps:
             run_guest(self.guest, records, ops)
 
 
-class TestForgedOpsDelta(TestForgedOps):
-    guest = delta_aggregation_guest
-
-
 class TestForgedPrevState:
     guest = aggregation_guest
 
@@ -187,6 +176,3 @@ class TestForgedPrevState:
         with pytest.raises(GuestAbort, match="genesis"):
             run_guest(self.guest, records, ops, prev_state=state)
 
-
-class TestForgedPrevStateDelta(TestForgedPrevState):
-    guest = delta_aggregation_guest

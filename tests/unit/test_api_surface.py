@@ -1,6 +1,9 @@
 """Gap-filling tests for small public API surfaces."""
 
+import importlib
 import inspect
+import pkgutil
+import typing
 
 import pytest
 
@@ -249,3 +252,39 @@ class TestLedgerSeams:
                 assert pair[1].values == pair[0].values
         finally:
             server.stop_background()
+
+
+def _annotated_objects():
+    """Every class and function a ``repro`` module defines, with the
+    methods (static, class and property accessors too) of each class."""
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != info.name:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield obj
+                for member in vars(obj).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member):
+                        yield member
+
+
+class TestAnnotationsResolve:
+    def test_every_annotation_resolves(self):
+        """A name used in an annotation but never imported (or one that
+        exists only in type stubs) raises the moment anything
+        introspects the hints."""
+        unresolved = []
+        for obj in _annotated_objects():
+            try:
+                typing.get_type_hints(obj)
+            except (NameError, AttributeError) as exc:
+                unresolved.append(f"{obj.__module__}.{obj.__qualname__}: {exc}")
+        assert unresolved == []

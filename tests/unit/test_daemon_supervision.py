@@ -305,54 +305,6 @@ class TestStatusPendingWindows:
         service.aggregate_windows([0, 2])
         assert service.status()["pending_windows"] == []
 
-    def test_stream_ingested_windows_stay_pending_until_close(self):
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        commit(store, bulletin, 0)
-        commit(store, bulletin, 1)
-        service = ProverService(store, bulletin, stream=True)
-        try:
-            service.ingest_window(0)
-            # Delta-proven but unclosed: no chained receipt covers the
-            # window yet, so the backlog must still report it.
-            status = service.status()
-            assert status["pending_windows"] == [0, 1]
-            assert status["stream"]["ingested_windows"] == [0]
-            service.ingest_window(1)
-            service.close_stream_round()
-            status = service.status()
-            assert status["pending_windows"] == []
-            assert status["stream"]["open_round"] is None
-        finally:
-            service.close()
-
-
-class TestStreamedRound:
-    def test_daemon_skips_windows_ingested_into_the_open_round(self):
-        """Regression: the daemon gathered a window already ingested
-        into the open streamed round, failed that batch and the
-        isolated retry on "already ingested", and stayed degraded with
-        the window retrying forever."""
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        for window in range(3):
-            commit(store, bulletin, window)
-        service = ProverService(store, bulletin, stream=True)
-        try:
-            service.ingest_window(0)
-            daemon = make_daemon(service, SimClock())
-            result = daemon.step()
-            assert result is not None
-            assert result.windows == {0, 1, 2}
-            health = daemon.health()
-            assert health["state"] == "healthy"
-            assert health["retrying"] == []
-            assert health["pending"] == 0
-            assert service.aggregated_windows == {0, 1, 2}
-            assert daemon.step() is None
-        finally:
-            service.close()
-
 
 class TestBoundedStats:
     def test_results_keep_last_k(self, setup):

@@ -11,9 +11,10 @@ from repro.core.aggregation import (
     make_receipt_binding,
 )
 from repro.core.clog import CLogState
+from repro.core.chain import ROUND_IMAGE_IDS
 from repro.core.guest_programs import (
+    GUEST_REGISTRY,
     aggregation_guest,
-    delta_aggregation_guest,
     query_guest,
 )
 from repro.core.policy import DEFAULT_POLICY
@@ -27,7 +28,6 @@ from repro.federation.join import FederationJoinProver
 from repro.hashing import sha256
 from repro.merkle.tree import EMPTY_ROOTS
 from repro.serialization import encode
-from repro.stream import StreamingAggregator
 from repro.zkvm import ExecutorEnvBuilder, Prover, verify_receipt
 
 from ..conftest import make_record
@@ -208,7 +208,7 @@ class TestQueryGuest:
 
 # -- the contract the round pipeline must hold --------------------------------
 #
-# One fixed fixture, four ways to prove it.  The values below were
+# One fixed fixture, three ways to prove it.  The values below were
 # captured at the commit *before* Algorithm 1's steps were folded into
 # shared helpers; journals, total cycles, per-category breakdowns and
 # SHA compression counts are the contract, and any refactor of the
@@ -239,15 +239,6 @@ PINNED = {
         "breakdown": {"aggregate": 2880, "base": 10000,
                       "commitment": 12648, "decode": 16606, "io": 11828,
                       "merkle": 32164, "verify": 7736},
-    },
-    "delta_fold": {
-        "journal": "a046eb28c4717d39b0a99fcdbd0b2a28"
-                   "2c2266dac4b302863d7fc802fe4ec3f3",
-        "total_cycles": 179126,
-        "sha": 918,
-        "breakdown": {"aggregate": 2880, "base": 50000,
-                      "commitment": 12648, "decode": 16606, "io": 23496,
-                      "merge": 240, "merkle": 32164, "verify": 41092},
     },
     "rebuild": {
         "journal": "7823d80272c0fa537174850266bdd429"
@@ -314,18 +305,6 @@ class TestPinnedRoundContract:
             genesis.receipt)
         assert pin_of(result.receipt.journal, result.info.stats) \
             == PINNED["aggregation"]
-
-    def test_delta_fold_round(self, genesis, serial_engine):
-        result = StreamingAggregator(engine=serial_engine).aggregate(
-            genesis.new_state, pinned_windows(self.WINDOWS),
-            genesis.receipt)
-        assert len(result.info.delta_results) == 3
-        assert len(result.info.fold_results) == 2
-        assert pin_of(result.receipt.journal, result.info.stats) \
-            == PINNED["delta_fold"]
-        # Streamed and monolithic rounds commit the same journal.
-        assert PINNED["delta_fold"]["journal"] \
-            == PINNED["aggregation"]["journal"]
 
     def test_rebuild_round(self, genesis):
         result = RebuildAggregator().aggregate(
@@ -431,6 +410,43 @@ class TestPinnedInputFrames:
             == PINNED_INPUTS["rebuild"]
 
 
+# Every guest a receipt can name, with its image id: the trusted code
+# base.  Captured while the streamed round's delta and fold guests were
+# still registered (and ``fold_guest`` was a third round image); their
+# removal moved none of the ids that remain.
+PINNED_IMAGES = {
+    "telemetry-aggregation-v1": "1e9f5957578049b379824b826de0994e"
+                                "f267d2a85214695d010fa2063d2f956f",
+    "telemetry-aggregation-rebuild-v1": "455371992e828b130b4fd1ad5e7940500"
+                                        "ec70c0cdda8f9b0f4ef637354ae85a0",
+    "telemetry-query-v1": "21a7b53c962fbc189a336ffaa8a1fd37"
+                          "7d06f019ef7545791b74312f4d49b1d9",
+    "telemetry-partition-v1": "bf02d2b7e46ded9a92b9ee8eb645da0d"
+                              "9f66e2af2a7a8a33ce35e2c2c99e8288",
+    "telemetry-merge-v1": "acd6189ec95bd07d031d65fc102c152f"
+                          "a04b32bc5a918eee3edbb6f543617752",
+    "telemetry-query-partition-v2": "3758aa4c3cb13a7fc4fc1b087810aecd"
+                                    "11de8af58f2184f65ad7ac950bb7b1ae",
+    "telemetry-query-merge-v2": "0078e86a9cdd99ea7e8b3672e2a908c2"
+                                "655d2574be1895c4028df69e84ad2c04",
+    "telemetry-federation-join-v1": "309dc41e8e9fcbcaceda06fd18e7462b"
+                                    "457745d9350c5fbcdf03f01dac955c5e",
+}
+
+
+class TestPinnedImages:
+    def test_round_images_are_update_and_rebuild(self):
+        assert ROUND_IMAGE_IDS == (aggregation_guest.image_id,
+                                   rebuild_aggregation_guest.image_id)
+
+    def test_registered_telemetry_guests_and_image_ids(self):
+        # Test modules register their own guests under other prefixes.
+        registered = {name: program.image_id.hex()
+                      for name, program in GUEST_REGISTRY.items()
+                      if name.startswith("telemetry-")}
+        assert registered == PINNED_IMAGES
+
+
 # -- the shared steps abort the same way from every caller ---------------------
 
 def tampered(inputs):
@@ -446,9 +462,6 @@ def tampered(inputs):
 STEP2_CALLERS = {
     "aggregation": lambda engine, windows:
         Aggregator().aggregate(CLogState(), windows, None),
-    "delta": lambda engine, windows:
-        StreamingAggregator(engine=engine).aggregate(
-            CLogState(), windows, None),
     "rebuild": lambda engine, windows:
         RebuildAggregator().aggregate(CLogState(), windows, None),
     "partition": lambda engine, windows: engine.prove_round(windows),
@@ -458,7 +471,6 @@ STEP2_CALLERS = {
 
 STEP1_GUESTS = {
     "aggregation": aggregation_guest,
-    "delta": delta_aggregation_guest,
     "rebuild": rebuild_aggregation_guest,
 }
 
@@ -475,7 +487,7 @@ def step1_input(guest, genesis, binding=None, **forged):
         "num_routers": 0,
     }
     if guest is not rebuild_aggregation_guest:
-        header.update(prev_depth=state.depth, num_ops=0, seq=0)
+        header.update(prev_depth=state.depth, num_ops=0)
     header.update(forged)
     builder = ExecutorEnvBuilder()
     builder.write(header)
@@ -519,7 +531,7 @@ class TestSharedSteps:
         with pytest.raises(GuestAbort, match="claimed prev state"):
             Prover().prove(guest, step1_input(guest, genesis, **forged))
 
-    @pytest.mark.parametrize("name", ["aggregation", "delta"])
+    @pytest.mark.parametrize("name", ["aggregation"])
     def test_wrong_prev_depth_aborts(self, name, genesis):
         guest = STEP1_GUESTS[name]
         with pytest.raises(GuestAbort, match="claimed prev state"):
@@ -541,23 +553,3 @@ class TestSharedSteps:
         guest = STEP1_GUESTS[name]
         with pytest.raises(GuestAbort, match="genesis"):
             Prover().prove(guest, step1_input(guest, genesis, round=0))
-
-    def test_later_delta_skips_step1(self, genesis):
-        """Only delta 0 binds the previous round: at ``seq > 0`` no
-        binding frame is read and nothing is assumed."""
-        state = genesis.new_state
-        builder = ExecutorEnvBuilder()
-        builder.write({
-            "round": 1, "policy": DEFAULT_POLICY.to_wire(),
-            "prev_root": state.root, "prev_size": len(state),
-            "prev_depth": state.depth, "num_routers": 0, "num_ops": 0,
-            "seq": 1,
-        })
-        info = Prover().prove(delta_aggregation_guest, builder.build())
-        assert not info.receipt.claim.assumptions
-
-    def test_negative_delta_seq_aborts(self, genesis):
-        with pytest.raises(GuestAbort, match="non-negative"):
-            Prover().prove(
-                delta_aggregation_guest,
-                step1_input(delta_aggregation_guest, genesis, seq=-1))

@@ -379,60 +379,6 @@ class TestEngineContract:
             service.close()
 
 
-STREAM_METRIC_LABELS = {
-    "repro_stream_deltas_total": ("cached",),
-    "repro_stream_folds_total": ("cached", "kind"),
-    "repro_stream_rounds_total": ("strategy",),
-    "repro_stream_frontier_nodes": (),
-}
-
-STREAM_SPANS = {"stream.delta", "stream.fold"}
-
-
-class TestStreamContract:
-    """The streaming-composition namespace, pinned like the others.
-
-    Stream mode is explicit opt-in (``stream=True``), so these names
-    never appear for a default service — the sequential contract above
-    stays intact.
-    """
-
-    def test_streamed_round_emits_exact_names(self):
-        store, bulletin, _ = make_committed_records(20)
-        service = ProverService(store, bulletin, stream=True)
-        try:
-            with obs.capture() as cap:
-                service.aggregate_all_committed()
-                for name in STREAM_SPANS:
-                    assert len(cap.exporter.by_name(name)) >= 1, name
-                for name, labels in STREAM_METRIC_LABELS.items():
-                    assert cap.registry.label_names(name) == labels, name
-                deltas = cap.registry.get("repro_stream_deltas_total")
-                assert deltas.value(cached="false") == 1
-                folds = cap.registry.get("repro_stream_folds_total")
-                assert folds.value(cached="false", kind="final") == 1
-                rounds = cap.registry.get("repro_stream_rounds_total")
-                assert rounds.value(strategy="streamed") == 1
-                frontier = cap.registry.get("repro_stream_frontier_nodes")
-                assert frontier.value() == 0  # emptied by close()
-                # The streamed round also lands in the shared
-                # aggregation series under its own strategy label.
-                agg = cap.registry.get("repro_agg_rounds_total")
-                assert agg.value(strategy="streamed") == 1
-        finally:
-            service.close()
-
-    def test_default_service_emits_no_stream_names(self):
-        store, bulletin, _ = make_committed_records(20)
-        service = ProverService(store, bulletin)
-        with obs.capture() as cap:
-            service.aggregate_all_committed()
-            for name in STREAM_SPANS:
-                assert cap.exporter.by_name(name) == []
-            for name in STREAM_METRIC_LABELS:
-                assert cap.registry.get(name) is None, name
-
-
 QSERVE_METRIC_LABELS = {
     "repro_qserve_admitted_total": ("tenant",),
     "repro_qserve_rejected_total": ("tenant", "reason"),

@@ -9,7 +9,7 @@ from repro.core.prover_service import ProverService
 from repro.core.rebuild import RebuildAggregator, \
     rebuild_aggregation_guest
 from repro.core.verifier_client import VerifierClient
-from repro.errors import GuestAbort, ProofError
+from repro.errors import ConfigurationError, GuestAbort
 from repro.hashing import sha256
 from repro.storage import MemoryLogStore
 from repro.commitments import BulletinBoard
@@ -129,7 +129,7 @@ class TestStrategyInterop:
 
     def test_unknown_strategy_rejected(self):
         store = MemoryLogStore()
-        with pytest.raises(ProofError, match="strategy"):
+        with pytest.raises(ConfigurationError, match="strategy"):
             ProverService(store, BulletinBoard(), strategy="magic")
 
     def test_untrusted_image_rejected_by_client(self):

@@ -6,11 +6,13 @@ cost, counted rather than timed.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import closing
 
 import pytest
 
-from repro.core.prover_service import ProverService
+from repro.commitments import BulletinBoard
+from repro.core.prover_service import DEFAULT_CHECKPOINT, ProverService
 from repro.engine import ProvingEngine, ReceiptCache, execute_job
 from repro.obs import runtime as obs
 from repro.qserve import QueryResultCache, result_cache_key
@@ -18,6 +20,7 @@ from repro.storage import MemoryLogStore
 
 from ..conftest import make_committed_records
 from ..counting import count_durable_io
+from . import test_guest_programs as pinned
 from .test_engine import echo_guest, echo_job, router_inputs
 from .test_qserve import BrokenStore, _responses
 from .test_storage import dropped_tables_store
@@ -179,6 +182,21 @@ def _cold_then_warm(action):
     return tuple(pins)
 
 
+def _checkpointed_rounds():
+    """Two auto-checkpointed update rounds (window 0, then the pinned
+    round's windows), then ``restore()`` on a fresh service over the same
+    store; returns the counts and the last checkpoint blob."""
+    store, bulletin = MemoryLogStore(), BulletinBoard()
+    with count_durable_io() as counts:
+        service = ProverService(store, bulletin, auto_checkpoint=True)
+        for windows in ([0], pinned.TestPinnedRoundContract.WINDOWS):
+            service.prove_round(windows, pinned.pinned_windows(windows))
+        fresh = ProverService(store, bulletin)
+        assert fresh.restore()
+    assert fresh.chain.latest.new_root == service.chain.latest.new_root
+    return dict(counts), store.get_checkpoint(DEFAULT_CHECKPOINT)
+
+
 def _served(attach):
     store, bulletin, _ = make_committed_records(20, seed=3)
     service = ProverService(store, bulletin)
@@ -199,9 +217,14 @@ class TestCountedDurableIO:
 
     Captured before the two caches became codecs over one ``SealedCache``; the merge moved
     none of them.  A round of two partitions is three jobs (two partitions and the merge).
+    The checkpointed-rounds pin (two puts, one restore read, the last blob's SHA-256) was
+    captured while the checkpoint could still carry a streamed round's frontier, and shows
+    a default checkpoint's bytes did not move when that section went.
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
+    CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7767}
+    CHECKPOINT_SHA256 = "31b6949a686ad3058ef8493991f3fa46de87bd9eb3ff2371c6231b0597f6f041"
 
     def test_default_service_query_touches_no_kv(self):
         assert _served(attach=False) == (self.NONE, self.NONE)
@@ -209,6 +232,11 @@ class TestCountedDurableIO:
     def test_attached_query_cache_reads_and_writes_once_when_cold(self):
         cold = {"get_checkpoint": 1, "put_checkpoint": 1, "checkpoint_bytes": 937}
         assert _served(attach=True) == (cold, self.NONE)
+
+    def test_checkpointed_rounds_then_restore(self):
+        counts, blob = _checkpointed_rounds()
+        assert counts == self.CHECKPOINTED
+        assert hashlib.sha256(blob).hexdigest() == self.CHECKPOINT_SHA256
 
     def test_engine_round_reads_and_writes_once_per_job_when_cold(self):
         cold = {"get_checkpoint": 3, "put_checkpoint": 3, "checkpoint_bytes": 9220}

@@ -111,33 +111,6 @@ class TestDoubleConsumptionWithinOneRound:
         with pytest.raises(ChainError, match="more than once"):
             client.verify_chain([doubled.receipt])
 
-    def test_streamed_round_with_pair_in_two_deltas_rejected(self,
-                                                             committed):
-        """The streamer's own guard refuses the repeat, so the forging
-        host switches it off: same window, proven again from the
-        intermediate state, folded like any other delta."""
-        from repro.core.aggregation import Aggregator
-        from repro.core.clog import CLogState
-        from repro.engine import ProvingEngine
-        from repro.stream import StreamingAggregator
-
-        class ForgingStreamer(StreamingAggregator):
-            open_windows = frozenset()
-
-        client, inputs = committed
-        window = inputs[:1]
-        with ProvingEngine(backend="serial") as engine:
-            streamer = ForgingStreamer(engine=engine)
-            streamer.ingest(CLogState(), window)
-            streamer.ingest(CLogState(), window)
-            doubled = streamer.close()
-        monolithic = Aggregator().aggregate(CLogState(), window + window,
-                                            None)
-        assert doubled.receipt.journal.data \
-            == monolithic.receipt.journal.data
-        with pytest.raises(ChainError, match="more than once"):
-            client.verify_chain([doubled.receipt])
-
 
 class TestQueryVerification:
     def test_query_verifies(self, aggregated_system):
