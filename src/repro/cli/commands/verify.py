@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from ...core.query_proof import response_from_receipt
 from ...core.verifier_client import VerifierClient
 from ...errors import ReproError
 from ...zkvm import Receipt
@@ -82,24 +83,9 @@ class VerifyQueryCommand:
         verifier = VerifierClient(bulletin)
         try:
             chain = verifier.verify_chain(receipts)
-            journal = query_receipt.journal.decode_one()
-            # Reconstruct the response the provider shipped.
-            from ...core.query_proof import QueryResponse
-            response = QueryResponse(
-                sql=journal["query"],
-                labels=tuple(journal["labels"]),
-                values=tuple(journal["values"]),
-                matched=journal["matched"],
-                scanned=journal["scanned"],
-                round=journal["round"],
-                root=journal["root"],
-                receipt=query_receipt,
-                group_by=journal.get("group_by"),
-                groups=tuple((key, tuple(values)) for key, values in
-                             journal.get("groups", [])),
-            )
+            response = response_from_receipt(query_receipt)
             verified = verifier.verify_query(response,
-                                             chain[journal["round"]])
+                                             chain[response.round])
         except (ReproError, IndexError, KeyError) as exc:
             print(f"QUERY VERIFICATION FAILED: {exc}")
             return CommandResult.failure(str(exc))

@@ -16,12 +16,6 @@ Pipeline (Figure 1):
 from .aggregation import AggregationResult, Aggregator
 from .clog import CLogEntry, CLogState
 from .chain import AggregationChain, ChainLink
-from .federation import (
-    PeeringAuditor,
-    PeeringScenario,
-    ReconciliationReport,
-    build_peering_scenario,
-)
 from .policy import AggOp, AggregationPolicy, DEFAULT_POLICY
 from .prover_service import ProverService, QueryResponse
 from .rebuild import RebuildAggregator
@@ -47,11 +41,7 @@ __all__ = [
     "CLogState",
     "ChainLink",
     "DEFAULT_POLICY",
-    "PeeringAuditor",
-    "PeeringScenario",
     "ProverService",
-    "ReconciliationReport",
-    "build_peering_scenario",
     "RebuildAggregator",
     "QueryResponse",
     "TamperKind",

@@ -5,8 +5,11 @@ telemetry claims, in a single JSON document:
 
 * the bulletin board (every router window commitment),
 * the full aggregation receipt chain,
-* any number of query receipts,
-* a transparency-log checkpoint over the chain.
+* any number of query receipts.
+
+The chain needs no separate log or checkpoint: every round verifies its
+predecessor's receipt (§4.1 step 1), so the chain head already commits
+the whole history.
 
 :func:`verify_bundle` replays the client-side checks from the bundle
 alone — no store access, no provider interaction — and returns a
@@ -27,8 +30,7 @@ from ..errors import ReproError, VerificationError
 from ..hashing import Digest
 from ..zkvm import Receipt
 from .prover_service import ProverService
-from .query_proof import QueryResponse
-from .transparency import LogCheckpoint, ReceiptTransparencyLog
+from .query_proof import QueryResponse, response_from_receipt
 from .verifier_client import VerifierClient
 
 BUNDLE_VERSION = 1
@@ -41,7 +43,6 @@ class AuditBundle:
     commitments: list[Commitment]
     chain: list[Receipt]
     query_receipts: list[Receipt] = field(default_factory=list)
-    checkpoint: LogCheckpoint | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     # -- construction -----------------------------------------------------------
@@ -52,16 +53,11 @@ class AuditBundle:
                      metadata: dict[str, Any] | None = None
                      ) -> "AuditBundle":
         """Snapshot a prover service's public material."""
-        log = ReceiptTransparencyLog()
-        receipts = service.chain.receipts()
-        for receipt in receipts:
-            log.append(receipt)
         return cls(
             commitments=list(service.bulletin),
-            chain=receipts,
+            chain=service.chain.receipts(),
             query_receipts=[response.receipt for response in
                             (query_responses or [])],
-            checkpoint=log.checkpoint(),
             metadata=dict(metadata or {}),
         )
 
@@ -82,41 +78,41 @@ class AuditBundle:
                       for receipt in self.chain],
             "query_receipts": [receipt.to_json_bytes().decode()
                                for receipt in self.query_receipts],
-            "checkpoint": ({"size": self.checkpoint.size,
-                            "root": self.checkpoint.root.hex()}
-                           if self.checkpoint else None),
         }
         return json.dumps(document, indent=1).encode()
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "AuditBundle":
+        """Parse a bundle; any malformed document is a ReproError.
+
+        Keys this version does not read (such as the ``checkpoint`` of
+        older bundles) are ignored.
+        """
         try:
             document = json.loads(data.decode())
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ReproError(f"malformed bundle: {exc}") from exc
-        if document.get("version") != BUNDLE_VERSION:
+            if not isinstance(document, dict):
+                raise ReproError(
+                    "malformed bundle: top level is not a JSON object")
+            if document.get("version") != BUNDLE_VERSION:
+                raise ReproError(
+                    f"unsupported bundle version {document.get('version')}")
+            return cls(
+                commitments=[Commitment(
+                    router_id=entry["router_id"],
+                    window_index=entry["window_index"],
+                    digest=Digest.from_hex(entry["digest"]),
+                    record_count=entry["record_count"],
+                    published_at_ms=entry["published_at_ms"],
+                ) for entry in document["commitments"]],
+                chain=[Receipt.from_json_bytes(blob.encode())
+                       for blob in document["chain"]],
+                query_receipts=[Receipt.from_json_bytes(blob.encode())
+                                for blob in document["query_receipts"]],
+                metadata=document.get("metadata", {}),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ReproError(
-                f"unsupported bundle version {document.get('version')}")
-        checkpoint = None
-        if document.get("checkpoint"):
-            checkpoint = LogCheckpoint(
-                size=document["checkpoint"]["size"],
-                root=Digest.from_hex(document["checkpoint"]["root"]))
-        return cls(
-            commitments=[Commitment(
-                router_id=entry["router_id"],
-                window_index=entry["window_index"],
-                digest=Digest.from_hex(entry["digest"]),
-                record_count=entry["record_count"],
-                published_at_ms=entry["published_at_ms"],
-            ) for entry in document["commitments"]],
-            chain=[Receipt.from_json_bytes(blob.encode())
-                   for blob in document["chain"]],
-            query_receipts=[Receipt.from_json_bytes(blob.encode())
-                            for blob in document["query_receipts"]],
-            checkpoint=checkpoint,
-            metadata=document.get("metadata", {}),
-        )
+                f"malformed bundle: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -128,15 +124,12 @@ class BundleReport:
     final_size: int
     windows: tuple[tuple[str, int], ...]
     queries: tuple[dict[str, Any], ...]
-    checkpoint_ok: bool
 
     def summary(self) -> str:
         lines = [f"{self.rounds} aggregation rounds verified; final "
                  f"root {self.final_root.short()}… over "
                  f"{self.final_size} flows"]
-        lines.append(f"windows consumed: {len(self.windows)}; "
-                     f"transparency checkpoint "
-                     f"{'OK' if self.checkpoint_ok else 'ABSENT'}")
+        lines.append(f"windows consumed: {len(self.windows)}")
         for query in self.queries:
             lines.append(f"query OK: {query['query']!r} -> "
                          f"{query['values']}")
@@ -147,9 +140,8 @@ def verify_bundle(bundle: AuditBundle) -> BundleReport:
     """Re-verify everything in a bundle from its own contents.
 
     Raises a :class:`~repro.errors.ReproError` subclass on any failure:
-    bad receipt, broken chain, commitment mismatch, query bound to a
-    root outside the chain, or a checkpoint that does not match the
-    chain's claims.
+    bad receipt, broken chain, commitment mismatch, or a query bound to
+    a root outside the chain.
     """
     bulletin = BulletinBoard()
     for commitment in bundle.commitments:
@@ -160,40 +152,17 @@ def verify_bundle(bundle: AuditBundle) -> BundleReport:
 
     queries: list[dict[str, Any]] = []
     for receipt in bundle.query_receipts:
-        journal = receipt.journal.decode_one()
-        target = by_round.get(journal.get("round"))
+        response = response_from_receipt(receipt)
+        target = by_round.get(response.round)
         if target is None:
             raise VerificationError(
                 "query receipt references a round outside the chain")
-        response = QueryResponse(
-            sql=journal["query"],
-            labels=tuple(journal["labels"]),
-            values=tuple(journal["values"]),
-            matched=journal["matched"],
-            scanned=journal["scanned"],
-            round=journal["round"],
-            root=journal["root"],
-            receipt=receipt,
-            group_by=journal.get("group_by"),
-            groups=tuple((key, tuple(values)) for key, values in
-                         journal.get("groups", [])),
-        )
         verified = verifier.verify_query(response, target)
         queries.append({"query": verified.sql,
                         "values": list(verified.values),
                         "groups": [[key, list(values)] for key, values
                                    in verified.groups],
                         "round": verified.round})
-
-    checkpoint_ok = False
-    if bundle.checkpoint is not None:
-        log = ReceiptTransparencyLog()
-        for receipt in bundle.chain:
-            log.append(receipt)
-        if log.checkpoint() != bundle.checkpoint:
-            raise VerificationError(
-                "bundle checkpoint does not match the receipt chain")
-        checkpoint_ok = True
 
     windows: list[tuple[str, int]] = []
     for verified in verified_chain:
@@ -205,5 +174,4 @@ def verify_bundle(bundle: AuditBundle) -> BundleReport:
         final_size=last.size,
         windows=tuple(windows),
         queries=tuple(queries),
-        checkpoint_ok=checkpoint_ok,
     )

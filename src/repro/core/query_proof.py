@@ -185,7 +185,7 @@ class QueryProver:
         registry.counter(obs_names.QUERY_PROOFS).inc()
         registry.histogram(obs_names.QUERY_SECONDS).observe(
             time.perf_counter() - start)
-        return _build_response(sql, receipt), info
+        return response_from_receipt(receipt, sql), info
 
     def prove_query_partitioned(
             self, sql: str, state: CLogState, agg_receipt: Receipt,
@@ -330,7 +330,7 @@ class QueryProver:
                         receipt = resolve_all(merge_result.receipt,
                                               resolved)
                     outcomes.append((
-                        _build_response(sqls[query_index], receipt),
+                        response_from_receipt(receipt, sqls[query_index]),
                         PartitionedQueryInfo(
                             receipt=receipt,
                             partition_infos=partition_infos,
@@ -347,10 +347,16 @@ class QueryProver:
         return outcomes
 
 
-def _build_response(sql: str, receipt: Receipt) -> QueryResponse:
+def response_from_receipt(receipt: Receipt,
+                          sql: str | None = None) -> QueryResponse:
+    """The :class:`QueryResponse` a query receipt's journal describes.
+
+    ``sql`` defaults to the query text the journal commits.  The
+    response is unverified until ``VerifierClient.verify_query``.
+    """
     journal = _query_journal(receipt)
     return QueryResponse(
-        sql=sql,
+        sql=journal["query"] if sql is None else sql,
         labels=tuple(journal["labels"]),
         values=tuple(journal["values"]),
         matched=journal["matched"],
@@ -375,4 +381,5 @@ __all__ = [
     "PartitionedQueryInfo",
     "QueryProver",
     "QueryResponse",
+    "response_from_receipt",
 ]

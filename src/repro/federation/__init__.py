@@ -2,8 +2,8 @@
 
 The paper's prover is a single provider; its motivating disputes —
 peering SLAs, inter-domain loss blame — cross provider boundaries.
-This package generalizes the two-party peering demo in
-:mod:`repro.core.federation` to K mutually distrustful providers:
+This package proves them for K mutually distrustful providers; the
+§2.1 two-party peering dispute is the K=2 case:
 
 * :mod:`.scenario` — :class:`FederationScenario`: K provider domains in
   a delivery chain, each running its own commitment/aggregation

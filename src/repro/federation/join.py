@@ -1,14 +1,13 @@
 """The proven cross-provider join: K query proofs folded in the zkVM.
 
-The two-party peering auditor (:mod:`repro.core.federation`) verifies
-two query responses and does the reconciliation arithmetic *itself*.
-That does not scale past two parties — an auditor of K providers would
-hold K receipts and a spreadsheet.  Here the arithmetic moves inside
-the zkVM: every provider proves one canonical totals query over its own
-committed round, and :data:`~repro.core.guest_programs.
-federation_join_guest` verifies those K receipts and commits the joined
-result — end-to-end path loss, the inter-domain traffic matrix, an SLA
-attestation — as one journal under one receipt.
+An auditor that verified K query responses and did the reconciliation
+arithmetic *itself* would hold K receipts and a spreadsheet.  Here the
+arithmetic moves inside the zkVM: every provider proves one canonical
+totals query over its own committed round, and
+:data:`~repro.core.guest_programs.federation_join_guest` verifies those
+K receipts and commits the joined result — end-to-end path loss, the
+inter-domain traffic matrix, an SLA attestation — as one journal under
+one receipt.
 
 Per-provider query proving routes through
 :meth:`~repro.engine.scheduler.ProvingEngine.submit_fanout`, the same
@@ -31,7 +30,7 @@ from ..core.guest_programs import (
 )
 from ..engine import ProvingEngine
 from ..engine.jobs import ProofJob
-from ..errors import GuestAbort, ProofError
+from ..errors import ConfigurationError, GuestAbort, ProofError
 from ..hashing import Digest
 from ..obs import names as obs_names
 from ..obs import runtime as obs
@@ -84,7 +83,7 @@ class FederationJoinProver:
         sla_loss_ppm: int = PPM,
     ) -> None:
         if tolerance_ppm < 0 or sla_loss_ppm < 0:
-            raise ProofError("federation thresholds must be non-negative")
+            raise ConfigurationError("federation thresholds must be non-negative")
         self._own_engine = engine is None
         self._engine = engine if engine is not None else ProvingEngine()
         self._opts = prover_opts or ProverOpts.groth16()

@@ -3,10 +3,12 @@
 A :class:`FederationScenario` strings K autonomous provider domains
 into a delivery chain: provider ``i`` owns a contiguous run of routers
 and hands every flow to provider ``i+1`` over an inter-domain boundary
-link.  Each domain is a full :class:`~repro.core.federation.
-PeeringDomain` pipeline (own store, own bulletin, own prover service);
-the only shared state is the :class:`RootBoard`, the public registry
-where every provider publishes its per-round aggregation root.
+link.  Each domain is a full :class:`PeeringDomain` pipeline (own
+store, own bulletin, own prover service); the only shared state is the
+:class:`RootBoard`, the public registry where every provider publishes
+its per-round aggregation root.  With K=2 this is the paper's §2.1
+peering dispute: what A delivered to the boundary against what B
+received there.
 
 The board is what makes the providers *mutually distrustful* rather
 than merely separate: the federation join is proven against the
@@ -22,13 +24,69 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..core.federation import PeeringDomain
+from ..commitments import BulletinBoard, Commitment, window_digest
+from ..core.prover_service import ProverService
 from ..errors import ConfigurationError, ProofError
 from ..hashing import Digest
 from ..netflow.generator import TrafficConfig, TrafficGenerator
 from ..netflow.records import NetFlowRecord
 from ..netflow.topology import LinkSpec, NetworkTopology
+from ..storage import MemoryLogStore
 from ..zkvm import Receipt
+
+
+@dataclass
+class PeeringDomain:
+    """One autonomous domain's full pipeline."""
+
+    name: str
+    router_ids: tuple[str, ...]
+    store: MemoryLogStore
+    bulletin: BulletinBoard
+    prover: ProverService
+
+    @classmethod
+    def create(cls, name: str, router_ids: tuple[str, ...]) -> "PeeringDomain":
+        store = MemoryLogStore()
+        bulletin = BulletinBoard()
+        return cls(
+            name=name,
+            router_ids=router_ids,
+            store=store,
+            bulletin=bulletin,
+            prover=ProverService(store, bulletin),
+        )
+
+    def aggregate_all(self) -> None:
+        """Prove every pending window, or refuse over partial state.
+
+        A quarantined window is committed data the chain will never
+        cover; proofs over the rest would mis-localize a dispute to the
+        boundary, so the domain refuses instead of answering.
+        """
+        self.prover.aggregate_all_committed()
+        self.prover.require_unquarantined(f"domain {self.name!r}")
+
+    def commit_window(self, window_index: int, records: list[NetFlowRecord]) -> None:
+        by_router: dict[str, list[NetFlowRecord]] = {}
+        for record in records:
+            if record.router_id not in self.router_ids:
+                raise ConfigurationError(
+                    f"record from {record.router_id!r} does not belong "
+                    f"to domain {self.name!r}"
+                )
+            by_router.setdefault(record.router_id, []).append(record)
+        for router_id, router_records in by_router.items():
+            self.store.append_records(router_id, window_index, router_records)
+            self.bulletin.publish(
+                Commitment(
+                    router_id=router_id,
+                    window_index=window_index,
+                    digest=window_digest([r.to_bytes() for r in router_records]),
+                    record_count=len(router_records),
+                    published_at_ms=window_index * 5_000,
+                )
+            )
 
 
 class RootBoard:

@@ -13,7 +13,6 @@ inclusion proofs.  Three building blocks live here:
   top of the tree, used for CLogs keyed by flow ID.
 """
 
-from .consistency import ConsistencyProof, verify_consistency
 from .hasher import MerkleHasher, TaggedMerkleHasher, default_hasher
 from .maptree import MerkleMap
 from .memo import DigestMemo, clear_memos, memo_stats
@@ -26,7 +25,6 @@ from .proof import (
 from .tree import EMPTY_ROOTS, MerkleTree
 
 __all__ = [
-    "ConsistencyProof",
     "DigestMemo",
     "EMPTY_ROOTS",
     "InclusionProof",
@@ -39,6 +37,5 @@ __all__ = [
     "clear_memos",
     "default_hasher",
     "memo_stats",
-    "verify_consistency",
     "verify_inclusion",
 ]

@@ -174,28 +174,17 @@ class MerkleTree:
                               siblings=self._siblings(0, index),
                               tree_size=index + 1)
 
-    def node_at(self, level: int, pos: int) -> Digest:
-        """The subtree root at (level, pos); the subtree must be fully
-        occupied (used by consistency proofs over aligned blocks)."""
-        if not 0 <= level <= self.depth:
-            raise MerkleError(f"level {level} out of range")
-        end_leaf = (pos + 1) << level
-        if end_leaf > self.size:
-            raise MerkleError(
-                f"subtree ({level}, {pos}) is not fully occupied")
-        return self._levels[level][pos]
-
     def prove_subtree(self, level: int, pos: int) -> SubtreeProof:
         """Prove the node at ``(level, pos)`` against the root.
 
         The node covers the aligned leaf block
-        ``[pos << level, (pos + 1) << level)``.  Unlike :meth:`node_at`
-        the block need not be fully occupied — only non-empty — because
-        siblings follow the same right-padding rule as leaf proofs: a
-        verifier that rebuilds the block's node from its occupied
-        leaves (padding with empty-subtree roots) folds it to exactly
-        this tree's root.  Partitioned query proving uses one such
-        proof per slot-range partition.
+        ``[pos << level, (pos + 1) << level)``.  The block need not be
+        fully occupied — only non-empty — because siblings follow the
+        same right-padding rule as leaf proofs: a verifier that rebuilds
+        the block's node from its occupied leaves (padding with
+        empty-subtree roots) folds it to exactly this tree's root.
+        Partitioned query proving uses one such proof per slot-range
+        partition.
         """
         if not 0 <= level <= self.depth:
             raise MerkleError(f"level {level} out of range")
@@ -205,12 +194,6 @@ class MerkleTree:
         return SubtreeProof(level=level, index=pos,
                             siblings=self._siblings(level, pos),
                             tree_size=self.size)
-
-    def prove_consistency(self, old_size: int):
-        """Prove this tree extends its own earlier ``old_size``-leaf
-        checkpoint (see :mod:`repro.merkle.consistency`)."""
-        from .consistency import prove_consistency
-        return prove_consistency(self, old_size)
 
     def prove_many(self, indices: Sequence[int]) -> MultiProof:
         """Produce a batch proof for several leaves (deduplicated paths)."""

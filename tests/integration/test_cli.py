@@ -176,6 +176,16 @@ class TestVerifyRejections:
                      "--receipts", str(_db.parent / "nowhere")])
         assert code == 2
 
+    def test_verify_bundle_malformed_is_a_clean_failure(self, tmp_path,
+                                                         capsys):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"version": 1}))
+        assert main(["verify-bundle", "--bundle", str(bundle)]) == 1
+        captured = capsys.readouterr()
+        assert "BUNDLE VERIFICATION FAILED: malformed bundle" \
+            in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestServe:
     def test_serve_and_remote_query(self, workspace, capsys):

@@ -1,45 +1,98 @@
-"""Integration tests for inter-domain peering reconciliation."""
+"""Integration tests for federation: K-provider joins, and the §2.1
+two-party peering dispute as the K=2 case."""
 
 import pytest
 
-from repro.core.federation import (
-    PeeringAuditor,
-    ReconciliationReport,
-    build_peering_scenario,
-)
 from repro.errors import ConfigurationError, ProofError
+from repro.federation import (
+    FederationAuditor,
+    FederationJoinProver,
+    build_federation_scenario,
+)
+
+
+def join_and_audit(scenario, tolerance_ppm=0):
+    with FederationJoinProver(tolerance_ppm=tolerance_ppm) as prover:
+        join = prover.prove_join(scenario)
+    report = FederationAuditor().audit(
+        scenario.public_views(), scenario.board, join)
+    return join, report
+
+
+def join_boundary(a_totals, b_totals, tolerance_ppm):
+    """Run the join guest over two synthetic totals-query receipts.
+
+    ``a_totals`` / ``b_totals`` are ``(packets, lost, flows)``; returns
+    the committed ``boundaries`` row ``[src, dst, sent, received, gap,
+    ok]``.  The bindings' claims stay unresolved assumptions: this pins
+    the guest's boundary arithmetic, not receipt resolution.
+    """
+    from repro.core.guest_programs import (
+        FEDERATION_TOTALS_SQL,
+        federation_join_guest,
+        query_guest,
+    )
+    from repro.hashing import Digest
+    from repro.serialization import encode
+    from repro.zkvm import Executor, ExecutorEnvBuilder
+    roots = [Digest(bytes([1]) * 32), Digest(bytes([2]) * 32)]
+    builder = ExecutorEnvBuilder()
+    builder.write({"num_providers": 2, "providers": ["isp-a", "isp-b"],
+                   "roots": roots, "tolerance_ppm": tolerance_ppm,
+                   "sla_loss_ppm": 1_000_000})
+    for root, totals in zip(roots, (a_totals, b_totals)):
+        journal = {"query": FEDERATION_TOTALS_SQL, "root": root,
+                   "values": list(totals), "round": 0}
+        builder.write({"image_id": query_guest.image_id,
+                       "input_digest": Digest.zero(), "exit_code": 0,
+                       "total_cycles": 0, "segment_count": 1,
+                       "journal": encode(journal)})
+    session = Executor().execute_expecting_success(
+        federation_join_guest, builder.build())
+    (row,) = session.journal.decode_one()["boundaries"]
+    return row
 
 
 @pytest.fixture(scope="module")
-def scenario():
-    return build_peering_scenario(num_flows=60, seed=11,
-                                  boundary_loss=0.02)
+def peering():
+    scenario = build_federation_scenario(num_providers=2, num_flows=60,
+                                         seed=11, boundary_loss=0.02)
+    join, report = join_and_audit(scenario)
+    return scenario, join, report
 
 
 class TestHonestReconciliation:
-    def test_conservation_holds_exactly(self, scenario):
-        report = PeeringAuditor(tolerance=0.0).reconcile(scenario)
+    def test_conservation_holds_exactly(self, peering):
+        _, join, report = peering
         assert report.consistent
-        assert report.gap == 0
-        assert report.flows_a == report.flows_b == 60
+        (boundary,) = report.boundaries
+        assert boundary.gap == 0
+        (_, _, flows_a), (_, _, flows_b) = join.journal["totals"]
+        assert flows_a == flows_b == 60
 
-    def test_boundary_loss_visible_in_a_chain(self, scenario):
+    def test_join_guest_conserves_exactly(self):
+        assert join_boundary((1000, 10, 5), (990, 0, 5), 0) == \
+            ["isp-a", "isp-b", 990, 990, 0, True]
+
+    def test_boundary_loss_visible_in_a_chain(self, peering):
         """A's proven loss includes the peering-link losses."""
-        response = scenario.domain_a.prover.answer_query(
+        scenario, _, _ = peering
+        response = scenario.domain("isp-a").prover.answer_query(
             "SELECT SUM(lost_packets), SUM(packets) FROM clogs")
         lost, packets = response.values
         assert lost > 0
         assert lost < packets
 
-    def test_domains_are_isolated(self, scenario):
+    def test_domains_are_isolated(self, peering):
         """Each domain's chain covers only its own routers."""
-        for domain, routers in ((scenario.domain_a, {"r1", "r2"}),
-                                (scenario.domain_b, {"r3", "r4"})):
+        scenario, _, _ = peering
+        for domain, routers in zip(scenario.providers,
+                                   ({"r1", "r2"}, {"r3", "r4"})):
             header = domain.prover.chain.latest.journal_header
             assert {w["r"] for w in header["windows"]} == routers
 
-    def test_report_rendering(self, scenario):
-        report = PeeringAuditor().reconcile(scenario)
+    def test_report_rendering(self, peering):
+        _, _, report = peering
         assert "CONSISTENT" in str(report)
 
 
@@ -47,24 +100,26 @@ class TestDisputes:
     def test_understating_b_breaks_its_own_proofs(self):
         """B rewrites its ingress logs to claim it received less
         (billing dispute): B's chain simply cannot be produced — the
-        window is quarantined and the auditor refuses to reconcile."""
-        scenario = build_peering_scenario(num_flows=30, seed=13)
+        window is quarantined and the join is refused."""
+        scenario = build_federation_scenario(num_providers=2,
+                                             num_flows=30, seed=13)
         from repro.core.tamper import modify_record_field
-        record = scenario.domain_b.store.window_records("r3", 0)[0]
-        modify_record_field(scenario.domain_b.store, "r3", 0, 0,
+        store_b = scenario.domain("isp-b").store
+        record = store_b.window_records("r3", 0)[0]
+        modify_record_field(store_b, "r3", 0, 0,
                             packets=record.packets // 2,
                             octets=record.octets // 2)
-        prover_b = scenario.domain_b.prover
+        prover_b = scenario.domain("isp-b").prover
         assert prover_b.aggregate_all_committed() == []
         assert "commitment mismatch" in prover_b.quarantined[0]
-        with pytest.raises(ProofError,
-                           match="'isp-b' has quarantined window.*"
-                                 "window 0: GuestAbort"):
-            PeeringAuditor().reconcile(scenario)
+        with FederationJoinProver() as prover:
+            with pytest.raises(ProofError,
+                               match="'isp-b' has quarantined window.*"
+                                     "window 0: GuestAbort"):
+                prover.prove_join(scenario)
 
     def test_tampered_provider_publishes_no_root(self):
         from repro.core.tamper import truncate_window
-        from repro.federation import build_federation_scenario
         scenario = build_federation_scenario(num_providers=2,
                                              num_flows=10, seed=9)
         truncate_window(scenario.domain("isp-b").store, "r3", 0, keep=1)
@@ -76,84 +131,75 @@ class TestDisputes:
 
     def test_mismatched_claims_flagged(self):
         """If the two domains genuinely account differently (here: a
-        synthetic gap), the auditor's report says DISPUTED."""
-        report = ReconciliationReport(
-            delivered_by_a=100_000, received_by_b=90_000,
-            flows_a=50, flows_b=50, tolerance=0.01)
-        assert not report.consistent
-        assert report.gap == 10_000
-        assert "DISPUTED" in str(report)
+        synthetic 10% gap against a 1% tolerance), the boundary is not
+        ok."""
+        assert join_boundary((100_000, 0, 50), (90_000, 0, 50),
+                             10_000) == \
+            ["isp-a", "isp-b", 100_000, 90_000, 10_000, False]
 
     def test_flow_count_mismatch_flagged(self):
-        report = ReconciliationReport(
-            delivered_by_a=1000, received_by_b=1000,
-            flows_a=10, flows_b=9, tolerance=0.1)
-        assert not report.consistent
+        assert join_boundary((1000, 0, 5), (1000, 0, 4), 100_000) == \
+            ["isp-a", "isp-b", 1000, 1000, 0, False]
 
     def test_tolerance(self):
-        report = ReconciliationReport(
-            delivered_by_a=100_000, received_by_b=99_950,
-            flows_a=5, flows_b=5, tolerance=0.001)
-        assert report.consistent
-        assert report.relative_gap == pytest.approx(0.0005)
+        """A gap of 50 in 100,000 (500 ppm) is within 1,000 ppm."""
+        assert join_boundary((100_000, 0, 5), (99_950, 0, 5), 1_000) == \
+            ["isp-a", "isp-b", 100_000, 99_950, 50, True]
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ConfigurationError):
-            PeeringAuditor(tolerance=-1)
+            FederationJoinProver(tolerance_ppm=-1)
 
 
 class TestScenarioConstruction:
-    def test_all_flows_cross_the_boundary(self, scenario):
+    def test_all_flows_cross_the_boundary(self, peering):
         """Every flow appears in both domains (r1 ingress, r4 egress)."""
+        scenario, _, _ = peering
         a_flows = {r.key for r in
-                   scenario.domain_a.store.window_records("r1", 0)}
+                   scenario.domain("isp-a").store.window_records("r1", 0)}
         b_flows = {r.key for r in
-                   scenario.domain_b.store.window_records("r3", 0)}
+                   scenario.domain("isp-b").store.window_records("r3", 0)}
         assert a_flows == b_flows
 
-    def test_wrong_domain_record_rejected(self, scenario):
+    def test_wrong_domain_record_rejected(self, peering):
         from ..conftest import make_record
+        scenario, _, _ = peering
         with pytest.raises(ConfigurationError, match="does not belong"):
-            scenario.domain_a.commit_window(
+            scenario.domain("isp-a").commit_window(
                 5, [make_record(router_id="r4")])
 
 
 class TestRegressionFixes:
     """Regressions for two reconciliation bugs.
 
-    Both tests fail on the pre-fix code: ``relative_gap`` normalized by
-    ``delivered_by_a`` alone (0/0 -> "0.0", i.e. a silent pass when A
-    claimed nothing), and ``reconcile`` only aggregated when a domain's
-    chain was *completely* empty, so a partially-aggregated domain was
-    reconciled against a stale round.
+    A zero guard on the *delivering* side alone turned "A delivered
+    nothing while B received packets" into a silent pass; the join
+    guest guards on the larger side.  A domain with one round proven
+    and another window pending must be joined over *all* committed
+    data, not a stale round.
     """
 
     def test_zero_delivery_gap_is_total_not_zero(self):
-        report = ReconciliationReport(
-            delivered_by_a=0, received_by_b=500,
-            flows_a=5, flows_b=5, tolerance=0.01)
-        assert report.relative_gap == 1.0
-        assert not report.consistent
+        assert join_boundary((0, 0, 5), (500, 0, 5), 10_000) == \
+            ["isp-a", "isp-b", 0, 500, -500, False]
 
     def test_both_zero_is_consistent(self):
-        report = ReconciliationReport(
-            delivered_by_a=0, received_by_b=0,
-            flows_a=0, flows_b=0, tolerance=0.0)
-        assert report.relative_gap == 0.0
-        assert report.consistent
+        assert join_boundary((0, 0, 0), (0, 0, 0), 0) == \
+            ["isp-a", "isp-b", 0, 0, 0, True]
 
     def test_reconcile_covers_stale_pending_windows(self):
-        """A domain with one round proven and another window still
-        pending must be reconciled over *all* committed data."""
-        scenario = build_peering_scenario(num_flows=24, seed=3,
-                                          num_windows=2)
-        scenario.domain_a.prover.aggregate_window(0)
-        assert scenario.domain_a.prover.pending_windows() == [1]
-        report = PeeringAuditor(tolerance=0.0).reconcile(scenario)
-        assert not scenario.domain_a.prover.pending_windows()
-        assert not scenario.domain_b.prover.pending_windows()
+        scenario = build_federation_scenario(num_providers=2,
+                                             num_flows=24, seed=3,
+                                             num_windows=2)
+        domain_a, domain_b = scenario.providers
+        domain_a.prover.aggregate_window(0)
+        assert domain_a.prover.pending_windows() == [1]
+        join, report = join_and_audit(scenario)
+        assert not domain_a.prover.pending_windows()
+        assert not domain_b.prover.pending_windows()
         assert report.consistent
-        assert report.flows_a == report.flows_b == 24
+        (_, _, flows_a), (_, _, flows_b) = join.journal["totals"]
+        assert flows_a == flows_b == 24
 
 
 class TestFederationJoin:

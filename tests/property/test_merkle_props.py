@@ -64,36 +64,6 @@ class TestTreeProperties:
         assert vacant.computed_root() == tree.root
 
 
-class TestConsistencyProperties:
-    @given(st.integers(1, 60), st.integers(0, 40))
-    @settings(max_examples=100)
-    def test_any_growth_has_valid_proof(self, old_size, extra):
-        new_size = old_size + extra
-        all_leaves = [sha256(i.to_bytes(4, "big"))
-                      for i in range(new_size)]
-        old_tree = MerkleTree(all_leaves[:old_size])
-        new_tree = MerkleTree(all_leaves)
-        from repro.merkle import verify_consistency
-        proof = new_tree.prove_consistency(old_size)
-        verify_consistency(old_tree.root, new_tree.root, proof)
-
-    @given(st.integers(2, 40), st.integers(1, 20), st.data())
-    @settings(max_examples=80)
-    def test_any_prefix_rewrite_detected(self, old_size, extra, data):
-        from repro.errors import MerkleError
-        from repro.merkle import verify_consistency
-        new_size = old_size + extra
-        leaves = [sha256(i.to_bytes(4, "big")) for i in range(new_size)]
-        old_tree = MerkleTree(leaves[:old_size])
-        position = data.draw(st.integers(0, old_size - 1))
-        leaves[position] = sha256(b"rewritten!")
-        forked = MerkleTree(leaves)
-        proof = forked.prove_consistency(old_size)
-        import pytest as _pytest
-        with _pytest.raises(MerkleError):
-            verify_consistency(old_tree.root, forked.root, proof)
-
-
 class TestMapProperties:
     @given(st.dictionaries(st.binary(min_size=1, max_size=8),
                            st.binary(max_size=16),

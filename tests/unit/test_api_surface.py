@@ -45,19 +45,6 @@ class TestTopologySurface:
         assert set(topo.graph.nodes) == {"r1", "r2", "r3"}
 
 
-class TestTransparencySurface:
-    def test_claim_at(self, aggregated_system):
-        from repro.core.transparency import ReceiptTransparencyLog
-        from repro.errors import ChainError
-        log = ReceiptTransparencyLog()
-        receipts = aggregated_system.prover.chain.receipts()
-        for receipt in receipts:
-            log.append(receipt)
-        assert log.claim_at(0) == receipts[0].claim.digest()
-        with pytest.raises(ChainError):
-            log.claim_at(len(receipts))
-
-
 class TestDaemonSurface:
     def test_oldest_lag_tracks_clock(self):
         from repro.commitments import (BulletinBoard, Commitment,
