@@ -31,6 +31,7 @@ from ..errors import ConfigurationError, ProofError
 from ..hashing import Digest
 from ..obs import names as obs_names
 from ..obs import runtime as obs
+from ..serialization import DictLayout
 from ..zkvm import ExecutorEnvBuilder, ProveInfo, Prover, ProverOpts, Receipt
 from ..zkvm.costmodel import CostModel, ProverBackend
 from ..zkvm.prover import ProveStats
@@ -42,6 +43,19 @@ from .guest_programs import (
     query_merge_guest,
     query_partition_guest,
 )
+
+# An entry frame, ``encode({"key": key, "payload": payload})``, written
+# without the generic encoder walking a fresh dict per entry.
+_ENTRY_FRAME = DictLayout(("key", "payload"))
+
+
+def _write_entry_frames(builder: ExecutorEnvBuilder, state: CLogState,
+                        start: int = 0, stop: int | None = None) -> None:
+    """The guest input frames of the entries in slots ``[start, stop)``
+    (:meth:`CLogState.entry_frames`, encoded)."""
+    encode_frame = _ENTRY_FRAME.encode
+    for item in state.merkle_map.slot_items(start, stop):
+        builder.write_frame(encode_frame(item))
 
 
 @dataclass(frozen=True)
@@ -176,8 +190,7 @@ class QueryProver:
             builder = ExecutorEnvBuilder()
             builder.write({"query": sql, "num_entries": len(state)})
             builder.write(make_receipt_binding(agg_receipt))
-            for frame in state.entry_frames():
-                builder.write(frame)
+            _write_entry_frames(builder, state)
             info = self._prover.prove(query_guest, builder.build())
             receipt = resolve(info.receipt, agg_receipt)
             span.add_cycles(info.stats.total_cycles)
@@ -270,8 +283,7 @@ class QueryProver:
                             chunk_po2, index).siblings),
                     })
                     builder.write(binding)
-                    for frame in state.entry_frames(lo, hi):
-                        builder.write(frame)
+                    _write_entry_frames(builder, state, lo, hi)
                     jobs.append(ProofJob.from_parts(
                         query_partition_guest, builder.build(),
                         self._opts))

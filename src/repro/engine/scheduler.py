@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -292,12 +292,15 @@ class _RoundSchedule:
         """Wait for the fan-out: ``(partition results, merge futures)``.
 
         Raises the first partition failure (a poisoned fan-out never
-        submits its merges).  With ``span_name``, each partition wait
-        is one such span carrying ``partition``, ``cycles``, ``cached``
-        and that partition's ``labels`` entry.  The merge futures come
-        back unwaited, in ``build_merges`` order, so a caller can
-        settle them one by one; if ``build_merges`` itself raised they
-        are a single pre-failed future carrying that exception.
+        submits its merges), but only once every partition has settled,
+        so a retry finds each sibling that proved in the receipt cache
+        instead of proving it again beside the first.  With
+        ``span_name``, each partition wait is one such span carrying
+        ``partition``, ``cycles``, ``cached`` and that partition's
+        ``labels`` entry.  The merge futures come back unwaited, in
+        ``build_merges`` order, so a caller can settle them one by one;
+        if ``build_merges`` itself raised they are a single pre-failed
+        future carrying that exception.
         """
         tracer = obs.tracer() if span_name is not None else NULL_TRACER
         results = []
@@ -305,7 +308,11 @@ class _RoundSchedule:
             with tracer.span(span_name, partition=index,
                              **(labels[index] if labels else {})
                              ) as span:
-                result = future.result()
+                try:
+                    result = future.result()
+                except Exception:
+                    wait(self.partition_futures)
+                    raise
                 span.add_cycles(result.stats.total_cycles)
                 span.set("cached", result.cached)
             results.append(result)

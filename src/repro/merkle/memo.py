@@ -26,19 +26,24 @@ grow it without limit; eviction only costs a re-hash later.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Generic, TypeVar
 
 from ..hashing import TAG_LEAF, TAG_NODE, Digest, tagged_hash
 
+V = TypeVar("V")
 
-class DigestMemo:
-    """Bounded LRU map from content bytes to :class:`Digest`."""
+
+class DigestMemo(Generic[V]):
+    """Bounded LRU map from content bytes to a value that is a pure
+    function of them (a :class:`Digest` here; a decoded CLog entry in
+    the query guests)."""
 
     __slots__ = ("_entries", "_capacity", "hits", "misses")
 
     def __init__(self, capacity: int = 1 << 18) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._entries: OrderedDict[bytes, Digest] = OrderedDict()
+        self._entries: OrderedDict[bytes, V] = OrderedDict()
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -50,21 +55,27 @@ class DigestMemo:
     def capacity(self) -> int:
         return self._capacity
 
-    def get(self, key: bytes) -> Digest | None:
-        digest = self._entries.get(key)
-        if digest is None:
+    def get(self, key: bytes) -> V | None:
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        try:
+            self._entries.move_to_end(key)
+        except KeyError:  # another thread evicted it since the lookup
+            pass
         self.hits += 1
-        return digest
+        return value
 
-    def put(self, key: bytes, digest: Digest) -> None:
+    def put(self, key: bytes, value: V) -> None:
         entries = self._entries
         if key in entries:
-            entries.move_to_end(key)
+            try:
+                entries.move_to_end(key)
+            except KeyError:  # evicted by another thread meanwhile
+                pass
             return
-        entries[key] = digest
+        entries[key] = value
         if len(entries) > self._capacity:
             entries.popitem(last=False)
 
@@ -86,8 +97,8 @@ class DigestMemo:
 # Node keys are the 64-byte child-digest concatenation; leaf keys are the
 # raw payload bytes (CLog wire entries are small and repeat across
 # rounds for unchanged flows).
-_NODE_MEMO = DigestMemo()
-_LEAF_MEMO = DigestMemo()
+_NODE_MEMO: DigestMemo[Digest] = DigestMemo()
+_LEAF_MEMO: DigestMemo[Digest] = DigestMemo()
 
 
 def node_digest(left: Digest, right: Digest) -> Digest:

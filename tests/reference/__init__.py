@@ -12,7 +12,8 @@ Nothing under ``src/`` imports this package.
 * :mod:`.hashing` — tagged hashing with a fresh prefix per call, and
   a Merkle hash strategy with no memo behind it;
 * :mod:`.guest` — ``read_batch`` / ``commit_many`` / metered Merkle
-  hashing as loops over the public per-value calls;
+  hashing as loops over the public per-value calls, and the query
+  guests' entry scan with no entry-view memo;
 * :mod:`.query` — the per-entry ``evaluate`` / ``evaluate_partial``.
 
 :func:`reference_paths` swaps them all in at once, for the end-to-end
@@ -26,6 +27,7 @@ from typing import Iterator
 from unittest import mock
 
 import repro.core.clog
+import repro.core.guest_programs
 import repro.hashing
 import repro.merkle.memo
 import repro.query.vectorized
@@ -38,6 +40,14 @@ from . import guest, hashing, serialization
 def refuse_mask(query, entries, cost_hook, columns) -> None:
     """``vectorized.matched_indices`` that always says "walk instead"."""
     return None
+
+
+def settle_image_ids() -> None:
+    """Compute every registered guest's image id now.  An id hashes the
+    source of the guest's helpers, is computed once on first use, and
+    must not be computed while an oracle shadows one of them."""
+    for program in repro.core.guest_programs.GUEST_REGISTRY.values():
+        program.image_id
 
 
 @contextmanager
@@ -57,8 +67,10 @@ def reference_paths() -> Iterator[None]:
         (repro.zkvm.guest.GuestEnv, "read_batch", guest.read_batch),
         (repro.zkvm.guest.GuestEnv, "commit_many", guest.commit_many),
         (repro.zkvm.guest, "MeteredMerkleHasher", guest.MeteredMerkleHasher),
+        (repro.core.guest_programs, "_read_entry_views", guest.read_entry_views),
         (repro.query.vectorized, "matched_indices", refuse_mask),
     ]
+    settle_image_ids()
     with ExitStack() as stack:
         for owner, name, oracle in swaps:
             stack.enter_context(mock.patch.object(owner, name, oracle))

@@ -12,6 +12,7 @@ from repro.core.aggregation import (
 )
 from repro.core.clog import CLogState
 from repro.core.chain import ROUND_IMAGE_IDS
+from repro.core import guest_programs
 from repro.core.guest_programs import (
     GUEST_REGISTRY,
     aggregation_guest,
@@ -322,6 +323,14 @@ class TestPinnedRoundContract:
                 == PINNED[f"partition{index}"]
 
 
+@pytest.fixture(scope="module")
+def proven(genesis):
+    """The pinned update round's result: nine flows at depth 4, so two
+    partitions are 8 + 1 slots."""
+    return Aggregator().aggregate(
+        genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
+
+
 class TestPinnedHostWork:
     """What one pinned round asks of the host, counted rather than
     timed: ``TestPinnedRoundContract``'s update round (24 records over
@@ -355,6 +364,42 @@ class TestPinnedHostWork:
             == PINNED["aggregation"]
         assert dict(counts) == self.PINNED
 
+    QUERIES = (
+        "SELECT COUNT(*), SUM(packets) FROM clogs WHERE src_port >= 1003",
+        "SELECT SUM(octets) FROM clogs GROUP BY protocol",
+    )
+    PINNED_QUERIES = (
+        {"encode": 3, "decode": 20, "decode_stream": 2, "_encode": 51,
+         "_decode_fast": 112, "CLogEntry.to_payload": 0,
+         "FlowKey.unpack": 9, "IPv4Address": 0},
+        {"encode": 3, "decode": 11, "decode_stream": 2, "_encode": 52,
+         "_decode_fast": 68, "CLogEntry.to_payload": 0,
+         "FlowKey.unpack": 0, "IPv4Address": 0},
+    )
+
+    def test_full_scan_queries(self, proven):
+        """Two full-scan queries over the pinned round's nine flows,
+        the entry-view memo cleared first.
+
+        At the commit before entry frames were written through a
+        ``DictLayout`` and the scan guests memoized each payload's
+        view, the same two queries counted: ``encode`` 12 and 12,
+        ``decode`` 20 and 20, ``decode_stream`` 2 and 2, ``_encode`` 62
+        and 63, ``_decode_fast`` 112 and 113, ``FlowKey.unpack`` 9 and
+        9, and 0 for the other seams.  The host now encodes no frame
+        dict (``encode`` one fewer per entry frame) and the second
+        query decodes no payload (``decode`` one fewer per entry).
+        """
+        guest_programs.ENTRY_VIEWS.clear()
+        counted = []
+        for sql in self.QUERIES:
+            with count_host_work() as counts:
+                QueryProver().prove_query(sql, proven.new_state,
+                                          proven.receipt)
+            counted.append(dict(counts))
+        assert len(proven.new_state) == 9
+        assert tuple(counted) == self.PINNED_QUERIES
+
 
 # Guest *inputs* are a contract too: ``input_digest`` is sealed into the
 # claim and keys every ``ReceiptCache`` entry.  Captured at the commit
@@ -376,12 +421,6 @@ PINNED_INPUTS = {
 
 class TestPinnedInputFrames:
     SQL = "SELECT COUNT(*), SUM(packets) FROM clogs WHERE src_port >= 1003"
-
-    @pytest.fixture(scope="class")
-    def proven(self, genesis):
-        """Nine flows at depth 4, so two partitions are 8 + 1 slots."""
-        return Aggregator().aggregate(
-            genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
 
     def test_full_scan_query(self, proven):
         _response, info = QueryProver().prove_query(
@@ -413,20 +452,22 @@ class TestPinnedInputFrames:
 # Every guest a receipt can name, with its image id: the trusted code
 # base.  Captured while the streamed round's delta and fold guests were
 # still registered (and ``fold_guest`` was a third round image); their
-# removal moved none of the ids that remain.
+# removal moved none of the ids that remain.  The two scanning query
+# guests were re-pinned when their shared ``_read_entry_views`` began
+# reading payloads through the entry-view memo; no other id moved.
 PINNED_IMAGES = {
     "telemetry-aggregation-v1": "1e9f5957578049b379824b826de0994e"
                                 "f267d2a85214695d010fa2063d2f956f",
     "telemetry-aggregation-rebuild-v1": "455371992e828b130b4fd1ad5e7940500"
                                         "ec70c0cdda8f9b0f4ef637354ae85a0",
-    "telemetry-query-v1": "21a7b53c962fbc189a336ffaa8a1fd37"
-                          "7d06f019ef7545791b74312f4d49b1d9",
+    "telemetry-query-v1": "dcc94b88375c0b48490340417413c3a5"
+                          "7555ee03d950d4131dd9cbc1111eb57e",
     "telemetry-partition-v1": "bf02d2b7e46ded9a92b9ee8eb645da0d"
                               "9f66e2af2a7a8a33ce35e2c2c99e8288",
     "telemetry-merge-v1": "acd6189ec95bd07d031d65fc102c152f"
                           "a04b32bc5a918eee3edbb6f543617752",
-    "telemetry-query-partition-v2": "3758aa4c3cb13a7fc4fc1b087810aecd"
-                                    "11de8af58f2184f65ad7ac950bb7b1ae",
+    "telemetry-query-partition-v2": "e8024a1f606bb7c9c6f2fcc5bad49a3d"
+                                    "b54b8ba27fda950d802fbf70c5abc998",
     "telemetry-query-merge-v2": "0078e86a9cdd99ea7e8b3672e2a908c2"
                                 "655d2574be1895c4028df69e84ad2c04",
     "telemetry-federation-join-v1": "309dc41e8e9fcbcaceda06fd18e7462b"
