@@ -332,9 +332,10 @@ def proven(genesis):
 
 
 class TestPinnedHostWork:
-    """What one pinned round asks of the host, counted rather than
-    timed: ``TestPinnedRoundContract``'s update round (24 records over
-    the genesis state), every seam of :mod:`tests.counting`.
+    """What one pinned round, and two queries over its state, ask of
+    the host, counted rather than timed: ``TestPinnedRoundContract``'s
+    update round (24 records over the genesis state), every seam of
+    :mod:`tests.counting`.
 
     At the commit before ``FlowKey`` cached its packing and the codec
     took exact-type fast paths, the same round counted: ``encode`` 107,
