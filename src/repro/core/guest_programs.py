@@ -64,7 +64,7 @@ PARSE_CYCLES_PER_BYTE = 8
 RECORD_TAG_BYTES = 16
 
 #: Distinct committed payloads whose query views one process keeps
-#: (~1.3 KiB each, so ~11 MiB when full).  A state larger than this
+#: (~1.3 KiB each, so ~10.5 MiB when full).  A state larger than this
 #: scans with no hits: every entry is evicted before it is read again.
 ENTRY_VIEW_MEMO_CAPACITY = 1 << 13
 
