@@ -43,8 +43,10 @@ def test_ablation_partition_sweep(benchmark, report, window_inputs,
     result = benchmark.pedantic(
         cold_round, args=(window_inputs, num_partitions),
         rounds=5, iterations=1, warmup_rounds=1)
-    parallel_s = result.modeled_seconds(MODEL)
-    sequential_s = result.sequential_seconds(MODEL)
+    parts = [info.stats for info in result.partition_infos]
+    merge = result.merge_info.stats
+    parallel_s = MODEL.fanout_seconds(parts, merge)
+    sequential_s = MODEL.fanout_seconds(parts, merge, concurrent=False)
     report.table(
         "ablate-parallel",
         f"§7 proof parallelization over {WORKLOAD_RECORDS} records "

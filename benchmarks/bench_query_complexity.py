@@ -53,7 +53,7 @@ def test_query_complexity_ladder(benchmark, report, service, name, sql):
                                   warmup_rounds=0)
     stats = service.last_prove_info.stats
     modeled_min = MODEL.prove_seconds(stats) / 60
-    error = (predicted.predicted_cycles - stats.total_cycles) \
+    error = (predicted.total_cycles - stats.total_cycles) \
         / stats.total_cycles
     report.table(
         "query-complexity",

@@ -126,7 +126,8 @@ def test_query_partitioned(benchmark, report, query_service):
 
     model = CostModel()
     modeled_serial = model.prove_seconds(serial_info.stats)
-    modeled_partitioned = info.modeled_seconds(model)
+    modeled_partitioned = model.fanout_seconds(
+        [p.stats for p in info.partition_infos], info.merge_info.stats)
     modeled_speedup = modeled_serial / modeled_partitioned
     benchmark.extra_info["modeled_speedup"] = modeled_speedup
     report.table(

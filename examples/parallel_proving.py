@@ -37,8 +37,11 @@ def main() -> None:
     with ProvingEngine() as engine:
         for partitions in (1, 2, 4):
             result = engine.prove_round(windows, partitions)
-            parallel_min = result.modeled_seconds(model) / 60
-            sequential_min = result.sequential_seconds(model) / 60
+            parts = [info.stats for info in result.partition_infos]
+            merge = result.merge_info.stats
+            parallel_min = model.fanout_seconds(parts, merge) / 60
+            sequential_min = model.fanout_seconds(
+                parts, merge, concurrent=False) / 60
             print(f"{partitions:>10} {parallel_min:>8.1f}m "
                   f"{sequential_min:>9.1f}m "
                   f"{sequential_min / parallel_min:>7.2f}x")

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import build_paper_eval_system
-from repro.zkvm.costmodel import CostModel
+from repro.zkvm.costmodel import VERIFY_SECONDS, CostModel
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
     stats = system.prover.last_prove_info.stats
     print(f"  modeled RISC Zero prove time: "
           f"{model.prove_seconds(stats) / 60:.1f} min "
-          f"(verification: {model.verify_seconds() * 1000:.0f} ms)")
+          f"(verification: {VERIFY_SECONDS * 1000:.0f} ms)")
 
     # 5. Nothing sensitive left the provider: the journal holds only
     #    the query text, the committed root, and the result.

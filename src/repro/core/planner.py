@@ -8,16 +8,19 @@ picking a backend.
 
 The planner mirrors the query guest's metering analytically: it walks
 the same cost constants (`repro.core.guest_programs`,
-`repro.zkvm.cycles`) over the current CLog statistics, yielding a cycle
-estimate the cost model converts to seconds per backend.  Accuracy is
-checked in the tests (within a few percent of the metered execution).
+`repro.zkvm.cycles`) over the current CLog statistics, predicting the
+two counts the guest meter keeps — cycles and sha-256 compressions.  A
+prediction carries the same fields as a metered run, segmented by the
+executor's own walk, so the cost model prices both with one formula.
+Accuracy is checked in the tests (within a few percent of the metered
+execution).
 
 It also prices the *partitioned* strategy (`estimate_partitioned`) for
 one query — the length-1 case of the fan-out, which is what the
 crossover compares against the full scan: per-partition partial-query
-proofs plus the merge guest, with the
-end-to-end latency modeled as ``max(partition) + merge`` — which is how
-``choose_strategy`` decides whether splitting a query across the
+proofs plus the merge guest, with the end-to-end latency the cost
+model's fan-out critical path (``max(partition) + merge``) — which is
+how ``choose_strategy`` decides whether splitting a query across the
 proving engine pays for a given entry count.
 """
 
@@ -66,27 +69,37 @@ _FLOAT_STATE_BYTES = 57
 _PARTITION_HEADER_BYTES = 140
 _QUERY_FRAME_OVERHEAD = 66
 
+# Recomputing a receipt's claim digest in-guest: the (empty)
+# assumptions list, then the 144-byte claim preimage.
+_CLAIM_DIGEST_BLOCKS = cy.sha256_blocks(0) + cy.sha256_blocks(144)
+
 
 @dataclass(frozen=True)
 class QueryCostEstimate:
-    """Predicted proving cost for one query (or one partition of one)."""
+    """Predicted proving cost for one query (or one partition of one).
+
+    Carries the counts :meth:`CostModel.estimate` prices a metered run
+    from; the segment figures come from :func:`repro.zkvm.cycles.segments`,
+    the walk the executor splits a real run with.
+    """
 
     sql: str
     entries: int
-    predicted_cycles: int
-    predicted_segments: int
+    total_cycles: int
+    sha_compressions: int
 
-    def seconds(self, model: CostModel | None = None,
-                backend: ProverBackend = ProverBackend.CPU_ZKVM
-                ) -> float:
-        model = model or CostModel()
-        if backend is ProverBackend.SPECIALIZED_HASH:
-            # Rough: compressions ≈ hash cycles / cost-per-block.
-            compressions = self.predicted_cycles \
-                // cy.SHA256_COMPRESS_CYCLES
-            return compressions / model.specialized_hashes_per_second \
-                + model.base_overhead
-        return _zkvm_seconds(self.predicted_cycles, model, backend)
+    @property
+    def segment_count(self) -> int:
+        return len(cy.segments(self.total_cycles))
+
+    @property
+    def padded_cycles(self) -> int:
+        return sum(1 << po2 for _count, po2 in cy.segments(self.total_cycles))
+
+    def seconds(
+        self, model: CostModel | None = None, backend: ProverBackend = ProverBackend.CPU_ZKVM
+    ) -> float:
+        return (model or CostModel()).prove_seconds(self, backend)
 
     def minutes(self, model: CostModel | None = None) -> float:
         return self.seconds(model) / 60.0
@@ -104,27 +117,32 @@ class PartitionedQueryCostEstimate:
     merge_estimate: QueryCostEstimate
 
     @property
-    def predicted_cycles(self) -> int:
-        return sum(p.predicted_cycles for p in self.partition_estimates) \
-            + self.merge_estimate.predicted_cycles
+    def total_cycles(self) -> int:
+        return (
+            sum(p.total_cycles for p in self.partition_estimates) + self.merge_estimate.total_cycles
+        )
 
-    def modeled_seconds(self, model: CostModel | None = None,
-                        backend: ProverBackend =
-                        ProverBackend.CPU_ZKVM) -> float:
-        """End-to-end latency with partitions proven concurrently."""
-        model = model or CostModel()
-        slowest = max(p.seconds(model, backend)
-                      for p in self.partition_estimates)
-        return slowest + self.merge_estimate.seconds(model, backend)
 
-    def sequential_seconds(self, model: CostModel | None = None,
-                           backend: ProverBackend =
-                           ProverBackend.CPU_ZKVM) -> float:
-        """The same proofs generated one at a time."""
-        model = model or CostModel()
-        total = sum(p.seconds(model, backend)
-                    for p in self.partition_estimates)
-        return total + self.merge_estimate.seconds(model, backend)
+class _Tally:
+    """A predicted execution, counted the way the guest meter counts:
+    generic cycles and sha-256 compressions."""
+
+    def __init__(self) -> None:
+        self.cycles = cy.EXECUTION_BASE_CYCLES
+        self.sha = 0
+
+    def commit(self, num_bytes: int) -> None:
+        """One journal commit: word-rounded I/O plus its own padded hash."""
+        self.cycles += cy.io_cycles(num_bytes)
+        self.sha += cy.sha256_blocks(num_bytes)
+
+    def priced(self, sql: str, entries: int) -> QueryCostEstimate:
+        return QueryCostEstimate(
+            sql=sql,
+            entries=entries,
+            total_cycles=self.cycles + self.sha * cy.SHA256_COMPRESS_CYCLES,
+            sha_compressions=self.sha,
+        )
 
 
 def partition_layout(size: int, num_partitions: int) -> tuple[int, int]:
@@ -150,51 +168,6 @@ def _chunk_count(size: int, chunk_po2: int) -> int:
     return (size + (1 << chunk_po2) - 1) >> chunk_po2
 
 
-def _segment_sizes(total: int) -> list[int]:
-    sizes = []
-    remaining = max(total, 1)
-    while remaining > 0:
-        chunk = min(remaining, cy.SEGMENT_CYCLE_LIMIT)
-        sizes.append(chunk)
-        remaining -= chunk
-    return sizes
-
-
-def _po2(count: int) -> int:
-    po2 = cy.SEGMENT_MIN_PO2
-    while (1 << po2) < count:
-        po2 += 1
-    return po2
-
-
-def _zkvm_seconds(cycles: int, model: CostModel,
-                  backend: ProverBackend) -> float:
-    """Modeled CPU/GPU zkVM latency for ``cycles`` predicted cycles.
-
-    One segmentation drives both the padded-cycle sum and the
-    per-segment overhead count — the same `_segment_sizes` walk that
-    produces ``predicted_segments`` at estimate time, so the two can
-    never disagree.
-    """
-    segments = _segment_sizes(cycles)
-    padded = sum(1 << _po2(size) for size in segments)
-    seconds = padded / model.cpu_cycles_per_second \
-        + len(segments) * model.segment_overhead \
-        + model.base_overhead
-    if backend is ProverBackend.GPU_ZKVM:
-        seconds /= model.gpu_speedup
-    return seconds
-
-
-def _tagged_hash_cycles(payload_bytes: int) -> int:
-    return ((payload_bytes + 9 + 63) // 64) * cy.SHA256_COMPRESS_CYCLES
-
-
-# Recomputing a receipt's claim digest in-guest: the (empty)
-# assumptions list, then the 144-byte claim preimage.
-_CLAIM_DIGEST_CYCLES = _tagged_hash_cycles(0) + _tagged_hash_cycles(144)
-
-
 def _tree_depth(size: int) -> int:
     depth = 0
     while (1 << depth) < max(size, 1):
@@ -212,28 +185,16 @@ def _subtree_hashes(count: int) -> int:
     return hashes
 
 
-def _priced(sql: str, entries: int, cycles: float) -> QueryCostEstimate:
-    total = int(cycles)
-    return QueryCostEstimate(
-        sql=sql,
-        entries=entries,
-        predicted_cycles=total,
-        predicted_segments=len(_segment_sizes(total)),
-    )
-
-
 class QueryPlanner:
-    """Predicts query-guest cycles from CLog statistics."""
+    """Predicts query-guest cycles and sha-256 compressions from CLog
+    statistics."""
 
-    def __init__(self, state: CLogState,
-                 agg_journal_bytes: int) -> None:
+    def __init__(self, state: CLogState, agg_journal_bytes: int) -> None:
         self.entries = len(state)
         self.agg_journal_bytes = agg_journal_bytes
         self._state = state
-        payload_bytes = sum(len(payload) for _key, payload
-                            in state.merkle_map.slot_items())
-        self.avg_payload = (payload_bytes / self.entries
-                            if self.entries else 0.0)
+        payload_bytes = sum(len(payload) for _key, payload in state.merkle_map.slot_items())
+        self.avg_payload = payload_bytes / self.entries if self.entries else 0.0
         self._views: list[dict] | None = None
         self._group_profiles: dict[str, tuple[int, float]] = {}
 
@@ -241,12 +202,10 @@ class QueryPlanner:
         query = parse_query(sql)
         return self._estimate(sql, query)
 
-    def estimate_partitioned(self, sql: str, num_partitions: int
-                             ) -> PartitionedQueryCostEstimate:
+    def estimate_partitioned(self, sql: str, num_partitions: int) -> PartitionedQueryCostEstimate:
         """Price the partitioned strategy at ``num_partitions``."""
         query = parse_query(sql)
-        chunk_po2, count = partition_layout(max(self.entries, 1),
-                                            num_partitions)
+        chunk_po2, count = partition_layout(max(self.entries, 1), num_partitions)
         chunk = 1 << chunk_po2
         partition_estimates = []
         partial_bytes = []
@@ -257,134 +216,130 @@ class QueryPlanner:
             ranges.append((lo, hi))
             frame_bytes = self._partial_frame_bytes(sql, query, lo, hi)
             partial_bytes.append(frame_bytes)
-            partition_estimates.append(self._estimate_partition(
-                sql, query, hi - lo, chunk_po2, frame_bytes))
+            partition_estimates.append(
+                self._estimate_partition(sql, query, hi - lo, chunk_po2, frame_bytes)
+            )
         return PartitionedQueryCostEstimate(
             sql=sql,
             entries=self.entries,
             num_partitions=count,
             chunk_po2=chunk_po2,
             partition_estimates=tuple(partition_estimates),
-            merge_estimate=self._estimate_merge(sql, query,
-                                                partial_bytes, ranges),
+            merge_estimate=self._estimate_merge(sql, query, partial_bytes, ranges),
         )
 
-    def choose_strategy(self, sql: str, num_partitions: int | None,
-                        model: CostModel | None = None) -> str:
+    def choose_strategy(
+        self, sql: str, num_partitions: int | None, model: CostModel | None = None
+    ) -> str:
         """``"partitioned"`` when splitting at ``num_partitions`` is
         modeled faster end-to-end than the full scan, else
         ``"full-scan"``.  Per-proof base overhead means partitioning
         only pays once the scan dominates — small states full-scan.
         """
-        if num_partitions is None or num_partitions < 2 \
-                or self.entries < 2:
+        if num_partitions is None or num_partitions < 2 or self.entries < 2:
             return "full-scan"
         model = model or CostModel()
         serial = self.estimate(sql).seconds(model)
-        partitioned = self.estimate_partitioned(
-            sql, num_partitions).modeled_seconds(model)
+        fanout = self.estimate_partitioned(sql, num_partitions)
+        partitioned = model.fanout_seconds(fanout.partition_estimates, fanout.merge_estimate)
         return "partitioned" if partitioned < serial else "full-scan"
 
     # -- per-strategy estimates ---------------------------------------------
 
     def _estimate(self, sql: str, query: Query) -> QueryCostEstimate:
         n = self.entries
-        cycles = cy.EXECUTION_BASE_CYCLES
-        cycles += self._binding_cycles()
+        tally = _Tally()
+        self._bind(tally)
 
         # Per-entry work: frame I/O, leaf hash, payload decode, view.
-        cycles += n * self._per_entry_cycles()
+        self._scan(tally, n)
 
         # Tree reconstruction: n-1 node hashes (64-byte inputs) padded
         # to the power-of-two tree shape; approximate with n nodes.
-        cycles += max(n, 1) * _tagged_hash_cycles(64)
+        tally.sha += max(n, 1) * cy.sha256_blocks(64)
 
         # Parse + evaluate.
-        cycles += len(sql) * PARSE_CYCLES_PER_BYTE
-        cycles += n * query.node_count * QUERY_NODE_CYCLES
+        tally.cycles += len(sql) * PARSE_CYCLES_PER_BYTE
+        tally.cycles += n * query.node_count * QUERY_NODE_CYCLES
 
         # Journal commit: fixed header/labels plus — the part that
         # grows with group cardinality — one encoded row per distinct
         # group key.
-        result_bytes = 200 + 40 * len(query.labels) \
-            + self._group_rows_bytes(query, 0, n)
-        cycles += cy.io_cycles(result_bytes) \
-            + _tagged_hash_cycles(result_bytes)
+        tally.commit(200 + 40 * len(query.labels) + self._group_rows_bytes(query, 0, n))
+        return tally.priced(sql, n)
 
-        return _priced(sql, n, cycles)
-
-    def _estimate_partition(self, sql: str, query: Query, count: int,
-                            chunk_po2: int,
-                            frame_bytes: int) -> QueryCostEstimate:
+    def _estimate_partition(
+        self, sql: str, query: Query, count: int, chunk_po2: int, frame_bytes: int
+    ) -> QueryCostEstimate:
         """Mirror `query_partition_guest` for one ``count``-entry chunk
         proving one query (``frame_bytes``: its journal frame)."""
         depth = _tree_depth(self.entries)
         path_len = depth - chunk_po2
-        cycles = cy.EXECUTION_BASE_CYCLES
+        tally = _Tally()
         # Partition header frame (queries + geometry + sibling path).
-        cycles += cy.io_cycles(95 + len(sql)
-                               + _DIGEST_BYTES * path_len)
-        cycles += self._binding_cycles()
-        cycles += count * self._per_entry_cycles()
+        tally.cycles += cy.io_cycles(95 + len(sql) + _DIGEST_BYTES * path_len)
+        self._bind(tally)
+        self._scan(tally, count)
         # Subtree rebuild, fold-up to chunk height, then sibling path.
         sub_depth = _tree_depth(max(count, 1))
-        node_hashes = _subtree_hashes(count) \
-            + (chunk_po2 - sub_depth) + path_len
-        cycles += node_hashes * _tagged_hash_cycles(64)
-        cycles += len(sql) * PARSE_CYCLES_PER_BYTE
-        cycles += count * query.node_count * QUERY_NODE_CYCLES
+        node_hashes = _subtree_hashes(count) + (chunk_po2 - sub_depth) + path_len
+        tally.sha += node_hashes * cy.sha256_blocks(64)
+        tally.cycles += len(sql) * PARSE_CYCLES_PER_BYTE
+        tally.cycles += count * query.node_count * QUERY_NODE_CYCLES
         # Journal: the header frame, then the query's frame — each its
         # own commit (word-rounded I/O, separately padded hash).
-        for committed in (_PARTITION_HEADER_BYTES, frame_bytes):
-            cycles += cy.io_cycles(committed) \
-                + _tagged_hash_cycles(committed)
-        return _priced(sql, count, cycles)
+        tally.commit(_PARTITION_HEADER_BYTES)
+        tally.commit(frame_bytes)
+        return tally.priced(sql, count)
 
-    def _estimate_merge(self, sql: str, query: Query,
-                        partial_bytes: list[int],
-                        lo_hi_pairs: list[tuple[int, int]]
-                        ) -> QueryCostEstimate:
+    def _estimate_merge(
+        self,
+        sql: str,
+        query: Query,
+        partial_bytes: list[int],
+        lo_hi_pairs: list[tuple[int, int]],
+    ) -> QueryCostEstimate:
         """Mirror `query_merge_guest` over the partition journals
         (``partial_bytes``: each partition's frame for this query)."""
-        cycles = cy.EXECUTION_BASE_CYCLES
-        cycles += cy.io_cycles(55 + len(sql))  # merge header frame
+        tally = _Tally()
+        tally.cycles += cy.io_cycles(55 + len(sql))  # merge header frame
         terms = len(query.aggregates)
         for frame_bytes, (lo, hi) in zip(partial_bytes, lo_hi_pairs):
             journal_bytes = _PARTITION_HEADER_BYTES + frame_bytes
             # Binding frame I/O + journal hash/decode + claim recompute
             # + the recorded assumption.
-            cycles += cy.io_cycles(journal_bytes + 160)
-            cycles += _tagged_hash_cycles(journal_bytes)
-            cycles += journal_bytes * DECODE_CYCLES_PER_BYTE
-            cycles += _CLAIM_DIGEST_CYCLES
-            cycles += cy.ASSUMPTION_CYCLES
-            rows = self._group_cardinality(query, lo, hi) \
-                if query.group_by is not None else 1
-            cycles += rows * terms * MERGE_CYCLES
-        cycles += len(sql) * PARSE_CYCLES_PER_BYTE
-        result_bytes = 200 + 40 * len(query.labels) \
-            + self._group_rows_bytes(query, 0, self.entries)
-        cycles += cy.io_cycles(result_bytes) \
-            + _tagged_hash_cycles(result_bytes)
-        return _priced(sql, self.entries, cycles)
+            tally.cycles += cy.io_cycles(journal_bytes + 160)
+            tally.sha += cy.sha256_blocks(journal_bytes) + _CLAIM_DIGEST_BLOCKS
+            tally.cycles += journal_bytes * DECODE_CYCLES_PER_BYTE
+            tally.cycles += cy.ASSUMPTION_CYCLES
+            rows = self._group_cardinality(query, lo, hi) if query.group_by is not None else 1
+            tally.cycles += rows * terms * MERGE_CYCLES
+        tally.cycles += len(sql) * PARSE_CYCLES_PER_BYTE
+        tally.commit(200 + 40 * len(query.labels) + self._group_rows_bytes(query, 0, self.entries))
+        return tally.priced(sql, self.entries)
 
     # -- shared terms --------------------------------------------------------
 
-    def _binding_cycles(self) -> int:
+    def _bind(self, tally: _Tally) -> None:
         """Verify the aggregation binding: hash + decode the journal,
         recompute the claim digest, record the assumption."""
-        return (_tagged_hash_cycles(self.agg_journal_bytes)
-                + self.agg_journal_bytes * DECODE_CYCLES_PER_BYTE
-                + _CLAIM_DIGEST_CYCLES
-                + cy.ASSUMPTION_CYCLES
-                + cy.io_cycles(self.agg_journal_bytes + 200))
+        tally.sha += cy.sha256_blocks(self.agg_journal_bytes) + _CLAIM_DIGEST_BLOCKS
+        tally.cycles += (
+            self.agg_journal_bytes * DECODE_CYCLES_PER_BYTE
+            + cy.ASSUMPTION_CYCLES
+            + cy.io_cycles(self.agg_journal_bytes + 200)
+        )
 
-    def _per_entry_cycles(self) -> int:
+    def _scan(self, tally: _Tally, entries: int) -> None:
+        """Read ``entries`` entry frames: I/O, leaf hash, payload decode
+        and query view, each at the state's average payload size."""
         frame_bytes = _KEY_BYTES + self.avg_payload + _FRAME_OVERHEAD
-        return (cy.io_cycles(int(frame_bytes))
-                + _tagged_hash_cycles(int(_KEY_BYTES + self.avg_payload))
-                + int(self.avg_payload) * DECODE_CYCLES_PER_BYTE
-                + QUERY_VIEW_CYCLES)
+        tally.sha += entries * cy.sha256_blocks(int(_KEY_BYTES + self.avg_payload))
+        tally.cycles += entries * (
+            cy.io_cycles(int(frame_bytes))
+            + int(self.avg_payload) * DECODE_CYCLES_PER_BYTE
+            + QUERY_VIEW_CYCLES
+        )
 
     # -- group statistics ----------------------------------------------------
 
@@ -393,8 +348,7 @@ class QueryPlanner:
             self._views = self._state.entry_views()
         return self._views
 
-    def _group_profile(self, field: str, lo: int,
-                       hi: int) -> tuple[int, float]:
+    def _group_profile(self, field: str, lo: int, hi: int) -> tuple[int, float]:
         """(distinct keys, average encoded key bytes) over a slot range."""
         cache_key = f"{field}:{lo}:{hi}"
         cached = self._group_profiles.get(cache_key)
@@ -418,25 +372,19 @@ class QueryPlanner:
         """Encoded bytes of the final journal's group rows."""
         if query.group_by is None:
             return 0
-        cardinality, key_bytes = self._group_profile(
-            query.group_by.name, lo, hi)
-        per_row = _GROUP_ROW_OVERHEAD + key_bytes \
-            + sum(_value_bytes(a) for a in query.aggregates)
+        cardinality, key_bytes = self._group_profile(query.group_by.name, lo, hi)
+        per_row = _GROUP_ROW_OVERHEAD + key_bytes + sum(_value_bytes(a) for a in query.aggregates)
         return int(cardinality * per_row)
 
-    def _partial_frame_bytes(self, sql: str, query: Query, lo: int,
-                             hi: int) -> int:
+    def _partial_frame_bytes(self, sql: str, query: Query, lo: int, hi: int) -> int:
         """Encoded bytes of one query's partial-state frame in one
         partition's journal."""
         base = _QUERY_FRAME_OVERHEAD + len(sql)
         if query.group_by is None:
             return base + sum(_state_bytes(a) for a in query.aggregates)
-        cardinality, key_bytes = self._group_profile(
-            query.group_by.name, lo, hi)
-        per_row = _GROUP_ROW_OVERHEAD + key_bytes \
-            + sum(_state_bytes(a) for a in query.aggregates)
-        return int(base + len(query.group_by.name)
-                   + cardinality * per_row)
+        cardinality, key_bytes = self._group_profile(query.group_by.name, lo, hi)
+        per_row = _GROUP_ROW_OVERHEAD + key_bytes + sum(_state_bytes(a) for a in query.aggregates)
+        return int(base + len(query.group_by.name) + cardinality * per_row)
 
 
 def _term_kind(aggregate: Aggregate) -> FieldKind | None:
@@ -465,6 +413,5 @@ def _state_bytes(aggregate: Aggregate) -> int:
 
 def estimate_query_cost(service, sql: str) -> QueryCostEstimate:
     """Convenience: plan a query against a prover service's state."""
-    journal_bytes = service.chain.latest.receipt.journal_size \
-        if len(service.chain) else 0
+    journal_bytes = service.chain.latest.receipt.journal_size if len(service.chain) else 0
     return QueryPlanner(service.state, journal_bytes).estimate(sql)

@@ -33,7 +33,6 @@ from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..serialization import DictLayout
 from ..zkvm import ExecutorEnvBuilder, ProveInfo, Prover, ProverOpts, Receipt
-from ..zkvm.costmodel import CostModel, ProverBackend
 from ..zkvm.prover import ProveStats
 from ..zkvm.recursion import resolve, resolve_all
 from .aggregation import make_receipt_binding
@@ -106,9 +105,9 @@ class PartitionedQueryInfo:
     it (``.receipt``, ``.stats``); ``stats`` totals the work across
     every partition plus this query's merge (queries proven through one
     fan-out share — and each report — the same ``partition_infos``).
-    The latency model mirrors
-    :class:`~repro.engine.scheduler.ParallelAggregationResult`: partitions
-    prove concurrently, the merge after the slowest of them.
+    Its modeled latency is :meth:`CostModel.fanout_seconds` over the
+    partition and merge stats: partitions prove concurrently, the merge
+    after the slowest of them.
     """
 
     receipt: Receipt
@@ -122,15 +121,6 @@ class PartitionedQueryInfo:
         return ProveStats.combined(
             info.stats
             for info in (*self.partition_infos, self.merge_info))
-
-    def modeled_seconds(self, model: CostModel,
-                        backend: ProverBackend =
-                        ProverBackend.CPU_ZKVM) -> float:
-        """End-to-end latency with partitions proven concurrently."""
-        slowest = max(model.prove_seconds(info.stats, backend)
-                      for info in self.partition_infos)
-        return slowest + model.prove_seconds(self.merge_info.stats,
-                                             backend)
 
 
 class QueryProver:

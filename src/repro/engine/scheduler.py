@@ -34,7 +34,7 @@ from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..obs.tracing import NULL_TRACER
 from ..zkvm import ExecutorEnvBuilder, ProverOpts, Receipt
-from ..zkvm.costmodel import CostModel, ProverBackend
+from ..zkvm.costmodel import CostModel
 from ..zkvm.recursion import resolve_all
 from .cache import ReceiptCache
 from .jobs import JobResult, ProofJob
@@ -43,30 +43,13 @@ from .pool import PooledProver, ProverPool
 
 @dataclass(frozen=True)
 class ParallelAggregationResult:
-    """Receipts and latency model for one partition-and-merge round."""
+    """Receipts and prove stats for one partition-and-merge round."""
 
     receipt: Receipt
     partition_infos: tuple[JobResult, ...]
     merge_info: JobResult
     new_root: Digest
     size: int
-
-    def modeled_seconds(self, model: CostModel,
-                        backend: ProverBackend =
-                        ProverBackend.CPU_ZKVM) -> float:
-        """End-to-end latency with partitions proven concurrently."""
-        slowest = max(model.prove_seconds(info.stats, backend)
-                      for info in self.partition_infos)
-        return slowest + model.prove_seconds(self.merge_info.stats,
-                                             backend)
-
-    def sequential_seconds(self, model: CostModel,
-                           backend: ProverBackend =
-                           ProverBackend.CPU_ZKVM) -> float:
-        """The same work proven one partition at a time."""
-        total = sum(model.prove_seconds(info.stats, backend)
-                    for info in self.partition_infos)
-        return total + model.prove_seconds(self.merge_info.stats, backend)
 
 
 @dataclass
@@ -200,9 +183,12 @@ class ProvingEngine:
         model = CostModel()
         for outcome in outcomes:
             if outcome.ok:
+                result = outcome.result
                 registry.histogram(
                     obs_names.ENGINE_ROUND_MODELED_SECONDS).observe(
-                    outcome.result.modeled_seconds(model))
+                    model.fanout_seconds(
+                        [info.stats for info in result.partition_infos],
+                        result.merge_info.stats))
         return outcomes
 
     def submit_fanout(self, jobs: Iterable[ProofJob],

@@ -15,15 +15,20 @@ seconds per backend:
 * ``SPECIALIZED_HASH`` — §7 "Specialization proof systems": a dedicated
   hash-proving system at 600,000 hashes/second (the StarkWare M3 figure
   the paper cites), charged per sha-256 compression instead of per cycle.
+
+This module is the only seconds formula: metered runs (``ProveStats``,
+``ExecutionSession``) and the query planner's predictions are priced by
+the same :meth:`CostModel.estimate`, and a fan-out by
+:meth:`CostModel.fanout_seconds`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Protocol
 
-from .executor import ExecutionSession
-from .prover import ProveStats
+from .verifier import MODELED_VERIFY_SECONDS
 
 # Calibrated so that the Figure-4 aggregation guest at 3,000 entries lands
 # at the paper's ≈87 min (see tests/unit/test_costmodel.py and
@@ -41,14 +46,25 @@ SPECIALIZED_HASHES_PER_SECOND = 600_000.0
 BASE_OVERHEAD_SECONDS = 12.0
 SEGMENT_OVERHEAD_SECONDS = 1.5
 
-# Constant client-side verification (paper §6: 3 ms at every scale).
-VERIFY_SECONDS = 0.003
+# Constant client-side verification (paper §6: 3 ms at every scale); the
+# verifier owns the figure and reports it per receipt.
+VERIFY_SECONDS = MODELED_VERIFY_SECONDS
 
 
 class ProverBackend(enum.Enum):
     CPU_ZKVM = "cpu-zkvm"
     GPU_ZKVM = "gpu-zkvm"
     SPECIALIZED_HASH = "specialized-hash"
+
+
+class Metered(Protocol):
+    """What a proof is priced from: the counts of one (metered or
+    predicted) execution, segmented by :func:`repro.zkvm.cycles.segments`."""
+
+    total_cycles: int
+    padded_cycles: int
+    segment_count: int
+    sha_compressions: int
 
 
 @dataclass(frozen=True)
@@ -68,13 +84,14 @@ class CostEstimate:
 class CostModel:
     """Converts metered execution stats into modeled prover latency."""
 
-    def __init__(self,
-                 cpu_cycles_per_second: float = CPU_CYCLES_PER_SECOND,
-                 gpu_speedup: float = GPU_SPEEDUP,
-                 specialized_hashes_per_second: float =
-                 SPECIALIZED_HASHES_PER_SECOND,
-                 base_overhead: float = BASE_OVERHEAD_SECONDS,
-                 segment_overhead: float = SEGMENT_OVERHEAD_SECONDS) -> None:
+    def __init__(
+        self,
+        cpu_cycles_per_second: float = CPU_CYCLES_PER_SECOND,
+        gpu_speedup: float = GPU_SPEEDUP,
+        specialized_hashes_per_second: float = SPECIALIZED_HASHES_PER_SECOND,
+        base_overhead: float = BASE_OVERHEAD_SECONDS,
+        segment_overhead: float = SEGMENT_OVERHEAD_SECONDS,
+    ) -> None:
         if cpu_cycles_per_second <= 0:
             raise ValueError("cpu_cycles_per_second must be positive")
         self.cpu_cycles_per_second = cpu_cycles_per_second
@@ -83,57 +100,48 @@ class CostModel:
         self.base_overhead = base_overhead
         self.segment_overhead = segment_overhead
 
-    # -- proving ---------------------------------------------------------------
-
-    def prove_seconds(self, stats: "ProveStats | ExecutionSession",
-                      backend: ProverBackend = ProverBackend.CPU_ZKVM
-                      ) -> float:
+    def prove_seconds(
+        self, stats: Metered, backend: ProverBackend = ProverBackend.CPU_ZKVM
+    ) -> float:
         return self.estimate(stats, backend).seconds
 
-    def estimate(self, stats: "ProveStats | ExecutionSession",
-                 backend: ProverBackend = ProverBackend.CPU_ZKVM
-                 ) -> CostEstimate:
+    def estimate(
+        self, stats: Metered, backend: ProverBackend = ProverBackend.CPU_ZKVM
+    ) -> CostEstimate:
         padded = stats.padded_cycles
         segments = stats.segment_count
         sha = stats.sha_compressions
         if backend is ProverBackend.SPECIALIZED_HASH:
-            seconds = sha / self.specialized_hashes_per_second \
-                + self.base_overhead
+            seconds = sha / self.specialized_hashes_per_second + self.base_overhead
         else:
-            seconds = padded / self.cpu_cycles_per_second \
-                + segments * self.segment_overhead + self.base_overhead
+            seconds = (
+                padded / self.cpu_cycles_per_second
+                + segments * self.segment_overhead
+                + self.base_overhead
+            )
             if backend is ProverBackend.GPU_ZKVM:
                 seconds /= self.gpu_speedup
         total = stats.total_cycles
-        return CostEstimate(backend=backend, seconds=seconds,
-                            cycles=total, sha_compressions=sha)
+        return CostEstimate(backend=backend, seconds=seconds, cycles=total, sha_compressions=sha)
 
-    # -- parallel proving (§7 "Proof parallelization") ---------------------------
+    def fanout_seconds(
+        self,
+        partitions: Iterable[Metered],
+        merge: Metered,
+        backend: ProverBackend = ProverBackend.CPU_ZKVM,
+        *,
+        concurrent: bool = True,
+    ) -> float:
+        """§7 "Proof parallelization": modeled latency of partition
+        proofs folded by one merge proof.
 
-    def parallel_prove_seconds(self, partition_stats: list[ProveStats],
-                               backend: ProverBackend =
-                               ProverBackend.CPU_ZKVM,
-                               join_overhead: float | None = None) -> float:
-        """Modeled wall time when partitions are proven concurrently.
-
-        End-to-end latency is the slowest partition plus a logarithmic
-        join tree (each join merges two succinct receipts).
+        Partitions prove concurrently and the merge starts after the
+        slowest, so the critical path is ``max(partitions) + merge``;
+        ``concurrent=False`` prices the same proofs made one at a time,
+        ``sum(partitions) + merge``.
         """
-        if not partition_stats:
+        times = [self.prove_seconds(p, backend) for p in partitions]
+        if not times:
             raise ValueError("need at least one partition")
-        overhead = self.segment_overhead if join_overhead is None \
-            else join_overhead
-        slowest = max(self.prove_seconds(s, backend)
-                      for s in partition_stats)
-        joins = max(len(partition_stats) - 1, 0)
-        join_levels = max((joins).bit_length(), 0)
-        return slowest + join_levels * overhead
-
-    # -- verification -------------------------------------------------------------
-
-    def verify_seconds(self, segment_count: int = 1,
-                       succinct: bool = True) -> float:
-        """Modeled client verification latency (constant for succinct)."""
-        if succinct:
-            return VERIFY_SECONDS
-        return VERIFY_SECONDS * max(segment_count, 1)
+        slowest_or_all = max(times) if concurrent else sum(times)
+        return slowest_or_all + self.prove_seconds(merge, backend)

@@ -85,9 +85,7 @@ def sha256_cycles(num_bytes: int, *, midstate: bool = True) -> int:
     domain-separation prefix is absorbed once, off the metered path), so a
     message costs ``ceil((len + 9) / 64)`` compressions.
     """
-    if num_bytes < 0:
-        raise ValueError("num_bytes must be non-negative")
-    blocks = (num_bytes + 9 + 63) // 64
+    blocks = sha256_blocks(num_bytes)
     if not midstate:
         blocks += 1
     return blocks * SHA256_COMPRESS_CYCLES
@@ -98,16 +96,19 @@ def io_cycles(num_bytes: int) -> int:
     return words_for_bytes(num_bytes) * IO_CYCLES_PER_WORD
 
 
-def segment_count(total_cycles: int) -> int:
-    """How many segments an execution of ``total_cycles`` splits into."""
-    if total_cycles <= 0:
-        return 1
-    return (total_cycles + SEGMENT_CYCLE_LIMIT - 1) // SEGMENT_CYCLE_LIMIT
+def segments(total_cycles: int) -> list[tuple[int, int]]:
+    """The segment walk: ``(cycle_count, po2)`` for each segment of an
+    execution metering ``total_cycles``.
 
-
-def padded_segment_cycles(cycle_count: int) -> int:
-    """Power-of-two padded size actually proven for one segment."""
-    po2 = SEGMENT_MIN_PO2
-    while (1 << po2) < cycle_count:
-        po2 += 1
-    return 1 << po2
+    Segments fill to :data:`SEGMENT_CYCLE_LIMIT` in order; each is proven
+    as a full ``2**po2`` trace, the smallest power of two (at least
+    ``2**SEGMENT_MIN_PO2``) that holds its cycles.  An empty execution is
+    still one segment.
+    """
+    walk = []
+    remaining = max(total_cycles, 1)
+    while remaining > 0:
+        count = min(remaining, SEGMENT_CYCLE_LIMIT)
+        remaining -= count
+        walk.append((count, max(SEGMENT_MIN_PO2, (count - 1).bit_length())))
+    return walk

@@ -100,15 +100,10 @@ class ExecutionSession:
 
 
 def _build_segments(image_id: Digest, total_cycles: int) -> tuple[Segment, ...]:
-    """Split the metered cycle count into a chained segment sequence."""
+    """Chain the metered cycle count's segment walk into digests."""
     segments: list[Segment] = []
-    remaining = max(total_cycles, 1)
     prev = Digest.zero()
-    index = 0
-    while remaining > 0:
-        count = min(remaining, cy.SEGMENT_CYCLE_LIMIT)
-        remaining -= count
-        po2 = _po2_for(count)
+    for index, (count, po2) in enumerate(cy.segments(total_cycles)):
         digest = tagged_hash(
             TAG_SEGMENT,
             image_id.raw,
@@ -120,15 +115,7 @@ def _build_segments(image_id: Digest, total_cycles: int) -> tuple[Segment, ...]:
         segments.append(Segment(index=index, cycle_count=count,
                                 po2=po2, digest=digest))
         prev = digest
-        index += 1
     return tuple(segments)
-
-
-def _po2_for(cycle_count: int) -> int:
-    po2 = cy.SEGMENT_MIN_PO2
-    while (1 << po2) < cycle_count:
-        po2 += 1
-    return po2
 
 
 def segment_chain(image_id: Digest,

@@ -48,7 +48,8 @@ from .receipt import (
     succinct_binding,
 )
 
-# Modeled constant client-side verification latency (paper §6: "3 ms").
+# Modeled constant client-side verification latency (paper §6: "3 ms"),
+# the one copy of the figure (``costmodel.VERIFY_SECONDS`` is this value).
 MODELED_VERIFY_SECONDS = 0.003
 
 

@@ -11,22 +11,17 @@ Two invariants:
   order, so the accumulators carry exact dyadic rationals and round to
   a float only once, at merge.  The monolithic ``query_guest`` is the
   oracle throughout.
-* **Planner self-consistency** — a cost estimate's ``seconds()`` is
-  priced from the same segmentation that produced
-  ``predicted_segments``; the two sources can never disagree (the PR 5
-  bug had ``seconds()`` trusting a field the estimate computed
-  separately).
+* **Planner self-consistency** — a cost estimate's segment figures
+  come from the executor's segment walk, and ``seconds()`` prices them
+  with the cost model's one formula; no separately computed field can
+  disagree with them.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner import (
-    QueryCostEstimate,
-    _segment_sizes,
-    partition_layout,
-)
+from repro.core.planner import QueryCostEstimate, partition_layout
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
 from repro.core.verifier_client import VerifierClient
@@ -116,8 +111,7 @@ class TestStrategyEquivalence:
 class TestPlannerSelfConsistency:
     @given(total=st.one_of(
         st.integers(min_value=0, max_value=1 << 26),
-        # Dense coverage right at segment boundaries, where the two
-        # segmentation paths used to drift apart.
+        # Dense coverage right at segment boundaries.
         st.integers(min_value=-3, max_value=3).map(
             lambda d: max(0, (1 << 20) + d)),
         st.integers(min_value=-3, max_value=3).map(
@@ -125,24 +119,21 @@ class TestPlannerSelfConsistency:
     ))
     @settings(max_examples=200, deadline=None)
     def test_single_segmentation_source(self, total):
-        sizes = _segment_sizes(total)
-        # The walk agrees with the closed-form counter ...
-        assert len(sizes) == cy.segment_count(total)
+        walk = cy.segments(total)
+        sizes = [count for count, _po2 in walk]
+        # The walk agrees with the closed-form segment count ...
+        assert len(walk) == -(-max(total, 1) // cy.SEGMENT_CYCLE_LIMIT)
         assert sum(sizes) == max(total, 1)
         assert all(0 < s <= cy.SEGMENT_CYCLE_LIMIT for s in sizes)
-        # ... and seconds() prices from that walk, not from whatever
-        # predicted_segments says: a deliberately corrupted field must
-        # not change the price.
+        # ... an estimate's segment figures are that walk's, and
+        # seconds() prices them through the cost model.
         model = CostModel()
-        honest = QueryCostEstimate(
-            sql="q", entries=1, predicted_cycles=total,
-            predicted_segments=len(sizes))
-        corrupted = QueryCostEstimate(
-            sql="q", entries=1, predicted_cycles=total,
-            predicted_segments=len(sizes) + 7)
-        assert honest.seconds(model) == corrupted.seconds(model)
+        estimate = QueryCostEstimate(
+            sql="q", entries=1, total_cycles=total, sha_compressions=0)
+        assert estimate.segment_count == len(walk)
+        assert estimate.padded_cycles == sum(1 << po2 for _, po2 in walk)
         expected = sum(
             (1 << max(cy.SEGMENT_MIN_PO2, (s - 1).bit_length()))
             for s in sizes) / model.cpu_cycles_per_second \
             + len(sizes) * model.segment_overhead + model.base_overhead
-        assert honest.seconds(model) == pytest.approx(expected)
+        assert estimate.seconds(model) == pytest.approx(expected)

@@ -21,7 +21,11 @@ from repro.core.guest_programs import (
 from repro.core.policy import DEFAULT_POLICY
 from repro.core.query_proof import QueryProver
 from repro.core.rebuild import RebuildAggregator, rebuild_aggregation_guest
-from repro.core.sketch_proof import SketchTelemetry
+from repro.core.sketch_proof import (
+    SketchTelemetry,
+    sketch_build_guest,
+    sketch_estimate_guest,
+)
 from repro.core.witness import build_witness
 from repro.engine import ProvingEngine
 from repro.errors import ChainError, GuestAbort
@@ -475,6 +479,15 @@ PINNED_IMAGES = {
                                     "457745d9350c5fbcdf03f01dac955c5e",
 }
 
+# The sketch guests are not in GUEST_REGISTRY (no engine job names
+# them), so they are pinned by object.
+PINNED_SKETCH_IMAGES = {
+    "sketch-build-v1": "a97dae689868a0abd81e365204f52789"
+                       "e38833f01713740442e772fb411e3199",
+    "sketch-estimate-v1": "da3989248044e996850b424638dfae1b"
+                          "981e4ca848145ab77111c3f1af07311d",
+}
+
 
 class TestPinnedImages:
     def test_round_images_are_update_and_rebuild(self):
@@ -487,6 +500,12 @@ class TestPinnedImages:
                       for name, program in GUEST_REGISTRY.items()
                       if name.startswith("telemetry-")}
         assert registered == PINNED_IMAGES
+
+    def test_sketch_guest_image_ids(self):
+        pinned = {program.name: program.image_id.hex()
+                  for program in (sketch_build_guest,
+                                  sketch_estimate_guest)}
+        assert pinned == PINNED_SKETCH_IMAGES
 
 
 # -- the shared steps abort the same way from every caller ---------------------

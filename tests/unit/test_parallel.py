@@ -26,6 +26,13 @@ def inputs_for(records_by_router):
     return inputs
 
 
+def fanout_stats(result):
+    """A round's partition stats and merge stats, as the cost model
+    prices them."""
+    return ([info.stats for info in result.partition_infos],
+            result.merge_info.stats)
+
+
 @pytest.fixture
 def engine():
     with ProvingEngine() as engine:
@@ -81,21 +88,23 @@ class TestParallelAggregation:
     def test_modeled_speedup(self, engine, four_router_inputs):
         result = engine.prove_round(four_router_inputs)
         model = CostModel()
-        assert result.modeled_seconds(model) < \
-            result.sequential_seconds(model)
+        parts, merge = fanout_stats(result)
+        assert model.fanout_seconds(parts, merge) < \
+            model.fanout_seconds(parts, merge, concurrent=False)
 
     def test_modeled_seconds_is_critical_path_not_sum(
             self, engine, four_router_inputs):
         """The parallel model is max(partitions) + merge; the sum of
-        partition times belongs to sequential_seconds only."""
+        partition times belongs to the sequential pricing only."""
         result = engine.prove_round(four_router_inputs)
         model = CostModel()
-        partition_times = [model.prove_seconds(info.stats)
-                           for info in result.partition_infos]
-        merge_time = model.prove_seconds(result.merge_info.stats)
-        assert result.modeled_seconds(model) == pytest.approx(
+        parts, merge = fanout_stats(result)
+        partition_times = [model.prove_seconds(stats) for stats in parts]
+        merge_time = model.prove_seconds(merge)
+        assert model.fanout_seconds(parts, merge) == pytest.approx(
             max(partition_times) + merge_time)
-        assert result.sequential_seconds(model) == pytest.approx(
+        assert model.fanout_seconds(
+            parts, merge, concurrent=False) == pytest.approx(
             sum(partition_times) + merge_time)
 
     def test_single_partition_degenerates_to_sequential(
@@ -105,8 +114,9 @@ class TestParallelAggregation:
         result = engine.prove_round(four_router_inputs, num_partitions=1)
         assert len(result.partition_infos) == 1
         model = CostModel()
-        assert result.modeled_seconds(model) == pytest.approx(
-            result.sequential_seconds(model))
+        parts, merge = fanout_stats(result)
+        assert model.fanout_seconds(parts, merge) == pytest.approx(
+            model.fanout_seconds(parts, merge, concurrent=False))
 
     def test_empty_inputs_rejected(self, engine):
         with pytest.raises(ConfigurationError):

@@ -38,28 +38,40 @@ class TestAccuracy:
         estimate = service.estimate_query(sql)
         service.answer_query(sql, use_cache=False)
         actual = service.last_prove_info.stats.total_cycles
-        assert estimate.predicted_cycles == \
+        assert estimate.total_cycles == \
             pytest.approx(actual, rel=0.05)
 
     def test_segments_predicted(self, service):
         estimate = service.estimate_query(QUERIES[0])
         service.answer_query(QUERIES[0], use_cache=False)
-        assert estimate.predicted_segments == \
+        assert estimate.segment_count == \
             service.last_prove_info.stats.segment_count
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_sha_compressions_within_ten_percent(self, service, sql):
+        """The planner counts compressions from its own hash terms
+        (leaf, tree, binding, claim digest, journal).  Dividing the
+        predicted cycles by the per-block cost instead reads 3.4x too
+        high on this fixture."""
+        estimate = service.estimate_query(sql)
+        service.answer_query(sql, use_cache=False)
+        actual = service.last_prove_info.stats.sha_compressions
+        assert estimate.sha_compressions == \
+            pytest.approx(actual, rel=0.10)
 
 
 class TestOrdering:
     def test_complex_queries_cost_more(self, service):
         simple = service.estimate_query("SELECT COUNT(*) FROM clogs")
         complex_ = service.estimate_query(QUERIES[2])
-        assert complex_.predicted_cycles > simple.predicted_cycles
+        assert complex_.total_cycles > simple.total_cycles
 
     def test_larger_states_cost_more(self):
         def estimate_at(n):
             store, bulletin, _ = make_committed_records(n, seed=43)
             svc = ProverService(store, bulletin)
             svc.aggregate_window(0)
-            return svc.estimate_query(QUERIES[0]).predicted_cycles
+            return svc.estimate_query(QUERIES[0]).total_cycles
         assert estimate_at(600) > 2 * estimate_at(100)
 
 
@@ -111,11 +123,11 @@ class TestPartitionedEstimates:
         assert estimate.chunk_po2 == info.chunk_po2
         for predicted, metered in zip(estimate.partition_estimates,
                                       info.partition_infos):
-            assert predicted.predicted_cycles == pytest.approx(
+            assert predicted.total_cycles == pytest.approx(
                 metered.stats.total_cycles, rel=0.03)
-        assert estimate.merge_estimate.predicted_cycles == \
+        assert estimate.merge_estimate.total_cycles == \
             pytest.approx(info.merge_info.stats.total_cycles, rel=0.03)
-        assert estimate.predicted_cycles == pytest.approx(
+        assert estimate.total_cycles == pytest.approx(
             info.stats.total_cycles, rel=0.03)
 
     def test_batch_of_three_shares_one_scan(self, service):
@@ -171,12 +183,13 @@ class TestPartitionedEstimates:
         estimate = self._planner(service).estimate_partitioned(
             QUERIES[0], 4)
         model = CostModel()
-        assert estimate.modeled_seconds(model) < \
-            estimate.sequential_seconds(model)
+        parts, merge = estimate.partition_estimates, estimate.merge_estimate
+        assert model.fanout_seconds(parts, merge) < \
+            model.fanout_seconds(parts, merge, concurrent=False)
         # At 400 records the scan dominates per-proof overhead, so
         # splitting must be modeled faster than the monolith.
         serial = self._planner(service).estimate(QUERIES[0])
-        assert estimate.modeled_seconds(model) < serial.seconds(model)
+        assert model.fanout_seconds(parts, merge) < serial.seconds(model)
 
     def test_choose_strategy_crossover(self, service):
         planner = self._planner(service)
@@ -203,4 +216,4 @@ class TestEdgeCases:
         planner = QueryPlanner(CLogState(), agg_journal_bytes=0)
         estimate = planner.estimate("SELECT COUNT(*) FROM clogs")
         assert estimate.entries == 0
-        assert estimate.predicted_cycles > 0  # fixed overheads remain
+        assert estimate.total_cycles > 0  # fixed overheads remain

@@ -1,13 +1,25 @@
 """Unit tests for the prover cost model and its calibration."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.zkvm import ExecutorEnvBuilder, Prover, guest_program
+import repro
+from repro.zkvm import (
+    ExecutorEnvBuilder,
+    Prover,
+    ProverOpts,
+    ReceiptKind,
+    Verifier,
+    guest_program,
+)
 from repro.zkvm.costmodel import (
     CostModel,
     ProverBackend,
     VERIFY_SECONDS,
 )
+from repro.zkvm.verifier import MODELED_VERIFY_SECONDS
 
 
 @guest_program("cost-worker")
@@ -21,6 +33,13 @@ def cost_guest(env):
 def stats_for(n: int):
     return Prover().prove(
         cost_guest, ExecutorEnvBuilder().write(n).build()).stats
+
+
+def verified_for(n: int, kind: ReceiptKind = ReceiptKind.SUCCINCT):
+    """Prove ``n`` hashes as a ``kind`` receipt and verify it."""
+    receipt = Prover(ProverOpts(kind=kind)).prove(
+        cost_guest, ExecutorEnvBuilder().write(n).build()).receipt
+    return receipt, Verifier().verify(receipt, cost_guest.image_id)
 
 
 class TestBackends:
@@ -64,37 +83,53 @@ class TestBackends:
 
 
 class TestParallelModel:
+    """``CostModel.fanout_seconds``: partitions concurrently, then the
+    merge after the slowest (the §7 critical path)."""
+
     def test_parallel_bounded_by_slowest(self):
         model = CostModel(segment_overhead=0.0, base_overhead=0.0)
         stats = [stats_for(n) for n in (100, 1_000, 10_000)]
-        parallel = model.parallel_prove_seconds(stats)
+        merge = stats_for(10)
+        parallel = model.fanout_seconds(stats, merge)
         slowest = max(model.prove_seconds(s) for s in stats)
-        assert parallel == pytest.approx(slowest)
+        assert parallel == pytest.approx(
+            slowest + model.prove_seconds(merge))
 
     def test_parallel_faster_than_sequential(self):
         model = CostModel()
         stats = [stats_for(10_000) for _ in range(4)]
-        parallel = model.parallel_prove_seconds(stats)
-        sequential = sum(model.prove_seconds(s) for s in stats)
+        merge = stats_for(10)
+        parallel = model.fanout_seconds(stats, merge)
+        sequential = model.fanout_seconds(stats, merge, concurrent=False)
+        assert sequential == pytest.approx(
+            sum(model.prove_seconds(s) for s in stats)
+            + model.prove_seconds(merge))
         assert parallel < sequential / 2
 
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError):
-            CostModel().parallel_prove_seconds([])
+            CostModel().fanout_seconds([], stats_for(10))
 
 
 class TestVerifyModel:
+    """Verify latency is the verifier's constant, reported per receipt
+    by ``Verifier.verify``."""
+
     def test_succinct_verification_constant(self):
-        model = CostModel()
-        assert model.verify_seconds() == VERIFY_SECONDS
-        assert model.verify_seconds(segment_count=100) == VERIFY_SECONDS
+        _, small = verified_for(10)
+        receipt, large = verified_for(40_000)
+        assert receipt.claim.segment_count > 1
+        assert small.modeled_seconds == VERIFY_SECONDS
+        assert large.modeled_seconds == VERIFY_SECONDS
 
     def test_composite_scales_with_segments(self):
-        model = CostModel()
-        assert model.verify_seconds(segment_count=5, succinct=False) == \
-            pytest.approx(5 * VERIFY_SECONDS)
+        receipt, verified = verified_for(40_000, ReceiptKind.COMPOSITE)
+        assert receipt.claim.segment_count >= 5
+        assert verified.modeled_seconds == pytest.approx(
+            receipt.claim.segment_count * VERIFY_SECONDS)
 
     def test_paper_verify_latency_is_3ms(self):
+        assert VERIFY_SECONDS is MODELED_VERIFY_SECONDS
         assert VERIFY_SECONDS == pytest.approx(0.003)
 
 
@@ -102,3 +137,28 @@ class TestConfiguration:
     def test_invalid_throughput_rejected(self):
         with pytest.raises(ValueError):
             CostModel(cpu_cycles_per_second=0)
+
+
+class TestOneHome:
+    """Cost arithmetic is written once, in ``repro.zkvm``: the segment
+    walk in ``cycles.py`` and the seconds and fan-out formulas in
+    ``costmodel.py``.  A module elsewhere that reads the segment
+    geometry or the model's rates is pricing a proof by hand."""
+
+    NAMES = re.compile(
+        r"\b(SEGMENT_CYCLE_LIMIT|SEGMENT_MIN_PO2|cpu_cycles_per_second"
+        r"|gpu_speedup|specialized_hashes_per_second|base_overhead"
+        r"|segment_overhead)\b")
+
+    def test_no_cost_arithmetic_outside_zkvm(self):
+        src = Path(repro.__file__).parent
+        zkvm = src / "zkvm"
+        offenders = [
+            f"{path.relative_to(src)}:{lineno}: {match.group(0)}"
+            for path in sorted(src.rglob("*.py"))
+            if zkvm not in path.parents
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            for match in self.NAMES.finditer(line)
+        ]
+        assert offenders == []

@@ -38,19 +38,23 @@ class TestIoCycles:
 
 
 class TestSegments:
+    """The one segment walk the executor and the planner both use."""
+
     def test_zero_cycles_is_one_segment(self):
-        assert cy.segment_count(0) == 1
+        assert len(cy.segments(0)) == 1
 
     def test_exact_boundary(self):
-        assert cy.segment_count(cy.SEGMENT_CYCLE_LIMIT) == 1
-        assert cy.segment_count(cy.SEGMENT_CYCLE_LIMIT + 1) == 2
+        assert len(cy.segments(cy.SEGMENT_CYCLE_LIMIT)) == 1
+        assert len(cy.segments(cy.SEGMENT_CYCLE_LIMIT + 1)) == 2
 
     def test_padding_is_power_of_two(self):
         for count in (1, 100, 8_193, 2**19 + 1):
-            padded = cy.padded_segment_cycles(count)
+            [(cycles, po2)] = cy.segments(count)
+            padded = 1 << po2
+            assert cycles == count
             assert padded >= count
             assert padded & (padded - 1) == 0
             assert padded >= 1 << cy.SEGMENT_MIN_PO2
 
     def test_minimum_po2(self):
-        assert cy.padded_segment_cycles(1) == 1 << cy.SEGMENT_MIN_PO2
+        assert cy.segments(1) == [(1, cy.SEGMENT_MIN_PO2)]
