@@ -19,6 +19,7 @@ from repro.core.clog import CLogEntry, CLogState
 from repro.core.rebuild import RebuildAggregator
 from repro.netflow.records import FlowKey, NetFlowRecord
 from repro.zkvm.costmodel import CostModel
+from repro.zkvm.prover import ProveStats
 
 MODEL = CostModel()
 STATE_SIZE = 512
@@ -52,9 +53,9 @@ def batch_inputs(start: int, count: int,
         commitment=window_digest(list(blobs)), blobs=blobs)]
 
 
-def round_cycles(strategy: str, state_size: int, batch: int) -> int:
-    """Metered guest cycles for one round of `batch` fresh records over
-    an existing CLog of `state_size` entries."""
+def round_stats(strategy: str, state_size: int, batch: int) -> ProveStats:
+    """Metered stats of one round of `batch` fresh records over an
+    existing CLog of `state_size` entries."""
     # Build the base state through a real round-0 proof so the chain
     # binding is available for round 1.
     genesis_inputs = batch_inputs(0, state_size, window=0)
@@ -64,7 +65,7 @@ def round_cycles(strategy: str, state_size: int, batch: int) -> int:
         else RebuildAggregator()
     result = aggregator.aggregate(genesis.new_state, inputs,
                                   genesis.receipt)
-    return result.info.stats.total_cycles
+    return result.info.stats
 
 
 BATCHES = (16, 64, 256, 1024)
@@ -72,11 +73,12 @@ BATCHES = (16, 64, 256, 1024)
 
 @pytest.mark.parametrize("batch", BATCHES)
 def test_strategy_crossover_point(benchmark, report, batch):
-    update_cycles = round_cycles("update", STATE_SIZE, batch)
-    rebuild_cycles = benchmark.pedantic(
-        lambda: round_cycles("rebuild", STATE_SIZE, batch),
+    update = round_stats("update", STATE_SIZE, batch)
+    rebuild = benchmark.pedantic(
+        lambda: round_stats("rebuild", STATE_SIZE, batch),
         rounds=1, iterations=1, warmup_rounds=0)
-    winner = "update" if update_cycles < rebuild_cycles else "rebuild"
+    winner = "update" if update.total_cycles < rebuild.total_cycles \
+        else "rebuild"
     report.table(
         "ablate-strategy",
         f"Update-path vs full-rebuild over a {STATE_SIZE}-entry CLog "
@@ -84,19 +86,21 @@ def test_strategy_crossover_point(benchmark, report, batch):
         ["batch", "update_cycles", "rebuild_cycles", "winner",
          "update_min", "rebuild_min"],
     )
-    report.row("ablate-strategy", batch, update_cycles, rebuild_cycles,
-               winner,
-               _minutes(update_cycles), _minutes(rebuild_cycles))
+    report.row("ablate-strategy", batch, update.total_cycles,
+               rebuild.total_cycles, winner,
+               MODEL.estimate(update).minutes,
+               MODEL.estimate(rebuild).minutes)
 
 
 def test_crossover_falls_where_analysis_predicts(report):
     """Crossover ≈ where records × 2·depth = rebuild's size-dependent
     term — for a 512-entry CLog (depth 10) that's a few hundred
     records.  Assert update wins at 16 and rebuild wins at 1024."""
-    small_update = round_cycles("update", STATE_SIZE, 16)
-    small_rebuild = round_cycles("rebuild", STATE_SIZE, 16)
-    large_update = round_cycles("update", STATE_SIZE, 1024)
-    large_rebuild = round_cycles("rebuild", STATE_SIZE, 1024)
+    small_update = round_stats("update", STATE_SIZE, 16).total_cycles
+    small_rebuild = round_stats("rebuild", STATE_SIZE, 16).total_cycles
+    large_update = round_stats("update", STATE_SIZE, 1024).total_cycles
+    large_rebuild = round_stats("rebuild", STATE_SIZE,
+                                1024).total_cycles
     report.table("ablate-strategy-verdict",
                  "Strategy crossover verdict",
                  ["batch", "update_wins"])
@@ -106,8 +110,3 @@ def test_crossover_falls_where_analysis_predicts(report):
                large_update < large_rebuild)
     assert small_update < small_rebuild
     assert large_rebuild < large_update
-
-
-def _minutes(cycles: int) -> float:
-    # Approximate: ignore segment/base overhead differences.
-    return cycles / MODEL.cpu_cycles_per_second / 60.0

@@ -16,6 +16,8 @@ share.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
@@ -69,8 +71,11 @@ def test_window_size_sweep(benchmark, report, num_windows):
                                           iterations=1, warmup_rounds=0)
     total_modeled = sum(MODEL.prove_seconds(r.info.stats)
                         for r in results)
-    overhead = len(results) * (MODEL.base_overhead
-                               + MODEL.segment_overhead)
+    # The fixed share: each round's proof priced with no cycles, i.e.
+    # its base plus per-segment overhead.
+    overhead = sum(MODEL.prove_seconds(replace(r.info.stats,
+                                               padded_cycles=0))
+                   for r in results)
     report.table(
         "ablate-window",
         f"Integrity-window ablation over {TOTAL_RECORDS} records "

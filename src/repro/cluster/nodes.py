@@ -1,7 +1,7 @@
 """Per-node state and the dispatcher-side worker client.
 
 One :class:`NodeState` per configured worker endpoint tracks the
-quarantine machinery (PR 3's daemon backoff, applied per *node*): a
+quarantine machinery (exponential backoff, applied per *node*): a
 node accumulates ``consecutive_failures`` across transport errors,
 lease timeouts and rejected results; crossing the threshold
 quarantines it for an exponentially growing backoff window, after

@@ -34,7 +34,12 @@ from .aggregation import (
     Aggregator,
     RouterWindowInput,
 )
-from .chain import ROUND_IMAGE_IDS, AggregationChain, ChainLink
+from .chain import (
+    ROUND_IMAGE_IDS,
+    AggregationChain,
+    ChainLink,
+    require_distinct_windows,
+)
 from .clog import CLogEntry, CLogState
 from .policy import DEFAULT_POLICY, AggregationPolicy
 from .query_proof import QueryProver, QueryResponse
@@ -116,7 +121,7 @@ class ProverService:
         self._aggregated_windows: set[int] = set()
         # window → reason for every window no round will be run over
         # again until :meth:`requeue`; the one quarantine every driver
-        # (``aggregate_all_committed``, RUN_ROUND, the daemon) shares.
+        # (``aggregate_all_committed``, RUN_ROUND) shares.
         self._quarantined: dict[int, str] = {}
         # Memory-only here; QueryService attaches the store's
         # persistent tier (``query_cache.attach_store``).
@@ -206,33 +211,18 @@ class ProverService:
 
     # -- aggregation ------------------------------------------------------------
 
-    def gather_window(self, window_index: int,
-                      skip_uncommitted: bool = False
-                      ) -> list[RouterWindowInput]:
+    def gather_window(self, window_index: int) -> list[RouterWindowInput]:
         """Collect every router's committed blobs for one window.
 
         Routers with stored rows but no published commitment raise
         :class:`~repro.errors.MissingCommitment` — uncommitted data must
-        never enter an aggregation round.  With ``skip_uncommitted=True``
-        such routers are silently left out instead (the daemon's
-        degrade-past-the-deadline path); the round then covers only the
-        routers that did commit, which is still fully sound — it just
-        aggregates less.
+        never enter an aggregation round.
         """
         inputs = []
         for router_id in self.store.router_ids():
             if window_index not in self.store.window_indices(router_id):
                 continue
-            if skip_uncommitted:
-                commitment = self.bulletin.try_get(router_id,
-                                                   window_index)
-                if commitment is None:
-                    logger.warning(
-                        "window %d: skipping router %r (no commitment "
-                        "published)", window_index, router_id)
-                    continue
-            else:
-                commitment = self.bulletin.get(router_id, window_index)
+            commitment = self.bulletin.get(router_id, window_index)
             blobs = tuple(self.store.window_blobs(router_id, window_index))
             inputs.append(RouterWindowInput(
                 router_id=router_id,
@@ -262,11 +252,12 @@ class ProverService:
                     ) -> AggregationResult:
         """Prove one round over pre-gathered inputs and commit it.
 
-        The gather/prove split lets the supervised daemon collect each
-        window separately (classifying per-window faults, skipping late
-        routers) and still land everything in one proof.  State, chain,
-        and the aggregated-window set change only after the proof
-        exists — a failed round leaves the service exactly as it was.
+        State, chain, and the aggregated-window set change only after
+        the proof exists — a failed round leaves the service exactly as
+        it was.  A round over no windows, or over inputs that name one
+        (router, window) pair twice, is refused before any proving: the
+        first pays the fixed proving cost for nothing, and the chain
+        verifier would reject the second and every round after it.
 
         A round over exactly one window that raises
         :class:`~repro.errors.GuestAbort` quarantines that window before
@@ -274,6 +265,11 @@ class ProverService:
         is nothing to retry.  A proven round clears the quarantine of
         every window it consumed.
         """
+        if not window_indices or not inputs:
+            raise ConfigurationError("no windows to aggregate")
+        require_distinct_windows(
+            f"round over windows {sorted(window_indices)}",
+            [(i.router_id, i.window_index) for i in inputs])
         for window_index in window_indices:
             if window_index in self._aggregated_windows:
                 raise ProofError(
@@ -392,8 +388,7 @@ class ProverService:
         if len(self.chain) == 0:
             raise ChainError(
                 "no aggregation round has been proven yet; run "
-                "aggregate_windows() (or start the daemon) before "
-                "querying")
+                "aggregate_windows() (or run-round) before querying")
         if round_index is not None \
                 and not 0 <= round_index < len(self.chain):
             raise ProofError(

@@ -1,7 +1,7 @@
 """Content-addressed receipt cache: the receipt codec over :class:`SealedCache`.
 
 Identical (guest image, env commitment, opts digest) always yields a byte-identical receipt, so
-receipts are cached under ``receipt-cache/<key hex>`` and survive daemon restarts.  A persistent
+receipts are cached under ``receipt-cache/<key hex>`` and survive process restarts.  A persistent
 entry is served only after :func:`~repro.engine.jobs.verify_job_receipt` — seal, image id, exit
 code, journal digest, input binding — the check a remote worker's result passes.
 """

@@ -11,9 +11,9 @@ of **every** pending round up front.  A per-round countdown submits
 that round's merge job the moment its own partitions are done, so merge
 proofs interleave with other rounds' partition proofs and the pool
 stays saturated.  Round failures are isolated: a failed partition
-poisons only its round's outcome (the merge is never submitted), which
-is what lets the daemon quarantine one window while the rest of the
-queue proves on.  The countdown is :meth:`ProvingEngine.submit_fanout`,
+poisons only its round's outcome (the merge is never submitted), so
+one bad window fails its own round while the rest of the queue proves
+on.  The countdown is :meth:`ProvingEngine.submit_fanout`,
 which partitioned queries and federation joins ride too.
 """
 

@@ -60,9 +60,10 @@ KNOWN_SITES = frozenset({
 # -- error kinds -------------------------------------------------------------
 #
 # kind name -> factory producing the exception to raise.  Using the real
-# hierarchy means a "storage" fault is retried by the daemon exactly
-# like a real backend outage, and a "guest-abort" fault is quarantined
-# exactly like real tampered data.
+# hierarchy means a "storage" fault fails a round exactly like a real
+# backend outage (the failed round commits nothing, so a retry is
+# safe), and a "guest-abort" fault is quarantined exactly like real
+# tampered data.
 
 ERROR_KINDS: dict[str, Callable[[str], Exception]] = {
     "storage": lambda msg: StorageError(msg),

@@ -394,9 +394,10 @@ class ProverServer:
         if windows is None:
             results = self.service.aggregate_all_committed()
         else:
-            if (not isinstance(windows, list)
+            if (not isinstance(windows, list) or not windows
                     or not all(isinstance(w, int) for w in windows)):
-                raise ProtocolError("windows must be a list of ints")
+                raise ProtocolError(
+                    "windows must be a non-empty list of ints")
             results = [self.service.aggregate_windows(windows)]
         return {"rounds": [{
             "round": r.round,

@@ -76,13 +76,6 @@ SERVICE_QUERY_CACHE = "repro_service_query_cache_total"
 SERVICE_CHECKPOINTS = "repro_service_checkpoints_total"
 SERVICE_RESTORES = "repro_service_restores_total"
 
-# supervised aggregation daemon
-DAEMON_STEPS = "repro_daemon_steps_total"
-DAEMON_FAULTS = "repro_daemon_faults_total"
-DAEMON_RETRIES = "repro_daemon_retries_total"
-DAEMON_QUARANTINED = "repro_daemon_quarantined"
-DAEMON_HEALTH = "repro_daemon_health"
-
 # proving engine (pool + scheduler + receipt cache)
 ENGINE_JOBS = "repro_engine_jobs_total"
 ENGINE_JOB_SECONDS = "repro_engine_job_seconds"
@@ -154,11 +147,6 @@ METRIC_LABELS: dict[str, tuple[str, ...]] = {
     SERVICE_QUERY_CACHE: ("result",),
     SERVICE_CHECKPOINTS: ("outcome",),
     SERVICE_RESTORES: ("outcome",),
-    DAEMON_STEPS: ("outcome",),
-    DAEMON_FAULTS: ("error",),
-    DAEMON_RETRIES: (),
-    DAEMON_QUARANTINED: (),
-    DAEMON_HEALTH: (),
     ENGINE_JOBS: ("guest", "outcome"),
     ENGINE_JOB_SECONDS: ("guest",),
     ENGINE_QUEUE_DEPTH: (),

@@ -60,12 +60,7 @@ def sha256_blocks_batch(lengths) -> int:
     call prices a whole buffer of guest syscalls without changing the
     metered cycle count.
     """
-    total = 0
-    for num_bytes in lengths:
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        total += (num_bytes + 9 + 63) // 64
-    return total
+    return sum(map(sha256_blocks, lengths))
 
 
 def io_cycles_batch(lengths) -> int:

@@ -157,7 +157,7 @@ class CycleMeter:
             self.by_category.get(category, 0) + amount
 
     def charge_sha(self, num_bytes: int, category: str) -> None:
-        blocks = (num_bytes + 9 + 63) // 64
+        blocks = cy.sha256_blocks(num_bytes)
         self.sha_compressions += blocks
         self.charge(blocks * cy.SHA256_COMPRESS_CYCLES, category)
 

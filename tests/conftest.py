@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings as hypothesis_settings
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.system import SystemConfig, TelemetrySystem
+from repro.errors import ReproError
 from repro.netflow import NetworkTopology, TrafficGenerator
 from repro.netflow.generator import TrafficConfig
 from repro.netflow.records import FlowKey, NetFlowRecord
@@ -114,6 +115,25 @@ def make_committed_records(n: int, seed: int = 7,
             published_at_ms=5_000,
         ))
     return store, bulletin, count
+
+
+def drain_with_retries(service, attempts: int = 50) -> int:
+    """Drive ``service.aggregate_all_committed()`` until it returns,
+    retrying on any :class:`~repro.errors.ReproError`.
+
+    A failed round commits nothing (state, chain and window set move
+    only after the proof exists), so retrying a transient fault is
+    always safe; a window whose round aborts in the guest is
+    quarantined by the service itself.  Returns the number of failed
+    attempts; raises ``AssertionError`` if ``attempts`` are spent.
+    """
+    for failures in range(attempts):
+        try:
+            service.aggregate_all_committed()
+        except ReproError:
+            continue
+        return failures
+    raise AssertionError(f"no clean drain in {attempts} attempts")
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
-"""Chaos tests for the proving engine under the supervised daemon.
+"""Chaos tests for the proving engine under the service's round driver.
 
 The ``engine.worker`` fault site models a prover worker dying at job
 dispatch — the host-side moment a crash surfaces on any backend.  Two
 invariants must hold when it fires:
 
-* transient worker faults are absorbed by the daemon's retry schedule
-  and the surviving chain is bit-identical to a fault-free run, and
+* transient worker faults are absorbed by retrying the round (a failed
+  round commits nothing) and the surviving chain is bit-identical to a
+  fault-free run, and
 * a permanently poisoned window is quarantined on its first guest
   abort without stalling the pool — every other window still proves
   through the same engine.
@@ -16,13 +17,12 @@ import os
 import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
-from repro.core.daemon import AggregationDaemon, DaemonPolicy
 from repro.core.prover_service import ProverService
 from repro.faults import FaultInjector, FaultPlan, inject_faults
-from repro.netflow.clock import SimClock
 from repro.storage import MemoryLogStore
 
-from ..conftest import make_committed_records, make_record
+from ..conftest import drain_with_retries, make_committed_records, \
+    make_record
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -62,26 +62,16 @@ def pooled_service(**kwargs):
 
 class TestEngineWorkerFaults:
     def test_transient_worker_faults_absorbed(self):
-        """Worker deaths on a retry-friendly schedule: the daemon
-        converges to the clean root and nothing is quarantined."""
+        """Worker deaths on a retry-friendly schedule: retried rounds
+        converge to the clean root and nothing is quarantined."""
         service = pooled_service()
         injector = FaultInjector(FaultPlan.parse(
             "engine.worker:proof:start=2,every=3,count=3", seed=SEED))
         inject_faults(service, injector)
-        daemon = AggregationDaemon(
-            service, SimClock(),
-            DaemonPolicy(batch_limit=1, max_lag_ms=0, max_attempts=10,
-                         retry_base_ms=100, retry_max_ms=500,
-                         stall_after=50),
-            seed=SEED)
         try:
-            for _ in range(200):
-                daemon.step()
-                daemon.clock.advance_ms(600)
-                if not daemon.pending_windows() and \
-                        not daemon.quarantined:
-                    break
-            assert daemon.quarantined == {}
+            failures = drain_with_retries(service)
+            assert failures > 0
+            assert service.quarantined == {}
             assert service.aggregated_windows == {0, 1, 2}
             assert service.state.root == clean_root()
             # The plan actually killed jobs at the engine...
@@ -109,35 +99,27 @@ class TestEngineWorkerFaults:
         injector = FaultInjector(FaultPlan.parse(
             "engine.worker:proof:count=2", seed=SEED))
         inject_faults(service, injector)
-        daemon = AggregationDaemon(
-            service, SimClock(),
-            DaemonPolicy(batch_limit=1, max_lag_ms=0, max_attempts=3,
-                         retry_base_ms=50, retry_max_ms=200,
-                         stall_after=50),
-            seed=SEED)
         try:
-            for _ in range(200):
-                daemon.step()
-                daemon.clock.advance_ms(300)
-                if not daemon.pending_windows():
-                    break
-            assert set(daemon.quarantined) == {1}
+            drain_with_retries(service)
+            assert set(service.quarantined) == {1}
+            assert "GuestAbort" in service.quarantined[1]
             assert service.aggregated_windows == {0, 2}
-            assert daemon.health()["state"] == "degraded"
+            assert service.pending_windows() == []
+            assert injector.stats()["injected"]["engine.worker"] == 2
             snap = service.status()["engine"]
             assert snap["in_flight"] == 0  # pool drained, not stalled
             assert snap["jobs_done"] > 0
             # The service's operator hook still works with an engine
             # attached.
             assert service.requeue(1) is True
-            assert 1 in daemon.pending_windows()
+            assert 1 in service.pending_windows()
         finally:
             service.close()
 
     def test_engine_faults_use_domain_errors(self):
         """An injected engine.worker fault surfaces as the same
-        ProofError a real worker death produces — so the daemon's
-        classify/retry logic needs no special case."""
+        ProofError a real worker death produces — so a caller's
+        retry logic needs no special case."""
         from repro.errors import ProofError
         service = pooled_service(windows=1)
         injector = FaultInjector(FaultPlan.parse(

@@ -203,6 +203,38 @@ class TestQuarantine:
         assert len(service.chain) == 2
 
 
+class TestRunRoundWindowList:
+    def test_repeated_or_empty_list_refused_chain_still_verifies(self):
+        """``run-round {windows: [1, 1]}`` would prove window 1 twice
+        in one round, and a client's chain check would refuse that
+        round and every one after it.  The server refuses the list (and
+        an empty one) before proving, so the served chain is unchanged
+        and still verifies."""
+        service = ProverService(MemoryLogStore(), BulletinBoard())
+        for window in (0, 1):
+            _commit(service, window, [make_record(sport=100 + window)])
+        with _serve(service) as server, \
+                RouterClient(server.host, server.port,
+                             retry=FAST_RETRY) as router, \
+                QueryClient(server.host, server.port,
+                            retry=FAST_RETRY) as client:
+            (first,) = router.run_round([0])
+            with pytest.raises(ChainError, match="more than once"):
+                router.run_round([1, 1])
+            with pytest.raises(ProtocolError, match="non-empty"):
+                router.run_round([])
+            status = client.fetch_status()["service"]
+            assert status["rounds"] == 1
+            assert status["latest_root"] == first["new_root"].hex()
+            assert status["pending_windows"] == [1]
+            receipts = client.fetch_receipt_chain()
+            VerifierClient(client.fetch_bulletin()).verify_chain(receipts)
+            (second,) = router.run_round([1])
+            assert second["round"] == 1
+            VerifierClient(client.fetch_bulletin()).verify_chain(
+                client.fetch_receipt_chain())
+
+
 class TestStatusEndpoint:
     def test_status_without_daemon(self, deployment):
         server, _router_board = deployment
@@ -212,37 +244,6 @@ class TestStatusEndpoint:
         assert body["service"]["rounds"] == 0
         assert body["service"]["quarantined"] == []
         assert "query_cache_max" in body["service"]
-
-    def test_status_surfaces_daemon_health(self):
-        """A daemon driving the service quarantines a poisoned window
-        in the service's own map, so STATUS shows what the daemon's
-        health reports without the server knowing of the daemon."""
-        from repro.core.daemon import AggregationDaemon, DaemonPolicy
-        from repro.netflow.clock import SimClock
-        service = ProverService(MemoryLogStore(), BulletinBoard())
-        service.store.append_records("r1", 0, [make_record(sport=1)])
-        service.bulletin.publish(Commitment(
-            "r1", 0, window_digest([b"tampered"]), 1, 0))
-        for window in (1, 2):
-            _commit(service, window, [make_record(sport=100 + window)])
-        daemon = AggregationDaemon(service, SimClock(),
-                                   DaemonPolicy(max_lag_ms=0))
-        for _ in range(10):
-            if not daemon.pending_windows():
-                break
-            daemon.step()
-        with _serve(service) as server, \
-                QueryClient(server.host, server.port) as client:
-            body = client.fetch_status()
-        health = daemon.health()
-        assert health["state"] == "degraded"
-        assert health["stats"]["rounds"] == 2
-        (entry,) = body["service"]["quarantined"]
-        assert entry["window"] == 0
-        assert health["quarantined"] == {0: entry["reason"]}
-        assert "commitment mismatch" in entry["reason"]
-        assert body["service"]["aggregated_windows"] == [1, 2]
-        assert body["service"]["pending_windows"] == []
 
     def test_client_transport_fault_site_retries(self, deployment):
         """A net.transport fault on the first attempt is absorbed by

@@ -45,31 +45,6 @@ class TestTopologySurface:
         assert set(topo.graph.nodes) == {"r1", "r2", "r3"}
 
 
-class TestDaemonSurface:
-    def test_oldest_lag_tracks_clock(self):
-        from repro.commitments import (BulletinBoard, Commitment,
-                                       window_digest)
-        from repro.core.daemon import AggregationDaemon
-        from repro.core.prover_service import ProverService
-        from repro.netflow.clock import SimClock
-        from repro.storage import MemoryLogStore
-        from ..conftest import make_record
-        store = MemoryLogStore()
-        bulletin = BulletinBoard()
-        records = [make_record()]
-        store.append_records("r1", 0, records)
-        bulletin.publish(Commitment(
-            "r1", 0, window_digest([r.to_bytes() for r in records]),
-            1, 0))
-        clock = SimClock()
-        daemon = AggregationDaemon(ProverService(store, bulletin),
-                                   clock)
-        assert daemon.oldest_lag_ms() == 0
-        daemon.pending_windows()  # first sighting at t=0
-        clock.advance_ms(700)
-        assert daemon.oldest_lag_ms() == 700
-
-
 class TestSignedBaselineSurface:
     def test_register_router_idempotent(self):
         from repro.baselines import SignedLogBaseline

@@ -2,15 +2,56 @@
 
 import pytest
 
+from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
-from repro.errors import MissingCommitment, ProofError
+from repro.errors import (
+    ChainError,
+    ConfigurationError,
+    MissingCommitment,
+    ProofError,
+)
+from repro.storage import MemoryLogStore
+from repro.zkvm.costmodel import CostModel
 
-from ..conftest import make_committed_records
+from ..conftest import make_committed_records, make_record
 
 
 @pytest.fixture
 def service():
     store, bulletin, _count = make_committed_records(60)
+    return ProverService(store, bulletin)
+
+
+def commit(store, bulletin, window, n=2):
+    records = [make_record(sport=1000 + window * 10 + i)
+               for i in range(n)]
+    store.append_records("r1", window, records)
+    bulletin.publish(Commitment(
+        "r1", window, window_digest([r.to_bytes() for r in records]),
+        n, window * 5_000))
+
+
+@pytest.fixture
+def fresh():
+    store, bulletin = MemoryLogStore(), BulletinBoard()
+    return store, bulletin, ProverService(store, bulletin)
+
+
+def four_windows() -> ProverService:
+    """Four committed windows over two routers whose flows recur
+    across windows, so later rounds update earlier rounds' entries."""
+    store, bulletin = MemoryLogStore(), BulletinBoard()
+    for window in range(4):
+        for router in ("r1", "r2"):
+            records = [make_record(router_id=router,
+                                   sport=1000 + (window + j) % 5,
+                                   packets=10 + window + j)
+                       for j in range(3)]
+            store.append_records(router, window, records)
+            bulletin.publish(Commitment(
+                router, window,
+                window_digest([r.to_bytes() for r in records]),
+                len(records), window * 5_000))
     return ProverService(store, bulletin)
 
 
@@ -77,6 +118,109 @@ class TestAggregation:
         windows = {(w["r"], w["w"])
                    for w in result.journal_header["windows"]}
         assert ("r2", 1) in windows
+
+
+class TestDrain:
+    """The strict drain, ``aggregate_all_committed``: one round per
+    pending window, in commit order."""
+
+    def test_drain_consumes_everything(self, fresh):
+        store, bulletin, service = fresh
+        for window in range(5):
+            commit(store, bulletin, window)
+        rounds = service.aggregate_all_committed()
+        assert [r.windows for r in rounds] == [{w} for w in range(5)]
+        assert service.pending_windows() == []
+        assert len(service.chain) == 5
+
+    def test_drain_idempotent(self, fresh):
+        store, bulletin, service = fresh
+        commit(store, bulletin, 0)
+        assert len(service.aggregate_all_committed()) == 1
+        assert service.aggregate_all_committed() == []
+
+
+class TestStatusPendingWindows:
+    """Regression: ``ProverService.status()`` must surface the backlog.
+
+    Health tooling watches status() to tell a prover that is catching
+    up from one that stalled; before ``pending_windows`` was added,
+    committed-but-unproven windows were invisible there — both cases
+    reported the same body.
+    """
+
+    def test_status_lists_committed_but_unproven_windows(self, fresh):
+        store, bulletin, service = fresh
+        assert service.status()["pending_windows"] == []
+        commit(store, bulletin, 0)
+        commit(store, bulletin, 1)
+        commit(store, bulletin, 2)
+        assert service.status()["pending_windows"] == [0, 1, 2]
+        service.aggregate_window(1)
+        status = service.status()
+        assert status["pending_windows"] == [0, 2]
+        assert status["aggregated_windows"] == [1]
+        service.aggregate_windows([0, 2])
+        assert service.status()["pending_windows"] == []
+
+
+class TestRoundWindowList:
+    """A round's window list must name each window once and at least
+    one window; anything else is refused before any proving, and the
+    chain is left exactly as it was."""
+
+    def test_repeated_window_refused(self, fresh):
+        store, bulletin, service = fresh
+        for window in (0, 1):
+            commit(store, bulletin, window)
+        service.aggregate_window(0)
+        root, rounds = service.state.root, len(service.chain)
+        with pytest.raises(ChainError, match="more than once"):
+            service.aggregate_windows([1, 1])
+        assert (service.state.root, len(service.chain)) == (root, rounds)
+        assert service.aggregated_windows == {0}
+        assert service.pending_windows() == [1]
+        # The refused list cost nothing: the honest round still proves.
+        assert service.aggregate_windows([1]).record_count == 2
+
+    def test_repeated_inputs_refused_by_prove_round(self, fresh):
+        store, bulletin, service = fresh
+        commit(store, bulletin, 0)
+        inputs = service.gather_window(0)
+        with pytest.raises(ChainError, match="more than once"):
+            service.prove_round([0], inputs + inputs)
+        assert len(service.chain) == 0
+        assert service.aggregated_windows == frozenset()
+
+    def test_empty_list_refused(self, fresh):
+        store, bulletin, service = fresh
+        commit(store, bulletin, 0)
+        with pytest.raises(ConfigurationError, match="no windows"):
+            service.aggregate_windows([])
+        assert len(service.chain) == 0
+        assert service.last_prove_info is None
+        assert service.pending_windows() == [0]
+
+
+class TestBatchingIsAWindowList:
+    """A batched round is an explicit window list: one round over four
+    windows commits what four one-window rounds commit, for less
+    modeled proving time (one fixed overhead instead of four)."""
+
+    def test_one_round_equals_four_rounds_for_less(self):
+        model = CostModel()
+        batched = four_windows()
+        batch = batched.aggregate_windows([0, 1, 2, 3])
+        single = four_windows()
+        rounds = [single.aggregate_window(w) for w in range(4)]
+        assert batch.windows == {0, 1, 2, 3}
+        assert len(batched.chain) == 1 and len(single.chain) == 4
+        assert batched.state.root == single.state.root
+        assert list(batched.state.entries_in_slot_order()) \
+            == list(single.state.entries_in_slot_order())
+        assert batch.record_count == sum(r.record_count for r in rounds)
+        assert model.prove_seconds(batch.info.stats) \
+            < sum(model.prove_seconds(r.info.stats) for r in rounds)
 
 
 class TestQuarantine:
@@ -153,7 +297,6 @@ class TestQuarantine:
 
 class TestQueries:
     def test_query_before_aggregation_fails(self, service):
-        from repro.errors import ChainError
         with pytest.raises(ChainError):
             service.answer_query("SELECT COUNT(*) FROM clogs")
 
@@ -195,7 +338,6 @@ class TestQueries:
         assert response.matched == 0
 
     def test_empty_chain_error_is_descriptive(self, service):
-        from repro.errors import ChainError
         with pytest.raises(ChainError, match="aggregate_windows"):
             service.answer_query("SELECT COUNT(*) FROM clogs")
 

@@ -142,8 +142,9 @@ class TestConfiguration:
 class TestOneHome:
     """Cost arithmetic is written once, in ``repro.zkvm``: the segment
     walk in ``cycles.py`` and the seconds and fan-out formulas in
-    ``costmodel.py``.  A module elsewhere that reads the segment
-    geometry or the model's rates is pricing a proof by hand."""
+    ``costmodel.py``.  A module elsewhere — in ``src/``, a bench or an
+    example — that reads the segment geometry or the model's rates is
+    pricing a proof by hand."""
 
     NAMES = re.compile(
         r"\b(SEGMENT_CYCLE_LIMIT|SEGMENT_MIN_PO2|cpu_cycles_per_second"
@@ -151,11 +152,15 @@ class TestOneHome:
         r"|segment_overhead)\b")
 
     def test_no_cost_arithmetic_outside_zkvm(self):
-        src = Path(repro.__file__).parent
-        zkvm = src / "zkvm"
+        package = Path(repro.__file__).parent
+        root = package.parent.parent
+        zkvm = package / "zkvm"
+        scanned = [package, root / "benchmarks", root / "examples"]
+        assert all(path.is_dir() for path in scanned)
         offenders = [
-            f"{path.relative_to(src)}:{lineno}: {match.group(0)}"
-            for path in sorted(src.rglob("*.py"))
+            f"{path.relative_to(root)}:{lineno}: {match.group(0)}"
+            for top in scanned
+            for path in sorted(top.rglob("*.py"))
             if zkvm not in path.parents
             for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), 1)
