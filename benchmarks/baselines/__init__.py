@@ -5,12 +5,16 @@ enclaves on every vantage point) on *deployment complexity* and
 *scalability* grounds, and against naive signed logs on
 *confidentiality* grounds.  These models make that comparison concrete:
 
-* :mod:`~repro.baselines.tee` — an SGX-style enclave telemetry model:
+* :mod:`~baselines.tee` — an SGX-style enclave telemetry model:
   per-vantage hardware requirement, attestation, EPC paging behaviour;
-* :mod:`~repro.baselines.signed` — plain per-window signatures:
+* :mod:`~baselines.signed` — plain per-window signatures:
   integrity without confidentiality (the verifier must see raw logs);
-* :mod:`~repro.baselines.comparison` — the deployment/scalability
+* :mod:`~baselines.comparison` — the deployment/scalability
   comparison harness behind ``benchmarks/bench_baseline_tee.py``.
+
+They are comparison models, not part of the ``repro`` library, so they
+live beside their one bench and import as ``baselines`` with
+``benchmarks/`` on ``sys.path`` (``benchmarks/conftest.py`` puts it there).
 """
 
 from .comparison import ApproachProfile, compare_approaches

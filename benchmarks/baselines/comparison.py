@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..zkvm.costmodel import CostModel, ProverBackend, VERIFY_SECONDS
+from repro.zkvm.costmodel import CostModel, ProverBackend, VERIFY_SECONDS
 from .tee import EnclaveSpec
 
 

@@ -19,8 +19,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from ..errors import IntegrityError
-from ..netflow.records import NetFlowRecord
+from repro.errors import IntegrityError
+from repro.netflow.records import NetFlowRecord
+from repro.serialization import decode
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class SignedLogBaseline:
             raise IntegrityError(
                 f"signature invalid for ({window.router_id!r}, "
                 f"{window.window_index})")
-        from ..serialization import decode
         return [NetFlowRecord.from_wire(decode(blob))
                 for blob in window.blobs]
 

@@ -20,9 +20,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import ConfigurationError, IntegrityError
-from ..hashing import Digest, hash_many
-from ..netflow.records import NetFlowRecord
+from repro.errors import ConfigurationError, IntegrityError
+from repro.hashing import Digest, hash_many
+from repro.netflow.records import NetFlowRecord
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
+from _workloads import aggregated_service, committed_workload
+from baselines import (
     SignedLogBaseline,
     TEETelemetryModel,
     compare_approaches,
 )
-
-from _workloads import aggregated_service, committed_workload
 
 VANTAGE_POINTS = (4, 40, 400)
 

@@ -27,7 +27,6 @@ Packages:
 * :mod:`repro.storage` — shared log store (memory / sqlite).
 * :mod:`repro.query` — the SQL-subset query language.
 * :mod:`repro.sketch` — pluggable sketching telemetry summaries.
-* :mod:`repro.baselines` — TEE and signed-log comparators.
 * :mod:`repro.obs` — tracing/metrics/profiling (no-op until enabled);
   see ``docs/OBSERVABILITY.md`` for the instrumentation contract.
 """

@@ -75,11 +75,6 @@ class BulletinBoard:
             )
         return commitment
 
-    def try_get(self, router_id: str,
-                window_index: int) -> Commitment | None:
-        with self._lock:
-            return self._entries.get((router_id, window_index))
-
     def for_window(self, window_index: int) -> dict[str, Commitment]:
         """router_id → commitment, for every router that committed."""
         with self._lock:

@@ -62,7 +62,6 @@ class ProverService:
                  strategy: str = "update",
                  retain_history: bool = False,
                  auto_checkpoint: bool = False,
-                 checkpoint_name: str = DEFAULT_CHECKPOINT,
                  query_cache_size: int = 256,
                  pool_backend: str | None = None,
                  prove_workers: int | None = None,
@@ -113,15 +112,15 @@ class ProverService:
                                                  prover=prover)
         self.strategy = strategy
         self.auto_checkpoint = auto_checkpoint
-        self.checkpoint_name = checkpoint_name
         self.query_cache_size = query_cache_size
         self._query_prover = QueryProver(
             prover_opts, prover=prover, engine=self.engine,
             num_partitions=self.query_partitions)
         self._aggregated_windows: set[int] = set()
-        # window → reason for every window no round will be run over
-        # again until :meth:`requeue`; the one quarantine every driver
-        # (``aggregate_all_committed``, RUN_ROUND) shares.
+        # window → reason for every window no driver will pick again
+        # (``aggregate_all_committed``, RUN_ROUND without a list); the
+        # operator's retry is an explicit round over the window, which
+        # clears its entry once it proves.
         self._quarantined: dict[int, str] = {}
         # Memory-only here; QueryService attaches the store's
         # persistent tier (``query_cache.attach_store``).
@@ -158,12 +157,6 @@ class ProverService:
         """Take a window out of every driver's candidates."""
         logger.error("window %d quarantined: %s", window_index, reason)
         self._quarantined[window_index] = reason
-
-    def requeue(self, window_index: int) -> bool:
-        """Operator hook: pull a window out of quarantine for another
-        attempt (e.g. after a store outage is fixed).  Returns True if
-        the window was quarantined."""
-        return self._quarantined.pop(window_index, None) is not None
 
     def require_unquarantined(self, subject: str) -> None:
         """Raise :class:`~repro.errors.ProofError` naming every
@@ -427,7 +420,7 @@ class ProverService:
 
     # -- checkpoint / recovery ---------------------------------------------------
 
-    def checkpoint(self, name: str | None = None) -> Digest:
+    def checkpoint(self, name: str = DEFAULT_CHECKPOINT) -> Digest:
         """Persist a crash-safe snapshot of the proven state.
 
         The snapshot holds everything a restarted prover needs to resume
@@ -440,7 +433,6 @@ class ProverService:
 
         Returns the committed root the snapshot captures.
         """
-        name = name or self.checkpoint_name
         payload = {
             "version": CHECKPOINT_VERSION,
             "strategy": self.strategy,
@@ -463,7 +455,7 @@ class ProverService:
                     self.state.root.short())
         return self.state.root
 
-    def restore(self, name: str | None = None) -> bool:
+    def restore(self, name: str = DEFAULT_CHECKPOINT) -> bool:
         """Load a snapshot, verify it, and adopt it — or refuse.
 
         Returns ``False`` when no checkpoint exists under ``name`` (a
@@ -481,7 +473,6 @@ class ProverService:
             raise CheckpointError(
                 "restore() requires a fresh service; this one has "
                 "already aggregated")
-        name = name or self.checkpoint_name
         counter = obs.registry().counter(obs_names.SERVICE_RESTORES,
                                          ("outcome",))
         try:

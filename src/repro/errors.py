@@ -36,21 +36,6 @@ class IntegrityError(ReproError):
     """Committed data failed an integrity check."""
 
 
-class CommitmentMismatch(IntegrityError):
-    """A raw-log hash does not match its published commitment (Fig. 3)."""
-
-    def __init__(self, router_id: str, window_index: int,
-                 expected: str, actual: str) -> None:
-        self.router_id = router_id
-        self.window_index = window_index
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"hash commitment mismatch for router {router_id!r} window "
-            f"{window_index}: published {expected} != recomputed {actual}"
-        )
-
-
 class MerkleError(IntegrityError):
     """Generic Merkle-tree failure (bad proof shape, unknown leaf...)."""
 

@@ -95,10 +95,6 @@ class FaultyBulletin:
         self.injector.fire(sites.BULLETIN_GET)
         return self.inner.get(router_id, window_index)
 
-    def try_get(self, router_id: str,
-                window_index: int) -> Commitment | None:
-        return self.inner.try_get(router_id, window_index)
-
     def for_window(self, window_index: int) -> dict[str, Commitment]:
         return self.inner.for_window(window_index)
 

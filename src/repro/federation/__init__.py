@@ -18,9 +18,7 @@ This package proves them for K mutually distrustful providers; the
   inter-domain traffic matrix, an SLA attestation;
 * :mod:`.audit` — :class:`FederationAuditor`: verifies every provider
   chain and the join receipt from public material alone, flagging any
-  provider whose published root does not match its proven round;
-* :mod:`.sketch` — heavy-hitter and DDoS-attestation federation
-  workloads over :mod:`repro.core.sketch_proof`.
+  provider whose published root does not match its proven round.
 
 No provider's raw records ever cross a domain boundary: the only
 inter-domain artifacts are receipts, journals (aggregates and digests)
@@ -30,18 +28,10 @@ and published roots.
 from .audit import FederationAuditor, FederationReport, ProviderAudit
 from .join import FEDERATION_TOTALS_SQL, FederationJoinProver, FederationJoinResult
 from .scenario import FederationScenario, RootBoard, build_federation_scenario
-from .sketch import (
-    FederationDdosAttestation,
-    FederationHeavyHitters,
-    prove_ddos_attestation,
-    prove_heavy_hitters,
-)
 
 __all__ = [
     "FEDERATION_TOTALS_SQL",
     "FederationAuditor",
-    "FederationDdosAttestation",
-    "FederationHeavyHitters",
     "FederationJoinProver",
     "FederationJoinResult",
     "FederationReport",
@@ -49,6 +39,4 @@ __all__ = [
     "ProviderAudit",
     "RootBoard",
     "build_federation_scenario",
-    "prove_ddos_attestation",
-    "prove_heavy_hitters",
 ]

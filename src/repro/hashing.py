@@ -185,47 +185,3 @@ def open_blob(blob: bytes) -> bytes | None:
     if tagged_hash(TAG_SEALED_BLOB, payload).raw != digest:
         return None
     return payload
-
-
-class IncrementalHasher:
-    """Streaming tagged hasher for hashing large log batches chunk-wise.
-
-    Routers use this to commit to raw-log windows without materialising
-    the whole window in memory (§3: "computing a cryptographic hash over
-    the data in each router").
-    """
-
-    def __init__(self, tag: str) -> None:
-        self._tag = tag
-        self._hasher = _tag_hasher(tag)
-        self._count = 0
-
-    @property
-    def tag(self) -> str:
-        return self._tag
-
-    @property
-    def item_count(self) -> int:
-        return self._count
-
-    def update(self, item: bytes) -> None:
-        self._hasher.update(len(item).to_bytes(8, "big"))
-        self._hasher.update(item)
-        self._count += 1
-
-    def digest(self) -> Digest:
-        # Copy so that the hasher can keep accepting updates afterwards.
-        return _digest_of(self._hasher.copy().digest())
-
-
-def sha256_block_count(num_bytes: int) -> int:
-    """Number of 64-byte SHA-256 compression blocks to hash ``num_bytes``.
-
-    Matches the padding rule: message + 1 byte of padding marker + 8-byte
-    length must fit, so hashing ``n`` bytes costs ``(n + 9 + 63) // 64``
-    compressions.  The zkVM cycle meter uses this to charge the sha-256
-    accelerator circuit per compression, as RISC Zero does.
-    """
-    if num_bytes < 0:
-        raise ValueError("num_bytes must be non-negative")
-    return (num_bytes + 9 + 63) // 64

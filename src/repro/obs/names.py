@@ -106,7 +106,6 @@ CLUSTER_WORKER_JOBS = "repro_cluster_worker_jobs_total"
 FEDERATION_JOINS = "repro_federation_joins_total"
 FEDERATION_PROVIDERS = "repro_federation_providers"
 FEDERATION_JOIN_SECONDS = "repro_federation_join_seconds"
-FEDERATION_WORKLOADS = "repro_federation_workloads_total"
 
 # query proving
 QUERY_PROOFS = "repro_query_proofs_total"
@@ -170,7 +169,6 @@ METRIC_LABELS: dict[str, tuple[str, ...]] = {
     FEDERATION_JOINS: ("outcome",),
     FEDERATION_PROVIDERS: (),
     FEDERATION_JOIN_SECONDS: (),
-    FEDERATION_WORKLOADS: ("kind",),
     QUERY_PROOFS: (),
     QUERY_SECONDS: (),
     QUERY_PARTITIONS: (),

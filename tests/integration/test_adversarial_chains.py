@@ -21,7 +21,7 @@ def committed(bulletin: BulletinBoard, router: str, window: int,
               records) -> RouterWindowInput:
     blobs = tuple(r.to_bytes() for r in records)
     digest = window_digest(list(blobs))
-    if bulletin.try_get(router, window) is None:
+    if router not in bulletin.for_window(window):
         bulletin.publish(Commitment(router, window, digest,
                                     len(blobs), window * 5_000))
     return RouterWindowInput(router_id=router, window_index=window,

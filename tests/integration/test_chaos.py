@@ -21,7 +21,7 @@ import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
-from repro.errors import ReproError
+from repro.errors import GuestAbort, ReproError
 from repro.faults import FaultInjector, FaultPlan, inject_faults
 from repro.storage import MemoryLogStore
 
@@ -112,11 +112,22 @@ class TestChaosConvergence:
         assert service.pending_windows() == []
         assert failures > 0
         assert injector.stats()["injected"]["store.window_blobs"] > 0
-        # The operator hook pulls the window back into rotation (the
-        # bulletin is append-only, so the bad commitment itself cannot
-        # be withdrawn — requeue is for when the *store* was at fault).
-        assert service.requeue(1) is True
-        assert 1 in service.pending_windows()
+        # The operator's retry is an explicit round over the window.
+        # Here the bad commitment itself is the fault (the bulletin is
+        # append-only), so the retry aborts in the guest once it reads
+        # past the store's injected faults, and commits nothing.
+        rounds = len(service.chain)
+        for _ in range(10):
+            try:
+                service.aggregate_window(1)
+            except GuestAbort:
+                break
+            except ReproError:
+                continue
+        else:
+            raise AssertionError("the retry never reached the guest")
+        assert set(service.quarantined) == {1}
+        assert len(service.chain) == rounds
 
 
 class TestChaosWithRecovery:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
+from repro.errors import GuestAbort
 from repro.faults import FaultInjector, FaultPlan, inject_faults
 from repro.storage import MemoryLogStore
 
@@ -109,10 +110,13 @@ class TestEngineWorkerFaults:
             snap = service.status()["engine"]
             assert snap["in_flight"] == 0  # pool drained, not stalled
             assert snap["jobs_done"] > 0
-            # The service's operator hook still works with an engine
-            # attached.
-            assert service.requeue(1) is True
-            assert 1 in service.pending_windows()
+            # The operator's retry, an explicit round over the window,
+            # reaches the guest through the engine and aborts again.
+            rounds = len(service.chain)
+            with pytest.raises(GuestAbort):
+                service.aggregate_window(1)
+            assert set(service.quarantined) == {1}
+            assert len(service.chain) == rounds
         finally:
             service.close()
 

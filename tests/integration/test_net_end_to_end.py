@@ -202,6 +202,32 @@ class TestQuarantine:
                 router.run_round([0])
         assert len(service.chain) == 2
 
+    def test_explicit_round_is_the_operator_retry(self):
+        """The store, not the router, was at fault: a corrupted row
+        quarantines window 0.  Once the row is repaired,
+        ``run-round {windows: [0]}`` proves it and STATUS's quarantine
+        empties."""
+        service = ProverService(MemoryLogStore(), BulletinBoard())
+        honest = make_record(sport=100)
+        for window, record in ((0, honest), (1, make_record(sport=101))):
+            _commit(service, window, [record])
+        service.store.overwrite_raw("r1", 0, 0,
+                                    make_record(sport=999).to_bytes())
+        with _serve(service) as server, \
+                RouterClient(server.host, server.port) as router, \
+                QueryClient(server.host, server.port) as client:
+            assert [r["round"] for r in router.run_round()] == [0]
+            (entry,) = client.fetch_status()["service"]["quarantined"]
+            assert entry["window"] == 0
+            service.store.overwrite_raw("r1", 0, 0, honest.to_bytes())
+            (retry,) = router.run_round([0])
+            assert retry["round"] == 1
+            status = client.fetch_status()["service"]
+            assert status["quarantined"] == []
+            assert status["aggregated_windows"] == [0, 1]
+            VerifierClient(client.fetch_bulletin()).verify_chain(
+                client.fetch_receipt_chain())
+
 
 class TestRunRoundWindowList:
     def test_repeated_or_empty_list_refused_chain_still_verifies(self):

@@ -47,7 +47,15 @@ class TestTopologySurface:
 
 class TestSignedBaselineSurface:
     def test_register_router_idempotent(self):
-        from repro.baselines import SignedLogBaseline
+        import pathlib
+        import sys
+
+        benchmarks_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+        sys.path.insert(0, str(benchmarks_dir))
+        try:
+            from baselines import SignedLogBaseline
+        finally:
+            sys.path.pop(0)
         baseline = SignedLogBaseline()
         baseline.register_router("r1")
         key_before = baseline._keys["r1"]

@@ -1,16 +1,26 @@
 """Unit tests for the TEE and signed-log baselines."""
 
+import pathlib
+import sys
+
 import pytest
 
-from repro.baselines import (
-    EnclaveSpec,
-    SignedLogBaseline,
-    TEETelemetryModel,
-    compare_approaches,
-)
 from repro.errors import ConfigurationError, IntegrityError
 
 from ..conftest import make_record
+
+BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+sys.path.insert(0, str(BENCHMARKS_DIR))
+try:
+    from baselines import (
+        EnclaveSpec,
+        SignedLogBaseline,
+        TEETelemetryModel,
+        compare_approaches,
+    )
+finally:
+    sys.path.pop(0)
 
 
 class TestEnclaveSpec:

@@ -58,7 +58,6 @@ class TestBulletinBoard:
     def test_missing_raises(self):
         with pytest.raises(MissingCommitment):
             BulletinBoard().get("r1", 0)
-        assert BulletinBoard().try_get("r1", 0) is None
 
     def test_idempotent_republish(self):
         board = BulletinBoard()
@@ -130,7 +129,7 @@ class TestRouterCommitter:
         committer.add_record(make_record())
         clock.advance_ms(5_000)
         committer.add_record(make_record(sport=2000))
-        assert board.try_get("r1", 0) is not None
+        assert "r1" in board.for_window(0)
         assert committer.pending_count == 1  # the new window's record
 
     def test_flush(self):

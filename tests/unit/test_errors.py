@@ -10,7 +10,6 @@ class TestHierarchy:
         leaves = [
             errors.ConfigurationError,
             errors.SerializationError,
-            errors.CommitmentMismatch,
             errors.MerkleInclusionError,
             errors.MissingCommitment,
             errors.GuestAbort,
@@ -27,7 +26,7 @@ class TestHierarchy:
             assert issubclass(cls, errors.ReproError)
 
     def test_integrity_family(self):
-        for cls in (errors.CommitmentMismatch, errors.MerkleError,
+        for cls in (errors.MerkleError,
                     errors.MerkleInclusionError,
                     errors.MissingCommitment):
             assert issubclass(cls, errors.IntegrityError)
@@ -45,13 +44,6 @@ class TestHierarchy:
 
 
 class TestMessages:
-    def test_commitment_mismatch_carries_context(self):
-        exc = errors.CommitmentMismatch("r1", 3, "aa" * 32, "bb" * 32)
-        assert exc.router_id == "r1"
-        assert exc.window_index == 3
-        assert "r1" in str(exc)
-        assert "window 3" in str(exc)
-
     def test_guest_abort_reason(self):
         exc = errors.GuestAbort("hash mismatch")
         assert exc.reason == "hash mismatch"

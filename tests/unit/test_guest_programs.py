@@ -16,7 +16,11 @@ from repro.core import guest_programs
 from repro.core.guest_programs import (
     GUEST_REGISTRY,
     aggregation_guest,
+    assume_receipt,
+    partition_guest,
     query_guest,
+    verify_previous_round,
+    verify_window_commitments,
 )
 from repro.core.policy import DEFAULT_POLICY
 from repro.core.query_proof import QueryProver
@@ -34,6 +38,7 @@ from repro.hashing import sha256
 from repro.merkle.tree import EMPTY_ROOTS
 from repro.serialization import encode
 from repro.zkvm import ExecutorEnvBuilder, Prover, verify_receipt
+from repro.zkvm.guest import _called_helpers
 
 from ..conftest import make_record
 from ..counting import count_host_work
@@ -535,6 +540,14 @@ STEP1_GUESTS = {
     "rebuild": rebuild_aggregation_guest,
 }
 
+# The guest each STEP2_CALLERS entry runs step 2 in.
+STEP2_GUESTS = {
+    "aggregation": aggregation_guest,
+    "rebuild": rebuild_aggregation_guest,
+    "partition": partition_guest,
+    "sketch-build": sketch_build_guest,
+}
+
 
 def step1_input(guest, genesis, binding=None, **forged):
     """Frames for a round-1 execution that stops after step 1 (no
@@ -559,6 +572,30 @@ def step1_input(guest, genesis, binding=None, **forged):
             builder.write({"key": entry.key.pack(),
                            "payload": entry.to_payload()})
     return builder.build()
+
+
+class TestImageIdsCoverSharedSteps:
+    """An image id hashes only the helpers a guest reaches inside its
+    own package.  Moving a guest out of ``repro.core`` would silently
+    drop the shared steps from its id, so a receipt would no longer
+    bind the code that checks commitments or prior receipts."""
+
+    def test_step2_guests_are_the_step2_callers(self):
+        assert set(STEP2_GUESTS) == set(STEP2_CALLERS)
+
+    @pytest.mark.parametrize("name", sorted(STEP2_GUESTS))
+    def test_step2_guest_image_covers_commitment_check(self, name):
+        helpers = _called_helpers(STEP2_GUESTS[name].fn)
+        assert verify_window_commitments in helpers
+
+    @pytest.mark.parametrize("name", sorted(STEP1_GUESTS))
+    def test_step1_guest_image_covers_previous_round_check(self, name):
+        helpers = _called_helpers(STEP1_GUESTS[name].fn)
+        assert verify_previous_round in helpers
+        assert assume_receipt in helpers
+
+    def test_sketch_estimate_image_covers_receipt_assumption(self):
+        assert assume_receipt in _called_helpers(sketch_estimate_guest.fn)
 
 
 class TestSharedSteps:

@@ -7,12 +7,11 @@ import pytest
 from repro.hashing import (
     DIGEST_SIZE,
     Digest,
-    IncrementalHasher,
     hash_many,
     sha256,
-    sha256_block_count,
     tagged_hash,
 )
+from repro.zkvm.cycles import sha256_blocks
 
 
 class TestDigest:
@@ -87,31 +86,9 @@ class TestHashMany:
         assert hash_many("t", [b"a", b"b"]) != hash_many("t", [b"b", b"a"])
 
 
-class TestIncrementalHasher:
-    def test_matches_hash_many(self):
-        items = [b"one", b"two", b"three"]
-        hasher = IncrementalHasher("t")
-        for item in items:
-            hasher.update(item)
-        assert hasher.digest() == hash_many("t", items)
-
-    def test_digest_is_non_destructive(self):
-        hasher = IncrementalHasher("t")
-        hasher.update(b"a")
-        first = hasher.digest()
-        assert hasher.digest() == first
-        hasher.update(b"b")
-        assert hasher.digest() == hash_many("t", [b"a", b"b"])
-
-    def test_item_count(self):
-        hasher = IncrementalHasher("t")
-        assert hasher.item_count == 0
-        hasher.update(b"a")
-        hasher.update(b"b")
-        assert hasher.item_count == 2
-
-
 class TestBlockCount:
+    """The SHA-256 padding rule as the zkVM cycle meter counts it."""
+
     @pytest.mark.parametrize("num_bytes,expected", [
         (0, 1),        # padding alone needs one block
         (55, 1),       # 55 + 9 = 64 exactly
@@ -121,8 +98,8 @@ class TestBlockCount:
         (120, 3),
     ])
     def test_padding_rule(self, num_bytes, expected):
-        assert sha256_block_count(num_bytes) == expected
+        assert sha256_blocks(num_bytes) == expected
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            sha256_block_count(-1)
+            sha256_blocks(-1)

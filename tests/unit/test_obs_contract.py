@@ -619,14 +619,13 @@ FEDERATION_METRIC_LABELS = {
     "repro_federation_joins_total": ("outcome",),
     "repro_federation_providers": (),
     "repro_federation_join_seconds": (),
-    "repro_federation_workloads_total": ("kind",),
 }
 
 FEDERATION_SPAN = "federation.join"
 
 
 class TestFederationContract:
-    """The federation namespace: one span, four metrics, pinned."""
+    """The federation namespace: one span, three metrics, pinned."""
 
     def test_join_emits_exact_names(self):
         from repro.federation import (
@@ -640,34 +639,12 @@ class TestFederationContract:
                 prover.prove_join(scenario)
             assert len(cap.exporter.by_name(FEDERATION_SPAN)) == 1
             for name, labels in FEDERATION_METRIC_LABELS.items():
-                if name == "repro_federation_workloads_total":
-                    continue  # only the sketch workloads emit it
                 assert cap.registry.label_names(name) == labels, name
             joins = cap.registry.get("repro_federation_joins_total")
             assert joins.value(outcome="ok") == 1
             assert joins.value(outcome="abort") == 0
             providers = cap.registry.get("repro_federation_providers")
             assert providers.value() == 2
-
-    def test_workloads_counter_labelled_by_kind(self):
-        from repro.federation import (
-            build_federation_scenario,
-            prove_ddos_attestation,
-            prove_heavy_hitters,
-        )
-        scenario = build_federation_scenario(num_providers=2,
-                                             num_flows=8, seed=3)
-        scenario.aggregate_and_publish()
-        with obs.capture() as cap:
-            hitters = prove_heavy_hitters(scenario, top_k=3)
-            prove_ddos_attestation(scenario, threshold=1,
-                                   hitters=hitters)
-            counter = cap.registry.get(
-                "repro_federation_workloads_total")
-            assert counter.value(kind="heavy-hitters") == 1
-            assert counter.value(kind="ddos") == 1
-            assert cap.registry.label_names(
-                "repro_federation_workloads_total") == ("kind",)
 
     def test_default_service_emits_no_federation_names(self):
         store, bulletin, _ = make_committed_records(20)

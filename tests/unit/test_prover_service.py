@@ -273,12 +273,6 @@ class TestQuarantine:
             poisoned.aggregate_windows([0, 1])
         assert poisoned.quarantined == {}
 
-    def test_requeue_returns_the_window_to_pending(self, poisoned):
-        poisoned.aggregate_all_committed()
-        assert poisoned.requeue(0) is True
-        assert poisoned.requeue(0) is False
-        assert poisoned.pending_windows() == [0]
-
     def test_proven_round_clears_the_entry(self, poisoned):
         poisoned.quarantine(1, "held by the operator")
         assert poisoned.pending_windows() == [0, 2]
