@@ -119,7 +119,7 @@ def run_demo(endpoints, topology, harness=None, kill_one=False) -> int:
                 victim = harness.kill_one()
                 print(f"chaos: SIGKILLed worker {victim.endpoint}")
             service.aggregate_window(window)
-            root = service.chain.latest.journal_header["new_root"]
+            root = service.chain.latest.header.new_root
             print(f"  window {window}: round proven, "
                   f"new root {str(root)[:16]}…")
         verified = VerifierClient(system.bulletin).verify_chain(

@@ -50,7 +50,7 @@ def main() -> None:
         link = domain.prover.chain.latest
         print(f"  {domain.name}: round {link.round} receipt "
               f"({link.receipt.seal_size} B seal), root "
-              f"{link.new_root.short()}…")
+              f"{link.header.new_root.short()}…")
     print(f"  join: {join.receipt.seal_size} B seal over "
           f"{len(join.providers)} providers")
 

@@ -70,7 +70,7 @@ def main() -> None:
     print("\ndispute evidence package:")
     print(f"  aggregation chain: {len(system.prover.chain)} receipts, "
           f"{latest.receipt.seal_size}-byte seals")
-    print(f"  committed telemetry root: {latest.new_root.short()}…")
+    print(f"  committed telemetry root: {latest.header.new_root.short()}…")
     print(f"  router commitments on the bulletin: "
           f"{len(system.bulletin)}")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from ...core.journals import QueryJournal
 from ...core.verifier_client import VerifierClient
 from ...errors import ReproError
 from ..framework import CommandResult, register
@@ -12,15 +13,19 @@ from ..options import add_bulletin, add_db
 from ..persistence import load_bulletin, rebuild_service
 
 
-def print_verified_query(args: argparse.Namespace, response,
-                         verified) -> None:
-    print(f"query: {args.sql}")
+def print_results(verified: QueryJournal) -> None:
     for label, value in zip(verified.labels, verified.values):
         print(f"  {label} = {value}")
     for key, values in verified.groups:
         print(f"  [{key}] "
               + ", ".join(f"{label}={value}" for label, value
                           in zip(verified.labels, values)))
+
+
+def print_verified_query(args: argparse.Namespace, response,
+                         verified: QueryJournal) -> None:
+    print(f"query: {args.sql}")
+    print_results(verified)
     print(f"  matched {verified.matched}/{verified.scanned} flows; "
           f"round {verified.round}, root {verified.root.short()}…")
     if args.out is not None:
@@ -74,9 +79,8 @@ class QueryCommand:
                                   query_partitions=args.query_partitions)
         try:
             response = service.answer_query(args.sql)
-            verifier = VerifierClient(service.bulletin)
-            chain = verifier.verify_chain(service.chain.receipts())
-            verified = verifier.verify_query(response, chain[-1])
+            verified = VerifierClient(service.bulletin).verify_response(
+                response, service.chain.receipts())
         finally:
             service.close()
             service.store.close()

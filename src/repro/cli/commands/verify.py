@@ -12,6 +12,7 @@ from ...zkvm import Receipt
 from ..framework import CommandResult, register
 from ..options import add_bulletin
 from ..persistence import load_bulletin, load_receipts
+from .query import print_results
 
 
 @register
@@ -35,7 +36,7 @@ class VerifyCommand:
             return CommandResult.failure(str(exc))
         for link in verified:
             print(f"round {link.round}: OK — {link.entries} records "
-                  f"over windows {sorted(set(link.windows))}, root "
+                  f"over windows {sorted(set(link.consumed))}, root "
                   f"{link.new_root.short()}…")
         print(f"chain of {len(verified)} rounds verified")
         return CommandResult.ok(rounds=len(verified))
@@ -82,20 +83,13 @@ class VerifyQueryCommand:
             args.query_receipt.read_bytes())
         verifier = VerifierClient(bulletin)
         try:
-            chain = verifier.verify_chain(receipts)
-            response = response_from_receipt(query_receipt)
-            verified = verifier.verify_query(response,
-                                             chain[response.round])
-        except (ReproError, IndexError, KeyError) as exc:
+            verified = verifier.verify_response(
+                response_from_receipt(query_receipt), receipts)
+        except ReproError as exc:
             print(f"QUERY VERIFICATION FAILED: {exc}")
             return CommandResult.failure(str(exc))
-        print(f"query: {verified.sql}")
-        for label, value in zip(verified.labels, verified.values):
-            print(f"  {label} = {value}")
-        for key, values in verified.groups:
-            print(f"  [{key}] "
-                  + ", ".join(f"{label}={value}" for label, value
-                              in zip(verified.labels, values)))
+        print(f"query: {verified.query}")
+        print_results(verified)
         print(f"  VERIFIED against round {verified.round} "
               f"(root {verified.root.short()}…)")
         return CommandResult.ok(round=verified.round)

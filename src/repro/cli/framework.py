@@ -148,9 +148,6 @@ class CommandInvoker:
     def registry(self) -> CommandRegistry:
         return self._registry
 
-    def add_hook(self, hook: CommandHook) -> None:
-        self._hooks.append(hook)
-
     def build_parser(self) -> argparse.ArgumentParser:
         parser = argparse.ArgumentParser(
             prog="repro",

@@ -15,6 +15,7 @@ import json
 import pathlib
 
 from ..commitments import BulletinBoard, Commitment
+from ..core.journals import RoundHeader
 from ..core.prover_service import ProverService
 from ..errors import ReproError
 from ..hashing import Digest
@@ -97,15 +98,12 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
               if receipts_dir is not None else
               "no checkpoint found; starting from genesis")
     if receipts_dir is not None and receipts_dir.exists():
-        recorded = load_receipts(receipts_dir)
-        for receipt in recorded:
-            header = next(receipt.journal.values())
-            windows = sorted({w["w"] for w in header["windows"]})
-            service.aggregate_windows(windows)
-        restored_roots = [link.new_root for link in service.chain]
-        recorded_roots = [next(r.journal.values())["new_root"]
-                          for r in recorded]
-        if restored_roots != recorded_roots:
+        recorded = [RoundHeader.parse(receipt)
+                    for receipt in load_receipts(receipts_dir)]
+        for header in recorded:
+            service.aggregate_windows(sorted({w for _, w, _ in header.windows}))
+        if [link.header.new_root for link in service.chain] \
+                != [header.new_root for header in recorded]:
             raise ReproError(
                 "replayed rounds do not reproduce the recorded roots — "
                 "the store changed since the receipts were produced")

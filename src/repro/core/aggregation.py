@@ -14,7 +14,7 @@ order, record decoding, frame writing, the round-input builder and the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from ..errors import ChainError, ProofError
@@ -28,6 +28,7 @@ from ..zkvm.executor import ExecutorInput
 from ..zkvm.recursion import resolve
 from .clog import CLogState
 from .guest_programs import aggregation_guest
+from .journals import RoundHeader
 from .policy import DEFAULT_POLICY, AggregationPolicy
 from .witness import AggregationWitness, build_witness
 
@@ -74,18 +75,15 @@ class AggregationResult:
     new_state: CLogState
     record_count: int
     new_root: Digest
+    header: RoundHeader = field(init=False, repr=False, compare=False)
 
-    @property
-    def journal_header(self) -> dict[str, Any]:
-        header = next(self.receipt.journal.values(), None)
-        if not isinstance(header, dict):
-            raise ProofError("aggregation journal missing header")
-        return header
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "header", RoundHeader.parse(self.receipt))
 
     @property
     def windows(self) -> set[int]:
         """Window indices the round consumed, read off its journal."""
-        return {window["w"] for window in self.journal_header["windows"]}
+        return {w for _, w, _ in self.header.windows}
 
 
 def order_windows(windows: Iterable[RouterWindowInput]) -> list[RouterWindowInput]:
@@ -150,18 +148,6 @@ def build_round_input(
     return builder.build()
 
 
-def check_guest_root(receipt: Receipt, host_root: Digest) -> dict[str, Any]:
-    """The journal header of ``receipt``, once its ``new_root`` is known
-    to equal the root the host computed for the same records."""
-    header = next(receipt.journal.values(), None)
-    if not isinstance(header, dict) or header.get("new_root") != host_root:
-        raise ProofError(
-            "guest-computed root diverged from the host state — "
-            "host/guest aggregation logic is out of sync"
-        )
-    return header
-
-
 def prove_round(
     strategy: str,
     state: CLogState,
@@ -185,7 +171,11 @@ def prove_round(
         strategy=strategy,
     ) as span:
         result = prove()
-        check_guest_root(result.receipt, result.new_root)
+        if result.header.new_root != result.new_root:
+            raise ProofError(
+                "guest-computed root diverged from the host state — "
+                "host/guest aggregation logic is out of sync"
+            )
         span.add_cycles(result.info.stats.total_cycles)
         span.set("records", result.record_count)
     elapsed = time.perf_counter() - start

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..commitments import BulletinBoard, Commitment
-from ..errors import ReproError, VerificationError
+from ..errors import ReproError
 from ..hashing import Digest
 from ..zkvm import Receipt
 from .prover_service import ProverService
@@ -148,30 +148,23 @@ def verify_bundle(bundle: AuditBundle) -> BundleReport:
         bulletin.publish(commitment)
     verifier = VerifierClient(bulletin)
     verified_chain = verifier.verify_chain(bundle.chain)
-    by_round = {v.round: v for v in verified_chain}
 
     queries: list[dict[str, Any]] = []
     for receipt in bundle.query_receipts:
-        response = response_from_receipt(receipt)
-        target = by_round.get(response.round)
-        if target is None:
-            raise VerificationError(
-                "query receipt references a round outside the chain")
-        verified = verifier.verify_query(response, target)
-        queries.append({"query": verified.sql,
+        verified = verifier.verify_query_in(response_from_receipt(receipt),
+                                            verified_chain)
+        queries.append({"query": verified.query,
                         "values": list(verified.values),
                         "groups": [[key, list(values)] for key, values
                                    in verified.groups],
                         "round": verified.round})
 
-    windows: list[tuple[str, int]] = []
-    for verified in verified_chain:
-        windows.extend(verified.windows)
     last = verified_chain[-1]
     return BundleReport(
         rounds=len(verified_chain),
         final_root=last.new_root,
         final_size=last.size,
-        windows=tuple(windows),
+        windows=tuple(pair for verified in verified_chain
+                      for pair in verified.consumed),
         queries=tuple(queries),
     )

@@ -9,13 +9,13 @@ is the provider-side ledger of those links; clients re-verify it with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from ..errors import ChainError
-from ..hashing import Digest
 from ..zkvm import Receipt
 from .guest_programs import aggregation_guest
+from .journals import RoundHeader
 from .rebuild import rebuild_aggregation_guest
 
 #: The guests whose receipts are chainable rounds: update-path and
@@ -27,53 +27,39 @@ ROUND_IMAGE_IDS = (
 )
 
 
-def require_distinct_windows(what: str,
-                             windows: Sequence[tuple[str, int]]) -> None:
+def require_distinct_windows(what: str, windows: Sequence[tuple[str, int]]) -> None:
     """One proof may consume each (router, window) once: a repeated
     pair proves the same committed records twice under one commitment
     (across rounds, ``verify_chain`` refuses the replay)."""
     if len(set(windows)) != len(windows):
         raise ChainError(
-            f"{what} consumes a (router, window) pair more than once: "
-            f"{sorted(windows)}")
+            f"{what} consumes a (router, window) pair more than once: {sorted(windows)}"
+        )
 
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One aggregation round's public artifacts."""
+    """One aggregation round's public artifacts: its receipt, and the
+    round header read off that receipt's journal once, never copied."""
 
     round: int
     receipt: Receipt
-    new_root: Digest
-    size: int
-    record_count: int
+    header: RoundHeader = field(init=False, repr=False, compare=False)
 
-    @property
-    def journal_header(self) -> dict[str, Any]:
-        header = next(self.receipt.journal.values(), None)
-        if not isinstance(header, dict):
-            raise ChainError(
-                f"round {self.round} journal missing header")
-        return header
+    def __post_init__(self) -> None:
+        header = RoundHeader.parse(self.receipt)
+        if header.round != self.round:
+            raise ChainError(f"round {self.round} holds round {header.round}'s receipt")
+        object.__setattr__(self, "header", header)
 
     def to_wire(self) -> dict[str, Any]:
-        return {
-            "round": self.round,
-            "receipt": self.receipt.to_wire(),
-            "new_root": self.new_root,
-            "size": self.size,
-            "record_count": self.record_count,
-        }
+        return {"round": self.round, "receipt": self.receipt.to_wire()}
 
     @classmethod
     def from_wire(cls, wire: dict[str, Any]) -> "ChainLink":
-        return cls(
-            round=wire["round"],
-            receipt=Receipt.from_wire(wire["receipt"]),
-            new_root=wire["new_root"],
-            size=wire["size"],
-            record_count=wire["record_count"],
-        )
+        """The link ``wire`` names; copies of header fields an older
+        writer kept beside the receipt are ignored, never trusted."""
+        return cls(round=wire["round"], receipt=Receipt.from_wire(wire["receipt"]))
 
 
 class AggregationChain:
@@ -85,14 +71,12 @@ class AggregationChain:
     def append(self, link: ChainLink) -> None:
         expected = len(self._links)
         if link.round != expected:
-            raise ChainError(
-                f"cannot append round {link.round}; expected {expected}")
+            raise ChainError(f"cannot append round {link.round}; expected {expected}")
         if self._links:
-            prev_root = link.journal_header.get("prev_root")
-            if prev_root != self._links[-1].new_root:
+            if link.header.prev_root != self._links[-1].header.new_root:
                 raise ChainError(
-                    f"round {link.round} does not extend round "
-                    f"{expected - 1}: prev_root mismatch")
+                    f"round {link.round} does not extend round {expected - 1}: prev_root mismatch"
+                )
         self._links.append(link)
 
     def __len__(self) -> int:

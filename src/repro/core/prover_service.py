@@ -46,7 +46,9 @@ from .query_proof import QueryProver, QueryResponse
 
 logger = logging.getLogger(__name__)
 
-#: Version tag inside every checkpoint payload; bump on layout changes.
+#: Version tag inside every checkpoint payload; bump on layout changes
+#: a reader cannot absorb (chain links that still carry copied
+#: ``new_root``/``size``/``record_count`` keys restore: they are ignored).
 CHECKPOINT_VERSION = 1
 
 #: Default checkpoint slot used by auto-checkpointing and restore.
@@ -196,7 +198,7 @@ class ProverService:
             "query_cache": self.query_cache.stats(),
             "auto_checkpoint": self.auto_checkpoint,
             "query_partitions": self.query_partitions,
-            "latest_root": (self.chain.latest.new_root.hex()
+            "latest_root": (self.chain.latest.header.new_root.hex()
                             if len(self.chain) else None),
             "engine": (self.engine.snapshot()
                        if self.engine is not None else None),
@@ -285,13 +287,8 @@ class ProverService:
         self.state = result.new_state
         if self.retain_history:
             self._history[result.round] = result.new_state
-        self.chain.append(ChainLink(
-            round=result.round,
-            receipt=result.receipt,
-            new_root=result.new_root,
-            size=len(result.new_state),
-            record_count=result.record_count,
-        ))
+        self.chain.append(ChainLink(round=result.round,
+                                    receipt=result.receipt))
         self._aggregated_windows.update(consumed)
         self.last_prove_info = result.info
         registry = obs.registry()
@@ -389,7 +386,7 @@ class ProverService:
                 f"{len(self.chain)} round(s)")
         effective_round = round_index if round_index is not None \
             else (len(self.chain) - 1)
-        return effective_round, self.chain[effective_round].new_root
+        return effective_round, self.chain[effective_round].header.new_root
 
     def query_state(self, round_index: int | None = None):
         """The ``(state, aggregation receipt)`` a query proves against.
@@ -461,10 +458,10 @@ class ProverService:
         Returns ``False`` when no checkpoint exists under ``name`` (a
         cold start).  On success the service answers queries exactly as
         the pre-crash instance did.  A snapshot is **never accepted on
-        faith**: the chain must link round-by-round, the restored
-        entries must recompute the committed Merkle root, and the
-        latest receipt must re-verify against the trusted aggregation
-        guest image ids.  Any failure raises
+        faith**: the chain must link round-by-round, the latest
+        receipt must re-verify against the trusted aggregation guest
+        image ids, and the restored entries must recompute the root and
+        size that receipt's journal commits.  Any failure raises
         :class:`~repro.errors.CheckpointError` and leaves the service
         untouched.
         """
@@ -541,18 +538,10 @@ class ProverService:
                 raise CheckpointError(
                     "checkpoint holds entries but no proven round")
             return
-        latest = chain.latest
-        if state.root != latest.new_root:
-            raise CheckpointError(
-                f"restored entries recompute root "
-                f"{state.root.short()}… but the chain committed "
-                f"{latest.new_root.short()}… — snapshot rejected")
-        if len(state) != latest.size:
-            raise CheckpointError(
-                f"restored state holds {len(state)} entries but round "
-                f"{latest.round} committed {latest.size}")
         # The latest receipt must name a trusted round image *and*
         # verify against it — anything else rejects the checkpoint.
+        # Root and size are then read off its verified journal.
+        latest = chain.latest
         image_id = latest.receipt.claim.image_id
         if image_id not in ROUND_IMAGE_IDS:
             raise CheckpointError(
@@ -563,3 +552,10 @@ class ProverService:
         except ReproError as exc:
             raise CheckpointError(
                 f"latest receipt failed verification: {exc}") from exc
+        header = latest.header
+        if (state.root, len(state)) != (header.new_root, header.size):
+            raise CheckpointError(
+                f"restored entries recompute root {state.root.short()}… "
+                f"over {len(state)} entries but round {latest.round} "
+                f"committed {header.new_root.short()}… over "
+                f"{header.size} — snapshot rejected")

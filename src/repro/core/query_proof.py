@@ -42,6 +42,7 @@ from .guest_programs import (
     query_merge_guest,
     query_partition_guest,
 )
+from .journals import QueryJournal
 
 # An entry frame, ``encode({"key": key, "payload": payload})``, written
 # without the generic encoder walking a fresh dict per entry.
@@ -72,6 +73,15 @@ class QueryResponse:
     group_by: str | None = None
     groups: tuple[tuple[Any, tuple[int | float | None, ...]], ...] = ()
 
+    @property
+    def claim(self) -> QueryJournal:
+        """The journal this response claims its receipt commits."""
+        return QueryJournal(
+            query=self.sql, root=self.root, round=self.round,
+            labels=tuple(self.labels), values=tuple(self.values),
+            matched=self.matched, scanned=self.scanned,
+            group_by=self.group_by, groups=self.groups)
+
     def value(self, label: str | None = None) -> int | float | None:
         if self.group_by is not None:
             raise ProofError("grouped query: read .groups instead")
@@ -84,17 +94,6 @@ class QueryResponse:
             return self.values[self.labels.index(label)]
         except ValueError:
             raise ProofError(f"no result column {label!r}") from None
-
-    def as_dict(self) -> dict[str, int | float | None]:
-        if self.group_by is not None:
-            raise ProofError("grouped query: read .groups instead")
-        return dict(zip(self.labels, self.values))
-
-    def group(self, key: Any) -> dict[str, int | float | None]:
-        for group_key, values in self.groups:
-            if group_key == key:
-                return dict(zip(self.labels, values))
-        raise ProofError(f"no group {key!r}")
 
 
 @dataclass(frozen=True)
@@ -356,27 +355,10 @@ def response_from_receipt(receipt: Receipt,
     ``sql`` defaults to the query text the journal commits.  The
     response is unverified until ``VerifierClient.verify_query``.
     """
-    journal = _query_journal(receipt)
-    return QueryResponse(
-        sql=journal["query"] if sql is None else sql,
-        labels=tuple(journal["labels"]),
-        values=tuple(journal["values"]),
-        matched=journal["matched"],
-        scanned=journal["scanned"],
-        round=journal["round"],
-        root=journal["root"],
-        receipt=receipt,
-        group_by=journal.get("group_by"),
-        groups=tuple((key, tuple(values))
-                     for key, values in journal.get("groups", [])),
-    )
-
-
-def _query_journal(receipt: Receipt) -> dict[str, Any]:
-    journal = receipt.journal.decode_one()
-    if not isinstance(journal, dict):
-        raise ProofError("query journal is not a dict")
-    return journal
+    claim = dict(vars(QueryJournal.parse(receipt)))
+    query = claim.pop("query")  # the response calls it ``sql``
+    return QueryResponse(sql=query if sql is None else sql,
+                         receipt=receipt, **claim)
 
 
 __all__ = [

@@ -85,9 +85,8 @@ class TelemetrySystem:
     def query(self, sql: str):
         """Prove a query, verify it client-side, and return both."""
         response = self.prover.answer_query(sql)
-        chain = self.verifier.verify_chain(self.prover.chain.receipts())
-        verified = self.verifier.verify_query(response, chain[-1])
-        return response, verified
+        return response, self.verifier.verify_response(
+            response, self.prover.chain.receipts())
 
     def close(self) -> None:
         self.store.close()

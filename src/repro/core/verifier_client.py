@@ -14,44 +14,14 @@ query receipt they establish, without seeing any log entry, that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from ..commitments import BulletinBoard
 from ..errors import ChainError, VerificationError
-from ..hashing import Digest
 from ..merkle.tree import EMPTY_ROOTS
 from ..zkvm import Receipt, Verifier
 from .chain import ROUND_IMAGE_IDS, require_distinct_windows
 from .guest_programs import query_guest, query_merge_guest
+from .journals import QueryJournal, RoundHeader
 from .query_proof import QueryResponse
-
-
-@dataclass(frozen=True)
-class VerifiedAggregation:
-    """What a verified aggregation round publicly establishes."""
-
-    round: int
-    prev_root: Digest
-    new_root: Digest
-    size: int
-    windows: tuple[tuple[str, int], ...]  # (router_id, window_index)
-    entries: int
-
-
-@dataclass(frozen=True)
-class VerifiedQuery:
-    """What a verified query response publicly establishes."""
-
-    sql: str
-    labels: tuple[str, ...]
-    values: tuple[int | float | None, ...]
-    matched: int
-    scanned: int
-    root: Digest
-    round: int
-    group_by: str | None = None
-    groups: tuple[tuple[Any, tuple[int | float | None, ...]], ...] = ()
 
 
 class VerifierClient:
@@ -75,8 +45,8 @@ class VerifierClient:
     # -- aggregation receipts ------------------------------------------------
 
     def verify_aggregation(self, receipt: Receipt,
-                           prev: VerifiedAggregation | None = None
-                           ) -> VerifiedAggregation:
+                           prev: RoundHeader | None = None
+                           ) -> RoundHeader:
         """Verify one aggregation receipt and cross-check the bulletin.
 
         ``prev`` (the previous round's verified view) enforces linkage;
@@ -88,48 +58,32 @@ class VerifierClient:
                 f"receipt image {receipt.claim.image_id.short()}... is "
                 "not a trusted aggregation program")
         self._verifier.verify(receipt, receipt.claim.image_id)
-        header = self._journal_header(receipt)
-        verified = VerifiedAggregation(
-            round=header["round"],
-            prev_root=header["prev_root"],
-            new_root=header["new_root"],
-            size=header["size"],
-            windows=tuple((w["r"], w["w"]) for w in header["windows"]),
-            entries=header["entries"],
-        )
+        verified = RoundHeader.parse(receipt)
         require_distinct_windows(f"round {verified.round}",
-                                 verified.windows)
+                                 verified.consumed)
         # Window commitments in the journal must match the public board.
-        for window_info in header["windows"]:
-            published = self.bulletin.get(window_info["r"],
-                                          window_info["w"])
-            if published.digest != window_info["c"]:
+        for router_id, window_index, commitment in verified.windows:
+            if self.bulletin.get(router_id, window_index).digest \
+                    != commitment:
                 raise VerificationError(
                     f"aggregation consumed a commitment for "
-                    f"({window_info['r']!r}, {window_info['w']}) that "
+                    f"({router_id!r}, {window_index}) that "
                     "differs from the published one")
-        # Chain linkage.
-        if prev is None:
-            if verified.round != 0:
-                raise ChainError(
-                    f"round {verified.round} verified without its "
-                    "predecessor")
-            if verified.prev_root != EMPTY_ROOTS[0]:
-                raise ChainError(
-                    "round 0 does not start from the empty CLog root")
-        else:
-            if verified.round != prev.round + 1:
-                raise ChainError(
-                    f"round {verified.round} does not follow round "
-                    f"{prev.round}")
-            if verified.prev_root != prev.new_root:
-                raise ChainError(
-                    f"round {verified.round} prev_root does not match "
-                    f"round {prev.round} new_root")
+        # Chain linkage: round 0 starts from the empty CLog.
+        round_index, prev_root = (0, EMPTY_ROOTS[0]) if prev is None \
+            else (prev.round + 1, prev.new_root)
+        if verified.round != round_index:
+            raise ChainError(
+                f"round {verified.round} verified where round "
+                f"{round_index} must follow")
+        if verified.prev_root != prev_root:
+            raise ChainError(
+                f"round {verified.round} prev_root does not match its "
+                "predecessor's new_root (the empty CLog for round 0)")
         return verified
 
     def verify_chain(self, receipts: list[Receipt]
-                     ) -> list[VerifiedAggregation]:
+                     ) -> list[RoundHeader]:
         """Verify a full aggregation history from genesis.
 
         Also rejects double-consumption: no (router, window) pair may be
@@ -140,21 +94,21 @@ class VerifierClient:
             raise ChainError("empty receipt chain")
         return self.extend_chain([], set(), receipts)
 
-    def extend_chain(self, verified: list[VerifiedAggregation],
+    def extend_chain(self, verified: list[RoundHeader],
                      consumed: set[tuple[str, int]],
                      receipts: list[Receipt]
-                     ) -> list[VerifiedAggregation]:
+                     ) -> list[RoundHeader]:
         """Extend ``verified`` (rounds from genesis, which aggregated the
         ``consumed`` windows) in place by the receipts that follow."""
         prev = verified[-1] if verified else None
         for receipt in receipts:
             current = self.verify_aggregation(receipt, prev)
-            duplicates = consumed.intersection(current.windows)
+            duplicates = consumed.intersection(current.consumed)
             if duplicates:
                 raise ChainError(
                     f"windows consumed twice across the chain: "
                     f"{sorted(duplicates)}")
-            consumed.update(current.windows)
+            consumed.update(current.consumed)
             verified.append(current)
             prev = current
         return verified
@@ -162,7 +116,7 @@ class VerifierClient:
     # -- query receipts ------------------------------------------------------------
 
     def verify_query(self, response: QueryResponse,
-                     aggregation: VerifiedAggregation) -> VerifiedQuery:
+                     aggregation: RoundHeader) -> QueryJournal:
         """Verify a query response against a verified aggregation round.
 
         Checks both properties §4.2 promises: the computation was
@@ -179,42 +133,24 @@ class VerifierClient:
                 f"receipt image {image_id.short()}... is not a trusted "
                 "query program")
         self._verifier.verify(response.receipt, image_id)
-        journal = response.receipt.journal.decode_one()
-        if not isinstance(journal, dict):
-            raise VerificationError("query journal is not a dict")
-        if journal["root"] != aggregation.new_root:
+        journal = QueryJournal.parse(response.receipt)
+        if (journal.root, journal.round) \
+                != (aggregation.new_root, aggregation.round):
             raise VerificationError(
-                "query was proven against a different aggregation root")
-        if journal["round"] != aggregation.round:
+                "query was proven against a different aggregation round")
+        claim = response.claim
+        if claim != journal:
+            # The response names the journal's ``query`` its ``sql``.
+            wrong = ["query text" if key == "query" else key
+                     for key in journal.__dataclass_fields__
+                     if getattr(claim, key) != getattr(journal, key)]
             raise VerificationError(
-                "query round does not match the aggregation round")
-        if journal["query"] != response.sql:
-            raise VerificationError(
-                "receipt proves a different query text than claimed")
-        if tuple(journal["values"]) != tuple(response.values) \
-                or tuple(journal["labels"]) != tuple(response.labels):
-            raise VerificationError(
-                "response values do not match the proven journal")
-        journal_groups = tuple((key, tuple(values)) for key, values in
-                               journal.get("groups", []))
-        if journal.get("group_by") != response.group_by \
-                or journal_groups != response.groups:
-            raise VerificationError(
-                "response groups do not match the proven journal")
-        return VerifiedQuery(
-            sql=journal["query"],
-            labels=tuple(journal["labels"]),
-            values=tuple(journal["values"]),
-            matched=journal["matched"],
-            scanned=journal["scanned"],
-            root=journal["root"],
-            round=journal["round"],
-            group_by=journal.get("group_by"),
-            groups=journal_groups,
-        )
+                f"response {', '.join(wrong)} do not match the proven "
+                "journal")
+        return journal
 
     def verify_response(self, response: QueryResponse,
-                        receipts: list[Receipt]) -> VerifiedQuery:
+                        receipts: list[Receipt]) -> QueryJournal:
         """Verify a query response against a full receipt chain.
 
         This is the remote-deployment entry point: a client that
@@ -226,7 +162,7 @@ class VerifierClient:
         return self.verify_query_in(response, self.verify_chain(receipts))
 
     def verify_query_in(self, response: QueryResponse,
-                        chain: list[VerifiedAggregation]) -> VerifiedQuery:
+                        chain: list[RoundHeader]) -> QueryJournal:
         """Verify a query response against the round it claims in an
         already-verified chain."""
         if not 0 <= response.round < len(chain):
@@ -234,12 +170,3 @@ class VerifierClient:
                 f"response claims round {response.round} but the "
                 f"chain has {len(chain)} round(s)")
         return self.verify_query(response, chain[response.round])
-
-    # -- internals --------------------------------------------------------------------
-
-    @staticmethod
-    def _journal_header(receipt: Receipt) -> dict[str, Any]:
-        header = next(receipt.journal.values(), None)
-        if not isinstance(header, dict):
-            raise VerificationError("aggregation journal missing header")
-        return header

@@ -168,11 +168,6 @@ class ProverPool:
             lambda f: self._on_inner_done(outer, job, key, start, f))
         return outer
 
-    def map_wait(self, jobs: list[ProofJob]) -> list[JobResult]:
-        """Submit all jobs, wait for all; raises the first failure."""
-        futures = [self.submit(job) for job in jobs]
-        return [future.result() for future in futures]
-
     # -- status --------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:

@@ -82,6 +82,11 @@ class JournalMismatch(VerificationError):
     """Receipt journal does not match the digest bound in the claim."""
 
 
+class MalformedJournal(VerificationError):
+    """A journal lacks a field its declared layout
+    (:mod:`repro.core.journals`) requires, or holds one of the wrong type."""
+
+
 class SealError(VerificationError):
     """The cryptographic seal failed to verify."""
 

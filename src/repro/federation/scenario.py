@@ -184,7 +184,7 @@ class FederationScenario:
             if not len(chain):
                 raise ProofError(f"provider {domain.name!r} has nothing committed to aggregate")
             round_index = len(chain) - 1
-            self.board.publish(domain.name, round_index, chain.latest.new_root)
+            self.board.publish(domain.name, round_index, chain.latest.header.new_root)
 
     def public_views(self) -> tuple[ProviderPublic, ...]:
         """What each provider publishes for auditing (no records)."""

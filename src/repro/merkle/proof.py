@@ -119,10 +119,6 @@ class SubtreeProof:
         if len(self.siblings) > 64:
             raise MerkleError("proof path too long")
 
-    @property
-    def leaf_start(self) -> int:
-        return self.index << self.level
-
     def computed_root(self, node: Digest,
                       hasher: MerkleHasher | None = None) -> Digest:
         """Recompute the root implied by ``node`` sitting at

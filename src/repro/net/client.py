@@ -312,7 +312,7 @@ class QueryClient(ServiceClient):
         self._anchored = bulletin is not None
         self._verifier = VerifierClient(
             bulletin if bulletin is not None else BulletinBoard())
-        self._rounds: list[Any] = []  # VerifiedAggregation per round
+        self._rounds: list[Any] = []  # RoundHeader per verified round
         self._consumed: set[tuple[str, int]] = set()
         self._sync_lock = threading.Lock()
 
@@ -355,7 +355,7 @@ class QueryClient(ServiceClient):
         first syncs what the server added (board unless anchored, then
         receipts), which must extend the held head: a diverged chain
         raises :class:`~repro.errors.ChainError` and is never re-read
-        from genesis.  Returns ``(QueryResponse, VerifiedQuery)``.
+        from genesis.  Returns ``(QueryResponse, QueryJournal)``.
         """
         response = self.query(sql, round_index, tenant=tenant)
         if response.round >= len(self._rounds):

@@ -126,7 +126,7 @@ class TestMissingCommitments:
             1, 5_000))
         service = ProverService(store, bulletin)
         result = service.aggregate_window(0)
-        routers = {w["r"] for w in result.journal_header["windows"]}
+        routers = {r for r, _w, _c in result.header.windows}
         assert routers == {"r1", "r2"}
 
 

@@ -88,8 +88,8 @@ class TestHonestReconciliation:
         scenario, _, _ = peering
         for domain, routers in zip(scenario.providers,
                                    ({"r1", "r2"}, {"r3", "r4"})):
-            header = domain.prover.chain.latest.journal_header
-            assert {w["r"] for w in header["windows"]} == routers
+            header = domain.prover.chain.latest.header
+            assert {r for r, _w, _c in header.windows} == routers
 
     def test_report_rendering(self, peering):
         _, _, report = peering
@@ -252,7 +252,7 @@ class TestFederationJoin:
     def test_join_roots_are_the_verified_chain_roots(self, federation):
         scenario, _, join, report = federation
         for index, domain in enumerate(scenario.providers):
-            chain_root = domain.prover.chain.latest.new_root
+            chain_root = domain.prover.chain.latest.header.new_root
             assert join.roots[index] == chain_root
             assert report.providers[index].verified_root == chain_root
 

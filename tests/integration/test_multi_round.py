@@ -57,9 +57,9 @@ class TestCrossRoundAggregation:
             commit_window(service.store, service.bulletin, "r1", window,
                           [make_record(sport=1000 + window)])
             service.aggregate_window(window)
-        header = service.chain.latest.journal_header
-        assert header["new_root"] == service.state.root
-        assert header["size"] == len(service.state)
+        header = service.chain.latest.header
+        assert header.new_root == service.state.root
+        assert header.size == len(service.state)
 
     def test_query_after_each_round(self, service):
         for window in range(3):

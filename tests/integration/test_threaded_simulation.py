@@ -50,8 +50,6 @@ class TestThreadedPipelineWithSql:
         committed = set(bulletin.windows())
         service = ProverService(store, bulletin)
         results = service.aggregate_all_committed()
-        consumed = {w for result in results
-                    for _r, w in ((win["r"], win["w"]) for win in
-                                  result.journal_header["windows"])}
+        consumed = {w for result in results for w in result.windows}
         assert consumed <= committed
         store.close()

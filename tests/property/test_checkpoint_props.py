@@ -75,7 +75,7 @@ class TestCheckpointRoundTrip:
         assert restored.state.root == service.state.root
         assert len(restored.chain) == len(service.chain)
         for before, after in zip(service.chain, restored.chain):
-            assert after.new_root == before.new_root
+            assert after.header == before.header
             assert after.receipt.to_bytes() == \
                 before.receipt.to_bytes()
         assert restored.aggregated_windows == \
@@ -106,4 +106,4 @@ class TestCheckpointRoundTrip:
             1, window * 5_000))
         result = restored.aggregate_window(window)
         assert result.round == len(plan)
-        assert restored.chain.latest.new_root == restored.state.root
+        assert restored.chain.latest.header.new_root == restored.state.root

@@ -140,4 +140,4 @@ class TestWitnessProperties:
             for router_id, router_records in sorted(by_router.items())
         ]
         result = Aggregator().aggregate(CLogState(), inputs, None)
-        assert result.journal_header["new_root"] == result.new_root
+        assert result.header.new_root == result.new_root

@@ -21,10 +21,7 @@ def round_result(state=None, prev=None, sport=1000, window=0):
 
 
 def link_for(result):
-    return ChainLink(round=result.round, receipt=result.receipt,
-                     new_root=result.new_root,
-                     size=len(result.new_state),
-                     record_count=result.record_count)
+    return ChainLink(round=result.round, receipt=result.receipt)
 
 
 class TestChain:
@@ -37,7 +34,7 @@ class TestChain:
         chain.append(link_for(second))
         assert len(chain) == 2
         assert chain.latest.round == 1
-        assert chain[0].new_root == first.new_root
+        assert chain[0].header.new_root == first.new_root
         assert chain.receipts() == [first.receipt, second.receipt]
 
     def test_round_gap_rejected(self):
@@ -73,4 +70,6 @@ class TestChain:
     def test_journal_header_access(self):
         first = round_result()
         link = link_for(first)
-        assert link.journal_header["new_root"] == first.new_root
+        assert link.header.new_root == first.new_root
+        assert link.header.size == len(first.new_state)
+        assert link.header.entries == first.record_count

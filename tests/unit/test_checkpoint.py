@@ -38,8 +38,8 @@ class TestRoundTrip:
         restored = ProverService(store, bulletin)
         assert restored.restore() is True
         assert restored.state.root == service.state.root
-        assert restored.chain.latest.new_root == \
-            service.chain.latest.new_root
+        assert restored.chain.latest.header.new_root == \
+            service.chain.latest.header.new_root
         assert len(restored.chain) == len(service.chain)
         assert restored.aggregated_windows == \
             service.aggregated_windows
@@ -126,6 +126,61 @@ class TestIntegrityOnRestore:
         store.put_checkpoint("prover-latest", encode(payload))
         with pytest.raises(CheckpointError, match="root"):
             ProverService(store, bulletin).restore()
+
+    def test_tampered_entry_with_rewritten_head_copies_rejected(
+            self, proven):
+        """Root and size come from the latest receipt's journal: a
+        forged entry fails even when every root/size copy the chain
+        head's wire form holds is rewritten to match the forged state."""
+        from repro.core.clog import CLogEntry, CLogState
+        from repro.serialization import decode, encode
+        store, bulletin, service = proven
+        service.checkpoint()
+        payload = decode(store.get_checkpoint("prover-latest"))
+        entry = dict(payload["entries"][0])
+        entry["octets"] += 1
+        payload["entries"][0] = entry
+        forged = CLogState()
+        for wire in payload["entries"]:
+            forged.set_entry(CLogEntry.from_wire(wire))
+        head = dict(payload["chain"][-1])
+        for key, value in (("new_root", forged.root),
+                           ("size", len(forged))):
+            if key in head:
+                head[key] = value
+        payload["chain"][-1] = head
+        store.put_checkpoint("prover-latest", encode(payload))
+        with pytest.raises(CheckpointError, match="root"):
+            ProverService(store, bulletin).restore()
+
+    def test_links_with_copied_header_fields_restore_ignoring_them(
+            self, proven):
+        """A checkpoint whose chain links still carry ``new_root`` /
+        ``size`` / ``record_count`` beside the receipt (the layout
+        before links read them off the journal) restores: the copies
+        are ignored, however wrong they are."""
+        from repro.hashing import tagged_hash
+        from repro.serialization import decode, encode
+        store, bulletin, service = proven
+        service.checkpoint()
+        payload = decode(store.get_checkpoint("prover-latest"))
+        assert set(payload["chain"][0]) == {"round", "receipt"}
+        for copies in (
+                [{"new_root": link.header.new_root,
+                  "size": link.header.size,
+                  "record_count": link.header.entries}
+                 for link in service.chain],
+                [{"new_root": tagged_hash("test/forged", b"root"),
+                  "size": 0, "record_count": 0}
+                 for _ in service.chain]):
+            payload["chain"] = [dict(wire, **copy) for wire, copy
+                                in zip(payload["chain"], copies)]
+            store.put_checkpoint("prover-latest", encode(payload))
+            restored = ProverService(store, bulletin)
+            assert restored.restore() is True
+            assert restored.chain.latest.header \
+                == service.chain.latest.header
+            assert restored.state.root == service.state.root
 
     def test_truncated_chain_keeps_linkage_but_fails_root(self, proven):
         from repro.serialization import decode, encode

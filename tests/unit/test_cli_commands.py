@@ -259,3 +259,33 @@ class TestLocalQueryClosesService:
         assert closed == [True]
         assert invoker.main([*query, "SELECT nonsense"]) != 0
         assert closed == [True, True]
+
+
+class TestReceiptReplayRefusesMalformedJournal:
+    def test_empty_round_journal_is_a_typed_error(self, tmp_path, capsys):
+        """``--receipts`` replay (``serve``, local ``query``) reads each
+        recorded round header through its declaration: a receipt file
+        whose journal is empty is a ``ReproError`` (exit 2), not a bare
+        ``StopIteration``."""
+        from repro.cli.persistence import rebuild_service
+        from repro.errors import MalformedJournal
+        from repro.zkvm import Receipt
+        from repro.zkvm.receipt import Journal
+        db, bulletin = tmp_path / "logs.db", tmp_path / "bulletin.json"
+        receipts = tmp_path / "receipts"
+        base = ["--db", str(db), "--bulletin", str(bulletin),
+                "--receipts", str(receipts)]
+        invoker = CommandInvoker(REGISTRY)
+        assert invoker.main(["simulate", *base[:4], "--records", "20",
+                             "--routers", "2"]) == 0
+        assert invoker.main(["aggregate", *base]) == 0
+        path = sorted(receipts.glob("round-*.json"))[0]
+        receipt = Receipt.from_json_bytes(path.read_bytes())
+        path.write_bytes(dataclasses.replace(
+            receipt, journal=Journal(b"")).to_json_bytes())
+        with pytest.raises(MalformedJournal, match="round journal header"):
+            rebuild_service(db, bulletin, receipts)
+        capsys.readouterr()
+        assert invoker.main(["query", *base,
+                             "SELECT COUNT(*) FROM clogs"]) == 2
+        assert "round journal header" in capsys.readouterr().err

@@ -68,15 +68,14 @@ def simple_round(records_by_router=None):
 class TestAggregationGuest:
     def test_journal_header_fields(self):
         result = simple_round()
-        header = result.journal_header
-        assert header["round"] == 0
-        assert header["prev_root"] == EMPTY_ROOTS[0]
-        assert header["new_root"] == result.new_root
-        assert header["size"] == 2
-        assert header["entries"] == 2
-        assert header["policy"] == DEFAULT_POLICY.digest()
-        assert {(w["r"], w["w"]) for w in header["windows"]} == \
-            {("r1", 0), ("r2", 0)}
+        header = result.header
+        assert header.round == 0
+        assert header.prev_root == EMPTY_ROOTS[0]
+        assert header.new_root == result.new_root
+        assert header.size == 2
+        assert header.entries == 2
+        assert header.policy == DEFAULT_POLICY.digest()
+        assert set(header.consumed) == {("r1", 0), ("r2", 0)}
 
     def test_per_entry_journal_items(self):
         result = simple_round()
@@ -154,7 +153,7 @@ class TestAggregationGuest:
         second = Aggregator().aggregate(first.new_state, follow_up,
                                         first.receipt)
         assert second.round == 1
-        assert second.journal_header["prev_root"] == first.new_root
+        assert second.header.prev_root == first.new_root
         assert not second.receipt.claim.assumptions
         verify_receipt(second.receipt, aggregation_guest.image_id)
 

@@ -115,8 +115,7 @@ class TestAggregation:
         service = ProverService(store, bulletin)
         result = service.aggregate_windows([0, 1])
         assert result.round == 0
-        windows = {(w["r"], w["w"])
-                   for w in result.journal_header["windows"]}
+        windows = set(result.header.consumed)
         assert ("r2", 1) in windows
 
 

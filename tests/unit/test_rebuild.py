@@ -52,8 +52,7 @@ class TestRebuildRound:
         rebuild = RebuildAggregator().aggregate(
             CLogState(), window_inputs(SIMPLE), None)
         assert update.new_root == rebuild.new_root
-        assert update.journal_header["new_root"] == \
-            rebuild.journal_header["new_root"]
+        assert update.header.new_root == rebuild.header.new_root
         assert [e.to_payload() for e in
                 update.new_state.entries_in_slot_order()] == \
             [e.to_payload() for e in
@@ -62,7 +61,7 @@ class TestRebuildRound:
     def test_journal_layout_compatible(self):
         result = RebuildAggregator().aggregate(
             CLogState(), window_inputs(SIMPLE), None)
-        header = result.journal_header
+        header = result.receipt.journal.decode()[0]
         assert set(header) == {"round", "prev_root", "new_root", "size",
                                "depth", "windows", "policy", "entries"}
         items = result.receipt.journal.decode()[1:]
@@ -86,7 +85,7 @@ class TestRebuildRound:
         second = RebuildAggregator().aggregate(
             first.new_state, follow, first.receipt)
         assert second.round == 1
-        assert second.journal_header["prev_root"] == first.new_root
+        assert second.header.prev_root == first.new_root
         verify_receipt(second.receipt,
                        rebuild_aggregation_guest.image_id)
 

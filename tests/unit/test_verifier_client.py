@@ -145,6 +145,27 @@ class TestQueryVerification:
         with pytest.raises(VerificationError, match="values"):
             system.verifier.verify_query(lying, chain[-1])
 
+    @pytest.mark.parametrize("field", ["matched", "scanned", "root",
+                                       "round"])
+    def test_claimed_count_or_binding_mismatch_rejected(
+            self, aggregated_system, field):
+        """The response's claim must equal the journal it carries: a
+        lie about the counts, the root or the round is refused even
+        though the receipt and its journal are honest."""
+        from repro.hashing import tagged_hash
+        system = aggregated_system
+        response = system.prover.answer_query(
+            "SELECT COUNT(*) FROM clogs")
+        chain = system.verifier.verify_chain(
+            system.prover.chain.receipts())
+        lie = {"matched": response.matched + 7,
+               "scanned": 123_456,
+               "root": tagged_hash("test/forged", b"root"),
+               "round": response.round + 1}[field]
+        lying = dataclasses.replace(response, **{field: lie})
+        with pytest.raises(VerificationError, match=field):
+            system.verifier.verify_query(lying, chain[-1])
+
     def test_sql_mismatch_rejected(self, aggregated_system):
         system = aggregated_system
         response = system.prover.answer_query(
