@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from ..framework import CommandResult, register
+from ..framework import CommandResult, register, serve_until_interrupted
 from ..options import add_bulletin, add_db
 from ..persistence import rebuild_service
 
@@ -120,8 +120,6 @@ class ServeCommand:
             idle_timeout=args.idle_timeout)
         try:
             self._serve(server, service, args)
-        except KeyboardInterrupt:
-            print("shutting down")
         finally:
             service.close()
             service.store.close()
@@ -129,15 +127,7 @@ class ServeCommand:
 
     def _serve(self, server, service, args: argparse.Namespace) -> None:
         """Run the accept loop until interrupted (tests stub this)."""
-        import asyncio
-
-        async def run() -> None:
-            await server.start()
-            print(f"prover server listening on {server.host}:"
-                  f"{server.port} ({len(service.chain)} rounds "
-                  f"restored, {len(service.bulletin)} commitments"
-                  + (", metrics on" if args.metrics else "") + ")",
-                  flush=True)
-            await server.serve_forever()
-
-        asyncio.run(run())
+        serve_until_interrupted(
+            server, f"{len(service.chain)} rounds restored, "
+                    f"{len(service.bulletin)} commitments"
+                    + (", metrics on" if args.metrics else ""))

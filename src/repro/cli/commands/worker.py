@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from ...cluster.worker import WORKER_BACKENDS, WorkerServer
 from ...storage import SqliteLogStore
-from ..framework import CommandResult, register
+from ..framework import CommandResult, register, serve_until_interrupted
 
 
 @register
@@ -21,7 +22,7 @@ class WorkerCommand:
                                  "the bound port is printed on "
                                  "startup)")
         parser.add_argument("--backend", default="thread",
-                            choices=["serial", "thread", "process"],
+                            choices=WORKER_BACKENDS,
                             help="the worker's local proving pool "
                                  "backend")
         parser.add_argument("--workers", type=int, default=None,
@@ -47,7 +48,6 @@ class WorkerCommand:
         a persistent receipt-cache tier shared between restarts (and,
         if several workers point at the same file, between workers).
         """
-        from ...cluster import WorkerServer
         from ...faults import FaultInjector
         if args.metrics:
             from ...obs import runtime as obs_runtime
@@ -64,8 +64,6 @@ class WorkerCommand:
             idle_timeout=args.idle_timeout)
         try:
             self._serve(server, store, args)
-        except KeyboardInterrupt:
-            print("shutting down")
         finally:
             if store is not None:
                 store.close()
@@ -73,15 +71,7 @@ class WorkerCommand:
 
     def _serve(self, server, store, args: argparse.Namespace) -> None:
         """Run the accept loop until interrupted (tests stub this)."""
-        import asyncio
-
-        async def run() -> None:
-            await server.start()
-            print(f"worker listening on {server.host}:{server.port} "
-                  f"(backend={args.backend}"
-                  + (", persistent cache" if store is not None else "")
-                  + (", metrics on" if args.metrics else "") + ")",
-                  flush=True)
-            await server.serve_forever()
-
-        asyncio.run(run())
+        serve_until_interrupted(
+            server, f"backend={args.backend}"
+                    + (", persistent cache" if store is not None else "")
+                    + (", metrics on" if args.metrics else ""))

@@ -136,6 +136,27 @@ def register(command: Command | type) -> Command | type:
     return command
 
 
+def serve_until_interrupted(server: Any, details: str) -> None:
+    """Bind a frame server, print its banner, serve until Ctrl-C.
+
+    The one foreground runner of the long-running commands (``serve``,
+    ``worker``); the banner names the bound port, so ``--port 0``
+    callers can read it.
+    """
+    import asyncio
+
+    async def run() -> None:
+        await server.start()
+        print(f"{server.label} listening on {server.endpoint} "
+              f"({details})", flush=True)
+        await server.serve_forever()
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        print("shutting down")
+
+
 class CommandInvoker:
     """Builds the parser from a registry and runs commands through hooks."""
 

@@ -43,7 +43,7 @@ from ..faults.wire import (
 )
 from ..net.client import ServiceClient, parse_endpoint
 from ..net.framing import read_frame_from, write_frame_to
-from ..net.messages import Envelope, WorkerMessageKind, raise_remote
+from ..net.messages import Envelope, WorkerMessageKind, reply_body
 from ..net.retry import RetryPolicy
 
 #: Node health states (the ``repro_cluster_nodes`` gauge's label values).
@@ -150,10 +150,7 @@ class WorkerClient(ServiceClient):
             raise ConnectionFailed(
                 f"connection to {self.host}:{self.port} failed: "
                 f"{exc}") from exc
-        reply = Envelope.from_bytes(payload)
-        if reply.type == "err":
-            raise_remote(reply.body.get("code", "internal"),
-                         str(reply.body.get("message", "")))
+        reply_body(envelope, payload)
         raise ProtocolError(
             f"{self.host}:{self.port} accepted a corrupted frame")
 

@@ -21,12 +21,16 @@ When constructed over a shared store (``repro worker --db``), the
 pool's :class:`~repro.engine.cache.ReceiptCache` persistent tier rides
 that store's checkpoint KV — any node can then serve any partition
 some other node (or the coordinator) already proved.
+
+The connection loop, deadlines and per-request telemetry are the
+shared :class:`~repro.net.server.FrameServer`'s; a worker adds its
+handler table, the pool shutdown, and the ``net.frame`` fault on the
+responses it sends.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 import threading
 import time
 from collections import OrderedDict
@@ -36,7 +40,7 @@ from typing import Any
 from ..engine.cache import ReceiptCache
 from ..engine.jobs import JobResult, ProofJob
 from ..engine.pool import ProverPool
-from ..errors import FrameError, ProtocolError, ReproError
+from ..errors import ConfigurationError, ProtocolError
 from ..faults.wire import (
     CORRUPT,
     DELAY,
@@ -46,28 +50,18 @@ from ..faults.wire import (
     corrupt_payload,
     frame_action,
 )
-from ..net.framing import (
-    DEFAULT_MAX_FRAME_SIZE,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from ..net.messages import (
-    INTERNAL_ERROR,
-    WORKER_KINDS,
-    Envelope,
-    WorkerMessageKind,
-    error_code_for,
-    error_response,
-    ok_response,
-)
+from ..net.framing import DEFAULT_MAX_FRAME_SIZE
+from ..net.messages import WorkerMessageKind, error_code_for
+from ..net.server import FrameServer
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 
-logger = logging.getLogger(__name__)
-
 #: Completed leases kept for idempotent re-fetch before eviction.
 DEFAULT_RETENTION = 256
+
+#: Pool backends a worker proves on.  Each proves off the event loop,
+#: so ``work-pull`` acks and ``work-health`` answers while a job runs.
+WORKER_BACKENDS = ("thread", "process")
 
 
 class _Lease:
@@ -83,8 +77,10 @@ class _Lease:
         self.deadline = self.accepted_at + lease_ms / 1000.0
 
 
-class WorkerServer:
+class WorkerServer(FrameServer):
     """Serve ``work-pull``/``work-result``/``work-health`` over TCP."""
+
+    label = "worker"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  backend: str = "thread",
@@ -96,6 +92,10 @@ class WorkerServer:
                  idle_timeout: float = 30.0,
                  max_connections: int = 64,
                  retention: int = DEFAULT_RETENTION) -> None:
+        if backend not in WORKER_BACKENDS:
+            raise ConfigurationError(
+                f"a worker proves on one of {WORKER_BACKENDS}, not "
+                f"{backend!r}: it must answer while a job proves")
         if cache is None and store is not None:
             cache = ReceiptCache(store=store)
         self.pool = ProverPool(backend=backend, max_workers=max_workers,
@@ -103,166 +103,23 @@ class WorkerServer:
         # Wire-frame injector for the *response* path (net.frame site);
         # the pool keeps its own engine.worker site separate.
         self.injector = injector
-        self.host = host
-        self.port = port  # 0 until start() binds an ephemeral port
-        self.max_frame_size = max_frame_size
-        self.idle_timeout = idle_timeout
-        self.max_connections = max_connections
         self.retention = retention
         self.started_at = time.monotonic()
-        self.requests_served = 0
         self._leases: "OrderedDict[str, _Lease]" = OrderedDict()
         self._lease_lock = threading.Lock()
-        self._server: asyncio.base_events.Server | None = None
-        self._conn_slots: asyncio.Semaphore | None = None
-        self._thread: threading.Thread | None = None
-        self._thread_loop: asyncio.AbstractEventLoop | None = None
+        super().__init__({
+            WorkerMessageKind.WORK_PULL.value: self._handle_pull,
+            WorkerMessageKind.WORK_RESULT.value: self._handle_result,
+            WorkerMessageKind.WORK_HEALTH.value: self._handle_health,
+        }, host, port, max_frame_size=max_frame_size,
+            idle_timeout=idle_timeout, max_connections=max_connections)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ProtocolError("worker already started")
-        self._conn_slots = asyncio.Semaphore(self.max_connections)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("worker listening on %s:%d", self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    async def _close(self) -> None:
         self.pool.shutdown(wait=False)
 
-    def start_background(self) -> "WorkerServer":
-        """Start on a daemon thread; returns once the port is bound."""
-        started = threading.Event()
-        failure: list[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._thread_loop = loop
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # surface bind errors
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(target=run, daemon=True,
-                                        name="repro-cluster-worker")
-        self._thread.start()
-        started.wait(timeout=10)
-        if failure:
-            self._thread.join()
-            self._thread = None
-            raise failure[0]
-        return self
-
-    def stop_background(self) -> None:
-        loop, thread = self._thread_loop, self._thread
-        if loop is None or thread is None:
-            return
-
-        async def shut_down() -> None:
-            await self.stop()
-            tasks = [t for t in asyncio.all_tasks()
-                     if t is not asyncio.current_task()]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-        future = asyncio.run_coroutine_threadsafe(shut_down(), loop)
-        try:
-            future.result(timeout=10)
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10)
-            self._thread = None
-            self._thread_loop = None
-
-    def __enter__(self) -> "WorkerServer":
-        return self.start_background()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop_background()
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        assert self._conn_slots is not None
-        peer = writer.get_extra_info("peername")
-        async with self._conn_slots:
-            try:
-                await self._serve_connection(reader, writer)
-            except asyncio.CancelledError:
-                pass  # server shutdown cancelled us mid-read
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # dispatcher vanished; nothing to tell it
-            except Exception:
-                logger.exception("worker connection %s crashed", peer)
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        while True:
-            try:
-                payload = await asyncio.wait_for(
-                    read_frame(reader, self.max_frame_size),
-                    timeout=self.idle_timeout)
-            except asyncio.TimeoutError:
-                return  # idle/slow dispatcher: hang up
-            except (FrameError, ProtocolError) as exc:
-                # Unframeable or corrupted input: report once, then
-                # hang up — there is no frame boundary left to
-                # resynchronize on.  This is the server half of the
-                # corrupt-frame contract the net.frame chaos plans
-                # exercise.
-                await self._try_send(
-                    writer, error_response(0, "error",
-                                           error_code_for(exc),
-                                           str(exc)))
-                return
-            if payload is None:
-                return  # clean EOF
-            response = self._process(payload)
-            self.requests_served += 1
-            if not await self._send_response(writer, response):
-                return
-
-    async def _send_response(self, writer: asyncio.StreamWriter,
-                             response: Envelope) -> bool:
-        """Write one response, subject to injected frame behaviour.
-
-        Returns False when the connection should be dropped.
-        """
+    async def _send(self, writer: asyncio.StreamWriter,
+                    data: bytes) -> bool:
+        """Write one response, subject to injected frame behaviour."""
         action = frame_action(self.injector)
         if action == DROP:
             return True  # the response vanishes; dispatcher times out
@@ -270,61 +127,11 @@ class WorkerServer:
             return False
         if action == DELAY:
             await asyncio.sleep(DELAY_SECONDS)
-        data = response.to_bytes()
         if action == CORRUPT:
             data = corrupt_payload(data)
-        try:
-            await asyncio.wait_for(
-                write_frame(writer, data, self.max_frame_size),
-                timeout=self.idle_timeout)
-        except asyncio.TimeoutError:
-            return False
-        return True
+        return await super()._send(writer, data)
 
-    async def _try_send(self, writer: asyncio.StreamWriter,
-                        envelope: Envelope) -> None:
-        try:
-            writer.write(encode_frame(envelope.to_bytes(),
-                                      self.max_frame_size))
-            await asyncio.wait_for(writer.drain(),
-                                   timeout=self.idle_timeout)
-        except (OSError, asyncio.TimeoutError):
-            pass
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _process(self, payload: bytes) -> Envelope:
-        try:
-            envelope = Envelope.from_bytes(payload)
-        except ReproError as exc:
-            return error_response(0, "error", error_code_for(exc),
-                                  str(exc))
-        if envelope.type != "req":
-            return error_response(envelope.request_id, envelope.kind,
-                                  "bad-request",
-                                  f"expected a request envelope, got "
-                                  f"{envelope.type!r}")
-        if envelope.kind not in WORKER_KINDS:
-            return error_response(envelope.request_id, envelope.kind,
-                                  "bad-request",
-                                  f"unknown worker request kind "
-                                  f"{envelope.kind!r}")
-        try:
-            if envelope.kind == WorkerMessageKind.WORK_PULL.value:
-                body = self._handle_pull(envelope.body)
-            elif envelope.kind == WorkerMessageKind.WORK_RESULT.value:
-                body = self._handle_result(envelope.body)
-            else:
-                body = self._handle_health()
-        except ReproError as exc:
-            return error_response(envelope.request_id, envelope.kind,
-                                  error_code_for(exc), str(exc))
-        except Exception as exc:
-            logger.exception("internal error serving %s", envelope.kind)
-            return error_response(envelope.request_id, envelope.kind,
-                                  INTERNAL_ERROR,
-                                  f"{type(exc).__name__}: {exc}")
-        return ok_response(envelope.request_id, envelope.kind, body)
+    # -- handlers ------------------------------------------------------------
 
     def _handle_pull(self, body: dict[str, Any]) -> dict[str, Any]:
         lease_id = body.get("lease")
@@ -369,7 +176,7 @@ class WorkerServer:
         return {"state": "done", "lease": lease_id,
                 "result": result.to_wire()}
 
-    def _handle_health(self) -> dict[str, Any]:
+    def _handle_health(self, body: dict[str, Any]) -> dict[str, Any]:
         with self._lease_lock:
             leases = len(self._leases)
             running = sum(1 for lease in self._leases.values()

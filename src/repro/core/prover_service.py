@@ -265,6 +265,13 @@ class ProverService:
         require_distinct_windows(
             f"round over windows {sorted(window_indices)}",
             [(i.router_id, i.window_index) for i in inputs])
+        # The round headers must name exactly the windows a round
+        # consumed: restore() rebuilds the aggregated set from them.
+        carried = {i.window_index for i in inputs}
+        uncarried = sorted(set(window_indices) - carried)
+        if uncarried:
+            raise ConfigurationError(
+                f"no input carries window(s) {uncarried}")
         for window_index in window_indices:
             if window_index in self._aggregated_windows:
                 raise ProofError(
@@ -281,7 +288,7 @@ class ProverService:
             raise
         # Commit the round only after the proof exists.  The journal
         # says which windows it consumed.
-        consumed = sorted(set(window_indices) | result.windows)
+        consumed = sorted(result.windows)
         for window_index in consumed:
             self._quarantined.pop(window_index, None)
         self.state = result.new_state
@@ -423,7 +430,8 @@ class ProverService:
         The snapshot holds everything a restarted prover needs to resume
         *without* re-proving from genesis: the full receipt chain, the
         CLog entries (in slot order, so the Merkle map rebuilds
-        bit-identically), and the aggregated-window set.  It contains
+        bit-identically).  The aggregated-window set is not a field:
+        restore reads it off the chain's round headers.  It contains
         only *proven* artifacts — the raw logs stay in the store, and
         nothing in the snapshot is trusted on restore until the latest
         receipt re-verifies (see :meth:`restore`).
@@ -434,7 +442,6 @@ class ProverService:
             "version": CHECKPOINT_VERSION,
             "strategy": self.strategy,
             "state_round": self.state.round,
-            "aggregated_windows": sorted(self._aggregated_windows),
             "chain": [link.to_wire() for link in self.chain],
             "entries": [entry.to_wire()
                         for entry in self.state.entries_in_slot_order()],
@@ -525,10 +532,13 @@ class ProverService:
             for wire in payload["entries"]:
                 state.set_entry(CLogEntry.from_wire(wire))
             state.round = payload["state_round"]
-            windows = set(payload["aggregated_windows"])
         except (ReproError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint: {exc}") from exc
+        # The aggregated set is what the round headers consumed (any
+        # ``aggregated_windows`` key an older writer left is ignored).
+        windows = {window for link in chain
+                   for _, window in link.header.consumed}
         return chain, state, windows
 
     def _verify_snapshot(self, chain: AggregationChain,

@@ -7,18 +7,20 @@ is not an exception the transport code could raise about itself, it is
 ``drop``/``delay``/``corrupt``/``disconnect`` therefore map to a
 control-flow marker (:class:`~repro.errors.FrameFault`) that
 :func:`frame_action` converts back into a plain action string, and the
-two wired transports implement the action for real:
+transports built with an injector implement the action for real:
 
 * :class:`repro.cluster.nodes.WorkerClient` applies it to the
   *outgoing request* frame (client-side corruption is what the worker
   daemon must reject);
 * :class:`repro.cluster.worker.WorkerServer` applies it to the
-  *outgoing response* frame (server-side corruption is what the
-  dispatcher must reject).
+  *outgoing response* frame, in the one send step it adds to the
+  shared :class:`~repro.net.server.FrameServer` loop (server-side
+  corruption is what the dispatcher must reject).
 
-Both ends share one seeded injector schedule, so a chaos scenario
-under ``REPRO_FAULTS="net.frame:corrupt:every=5" REPRO_FAULT_SEED=1``
-replays bit-for-bit.
+Without an injector neither fires the site, and the prover server
+never does.  Both ends share one seeded injector schedule, so a chaos
+scenario under ``REPRO_FAULTS="net.frame:corrupt:every=5"
+REPRO_FAULT_SEED=1`` replays bit-for-bit.
 """
 
 from __future__ import annotations

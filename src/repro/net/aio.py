@@ -9,11 +9,10 @@ hundreds of coroutines — the shape the multi-tenant load tests need.
 
 Deliberately *single-attempt*: no pooling, no retries.  Load tests
 count answered-exactly-once semantics, and an invisible transport
-retry would blur the very accounting the tests exist to do.  Remote
-errors surface through the same typed mapping as the sync client
-(:func:`~repro.net.messages.raise_remote`), so an
-``admission-rejected`` envelope raises
-:class:`~repro.errors.AdmissionRejected` here too.
+retry would blur the very accounting the tests exist to do.  Replies
+go through the same check as the sync client's
+(:func:`~repro.net.messages.reply_body`), so an ``admission-rejected``
+envelope raises :class:`~repro.errors.AdmissionRejected` here too.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from ..errors import ConnectionFailed, ProtocolError
+from ..errors import ConnectionFailed
 from ..serialization import query_response_from_wire
 from .framing import DEFAULT_MAX_FRAME_SIZE, read_frame, write_frame
-from .messages import Envelope, MessageKind, raise_remote, request
+from .messages import MessageKind, reply_body, request
 
 
 class AsyncQueryClient:
@@ -86,18 +85,7 @@ class AsyncQueryClient:
                 f"{exc}") from exc
         if payload is None:
             raise ConnectionFailed("server closed the connection")
-        reply = Envelope.from_bytes(payload)
-        if reply.type == "err":
-            raise_remote(reply.body.get("code", "internal"),
-                         str(reply.body.get("message", "")))
-        if reply.type != "ok":
-            raise ProtocolError(
-                f"expected a response envelope, got {reply.type!r}")
-        if reply.request_id != request_id:
-            raise ProtocolError(
-                f"response id {reply.request_id} does not match "
-                f"request id {request_id}")
-        return reply.body
+        return reply_body(envelope, payload)
 
     async def query(self, sql: str, round_index: int | None = None,
                     tenant: str | None = None) -> Any:

@@ -46,7 +46,7 @@ from .framing import (
     read_frame_from,
     write_frame_to,
 )
-from .messages import Envelope, MessageKind, raise_remote, request
+from .messages import Envelope, MessageKind, reply_body, request
 from .retry import RetryPolicy, call_with_retry
 
 
@@ -210,22 +210,7 @@ class ServiceClient:
             raise ConnectionFailed(
                 f"connection to {self.host}:{self.port} failed: "
                 f"{exc}") from exc
-        reply = Envelope.from_bytes(payload)
-        if reply.type == "err":
-            raise_remote(reply.body.get("code", "internal"),
-                         str(reply.body.get("message", "")))
-        if reply.type != "ok":
-            raise ProtocolError(
-                f"expected a response envelope, got {reply.type!r}")
-        if reply.request_id != envelope.request_id:
-            raise ProtocolError(
-                f"response id {reply.request_id} does not match "
-                f"request id {envelope.request_id}")
-        if reply.kind != envelope.kind:
-            raise ProtocolError(
-                f"response kind {reply.kind!r} does not match "
-                f"request kind {envelope.kind!r}")
-        return reply.body
+        return reply_body(envelope, payload)
 
     # -- shared endpoints ----------------------------------------------------
 

@@ -88,9 +88,6 @@ class MessageKind(str, enum.Enum):
     METRICS = "metrics"
 
 
-REQUEST_KINDS = frozenset(kind.value for kind in MessageKind)
-
-
 class WorkerMessageKind(str, enum.Enum):
     """Request kinds a cluster *worker daemon* dispatches on.
 
@@ -117,9 +114,6 @@ class WorkerMessageKind(str, enum.Enum):
     WORK_PULL = "work-pull"
     WORK_RESULT = "work-result"
     WORK_HEALTH = "work-health"
-
-
-WORKER_KINDS = frozenset(kind.value for kind in WorkerMessageKind)
 
 
 @dataclass(frozen=True)
@@ -184,6 +178,31 @@ def error_response(request_id: int, kind: str, code: str,
                    message: str) -> Envelope:
     return Envelope("err", request_id, kind,
                     {"code": code, "message": message})
+
+
+def reply_body(sent: Envelope, data: bytes) -> dict[str, Any]:
+    """The body of the reply ``data`` to the request ``sent``.
+
+    An error envelope re-raises typed (:func:`raise_remote`); anything
+    but an ``ok`` envelope echoing the request's id and kind raises
+    :class:`~repro.errors.ProtocolError`.
+    """
+    reply = Envelope.from_bytes(data)
+    if reply.type == "err":
+        raise_remote(reply.body.get("code", INTERNAL_ERROR),
+                     str(reply.body.get("message", "")))
+    if reply.type != "ok":
+        raise ProtocolError(
+            f"expected a response envelope, got {reply.type!r}")
+    if reply.request_id != sent.request_id:
+        raise ProtocolError(
+            f"response id {reply.request_id} does not match "
+            f"request id {sent.request_id}")
+    if reply.kind != sent.kind:
+        raise ProtocolError(
+            f"response kind {reply.kind!r} does not match "
+            f"request kind {sent.kind!r}")
+    return reply.body
 
 
 # -- error-code registry -----------------------------------------------------

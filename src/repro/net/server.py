@@ -1,14 +1,19 @@
-"""Asyncio prover server: the network face of a :class:`ProverService`.
+"""Asyncio frame servers: the prover's network face and their shared loop.
 
-Serves the three roles of Figure 1 over one TCP port: routers publish
-window commitments (``commit-window``) and trigger aggregation rounds
-(``run-round``); clients fetch the bulletin and receipt chain and issue
-proven queries.  The server owns nothing new — it wraps an existing
-``ProverService`` and its ``BulletinBoard`` — so everything the
-in-process API guarantees (append-only bulletin, chained rounds,
-deterministic query receipts) holds identically over the wire.
+:class:`FrameServer` is the one frame/envelope server loop of this
+package.  A server is a table mapping each request kind to its handler,
+plus the start/stop steps it owns; :class:`ProverServer` (here) and
+:class:`~repro.cluster.worker.WorkerServer` are the two tables.
 
-Concurrency model:
+:class:`ProverServer` serves the three roles of Figure 1 over one TCP
+port: routers publish window commitments (``commit-window``) and
+trigger aggregation rounds (``run-round``); clients fetch the bulletin
+and receipt chain and issue proven queries.  It owns nothing new — it
+wraps an existing ``ProverService`` and its ``BulletinBoard`` — so
+everything the in-process API guarantees (append-only bulletin, chained
+rounds, deterministic query receipts) holds identically over the wire.
+
+Concurrency model (every :class:`FrameServer`):
 
 * one asyncio task per connection, capped by ``max_connections``
   (excess connections queue on a semaphore — accept-side backpressure);
@@ -16,13 +21,17 @@ Concurrency model:
   dribbles a frame slower than the deadline) is disconnected, so slow
   clients cannot pin connections;
 * per-request **timeout**: dispatch runs under ``asyncio.wait_for``;
-* prover work (aggregation, query proving) is CPU-bound Python, so it
-  runs in the default executor — the event loop stays responsive for
-  health checks while a round is proving — with a lock serializing the
-  state-mutating kinds (``run-round``); queries are pure + cached and
-  run unlocked;
+* unframeable input earns one error envelope, then a hang-up — there
+  is no frame boundary left to resynchronize on;
 * responses are written with ``drain()`` so a client that stops reading
   stalls only its own task (write-side backpressure).
+
+A handler returns the response body, or an awaitable of it.  Prover
+work (aggregation, query proving) is CPU-bound Python, so its handlers
+run in the default executor — the event loop stays responsive for
+health checks while a round is proving — with a lock serializing the
+state-mutating kind (``run-round``); queries are pure + cached and run
+unlocked.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import asyncio
 import logging
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable, Mapping, Union
 
 from ..commitments import Commitment
 from ..obs import names as obs_names
@@ -51,7 +60,6 @@ from .framing import (
 )
 from .messages import (
     INTERNAL_ERROR,
-    REQUEST_KINDS,
     Envelope,
     MessageKind,
     error_code_for,
@@ -61,23 +69,25 @@ from .messages import (
 
 logger = logging.getLogger(__name__)
 
+Body = dict[str, Any]
+#: A request handler: the request body in, the response body (or an
+#: awaitable of it) out.
+Handler = Callable[[Body], Union[Body, Awaitable[Body]]]
 
-class ProverServer:
-    """Serve a :class:`~repro.core.prover_service.ProverService` over TCP."""
 
-    def __init__(self, service: Any, host: str = "127.0.0.1",
-                 port: int = 0, *,
-                 qserve: Any = None,
+class FrameServer:
+    """Serve a table of request handlers over framed envelopes."""
+
+    #: Names the server in logs, the CLI banner and its runner thread.
+    label = "server"
+
+    def __init__(self, handlers: Mapping[str, Handler],
+                 host: str = "127.0.0.1", port: int = 0, *,
                  max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
                  request_timeout: float = 60.0,
                  idle_timeout: float = 30.0,
                  max_connections: int = 64) -> None:
-        self.service = service
-        self.bulletin = service.bulletin
-        # The multi-tenant serving layer is opt-in: pass a configured
-        # QueryService (``serve --max-inflight/--tenant-rate``).
-        # Without it, queries run one-per-request on the executor.
-        self.qserve = qserve
+        self.handlers = dict(handlers)
         self.host = host
         self.port = port  # 0 until start() binds an ephemeral port
         self.max_frame_size = max_frame_size
@@ -87,24 +97,31 @@ class ProverServer:
         self.requests_served = 0
         self.errors_returned = 0
         self._server: asyncio.base_events.Server | None = None
-        self._round_lock: asyncio.Lock | None = None
         self._conn_slots: asyncio.Semaphore | None = None
         self._thread: threading.Thread | None = None
         self._thread_loop: asyncio.AbstractEventLoop | None = None
 
+    @property
+    def endpoint(self) -> str:
+        return f"{self.host}:{self.port}"
+
     # -- lifecycle -----------------------------------------------------------
+
+    async def _open(self) -> None:
+        """Start what the handlers need, before the port is bound."""
+
+    async def _close(self) -> None:
+        """Release what :meth:`_open` started, after the port closed."""
 
     async def start(self) -> None:
         if self._server is not None:
-            raise ProtocolError("server already started")
-        self._round_lock = asyncio.Lock()
+            raise ProtocolError(f"{self.label} already started")
         self._conn_slots = asyncio.Semaphore(self.max_connections)
-        if self.qserve is not None:
-            await self.qserve.start()
+        await self._open()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("prover server listening on %s:%d", self.host,
+        logger.info("%s listening on %s:%d", self.label, self.host,
                     self.port)
 
     async def serve_forever(self) -> None:
@@ -120,13 +137,12 @@ class ProverServer:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-        if self.qserve is not None:
-            await self.qserve.stop()
+        await self._close()
 
     # Background-thread runner: lets synchronous code (tests, examples,
     # benchmarks) host a live server without owning an event loop.
 
-    def start_background(self) -> "ProverServer":
+    def start_background(self) -> "FrameServer":
         """Start the server on a daemon thread; returns once bound."""
         started = threading.Event()
         failure: list[BaseException] = []
@@ -148,8 +164,9 @@ class ProverServer:
                 loop.run_until_complete(loop.shutdown_asyncgens())
                 loop.close()
 
-        self._thread = threading.Thread(target=run, daemon=True,
-                                        name="repro-prover-server")
+        self._thread = threading.Thread(
+            target=run, daemon=True,
+            name="repro-" + self.label.replace(" ", "-"))
         self._thread.start()
         started.wait(timeout=10)
         if failure:
@@ -183,7 +200,7 @@ class ProverServer:
             self._thread = None
             self._thread_loop = None
 
-    def __enter__(self) -> "ProverServer":
+    def __enter__(self) -> "FrameServer":
         return self.start_background()
 
     def __exit__(self, *exc_info: object) -> None:
@@ -201,10 +218,13 @@ class ProverServer:
             connections.inc()
             try:
                 await self._serve_connection(reader, writer)
+            except asyncio.CancelledError:
+                pass  # server shutdown cancelled us mid-read
             except (ConnectionResetError, BrokenPipeError):
                 pass  # peer vanished; nothing to tell it
             except Exception:
-                logger.exception("connection %s crashed", peer)
+                logger.exception("%s connection %s crashed", self.label,
+                                 peer)
             finally:
                 connections.dec()
                 writer.close()
@@ -233,43 +253,52 @@ class ProverServer:
                 return
             if payload is None:
                 return  # clean EOF
-            registry = obs.registry()
-            registry.counter(obs_names.NET_SERVER_BYTES,
-                             ("direction",)).inc(len(payload),
-                                                 direction="in")
-            start = time.perf_counter()
-            with obs.tracer().span(
-                    obs_names.SPAN_NET_SERVER_REQUEST) as span:
-                response = await self._process(payload)
-                span.set("kind", response.kind)
-                span.set("status", response.type)
-            status = "ok" if response.type == "ok" else "err"
-            registry.counter(obs_names.NET_SERVER_REQUESTS,
-                             ("kind", "status")).inc(
-                kind=response.kind, status=status)
-            registry.histogram(obs_names.NET_SERVER_SECONDS,
-                               ("kind",)).observe(
-                time.perf_counter() - start, kind=response.kind)
-            self.requests_served += 1
-            if response.type == "err":
-                self.errors_returned += 1
-                registry.counter(obs_names.NET_SERVER_ERRORS,
-                                 ("kind", "code")).inc(
-                    kind=response.kind,
-                    code=str(response.body.get("code", "unknown")))
-            out_bytes = response.to_bytes()
-            registry.counter(obs_names.NET_SERVER_BYTES,
-                             ("direction",)).inc(len(out_bytes),
-                                                 direction="out")
-            try:
-                await asyncio.wait_for(
-                    write_frame(writer, out_bytes,
-                                self.max_frame_size),
-                    timeout=self.idle_timeout)
-            except asyncio.TimeoutError:
-                logger.debug("disconnecting client that stopped "
-                             "reading")
+            if not await self._send(writer, await self._respond(payload)):
                 return
+
+    async def _respond(self, payload: bytes) -> bytes:
+        """Answer one request frame, counted and traced; the reply's bytes."""
+        registry = obs.registry()
+        registry.counter(obs_names.NET_SERVER_BYTES,
+                         ("direction",)).inc(len(payload),
+                                             direction="in")
+        start = time.perf_counter()
+        with obs.tracer().span(
+                obs_names.SPAN_NET_SERVER_REQUEST) as span:
+            response = await self._process(payload)
+            span.set("kind", response.kind)
+            span.set("status", response.type)
+        status = "ok" if response.type == "ok" else "err"
+        registry.counter(obs_names.NET_SERVER_REQUESTS,
+                         ("kind", "status")).inc(
+            kind=response.kind, status=status)
+        registry.histogram(obs_names.NET_SERVER_SECONDS,
+                           ("kind",)).observe(
+            time.perf_counter() - start, kind=response.kind)
+        self.requests_served += 1
+        if response.type == "err":
+            self.errors_returned += 1
+            registry.counter(obs_names.NET_SERVER_ERRORS,
+                             ("kind", "code")).inc(
+                kind=response.kind,
+                code=str(response.body.get("code", "unknown")))
+        out_bytes = response.to_bytes()
+        registry.counter(obs_names.NET_SERVER_BYTES,
+                         ("direction",)).inc(len(out_bytes),
+                                             direction="out")
+        return out_bytes
+
+    async def _send(self, writer: asyncio.StreamWriter,
+                    data: bytes) -> bool:
+        """Write one response frame; False hangs up the connection."""
+        try:
+            await asyncio.wait_for(
+                write_frame(writer, data, self.max_frame_size),
+                timeout=self.idle_timeout)
+        except asyncio.TimeoutError:
+            logger.debug("disconnecting client that stopped reading")
+            return False
+        return True
 
     async def _try_send(self, writer: asyncio.StreamWriter,
                         envelope: Envelope) -> None:
@@ -292,14 +321,15 @@ class ProverServer:
                                   "bad-request",
                                   f"expected a request envelope, got "
                                   f"{envelope.type!r}")
-        if envelope.kind not in REQUEST_KINDS:
+        handler = self.handlers.get(envelope.kind)
+        if handler is None:
             return error_response(envelope.request_id, envelope.kind,
                                   "bad-request",
                                   f"unknown request kind "
                                   f"{envelope.kind!r}")
         try:
             body = await asyncio.wait_for(
-                self._dispatch(envelope.kind, envelope.body),
+                _call(handler, envelope.body),
                 timeout=self.request_timeout)
         except asyncio.TimeoutError:
             return error_response(
@@ -321,42 +351,74 @@ class ProverServer:
                                   f"{type(exc).__name__}: {exc}")
         return ok_response(envelope.request_id, envelope.kind, body)
 
-    # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, kind: str,
-                        body: dict[str, Any]) -> dict[str, Any]:
-        if kind == MessageKind.HEALTH.value:
-            return self._handle_health()
-        if kind == MessageKind.STATUS.value:
-            return self._handle_status()
-        if kind == MessageKind.METRICS.value:
-            return obs.metrics_snapshot()
-        if kind == MessageKind.GET_BULLETIN.value:
-            return self._handle_get_bulletin(body)
-        if kind == MessageKind.COMMIT_WINDOW.value:
-            return self._handle_commit_window(body)
-        if kind == MessageKind.FETCH_RECEIPT_CHAIN.value:
-            return await self._in_executor(
-                lambda: self._handle_fetch_receipt_chain(body))
-        if kind == MessageKind.RUN_ROUND.value:
-            assert self._round_lock is not None
-            async with self._round_lock:
-                return await self._in_executor(
-                    lambda: self._handle_run_round(body))
-        if kind == MessageKind.QUERY.value:
-            if self.qserve is not None:
-                return await self._handle_query_qserve(body)
-            return await self._in_executor(
-                lambda: self._handle_query(body))
-        raise ProtocolError(f"unknown request kind {kind!r}")
+async def _call(handler: Handler, body: Body) -> Body:
+    result = handler(body)
+    if asyncio.iscoroutine(result):
+        return await result
+    return result
 
-    @staticmethod
-    async def _in_executor(fn: Callable[[], dict[str, Any]]
-                           ) -> dict[str, Any]:
+
+def _offload(fn: Callable[[Body], Body]) -> Handler:
+    """Run a CPU-bound handler in the default executor."""
+    async def run(body: Body) -> Body:
         return await asyncio.get_running_loop().run_in_executor(
-            None, fn)
+            None, fn, body)
+    return run
 
-    def _handle_health(self) -> dict[str, Any]:
+
+class ProverServer(FrameServer):
+    """Serve a :class:`~repro.core.prover_service.ProverService` over TCP."""
+
+    label = "prover server"
+
+    def __init__(self, service: Any, host: str = "127.0.0.1",
+                 port: int = 0, *,
+                 qserve: Any = None,
+                 max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
+                 request_timeout: float = 60.0,
+                 idle_timeout: float = 30.0,
+                 max_connections: int = 64) -> None:
+        self.service = service
+        self.bulletin = service.bulletin
+        # The multi-tenant serving layer is opt-in: pass a configured
+        # QueryService (``serve --max-inflight/--tenant-rate``).
+        # Without it, queries run one-per-request on the executor.
+        self.qserve = qserve
+        self._round_lock: asyncio.Lock | None = None
+        super().__init__({
+            MessageKind.HEALTH.value: self._handle_health,
+            MessageKind.STATUS.value: self._handle_status,
+            MessageKind.METRICS.value: lambda body: obs.metrics_snapshot(),
+            MessageKind.GET_BULLETIN.value: self._handle_get_bulletin,
+            MessageKind.COMMIT_WINDOW.value: self._handle_commit_window,
+            MessageKind.FETCH_RECEIPT_CHAIN.value:
+                _offload(self._handle_fetch_receipt_chain),
+            MessageKind.RUN_ROUND.value: self._run_round,
+            MessageKind.QUERY.value: (
+                self._handle_query_qserve if qserve is not None
+                else _offload(self._handle_query)),
+        }, host, port, max_frame_size=max_frame_size,
+            request_timeout=request_timeout, idle_timeout=idle_timeout,
+            max_connections=max_connections)
+
+    async def _open(self) -> None:
+        self._round_lock = asyncio.Lock()
+        if self.qserve is not None:
+            await self.qserve.start()
+
+    async def _close(self) -> None:
+        if self.qserve is not None:
+            await self.qserve.stop()
+
+    # -- handlers ------------------------------------------------------------
+
+    async def _run_round(self, body: Body) -> Body:
+        assert self._round_lock is not None
+        async with self._round_lock:
+            return await _offload(self._handle_run_round)(body)
+
+    def _handle_health(self, body: Body) -> Body:
         status = self.service.status()
         status.update({
             "status": "ok",
@@ -366,7 +428,7 @@ class ProverServer:
         })
         return status
 
-    def _handle_status(self) -> dict[str, Any]:
+    def _handle_status(self, body: Body) -> Body:
         """Service status plus the query service's stats."""
         return {
             "service": self.service.status(),
@@ -374,12 +436,11 @@ class ProverServer:
                        if self.qserve is not None else None),
         }
 
-    def _handle_get_bulletin(self, body: dict[str, Any]) -> dict[str, Any]:
+    def _handle_get_bulletin(self, body: Body) -> Body:
         commitments = list(self.bulletin)[_since(body):]
         return {"commitments": [c.to_wire() for c in commitments]}
 
-    def _handle_commit_window(self,
-                              body: dict[str, Any]) -> dict[str, Any]:
+    def _handle_commit_window(self, body: Body) -> Body:
         wire = _require(body, "commitment", dict)
         try:
             commitment = Commitment.from_wire(wire)
@@ -388,8 +449,7 @@ class ProverServer:
         self.bulletin.publish(commitment)
         return {"published": True, "total": len(self.bulletin)}
 
-    def _handle_run_round(self,
-                          body: dict[str, Any]) -> dict[str, Any]:
+    def _handle_run_round(self, body: Body) -> Body:
         windows = body.get("windows")
         if windows is None:
             results = self.service.aggregate_all_committed()
@@ -406,7 +466,7 @@ class ProverServer:
             "flows": len(r.new_state),
         } for r in results]}
 
-    def _handle_query(self, body: dict[str, Any]) -> dict[str, Any]:
+    def _handle_query(self, body: Body) -> Body:
         sql = _require(body, "sql", str)
         round_index = body.get("round")
         if round_index is not None and not isinstance(round_index, int):
@@ -415,9 +475,7 @@ class ProverServer:
                                              round_index=round_index)
         return {"response": query_response_to_wire(response)}
 
-    async def _handle_query_qserve(self,
-                                   body: dict[str, Any]
-                                   ) -> dict[str, Any]:
+    async def _handle_query_qserve(self, body: Body) -> Body:
         """QUERY through the multi-tenant serving layer.
 
         Unlike :meth:`_handle_query` this never blocks an executor
@@ -439,13 +497,12 @@ class ProverServer:
                                             tenant=tenant)
         return {"response": query_response_to_wire(response)}
 
-    def _handle_fetch_receipt_chain(self,
-                                    body: dict[str, Any]) -> dict[str, Any]:
+    def _handle_fetch_receipt_chain(self, body: Body) -> Body:
         receipts = self.service.chain.receipts()[_since(body):]
         return {"receipts": [r.to_wire() for r in receipts]}
 
 
-def _since(body: dict[str, Any]) -> int:
+def _since(body: Body) -> int:
     """The optional ``since`` index of a bulletin or chain fetch."""
     since = body.get("since", 0)
     if isinstance(since, bool) or not isinstance(since, int) or since < 0:
@@ -454,7 +511,7 @@ def _since(body: dict[str, Any]) -> int:
     return since
 
 
-def _require(body: dict[str, Any], key: str, expected: type) -> Any:
+def _require(body: Body, key: str, expected: type) -> Any:
     value = body.get(key)
     if not isinstance(value, expected):
         raise ProtocolError(

@@ -34,7 +34,7 @@ def test_cluster_harness_smoke(tmp_path, capsys):
     topology_path = tmp_path / "topology.json"
     topology_path.write_text(json.dumps({
         "workers": [{"backend": "thread", "workers": 2},
-                    {"backend": "serial"}],
+                    {"backend": "process", "workers": 1}],
         "windows": 1, "flows_per_window": 4}))
     topology = load_topology(topology_path)
     with ClusterHarness(topology["workers"]) as harness:

@@ -10,8 +10,18 @@ from ..conftest import make_committed_records
 
 
 @pytest.fixture
-def proven():
+def proven(two_windows):
     """A service with two proven rounds over 20 committed records."""
+    store, bulletin = two_windows
+    service = ProverService(store, bulletin)
+    service.aggregate_window(0)
+    service.aggregate_window(1)
+    return store, bulletin, service
+
+
+@pytest.fixture
+def two_windows():
+    """A store and bulletin with windows 0 and 1 committed."""
     store, bulletin, _ = make_committed_records(20)
     extra_store, _, _ = make_committed_records(10, seed=9,
                                                window_index=1)
@@ -24,10 +34,7 @@ def proven():
         bulletin.publish(Commitment(router_id, 1,
                                     window_digest(blobs),
                                     len(blobs), 5_000))
-    service = ProverService(store, bulletin)
-    service.aggregate_window(0)
-    service.aggregate_window(1)
-    return store, bulletin, service
+    return store, bulletin
 
 
 class TestRoundTrip:
@@ -221,6 +228,38 @@ class TestIntegrityOnRestore:
         store.put_checkpoint("prover-latest", encode(payload))
         with pytest.raises(CheckpointError, match="version"):
             ProverService(store, bulletin).restore()
+
+    def test_aggregated_windows_come_from_the_round_headers(
+            self, two_windows):
+        """A checkpoint taken after round 0 whose stored window list is
+        rewritten to claim window 1 as well still leaves window 1
+        pending: restore reads the set off the chain, and the key is
+        no longer written."""
+        from repro.serialization import decode, encode
+        store, bulletin = two_windows
+        service = ProverService(store, bulletin)
+        service.aggregate_window(0)
+        service.checkpoint()
+        payload = decode(store.get_checkpoint("prover-latest"))
+        assert "aggregated_windows" not in payload
+        payload["aggregated_windows"] = [0, 1]
+        store.put_checkpoint("prover-latest", encode(payload))
+        restored = ProverService(store, bulletin)
+        assert restored.restore() is True
+        assert restored.aggregated_windows == {0}
+        assert restored.pending_windows() == [1]
+        restored.aggregate_window(1)
+        assert restored.aggregated_windows == {0, 1}
+
+    def test_round_refuses_a_window_no_input_carries(self, two_windows):
+        from repro.errors import ConfigurationError
+        store, bulletin = two_windows
+        service = ProverService(store, bulletin)
+        inputs = service.gather_window(0)
+        with pytest.raises(ConfigurationError, match=r"\[1\]"):
+            service.prove_round([0, 1], inputs)
+        assert len(service.chain) == 0
+        assert service.aggregated_windows == frozenset()
 
     def test_restore_refused_on_non_fresh_service(self, proven):
         store, bulletin, service = proven

@@ -606,6 +606,38 @@ class TestClusterContract:
             assert cap.registry.get(
                 "repro_cluster_degraded").value() == 0
 
+    def test_worker_requests_land_in_the_server_series(self):
+        """A worker daemon is a frame server like the prover: its
+        ``work-*`` requests are counted and traced by kind."""
+        from repro.cluster import ClusterOpts, WorkerServer
+        from repro.core.guest_programs import register_guest
+        from repro.engine import ProofJob, ProverPool
+        from repro.zkvm import ExecutorEnvBuilder, GuestProgram
+
+        def _fn(env):
+            env.commit({"echo": env.read()})
+
+        guest = register_guest(GuestProgram(_fn, name="obs/worker"))
+        builder = ExecutorEnvBuilder()
+        builder.write("served")
+        job = ProofJob.from_parts(guest, builder.build())
+        with obs.capture() as cap:
+            with WorkerServer() as worker:
+                with ProverPool(
+                        backend="remote", nodes=[worker.endpoint],
+                        cluster_opts=ClusterOpts(
+                            poll_interval=0.02)) as pool:
+                    pool.submit(job).result(timeout=60)
+            requests = cap.registry.get(
+                "repro_net_server_requests_total")
+            assert cap.registry.label_names(
+                "repro_net_server_requests_total") == ("kind", "status")
+            assert requests.value(kind="work-pull", status="ok") == 1
+            assert requests.value(kind="work-result", status="ok") >= 1
+            kinds = {span.attributes["kind"] for span
+                     in cap.exporter.by_name("net.server.request")}
+            assert {"work-pull", "work-result"} <= kinds
+
     def test_local_backends_emit_no_cluster_names(self, service_round):
         service, _ = service_round
         with obs.capture() as cap:

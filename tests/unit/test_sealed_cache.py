@@ -221,12 +221,14 @@ class TestCountedDurableIO:
     captured while the checkpoint could still carry a streamed round's frontier, and shows
     a default checkpoint's bytes did not move when that section went.  It was re-pinned
     (7,767 -> 7,566 bytes, new SHA-256) when chain links stopped carrying copies of
-    ``new_root``/``size``/``record_count`` beside the receipt whose journal commits them.
+    ``new_root``/``size``/``record_count`` beside the receipt whose journal commits them,
+    and again (7,566 -> 7,512 bytes) when the checkpoint stopped carrying the
+    aggregated-window list that restore now reads off the round headers.
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
-    CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7566}
-    CHECKPOINT_SHA256 = "ab24fc30351f1ef21e3764e7cba46746ea0631f826428feac7a2411bd35a8412"
+    CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7512}
+    CHECKPOINT_SHA256 = "349f541cb0632b7fbb11b0c297fa01d21591bad2d0a6e9db6c329fd543df9939"
 
     def test_default_service_query_touches_no_kv(self):
         assert _served(attach=False) == (self.NONE, self.NONE)
