@@ -54,10 +54,8 @@ class QueryCommand:
                             help="write the query receipt JSON here")
         parser.add_argument("--tenant", default=None,
                             help="tenant id sent with --connect "
-                                 "queries; servers running the "
-                                 "multi-tenant query service "
-                                 "rate-limit and fair-queue per "
-                                 "tenant")
+                                 "queries; the server rate-limits "
+                                 "and fair-queues per tenant")
         parser.add_argument("--query-partitions", type=int,
                             default=None, metavar="K",
                             help="split the query proof into up to K "

@@ -63,29 +63,27 @@ class ServeCommand:
                                  "proofs merged through the engine "
                                  "when the planner models that faster "
                                  "(implies the engine)")
-        parser.add_argument("--max-inflight", type=int, default=None,
-                            help="enable the multi-tenant query "
-                                 "service with a bounded admission "
-                                 "queue of this many in-flight queries "
-                                 "(typed admission-rejected errors "
-                                 "past the bound)")
+        parser.add_argument("--max-inflight", type=int, default=64,
+                            help="queries admitted at once; past the "
+                                 "bound a query gets a typed "
+                                 "admission-rejected error")
         parser.add_argument("--tenant-rate", type=float, default=None,
                             help="per-tenant query admission rate "
-                                 "(tokens/sec; implies the "
-                                 "multi-tenant query service)")
+                                 "(tokens/sec; default: unlimited)")
         parser.add_argument("--tenant-burst", type=float, default=None,
                             help="per-tenant token-bucket burst "
                                  "capacity (default: one second of "
                                  "--tenant-rate)")
         parser.add_argument("--batch-window", type=float,
                             default=0.005,
-                            help="seconds the query service waits to "
-                                 "batch compatible queries into one "
-                                 "shared scan (batching needs an "
-                                 "engine, e.g. --query-partitions)")
+                            help="seconds a query waits to batch "
+                                 "with compatible ones into one shared "
+                                 "scan (batching needs an engine, e.g. "
+                                 "--query-partitions)")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
         from ...net import ProverServer
+        from ...qserve import QueryService
         if args.metrics:
             from ...obs import runtime as obs_runtime
             obs_runtime.enable()
@@ -101,18 +99,11 @@ class ServeCommand:
             prove_workers=args.prove_workers,
             prove_nodes=prove_nodes,
             query_partitions=args.query_partitions)
-        qserve = None
-        if args.max_inflight is not None \
-                or args.tenant_rate is not None:
-            from ...qserve import QueryService
-            qserve = QueryService(
-                service,
-                max_inflight=(args.max_inflight
-                              if args.max_inflight is not None
-                              else 64),
-                tenant_rate=args.tenant_rate,
-                tenant_burst=args.tenant_burst,
-                batch_window=args.batch_window)
+        qserve = QueryService(
+            service, max_inflight=args.max_inflight,
+            tenant_rate=args.tenant_rate,
+            tenant_burst=args.tenant_burst,
+            batch_window=args.batch_window)
         server = ProverServer(
             service, host=args.host, port=args.port,
             qserve=qserve,

@@ -35,8 +35,9 @@ class WorkerCommand:
                                  "tier")
         parser.add_argument("--idle-timeout", type=float, default=30.0)
         parser.add_argument("--metrics", action="store_true",
-                            help="enable the repro.obs registry "
-                                 "(repro_cluster_worker_* counters)")
+                            help="enable the repro.obs registry; "
+                                 "`repro metrics --connect` then "
+                                 "reads the worker's counters")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
         """Run a proving worker daemon for a remote-backend pool.

@@ -73,17 +73,10 @@ class WorkerClient(ServiceClient):
 
     def __init__(self, host: str, port: int | None = None, *,
                  timeout: float = 10.0,
-                 max_frame_size: int | None = None,
                  fault_injector: Any = None) -> None:
-        kwargs: dict[str, Any] = {
-            "timeout": timeout,
-            "retry": RetryPolicy(max_attempts=1),
-            "pool_size": 1,
-            "fault_injector": fault_injector,
-        }
-        if max_frame_size is not None:
-            kwargs["max_frame_size"] = max_frame_size
-        super().__init__(host, port, **kwargs)
+        super().__init__(host, port, timeout=timeout,
+                         retry=RetryPolicy(max_attempts=1), pool_size=1,
+                         fault_injector=fault_injector)
 
     # -- worker endpoints ----------------------------------------------------
 

@@ -90,9 +90,6 @@ class ClusterOpts:
     backoff_max: float = 30.0
     retry_budget: int | None = None   # re-dispatches before fallback
     local_fallback: bool = True
-    local_workers: int | None = None
-    verify_results: bool = True
-    max_frame_size: int | None = None
 
     @property
     def steal_after(self) -> float:
@@ -150,7 +147,6 @@ class ClusterDispatcher:
             client = WorkerClient(
                 endpoint,
                 timeout=self.opts.request_timeout,
-                max_frame_size=self.opts.max_frame_size,
                 fault_injector=injector)
             self._nodes.append(NodeState(
                 endpoint, client,
@@ -390,15 +386,14 @@ class ClusterDispatcher:
 
     def _adopt(self, lease: _LeaseRec, result: JobResult) -> None:
         task = lease.task
-        if self.opts.verify_results:
-            try:
-                verify_job_receipt(
-                    result.receipt,
-                    resolve_job_guest(task.job).image_id,
-                    task.job.env_commitment)
-            except ReproError as exc:
-                self._reject(lease, exc)
-                return
+        try:
+            verify_job_receipt(
+                result.receipt,
+                resolve_job_guest(task.job).image_id,
+                task.job.env_commitment)
+        except ReproError as exc:
+            self._reject(lease, exc)
+            return
         registry = obs.registry()
         with self._lock:
             self._leases.pop(lease.lease_id, None)
@@ -546,7 +541,6 @@ class ClusterDispatcher:
             probe_client = WorkerClient(
                 node.endpoint,
                 timeout=self.opts.probe_timeout,
-                max_frame_size=self.opts.max_frame_size,
                 fault_injector=self.injector)
             probe_client.probe()
         except Exception as exc:
@@ -575,8 +569,7 @@ class ClusterDispatcher:
             self._fallback_jobs += 1
             if self._fallback_executor is None:
                 self._fallback_executor = ThreadPoolExecutor(
-                    max_workers=self.opts.local_workers
-                    or os.cpu_count() or 1,
+                    max_workers=os.cpu_count() or 1,
                     thread_name_prefix="repro-cluster-local")
             executor = self._fallback_executor
         inner = executor.submit(execute_job, task.job)

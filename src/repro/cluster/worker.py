@@ -23,8 +23,8 @@ that store's checkpoint KV — any node can then serve any partition
 some other node (or the coordinator) already proved.
 
 The connection loop, deadlines and per-request telemetry are the
-shared :class:`~repro.net.server.FrameServer`'s; a worker adds its
-handler table, the pool shutdown, and the ``net.frame`` fault on the
+shared :class:`~repro.net.server.FrameServer`'s (so is ``metrics``);
+a worker adds its handler table, the pool shutdown, and the ``net.frame`` fault on the
 responses it sends.
 """
 

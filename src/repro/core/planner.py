@@ -124,7 +124,7 @@ class PartitionedQueryCostEstimate:
 
 
 class _Tally:
-    """A predicted execution, counted the way the guest meter counts:
+    """A predicted execution, tallied the way the guest meter counts:
     generic cycles and sha-256 compressions."""
 
     def __init__(self) -> None:

@@ -26,6 +26,7 @@ from ..hashing import Digest
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..qserve.cache import QueryResultCache
+from ..qserve.service import DEFAULT_BATCH_PARTITIONS
 from ..serialization import decode, encode
 from ..storage.backend import LogStore
 from ..zkvm import ProveInfo, ProverOpts, Verifier
@@ -114,7 +115,6 @@ class ProverService:
                                                  prover=prover)
         self.strategy = strategy
         self.auto_checkpoint = auto_checkpoint
-        self.query_cache_size = query_cache_size
         self._query_prover = QueryProver(
             prover_opts, prover=prover, engine=self.engine,
             num_partitions=self.query_partitions)
@@ -124,10 +124,10 @@ class ProverService:
         # operator's retry is an explicit round over the window, which
         # clears its entry once it proves.
         self._quarantined: dict[int, str] = {}
-        # Memory-only here; QueryService attaches the store's
-        # persistent tier (``query_cache.attach_store``).
+        # Proven answers persist in the store's checkpoint KV, so a
+        # restarted prover replays them without proving.
         self.query_cache = QueryResultCache(
-            memory_entries=query_cache_size)
+            store, memory_entries=query_cache_size)
         self.last_prove_info: ProveInfo | None = None
 
     def close(self) -> None:
@@ -192,9 +192,6 @@ class ProverService:
             "quarantined": [{"window": window, "reason": reason}
                             for window, reason
                             in sorted(self.quarantined.items())],
-            "cached_queries":
-                self.query_cache.stats()["memory_entries"],
-            "query_cache_max": self.query_cache_size,
             "query_cache": self.query_cache.stats(),
             "auto_checkpoint": self.auto_checkpoint,
             "query_partitions": self.query_partitions,
@@ -353,11 +350,7 @@ class ProverService:
             cached = self.query_cache.get(sql, effective_round,
                                           committed_root)
             if cached is not None:
-                obs.registry().counter(obs_names.SERVICE_QUERY_CACHE,
-                                       ("result",)).inc(result="hit")
                 return cached
-        obs.registry().counter(obs_names.SERVICE_QUERY_CACHE,
-                               ("result",)).inc(result="miss")
         state, receipt = self.query_state(round_index)
         response, info = self._query_prover.prove_query(
             sql, state, receipt)
@@ -368,6 +361,33 @@ class ProverService:
             sql, response.round, response.matched, response.scanned,
             info.stats.total_cycles)
         return response
+
+    def prove_queries(self, sqls: list[str],
+                      round_index: int | None = None) -> list[Any]:
+        """Prove distinct ``sqls`` over one round through one shared
+        partition scan of the engine (the query service's batches).
+
+        Returns one entry per query, in order: its
+        :class:`QueryResponse`, or the exception that query died with;
+        a partition failure raises for all of them.  Nothing is cached
+        here: the caller files the answers.
+        """
+        state, receipt = self.query_state(round_index)
+        if len(state) <= 1:
+            # A 1-entry state cannot be partitioned: one scan each.
+            outcomes: list[Any] = []
+            for sql in sqls:
+                try:
+                    outcomes.append(self._query_prover.prove_query(
+                        sql, state, receipt)[0])
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+        outcomes = self._query_prover.prove_queries_partitioned(
+            sqls, state, receipt,
+            self.query_partitions or DEFAULT_BATCH_PARTITIONS)
+        return [outcome if isinstance(outcome, Exception)
+                else outcome[0] for outcome in outcomes]
 
     def resolve_query_round(self, round_index: int | None = None
                             ) -> tuple[int, Digest]:
@@ -398,11 +418,10 @@ class ProverService:
     def query_state(self, round_index: int | None = None):
         """The ``(state, aggregation receipt)`` a query proves against.
 
-        Shared by :meth:`answer_query` and the batched prover in
-        :mod:`repro.qserve` — both must bind a query to exactly the
-        state the chain's receipt attests.  Historical rounds need
-        ``retain_history=True``; note the *cache* path deliberately
-        does not require it (a cached historical answer replays fine
+        Shared by :meth:`answer_query` and :meth:`prove_queries` —
+        both must bind a query to exactly the state the chain's receipt
+        attests.  Historical rounds need ``retain_history=True``; note
+        the *cache* path deliberately does not require it (a cached historical answer replays fine
         without the retained state), which is why this is separate
         from :meth:`resolve_query_round`.
         """

@@ -89,7 +89,7 @@ ERROR_KINDS: dict[str, Callable[[str], Exception]] = {
 class FaultSpec:
     """One fault rule: fire ``error`` at ``site`` on chosen invocations.
 
-    Invocations are counted per site, 1-based.  The spec fires on
+    Invocations are numbered per site, from 1.  The spec fires on
     invocation ``start``, then on every ``every``-th invocation after
     it, at most ``count`` times in total (``count=None`` never stops —
     a *permanent* fault; any finite ``count`` makes it *transient*).

@@ -221,7 +221,7 @@ class ServiceClient:
     def fetch_status(self) -> dict[str, Any]:
         """Service status plus query-service stats.
 
-        Returns ``{"service": {...}, "qserve": {...} | None}`` —
+        Returns ``{"service": {...}, "qserve": {...}}`` —
         ``service`` is ``ProverService.status()``, whose
         ``quarantined`` lists the windows no round will retry.
         """
@@ -306,9 +306,9 @@ class QueryClient(ServiceClient):
               tenant: str | None = None) -> Any:
         """A proven :class:`~repro.core.query_proof.QueryResponse`.
 
-        ``tenant`` identifies the caller to a server running the
-        multi-tenant serving layer (admission, per-tenant rate limits);
-        servers without one ignore it.  Backpressure surfaces as
+        ``tenant`` identifies the caller to the server's query service
+        (admission, per-tenant rate limits, fair queueing); ``None``
+        is the ``default`` tenant.  Backpressure surfaces as
         :class:`~repro.errors.AdmissionRejected`, which is *not* a
         transport error — the retry policy propagates it immediately
         and the caller decides when to come back.

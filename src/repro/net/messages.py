@@ -17,18 +17,18 @@ Request kinds and their bodies:
                        index ``since`` on (all when absent)
 ``run-round``          ``{windows: [int] | None}`` → aggregation round(s)
 ``query``              ``{sql, round: int | None, tenant: str?}`` →
-                       proven QueryResponse.  ``tenant`` (optional,
-                       default ``"default"``) names the rate-limit
-                       bucket when the server runs the multi-tenant
-                       query service; servers without one ignore it.
-                       An over-limit or over-capacity request is
+                       proven QueryResponse.  ``round`` is a
+                       non-negative int (not a bool) or None for the
+                       latest; ``tenant`` (optional, default
+                       ``"default"``) names the query service's
+                       rate-limit bucket.  An over-limit or over-capacity request is
                        rejected with the ``admission-rejected`` code
                        instead of being queued.
 ``fetch-receipt-chain``  ``{since: int?}`` → aggregation receipts from
                        round ``since`` on (all when absent)
 ``status``             ``{}`` → ``{service, qserve}``: the service
                        status (quarantined windows included) and the
-                       query service's stats (None without one)
+                       query service's stats
 ``metrics``            ``{}`` → observability snapshot
                        (``{enabled, metrics}``; empty when the server
                        runs with the default no-op registry)

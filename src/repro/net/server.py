@@ -26,12 +26,13 @@ Concurrency model (every :class:`FrameServer`):
 * responses are written with ``drain()`` so a client that stops reading
   stalls only its own task (write-side backpressure).
 
-A handler returns the response body, or an awaitable of it.  Prover
-work (aggregation, query proving) is CPU-bound Python, so its handlers
-run in the default executor — the event loop stays responsive for
-health checks while a round is proving — with a lock serializing the
-state-mutating kind (``run-round``); queries are pure + cached and run
-unlocked.
+A handler returns the response body, or an awaitable of it.  Every
+server answers ``metrics``.  Prover work is CPU-bound Python, so it
+runs off the event loop — the loop stays responsive for health checks
+while a round is proving: ``run-round`` (serialized by a lock) and
+chain fetches in the default executor, queries through the prover's
+:class:`~repro.qserve.QueryService`, whose dispatcher proves admitted
+queries in batches on an executor thread.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import Any, Awaitable, Callable, Mapping, Union
 from ..commitments import Commitment
 from ..obs import names as obs_names
 from ..obs import runtime as obs
+from ..qserve import QueryService
 from ..errors import (
     FrameError,
     NetworkError,
@@ -87,7 +89,10 @@ class FrameServer:
                  request_timeout: float = 60.0,
                  idle_timeout: float = 30.0,
                  max_connections: int = 64) -> None:
-        self.handlers = dict(handlers)
+        self.handlers = {
+            MessageKind.METRICS.value: lambda body: obs.metrics_snapshot(),
+            **handlers,
+        }
         self.host = host
         self.port = port  # 0 until start() binds an ephemeral port
         self.max_frame_size = max_frame_size
@@ -257,7 +262,7 @@ class FrameServer:
                 return
 
     async def _respond(self, payload: bytes) -> bytes:
-        """Answer one request frame, counted and traced; the reply's bytes."""
+        """Answer one request frame, metered and traced; the reply's bytes."""
         registry = obs.registry()
         registry.counter(obs_names.NET_SERVER_BYTES,
                          ("direction",)).inc(len(payload),
@@ -374,42 +379,37 @@ class ProverServer(FrameServer):
 
     def __init__(self, service: Any, host: str = "127.0.0.1",
                  port: int = 0, *,
-                 qserve: Any = None,
+                 qserve: QueryService | None = None,
                  max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
                  request_timeout: float = 60.0,
                  idle_timeout: float = 30.0,
                  max_connections: int = 64) -> None:
         self.service = service
         self.bulletin = service.bulletin
-        # The multi-tenant serving layer is opt-in: pass a configured
-        # QueryService (``serve --max-inflight/--tenant-rate``).
-        # Without it, queries run one-per-request on the executor.
-        self.qserve = qserve
+        # Every query goes through a QueryService: admission, batching
+        # and the result cache (``serve --max-inflight/--tenant-rate``
+        # configure the one the CLI builds).
+        self.qserve = qserve or QueryService(service)
         self._round_lock: asyncio.Lock | None = None
         super().__init__({
             MessageKind.HEALTH.value: self._handle_health,
             MessageKind.STATUS.value: self._handle_status,
-            MessageKind.METRICS.value: lambda body: obs.metrics_snapshot(),
             MessageKind.GET_BULLETIN.value: self._handle_get_bulletin,
             MessageKind.COMMIT_WINDOW.value: self._handle_commit_window,
             MessageKind.FETCH_RECEIPT_CHAIN.value:
                 _offload(self._handle_fetch_receipt_chain),
             MessageKind.RUN_ROUND.value: self._run_round,
-            MessageKind.QUERY.value: (
-                self._handle_query_qserve if qserve is not None
-                else _offload(self._handle_query)),
+            MessageKind.QUERY.value: self._handle_query,
         }, host, port, max_frame_size=max_frame_size,
             request_timeout=request_timeout, idle_timeout=idle_timeout,
             max_connections=max_connections)
 
     async def _open(self) -> None:
         self._round_lock = asyncio.Lock()
-        if self.qserve is not None:
-            await self.qserve.start()
+        await self.qserve.start()
 
     async def _close(self) -> None:
-        if self.qserve is not None:
-            await self.qserve.stop()
+        await self.qserve.stop()
 
     # -- handlers ------------------------------------------------------------
 
@@ -432,8 +432,7 @@ class ProverServer(FrameServer):
         """Service status plus the query service's stats."""
         return {
             "service": self.service.status(),
-            "qserve": (self.qserve.stats()
-                       if self.qserve is not None else None),
+            "qserve": self.qserve.stats(),
         }
 
     def _handle_get_bulletin(self, body: Body) -> Body:
@@ -466,28 +465,16 @@ class ProverServer(FrameServer):
             "flows": len(r.new_state),
         } for r in results]}
 
-    def _handle_query(self, body: Body) -> Body:
-        sql = _require(body, "sql", str)
-        round_index = body.get("round")
-        if round_index is not None and not isinstance(round_index, int):
-            raise ProtocolError("round must be an int or None")
-        response = self.service.answer_query(sql,
-                                             round_index=round_index)
-        return {"response": query_response_to_wire(response)}
+    async def _handle_query(self, body: Body) -> Body:
+        """QUERY through the query service.
 
-    async def _handle_query_qserve(self, body: Body) -> Body:
-        """QUERY through the multi-tenant serving layer.
-
-        Unlike :meth:`_handle_query` this never blocks an executor
-        thread per request: the request parks on the admission queue
-        and only the dispatcher's batched proving occupies one.
+        The request parks on the admission queue and only the
+        dispatcher's batched proving occupies an executor thread.
         Backpressure surfaces as the typed ``admission-rejected`` wire
         code via the normal error mapping in ``_process``.
         """
         sql = _require(body, "sql", str)
-        round_index = body.get("round")
-        if round_index is not None and not isinstance(round_index, int):
-            raise ProtocolError("round must be an int or None")
+        round_index = _round(body)
         tenant = body.get("tenant", "default")
         if tenant is None:
             tenant = "default"
@@ -509,6 +496,18 @@ def _since(body: Body) -> int:
         raise ProtocolError(
             f"since must be a non-negative int, got {since!r}")
     return since
+
+
+def _round(body: Body) -> int | None:
+    """The optional ``round`` of a query (``None`` means the latest)."""
+    round_index = body.get("round")
+    if round_index is not None and (isinstance(round_index, bool)
+                                    or not isinstance(round_index, int)
+                                    or round_index < 0):
+        raise ProtocolError(
+            f"round must be a non-negative int or None, got "
+            f"{round_index!r}")
+    return round_index
 
 
 def _require(body: Body, key: str, expected: type) -> Any:

@@ -72,7 +72,6 @@ AGG_SECONDS = "repro_agg_round_seconds"
 PARALLEL_PARTITIONS = "repro_parallel_partitions_total"
 SERVICE_FLOWS = "repro_service_flows"
 SERVICE_ROUNDS = "repro_service_rounds"
-SERVICE_QUERY_CACHE = "repro_service_query_cache_total"
 SERVICE_CHECKPOINTS = "repro_service_checkpoints_total"
 SERVICE_RESTORES = "repro_service_restores_total"
 
@@ -143,7 +142,6 @@ METRIC_LABELS: dict[str, tuple[str, ...]] = {
     PARALLEL_PARTITIONS: (),
     SERVICE_FLOWS: (),
     SERVICE_ROUNDS: (),
-    SERVICE_QUERY_CACHE: ("result",),
     SERVICE_CHECKPOINTS: ("outcome",),
     SERVICE_RESTORES: ("outcome",),
     ENGINE_JOBS: ("guest", "outcome"),

@@ -1,8 +1,8 @@
 """Multi-tenant query serving: admission, batching, result caching.
 
-The in-process query path (``ProverService.answer_query``) and the wire
-server treat every query as an independent, unmetered unit of work.
-This package adds the serving layer a multi-tenant deployment needs:
+The in-process query path (``ProverService.answer_query``) treats every
+query as an independent, unmetered unit of work; every wire server
+answers QUERY through this package's serving layer instead:
 
 * :mod:`.admission` — per-tenant token-bucket rate limits, a bounded
   in-flight count, and round-robin fairness across tenant FIFOs;

@@ -3,9 +3,8 @@
 
 The committed **root is part of the key**, so a diverged chain at the same round number can
 never replay a stale answer.  A persistent entry is served only when the key recomputed from the
-decoded response's own (sql, round, root) is the key that was looked up.
-``repro_qserve_cache_total`` starts when the query service calls :meth:`attach_store`, so a
-default in-process service emits none of it.
+decoded response's own (sql, round, root) is the key that was looked up.  Every lookup lands in
+``repro_qserve_cache_total{tier,result}``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class QueryResultCache(SealedCache):
             encode_query_response,
             store,
             memory_entries,
-            counted=False,
         )
 
     def get(self, sql: str, round_index: int, root: Digest) -> Any:

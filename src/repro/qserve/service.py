@@ -13,13 +13,13 @@ multi-tenant concerns the in-process query path never had:
   on an engine-backed service, two or more distinct compatible ones
   (same requested round, same committed root at admission) then share
   one partition scan
-  (:meth:`~repro.core.query_proof.QueryProver.prove_queries_partitioned`),
+  (:meth:`~repro.core.prover_service.ProverService.prove_queries`),
   while every query still receives its own standalone receipt.
-* **Result caching** (:mod:`.cache`): the service promotes the prover
-  service's :class:`~repro.qserve.cache.QueryResultCache` to the
-  shared persistent tier and turns on its counters, so identical
-  (sql, round, root) requests — from any tenant, before or after a
-  restart — replay a proven response without touching a prover.
+* **Result caching** (:mod:`.cache`): every query consults the prover
+  service's :class:`~repro.qserve.cache.QueryResultCache` (memory over
+  the store's checkpoint KV), so identical (sql, round, root) requests
+  — from any tenant, before or after a restart — replay a proven
+  response without touching a prover.
 
 All bookkeeping is loop-affine: :meth:`submit` and the dispatcher run
 on the server's event loop, and only the proving itself
@@ -30,6 +30,7 @@ keeps a slow query from stalling concurrent STATUS/METRICS requests.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Any
@@ -82,14 +83,7 @@ class QueryService:
         # Batched proving needs the engine's fan-out queue; without one
         # the service still admits, caches, and fair-queues — it just
         # proves each query serially off-loop.
-        engine = getattr(service, "engine", None)
-        self._fanout_prover = None
-        if engine is not None:
-            from ..core.query_proof import QueryProver
-            self._fanout_prover = QueryProver(engine.opts, engine=engine)
-        # The shared tiers: persistence + counters are the query
-        # service's contract; attaching the store turns both on.
-        service.query_cache.attach_store(service.store)
+        self._batched = service.engine is not None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
@@ -183,10 +177,9 @@ class QueryService:
             "max_inflight": self._admission.max_inflight,
             "queued": len(self._admission.queue),
             "tenant_rate": self._admission.tenant_rate,
-            "batch": self._fanout_prover is not None,
+            "batch": self._batched,
             "batch_window": self.batch_window,
             "batch_max": self.batch_max,
-            "cache": self.service.query_cache.stats(),
         }
 
     # -- dispatcher ----------------------------------------------------------
@@ -280,7 +273,7 @@ class QueryService:
                 return outcomes
             sqls = list(pending)
             round_index = tickets[0].round_index
-            if self._fanout_prover is not None and len(sqls) > 1:
+            if self._batched and len(sqls) > 1:
                 span.set("strategy", "batched")
                 results = self._prove_batched(sqls, round_index,
                                               registry)
@@ -305,21 +298,8 @@ class QueryService:
         """
         counter = registry.counter(obs_names.QSERVE_BATCHED,
                                    ("outcome",))
-
-        def attempt() -> list[Any]:
-            state, receipt = self.service.query_state(round_index)
-            partitions = self.service.query_partitions \
-                or DEFAULT_BATCH_PARTITIONS
-            if len(state) <= 1:
-                # A 1-entry state cannot be partitioned; prove each
-                # query serially (still off-loop, still cached).
-                return [self._prove_serial(sql, round_index)
-                        for sql in sqls]
-            outcomes = self._fanout_prover.prove_queries_partitioned(
-                sqls, state, receipt, partitions)
-            return [outcome if isinstance(outcome, Exception)
-                    else outcome[0] for outcome in outcomes]
-
+        attempt = functools.partial(self.service.prove_queries, sqls,
+                                    round_index)
         try:
             results = attempt()
         except Exception as exc:

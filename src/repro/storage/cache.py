@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 class SealedCache:
     """Locked LRU memory tier over an optional sealed checkpoint-KV tier: ``prefix`` names the
     checkpoints, ``counter`` the ``(tier, result)`` counter and ``encode`` the payload of a
-    value; with ``counted=False`` the counter starts at :meth:`attach_store`."""
+    value."""
 
     def __init__(
         self,
@@ -37,7 +37,6 @@ class SealedCache:
         encode: Callable[[Any], bytes],
         store: LogStore | None = None,
         memory_entries: int = 256,
-        counted: bool = True,
     ) -> None:
         if memory_entries < 1:
             raise ConfigurationError("memory_entries must be >= 1")
@@ -46,19 +45,10 @@ class SealedCache:
         self._encode = encode
         self._store = store
         self._persistent_ok = store is not None
-        self._counted = counted
         self._memory: OrderedDict[bytes, Any] = OrderedDict()
         self._memory_max = memory_entries
         self._lock = threading.Lock()
         self._hits = self._misses = self._stores = self._evictions = 0
-
-    def attach_store(self, store: LogStore | None) -> None:
-        """Late-bind a persistent tier (a no-op when one is attached) and start the counter."""
-        with self._lock:
-            if self._store is None and store is not None:
-                self._store = store
-                self._persistent_ok = True
-            self._counted = True
 
     def lookup(self, key: Digest, accept: Callable[[bytes], Any]) -> Any:
         """The value cached under ``key``, or ``None``.
@@ -123,8 +113,7 @@ class SealedCache:
             }
 
     def _count(self, tier: str, result: str) -> None:
-        if self._counted:
-            obs.registry().counter(self._counter, ("tier", "result")).inc(tier=tier, result=result)
+        obs.registry().counter(self._counter, ("tier", "result")).inc(tier=tier, result=result)
 
     def _remember(self, key: Digest, value: Any) -> None:
         """Insert into the LRU (caller holds the lock)."""

@@ -269,7 +269,7 @@ class TestStatusEndpoint:
         assert set(body) == {"service", "qserve"}
         assert body["service"]["rounds"] == 0
         assert body["service"]["quarantined"] == []
-        assert "query_cache_max" in body["service"]
+        assert body["service"]["query_cache"]["memory_max"] == 256
 
     def test_client_transport_fault_site_retries(self, deployment):
         """A net.transport fault on the first attempt is absorbed by

@@ -108,7 +108,7 @@ class TestQServeLoad:
         assert stats["queued"] == 0
         # The cache did real coalescing work: far fewer proofs than
         # clients.
-        assert stats["cache"]["hits"] > 0
+        assert service.status()["query_cache"]["hits"] > 0
 
     async def _flood(self, server):
         async def one(index: int):

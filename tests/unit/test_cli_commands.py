@@ -16,6 +16,7 @@ from repro.cli import (
 from repro.cli.commands.serve import ServeCommand
 from repro.cli.commands.worker import WorkerCommand
 from repro.errors import ConfigurationError
+from repro.qserve import QueryService
 from repro.storage import SqliteLogStore
 
 EXPECTED_COMMANDS = (
@@ -139,9 +140,13 @@ class TestEveryCommandSmokeRuns:
         metrics_out = tmp_path / "metrics.json"
 
         served = []
-        monkeypatch.setattr(
-            ServeCommand, "_serve",
-            lambda self, server, service, args: served.append("serve"))
+        query_services = []
+
+        def serve(self, server, service, args):
+            served.append("serve")
+            query_services.append(server.qserve)
+
+        monkeypatch.setattr(ServeCommand, "_serve", serve)
         monkeypatch.setattr(
             WorkerCommand, "_serve",
             lambda self, server, store, args: served.append("worker"))
@@ -191,6 +196,11 @@ class TestEveryCommandSmokeRuns:
             assert ("after", name) in hook.events
 
         assert served == ["serve", "worker"]
+        # Without --max-inflight, serve still answers through a query
+        # service, bounded at 64 queries in flight.
+        (qserve,) = query_services
+        assert isinstance(qserve, QueryService)
+        assert qserve.stats()["max_inflight"] == 64
         assert bundle_path.exists()
         assert query_receipt.exists()
         assert metrics_out.exists()

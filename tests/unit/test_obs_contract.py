@@ -42,7 +42,7 @@ E2E_METRIC_LABELS = {
     "repro_agg_round_seconds": ("strategy",),
     "repro_service_flows": (),
     "repro_service_rounds": (),
-    "repro_service_query_cache_total": ("result",),
+    "repro_qserve_cache_total": ("tier", "result"),
     "repro_query_proofs_total": (),
     "repro_query_prove_seconds": (),
 }
@@ -150,9 +150,12 @@ class TestEndToEndContract:
             sql = "SELECT COUNT(*) FROM clogs"
             service.answer_query(sql)
             service.answer_query(sql)
-            cache = cap.registry.get("repro_service_query_cache_total")
-            assert cache.value(result="miss") == 1
-            assert cache.value(result="hit") == 1
+            cache = cap.registry.get("repro_qserve_cache_total")
+            assert cache.value(tier="memory", result="miss") == 1
+            assert cache.value(tier="persistent", result="miss") == 1
+            assert cache.value(tier="memory", result="store") == 1
+            assert cache.value(tier="persistent", result="store") == 1
+            assert cache.value(tier="memory", result="hit") == 1
 
     def test_disabled_by_default_emits_nothing(self, service_round):
         service, _ = service_round
@@ -393,12 +396,10 @@ QSERVE_SPANS = {"qserve.admit", "qserve.batch"}
 class TestQServeContract:
     """The multi-tenant serving namespace, pinned like the others.
 
-    The query service is explicit opt-in (a ``QueryService`` in front
-    of the prover service), so these names never appear for a default
-    service — the sequential contract above stays intact.  The cache
-    counters ride the same gate: ``repro_qserve_cache_total`` is
-    emitted only once a query service enables observation on the
-    shared result cache.
+    Every ``ProverServer`` answers QUERY through a ``QueryService``;
+    the result cache's ``repro_qserve_cache_total`` belongs to the
+    prover service itself, so the in-process contract above carries it
+    too.
     """
 
     def _serve_queries(self, qserve, plan):
@@ -542,7 +543,7 @@ class TestQServeContract:
             qstats = status["qserve"]
             assert qstats["max_inflight"] == 64
             assert qstats["inflight"] == 0
-            assert qstats["cache"]["persistent"] is True
+            assert status["service"]["query_cache"]["persistent"] is True
 
 
 CLUSTER_METRIC_LABELS = {

@@ -353,8 +353,8 @@ class TestQueries:
         # Touch q1 so q2 becomes the least recently used...
         assert service.answer_query(q1) is first
         service.answer_query(q3)  # ...and is evicted here.
-        assert service.status()["cached_queries"] == 2
-        assert service.status()["query_cache_max"] == 2
+        assert service.status()["query_cache"]["memory_entries"] == 2
+        assert service.status()["query_cache"]["memory_max"] == 2
         assert service.answer_query(q1) is first       # survived
         assert service.answer_query(q2) is not None    # re-proved
         with pytest.raises(ConfigurationError):

@@ -316,20 +316,6 @@ class TestQueryResultCache:
         assert cache.get(response.sql, response.round,
                          response.root) is response
 
-    def test_attach_store_is_late_bind_only(self):
-        (response,) = _responses(1)
-        store = MemoryLogStore()
-        cache = QueryResultCache()  # memory-only
-        assert cache.stats()["persistent"] is False
-        cache.attach_store(store)
-        assert cache.stats()["persistent"] is True
-        cache.put(response)
-        # Second attach is a no-op: entries stay in the first store.
-        cache.attach_store(MemoryLogStore())
-        fresh = QueryResultCache(store=store)
-        assert fresh.get(response.sql, response.round,
-                         response.root) is not None
-
     def test_clear_drops_memory_keeps_persistent(self):
         (response,) = _responses(1)
         store = MemoryLogStore()

@@ -43,7 +43,6 @@ class Receipts:
     cache = ReceiptCache
     prefix = "receipt-cache"
     counter = "repro_engine_cache_total"
-    counted_before_attach = True
 
     def __init__(self) -> None:
         self.jobs = [echo_job(f"sealed-{i}") for i in range(3)]
@@ -65,7 +64,6 @@ class Answers:
     cache = QueryResultCache
     prefix = "query-results"
     counter = "repro_qserve_cache_total"
-    counted_before_attach = False
 
     def __init__(self) -> None:
         self.responses = _responses(3)
@@ -147,26 +145,20 @@ class TestSealedCacheContract:
             assert codec.get(cache, 0) is None
             assert cache.stats()["persistent"] is False
 
-    def test_attach_store_is_late_bind_only_and_starts_the_counter(self, codec):
-        cache = codec.cache()
-        with obs.capture() as cap:
-            assert codec.get(cache, 0) is None
-        assert (cap.registry.get(codec.counter) is not None) == codec.counted_before_attach
+    def test_every_lookup_is_counted(self, codec):
         store = MemoryLogStore()
+        cache = codec.cache(store=store)
         with obs.capture() as cap:
-            cache.attach_store(store)
-            assert cache.stats()["persistent"] is True
             assert codec.get(cache, 1) is None
             codec.put(cache, 1)
-            cache.attach_store(MemoryLogStore())
-            codec.put(cache, 2)
+            assert codec.get(cache, 1) is not None
         counter = cap.registry.get(codec.counter)
         assert counter.value(tier="memory", result="miss") == 1
         assert counter.value(tier="persistent", result="miss") == 1
-        assert counter.value(tier="persistent", result="store") == 2
-        assert store.checkpoint_names() == sorted(
-            f"{codec.prefix}/{codec.key(i).hex()}" for i in (1, 2)
-        )
+        assert counter.value(tier="memory", result="store") == 1
+        assert counter.value(tier="persistent", result="store") == 1
+        assert counter.value(tier="memory", result="hit") == 1
+        assert store.checkpoint_names() == [f"{codec.prefix}/{codec.key(1).hex()}"]
 
 
 SQL = "SELECT COUNT(*), SUM(packets) FROM clogs"
@@ -197,12 +189,10 @@ def _checkpointed_rounds():
     return dict(counts), store.get_checkpoint(DEFAULT_CHECKPOINT)
 
 
-def _served(attach):
+def _served():
     store, bulletin, _ = make_committed_records(20, seed=3)
     service = ProverService(store, bulletin)
     service.aggregate_all_committed()
-    if attach:
-        service.query_cache.attach_store(store)
     return _cold_then_warm(lambda: service.answer_query(SQL))
 
 
@@ -223,19 +213,18 @@ class TestCountedDurableIO:
     (7,767 -> 7,566 bytes, new SHA-256) when chain links stopped carrying copies of
     ``new_root``/``size``/``record_count`` beside the receipt whose journal commits them,
     and again (7,566 -> 7,512 bytes) when the checkpoint stopped carrying the
-    aggregated-window list that restore now reads off the round headers.
+    aggregated-window list that restore now reads off the round headers.  A default
+    service's query cache persists in its own store, so a cold query costs the numbers a
+    store attached by the query service used to.
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
     CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7512}
     CHECKPOINT_SHA256 = "349f541cb0632b7fbb11b0c297fa01d21591bad2d0a6e9db6c329fd543df9939"
 
-    def test_default_service_query_touches_no_kv(self):
-        assert _served(attach=False) == (self.NONE, self.NONE)
-
-    def test_attached_query_cache_reads_and_writes_once_when_cold(self):
+    def test_query_reads_and_writes_once_when_cold(self):
         cold = {"get_checkpoint": 1, "put_checkpoint": 1, "checkpoint_bytes": 937}
-        assert _served(attach=True) == (cold, self.NONE)
+        assert _served() == (cold, self.NONE)
 
     def test_checkpointed_rounds_then_restore(self):
         counts, blob = _checkpointed_rounds()

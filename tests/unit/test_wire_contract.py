@@ -43,8 +43,11 @@ from repro.net.messages import (
     reply_body,
     request,
 )
+from repro.qserve import QueryService
 from repro.storage import MemoryLogStore
 from repro.zkvm import ExecutorEnvBuilder, GuestProgram
+
+from ..conftest import make_committed_records
 
 IDLE = 0.3
 MAX_FRAME = 4096
@@ -151,6 +154,64 @@ class TestServerTelemetry:
             request(1, "no-such-kind").to_bytes()))
         assert server.requests_served == 1
         assert server.errors_returned == 1
+
+    def test_metrics_is_served(self, server):
+        (reply,) = _exchange(server, encode_frame(
+            request(2, "metrics").to_bytes()))
+        assert (reply.type, reply.request_id, reply.kind) == \
+            ("ok", 2, "metrics")
+        assert set(reply.body) == {"enabled", "metrics"}
+
+
+# -- the prover's one query path ---------------------------------------------
+
+SQL = "SELECT COUNT(*) FROM clogs"
+
+
+@pytest.fixture(scope="module")
+def proven():
+    """A default prover server over one proven round."""
+    store, bulletin, _ = make_committed_records(12)
+    service = ProverService(store, bulletin)
+    service.aggregate_all_committed()
+    with ProverServer(service) as live:
+        yield live
+
+
+def _query(server, **fields):
+    (reply,) = _exchange(server, encode_frame(
+        request(1, "query", {"sql": SQL, **fields}).to_bytes()))
+    return reply
+
+
+class TestQueryService:
+    def test_default_server_reports_its_query_service(self, proven):
+        assert isinstance(proven.qserve, QueryService)
+        (reply,) = _exchange(proven, encode_frame(
+            request(1, "status").to_bytes()))
+        assert reply.type == "ok"
+        assert reply.body["qserve"]["max_inflight"] == 64
+        assert reply.body["service"]["query_cache"]["persistent"] is True
+
+    @pytest.mark.parametrize("round_index", [True, False, -1],
+                             ids=["true", "false", "negative"])
+    def test_round_must_be_a_non_negative_int(self, proven,
+                                              round_index):
+        reply = _query(proven, round=round_index)
+        assert reply.type == "err"
+        assert reply.body == {
+            "code": "bad-request",
+            "message": f"round must be a non-negative int or None, "
+                       f"got {round_index!r}"}
+
+    def test_latest_round_is_answered(self, proven):
+        assert _query(proven).type == "ok"
+        assert _query(proven, round=None).type == "ok"
+
+    def test_tenant_must_be_a_string(self, proven):
+        reply = _query(proven, tenant=7)
+        assert reply.type == "err"
+        assert reply.body["code"] == "bad-request"
 
 
 # -- the worker proves off the event loop ------------------------------------
