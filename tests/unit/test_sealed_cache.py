@@ -214,15 +214,26 @@ class TestCountedDurableIO:
     ``new_root``/``size``/``record_count`` beside the receipt whose journal commits them,
     and again (7,566 -> 7,512 bytes) when the checkpoint stopped carrying the
     aggregated-window list that restore now reads off the round headers.  A default
-    service's query cache persists in its own store, so a cold query costs the numbers a
-    store attached by the query service used to.
+    service's query cache is attached to its own store from construction, so a cold query
+    costs the numbers an explicitly attached store used to; once answered, the query is
+    served from memory and touches no KV.
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
     CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7512}
     CHECKPOINT_SHA256 = "349f541cb0632b7fbb11b0c297fa01d21591bad2d0a6e9db6c329fd543df9939"
 
-    def test_query_reads_and_writes_once_when_cold(self):
+    def test_default_service_query_touches_no_kv(self):
+        store, bulletin, _ = make_committed_records(20, seed=3)
+        service = ProverService(store, bulletin)
+        service.aggregate_all_committed()
+        first = service.answer_query(SQL)
+        with count_durable_io() as counts:
+            repeats = [service.answer_query(SQL) for _ in range(3)]
+        assert dict(counts) == self.NONE
+        assert all(r.claim == first.claim for r in repeats)
+
+    def test_attached_query_cache_reads_and_writes_once_when_cold(self):
         cold = {"get_checkpoint": 1, "put_checkpoint": 1, "checkpoint_bytes": 937}
         assert _served() == (cold, self.NONE)
 
