@@ -78,8 +78,10 @@ class ServeCommand:
                             default=0.005,
                             help="seconds a query waits to batch "
                                  "with compatible ones into one shared "
-                                 "scan (batching needs an engine, e.g. "
-                                 "--query-partitions)")
+                                 "scan; applies only where batching "
+                                 "exists, i.e. with an engine (e.g. "
+                                 "--query-partitions); without one a "
+                                 "query is proven at once")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
         from ...net import ProverServer

@@ -137,24 +137,46 @@ def register(command: Command | type) -> Command | type:
 
 
 def serve_until_interrupted(server: Any, details: str) -> None:
-    """Bind a frame server, print its banner, serve until Ctrl-C.
+    """Bind a frame server, print its banner, serve until Ctrl-C or
+    SIGTERM.
 
     The one foreground runner of the long-running commands (``serve``,
     ``worker``); the banner names the bound port, so ``--port 0``
-    callers can read it.
+    callers can read it.  Either signal stops the server through
+    :meth:`~repro.net.server.FrameServer.stop`, so what it started (a
+    worker's process pool, a query service) is shut down before exit.
     """
     import asyncio
+    import signal
 
     async def run() -> None:
         await server.start()
         print(f"{server.label} listening on {server.endpoint} "
               f"({details})", flush=True)
-        await server.serve_forever()
+        serving = asyncio.ensure_future(server.serve_forever())
+        terminated = False
+
+        def terminate() -> None:
+            nonlocal terminated
+            terminated = True
+            serving.cancel()
+
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, terminate)
+        try:
+            await serving
+        except asyncio.CancelledError:
+            if not terminated:
+                raise
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+            await server.stop()
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
-        print("shutting down")
+        pass
+    print("shutting down")
 
 
 class CommandInvoker:

@@ -10,6 +10,7 @@ and can run off-path, at whatever cadence resources allow.
 from __future__ import annotations
 
 import logging
+import threading
 from typing import Any
 
 from ..commitments import BulletinBoard
@@ -83,6 +84,10 @@ class ProverService:
         self.policy = policy
         self.state = CLogState()
         self.chain = AggregationChain()
+        # A round commits its state and chain link together, and a
+        # query reads the pair together: a query proving beside a
+        # round binds one round's state to that round's receipt.
+        self._commit_lock = threading.Lock()
         self.retain_history = retain_history
         self._history: dict[int, CLogState] = {}
         # The engine is opt-in and *explicit*: a default service must
@@ -288,11 +293,12 @@ class ProverService:
         consumed = sorted(result.windows)
         for window_index in consumed:
             self._quarantined.pop(window_index, None)
-        self.state = result.new_state
-        if self.retain_history:
-            self._history[result.round] = result.new_state
-        self.chain.append(ChainLink(round=result.round,
-                                    receipt=result.receipt))
+        with self._commit_lock:
+            self.state = result.new_state
+            if self.retain_history:
+                self._history[result.round] = result.new_state
+            self.chain.append(ChainLink(round=result.round,
+                                        receipt=result.receipt))
         self._aggregated_windows.update(consumed)
         self.last_prove_info = result.info
         registry = obs.registry()
@@ -423,11 +429,13 @@ class ProverService:
         attests.  Historical rounds need ``retain_history=True``; note
         the *cache* path deliberately does not require it (a cached historical answer replays fine
         without the retained state), which is why this is separate
-        from :meth:`resolve_query_round`.
+        from :meth:`resolve_query_round`.  The latest round, named or
+        not, is always the service's own state.
         """
-        effective_round, _ = self.resolve_query_round(round_index)
-        if round_index is None:
-            return self.state, self.chain.latest.receipt
+        with self._commit_lock:
+            effective_round, _ = self.resolve_query_round(round_index)
+            if effective_round == len(self.chain) - 1:
+                return self.state, self.chain.latest.receipt
         historical = self._history.get(round_index)
         if historical is None:
             raise ProofError(

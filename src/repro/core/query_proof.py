@@ -29,6 +29,7 @@ from typing import Any
 
 from ..errors import ConfigurationError, ProofError
 from ..hashing import Digest
+from ..merkle.memo import DigestMemo
 from ..obs import names as obs_names
 from ..obs import runtime as obs
 from ..serialization import DictLayout
@@ -48,14 +49,31 @@ from .journals import QueryJournal
 # without the generic encoder walking a fresh dict per entry.
 _ENTRY_FRAME = DictLayout(("key", "payload"))
 
+#: Committed states whose encoded entry frames one process keeps: the
+#: latest root and one more (a historical query, or the root a new
+#: round just replaced); ~0.5 MiB each at a few thousand entries.
+ENTRY_FRAME_MEMO_CAPACITY = 2
 
-def _write_entry_frames(builder: ExecutorEnvBuilder, state: CLogState,
-                        start: int = 0, stop: int | None = None) -> None:
-    """The guest input frames of the entries in slots ``[start, stop)``
-    (:meth:`CLogState.entry_frames`, encoded)."""
-    encode_frame = _ENTRY_FRAME.encode
-    for item in state.merkle_map.slot_items(start, stop):
-        builder.write_frame(encode_frame(item))
+# Root -> the state's entry frames in slot order.  A root binds every
+# slot's key and payload, so the frames kept under it are those of any
+# state with that root; and a wrong frame could only make a guest
+# abort, never prove.
+ENTRY_FRAMES: DigestMemo[tuple[bytes, ...]] = \
+    DigestMemo(ENTRY_FRAME_MEMO_CAPACITY)
+
+
+def entry_frames(state: CLogState) -> tuple[bytes, ...]:
+    """The guest input frames of every entry of ``state``, in slot
+    order (:meth:`CLogState.entry_frames`, encoded): encoded once per
+    committed root, then read from :data:`ENTRY_FRAMES`."""
+    root = state.root.raw
+    frames = ENTRY_FRAMES.get(root)
+    if frames is None:
+        encode_frame = _ENTRY_FRAME.encode
+        frames = tuple(encode_frame(item)
+                       for item in state.merkle_map.slot_items())
+        ENTRY_FRAMES.put(root, frames)
+    return frames
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,7 @@ class QueryProver:
             builder = ExecutorEnvBuilder()
             builder.write({"query": sql, "num_entries": len(state)})
             builder.write(make_receipt_binding(agg_receipt))
-            _write_entry_frames(builder, state)
+            builder.write_frames(entry_frames(state))
             info = self._prover.prove(query_guest, builder.build())
             receipt = resolve(info.receipt, agg_receipt)
             span.add_cycles(info.stats.total_cycles)
@@ -248,6 +266,7 @@ class QueryProver:
         chunk = 1 << chunk_po2
         tree = state.merkle_map.tree
         binding = make_receipt_binding(agg_receipt)
+        frames = entry_frames(state)
 
         start = time.perf_counter()
         tracer = obs.tracer()
@@ -272,7 +291,7 @@ class QueryProver:
                             chunk_po2, index).siblings),
                     })
                     builder.write(binding)
-                    _write_entry_frames(builder, state, lo, hi)
+                    builder.write_frames(frames[lo:hi])
                     jobs.append(ProofJob.from_parts(
                         query_partition_guest, builder.build(),
                         self._opts))

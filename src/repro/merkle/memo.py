@@ -21,6 +21,15 @@ in the guests.
 
 The cache is a bounded LRU so long-running daemons (serve/worker) cannot
 grow it without limit; eviction only costs a re-hash later.
+
+One level up, a guest that builds a whole tree from leaves another
+execution already built from (every cold query at one committed root
+rebuilds the same tree) need not walk the levels node by node at all:
+:data:`BUILT_LEVELS` keeps the interior levels of the last few leaf
+sequences a metered hasher built, keyed by that exact digest sequence.
+:class:`~repro.merkle.tree.MerkleTree` replays them and charges the
+same node count in one meter call, so cycles and compressions match
+the walk.
 """
 
 from __future__ import annotations
@@ -100,6 +109,16 @@ class DigestMemo(Generic[V]):
 _NODE_MEMO: DigestMemo[Digest] = DigestMemo()
 _LEAF_MEMO: DigestMemo[Digest] = DigestMemo()
 
+#: Leaf sequences whose built levels one process keeps.  An entry costs
+#: about 100 bytes per leaf (the 32-byte key slice plus the interior
+#: nodes), so ~1 MiB for four trees of a few thousand leaves; a guest
+#: that builds no tree twice only pays the key join per build.
+LEVEL_MEMO_CAPACITY = 4
+
+# Concatenated leaf digests -> (interior levels bottom-up, node count).
+BUILT_LEVELS: DigestMemo[tuple[tuple[tuple[Digest, ...], ...], int]] = \
+    DigestMemo(LEVEL_MEMO_CAPACITY)
+
 
 def node_digest(left: Digest, right: Digest) -> Digest:
     """``tagged_hash(TAG_NODE, left || right)`` with cross-round memo."""
@@ -125,6 +144,7 @@ def clear_memos() -> None:
     """Drop all cached digests (tests and memory-pressure escapes)."""
     _NODE_MEMO.clear()
     _LEAF_MEMO.clear()
+    BUILT_LEVELS.clear()
 
 
 def memo_stats() -> dict[str, dict[str, int]]:

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from ..errors import MerkleError
 from ..hashing import Digest
+from . import memo
 from .hasher import MerkleHasher, default_hasher
 from .proof import InclusionProof, MultiProof, SubtreeProof
 
@@ -222,7 +223,31 @@ class MerkleTree:
         return tuple(siblings)
 
     def _build_levels(self) -> None:
-        """Hash every level above the leaves (construction only)."""
+        """Hash every level above the leaves (construction only).
+
+        A hasher with ``charge_nodes`` (the guests' metered one) replays
+        the levels of a leaf sequence built before from
+        :data:`memo.BUILT_LEVELS` and pays for them in one call with
+        the node count the walk would have charged.
+        """
+        charge_nodes = getattr(self._hasher, "charge_nodes", None)
+        if charge_nodes is None or self.size < 2:
+            self._hash_levels()
+            return
+        key = b"".join([leaf.raw for leaf in self._levels[0]])
+        known = memo.BUILT_LEVELS.get(key)
+        if known is None:
+            nodes = self._hash_levels()
+            memo.BUILT_LEVELS.put(
+                key, (tuple(map(tuple, self._levels[1:])), nodes))
+            return
+        levels, nodes = known
+        charge_nodes(nodes)
+        self._levels.extend(list(level) for level in levels)
+
+    def _hash_levels(self) -> int:
+        """Hash the levels node by node; returns how many nodes."""
+        nodes = 0
         for height in range(max(self.size - 1, 0).bit_length()):
             below = self._levels[height]
             above: list[Digest] = []
@@ -231,7 +256,9 @@ class MerkleTree:
                 right = below[i + 1] if i + 1 < len(below) \
                     else self._empty[height]
                 above.append(self._hasher.node(left, right))
+            nodes += len(above)
             self._levels.append(above)
+        return nodes
 
     def _update_path(self, index: int) -> None:
         pos = index

@@ -9,12 +9,15 @@ multi-tenant concerns the in-process query path never had:
   ``admission-rejected`` wire error instead of unbounded queueing, and
   a hot tenant only ever drains its own FIFO — the dispatcher serves
   tenants round-robin.
-* **Batching**: admitted queries wait up to ``batch_window`` seconds;
-  on an engine-backed service, two or more distinct compatible ones
-  (same requested round, same committed root at admission) then share
+* **Batching** (engine-backed services only): admitted queries wait
+  up to ``batch_window`` seconds, then two or more distinct compatible
+  ones (same requested round, same committed root at admission) share
   one partition scan
   (:meth:`~repro.core.prover_service.ProverService.prove_queries`),
-  while every query still receives its own standalone receipt.
+  while every query still receives its own standalone receipt.  A
+  service without an engine has nothing to batch: it does not linger,
+  and proves each distinct query on its own, answering it (and every
+  identical one queued with it) as soon as that proof is done.
 * **Result caching** (:mod:`.cache`): every query consults the prover
   service's :class:`~repro.qserve.cache.QueryResultCache` (memory over
   the store's checkpoint KV), so identical (sql, round, root) requests
@@ -191,9 +194,10 @@ class QueryService:
             if self._closed:
                 return
             while len(self._admission.queue):
-                await self._linger()
-                if self._closed:
-                    return
+                if self._batched:
+                    await self._linger()
+                    if self._closed:
+                        return
                 tickets = list(
                     self._admission.queue.drain(self.batch_max))
                 for group in self._group(tickets):
@@ -230,19 +234,22 @@ class QueryService:
                 return
             self._wake.clear()
 
-    @staticmethod
-    def _group(tickets: list[_Ticket]) -> list[list[_Ticket]]:
+    def _group(self, tickets: list[_Ticket]) -> list[list[_Ticket]]:
         """Split a drained batch into provable groups.
 
         Compatible = same requested round *and* same committed root at
         admission: a batch shares partition scans, so every member must
         bind the same state.  (For "latest" requests that straddle a
         new round, the root differs and they simply prove separately.)
+        Without an engine nothing shares a scan, so a group is one SQL
+        string: its tickets are answered when its own proof is done.
         """
-        groups: dict[tuple[Any, bytes], list[_Ticket]] = {}
+        groups: dict[tuple[Any, ...], list[_Ticket]] = {}
         for ticket in tickets:
-            groups.setdefault(
-                (ticket.round_index, ticket.root.raw), []).append(ticket)
+            key: tuple[Any, ...] = (ticket.round_index, ticket.root.raw)
+            if not self._batched:
+                key += (ticket.sql,)
+            groups.setdefault(key, []).append(ticket)
         return list(groups.values())
 
     # -- proving (executor thread) -------------------------------------------
@@ -333,10 +340,12 @@ class QueryService:
 
     def _prove_serial(self, sql: str,
                       round_index: int | None) -> Any:
-        """One query through the ordinary service path (handles its
-        own caching); exceptions become that query's answer."""
+        """One query through the ordinary service path, which files
+        the answer; exceptions become that query's answer.  The caller
+        has just missed the cache, so it is not looked up again."""
         try:
-            return self.service.answer_query(sql, round_index)
+            return self.service.answer_query(sql, round_index,
+                                             use_cache=False)
         except Exception as exc:
             return exc
 

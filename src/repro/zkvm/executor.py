@@ -9,7 +9,7 @@ derives the segment digest chain that the prover later commits to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..errors import GuestAbort
 from ..hashing import TAG_INPUT, TAG_SEGMENT, Digest, hash_many, tagged_hash
@@ -51,6 +51,12 @@ class ExecutorEnvBuilder:
 
     def write_frame(self, frame: bytes) -> "ExecutorEnvBuilder":
         self._frames.append(bytes(frame))
+        return self
+
+    def write_frames(self, frames: Iterable[bytes]
+                     ) -> "ExecutorEnvBuilder":
+        """:meth:`write_frame` for each of ``frames``, in order."""
+        self._frames.extend(map(bytes, frames))
         return self
 
     def build(self) -> ExecutorInput:

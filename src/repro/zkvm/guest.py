@@ -27,7 +27,7 @@ from __future__ import annotations
 import dis
 import inspect
 from functools import cached_property
-from types import CodeType, FunctionType
+from types import CodeType, FunctionType, MappingProxyType
 from typing import Any, Callable, Iterator
 
 from ..errors import ConfigurationError
@@ -41,6 +41,37 @@ from ..merkle import memo as merkle_memo
 from ..serialization import decode, encode
 from . import cycles as cy
 from .receipt import Assumption
+
+
+#: Distinct input frames whose decoded values one process keeps (a CLog
+#: entry frame is ~150 bytes and decodes to ~0.5 KiB, so ~2.5 MiB when
+#: full): every cold query at one committed root reads the same entry
+#: frames.
+FRAME_MEMO_CAPACITY = 1 << 12
+
+# Frame bytes -> the read-only dict they decode to.  Like the Merkle
+# digest memo it saves host CPU, never modeled cycles: ``read_batch``
+# charges the transfer before it looks a frame up.  Only dicts of
+# immutable scalars are kept, so no caller can change what another
+# one reads.
+DECODED_FRAMES: merkle_memo.DigestMemo[Any] = \
+    merkle_memo.DigestMemo(FRAME_MEMO_CAPACITY)
+
+_SCALARS = frozenset((bytes, str, int, float, bool, type(None)))
+
+
+def _decode_frame(frame: bytes) -> Any:
+    """``decode(frame)``, a dict read-only and from the memo if seen."""
+    value = DECODED_FRAMES.get(frame)
+    if value is not None:
+        return value
+    value = decode(frame)
+    if type(value) is not dict:
+        return value
+    view = MappingProxyType(value)
+    if all(type(item) in _SCALARS for item in value.values()):
+        DECODED_FRAMES.put(frame, view)
+    return view
 
 
 class GuestAbortSignal(Exception):
@@ -156,8 +187,10 @@ class CycleMeter:
         self.by_category[category] = \
             self.by_category.get(category, 0) + amount
 
-    def charge_sha(self, num_bytes: int, category: str) -> None:
-        blocks = cy.sha256_blocks(num_bytes)
+    def charge_sha(self, num_bytes: int, category: str,
+                   times: int = 1) -> None:
+        """Price ``times`` messages of ``num_bytes`` each."""
+        blocks = cy.sha256_blocks(num_bytes) * times
         self.sha_compressions += blocks
         self.charge(blocks * cy.SHA256_COMPRESS_CYCLES, category)
 
@@ -201,6 +234,8 @@ class GuestEnv:
         preserved, so the metered cycle total is identical to ``count``
         individual :meth:`read` calls.  A batch reaching past the end of
         input aborts before charging anything or consuming any frame.
+        A frame that decodes to a dict comes back read-only, from a
+        memo keyed by the frame's bytes when an earlier batch read it.
         """
         if count < 0:
             raise ConfigurationError("read_batch count must be non-negative")
@@ -216,7 +251,7 @@ class GuestEnv:
         self._frame_pos = end
         self._meter.charge(cy.io_cycles_batch([len(f) for f in frames]),
                            "io")
-        return [decode(f) for f in frames]
+        return [_decode_frame(f) for f in frames]
 
     @property
     def frames_remaining(self) -> int:
@@ -338,6 +373,12 @@ class MeteredMerkleHasher:
     def node(self, left: Digest, right: Digest) -> Digest:
         self._env.meter.charge_sha(self._NODE_INPUT_BYTES, self._category)
         return merkle_memo.node_digest(left, right)
+
+    def charge_nodes(self, count: int) -> None:
+        """Charge ``count`` :meth:`node` calls at once: the levels of a
+        tree replayed from the memo cost what hashing them did."""
+        self._env.meter.charge_sha(self._NODE_INPUT_BYTES, self._category,
+                                   count)
 
     def empty(self) -> Digest:
         return tagged_hash(TAG_EMPTY, b"")

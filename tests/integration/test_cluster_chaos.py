@@ -35,6 +35,7 @@ from repro.cluster import (
     QUARANTINED,
     ClusterDispatcher,
     ClusterOpts,
+    WorkerClient,
 )
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
@@ -272,3 +273,54 @@ class TestSeededFaultStorm:
             assert result.receipt.to_json_bytes() == \
                 execute_job(job).receipt.to_json_bytes()
         assert snap["leases"] == 0  # nothing stalled
+
+
+def descendants(pid: int) -> set[int]:
+    """Every live process below ``pid``, read off ``/proc``."""
+    found: set[int] = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            children = {int(p) for p in path.read_text().split()}
+        except OSError:  # the task exited meanwhile
+            continue
+        for child in children - found:
+            found |= {child} | descendants(child)
+    return found
+
+
+def running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                    reason="reads child processes off /proc")
+class TestWorkerSigterm:
+    def test_sigterm_stops_a_process_worker_and_its_pool(self):
+        """SIGTERM is a shutdown like Ctrl-C: the worker exits 0 with
+        "shutting down", and its forkserver, pool worker and resource
+        tracker go with it."""
+        with WorkerProc("--backend", "process") as worker:
+            with WorkerClient(worker.endpoint, timeout=10.0) as client:
+                client.submit_job(job_for(echo_guest, "sigterm"),
+                                  "lease-sigterm", 60_000)
+                deadline = time.monotonic() + 60
+                while client.poll_result("lease-sigterm")["state"] \
+                        == "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            children = descendants(worker.proc.pid)
+            assert children, "the proved job started no pool"
+            worker.proc.send_signal(signal.SIGTERM)
+            out, _ = worker.proc.communicate(timeout=30)
+            assert worker.proc.returncode == 0, out
+        assert "shutting down" in out
+        deadline = time.monotonic() + 30
+        while any(running(pid) for pid in children) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in children if running(pid)] == []

@@ -61,18 +61,26 @@ class TestHistoricalQueries:
         assert response.round == 2
 
     def test_without_retention_historical_refused(self):
+        """Round 0 of a two-round chain is history; the latest round,
+        named, is the service's own state and is answered."""
         store = MemoryLogStore()
         bulletin = BulletinBoard()
-        records = [make_record()]
-        store.append_records("r1", 0, records)
-        bulletin.publish(Commitment(
-            "r1", 0, window_digest([r.to_bytes() for r in records]),
-            1, 0))
+        for window in range(2):
+            records = [make_record(sport=1000 + window)]
+            store.append_records("r1", window, records)
+            bulletin.publish(Commitment(
+                "r1", window,
+                window_digest([r.to_bytes() for r in records]),
+                1, window * 5_000))
         service = ProverService(store, bulletin)  # no retention
         service.aggregate_window(0)
+        service.aggregate_window(1)
         with pytest.raises(ProofError, match="retain_history"):
             service.answer_query("SELECT COUNT(*) FROM clogs",
                                  round_index=0)
+        latest = service.answer_query("SELECT COUNT(*) FROM clogs",
+                                      round_index=1)
+        assert latest.round == 1
 
     def test_unknown_round_refused(self, service):
         with pytest.raises(ProofError):

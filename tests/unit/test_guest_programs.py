@@ -1,6 +1,8 @@
 """Unit tests for the telemetry guest programs, driven directly."""
 
 import hashlib
+from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.core.guest_programs import (
     verify_window_commitments,
 )
 from repro.core.policy import DEFAULT_POLICY
+from repro.core import query_proof
 from repro.core.query_proof import QueryProver
 from repro.core.rebuild import RebuildAggregator, rebuild_aggregation_guest
 from repro.core.sketch_proof import (
@@ -35,13 +38,27 @@ from repro.engine import ProvingEngine
 from repro.errors import ChainError, GuestAbort
 from repro.federation.join import FederationJoinProver
 from repro.hashing import sha256
+from repro.merkle.memo import clear_memos
 from repro.merkle.tree import EMPTY_ROOTS
 from repro.serialization import encode
 from repro.zkvm import ExecutorEnvBuilder, Prover, verify_receipt
-from repro.zkvm.guest import _called_helpers
+from repro.zkvm.guest import (
+    DECODED_FRAMES,
+    MeteredMerkleHasher,
+    _called_helpers,
+)
 
 from ..conftest import make_record
 from ..counting import count_host_work
+
+
+def clear_query_memos() -> None:
+    """Empty every memo a query reads from: the entry frames and views,
+    the decoded input frames and the Merkle digests and levels."""
+    query_proof.ENTRY_FRAMES.clear()
+    guest_programs.ENTRY_VIEWS.clear()
+    DECODED_FRAMES.clear()
+    clear_memos()
 
 
 def window_inputs(records_by_router: dict[str, list]):
@@ -381,8 +398,8 @@ class TestPinnedHostWork:
         {"encode": 3, "decode": 20, "decode_stream": 2, "_encode": 51,
          "_decode_fast": 112, "CLogEntry.to_payload": 0,
          "FlowKey.unpack": 9, "IPv4Address": 0},
-        {"encode": 3, "decode": 11, "decode_stream": 2, "_encode": 52,
-         "_decode_fast": 68, "CLogEntry.to_payload": 0,
+        {"encode": 3, "decode": 2, "decode_stream": 2, "_encode": 34,
+         "_decode_fast": 41, "CLogEntry.to_payload": 0,
          "FlowKey.unpack": 0, "IPv4Address": 0},
     )
 
@@ -398,8 +415,15 @@ class TestPinnedHostWork:
         9, and 0 for the other seams.  The host now encodes no frame
         dict (``encode`` one fewer per entry frame) and the second
         query decodes no payload (``decode`` one fewer per entry).
+
+        Every query memo is cleared first.  Before the entry frames
+        were encoded once per root and ``read_batch`` kept decoded
+        frames, the second query counted ``decode`` 11, ``_encode`` 52
+        and ``_decode_fast`` 68: it now encodes no entry frame (two
+        ``_encode`` fewer per entry) and decodes none (one ``decode``
+        and three ``_decode_fast`` fewer per entry).
         """
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_query_memos()
         counted = []
         for sql in self.QUERIES:
             with count_host_work() as counts:
@@ -408,6 +432,37 @@ class TestPinnedHostWork:
             counted.append(dict(counts))
         assert len(proven.new_state) == 9
         assert tuple(counted) == self.PINNED_QUERIES
+
+    def test_second_cold_query_at_a_root_redoes_no_root_work(self, proven):
+        """What depends only on the committed root is done once: a
+        second query at the same root encodes no entry frame, decodes
+        none (its two ``decode`` calls are the header and the receipt
+        binding) and hashes no tree node in the guest."""
+        clear_query_memos()
+        first, second = self.QUERIES
+        QueryProver().prove_query(first, proven.new_state, proven.receipt)
+        work = Counter()
+        encode_frame = query_proof._ENTRY_FRAME.encode
+        hash_node = MeteredMerkleHasher.node
+
+        class CountingLayout:
+            def encode(self, values):
+                work["entry frames encoded"] += 1
+                return encode_frame(values)
+
+        def counting_node(self, left, right):
+            work["node digests"] += 1
+            return hash_node(self, left, right)
+
+        with mock.patch.object(query_proof, "_ENTRY_FRAME",
+                               CountingLayout()), \
+                mock.patch.object(MeteredMerkleHasher, "node",
+                                  counting_node), \
+                count_host_work() as counts:
+            QueryProver().prove_query(second, proven.new_state,
+                                      proven.receipt)
+        assert work == Counter()
+        assert counts["decode"] == 2
 
 
 # Guest *inputs* are a contract too: ``input_digest`` is sealed into the

@@ -16,7 +16,8 @@ from repro.core.prover_service import DEFAULT_CHECKPOINT, ProverService
 from repro.engine import ProvingEngine, ReceiptCache, execute_job
 from repro.obs import runtime as obs
 from repro.qserve import QueryResultCache, result_cache_key
-from repro.storage import MemoryLogStore
+from repro.net import ProverServer, QueryClient
+from repro.storage import MemoryLogStore, SqliteLogStore
 
 from ..conftest import make_committed_records
 from ..counting import count_durable_io
@@ -196,6 +197,20 @@ def _served():
     return _cold_then_warm(lambda: service.answer_query(SQL))
 
 
+def _sqlite_served():
+    """A default ``ProverServer`` over a sqlite store holding one proven
+    round of :func:`_served`'s records."""
+    memory, bulletin, _ = make_committed_records(20, seed=3)
+    store = SqliteLogStore()
+    for commitment in bulletin:
+        store.append_records(commitment.router_id, commitment.window_index,
+                             memory.window_records(commitment.router_id,
+                                                   commitment.window_index))
+    service = ProverService(store, bulletin)
+    service.aggregate_all_committed()
+    return ProverServer(service)
+
+
 def _engine_round():
     inputs = router_inputs(3)
     with ProvingEngine(backend="serial", store=MemoryLogStore()) as engine:
@@ -216,7 +231,9 @@ class TestCountedDurableIO:
     aggregated-window list that restore now reads off the round headers.  A default
     service's query cache is attached to its own store from construction, so a cold query
     costs the numbers an explicitly attached store used to; once answered, the query is
-    served from memory and touches no KV.
+    served from memory and touches no KV.  A cold query served over the wire read the KV
+    three times (admission, dispatcher, then ``answer_query``) until the dispatcher's
+    proof stopped looking the answer up again: two reads now.
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
@@ -236,6 +253,17 @@ class TestCountedDurableIO:
     def test_attached_query_cache_reads_and_writes_once_when_cold(self):
         cold = {"get_checkpoint": 1, "put_checkpoint": 1, "checkpoint_bytes": 937}
         assert _served() == (cold, self.NONE)
+
+    def test_served_query_reads_the_kv_once_per_lookup_when_cold(self):
+        """Over the wire a cold query is looked up at admission and again
+        by the dispatcher, then proven without a third lookup; the warm
+        repeat is a memory hit."""
+        cold = {"get_checkpoint": 2, "put_checkpoint": 1, "checkpoint_bytes": 937}
+        with _sqlite_served() as server, \
+                QueryClient(server.host, server.port) as client:
+            assert _cold_then_warm(lambda: client.query(SQL)) == (cold, self.NONE)
+            stats = client.fetch_status()["service"]["query_cache"]
+        assert (stats["misses"], stats["hits"]) == (2, 1)
 
     def test_checkpointed_rounds_then_restore(self):
         counts, blob = _checkpointed_rounds()

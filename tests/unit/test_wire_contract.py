@@ -44,6 +44,7 @@ from repro.net.messages import (
     request,
 )
 from repro.qserve import QueryService
+from repro.serialization import query_response_from_wire
 from repro.storage import MemoryLogStore
 from repro.zkvm import ExecutorEnvBuilder, GuestProgram
 
@@ -207,6 +208,17 @@ class TestQueryService:
     def test_latest_round_is_answered(self, proven):
         assert _query(proven).type == "ok"
         assert _query(proven, round=None).type == "ok"
+
+    def test_latest_round_named_is_answered(self, proven):
+        """A one-round chain without retained history: ``round: 0``
+        names the service's own state and gets the latest answer."""
+        named = _query(proven, round=0)
+        latest = _query(proven)
+        assert named.type == latest.type == "ok"
+        claim = query_response_from_wire(named.body["response"]).claim
+        assert claim == \
+            query_response_from_wire(latest.body["response"]).claim
+        assert claim.round == 0
 
     def test_tenant_must_be_a_string(self, proven):
         reply = _query(proven, tenant=7)
