@@ -110,9 +110,9 @@ _NODE_MEMO: DigestMemo[Digest] = DigestMemo()
 _LEAF_MEMO: DigestMemo[Digest] = DigestMemo()
 
 #: Leaf sequences whose built levels one process keeps.  An entry costs
-#: about 100 bytes per leaf (the 32-byte key slice plus the interior
-#: nodes), so ~1 MiB for four trees of a few thousand leaves; a guest
-#: that builds no tree twice only pays the key join per build.
+#: ~50 bytes per leaf (the 32-byte key slice plus the interior level
+#: lists), so well under 1 MiB for four trees of a few thousand leaves;
+#: a guest that builds no tree twice only pays the key join per build.
 LEVEL_MEMO_CAPACITY = 4
 
 # Concatenated leaf digests -> (interior levels bottom-up, node count).

@@ -43,10 +43,9 @@ from . import cycles as cy
 from .receipt import Assumption
 
 
-#: Distinct input frames whose decoded values one process keeps (a CLog
-#: entry frame is ~150 bytes and decodes to ~0.5 KiB, so ~2.5 MiB when
-#: full): every cold query at one committed root reads the same entry
-#: frames.
+#: Distinct input frames whose decoded values one process keeps (a kept
+#: CLog entry frame costs ~0.65 KiB, so ~2.7 MiB when full): every cold
+#: query at one committed root reads the same entry frames.
 FRAME_MEMO_CAPACITY = 1 << 12
 
 # Frame bytes -> the read-only dict they decode to.  Like the Merkle
