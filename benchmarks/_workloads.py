@@ -35,6 +35,13 @@ PAPER_QUERY = ('SELECT SUM(hop_count) FROM clogs '
                'WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9"')
 
 
+def median_seconds(benchmark) -> float | None:
+    """The timed median of ``benchmark``, or ``None`` when
+    pytest-benchmark runs untimed (``--benchmark-disable``), where it
+    keeps no stats."""
+    return benchmark.stats.stats.median if benchmark.stats else None
+
+
 def committed_workload(num_records: int, seed: int = 7,
                        window_index: int = 0
                        ) -> tuple[MemoryLogStore, BulletinBoard]:

@@ -48,7 +48,6 @@ __all__ = [
     "CommandInvoker",
     "CommandRegistry",
     "CommandResult",
-    "build_parser",
     "default_invoker",
     "load_bulletin",
     "load_receipts",
@@ -58,11 +57,6 @@ __all__ = [
     "save_bulletin",
     "save_receipts",
 ]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The assembled ``repro`` parser (one subparser per command)."""
-    return default_invoker().build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

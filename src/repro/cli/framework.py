@@ -187,10 +187,6 @@ class CommandInvoker:
         self._registry = registry
         self._hooks: list[CommandHook] = list(hooks)
 
-    @property
-    def registry(self) -> CommandRegistry:
-        return self._registry
-
     def build_parser(self) -> argparse.ArgumentParser:
         parser = argparse.ArgumentParser(
             prog="repro",

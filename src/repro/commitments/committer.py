@@ -38,52 +38,50 @@ class RouterCommitter:
         self.window = window or WindowConfig()
         self._current_window: int | None = None
         self._buffer: list[NetFlowRecord] = []
-        self._committed_windows: list[int] = []
-
-    @property
-    def committed_windows(self) -> list[int]:
-        return list(self._committed_windows)
 
     @property
     def pending_count(self) -> int:
         return len(self._buffer)
 
-    def add_record(self, record: NetFlowRecord) -> None:
-        """Buffer one record into the current window.
+    def add_record(self, record: NetFlowRecord,
+                   now_ms: int | None = None) -> None:
+        """Buffer one record into the window of ``now_ms`` (default:
+        the clock's time).
 
-        Rolls the window over first if the clock has crossed a boundary,
-        so records never land in an already-committed window.
+        Rolls the window over first if that time has crossed a
+        boundary, so records never land in an already-committed window.
         """
-        now_window = self.window.index_for(self.clock.now_ms())
+        if now_ms is None:
+            now_ms = self.clock.now_ms()
+        now_window = self.window.index_for(now_ms)
         if self._current_window is None:
             self._current_window = now_window
         elif now_window != self._current_window:
-            self._commit_buffer()
+            self._commit_buffer(now_ms)
             self._current_window = now_window
         self._buffer.append(record)
 
-    def add_records(self, records: list[NetFlowRecord]) -> None:
-        for record in records:
-            self.add_record(record)
-
-    def maybe_commit(self) -> Commitment | None:
-        """Commit the buffered window if the clock has moved past it."""
+    def maybe_commit(self, now_ms: int | None = None
+                     ) -> Commitment | None:
+        """Commit the buffered window if ``now_ms`` (default: the
+        clock's time) has moved past it."""
+        if now_ms is None:
+            now_ms = self.clock.now_ms()
         if self._current_window is None:
             return None
-        if self.window.index_for(self.clock.now_ms()) == \
-                self._current_window:
+        if self.window.index_for(now_ms) == self._current_window:
             return None
-        return self._commit_buffer()
+        return self._commit_buffer(now_ms)
 
     def flush(self) -> Commitment | None:
         """Force-commit whatever is buffered (end of a run)."""
         if self._current_window is None:
             return None
-        return self._commit_buffer()
+        return self._commit_buffer(self.clock.now_ms())
 
     # -- internals ---------------------------------------------------------------
 
-    def _commit_buffer(self) -> Commitment | None:
+    def _commit_buffer(self, now_ms: int) -> Commitment | None:
         window_index = self._current_window
         if window_index is None:
             raise SimulationError("no window open")
@@ -98,10 +96,9 @@ class RouterCommitter:
             window_index=window_index,
             digest=window_digest(blobs),
             record_count=len(blobs),
-            published_at_ms=self.clock.now_ms(),
+            published_at_ms=now_ms,
         )
         self.bulletin.publish(commitment)
-        self._committed_windows.append(window_index)
         logger.debug("router %s committed window %d: %d records, %s…",
                      self.router_id, window_index, len(blobs),
                      commitment.digest.short())

@@ -839,3 +839,39 @@ for _program in (aggregation_guest, query_guest, partition_guest,
                  merge_guest, query_partition_guest, query_merge_guest,
                  federation_join_guest):
     register_guest(_program)
+
+
+# -- what each guest executes --------------------------------------------------
+#
+# The ``repro`` modules each registered guest runs, recorded cold on the
+# pinned fixtures of ``tests/unit/test_guest_programs.py``, which fails
+# when a guest starts or stops executing one.  ``VM_MODULES`` are the
+# guest API and its cycle meter, which every guest runs; the rest are
+# each guest's semantics.  The image id hashes none of this yet; the
+# table is declared here, outside every guest function, because the
+# image id hashes a guest's source, decorator included.
+
+VM_MODULES = frozenset({"repro.zkvm.guest", "repro.zkvm.cycles"})
+
+_ROUND = ("repro.core.clog", "repro.core.policy", "repro.netflow.records")
+_TREE = ("repro.merkle.memo", "repro.merkle.tree")
+_SQL = ("repro.query.ast", "repro.query.evaluator", "repro.query.lexer",
+        "repro.query.parser")
+_SCAN = ("repro.core.clog", "repro.netflow.records", *_TREE, *_SQL,
+         "repro.query.vectorized")
+
+GUEST_MODULES: dict[str, frozenset[str]] = {
+    name: frozenset(("repro.core.guest_programs", "repro.hashing",
+                     "repro.serialization", *semantics))
+    for name, semantics in {
+        "telemetry-aggregation-v1": (*_ROUND, "repro.merkle.memo"),
+        "telemetry-aggregation-rebuild-v1": (*_ROUND, *_TREE,
+                                             "repro.core.rebuild"),
+        "telemetry-partition-v1": _ROUND,
+        "telemetry-merge-v1": (*_ROUND, *_TREE),
+        "telemetry-query-v1": _SCAN,
+        "telemetry-query-partition-v2": _SCAN,
+        "telemetry-query-merge-v2": _SQL,
+        "telemetry-federation-join-v1": (),
+    }.items()
+}

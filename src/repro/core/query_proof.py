@@ -288,7 +288,7 @@ class QueryProver:
                         "start": lo,
                         "count": hi - lo,
                         "siblings": list(tree.prove_subtree(
-                            chunk_po2, index).siblings),
+                            chunk_po2, index)),
                     })
                     builder.write(binding)
                     builder.write_frames(frames[lo:hi])

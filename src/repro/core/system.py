@@ -73,9 +73,9 @@ class TelemetrySystem:
     # -- convenience drives ----------------------------------------------------
 
     def generate(self, target_records: int) -> None:
-        """Simulate until ≥ ``target_records`` exist, then flush commits."""
-        self.simulator.run_until_records(target_records)
-        self.simulator.flush()
+        """Simulate until ≥ ``target_records`` exist, one thread per
+        router, then commit every router's open window."""
+        self.simulator.run_threaded(target_records=target_records)
 
     def aggregate_all(self) -> int:
         """Aggregate every committed window; returns the round count.

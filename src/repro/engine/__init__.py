@@ -12,7 +12,8 @@ parallel proving.  This package makes that real rather than modeled:
   content-addressed receipt store keyed by
   ``(guest image, env commitment, opts digest)``;
 * :mod:`~repro.engine.scheduler` — :class:`ProvingEngine`, the
-  barrier-free work-queue scheduler feeding merges as partitions land.
+  barrier-free work-queue scheduler: one partition-and-merge round per
+  ``prove_round`` call, its merge submitted as the partitions land.
 
 See ``docs/PERFORMANCE.md`` for the architecture and the benchmark /
 CI-regression workflow built on top of it.
@@ -24,7 +25,6 @@ from .pool import BACKENDS, PooledProver, ProverPool
 from .scheduler import (
     ParallelAggregationResult,
     ProvingEngine,
-    RoundOutcome,
     partition_windows,
 )
 
@@ -37,7 +37,6 @@ __all__ = [
     "ProverPool",
     "ProvingEngine",
     "ReceiptCache",
-    "RoundOutcome",
     "execute_job",
     "partition_windows",
     "run_job_wire",

@@ -1,20 +1,14 @@
 """The work-queue scheduler: partition-and-merge without barriers.
 
 §7 proposes partitioning a round's windows and proving the partitions
-in parallel.  The naive schedule barriers per round: all partitions,
-then the merge, then the next round may start.  With a pool of workers
-that wastes capacity twice — idle workers while a round's last
-partition finishes, and an idle pool between rounds.
-
-:meth:`ProvingEngine.prove_rounds` instead enqueues the partition jobs
-of **every** pending round up front.  A per-round countdown submits
-that round's merge job the moment its own partitions are done, so merge
-proofs interleave with other rounds' partition proofs and the pool
-stays saturated.  Round failures are isolated: a failed partition
-poisons only its round's outcome (the merge is never submitted), so
-one bad window fails its own round while the rest of the queue proves
-on.  The countdown is :meth:`ProvingEngine.submit_fanout`,
-which partitioned queries and federation joins ride too.
+in parallel.  :meth:`ProvingEngine.prove_round` proves one such round
+per call: the partition jobs enter the work queue as they are built,
+and a countdown submits the merge job the moment the last partition is
+done, so the merge never waits on a barrier the pool could have spent
+proving.  A failed partition poisons the round (the merge is never
+submitted) and surfaces as the call's exception.  The countdown is
+:meth:`ProvingEngine.submit_fanout`, which partitioned queries and
+federation joins ride too.
 """
 
 from __future__ import annotations
@@ -50,19 +44,6 @@ class ParallelAggregationResult:
     merge_info: JobResult
     new_root: Digest
     size: int
-
-
-@dataclass
-class RoundOutcome:
-    """One round's result-or-error from a multi-round schedule."""
-
-    index: int
-    result: ParallelAggregationResult | None = None
-    error: Exception | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 def partition_windows(windows: list[Any],
@@ -138,58 +119,34 @@ class ProvingEngine:
         """Prove one partition-and-merge round (§7 "Proof
         parallelization"); raises on failure.
 
-        An engine primitive, not a chainable round strategy: the merge
-        journal carries no ``prev_root`` and is not byte-comparable to
-        Algorithm 1's.
-        """
-        outcome = self.prove_rounds([windows], num_partitions)[0]
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.result
-
-    def prove_rounds(self, rounds: list[list[Any]],
-                     num_partitions: int | None = None
-                     ) -> list[RoundOutcome]:
-        """Prove several independent rounds through one work queue.
-
-        Every round is one :meth:`submit_fanout`, all submitted before
-        any is waited on: each round's merge job is submitted from a
-        completion callback as soon as *its* partitions are done — no
-        cross-round barrier.  Returns one :class:`RoundOutcome` per
-        input round, in order.
+        The round is one :meth:`submit_fanout`: its merge job is
+        submitted from a completion callback as soon as the partitions
+        are done.  An engine primitive, not a chainable round strategy:
+        the merge journal carries no ``prev_root`` and is not
+        byte-comparable to Algorithm 1's.
         """
         start = time.perf_counter()
-        pending = []
-        for windows in rounds:
-            partitions = partition_windows(windows, num_partitions)
-            obs.registry().counter(obs_names.PARALLEL_PARTITIONS).inc(
-                len(partitions))
-            # A generator: each job is encoded as it is submitted, so
-            # building partition k+1 overlaps proving partition k.
-            jobs = (ProofJob.from_parts(
-                        partition_guest,
-                        _partition_env(self.policy, pindex, partition),
-                        self.opts)
-                    for pindex, partition in enumerate(partitions))
-            pending.append((partitions,
-                            self.submit_fanout(jobs, self._merge_jobs)))
-        outcomes = [self._collect(index, partitions, schedule)
-                    for index, (partitions, schedule)
-                    in enumerate(pending)]
-        elapsed = time.perf_counter() - start
+        partitions = partition_windows(windows, num_partitions)
         registry = obs.registry()
-        registry.histogram(obs_names.ENGINE_ROUND_REAL_SECONDS).observe(
-            elapsed / max(len(pending), 1))
-        model = CostModel()
-        for outcome in outcomes:
-            if outcome.ok:
-                result = outcome.result
-                registry.histogram(
-                    obs_names.ENGINE_ROUND_MODELED_SECONDS).observe(
-                    model.fanout_seconds(
-                        [info.stats for info in result.partition_infos],
-                        result.merge_info.stats))
-        return outcomes
+        registry.counter(obs_names.PARALLEL_PARTITIONS).inc(len(partitions))
+        # A generator: each job is encoded as it is submitted, so
+        # building partition k+1 overlaps proving partition k.
+        jobs = (ProofJob.from_parts(
+                    partition_guest,
+                    _partition_env(self.policy, pindex, partition),
+                    self.opts)
+                for pindex, partition in enumerate(partitions))
+        schedule = self.submit_fanout(jobs, self._merge_jobs)
+        try:
+            result = self._collect(partitions, schedule)
+        finally:
+            registry.histogram(obs_names.ENGINE_ROUND_REAL_SECONDS).observe(
+                time.perf_counter() - start)
+        registry.histogram(obs_names.ENGINE_ROUND_MODELED_SECONDS).observe(
+            CostModel().fanout_seconds(
+                [info.stats for info in result.partition_infos],
+                result.merge_info.stats))
+        return result
 
     def submit_fanout(self, jobs: Iterable[ProofJob],
                       build_merges: Any) -> "_RoundSchedule":
@@ -224,35 +181,30 @@ class ProvingEngine:
         return [ProofJob.from_parts(merge_guest, builder.build(),
                                     self.opts)]
 
-    def _collect(self, index: int, partitions: list[list[Any]],
-                 schedule: "_RoundSchedule") -> RoundOutcome:
+    def _collect(self, partitions: list[list[Any]],
+                 schedule: "_RoundSchedule") -> ParallelAggregationResult:
         """Wait out one round, emitting the host-side span tree."""
-        try:
-            with obs.tracer().span(obs_names.SPAN_PARALLEL_ROUND,
-                                   partitions=len(partitions)):
-                partition_results, (merge_future,) = schedule.collect(
-                    obs_names.SPAN_PARALLEL_PARTITION,
-                    [{"routers": len(p)} for p in partitions])
-                with obs.tracer().span(
-                        obs_names.SPAN_PARALLEL_MERGE,
-                        partitions=len(partition_results)) as span:
-                    merge_result = merge_future.result()
-                    span.add_cycles(merge_result.stats.total_cycles)
-                    receipt = resolve_all(
-                        merge_result.receipt,
-                        [r.receipt for r in partition_results])
-        except Exception as exc:
-            return RoundOutcome(index=index, error=exc)
+        with obs.tracer().span(obs_names.SPAN_PARALLEL_ROUND,
+                               partitions=len(partitions)):
+            partition_results, (merge_future,) = schedule.collect(
+                obs_names.SPAN_PARALLEL_PARTITION,
+                [{"routers": len(p)} for p in partitions])
+            with obs.tracer().span(
+                    obs_names.SPAN_PARALLEL_MERGE,
+                    partitions=len(partition_results)) as span:
+                merge_result = merge_future.result()
+                span.add_cycles(merge_result.stats.total_cycles)
+                receipt = resolve_all(
+                    merge_result.receipt,
+                    [r.receipt for r in partition_results])
         header = next(receipt.journal.values())
-        return RoundOutcome(
-            index=index,
-            result=ParallelAggregationResult(
-                receipt=receipt,
-                partition_infos=tuple(partition_results),
-                merge_info=merge_result,
-                new_root=header["new_root"],
-                size=header["size"],
-            ))
+        return ParallelAggregationResult(
+            receipt=receipt,
+            partition_infos=tuple(partition_results),
+            merge_info=merge_result,
+            new_root=header["new_root"],
+            size=header["size"],
+        )
 
 
 class _RoundSchedule:

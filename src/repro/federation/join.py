@@ -51,18 +51,6 @@ class FederationJoinResult:
     roots: tuple[Digest, ...]
     total_cycles: int
 
-    @property
-    def sla_ok(self) -> bool:
-        return bool(self.journal["sla"]["ok"])
-
-    @property
-    def path_loss_ppm(self) -> int:
-        return int(self.journal["path"]["loss_ppm"])
-
-    @property
-    def matrix(self) -> tuple[tuple[str, str, int], ...]:
-        return tuple((src, dst, pkts) for src, dst, pkts in self.journal["matrix"])
-
 
 class FederationJoinProver:
     """Coordinates one federation join round through the engine.

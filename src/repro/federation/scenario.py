@@ -119,14 +119,6 @@ class RootBoard:
             )
         self._roots[key] = root
 
-    def root(self, provider: str, round_index: int) -> Digest:
-        try:
-            return self._roots[(provider, round_index)]
-        except KeyError:
-            raise ProofError(
-                f"provider {provider!r} has published no root for round {round_index}"
-            ) from None
-
     def try_root(self, provider: str, round_index: int) -> Digest | None:
         return self._roots.get((provider, round_index))
 

@@ -16,12 +16,7 @@ inclusion proofs.  Three building blocks live here:
 from .hasher import MerkleHasher, TaggedMerkleHasher, default_hasher
 from .maptree import MerkleMap
 from .memo import DigestMemo, clear_memos, memo_stats
-from .proof import (
-    InclusionProof,
-    MultiProof,
-    SubtreeProof,
-    verify_inclusion,
-)
+from .proof import InclusionProof, MultiProof
 from .tree import EMPTY_ROOTS, MerkleTree
 
 __all__ = [
@@ -32,10 +27,8 @@ __all__ = [
     "MerkleMap",
     "MerkleTree",
     "MultiProof",
-    "SubtreeProof",
     "TaggedMerkleHasher",
     "clear_memos",
     "default_hasher",
     "memo_stats",
-    "verify_inclusion",
 ]

@@ -34,8 +34,9 @@ the walk.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
 from ..hashing import TAG_LEAF, TAG_NODE, Digest, tagged_hash
 
@@ -47,7 +48,7 @@ class DigestMemo(Generic[V]):
     function of them (a :class:`Digest` here; a decoded CLog entry in
     the query guests)."""
 
-    __slots__ = ("_entries", "_capacity", "hits", "misses")
+    __slots__ = ("_entries", "_capacity", "hits", "misses", "__weakref__")
 
     def __init__(self, capacity: int = 1 << 18) -> None:
         if capacity <= 0:
@@ -56,6 +57,7 @@ class DigestMemo(Generic[V]):
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
+        _MEMOS.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -102,6 +104,12 @@ class DigestMemo(Generic[V]):
         }
 
 
+# Every memo constructed in this process, held weakly: the registry
+# :func:`clear_memos` empties, wherever the memo lives (the node, leaf
+# and level memos here, ``zkvm.guest.DECODED_FRAMES``,
+# ``core.guest_programs.ENTRY_VIEWS`` and ``core.query_proof.ENTRY_FRAMES``).
+_MEMOS: "weakref.WeakSet[DigestMemo[Any]]" = weakref.WeakSet()
+
 # Process-global caches shared by every tree build in this process.
 # Node keys are the 64-byte child-digest concatenation; leaf keys are the
 # raw payload bytes (CLog wire entries are small and repeat across
@@ -141,10 +149,10 @@ def leaf_digest(data: bytes) -> Digest:
 
 
 def clear_memos() -> None:
-    """Drop all cached digests (tests and memory-pressure escapes)."""
-    _NODE_MEMO.clear()
-    _LEAF_MEMO.clear()
-    BUILT_LEVELS.clear()
+    """Empty every :class:`DigestMemo` in the process and zero its
+    counters (tests and memory-pressure escapes)."""
+    for memo in list(_MEMOS):
+        memo.clear()
 
 
 def memo_stats() -> dict[str, dict[str, int]]:

@@ -62,14 +62,6 @@ class InclusionProof:
                 f"root {computed.short()}..., expected {root.short()}..."
             )
 
-    def is_valid(self, root: Digest,
-                 hasher: MerkleHasher | None = None) -> bool:
-        try:
-            self.verify(root, hasher)
-        except MerkleError:
-            return False
-        return True
-
     # -- wire form ----------------------------------------------------------
 
     def to_wire(self) -> dict[str, Any]:
@@ -85,89 +77,6 @@ class InclusionProof:
         return cls(
             leaf_index=wire["leaf_index"],
             leaf=wire["leaf"],
-            siblings=tuple(wire["siblings"]),
-            tree_size=wire["tree_size"],
-        )
-
-
-@dataclass(frozen=True)
-class SubtreeProof:
-    """Proof that a node at ``(level, index)`` roots the aligned leaf
-    block ``[index << level, (index + 1) << level)`` of a committed
-    tree.
-
-    Partitioned query proving hands each partition one of these: the
-    partition guest rebuilds the block's node from the leaves it was
-    fed (padding with empty-subtree roots, mirroring the tree's own
-    right-padding rule) and folds it up ``siblings`` to the committed
-    aggregation root — so a valid proof pins both the contents *and*
-    the slot range of the partition.
-    """
-
-    level: int
-    index: int
-    siblings: tuple[Digest, ...]
-    tree_size: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise MerkleError("level must be non-negative")
-        if self.index < 0:
-            raise MerkleError("index must be non-negative")
-        if self.tree_size <= (self.index << self.level):
-            raise MerkleError("subtree outside tree_size")
-        if len(self.siblings) > 64:
-            raise MerkleError("proof path too long")
-
-    def computed_root(self, node: Digest,
-                      hasher: MerkleHasher | None = None) -> Digest:
-        """Recompute the root implied by ``node`` sitting at
-        ``(level, index)``."""
-        h = hasher or default_hasher()
-        digest = node
-        pos = self.index
-        if pos >> len(self.siblings) != 0:
-            raise MerkleError("index inconsistent with path length")
-        for sibling in self.siblings:
-            if pos & 1:
-                digest = h.node(sibling, digest)
-            else:
-                digest = h.node(digest, sibling)
-            pos >>= 1
-        return digest
-
-    def verify(self, root: Digest, node: Digest,
-               hasher: MerkleHasher | None = None) -> None:
-        computed = self.computed_root(node, hasher)
-        if computed != root:
-            raise MerkleInclusionError(
-                f"subtree proof at ({self.level}, {self.index}) recomputed "
-                f"root {computed.short()}..., expected {root.short()}..."
-            )
-
-    def is_valid(self, root: Digest, node: Digest,
-                 hasher: MerkleHasher | None = None) -> bool:
-        try:
-            self.verify(root, node, hasher)
-        except MerkleError:
-            return False
-        return True
-
-    # -- wire form ----------------------------------------------------------
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "level": self.level,
-            "index": self.index,
-            "siblings": list(self.siblings),
-            "tree_size": self.tree_size,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "SubtreeProof":
-        return cls(
-            level=wire["level"],
-            index=wire["index"],
             siblings=tuple(wire["siblings"]),
             tree_size=wire["tree_size"],
         )
@@ -216,8 +125,3 @@ class MultiProof:
             root=wire["root"],
         )
 
-
-def verify_inclusion(root: Digest, proof: InclusionProof,
-                     hasher: MerkleHasher | None = None) -> bool:
-    """Functional convenience wrapper used by guest programs."""
-    return proof.is_valid(root, hasher)

@@ -22,7 +22,7 @@ from ..errors import MerkleError
 from ..hashing import Digest
 from . import memo
 from .hasher import MerkleHasher, default_hasher
-from .proof import InclusionProof, MultiProof, SubtreeProof
+from .proof import InclusionProof, MultiProof
 
 _MAX_DEPTH = 48
 
@@ -74,13 +74,6 @@ class MerkleTree:
         self._build_levels()
 
     # -- construction helpers ---------------------------------------------
-
-    @classmethod
-    def from_payloads(cls, payloads: Iterable[bytes],
-                      hasher: MerkleHasher | None = None) -> "MerkleTree":
-        """Build a tree by leaf-hashing raw payload bytes."""
-        h = hasher or default_hasher()
-        return cls((h.leaf(p) for p in payloads), hasher=h)
 
     def copy(self) -> "MerkleTree":
         """An independent tree over the same leaves: every level list is
@@ -175,26 +168,24 @@ class MerkleTree:
                               siblings=self._siblings(0, index),
                               tree_size=index + 1)
 
-    def prove_subtree(self, level: int, pos: int) -> SubtreeProof:
-        """Prove the node at ``(level, pos)`` against the root.
+    def prove_subtree(self, level: int, pos: int) -> tuple[Digest, ...]:
+        """The sibling path from the node at ``(level, pos)`` to the root.
 
         The node covers the aligned leaf block
         ``[pos << level, (pos + 1) << level)``.  The block need not be
         fully occupied — only non-empty — because siblings follow the
         same right-padding rule as leaf proofs: a verifier that rebuilds
         the block's node from its occupied leaves (padding with
-        empty-subtree roots) folds it to exactly this tree's root.
-        Partitioned query proving uses one such proof per slot-range
-        partition.
+        empty-subtree roots) and folds it up these siblings reaches
+        exactly this tree's root.  Partitioned query proving hands one
+        such path to each slot-range partition's guest.
         """
         if not 0 <= level <= self.depth:
             raise MerkleError(f"level {level} out of range")
         if not 0 <= pos < len(self._levels[level]):
             raise MerkleError(
                 f"subtree ({level}, {pos}) holds no occupied leaves")
-        return SubtreeProof(level=level, index=pos,
-                            siblings=self._siblings(level, pos),
-                            tree_size=self.size)
+        return self._siblings(level, pos)
 
     def prove_many(self, indices: Sequence[int]) -> MultiProof:
         """Produce a batch proof for several leaves (deduplicated paths)."""

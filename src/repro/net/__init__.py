@@ -25,8 +25,8 @@ round-trip through the canonical serialization
 from .aio import AsyncQueryClient
 from .client import QueryClient, RouterClient, ServiceClient, \
     parse_endpoint
-from .framing import DEFAULT_MAX_FRAME_SIZE, FrameDecoder, \
-    WIRE_VERSION, decode_frame, encode_frame
+from .framing import DEFAULT_MAX_FRAME_SIZE, WIRE_VERSION, \
+    decode_frame, encode_frame
 from .messages import PROTOCOL_VERSION, Envelope, MessageKind
 from .retry import NO_RETRY, RetryPolicy, call_with_retry
 from .server import ProverServer
@@ -35,7 +35,6 @@ __all__ = [
     "AsyncQueryClient",
     "DEFAULT_MAX_FRAME_SIZE",
     "Envelope",
-    "FrameDecoder",
     "MessageKind",
     "NO_RETRY",
     "PROTOCOL_VERSION",

@@ -18,16 +18,15 @@ that ends mid-header or mid-payload is a
 the memory an untrusted peer can force the reader to allocate.
 
 Both transports share this module: the asyncio server uses the
-``read_frame``/``write_frame`` coroutines, the synchronous clients use
-``read_frame_from``/``write_frame_to`` over plain sockets, and
-:class:`FrameDecoder` gives tests and fuzzers a push-style decoder.
+``read_frame``/``write_frame`` coroutines, and the synchronous clients
+use ``read_frame_from``/``write_frame_to`` over plain sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import FrameTooLarge, ProtocolError, TruncatedFrame
 
@@ -90,49 +89,6 @@ def decode_frame(data: bytes,
             f"frame declares {length} payload bytes, only "
             f"{len(data) - HEADER_SIZE} present")
     return bytes(data[HEADER_SIZE:end]), end
-
-
-class FrameDecoder:
-    """Incremental (push-style) frame decoder.
-
-    Feed arbitrary chunks; complete frames come out.  Header validation
-    happens as soon as 7 bytes are buffered, so oversized or garbage
-    frames are rejected without waiting for their payload.
-    """
-
-    def __init__(self,
-                 max_size: int = DEFAULT_MAX_FRAME_SIZE) -> None:
-        self.max_size = max_size
-        self._buffer = bytearray()
-        self._expected: int | None = None  # payload length, once known
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def feed(self, chunk: bytes) -> Iterator[bytes]:
-        """Absorb ``chunk``; yield every frame it completes."""
-        self._buffer.extend(chunk)
-        while True:
-            if self._expected is None:
-                if len(self._buffer) < HEADER_SIZE:
-                    return
-                self._expected = parse_header(
-                    bytes(self._buffer[:HEADER_SIZE]), self.max_size)
-            end = HEADER_SIZE + self._expected
-            if len(self._buffer) < end:
-                return
-            payload = bytes(self._buffer[HEADER_SIZE:end])
-            del self._buffer[:end]
-            self._expected = None
-            yield payload
-
-    def finish(self) -> None:
-        """Declare end-of-stream; raises if a frame is in flight."""
-        if self._buffer:
-            raise TruncatedFrame(
-                f"stream ended with {len(self._buffer)} bytes of an "
-                "incomplete frame")
 
 
 # -- asyncio transport -------------------------------------------------------

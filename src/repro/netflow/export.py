@@ -38,10 +38,6 @@ class NetFlowExporter:
         self._sequence = 0
         self._packets_since_template = template_refresh  # announce on first
 
-    @property
-    def sequence(self) -> int:
-        return self._sequence
-
     def export(self, records: Sequence[NetFlowRecord], *,
                now_ms: int = 0) -> list[bytes]:
         """Encode ``records`` into one or more v9 packets."""

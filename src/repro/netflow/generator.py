@@ -210,16 +210,6 @@ class TrafficGenerator:
                 break
         return records
 
-    def generate_records(self, flow_count: int, now_ms: int = 0
-                         ) -> dict[str, list[NetFlowRecord]]:
-        """Flows → per-router record batches (what each vantage logs)."""
-        per_router: dict[str, list[NetFlowRecord]] = {
-            r: [] for r in self.topology.router_ids()}
-        for flow in self.generate_flows(flow_count, now_ms):
-            for record in self.observe(flow):
-                per_router[record.router_id].append(record)
-        return per_router
-
     # -- internals ----------------------------------------------------------------------
 
     def _random_addr(self, net: ipaddress.IPv4Network) -> str:

@@ -132,34 +132,6 @@ class NetworkTopology:
         return topo
 
     @classmethod
-    def star(cls, num_leaves: int,
-             spec: LinkSpec | None = None) -> "NetworkTopology":
-        """A hub ``core`` with ``num_leaves`` edge routers."""
-        if num_leaves < 1:
-            raise ConfigurationError("need at least one leaf")
-        topo = cls()
-        topo.add_router("core")
-        for i in range(1, num_leaves + 1):
-            topo.add_router(f"edge{i}", region="edge")
-            topo.add_link("core", f"edge{i}", spec)
-        return topo
-
-    @classmethod
-    def mesh(cls, num_routers: int,
-             spec: LinkSpec | None = None) -> "NetworkTopology":
-        """A full mesh (every router linked to every other)."""
-        if num_routers < 1:
-            raise ConfigurationError("need at least one router")
-        topo = cls()
-        ids = [f"r{i}" for i in range(1, num_routers + 1)]
-        for router_id in ids:
-            topo.add_router(router_id)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                topo.add_link(a, b, spec)
-        return topo
-
-    @classmethod
     def paper_eval(cls) -> "NetworkTopology":
         """The §6 evaluation setting: a simplified 4-router topology."""
         spec = LinkSpec(latency_us=2_000, jitter_us=200, loss_rate=0.002)

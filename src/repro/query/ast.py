@@ -1,16 +1,15 @@
 """Typed AST for the query language.
 
-Every node supports ``to_wire``/``from_wire`` (canonical dict form) so a
-parsed query can be shipped into the zkVM guest as data, and
-``node_count`` so the evaluator can charge cycles proportionally to the
-work per entry.
+Every node has a ``node_count``, so the evaluator can charge cycles in
+proportion to the work per entry.  A query crosses every boundary (the
+wire, the guest input, the journal) as its SQL text, never as an AST.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Union
 
 from ..errors import QueryError
 
@@ -44,9 +43,6 @@ class FieldRef:
 
     name: str
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "field", "name": self.name}
-
     @property
     def node_count(self) -> int:
         return 1
@@ -57,9 +53,6 @@ class Literal:
     """A constant (int, float, or string)."""
 
     value: int | float | str
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "literal", "value": self.value}
 
     @property
     def node_count(self) -> int:
@@ -74,11 +67,6 @@ class Comparison:
     field: FieldRef
     value: Literal
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "cmp", "op": self.op.value,
-                "field": self.field.to_wire(),
-                "value": self.value.to_wire()}
-
     @property
     def node_count(self) -> int:
         return 1 + self.field.node_count + self.value.node_count
@@ -92,10 +80,6 @@ class PrefixMatch:
     prefix: str
     negated: bool = False
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "prefix", "field": self.field.to_wire(),
-                "prefix": self.prefix, "negated": self.negated}
-
     @property
     def node_count(self) -> int:
         return 2 + self.field.node_count
@@ -107,10 +91,6 @@ class Logical:
 
     op: LogicalOp
     operands: tuple["Predicate", ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "logical", "op": self.op.value,
-                "operands": [o.to_wire() for o in self.operands]}
 
     @property
     def node_count(self) -> int:
@@ -131,10 +111,6 @@ class Aggregate:
         if self.field is None and self.func is not AggFunc.COUNT:
             raise QueryError(f"{self.func.value} requires a column")
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "agg", "func": self.func.value,
-                "field": self.field.to_wire() if self.field else None}
-
     @property
     def label(self) -> str:
         column = self.field.name if self.field else "*"
@@ -154,16 +130,6 @@ class Query:
     source: str = "clogs"
     group_by: FieldRef | None = None
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "kind": "query",
-            "aggregates": [a.to_wire() for a in self.aggregates],
-            "where": self.where.to_wire() if self.where else None,
-            "source": self.source,
-            "group_by": self.group_by.to_wire() if self.group_by
-            else None,
-        }
-
     @property
     def node_count(self) -> int:
         total = sum(a.node_count for a in self.aggregates)
@@ -176,42 +142,3 @@ class Query:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.aggregates)
-
-    @property
-    def is_grouped(self) -> bool:
-        return self.group_by is not None
-
-
-def predicate_from_wire(wire: dict[str, Any] | None) -> Predicate | None:
-    if wire is None:
-        return None
-    kind = wire["kind"]
-    if kind == "cmp":
-        return Comparison(op=BinaryOp(wire["op"]),
-                          field=FieldRef(wire["field"]["name"]),
-                          value=Literal(wire["value"]["value"]))
-    if kind == "prefix":
-        return PrefixMatch(field=FieldRef(wire["field"]["name"]),
-                           prefix=wire["prefix"],
-                           negated=wire["negated"])
-    if kind == "logical":
-        return Logical(op=LogicalOp(wire["op"]),
-                       operands=tuple(predicate_from_wire(o)
-                                      for o in wire["operands"]))
-    raise QueryError(f"unknown predicate kind {kind!r}")
-
-
-def query_from_wire(wire: dict[str, Any]) -> Query:
-    if wire.get("kind") != "query":
-        raise QueryError("not a query wire object")
-    aggregates = tuple(
-        Aggregate(func=AggFunc(a["func"]),
-                  field=FieldRef(a["field"]["name"]) if a["field"] else None)
-        for a in wire["aggregates"]
-    )
-    group_wire = wire.get("group_by")
-    return Query(aggregates=aggregates,
-                 where=predicate_from_wire(wire["where"]),
-                 source=wire["source"],
-                 group_by=FieldRef(group_wire["name"]) if group_wire
-                 else None)

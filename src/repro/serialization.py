@@ -464,19 +464,10 @@ def encode_commitment(commitment: Any) -> bytes:
     return encode(commitment.to_wire())
 
 
-def decode_commitment(data: bytes) -> Any:
-    from .commitments import Commitment
-    wire = _decode_wire_dict(data, "commitment")
-    try:
-        return Commitment.from_wire(wire)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed commitment: {exc}") from exc
-
-
 def encode_receipt(receipt: Any) -> bytes:
-    """Canonical bytes for a :class:`~repro.zkvm.Receipt` (equal to
-    ``receipt.to_bytes()``; provided here so wire code has one
-    codec module for every shipped structure)."""
+    """Canonical bytes for a :class:`~repro.zkvm.Receipt`: the one
+    receipt codec, so wire code has one module for every shipped
+    structure."""
     return encode(receipt.to_wire())
 
 

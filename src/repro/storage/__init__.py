@@ -14,8 +14,8 @@ hash into commitments — so the tamper experiments can flip stored bytes
 and watch the integrity checks fire (Figure 3).
 """
 
-from .backend import LogStore, StoredRecord
+from .backend import LogStore
 from .memory import MemoryLogStore
 from .sqlite import SqliteLogStore
 
-__all__ = ["LogStore", "MemoryLogStore", "SqliteLogStore", "StoredRecord"]
+__all__ = ["LogStore", "MemoryLogStore", "SqliteLogStore"]

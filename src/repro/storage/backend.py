@@ -10,27 +10,9 @@ tamper experiments mutate.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from ..errors import StorageError
 from ..netflow.records import NetFlowRecord
-
-
-@dataclass(frozen=True)
-class StoredRecord:
-    """One raw log row as the store holds it."""
-
-    router_id: str
-    window_index: int
-    seq: int
-    data: bytes
-
-    def decode(self) -> NetFlowRecord:
-        from ..serialization import decode
-        wire = decode(self.data)
-        if not isinstance(wire, dict):
-            raise StorageError("stored record does not decode to a dict")
-        return NetFlowRecord.from_wire(wire)
 
 
 class LogStore(abc.ABC):
@@ -123,13 +105,6 @@ class LogStore(abc.ABC):
 
     def window_count(self, router_id: str, window_index: int) -> int:
         return len(self.window_blobs(router_id, window_index))
-
-    def all_blobs_for_window(self, window_index: int
-                             ) -> dict[str, list[bytes]]:
-        """window_index → {router_id: blobs} across all routers."""
-        return {router_id: self.window_blobs(router_id, window_index)
-                for router_id in self.router_ids()
-                if window_index in self.window_indices(router_id)}
 
     def __enter__(self) -> "LogStore":
         return self

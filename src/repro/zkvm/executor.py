@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..errors import GuestAbort
 from ..hashing import TAG_INPUT, TAG_SEGMENT, Digest, hash_many, tagged_hash
 from ..obs import names as obs_names
 from ..obs import runtime as obs
@@ -49,13 +48,9 @@ class ExecutorEnvBuilder:
         self._frames.append(encode(value))
         return self
 
-    def write_frame(self, frame: bytes) -> "ExecutorEnvBuilder":
-        self._frames.append(bytes(frame))
-        return self
-
     def write_frames(self, frames: Iterable[bytes]
                      ) -> "ExecutorEnvBuilder":
-        """:meth:`write_frame` for each of ``frames``, in order."""
+        """Append each of ``frames``, already encoded, in order."""
         self._frames.extend(map(bytes, frames))
         return self
 
@@ -100,9 +95,6 @@ class ExecutionSession:
     @property
     def padded_cycles(self) -> int:
         return sum(s.padded_cycles for s in self.segments)
-
-    def cycles_in(self, category: str) -> int:
-        return self.cycle_breakdown.get(category, 0)
 
 
 def _build_segments(image_id: Digest, total_cycles: int) -> tuple[Segment, ...]:
@@ -188,13 +180,4 @@ class Executor:
             registry.counter(
                 obs_names.EXECUTOR_CYCLES, ("program",),
             ).inc(session.total_cycles, program=program.name)
-        return session
-
-    def execute_expecting_success(self, program: GuestProgram,
-                                  env_input: ExecutorInput
-                                  ) -> ExecutionSession:
-        """Run and raise :class:`GuestAbort` if the guest aborted."""
-        session = self.execute(program, env_input)
-        if session.exit_code is ExitCode.ABORTED:
-            raise GuestAbort(session.abort_reason or "unknown abort")
         return session

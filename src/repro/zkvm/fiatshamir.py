@@ -20,10 +20,6 @@ class Transcript:
         self._state = tagged_hash(TAG_TRANSCRIPT, protocol.encode("utf-8"))
         self._counter = 0
 
-    @property
-    def state(self) -> Digest:
-        return self._state
-
     def absorb(self, label: str, data: bytes | Digest) -> None:
         """Mix labeled data into the transcript state."""
         raw = data.raw if isinstance(data, Digest) else data

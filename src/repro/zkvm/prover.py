@@ -238,8 +238,3 @@ class Prover:
         return CompositeReceipt(segments=segment_receipts,
                                 trace_root=tree.root, openings=openings)
 
-
-def prove(program: GuestProgram, env_input: ExecutorInput,
-          opts: ProverOpts | None = None) -> ProveInfo:
-    """Module-level convenience mirroring ``default_prover().prove()``."""
-    return Prover(opts).prove(program, env_input)

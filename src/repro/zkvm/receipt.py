@@ -35,7 +35,7 @@ from ..hashing import (
     tagged_hash,
 )
 from ..merkle.proof import MultiProof
-from ..serialization import decode_stream, encode
+from ..serialization import decode_stream
 
 # Version tag mixed into every seal, standing in for RISC Zero's verifier
 # parameter digest (circuit version / control root).
@@ -359,23 +359,12 @@ class Receipt:
             "claim": self.claim.to_wire(),
         }
 
-    def to_bytes(self) -> bytes:
-        return encode(self.to_wire())
-
     @classmethod
     def from_wire(cls, wire: dict[str, Any]) -> "Receipt":
         kind = ReceiptKind(wire["kind"])
         inner = _INNER_TYPES[kind].from_wire(wire["inner"])
         return cls(inner=inner, journal=Journal(wire["journal"]),
                    claim=ReceiptClaim.from_wire(wire["claim"]))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Receipt":
-        from ..serialization import decode
-        wire = decode(data)
-        if not isinstance(wire, dict):
-            raise SerializationError("receipt encoding must be a dict")
-        return cls.from_wire(wire)
 
     def to_json_bytes(self) -> bytes:
         """Portable JSON form (hex-encoded binary fields).

@@ -61,10 +61,6 @@ class VerifiedReceipt:
     journal: Journal
     modeled_seconds: float
 
-    @property
-    def image_id(self) -> Digest:
-        return self.claim.image_id
-
 
 class Verifier:
     """Verifies receipts against an expected guest image id."""

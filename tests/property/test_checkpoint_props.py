@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.commitments import BulletinBoard, Commitment, window_digest
 from repro.core.prover_service import ProverService
 from repro.netflow.records import FlowKey, NetFlowRecord
+from repro.serialization import encode_receipt
 from repro.storage import MemoryLogStore
 
 # A run: per window, a list of (flow_id, router, lost) records.
@@ -76,8 +77,8 @@ class TestCheckpointRoundTrip:
         assert len(restored.chain) == len(service.chain)
         for before, after in zip(service.chain, restored.chain):
             assert after.header == before.header
-            assert after.receipt.to_bytes() == \
-                before.receipt.to_bytes()
+            assert encode_receipt(after.receipt) == \
+                encode_receipt(before.receipt)
         assert restored.aggregated_windows == \
             service.aggregated_windows
 
@@ -85,8 +86,8 @@ class TestCheckpointRoundTrip:
         recovered = restored.answer_query(sql)
         assert recovered.values == original.values
         assert recovered.root == original.root
-        assert recovered.receipt.to_bytes() == \
-            original.receipt.to_bytes()
+        assert encode_receipt(recovered.receipt) == \
+            encode_receipt(original.receipt)
 
     @given(round_plans)
     @settings(max_examples=10, deadline=None,

@@ -29,7 +29,7 @@ from repro.core.clog import CLogState, entry_view_from_wire
 from repro.core.guest_programs import query_guest
 from repro.core.query_proof import QueryProver
 from repro.engine import ProvingEngine, ReceiptCache
-from repro.merkle.memo import DigestMemo
+from repro.merkle.memo import DigestMemo, clear_memos
 from repro.serialization import decode, encode
 from repro.zkvm import ExecutorEnvBuilder, Prover
 from repro.zkvm.guest import GuestEnv
@@ -82,7 +82,7 @@ def query_input(result, sql, frames):
     builder.write({"query": sql, "num_entries": len(frames)})
     builder.write(make_receipt_binding(result.receipt))
     for frame in frames:
-        builder.write_frame(frame)
+        builder.write_frames([frame])
     return builder.build()
 
 
@@ -139,12 +139,12 @@ class TestEntryViewMemoMatchesOracle:
         expected = scan(reference_guest.read_entry_views, frames)
         memo = guest_programs.ENTRY_VIEWS
         read = guest_programs._read_entry_views
-        memo.clear()
+        clear_memos()
         assert scan(read, frames) == expected  # cold
         hits = memo.hits
         assert scan(read, frames) == expected  # warm
         assert memo.hits - hits == len(frames)
-        memo.clear()
+        clear_memos()
         assert scan(read, frames) == expected  # after a clear
         with small_memo(max(1, len(frames) // 3)):
             assert scan(read, frames) == expected
@@ -156,10 +156,10 @@ class TestEntryViewMemoMatchesOracle:
         result = committed(rows)
         with oracle_scan():
             expected = prove_all(result)
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_memos()
         assert prove_all(result) == expected  # cold
         assert prove_all(result) == expected  # warm
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_memos()
         assert prove_all(result) == expected  # after a clear
         with small_memo(2):
             assert prove_all(result) == expected
@@ -180,7 +180,7 @@ class TestEntryViewMemoMatchesOracle:
         env_input = query_input(result, SQLS[0], frames)
         with oracle_scan():
             expected = abort_of(env_input)
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_memos()
         assert abort_of(env_input) == expected  # cold
         Prover().prove(query_guest,
                        query_input(result, SQLS[0], entry_frames(
@@ -202,7 +202,7 @@ class TestEntryViewMemoMatchesOracle:
             expected = abort_of(env_input)
         assert expected[1].endswith(
             "entry payload key does not match frame key")
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_memos()
         assert abort_of(env_input) == expected  # cold
         Prover().prove(query_guest,
                        query_input(result, SQLS[0], entry_frames(
@@ -214,7 +214,7 @@ class TestSharedViewsAreReadOnly:
     def test_memo_views_refuse_writes_and_equal_fresh_views(self):
         result = committed([(1001, 10, 1, "r1"), (1002, 20, 0, "r2")])
         frames = entry_frames(result.new_state)
-        guest_programs.ENTRY_VIEWS.clear()
+        clear_memos()
         _leaves, views, *_ = scan(guest_programs._read_entry_views, frames)
         _leaves, again, *_ = scan(guest_programs._read_entry_views, frames)
         for view, shared, frame in zip(views, again, frames):

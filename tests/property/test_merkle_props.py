@@ -1,8 +1,10 @@
 """Property tests: Merkle tree invariants under arbitrary operations."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MerkleInclusionError
 from repro.hashing import sha256
 from repro.merkle import MerkleMap, MerkleTree
 
@@ -52,7 +54,8 @@ class TestTreeProperties:
             forged = InclusionProof(
                 leaf_index=0, leaf=impostor,
                 siblings=proof.siblings, tree_size=proof.tree_size)
-            assert not forged.is_valid(tree.root)
+            with pytest.raises(MerkleInclusionError):
+                forged.verify(tree.root)
 
     @given(leaves(min_size=1, max_size=20))
     def test_vacant_then_append_consistency(self, items):

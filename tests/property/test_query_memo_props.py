@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
-from repro.core import query_proof
+from repro.core import guest_programs, query_proof
 from repro.core.aggregation import make_receipt_binding
 from repro.core.guest_programs import query_guest
 from repro.core.prover_service import ProverService
@@ -29,7 +29,7 @@ from repro.core.query_proof import QueryProver, entry_frames
 from repro.core.verifier_client import VerifierClient
 from repro.engine import ProvingEngine, ReceiptCache
 from repro.merkle import memo as merkle_memo
-from repro.merkle.memo import DigestMemo
+from repro.merkle.memo import DigestMemo, clear_memos
 from repro.net import ProverServer, QueryClient, RouterClient
 from repro.serialization import decode, encode
 from repro.storage import MemoryLogStore
@@ -39,7 +39,6 @@ from repro.zkvm.guest import DECODED_FRAMES, GuestEnv
 
 from ..conftest import make_record
 from ..reference import reference_paths
-from ..unit.test_guest_programs import clear_query_memos
 from .test_entry_view_props import SQLS, committed, flows
 
 
@@ -84,10 +83,34 @@ def outcome_of(env_input):
 def cold_and_warm(result, env_input):
     """The failure of ``env_input`` with every memo cold, then after an
     honest query at the same root warmed them all."""
-    clear_query_memos()
+    clear_memos()
     cold = outcome_of(env_input)
     QueryProver().prove_query(SQLS[1], result.new_state, result.receipt)
     return cold, outcome_of(env_input)
+
+
+class TestOneMemoRegistry:
+    def test_clear_memos_empties_every_process_memo(self):
+        """After a cold query and a round have filled them, one
+        ``clear_memos()`` empties all six process-global memos, while
+        ``memo_stats()`` still reports only the node and leaf memos."""
+        result = committed([(1001, 10, 1, "r1"), (1002, 20, 0, "r2")])
+        QueryProver().prove_query(SQLS[0], result.new_state, result.receipt)
+        memos = {
+            "node": merkle_memo._NODE_MEMO,
+            "leaf": merkle_memo._LEAF_MEMO,
+            "levels": merkle_memo.BUILT_LEVELS,
+            "frames": DECODED_FRAMES,
+            "views": guest_programs.ENTRY_VIEWS,
+            "entry frames": query_proof.ENTRY_FRAMES,
+        }
+        assert all(len(memo) for memo in memos.values()), \
+            {name: len(memo) for name, memo in memos.items()}
+        clear_memos()
+        assert {name: (len(memo), memo.hits, memo.misses)
+                for name, memo in memos.items()} \
+            == dict.fromkeys(memos, (0, 0, 0))
+        assert set(merkle_memo.memo_stats()) == {"node", "leaf"}
 
 
 class TestColdWarmAndReferenceAgree:
@@ -95,10 +118,10 @@ class TestColdWarmAndReferenceAgree:
     @settings(max_examples=10, deadline=None)
     def test_full_scan_and_partition_guests(self, rows):
         result = committed(rows)
-        clear_query_memos()
+        clear_memos()
         with reference_paths():
             expected = prove_all(result)
-        clear_query_memos()
+        clear_memos()
         assert prove_all(result) == expected  # every memo cold
         assert prove_all(result) == expected  # every memo warm
 
@@ -172,7 +195,7 @@ class TestDecodedFramesAreReadOnly:
     def test_a_read_frame_refuses_writes_cold_and_warm(self):
         result = committed([(1001, 10, 1, "r1"), (1002, 20, 0, "r2")])
         frames = entry_frames(result.new_state)
-        DECODED_FRAMES.clear()
+        clear_memos()
         for _ in range(2):  # the second batch comes out of the memo
             read = GuestEnv(frames).read_batch(len(frames))
             for value, frame in zip(read, frames):
@@ -197,7 +220,7 @@ class TestConcurrentQueries:
             return fingerprint(QueryProver().prove_query(
                 SQLS[0], result.new_state, result.receipt)[1])
 
-        clear_query_memos()
+        clear_memos()
         expected = [prove(result) for result in results]
         outcomes: list = []
 

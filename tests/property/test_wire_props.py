@@ -13,9 +13,9 @@ from repro.core.query_proof import QueryResponse
 from repro.errors import ReproError
 from repro.hashing import Digest
 from repro.serialization import (
-    decode_commitment,
     decode_query_response,
     decode_receipt,
+    encode,
     encode_query_response,
     encode_receipt,
 )
@@ -116,13 +116,13 @@ class TestReceiptRoundTrip:
         assert restored.inner == receipt.inner
         assert restored.journal == receipt.journal
         assert restored.claim == receipt.claim
-        assert restored.to_bytes() == receipt.to_bytes()
+        assert encode_receipt(restored) == encode_receipt(receipt)
 
     @given(receipts())
     @settings(max_examples=50)
     def test_canonical_bytes_are_deterministic(self, receipt):
         assert encode_receipt(receipt) == encode_receipt(receipt)
-        assert encode_receipt(receipt) == receipt.to_bytes()
+        assert encode_receipt(receipt) == encode(receipt.to_wire())
 
 
 class TestQueryResponseRoundTrip:
@@ -140,8 +140,8 @@ class TestQueryResponseRoundTrip:
         assert restored.root == response.root
         assert restored.group_by == response.group_by
         assert restored.groups == response.groups
-        assert restored.receipt.to_bytes() \
-            == response.receipt.to_bytes()
+        assert encode_receipt(restored.receipt) \
+            == encode_receipt(response.receipt)
 
 
 class TestDecoderRobustness:
@@ -151,8 +151,7 @@ class TestDecoderRobustness:
         """Hostile bytes must raise inside the ReproError family —
         a KeyError/TypeError/struct.error escaping the decoder would
         crash a server connection handler."""
-        for decoder in (decode_receipt, decode_query_response,
-                        decode_commitment):
+        for decoder in (decode_receipt, decode_query_response):
             try:
                 decoder(data)
             except ReproError:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VerificationError
+from repro.serialization import decode_receipt, encode_receipt
 from repro.zkvm import (
     ExecutorEnvBuilder,
     Prover,
@@ -67,7 +68,7 @@ class TestReceiptProperties:
     @settings(max_examples=40, deadline=None)
     def test_serialization_preserves_verifiability(self, values):
         receipt = prove(values).receipt
-        for restored in (Receipt.from_bytes(receipt.to_bytes()),
+        for restored in (decode_receipt(encode_receipt(receipt)),
                          Receipt.from_json_bytes(
                              receipt.to_json_bytes())):
             verify_receipt(restored, prop_guest.image_id)

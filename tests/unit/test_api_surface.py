@@ -5,8 +5,6 @@ import inspect
 import pkgutil
 import typing
 
-import pytest
-
 from repro.hashing import sha256
 
 
@@ -32,8 +30,8 @@ class TestSessionSurface:
 
         session = Executor().execute(probe,
                                      ExecutorEnvBuilder().build())
-        assert session.cycles_in("custom-work") == 123
-        assert session.cycles_in("nonexistent") == 0
+        assert session.cycle_breakdown["custom-work"] == 123
+        assert "nonexistent" not in session.cycle_breakdown
 
 
 class TestTopologySurface:
@@ -67,16 +65,6 @@ class TestEvaluatePredicateSurface:
     def test_none_predicate_matches_everything(self):
         from repro.query.evaluator import evaluate_predicate
         assert evaluate_predicate(None, {"anything": 1})
-
-    def test_predicate_from_wire_none(self):
-        from repro.query.ast import predicate_from_wire
-        assert predicate_from_wire(None) is None
-
-    def test_unknown_wire_kind(self):
-        from repro.errors import QueryError
-        from repro.query.ast import predicate_from_wire
-        with pytest.raises(QueryError):
-            predicate_from_wire({"kind": "mystery"})
 
 
 class TestReceiptBindings:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.prover_service import ProverService
 from repro.errors import CheckpointError, StorageError
+from repro.serialization import encode_receipt
 from repro.storage import MemoryLogStore, SqliteLogStore
 
 from ..conftest import make_committed_records
@@ -52,7 +53,7 @@ class TestRoundTrip:
             service.aggregated_windows
         before = service.answer_query("SELECT COUNT(*) FROM clogs")
         after = restored.answer_query("SELECT COUNT(*) FROM clogs")
-        assert before.receipt.to_bytes() == after.receipt.to_bytes()
+        assert encode_receipt(before.receipt) == encode_receipt(after.receipt)
 
     def test_sqlite_roundtrip_across_connections(self, tmp_path):
         db = tmp_path / "prover.db"

@@ -3,6 +3,7 @@ through the invoker, hooks observe each run, and the help output
 advertises the full registry."""
 
 import argparse
+import contextlib
 import dataclasses
 
 import pytest
@@ -121,77 +122,88 @@ class TestHookOrdering:
                          ("after", "b"), ("after", "a")]
 
 
-class TestEveryCommandSmokeRuns:
+def run_smoke_sweep(tmp_path, monkeypatch, capsys,
+                    step=contextlib.nullcontext):
     """Drive each registered command end-to-end through the invoker.
 
     One ordered sweep over a shared workspace: simulate seeds the
     store, aggregate proves it, and the later commands consume those
     artifacts.  serve/worker have their accept loops stubbed so they
     exercise construction + teardown without binding a socket forever.
+    Each command runs inside ``step(name)``.  Returns the recording
+    hook, the stubbed daemons that ran and the query services serve
+    built.
     """
+    db = tmp_path / "logs.db"
+    bulletin = tmp_path / "bulletin.json"
+    receipts = tmp_path / "receipts"
+    bundle_path = tmp_path / "bundle.json"
+    query_receipt = tmp_path / "query.receipt.json"
+    metrics_out = tmp_path / "metrics.json"
 
+    served = []
+    query_services = []
+
+    def serve(self, server, service, args):
+        served.append("serve")
+        query_services.append(server.qserve)
+
+    monkeypatch.setattr(ServeCommand, "_serve", serve)
+    monkeypatch.setattr(
+        WorkerCommand, "_serve",
+        lambda self, server, store, args: served.append("worker"))
+
+    count_sql = "SELECT COUNT(*) FROM clogs"
+    base = ["--db", str(db), "--bulletin", str(bulletin)]
+    sweep = [
+        ("simulate", base + ["--records", "60", "--routers", "3"]),
+        ("aggregate", base + ["--receipts", str(receipts)]),
+        ("query", base + ["--receipts", str(receipts),
+                          "--out", str(query_receipt), count_sql]),
+        ("bundle", base + ["--receipts", str(receipts),
+                           "--out", str(bundle_path),
+                           "--query", count_sql]),
+        ("verify", ["--bulletin", str(bulletin),
+                    "--receipts", str(receipts)]),
+        ("verify-bundle", ["--bundle", str(bundle_path)]),
+        ("verify-query", ["--bulletin", str(bulletin),
+                          "--receipts", str(receipts),
+                          "--query-receipt", str(query_receipt)]),
+        ("info", ["--db", str(db)]),
+        ("metrics", ["--out", str(metrics_out)]),
+        ("serve", base + ["--receipts", str(receipts)]),
+        ("worker", []),
+        ("federate", ["--providers", "2", "--flows", "8",
+                      "--seed", "3"]),
+        # Last: corrupts the store, so nothing may run after it.
+        ("tamper", ["--db", str(db), "--window", "0",
+                    "--router", None]),  # router filled below
+    ]
+    assert {name for name, _ in sweep} == set(REGISTRY.names()), \
+        "smoke sweep must cover every registered command"
+
+    hook = RecordingHook()
+    invoker = CommandInvoker(REGISTRY, hooks=[hook])
+    for name, argv in sweep:
+        if name == "tamper":
+            store = SqliteLogStore(str(db))
+            router = sorted(store.router_ids())[0]
+            store.close()
+            argv = [a if a is not None else router for a in argv]
+        with step(name):
+            exit_code = invoker.main([name] + argv)
+        captured = capsys.readouterr()
+        assert exit_code == 0, \
+            f"{name} exited {exit_code}: {captured.err}"
+    return hook, served, query_services
+
+
+class TestEveryCommandSmokeRuns:
     def test_sweep_covers_registry_and_hooks_fire(self, tmp_path,
                                                   monkeypatch, capsys):
-        db = tmp_path / "logs.db"
-        bulletin = tmp_path / "bulletin.json"
-        receipts = tmp_path / "receipts"
-        bundle_path = tmp_path / "bundle.json"
-        query_receipt = tmp_path / "query.receipt.json"
-        metrics_out = tmp_path / "metrics.json"
-
-        served = []
-        query_services = []
-
-        def serve(self, server, service, args):
-            served.append("serve")
-            query_services.append(server.qserve)
-
-        monkeypatch.setattr(ServeCommand, "_serve", serve)
-        monkeypatch.setattr(
-            WorkerCommand, "_serve",
-            lambda self, server, store, args: served.append("worker"))
-
-        count_sql = "SELECT COUNT(*) FROM clogs"
-        base = ["--db", str(db), "--bulletin", str(bulletin)]
-        sweep = [
-            ("simulate", base + ["--records", "60", "--routers", "3"]),
-            ("aggregate", base + ["--receipts", str(receipts)]),
-            ("query", base + ["--receipts", str(receipts),
-                              "--out", str(query_receipt), count_sql]),
-            ("bundle", base + ["--receipts", str(receipts),
-                               "--out", str(bundle_path),
-                               "--query", count_sql]),
-            ("verify", ["--bulletin", str(bulletin),
-                        "--receipts", str(receipts)]),
-            ("verify-bundle", ["--bundle", str(bundle_path)]),
-            ("verify-query", ["--bulletin", str(bulletin),
-                              "--receipts", str(receipts),
-                              "--query-receipt", str(query_receipt)]),
-            ("info", ["--db", str(db)]),
-            ("metrics", ["--out", str(metrics_out)]),
-            ("serve", base + ["--receipts", str(receipts)]),
-            ("worker", []),
-            ("federate", ["--providers", "2", "--flows", "8",
-                          "--seed", "3"]),
-            # Last: corrupts the store, so nothing may run after it.
-            ("tamper", ["--db", str(db), "--window", "0",
-                        "--router", None]),  # router filled below
-        ]
-        assert {name for name, _ in sweep} == set(REGISTRY.names()), \
-            "smoke sweep must cover every registered command"
-
-        hook = RecordingHook()
-        invoker = CommandInvoker(REGISTRY, hooks=[hook])
-        for name, argv in sweep:
-            if name == "tamper":
-                store = SqliteLogStore(str(db))
-                router = sorted(store.router_ids())[0]
-                store.close()
-                argv = [a if a is not None else router for a in argv]
-            exit_code = invoker.main([name] + argv)
-            captured = capsys.readouterr()
-            assert exit_code == 0, \
-                f"{name} exited {exit_code}: {captured.err}"
+        hook, served, query_services = run_smoke_sweep(
+            tmp_path, monkeypatch, capsys)
+        for name in REGISTRY.names():
             assert ("before", name) in hook.events
             assert ("after", name) in hook.events
 
@@ -201,9 +213,9 @@ class TestEveryCommandSmokeRuns:
         (qserve,) = query_services
         assert isinstance(qserve, QueryService)
         assert qserve.stats()["max_inflight"] == 64
-        assert bundle_path.exists()
-        assert query_receipt.exists()
-        assert metrics_out.exists()
+        assert (tmp_path / "bundle.json").exists()
+        assert (tmp_path / "query.receipt.json").exists()
+        assert (tmp_path / "metrics.json").exists()
 
     def test_aggregate_empty_store_fails_cleanly(self, tmp_path,
                                                  capsys):

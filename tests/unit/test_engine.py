@@ -42,6 +42,8 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.hashing import sha256
+from repro.obs import names as obs_names
+from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.serialization import decode, encode
 from repro.storage import MemoryLogStore
@@ -577,30 +579,45 @@ class TestPartitionWindows:
 
 
 class TestProvingEngine:
-    def test_prove_rounds_work_queue(self):
-        """Multiple rounds flow through one pool; each produces its
-        own verifiable merge proof."""
-        rounds = [router_inputs(n_routers=2, rows=2),
-                  router_inputs(n_routers=3, rows=1)]
+    def test_rounds_share_one_pool(self):
+        """Rounds flow through one pool, one ``prove_round`` each; each
+        produces its own verifiable merge proof."""
         with ProvingEngine(backend="thread", max_workers=2) as engine:
-            outcomes = engine.prove_rounds(rounds)
-        assert [o.ok for o in outcomes] == [True, True]
-        assert outcomes[0].result.new_root != \
-            outcomes[1].result.new_root
+            first = engine.prove_round(router_inputs(n_routers=2, rows=2))
+            second = engine.prove_round(router_inputs(n_routers=3, rows=1))
+        assert first.new_root != second.new_root
 
     def test_failed_round_isolated(self):
-        """A fault that sinks round 0's partitions must not stall or
-        poison round 1 riding the same pool."""
+        """A fault that sinks one round's partitions must not stall or
+        poison the next round on the same pool."""
         injector = FaultInjector(
             FaultPlan.parse("engine.worker:proof:count=2", seed=0))
-        rounds = [router_inputs(n_routers=2, rows=2),
-                  router_inputs(n_routers=2, rows=1)]
         with ProvingEngine(backend="serial",
                            injector=injector) as engine:
-            outcomes = engine.prove_rounds(rounds, num_partitions=2)
-        assert outcomes[0].ok is False
-        assert isinstance(outcomes[0].error, ProofError)
-        assert outcomes[1].ok is True
+            with pytest.raises(ProofError):
+                engine.prove_round(router_inputs(n_routers=2, rows=2),
+                                   num_partitions=2)
+            engine.prove_round(router_inputs(n_routers=2, rows=1),
+                               num_partitions=2)
+
+    def test_one_round_is_observed_once(self):
+        """``prove_round`` counts its partitions and observes one real
+        and one modeled round time; a failed round observes the real
+        time only."""
+        injector = FaultInjector(
+            FaultPlan.parse("engine.worker:proof:count=2", seed=0))
+        with obs.capture() as cap, ProvingEngine(
+                backend="serial", injector=injector) as engine:
+            with pytest.raises(ProofError):
+                engine.prove_round(router_inputs(2), num_partitions=2)
+            engine.prove_round(router_inputs(3), num_partitions=3)
+            registry = cap.registry
+            real = registry.get(obs_names.ENGINE_ROUND_REAL_SECONDS)
+            modeled = registry.get(obs_names.ENGINE_ROUND_MODELED_SECONDS)
+            assert registry.get(
+                obs_names.PARALLEL_PARTITIONS).value() == 5
+            assert real.series_data()["count"] == 2
+            assert modeled.series_data()["count"] == 1
 
     def test_merge_submission_failure_surfaces(self, monkeypatch):
         """An exception thrown while *building* the merge job (after
@@ -614,10 +631,9 @@ class TestProvingEngine:
 
         with ProvingEngine(backend="serial") as engine:
             monkeypatch.setattr(engine, "_merge_jobs", broken_build)
-            outcomes = engine.prove_rounds([router_inputs(2)],
-                                           num_partitions=2)
-        assert outcomes[0].ok is False
-        assert outcomes[0].error is boom
+            with pytest.raises(SerializationError) as raised:
+                engine.prove_round(router_inputs(2), num_partitions=2)
+        assert raised.value is boom
 
     def test_fanout_submits_every_built_merge(self):
         """The one fan-out primitive: N sibling jobs, then however many

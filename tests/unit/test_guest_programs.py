@@ -14,9 +14,10 @@ from repro.core.aggregation import (
 )
 from repro.core.clog import CLogState
 from repro.core.chain import ROUND_IMAGE_IDS
-from repro.core import guest_programs
 from repro.core.guest_programs import (
+    GUEST_MODULES,
     GUEST_REGISTRY,
+    VM_MODULES,
     aggregation_guest,
     assume_receipt,
     partition_guest,
@@ -36,6 +37,7 @@ from repro.core.sketch_proof import (
 from repro.core.witness import build_witness
 from repro.engine import ProvingEngine
 from repro.errors import ChainError, GuestAbort
+from repro.federation import build_federation_scenario
 from repro.federation.join import FederationJoinProver
 from repro.hashing import sha256
 from repro.merkle.memo import clear_memos
@@ -43,22 +45,15 @@ from repro.merkle.tree import EMPTY_ROOTS
 from repro.serialization import encode
 from repro.zkvm import ExecutorEnvBuilder, Prover, verify_receipt
 from repro.zkvm.guest import (
-    DECODED_FRAMES,
+    GuestProgram,
     MeteredMerkleHasher,
     _called_helpers,
 )
 
 from ..conftest import make_record
 from ..counting import count_host_work
-
-
-def clear_query_memos() -> None:
-    """Empty every memo a query reads from: the entry frames and views,
-    the decoded input frames and the Merkle digests and levels."""
-    query_proof.ENTRY_FRAMES.clear()
-    guest_programs.ENTRY_VIEWS.clear()
-    DECODED_FRAMES.clear()
-    clear_memos()
+from ..recorder import CallRecorder
+from ..reference import settle_image_ids
 
 
 def window_inputs(records_by_router: dict[str, list]):
@@ -423,7 +418,7 @@ class TestPinnedHostWork:
         ``_encode`` fewer per entry) and decodes none (one ``decode``
         and three ``_decode_fast`` fewer per entry).
         """
-        clear_query_memos()
+        clear_memos()
         counted = []
         for sql in self.QUERIES:
             with count_host_work() as counts:
@@ -438,7 +433,7 @@ class TestPinnedHostWork:
         second query at the same root encodes no entry frame, decodes
         none (its two ``decode`` calls are the header and the receipt
         binding) and hashes no tree node in the guest."""
-        clear_query_memos()
+        clear_memos()
         first, second = self.QUERIES
         QueryProver().prove_query(first, proven.new_state, proven.receipt)
         work = Counter()
@@ -565,6 +560,60 @@ class TestPinnedImages:
                   for program in (sketch_build_guest,
                                   sketch_estimate_guest)}
         assert pinned == PINNED_SKETCH_IMAGES
+
+
+class TestGuestModules:
+    """Each registered guest, run cold on the pinned fixtures under
+    :class:`tests.recorder.CallRecorder`, executes exactly the VM
+    modules and its row of ``GUEST_MODULES`` — the declaration item
+    18(b) will hash into the image id."""
+
+    SQL = TestPinnedInputFrames.SQL
+
+    def test_every_guest_executes_its_declared_modules(
+            self, monkeypatch, genesis, proven):
+        executed = {}
+        # A fresh engine: the shared one's receipt cache would answer
+        # jobs earlier tests proved without running their guests.
+        serial_engine = ProvingEngine(backend="serial")
+
+        def recorded_call(program, env):
+            try:
+                with CallRecorder() as recorder:
+                    program.fn(env)
+            finally:
+                executed.setdefault(program.name, set()).update(
+                    recorder.modules())
+
+        # Image ids hash source text: read it now, not under the
+        # recorder, which would make that slow and record it.
+        settle_image_ids()
+        monkeypatch.setattr(GuestProgram, "__call__", recorded_call)
+        windows = pinned_windows(TestPinnedRoundContract.WINDOWS)
+        runs = (
+            lambda: Aggregator().aggregate(genesis.new_state, windows,
+                                           genesis.receipt),
+            lambda: RebuildAggregator().aggregate(
+                genesis.new_state, windows, genesis.receipt),
+            lambda: serial_engine.prove_round(windows, 2),
+            lambda: QueryProver().prove_query(
+                self.SQL, proven.new_state, proven.receipt),
+            lambda: QueryProver(engine=serial_engine)
+            .prove_query_partitioned(self.SQL, proven.new_state,
+                                     proven.receipt, 2),
+            lambda: FederationJoinProver(engine=serial_engine).prove_join(
+                build_federation_scenario(num_providers=2, num_flows=8,
+                                          seed=3)),
+        )
+        with serial_engine:
+            for run in runs:
+                clear_memos()
+                run()
+        telemetry = {name for name in GUEST_REGISTRY
+                     if name.startswith("telemetry-")}
+        assert set(GUEST_MODULES) == telemetry
+        assert executed == {name: VM_MODULES | modules
+                            for name, modules in GUEST_MODULES.items()}
 
 
 # -- the shared steps abort the same way from every caller ---------------------

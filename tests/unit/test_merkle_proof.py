@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import MerkleError, MerkleInclusionError
 from repro.hashing import tagged_hash
-from repro.merkle import InclusionProof, MerkleTree, MultiProof, \
-    verify_inclusion
+from repro.merkle import InclusionProof, MerkleTree, MultiProof
 
 
 def leaf(i: int):
@@ -29,7 +28,8 @@ class TestInclusionProof:
         proof = tree.prove(3)
         moved = InclusionProof(leaf_index=4, leaf=proof.leaf,
                                siblings=proof.siblings, tree_size=8)
-        assert not moved.is_valid(tree.root)
+        with pytest.raises(MerkleInclusionError):
+            moved.verify(tree.root)
 
     def test_tampered_sibling_fails(self, tree):
         proof = tree.prove(0)
@@ -37,7 +37,8 @@ class TestInclusionProof:
         siblings[1] = leaf(1234)
         tampered = InclusionProof(leaf_index=0, leaf=proof.leaf,
                                   siblings=tuple(siblings), tree_size=8)
-        assert not tampered.is_valid(tree.root)
+        with pytest.raises(MerkleInclusionError):
+            tampered.verify(tree.root)
 
     def test_negative_index_rejected(self):
         with pytest.raises(MerkleError):
@@ -62,8 +63,9 @@ class TestInclusionProof:
         restored.verify(tree.root)
 
     def test_verify_inclusion_helper(self, tree):
-        assert verify_inclusion(tree.root, tree.prove(2))
-        assert not verify_inclusion(leaf(0), tree.prove(2))
+        tree.prove(2).verify(tree.root)
+        with pytest.raises(MerkleInclusionError):
+            tree.prove(2).verify(leaf(0))
 
     def test_depth_property(self, tree):
         assert tree.prove(0).depth == 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MerkleError
+from repro.errors import MerkleError, MerkleInclusionError
 from repro.hashing import tagged_hash
 from repro.merkle import EMPTY_ROOTS, MerkleTree
 from repro.merkle.hasher import default_hasher
@@ -40,8 +40,8 @@ class TestConstruction:
         assert MerkleTree(leaf(i) for i in range(n)).depth == depth
 
     def test_from_payloads(self):
-        tree = MerkleTree.from_payloads([b"a", b"b"])
         h = default_hasher()
+        tree = MerkleTree(h.leaf(p) for p in (b"a", b"b"))
         assert tree.root == h.node(h.leaf(b"a"), h.leaf(b"b"))
 
 
@@ -109,7 +109,8 @@ class TestProve:
         tree = MerkleTree(leaf(i) for i in range(4))
         proof = tree.prove(2)
         other = MerkleTree(leaf(i) for i in range(5))
-        assert not proof.is_valid(other.root)
+        with pytest.raises(MerkleInclusionError):
+            proof.verify(other.root)
 
     def test_prove_out_of_range(self):
         tree = MerkleTree([leaf(0)])

@@ -9,7 +9,6 @@ from repro.net.framing import (
     HEADER_SIZE,
     MAGIC,
     WIRE_VERSION,
-    FrameDecoder,
     decode_frame,
     encode_frame,
     parse_header,
@@ -92,31 +91,45 @@ class TestRejection:
             parse_header(header, max_size=1024)
 
 
+def chunked_recv(stream: bytes, chunk: int):
+    """A blocking ``recv(n)`` over ``stream`` that hands back at most
+    ``chunk`` bytes per call and ``b""`` once it is drained."""
+    buffered = bytearray(stream)
+
+    def recv(n):
+        take = bytes(buffered[:min(n, chunk)])
+        del buffered[:len(take)]
+        return take
+
+    return recv, buffered
+
+
 class TestFrameDecoder:
+    """Frames decoded off a stream that arrives in arbitrary chunks."""
+
     @given(st.lists(st.binary(max_size=128), min_size=1, max_size=6),
            st.integers(min_value=1, max_value=7))
     @settings(max_examples=100)
     def test_incremental_feed_any_chunking(self, payloads, chunk):
         stream = b"".join(encode_frame(p) for p in payloads)
-        decoder = FrameDecoder()
-        out = []
-        for i in range(0, len(stream), chunk):
-            out.extend(decoder.feed(stream[i:i + chunk]))
-        decoder.finish()
+        recv, rest = chunked_recv(stream, chunk)
+        out = [read_frame_from(recv) for _ in payloads]
         assert out == payloads
+        assert not rest
 
     def test_finish_mid_frame_raises(self):
-        decoder = FrameDecoder()
-        list(decoder.feed(encode_frame(b"abcdef")[:-2]))
+        recv, _ = chunked_recv(encode_frame(b"abcdef")[:-2], 3)
         with pytest.raises(TruncatedFrame):
-            decoder.finish()
+            read_frame_from(recv)
+        with pytest.raises(TruncatedFrame):
+            decode_frame(encode_frame(b"abcdef")[:-2])
 
     def test_oversized_rejected_before_payload_arrives(self):
-        decoder = FrameDecoder(max_size=16)
         header = encode_frame(b"")[:HEADER_SIZE - 4] \
             + (1 << 20).to_bytes(4, "big")
+        recv, _ = chunked_recv(header, HEADER_SIZE)
         with pytest.raises(FrameTooLarge):
-            list(decoder.feed(header))
+            read_frame_from(recv, max_size=16)
 
 
 class TestBlockingTransport:

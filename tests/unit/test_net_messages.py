@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.commitments import Commitment
 from repro.core.prover_service import ProverService
 from repro.errors import (
     ChainError,
@@ -26,7 +27,7 @@ from repro.net.messages import (
     request,
 )
 from repro.serialization import (
-    decode_commitment,
+    decode,
     decode_query_response,
     decode_receipt,
     encode,
@@ -123,12 +124,12 @@ class TestWireCodecs:
     def test_commitment_round_trip(self, tiny_service):
         for commitment in tiny_service.bulletin:
             data = encode_commitment(commitment)
-            assert decode_commitment(data) == commitment
+            assert Commitment.from_wire(decode(data)) == commitment
 
     def test_receipt_round_trip(self, tiny_service):
         receipt = tiny_service.chain.latest.receipt
         restored = decode_receipt(encode_receipt(receipt))
-        assert restored.to_bytes() == receipt.to_bytes()
+        assert encode_receipt(restored) == encode_receipt(receipt)
         assert restored.claim_digest == receipt.claim_digest
         assert restored.journal == receipt.journal
 
@@ -145,8 +146,8 @@ class TestWireCodecs:
         assert restored.round == response.round
         assert restored.root == response.root
         assert restored.groups == response.groups
-        assert restored.receipt.to_bytes() \
-            == response.receipt.to_bytes()
+        assert encode_receipt(restored.receipt) \
+            == encode_receipt(response.receipt)
 
     def test_grouped_response_round_trips(self, tiny_service):
         response = tiny_service.answer_query(
@@ -164,7 +165,6 @@ class TestWireCodecs:
         b"\xff\xff\xff",
     ])
     def test_malformed_bytes_raise_serialization_error(self, data):
-        for decoder in (decode_commitment, decode_receipt,
-                        decode_query_response):
+        for decoder in (decode_receipt, decode_query_response):
             with pytest.raises(SerializationError):
                 decoder(data)

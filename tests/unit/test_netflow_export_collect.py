@@ -38,8 +38,9 @@ class TestExporter:
 
     def test_sequence_increments_per_packet(self):
         exporter = NetFlowExporter(source_id=1, max_records_per_packet=2)
-        exporter.export(records(6))
-        assert exporter.sequence == 3
+        packets = exporter.export(records(6))
+        assert [decode_packet(packet)[0].sequence
+                for packet in packets] == [0, 1, 2]
 
     def test_empty_batch_still_emits_packet(self):
         exporter = NetFlowExporter(source_id=1)

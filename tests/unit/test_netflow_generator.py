@@ -134,13 +134,3 @@ class TestThrottling:
     def test_throttle_validation(self):
         with pytest.raises(ConfigurationError):
             ThrottleSpec(extra_loss_rate=1.0)
-
-
-class TestGenerateRecords:
-    def test_partitions_by_router(self, topology):
-        per_router = generator(topology).generate_records(30)
-        assert set(per_router) == set(topology.router_ids())
-        for router_id, records in per_router.items():
-            assert all(r.router_id == router_id for r in records)
-        total = sum(len(v) for v in per_router.values())
-        assert total >= 30

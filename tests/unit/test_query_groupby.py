@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import QueryError, QuerySyntaxError
 from repro.query import evaluate, parse_query
-from repro.query.ast import query_from_wire
 
 
 def entries():
@@ -22,7 +21,6 @@ class TestParsing:
     def test_group_by_parses(self):
         query = parse_query(
             "SELECT COUNT(*) FROM clogs GROUP BY protocol")
-        assert query.is_grouped
         assert query.group_by.name == "protocol"
 
     def test_group_by_after_where(self):
@@ -30,7 +28,7 @@ class TestParsing:
             "SELECT SUM(packets) FROM clogs WHERE packets > 5 "
             "GROUP BY protocol;")
         assert query.where is not None
-        assert query.is_grouped
+        assert query.group_by.name == "protocol"
 
     def test_group_by_unknown_column(self):
         with pytest.raises(QuerySyntaxError, match="unknown column"):
@@ -39,18 +37,6 @@ class TestParsing:
     def test_group_requires_by(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT COUNT(*) FROM clogs GROUP protocol")
-
-    def test_wire_roundtrip(self):
-        query = parse_query(
-            "SELECT COUNT(*), SUM(packets) FROM clogs "
-            "GROUP BY src_ip")
-        assert query_from_wire(query.to_wire()) == query
-
-    def test_ungrouped_wire_backward_compatible(self):
-        query = parse_query("SELECT COUNT(*) FROM clogs")
-        wire = query.to_wire()
-        assert wire["group_by"] is None
-        assert query_from_wire(wire) == query
 
 
 class TestEvaluation:

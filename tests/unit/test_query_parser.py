@@ -11,7 +11,6 @@ from repro.query.ast import (
     Logical,
     LogicalOp,
     PrefixMatch,
-    query_from_wire,
 )
 
 PAPER_QUERY = ('SELECT SUM(hop_count) FROM clogs '
@@ -127,13 +126,6 @@ class TestWhole:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(QuerySyntaxError, match="trailing"):
             parse_query("SELECT COUNT(*) FROM clogs extra")
-
-    def test_wire_roundtrip(self):
-        query = parse_query(
-            'SELECT SUM(octets), COUNT(*) FROM clogs '
-            'WHERE (src_ip IN "10.0.0.0/8" OR packets >= 5) '
-            'AND NOT dst_port = 53')
-        assert query_from_wire(query.to_wire()) == query
 
     def test_node_count_positive(self):
         assert parse_query(PAPER_QUERY).node_count > 5

@@ -190,8 +190,7 @@ class TestPartitionGuestAborts:
         entries = service.state.entries_in_slot_order()[lo:hi]
         tree = service.state.merkle_map.tree
         if siblings is None:
-            siblings = list(
-                tree.prove_subtree(chunk_po2, index).siblings)
+            siblings = list(tree.prove_subtree(chunk_po2, index))
         builder = ExecutorEnvBuilder()
         builder.write({
             "queries": sqls,
@@ -237,7 +236,7 @@ class TestPartitionGuestAborts:
         service, _, _ = proven
         tree = service.state.merkle_map.tree
         chunk_po2, _ = partition_layout(len(service.state), 4)
-        siblings = list(tree.prove_subtree(chunk_po2, 0).siblings)
+        siblings = list(tree.prove_subtree(chunk_po2, 0))
         siblings[0] = siblings[-1]
         with pytest.raises(GuestAbort, match="committed root"):
             Prover().prove(query_partition_guest, self._partition_env(

@@ -55,14 +55,6 @@ class TestAppendRead:
         assert store.window_blobs("ghost", 9) == []
         assert store.window_indices("ghost") == []
 
-    def test_all_blobs_for_window(self, store):
-        store.append_records("r1", 0, records(2))
-        store.append_records("r2", 0, records(1, router="r2"))
-        store.append_records("r1", 1, records(1))
-        per_router = store.all_blobs_for_window(0)
-        assert set(per_router) == {"r1", "r2"}
-        assert len(per_router["r1"]) == 2
-
 
 class TestMutation:
     def test_overwrite_raw(self, store):

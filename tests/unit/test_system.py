@@ -5,7 +5,8 @@ import pytest
 import repro
 from repro.core.system import SystemConfig, TelemetrySystem, \
     build_paper_eval_system
-from repro.netflow.topology import NetworkTopology
+
+from ..conftest import hub_topology
 
 
 class TestSystemConfig:
@@ -28,7 +29,7 @@ class TestTelemetrySystem:
     def test_custom_topology_flows_through(self):
         system = TelemetrySystem(
             SystemConfig(flows_per_tick=3),
-            topology=NetworkTopology.star(2))
+            topology=hub_topology(2))
         system.generate(30)
         assert set(system.store.router_ids()) <= \
             {"core", "edge1", "edge2"}

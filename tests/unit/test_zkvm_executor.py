@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import GuestAbort
 from repro.zkvm import ExecutorEnvBuilder, Executor, guest_program
 from repro.zkvm import cycles as cy
 from repro.zkvm.executor import segment_chain
@@ -44,11 +43,6 @@ class TestExecution:
                                      ExecutorEnvBuilder().build())
         assert session.exit_code is ExitCode.ABORTED
         assert session.abort_reason == "deliberate"
-
-    def test_execute_expecting_success_raises(self):
-        with pytest.raises(GuestAbort, match="deliberate"):
-            Executor().execute_expecting_success(
-                aborting_guest, ExecutorEnvBuilder().build())
 
     def test_guest_bug_propagates(self):
         with pytest.raises(RuntimeError, match="guest bug"):
@@ -112,7 +106,7 @@ class TestExecutorInput:
 
     def test_write_frame_raw(self):
         from repro.serialization import encode
-        a = ExecutorEnvBuilder().write_frame(encode("x")).build()
+        a = ExecutorEnvBuilder().write_frames([encode("x")]).build()
         b = ExecutorEnvBuilder().write("x").build()
         assert a.digest == b.digest
 

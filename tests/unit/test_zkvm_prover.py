@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GuestAbort, ProofError
+from repro.serialization import decode_receipt, encode_receipt
 from repro.zkvm import (
     ExecutorEnvBuilder,
     Executor,
@@ -86,7 +87,7 @@ class TestProve:
 class TestReceiptSerialization:
     def test_bytes_roundtrip(self):
         receipt = prove().receipt
-        restored = Receipt.from_bytes(receipt.to_bytes())
+        restored = decode_receipt(encode_receipt(receipt))
         assert restored.claim_digest == receipt.claim_digest
         assert restored.journal == receipt.journal
         assert restored.inner.seal_bytes == receipt.inner.seal_bytes
@@ -98,7 +99,7 @@ class TestReceiptSerialization:
 
     def test_composite_roundtrip(self):
         receipt = prove(ReceiptKind.COMPOSITE).receipt
-        restored = Receipt.from_bytes(receipt.to_bytes())
+        restored = decode_receipt(encode_receipt(receipt))
         assert restored.claim_digest == receipt.claim_digest
         assert len(restored.inner.segments) == \
             len(receipt.inner.segments)

@@ -45,7 +45,7 @@ class TestHappyPath:
         receipt = make_receipt(kind)
         verified = verify_receipt(receipt, honest_guest.image_id)
         assert verified.journal.decode_one() == 42
-        assert verified.image_id == honest_guest.image_id
+        assert verified.claim.image_id == honest_guest.image_id
 
     def test_modeled_verify_time_constant(self):
         small = verify_receipt(make_receipt(value=1),
