@@ -108,7 +108,7 @@ class DigestMemo(Generic[V]):
 # :func:`clear_memos` empties, wherever the memo lives (the node, leaf
 # and level memos here, ``zkvm.guest.DECODED_FRAMES``,
 # ``core.guest_programs.ENTRY_VIEWS`` and ``core.query_proof.ENTRY_FRAMES``).
-_MEMOS: "weakref.WeakSet[DigestMemo[Any]]" = weakref.WeakSet()
+_MEMOS: weakref.WeakSet[DigestMemo[Any]] = weakref.WeakSet()
 
 # Process-global caches shared by every tree build in this process.
 # Node keys are the 64-byte child-digest concatenation; leaf keys are the

@@ -15,9 +15,6 @@ directory, every interpreter appends each ``repro`` function it enters
 for the first time to ``CALL_RECORD_DIR/calls-<pid>.txt``.  Lines are
 written as they are seen, so a worker that leaves through ``os._exit``
 loses nothing.  :func:`load_records` reads the directory back.
-
-Run ``python -m tests.recorder DIR`` to list the modules and functions
-a recorded directory holds.
 """
 
 from __future__ import annotations
@@ -184,20 +181,3 @@ def load_records(directory: str | os.PathLike) -> set[tuple[str, str]]:
             filename, _, qualname = line.partition("\t")
             calls.add((filename, qualname))
     return calls
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python -m tests.recorder RECORD_DIR", file=sys.stderr)
-        return 2
-    calls = load_records(argv[0])
-    for module in sorted(modules_of(calls)):
-        print(module)
-    print()
-    for function in sorted(functions_of(calls)):
-        print(function)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -461,13 +461,13 @@ class TestCliSweepRunsItsModules:
 
 def record_entry_points(out: Path) -> None:
     """Run every entry point under the recorder, one directory each."""
+    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 
     def run(name: str, command: list[str], cwd: Path = REPO_ROOT) -> None:
         print(f"recording {name}", flush=True)
         env = recording_environment(out / name)
         subprocess.run(command, cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL)
 
-    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     for example in sorted(EXAMPLES.glob("*.py")):
         run(f"example-{example.name}", [sys.executable, str(example)])
     for workload in ledger_workloads():
