@@ -1,10 +1,12 @@
 """§6 experimental setup — end-to-end pipeline throughput.
 
 The paper's evaluation environment: 4 routers generating NetFlow logs
-in parallel threads into a shared SQL backend with 5-second commitment
-windows.  This bench measures each stage of the pipeline on that exact
-configuration: generation+commit, aggregation round, query round, and
-client verification.
+into a shared SQL backend with 5-second commitment windows.  The paper
+runs one thread per router; this bench generates through the
+synchronous pump on the virtual clock (``TelemetrySystem.generate``),
+so every run commits the same windows.  It measures each stage of the
+pipeline: generation+commit, aggregation round, query round, and client
+verification.
 """
 
 from __future__ import annotations

@@ -43,45 +43,38 @@ class RouterCommitter:
     def pending_count(self) -> int:
         return len(self._buffer)
 
-    def add_record(self, record: NetFlowRecord,
-                   now_ms: int | None = None) -> None:
-        """Buffer one record into the window of ``now_ms`` (default:
-        the clock's time).
+    def add_record(self, record: NetFlowRecord) -> None:
+        """Buffer one record into the current window.
 
-        Rolls the window over first if that time has crossed a
-        boundary, so records never land in an already-committed window.
+        Rolls the window over first if the clock has crossed a boundary,
+        so records never land in an already-committed window.
         """
-        if now_ms is None:
-            now_ms = self.clock.now_ms()
-        now_window = self.window.index_for(now_ms)
+        now_window = self.window.index_for(self.clock.now_ms())
         if self._current_window is None:
             self._current_window = now_window
         elif now_window != self._current_window:
-            self._commit_buffer(now_ms)
+            self._commit_buffer()
             self._current_window = now_window
         self._buffer.append(record)
 
-    def maybe_commit(self, now_ms: int | None = None
-                     ) -> Commitment | None:
-        """Commit the buffered window if ``now_ms`` (default: the
-        clock's time) has moved past it."""
-        if now_ms is None:
-            now_ms = self.clock.now_ms()
+    def maybe_commit(self) -> Commitment | None:
+        """Commit the buffered window if the clock has moved past it."""
         if self._current_window is None:
             return None
-        if self.window.index_for(now_ms) == self._current_window:
+        if self.window.index_for(self.clock.now_ms()) == \
+                self._current_window:
             return None
-        return self._commit_buffer(now_ms)
+        return self._commit_buffer()
 
     def flush(self) -> Commitment | None:
         """Force-commit whatever is buffered (end of a run)."""
         if self._current_window is None:
             return None
-        return self._commit_buffer(self.clock.now_ms())
+        return self._commit_buffer()
 
     # -- internals ---------------------------------------------------------------
 
-    def _commit_buffer(self, now_ms: int) -> Commitment | None:
+    def _commit_buffer(self) -> Commitment | None:
         window_index = self._current_window
         if window_index is None:
             raise SimulationError("no window open")
@@ -96,7 +89,7 @@ class RouterCommitter:
             window_index=window_index,
             digest=window_digest(blobs),
             record_count=len(blobs),
-            published_at_ms=now_ms,
+            published_at_ms=self.clock.now_ms(),
         )
         self.bulletin.publish(commitment)
         logger.debug("router %s committed window %d: %d records, %s…",

@@ -3,7 +3,7 @@
 :class:`TelemetrySystem` glues the simulator, the shared store, the
 bulletin board, the prover service and a verifier client together, and
 :func:`build_paper_eval_system` reproduces the paper's configuration:
-4 routers on a simplified topology, parallel log generation, a shared
+4 routers on a simplified topology, per-router log generation, a shared
 SQL-style backend, and 5-second commitment windows.
 """
 
@@ -73,9 +73,9 @@ class TelemetrySystem:
     # -- convenience drives ----------------------------------------------------
 
     def generate(self, target_records: int) -> None:
-        """Simulate until ≥ ``target_records`` exist, one thread per
-        router, then commit every router's open window."""
-        self.simulator.run_threaded(target_records=target_records)
+        """Simulate until ≥ ``target_records`` exist, then flush commits."""
+        self.simulator.run_until_records(target_records)
+        self.simulator.flush()
 
     def aggregate_all(self) -> int:
         """Aggregate every committed window; returns the round count.

@@ -9,13 +9,10 @@ The driver generates flows over the topology and fans each flow's
 per-router observations out to that router's worker.  Two drive modes:
 
 * ``run_threaded`` — dedicated thread per router (the paper's setup),
-  wall-clock or virtual-clock paced; what
-  :meth:`~repro.core.system.TelemetrySystem.generate` runs;
+  wall-clock or virtual-clock paced;
 * ``pump`` — synchronous single-threaded stepping: generate, deliver,
-  advance the clock, commit.
-
-Both file a record into the window of the tick that generated it, so on
-a :class:`~repro.netflow.clock.SimClock` they commit the same windows.
+  advance the clock, commit; deterministic, and what ``repro simulate``
+  and :meth:`~repro.core.system.TelemetrySystem.generate` run.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ from .clock import Clock, SimClock
 from .generator import TrafficConfig, TrafficGenerator
 from .records import NetFlowRecord
 from .topology import NetworkTopology
-
-
-#: Ticks a run may take to reach its record target before it gives up.
-MAX_TICKS = 100_000
 
 
 @dataclass
@@ -109,7 +102,7 @@ class NetFlowSimulator:
                 committer.maybe_commit()
 
     def run_until_records(self, target_records: int,
-                          max_ticks: int = MAX_TICKS) -> None:
+                          max_ticks: int = 100_000) -> None:
         """Pump until at least ``target_records`` records exist."""
         for _ in range(max_ticks):
             if self._records_generated >= target_records:
@@ -127,37 +120,35 @@ class NetFlowSimulator:
 
     # -- threaded drive (the paper's parallel-router mode) ------------------------
 
-    def run_threaded(self, duration_ms: int | None = None,
-                     target_records: int | None = None) -> None:
+    def run_threaded(self, duration_ms: int) -> None:
         """Run with one dedicated worker thread per router.
 
-        The driver thread generates each tick's flows and hands every
-        router that tick's records, stamped with the tick's time; each
-        router thread files them into that time's window and commits a
-        window once a later tick passes it, concurrently with its peers,
-        against the shared store — the §6 configuration.  Windows follow
-        the ticks, not the moment a thread gets to a record, so on a
-        :class:`~repro.netflow.clock.SimClock` (whose sleeps advance at
-        once) the run commits exactly what :meth:`pump` commits.
+        The driver thread generates flows and feeds per-router queues;
+        each router thread ingests its records and publishes its own
+        commitments, concurrently with its peers, against the shared
+        store — the §6 configuration.
 
-        Runs for ``duration_ms`` of clock time or until
-        ``target_records`` records exist, whichever comes first; every
-        router then commits its open window.
+        Meant for wall-clock runs (:class:`~repro.netflow.clock.WallClock`).
+        With a :class:`~repro.netflow.clock.SimClock` the driver's
+        virtual sleeps advance instantly, so worker threads drain most
+        records after the loop ends and window assignment skews toward
+        the final window — use :meth:`pump` for deterministic
+        virtual-time tests.
         """
-        if duration_ms is None and target_records is None:
-            raise SimulationError("run_threaded needs a duration or a "
-                                  "record target")
         queues: dict[str, queue.Queue] = {
             r: queue.Queue() for r in self.committers}
+        stop = threading.Event()
 
         def router_worker(router_id: str) -> None:
             committer = self.committers[router_id]
             q = queues[router_id]
-            while (batch := q.get()) is not None:
-                now_ms, records = batch
-                committer.maybe_commit(now_ms)
-                for record in records:
-                    committer.add_record(record, now_ms)
+            while not (stop.is_set() and q.empty()):
+                try:
+                    record = q.get(timeout=0.01)
+                except queue.Empty:
+                    committer.maybe_commit()
+                    continue
+                committer.add_record(record)
             committer.flush()
 
         threads = [
@@ -168,28 +159,13 @@ class NetFlowSimulator:
         for thread in threads:
             thread.start()
         try:
-            end = None if duration_ms is None \
-                else self.clock.now_ms() + duration_ms
-            for _ in range(MAX_TICKS):
-                now = self.clock.now_ms()
-                if (end is not None and now >= end) or (
-                        target_records is not None
-                        and self._records_generated >= target_records):
-                    break
-                batches: dict[str, list[NetFlowRecord]] = {
-                    r: [] for r in queues}
-                for record in self._generate_tick(now):
-                    batches[record.router_id].append(record)
-                for router_id, records in batches.items():
-                    queues[router_id].put((now, records))
+            end = self.clock.now_ms() + duration_ms
+            while self.clock.now_ms() < end:
+                for record in self._generate_tick(self.clock.now_ms()):
+                    queues[record.router_id].put(record)
                 self.clock.sleep_ms(self.config.tick_ms)
-            else:
-                raise SimulationError(
-                    f"generated only {self._records_generated} records "
-                    f"in {MAX_TICKS} ticks (target {target_records})")
         finally:
-            for q in queues.values():
-                q.put(None)
+            stop.set()
             for thread in threads:
                 thread.join(timeout=30.0)
                 if thread.is_alive():

@@ -81,16 +81,6 @@ def make_record(router_id: str = "r1",
     return NetFlowRecord(**defaults)
 
 
-def hub_topology(num_leaves: int) -> NetworkTopology:
-    """A hub ``core`` linked to edge routers ``edge1`` .. ``edgeN``."""
-    topo = NetworkTopology()
-    topo.add_router("core")
-    for i in range(1, num_leaves + 1):
-        topo.add_router(f"edge{i}", region="edge")
-        topo.add_link("core", f"edge{i}")
-    return topo
-
-
 def make_committed_records(n: int, seed: int = 7,
                            window_index: int = 0
                            ) -> tuple[MemoryLogStore, BulletinBoard, int]:

@@ -2,15 +2,13 @@
 
 from repro.commitments import BulletinBoard
 from repro.core.prover_service import ProverService
-from repro.core.system import SystemConfig, TelemetrySystem
 from repro.core.verifier_client import VerifierClient
 from repro.netflow import (
     NetFlowSimulator,
-    SimClock,
     SimulatorConfig,
     WallClock,
 )
-from repro.storage import MemoryLogStore, SqliteLogStore
+from repro.storage import SqliteLogStore
 
 
 class TestThreadedPipelineWithSql:
@@ -55,45 +53,3 @@ class TestThreadedPipelineWithSql:
         consumed = {w for result in results for w in result.windows}
         assert consumed <= committed
         store.close()
-
-
-def committed_windows(store, bulletin):
-    """Every commitment with the bytes stored under it."""
-    return {(c.router_id, c.window_index): (c.to_wire(),
-             store.window_blobs(c.router_id, c.window_index))
-            for c in bulletin}
-
-
-class TestThreadedOnTheVirtualClock:
-    def test_threads_commit_what_the_pump_commits(self):
-        """Windows follow the generating tick, not the moment a router
-        thread files a record: on a ``SimClock`` the threaded run
-        publishes the pump's commitments over the pump's bytes."""
-        runs = []
-        for threaded in (False, True):
-            store, bulletin = MemoryLogStore(), BulletinBoard()
-            simulator = NetFlowSimulator(
-                store, bulletin, SimClock(),
-                SimulatorConfig(flows_per_tick=5, commit_interval_ms=3_000))
-            if threaded:
-                simulator.run_threaded(target_records=150)
-            else:
-                simulator.run_until_records(150)
-                simulator.flush()
-            runs.append(committed_windows(store, bulletin))
-        pumped, threaded = runs
-        assert len(pumped) > 4
-        assert threaded == pumped
-
-    def test_memory_and_sqlite_reach_one_root(self):
-        """The §6 claim: ``TelemetrySystem.generate`` runs the router
-        threads, and both backends commit the same CLog root."""
-        roots = set()
-        for backend in ("memory", "sqlite"):
-            system = TelemetrySystem(SystemConfig(
-                seed=7, flows_per_tick=10, backend=backend))
-            system.generate(120)
-            assert system.aggregate_all() >= 1
-            roots.add(system.prover.state.root)
-            system.close()
-        assert len(roots) == 1

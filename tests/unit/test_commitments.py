@@ -145,19 +145,6 @@ class TestRouterCommitter:
         committer, *_ = self.make_committer()
         assert committer.flush() is None
 
-    def test_a_stated_time_picks_the_window_not_the_clock(self):
-        """A record stamped with its tick's time lands in that tick's
-        window however far the clock has run, and the commit carries
-        the stated time."""
-        committer, store, board, clock = self.make_committer()
-        clock.advance_ms(60_000)
-        committer.add_record(make_record(), now_ms=6_000)
-        assert committer.maybe_commit(now_ms=9_000) is None
-        commitment = committer.maybe_commit(now_ms=10_000)
-        assert (commitment.window_index, commitment.published_at_ms) \
-            == (1, 10_000)
-        assert len(store.window_blobs("r1", 1)) == 1
-
     def test_empty_window_publishes_nothing(self):
         committer, _store, board, clock = self.make_committer()
         committer.add_record(make_record())

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.netflow.topology import LinkSpec, NetworkTopology
 
-from ..conftest import hub_topology
-
 
 class TestConstruction:
     def test_add_router_and_link(self):
@@ -54,8 +52,12 @@ class TestPaths:
         assert topo.path("r1", "r1") == ["r1"]
 
     def test_star_paths_go_through_core(self):
-        topo = hub_topology(3)
-        assert topo.path("edge1", "edge3") == ["edge1", "core", "edge3"]
+        topo = NetworkTopology()
+        for router in ("core", "edge1", "edge2"):
+            topo.add_router(router)
+        topo.add_link("core", "edge1")
+        topo.add_link("core", "edge2")
+        assert topo.path("edge1", "edge2") == ["edge1", "core", "edge2"]
 
     def test_mesh_paths_are_direct(self):
         topo = NetworkTopology()
@@ -101,5 +103,5 @@ class TestCannedTopologies:
             NetworkTopology.linear(0)
 
     def test_router_ids_sorted(self):
-        topo = hub_topology(3)
+        topo = NetworkTopology.linear(12)
         assert topo.router_ids() == sorted(topo.router_ids())

@@ -305,6 +305,11 @@ TEST_ONLY_KEPT: dict[str, tuple[str, ...]] = {
         "repro.zkvm.receipt:SegmentReceipt.to_wire",
         "repro.zkvm.recursion:compress",
     ),
+    "the paper's threaded drive: one thread per router on the wall clock (§6)": (
+        "repro.netflow.clock:WallClock.now_ms",
+        "repro.netflow.clock:WallClock.sleep_ms",
+        "repro.netflow.simulator:NetFlowSimulator.run_threaded",
+    ),
     "the sketch family: ROADMAP item 20 moves it out with its example": (
         "repro.core.sketch_proof:SketchBuildResult.journal",
         "repro.sketch.countmin:CountMinSketch.merge",
@@ -341,8 +346,6 @@ TEST_ONLY_KEPT: dict[str, tuple[str, ...]] = {
         "repro.merkle.tree:MerkleTree.leaf",
         "repro.merkle.tree:MerkleTree.leaves",
         "repro.net.retry:RetryPolicy.delays",
-        "repro.netflow.clock:WallClock.now_ms",
-        "repro.netflow.clock:WallClock.sleep_ms",
         "repro.netflow.records:FlowKey.reversed",
         "repro.netflow.records:NetFlowRecord.digest",
         "repro.netflow.records:NetFlowRecord.duration_ms",

@@ -5,8 +5,8 @@ import pytest
 import repro
 from repro.core.system import SystemConfig, TelemetrySystem, \
     build_paper_eval_system
-
-from ..conftest import hub_topology
+from repro.errors import StorageError
+from repro.netflow.topology import NetworkTopology
 
 
 class TestSystemConfig:
@@ -29,10 +29,9 @@ class TestTelemetrySystem:
     def test_custom_topology_flows_through(self):
         system = TelemetrySystem(
             SystemConfig(flows_per_tick=3),
-            topology=hub_topology(2))
+            topology=NetworkTopology.linear(2))
         system.generate(30)
-        assert set(system.store.router_ids()) <= \
-            {"core", "edge1", "edge2"}
+        assert set(system.store.router_ids()) <= {"r1", "r2"}
 
     def test_generate_then_aggregate_then_query(self):
         system = build_paper_eval_system(target_records=60,
@@ -52,6 +51,30 @@ class TestTelemetrySystem:
             return system.prover.state.root
         assert root(5) == root(5)
         assert root(5) != root(6)
+
+    def test_memory_and_sqlite_reach_one_root(self):
+        """The §6 claim: both backends publish one bulletin, in one
+        order, and commit the same CLog root."""
+        runs = []
+        for backend in ("memory", "sqlite"):
+            system = TelemetrySystem(SystemConfig(
+                seed=7, flows_per_tick=10, backend=backend))
+            system.generate(120)
+            assert system.aggregate_all() >= 1
+            runs.append(([c.to_wire() for c in system.bulletin],
+                         system.prover.state.root))
+            system.close()
+        assert runs[0] == runs[1]
+
+    def test_store_failure_reaches_the_caller(self):
+        system = TelemetrySystem(SystemConfig(flows_per_tick=5))
+
+        def fail(*_args):
+            raise StorageError("disk full")
+
+        system.store.append_records = fail
+        with pytest.raises(StorageError, match="disk full"):
+            system.generate(100)
 
 
 class TestPackageSurface:
