@@ -75,11 +75,12 @@ def committed_workload(num_records: int, seed: int = 7,
     return store, bulletin
 
 
-def aggregated_service(num_records: int,
-                       seed: int = 7) -> ProverService:
+def aggregated_service(num_records: int, seed: int = 7,
+                       strategy: str = "batched") -> ProverService:
     """A prover service with one proven aggregation round over
-    ``num_records``."""
+    ``num_records``.  The paper's figures pass ``strategy="update"``:
+    Alg. 1 as laid out, the guest the cost model is calibrated on."""
     store, bulletin = committed_workload(num_records, seed)
-    service = ProverService(store, bulletin)
+    service = ProverService(store, bulletin, strategy=strategy)
     service.aggregate_window(0)
     return service

@@ -24,7 +24,7 @@ MODEL = CostModel()
 
 @pytest.fixture(scope="module")
 def agg_3000():
-    service = aggregated_service(3000)
+    service = aggregated_service(3000, strategy="update")
     return service.last_prove_info.stats
 
 

@@ -7,6 +7,11 @@ whole previous CLog into the guest and rebuilding the tree.  Analysis
 rebuild ≈ 2 × (3·size + records); rebuild wins for batch-heavy rounds,
 update wins for incremental rounds over a large dataset.  This bench
 measures the crossover empirically from metered cycles.
+
+A third column is the batched round guest (the service's default):
+step 3 over one multiproof, each touched node hashed once per root.
+Whether it is at or below rebuild at every batch is the evidence for
+retiring the rebuild guest.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.commitments import window_digest
-from repro.core.aggregation import Aggregator, RouterWindowInput
+from repro.core.aggregation import Aggregator, BatchedAggregator, RouterWindowInput
 from repro.core.clog import CLogEntry, CLogState
 from repro.core.rebuild import RebuildAggregator
 from repro.netflow.records import FlowKey, NetFlowRecord
@@ -61,8 +66,8 @@ def round_stats(strategy: str, state_size: int, batch: int) -> ProveStats:
     genesis_inputs = batch_inputs(0, state_size, window=0)
     genesis = Aggregator().aggregate(CLogState(), genesis_inputs, None)
     inputs = batch_inputs(state_size, batch, window=1)
-    aggregator = Aggregator() if strategy == "update" \
-        else RebuildAggregator()
+    aggregator = {"update": Aggregator, "batched": BatchedAggregator,
+                  "rebuild": RebuildAggregator}[strategy]()
     result = aggregator.aggregate(genesis.new_state, inputs,
                                   genesis.receipt)
     return result.info.stats
@@ -74,6 +79,7 @@ BATCHES = (16, 64, 256, 1024)
 @pytest.mark.parametrize("batch", BATCHES)
 def test_strategy_crossover_point(benchmark, report, batch):
     update = round_stats("update", STATE_SIZE, batch)
+    batched = round_stats("batched", STATE_SIZE, batch)
     rebuild = benchmark.pedantic(
         lambda: round_stats("rebuild", STATE_SIZE, batch),
         rounds=1, iterations=1, warmup_rounds=0)
@@ -81,15 +87,19 @@ def test_strategy_crossover_point(benchmark, report, batch):
         else "rebuild"
     report.table(
         "ablate-strategy",
-        f"Update-path vs full-rebuild over a {STATE_SIZE}-entry CLog "
-        "(metered guest cycles per round)",
+        f"Update-path vs full-rebuild vs batched over a {STATE_SIZE}-entry "
+        "CLog (metered guest cycles per round)",
         ["batch", "update_cycles", "rebuild_cycles", "winner",
-         "update_min", "rebuild_min"],
+         "update_min", "rebuild_min", "batched_cycles", "batched_min",
+         "batched<=rebuild"],
     )
     report.row("ablate-strategy", batch, update.total_cycles,
                rebuild.total_cycles, winner,
                MODEL.estimate(update).minutes,
-               MODEL.estimate(rebuild).minutes)
+               MODEL.estimate(rebuild).minutes,
+               batched.total_cycles, MODEL.estimate(batched).minutes,
+               batched.total_cycles <= rebuild.total_cycles)
+    assert batched.total_cycles < update.total_cycles
 
 
 def test_crossover_falls_where_analysis_predicts(report):

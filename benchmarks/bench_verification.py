@@ -30,7 +30,7 @@ VERIFIER = Verifier()
 def receipts():
     out = {}
     for num_records in PAPER_RECORD_COUNTS:
-        service = aggregated_service(num_records)
+        service = aggregated_service(num_records, strategy="update")
         agg = service.chain.latest.receipt
         query = service.answer_query(PAPER_QUERY).receipt
         out[num_records] = (agg, query)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from ...core.prover_service import STRATEGIES
 from ...zkvm.costmodel import CostModel
 from ..framework import CommandResult, register
 from ..options import add_bulletin, add_db
@@ -23,8 +24,10 @@ class AggregateCommand:
                             required=True,
                             help="directory for round receipts")
         parser.add_argument("--strategy",
-                            choices=["update", "rebuild"],
-                            default="update")
+                            choices=list(STRATEGIES),
+                            default="batched",
+                            help="round guest: batched (default), update "
+                                 "(Alg. 1, the Fig. 4 path) or rebuild")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
         service = rebuild_service(args.db, args.bulletin, None,

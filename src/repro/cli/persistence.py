@@ -67,7 +67,7 @@ def load_receipts(directory: pathlib.Path) -> list[Receipt]:
 
 def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                     receipts_dir: pathlib.Path | None,
-                    strategy: str = "update",
+                    strategy: str = "batched",
                     auto_checkpoint: bool = False,
                     restore: bool = False,
                     pool_backend: str | None = None,

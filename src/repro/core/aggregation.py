@@ -27,10 +27,15 @@ from ..zkvm import ExecutorEnvBuilder, ProveInfo, Prover, ProverOpts, Receipt
 from ..zkvm.executor import ExecutorInput
 from ..zkvm.recursion import resolve
 from .clog import CLogState
-from .guest_programs import aggregation_guest
+from .guest_programs import aggregation_guest, batched_aggregation_guest
 from .journals import RoundHeader
 from .policy import DEFAULT_POLICY, AggregationPolicy
-from .witness import AggregationWitness, build_witness
+from .witness import (
+    AggregationWitness,
+    BatchedWitness,
+    build_batched_witness,
+    build_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -122,12 +127,13 @@ def require_prev_receipt(round_index: int, prev_receipt: Receipt | None) -> None
 def build_round_input(
     policy: AggregationPolicy,
     round_index: int,
-    witness: AggregationWitness,
+    witness: AggregationWitness | BatchedWitness,
     ordered: list[RouterWindowInput],
     prev_receipt: Receipt | None,
 ) -> ExecutorInput:
-    """Frames for one update-path execution of Algorithm 1; round
-    ``n > 0`` binds (and requires) ``prev_receipt``."""
+    """Frames for one execution of a witnessed round guest (Alg. 1 or
+    its batched step 3); round ``n > 0`` binds (and requires)
+    ``prev_receipt``."""
     header = {
         "round": round_index,
         "policy": policy.to_wire(),
@@ -135,7 +141,7 @@ def build_round_input(
         "prev_size": witness.prev_size,
         "prev_depth": witness.prev_depth,
         "num_routers": len(ordered),
-        "num_ops": witness.op_count,
+        **witness.header_fields(),
     }
     builder = ExecutorEnvBuilder()
     builder.write(header)
@@ -143,8 +149,8 @@ def build_round_input(
         require_prev_receipt(round_index, prev_receipt)
         builder.write(make_receipt_binding(prev_receipt))
     write_window_frames(builder, ordered)
-    for op in witness.ops:
-        builder.write(op)
+    for frame in witness.frames():
+        builder.write(frame)
     return builder.build()
 
 
@@ -195,12 +201,16 @@ class Aggregator:
     which routes the round through the engine's worker pool and receipt
     cache.  Unset, a direct in-process :class:`Prover` is used.
 
-    A strategy that proves the same round differently (see
-    :class:`repro.core.rebuild.RebuildAggregator`) overrides
-    ``strategy`` and :meth:`_prove`.
+    A strategy that proves the same round with another witnessed guest
+    (:class:`BatchedAggregator`) overrides ``strategy``, ``guest`` and
+    ``witness_builder``; one that proves it differently altogether
+    (:class:`repro.core.rebuild.RebuildAggregator`) overrides
+    :meth:`_prove`.
     """
 
     strategy = "update"
+    guest = aggregation_guest
+    witness_builder = staticmethod(build_witness)
 
     def __init__(
         self,
@@ -241,10 +251,10 @@ class Aggregator:
         ordered = order_windows(windows)
         records = decode_records(ordered)
         with obs.tracer().span(obs_names.SPAN_AGG_WITNESS, records=len(records)) as witness_span:
-            witness = build_witness(state, records, self.policy)
+            witness = self.witness_builder(state, records, self.policy)
             witness_span.set("ops", witness.op_count)
         env_input = build_round_input(self.policy, state.round, witness, ordered, prev_receipt)
-        info = self._prover.prove(aggregation_guest, env_input)
+        info = self._prover.prove(self.guest, env_input)
         receipt = info.receipt
         if state.round > 0:
             receipt = resolve(receipt, prev_receipt)
@@ -256,3 +266,15 @@ class Aggregator:
             record_count=len(records),
             new_root=witness.new_root,
         )
+
+
+class BatchedAggregator(Aggregator):
+    """Proves rounds with :data:`batched_aggregation_guest`: step 3
+    over one multiproof, so each touched Merkle node is hashed once per
+    root rather than twice per record.  Its journals are byte-identical
+    to :class:`Aggregator`'s, which stays Alg. 1 as the paper lays it
+    out (the Fig. 4 path)."""
+
+    strategy = "batched"
+    guest = batched_aggregation_guest
+    witness_builder = staticmethod(build_batched_witness)

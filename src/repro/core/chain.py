@@ -14,16 +14,18 @@ from typing import Any, Iterator, Sequence
 
 from ..errors import ChainError
 from ..zkvm import Receipt
-from .guest_programs import aggregation_guest
+from .guest_programs import aggregation_guest, batched_aggregation_guest
 from .journals import RoundHeader
 from .rebuild import rebuild_aggregation_guest
 
-#: The guests whose receipts are chainable rounds: update-path and
-#: full-rebuild are trusted code with interchangeable journal layouts.
-#: A receipt from any other image is not a round.
+#: The guests whose receipts are chainable rounds: update-path (Alg. 1),
+#: full-rebuild and batched update are trusted code with
+#: interchangeable journal layouts.  A receipt from any other image is
+#: not a round.
 ROUND_IMAGE_IDS = (
     aggregation_guest.image_id,
     rebuild_aggregation_guest.image_id,
+    batched_aggregation_guest.image_id,
 )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from ..errors import ConfigurationError, StorageError
 from ..hashing import Digest
@@ -273,6 +273,15 @@ class CLogState:
         """Insert or update one entry; returns its leaf slot."""
         self._entries[entry.key] = entry
         return self._map.set(entry.key, entry.to_payload())
+
+    def set_entries(self, entries: Iterable[CLogEntry]) -> None:
+        """:meth:`set_entry` for many distinct flows, with each touched
+        Merkle node hashed once rather than once per entry."""
+        payloads: dict[FlowKey, bytes] = {}
+        for entry in entries:
+            self._entries[entry.key] = entry
+            payloads[entry.key] = entry.to_payload()
+        self._map.update_many(payloads)
 
     def clone(self) -> "CLogState":
         """An independent copy: the entry dict and the Merkle map's

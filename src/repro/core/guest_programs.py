@@ -6,6 +6,10 @@ The circuits:
   claim (via ``env.verify`` recursion), recompute every router window's
   hash against its published commitment, then fold each record into the
   CLog under verified Merkle updates, producing the new root.
+* :data:`batched_aggregation_guest` — the same round, journal byte for
+  byte, with step 3 done over one multiproof: each touched Merkle node
+  is hashed once per root instead of twice per record.  The service's
+  default round guest; Alg. 1 stays the Fig. 4 path.
 * :data:`query_guest` — §4.2: bind to an aggregation claim, re-derive
   the committed root from the full entry set, evaluate the SQL query,
   and commit (query, root, result) to the journal.
@@ -346,6 +350,159 @@ def aggregation_guest(env: GuestEnv) -> None:
     root, size, depth, items = apply_witness_ops(
         env, policy, blobs, header["num_ops"], header["prev_root"],
         header["prev_size"], header["prev_depth"])
+    env.commit({
+        "round": header["round"],
+        "prev_root": header["prev_root"],
+        "new_root": root,
+        "size": size,
+        "depth": depth,
+        "windows": windows,
+        "policy": policy.digest(),
+        "entries": len(items),
+    })
+    env.commit_many(items)
+
+
+def _union_root(env: GuestEnv, hasher: Any,
+                level: list[tuple[int, Digest]], size: int, depth: int,
+                siblings: Any, prev_root: Digest,
+                prev_depth: int) -> Digest:
+    """The root at height ``depth`` of a padded tree of which ``level``
+    gives some leaves, as ascending ``(slot, digest)`` pairs.
+
+    Each node above a given leaf is hashed once.  A node past ``size``
+    is its ``EMPTY_ROOTS`` constant, unhashed.  Any other node the walk
+    needs is a sibling: past ``size`` the empty constant, at height
+    ``prev_depth`` the previous root (a grown tree's left half), else
+    the next digest of ``siblings`` — bottom-up, left to right.  With
+    no leaf given, the tree is untouched: ``prev_root``.
+    """
+    for height in range(depth):
+        above: list[tuple[int, Digest]] = []
+        i = 0
+        while i < len(level):
+            pos, digest = level[i]
+            if not pos & 1 and i + 1 < len(level) \
+                    and level[i + 1][0] == pos + 1:
+                left, right = digest, level[i + 1][1]
+                i += 2
+            else:
+                if (pos ^ 1) << height >= size:
+                    sibling = EMPTY_ROOTS[height]
+                elif height == prev_depth:
+                    sibling = prev_root
+                else:
+                    sibling = next(siblings, None)
+                    if sibling is None:
+                        env.abort("multiproof is missing a sibling")
+                left, right = (sibling, digest) if pos & 1 \
+                    else (digest, sibling)
+                i += 1
+            parent = pos >> 1
+            above.append((parent, EMPTY_ROOTS[height + 1]
+                          if parent << (height + 1) >= size
+                          else hasher.node(left, right)))
+        level = above
+    return level[0][1] if level else prev_root
+
+
+def apply_batched_update(
+        env: GuestEnv, policy: AggregationPolicy, blobs: list[bytes],
+        root: Digest, size: int, depth: int,
+) -> tuple[Digest, int, int, list[dict[str, Any]]]:
+    """Step 3 over one multiproof (lines 12-23, batched).
+
+    Reads the touched pre-existing slots (ascending, each once) with
+    their entries, and the siblings of the union of their paths and the
+    round's append slots.  Folds every record into its entry in order —
+    a new flow takes the next append slot at its first record — with
+    one journal item per record, as :func:`apply_witness_ops` does.
+    Then checks the old root over the union and computes the new one
+    over the same union, hashing each touched node once per walk.
+    """
+    hasher = env.merkle_hasher()
+    if size > 1 << depth:
+        env.abort("previous size exceeds its tree's capacity")
+    proof = env.read()
+    slots: list[int] = proof["slots"]
+    for index, slot in enumerate(slots):
+        if not 0 <= slot < size:
+            env.abort("witness slot is outside the previous state")
+        if index and slot <= slots[index - 1]:
+            env.abort("witness slots must be distinct and ascending")
+    old_leaves, wires = read_entries(env, hasher, len(slots))
+    entries: dict[bytes, list[Any]] = {}
+    for slot, wire in zip(slots, wires):
+        if wire["key"] in entries:
+            env.abort("witness names one flow at two slots")
+        entries[wire["key"]] = [slot, CLogEntry.from_wire(wire)]
+
+    items: list[dict[str, Any]] = []
+    new_leaves: dict[int, Digest] = {}
+    new_size = size
+    for blob in blobs:
+        env.tick(len(blob) * DECODE_CYCLES_PER_BYTE, "decode")
+        record_wire = decode(blob)
+        env.tick(MERGE_CYCLES, "aggregate")
+        record = NetFlowRecord.from_wire(record_wire)
+        key_bytes: bytes = record_wire["key"]
+        known = entries.get(key_bytes)
+        if known is None:
+            known = entries[key_bytes] = [new_size, CLogEntry.fresh(record)]
+            new_size += 1
+        else:
+            known[1] = known[1].merge(record, policy)
+        slot, entry = known
+        leaf = hasher.leaf(key_bytes + entry.to_payload())
+        new_leaves[slot] = leaf
+        record_tag = env.tagged_hash(
+            TAG_RLOG, blob, category="commitment").raw[:RECORD_TAG_BYTES]
+        items.append({"s": slot, "l": leaf, "t": record_tag})
+    if len(new_leaves) != len(slots) + new_size - size:
+        env.abort("witness names a slot no record touches")
+
+    vacant = range(size, min(new_size, 1 << depth))
+    old_level = [*zip(slots, old_leaves),
+                 *((slot, EMPTY_ROOTS[0]) for slot in vacant)]
+    siblings = iter(proof["siblings"])
+    if _union_root(env, hasher, old_level, size, depth, siblings, root,
+                   depth) != root:
+        env.abort("multiproof does not reproduce the previous root")
+    if next(siblings, None) is not None:
+        env.abort("multiproof has more siblings than the paths need")
+    new_depth = depth
+    while new_size > 1 << new_depth:
+        new_depth += 1
+    new_root = _union_root(env, hasher, sorted(new_leaves.items()),
+                           new_size, new_depth, iter(proof["siblings"]),
+                           root, depth)
+    return new_root, new_size, new_depth, items
+
+
+@guest_program("telemetry-aggregation-batched-v1")
+def batched_aggregation_guest(env: GuestEnv) -> None:
+    """Algorithm 1 with step 3 batched (:func:`apply_batched_update`).
+
+    Input frames, in order:
+
+    1. header: round, policy, prev root/size/depth, router count;
+    2. (round > 0 only) previous-receipt binding for Step 1;
+    3. one frame per router: id, window, published commitment, raw blobs;
+    4. the multiproof: touched pre-existing ``slots``, union ``siblings``;
+    5. one ``{key, payload}`` frame per touched slot, in slot order.
+
+    Journal: byte-identical to :data:`aggregation_guest`'s over the same
+    round — the final root depends only on the final leaves, and slots
+    are assigned the same way.
+    """
+    header = env.read()
+    policy = AggregationPolicy.from_wire(header["policy"])
+    verify_previous_round(env, header["round"], header["prev_root"],
+                          header["prev_size"], header["prev_depth"])
+    windows, blobs = verify_window_commitments(env, header["num_routers"])
+    root, size, depth, items = apply_batched_update(
+        env, policy, blobs, header["prev_root"], header["prev_size"],
+        header["prev_depth"])
     env.commit({
         "round": header["round"],
         "prev_root": header["prev_root"],
@@ -835,8 +992,9 @@ def resolve_guest(name: str) -> GuestProgram:
     return program
 
 
-for _program in (aggregation_guest, query_guest, partition_guest,
-                 merge_guest, query_partition_guest, query_merge_guest,
+for _program in (aggregation_guest, batched_aggregation_guest,
+                 query_guest, partition_guest, merge_guest,
+                 query_partition_guest, query_merge_guest,
                  federation_join_guest):
     register_guest(_program)
 
@@ -865,6 +1023,7 @@ GUEST_MODULES: dict[str, frozenset[str]] = {
                      "repro.serialization", *semantics))
     for name, semantics in {
         "telemetry-aggregation-v1": (*_ROUND, "repro.merkle.memo"),
+        "telemetry-aggregation-batched-v1": (*_ROUND, "repro.merkle.memo"),
         "telemetry-aggregation-rebuild-v1": (*_ROUND, *_TREE,
                                              "repro.core.rebuild"),
         "telemetry-partition-v1": _ROUND,

@@ -34,6 +34,7 @@ from ..zkvm import ProveInfo, ProverOpts, Verifier
 from .aggregation import (
     AggregationResult,
     Aggregator,
+    BatchedAggregator,
     RouterWindowInput,
 )
 from .chain import (
@@ -45,6 +46,7 @@ from .chain import (
 from .clog import CLogEntry, CLogState
 from .policy import DEFAULT_POLICY, AggregationPolicy
 from .query_proof import QueryProver, QueryResponse
+from .rebuild import RebuildAggregator
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +58,15 @@ CHECKPOINT_VERSION = 1
 #: Default checkpoint slot used by auto-checkpointing and restore.
 DEFAULT_CHECKPOINT = "prover-latest"
 
+#: The round strategies a service proves with.  ``"batched"`` is the
+#: default: its journals are byte-identical to Alg. 1's (``"update"``,
+#: the Fig. 4 path) for fewer metered cycles.
+STRATEGIES: dict[str, type[Aggregator]] = {
+    "batched": BatchedAggregator,
+    "update": Aggregator,
+    "rebuild": RebuildAggregator,
+}
+
 
 class ProverService:
     """Aggregates committed telemetry and answers verifiable queries."""
@@ -63,7 +74,7 @@ class ProverService:
     def __init__(self, store: LogStore, bulletin: BulletinBoard,
                  policy: AggregationPolicy = DEFAULT_POLICY,
                  prover_opts: ProverOpts | None = None,
-                 strategy: str = "update",
+                 strategy: str = "batched",
                  retain_history: bool = False,
                  auto_checkpoint: bool = False,
                  query_cache_size: int = 256,
@@ -75,10 +86,10 @@ class ProverService:
             raise ConfigurationError("query_cache_size must be >= 1")
         if query_partitions is not None and query_partitions < 1:
             raise ConfigurationError("query_partitions must be >= 1")
-        if strategy not in ("update", "rebuild"):
+        if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown aggregation strategy {strategy!r}; "
-                "expected 'update' or 'rebuild'")
+                f"expected one of {', '.join(map(repr, STRATEGIES))}")
         self.store = store
         self.bulletin = bulletin
         self.policy = policy
@@ -111,13 +122,8 @@ class ProverService:
         self.query_partitions = query_partitions
         # One round prover — every strategy shares ``aggregate(state,
         # windows, prev_receipt)``.
-        if strategy == "update":
-            self._aggregator = Aggregator(policy, prover_opts,
-                                          prover=prover)
-        else:
-            from .rebuild import RebuildAggregator
-            self._aggregator = RebuildAggregator(policy, prover_opts,
-                                                 prover=prover)
+        self._aggregator = STRATEGIES[strategy](policy, prover_opts,
+                                                prover=prover)
         self.strategy = strategy
         self.auto_checkpoint = auto_checkpoint
         self._query_prover = QueryProver(

@@ -14,6 +14,13 @@ either
 The guest verifies each step against its running root, applies the
 policy merge, recomputes the root along the same siblings, and thereby
 reproduces exactly the host's final root — or aborts (Algorithm 1).
+
+The batched round guest takes a different witness
+(:func:`build_batched_witness`): each pre-existing slot the round
+touches once, with its stored entry, and the siblings of the union of
+the touched and append paths once — a multiproof.  It checks the old
+root and computes the new one over that union, so each touched node is
+hashed once per walk rather than twice per record.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Any
 
 from ..hashing import Digest
 from ..merkle.tree import EMPTY_ROOTS
-from ..netflow.records import NetFlowRecord
+from ..netflow.records import FlowKey, NetFlowRecord
 from .clog import CLogEntry, CLogState
 from .policy import AggregationPolicy
 
@@ -46,6 +53,14 @@ class AggregationWitness:
     @property
     def op_count(self) -> int:
         return len(self.ops)
+
+    def header_fields(self) -> dict[str, Any]:
+        """Step 3's fields of the guest's input header."""
+        return {"num_ops": self.op_count}
+
+    def frames(self) -> tuple[dict[str, Any], ...]:
+        """Step 3's input frames, after the router frames."""
+        return self.ops
 
 
 def build_witness(state: CLogState, records: list[NetFlowRecord],
@@ -98,6 +113,78 @@ def build_witness(state: CLogState, records: list[NetFlowRecord],
         prev_root=prev_root,
         prev_size=prev_size,
         prev_depth=prev_depth,
+        new_root=work.root,
+        new_state=work,
+    )
+
+
+@dataclass(frozen=True)
+class BatchedWitness:
+    """Everything the batched round guest needs beyond the raw logs."""
+
+    slots: tuple[int, ...]
+    entries: tuple[dict[str, bytes], ...]
+    siblings: tuple[Digest, ...]
+    prev_root: Digest
+    prev_size: int
+    prev_depth: int
+    new_root: Digest
+    new_state: CLogState
+
+    @property
+    def op_count(self) -> int:
+        return 1 + len(self.entries)
+
+    def header_fields(self) -> dict[str, Any]:
+        """Step 3's fields of the guest's input header: none, the
+        multiproof frame carries its own slot list."""
+        return {}
+
+    def frames(self) -> tuple[dict[str, Any], ...]:
+        """The multiproof frame, then one ``{key, payload}`` frame per
+        touched slot in slot order."""
+        multiproof = {"slots": list(self.slots),
+                      "siblings": list(self.siblings)}
+        return (multiproof, *self.entries)
+
+
+def build_batched_witness(state: CLogState, records: list[NetFlowRecord],
+                          policy: AggregationPolicy) -> BatchedWitness:
+    """The batched guest's witness, and the round applied on a clone.
+
+    Each flow the round touches is merged with all its records in
+    order; a new flow takes the next append slot in order of first
+    appearance, as in :func:`build_witness`.  The siblings come from
+    the old tree once, and the clone's tree is then updated once per
+    touched node (:meth:`~repro.merkle.tree.MerkleTree.set_leaves`).
+    """
+    touched: dict[FlowKey, CLogEntry] = {}
+    for record in records:
+        entry = touched.get(record.key)
+        if entry is None:
+            entry = state.get(record.key)
+        touched[record.key] = CLogEntry.fresh(record) if entry is None \
+            else entry.merge(record, policy)
+    merkle_map = state.merkle_map
+    old = sorted((merkle_map.index_of(key), key)
+                 for key in touched if key in state)
+    slots = tuple(slot for slot, _ in old)
+    # Append slots inside the old capacity: their vacant paths are
+    # checked against the old root too.
+    size = len(state)
+    vacant = range(size, min(size + len(touched) - len(old),
+                             1 << state.depth))
+    work = state.clone()
+    work.set_entries(touched.values())
+    work.round = state.round + 1
+    return BatchedWitness(
+        slots=slots,
+        entries=tuple({"key": key.pack(), "payload": merkle_map.get(key)}
+                      for _, key in old),
+        siblings=merkle_map.tree.union_siblings([*slots, *vacant]),
+        prev_root=state.root,
+        prev_size=size,
+        prev_depth=state.depth,
         new_root=work.root,
         new_state=work,
     )

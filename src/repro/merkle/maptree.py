@@ -93,8 +93,21 @@ class MerkleMap:
         return slot
 
     def update_many(self, entries: Mapping[object, bytes]) -> None:
+        """Insert or update every key of ``entries`` (a new key takes
+        the next append slot, in ``entries`` order), hashing one leaf
+        per key and each touched tree node once."""
+        leaves: dict[int, Digest] = {}
         for key, payload in entries.items():
-            self.set(key, payload)
+            slot = self._index.get(key)
+            if slot is None:
+                slot = len(self._slot_keys)
+                self._index[key] = slot
+                self._slot_keys.append(self._key_bytes(key))
+                self._payloads.append(payload)
+            else:
+                self._payloads[slot] = payload
+            leaves[slot] = self._hasher.leaf(self._slot_keys[slot] + payload)
+        self._tree.set_leaves(leaves)
 
     def copy(self) -> "MerkleMap":
         """An independent map with the same slots, payloads and tree:

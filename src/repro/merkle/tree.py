@@ -16,7 +16,7 @@ hashes at every size.
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import MerkleError
 from ..hashing import Digest
@@ -137,6 +137,44 @@ class MerkleTree:
         for leaf in leaves:
             self.append(leaf)
 
+    def set_leaves(self, leaves: Mapping[int, Digest]) -> None:
+        """Write several leaves at once, then rehash each node above them
+        once.
+
+        Indices are occupied slots or appends past the end that leave
+        no gap.  Where :meth:`update` and :meth:`append` pay ``depth``
+        hashes per leaf, a batch pays one per distinct touched node; the
+        root is the same.
+        """
+        level = self._levels[0]
+        dirty = sorted(leaves)
+        appended = sum(1 for index in dirty if index >= len(level))
+        if dirty and (dirty[0] < 0 or dirty[-1] >= len(level) + appended):
+            raise MerkleError(
+                f"leaf indices {dirty} are not slots or gapless appends "
+                f"(size {len(level)})")
+        for index in dirty:
+            if index < len(level):
+                level[index] = leaves[index]
+            else:
+                level.append(leaves[index])
+        depth = max(self.depth, max(len(level) - 1, 0).bit_length())
+        while len(self._levels) <= depth:
+            self._levels.append([])
+        for height in range(depth):
+            below, above = self._levels[height], self._levels[height + 1]
+            parents = sorted({pos >> 1 for pos in dirty})
+            for parent in parents:
+                pair = parent << 1
+                right = below[pair + 1] if pair + 1 < len(below) \
+                    else self._empty[height]
+                digest = self._hasher.node(below[pair], right)
+                if parent < len(above):
+                    above[parent] = digest
+                else:
+                    above.append(digest)
+            dirty = parents
+
     # -- proofs --------------------------------------------------------------
 
     def prove(self, index: int) -> InclusionProof:
@@ -186,6 +224,34 @@ class MerkleTree:
             raise MerkleError(
                 f"subtree ({level}, {pos}) holds no occupied leaves")
         return self._siblings(level, pos)
+
+    def union_siblings(self, indices: Sequence[int]) -> tuple[Digest, ...]:
+        """The siblings of the union of ``indices``' paths, each once:
+        bottom-up, left to right within a level (a multiproof).
+
+        ``indices`` ascend, distinct, below the padded capacity; one at
+        or past :attr:`size` is a vacant slot.  A sibling past the
+        occupied nodes is the empty subtree of its height, a constant
+        the verifier knows, and is left out.  Nothing is hashed.
+        """
+        siblings: list[Digest] = []
+        level = list(indices)
+        for height in range(self.depth):
+            nodes = self._levels[height]
+            parents: list[int] = []
+            i = 0
+            while i < len(level):
+                pos = level[i]
+                if not pos & 1 and i + 1 < len(level) \
+                        and level[i + 1] == pos + 1:
+                    i += 2
+                else:
+                    if pos ^ 1 < len(nodes):
+                        siblings.append(nodes[pos ^ 1])
+                    i += 1
+                parents.append(pos >> 1)
+            level = parents
+        return tuple(siblings)
 
     def prove_many(self, indices: Sequence[int]) -> MultiProof:
         """Produce a batch proof for several leaves (deduplicated paths)."""

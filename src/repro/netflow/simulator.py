@@ -134,22 +134,31 @@ class NetFlowSimulator:
         records after the loop ends and window assignment skews toward
         the final window — use :meth:`pump` for deterministic
         virtual-time tests.
+
+        A router thread that fails (its store refused a window, say)
+        ends the run: the first such exception is re-raised here once
+        every thread has stopped, so no router's later windows go
+        silently unstored.
         """
         queues: dict[str, queue.Queue] = {
             r: queue.Queue() for r in self.committers}
         stop = threading.Event()
+        errors: list[BaseException] = []
 
         def router_worker(router_id: str) -> None:
             committer = self.committers[router_id]
             q = queues[router_id]
-            while not (stop.is_set() and q.empty()):
-                try:
-                    record = q.get(timeout=0.01)
-                except queue.Empty:
-                    committer.maybe_commit()
-                    continue
-                committer.add_record(record)
-            committer.flush()
+            try:
+                while not (stop.is_set() and q.empty()):
+                    try:
+                        record = q.get(timeout=0.01)
+                    except queue.Empty:
+                        committer.maybe_commit()
+                        continue
+                    committer.add_record(record)
+                committer.flush()
+            except BaseException as exc:  # re-raised by the driver
+                errors.append(exc)
 
         threads = [
             threading.Thread(target=router_worker, args=(router_id,),
@@ -160,7 +169,7 @@ class NetFlowSimulator:
             thread.start()
         try:
             end = self.clock.now_ms() + duration_ms
-            while self.clock.now_ms() < end:
+            while self.clock.now_ms() < end and not errors:
                 for record in self._generate_tick(self.clock.now_ms()):
                     queues[record.router_id].put(record)
                 self.clock.sleep_ms(self.config.tick_ms)
@@ -171,6 +180,8 @@ class NetFlowSimulator:
                 if thread.is_alive():
                     raise SimulationError(
                         f"{thread.name} failed to stop")
+        if errors:
+            raise errors[0]
 
     # -- internals --------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ public material only.
 
 import pytest
 
-from repro.core.guest_programs import aggregation_guest, query_guest
+from repro.core.guest_programs import batched_aggregation_guest, query_guest
 from repro.core.system import SystemConfig, TelemetrySystem
 from repro.zkvm import verify_receipt
 
@@ -24,7 +24,8 @@ class TestFullPipeline:
 
     def test_every_receipt_verifies_standalone(self, aggregated_system):
         for link in aggregated_system.prover.chain:
-            verify_receipt(link.receipt, aggregation_guest.image_id)
+            verify_receipt(link.receipt,
+                           batched_aggregation_guest.image_id)
 
     def test_query_receipt_verifies(self, aggregated_system):
         response = aggregated_system.prover.answer_query(

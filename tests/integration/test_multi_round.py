@@ -88,3 +88,54 @@ class TestCrossRoundAggregation:
         from repro.core.verifier_client import VerifierClient
         VerifierClient(service.bulletin).verify_chain(
             service.chain.receipts())
+
+
+class TestMixedStrategyChain:
+    """Rounds of the paper-path (Alg. 1), batched and rebuild guests
+    form one history: each round's service restores the previous
+    one's checkpoint and proves with its own strategy, and the chain
+    verifies locally, over the wire, and after a final restore."""
+
+    STRATEGIES = ("update", "batched", "rebuild", "update", "batched")
+
+    def test_mixed_chain_verifies_everywhere(self):
+        from repro.core.guest_programs import (
+            aggregation_guest, batched_aggregation_guest)
+        from repro.core.rebuild import rebuild_aggregation_guest
+        from repro.core.verifier_client import VerifierClient
+        from repro.net import ProverServer, QueryClient
+
+        guests = {"update": aggregation_guest,
+                  "batched": batched_aggregation_guest,
+                  "rebuild": rebuild_aggregation_guest}
+        store, bulletin = MemoryLogStore(), BulletinBoard()
+        for window in range(len(self.STRATEGIES)):
+            # After window 0: three old flows updated, one new flow.
+            commit_window(store, bulletin, "r1", window,
+                          [make_record(sport=1000 + window + i,
+                                       lost_packets=i) for i in range(4)])
+        for window, strategy in enumerate(self.STRATEGIES):
+            service = ProverService(store, bulletin, strategy=strategy,
+                                    auto_checkpoint=True)
+            assert service.restore() == (window > 0)
+            service.aggregate_window(window)
+        receipts = service.chain.receipts()
+        assert [r.claim.image_id for r in receipts] == [
+            guests[strategy].image_id for strategy in self.STRATEGIES]
+        verified = VerifierClient(bulletin).verify_chain(receipts)
+        assert verified[-1].size == len(service.state) == 8
+
+        restored = ProverService(store, bulletin)
+        assert restored.restore()
+        assert restored.state.root == service.state.root
+        server = ProverServer(restored, idle_timeout=5.0)
+        server.start_background()
+        try:
+            with QueryClient(server.host, server.port) as client:
+                response, journal = client.verified_query(
+                    "SELECT COUNT(*), SUM(lost_packets) FROM clogs")
+        finally:
+            server.stop_background()
+        assert journal.values == response.values
+        assert response.round == len(self.STRATEGIES) - 1
+        assert response.values[0] == 8

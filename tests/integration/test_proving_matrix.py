@@ -11,7 +11,7 @@ cell of backend {serial, thread, process} × ``query_partitions``
   default service's;
 * ``VerifierClient`` accepts the chain and every answer;
 * the cell took the path it names: every round is one monolithic
-  aggregation-guest proof, and ``query_partitions=2`` answers come out
+  proof by the default (batched) round guest, and ``query_partitions=2`` answers come out
   of the query merge guest over partition proofs.
 """
 
@@ -22,7 +22,7 @@ import itertools
 import pytest
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
-from repro.core.guest_programs import aggregation_guest, query_guest, query_merge_guest
+from repro.core.guest_programs import batched_aggregation_guest, query_guest, query_merge_guest
 from repro.core.planner import QueryPlanner
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import PartitionedQueryInfo
@@ -44,7 +44,7 @@ CELLS = list(itertools.product(("serial", "thread", "process"), (None, 2)))
 
 
 def cell_id(cell: tuple) -> str:
-    """``mono``: every round is one monolithic aggregation-guest proof."""
+    """``mono``: every round is one monolithic round-guest proof."""
     backend, partitions = cell
     return f"{backend}-q{partitions or 'none'}-mono"
 
@@ -117,7 +117,9 @@ def test_default_service_is_monolithic_and_fixture_partitions(default_run):
     """The oracle proves every round and query monolithically, and at
     this size the planner splits every query, so the partitioned cells
     exercise the fan-out rather than falling back to the full scan."""
-    assert {r.claim.image_id for r in default_run["receipts"]} == {aggregation_guest.image_id}
+    assert {r.claim.image_id for r in default_run["receipts"]} == {
+        batched_aggregation_guest.image_id
+    }
     assert {a.receipt.claim.image_id for a in default_run["answers"]} == {query_guest.image_id}
     store, bulletin = committed()
     service = ProverService(store, bulletin)
@@ -152,7 +154,7 @@ def test_cell_matches_default_service(cell, default_run):
     for answer in got["answers"]:
         verifier.verify_query(answer, chain[-1])
 
-    assert {r.claim.image_id for r in got["receipts"]} == {aggregation_guest.image_id}
+    assert {r.claim.image_id for r in got["receipts"]} == {batched_aggregation_guest.image_id}
     query_images = {a.receipt.claim.image_id for a in got["answers"]}
     if partitions:
         assert query_images == {query_merge_guest.image_id}

@@ -34,7 +34,7 @@ def record_for(flow_id: int, router: int, lost: int,
 
 
 class TestChainSoak:
-    @given(round_plans, st.sampled_from(["update", "rebuild"]))
+    @given(round_plans, st.sampled_from(["update", "rebuild", "batched"]))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_any_round_sequence_verifies_and_matches_truth(

@@ -3,7 +3,8 @@ guest off the committed data.
 
 These tests drive :data:`aggregation_guest` directly with hand-forged
 witness ops — wrong slots, stale proofs, swapped payloads, skipped
-grows — and require the guest to abort every time.  This is the
+grows — and require the guest to abort every time; and
+:data:`batched_aggregation_guest` with forged multiproofs.  This is the
 soundness surface between the (untrusted) host orchestration and the
 (proven) guest execution.
 """
@@ -11,10 +12,11 @@ soundness surface between the (untrusted) host orchestration and the
 import pytest
 
 from repro.commitments import window_digest
+from repro.core.aggregation import Aggregator, RouterWindowInput, make_receipt_binding
 from repro.core.clog import CLogEntry, CLogState
-from repro.core.guest_programs import aggregation_guest
+from repro.core.guest_programs import aggregation_guest, batched_aggregation_guest
 from repro.core.policy import DEFAULT_POLICY
-from repro.core.witness import build_witness
+from repro.core.witness import build_batched_witness, build_witness
 from repro.errors import GuestAbort
 from repro.merkle.tree import EMPTY_ROOTS
 from repro.zkvm import ExecutorEnvBuilder, Prover
@@ -176,3 +178,133 @@ class TestForgedPrevState:
         with pytest.raises(GuestAbort, match="genesis"):
             run_guest(self.guest, records, ops, prev_state=state)
 
+
+
+# -- the batched guest's multiproof ---------------------------------------------
+
+#: Round 0 over eight flows (slots 0-7, a full depth-3 tree).
+GENESIS_RECORDS = [make_record(sport=1000 + i) for i in range(8)]
+
+
+@pytest.fixture(scope="module")
+def genesis():
+    blobs = tuple(record.to_bytes() for record in GENESIS_RECORDS)
+    window = RouterWindowInput("r1", 0, window_digest(list(blobs)), blobs)
+    return Aggregator().aggregate(CLogState(), [window], None)
+
+
+def run_batched(genesis, records, multiproof, entries):
+    """Prove round 1 over ``records`` with an explicit multiproof."""
+    state = genesis.new_state
+    blobs = [record.to_bytes() for record in records]
+    builder = ExecutorEnvBuilder()
+    builder.write({
+        "round": 1,
+        "policy": DEFAULT_POLICY.to_wire(),
+        "prev_root": state.root,
+        "prev_size": len(state),
+        "prev_depth": state.depth,
+        "num_routers": 1,
+    })
+    builder.write(make_receipt_binding(genesis.receipt))
+    builder.write({"router_id": "r2", "window_index": 1,
+                   "commitment": window_digest(blobs), "blobs": blobs})
+    builder.write(multiproof)
+    for entry in entries:
+        builder.write(entry)
+    return Prover().prove(batched_aggregation_guest, builder.build())
+
+
+def honest_multiproof(genesis, records):
+    witness = build_batched_witness(genesis.new_state, records,
+                                    DEFAULT_POLICY)
+    multiproof, *entries = witness.frames()
+    return ({"slots": list(multiproof["slots"]),
+             "siblings": list(multiproof["siblings"])},
+            [dict(entry) for entry in entries])
+
+
+#: Updates of slots 1 and 2 (one twice), one new flow past the full tree.
+ROUND = [make_record(sport=1001, router_id="r2"),
+         make_record(sport=1002, router_id="r2"),
+         make_record(sport=1001, router_id="r2", lost_packets=4),
+         make_record(sport=5000, router_id="r2")]
+
+
+class TestForgedMultiproof:
+    def test_honest_multiproof_accepted(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        assert multiproof["slots"] == [1, 2]
+        # Siblings of slots 1 and 2: slots 0 and 3, then the node over
+        # slots 4-7; the grown tree's left half is the previous root.
+        assert len(multiproof["siblings"]) == 3
+        info = run_batched(genesis, ROUND, multiproof, entries)
+        assert info.receipt.claim.assumptions
+
+    def test_forged_shared_sibling(self, genesis):
+        """The node over slots 4-7 is on both touched paths."""
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["siblings"][2] = multiproof["siblings"][0]
+        with pytest.raises(GuestAbort, match="previous root"):
+            run_batched(genesis, ROUND, multiproof, entries)
+
+    def test_duplicated_slot(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["slots"] = [1, 1, 2]
+        with pytest.raises(GuestAbort, match="distinct and ascending"):
+            run_batched(genesis, ROUND, multiproof,
+                        [entries[0], *entries])
+
+    def test_unsorted_slots(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["slots"] = [2, 1]
+        with pytest.raises(GuestAbort, match="distinct and ascending"):
+            run_batched(genesis, ROUND, multiproof, entries[::-1])
+
+    def test_slot_outside_previous_state(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["slots"] = [1, 8]
+        with pytest.raises(GuestAbort, match="outside the previous state"):
+            run_batched(genesis, ROUND, multiproof, entries)
+
+    def test_old_payload_with_wrong_key(self, genesis):
+        """Slot 1's frame carries slot 2's payload under slot 1's key."""
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        entries[0]["payload"] = entries[1]["payload"]
+        with pytest.raises(GuestAbort, match="does not match frame key"):
+            run_batched(genesis, ROUND, multiproof, entries)
+
+    def test_forged_old_payload(self, genesis):
+        """A different prior value for a touched flow (a reset loss
+        counter) fails the old-root check."""
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        zeroed = CLogEntry.fresh(
+            GENESIS_RECORDS[1].with_updates(lost_packets=0))
+        entries[0]["payload"] = zeroed.to_payload()
+        with pytest.raises(GuestAbort, match="previous root"):
+            run_batched(genesis, ROUND, multiproof, entries)
+
+    def test_one_flow_at_two_slots(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        with pytest.raises(GuestAbort, match="one flow at two slots"):
+            run_batched(genesis, ROUND, multiproof,
+                        [entries[0], entries[0]])
+
+    def test_slot_no_record_touches(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND[1:2])
+        extra, extra_entries = honest_multiproof(genesis, ROUND[:2])
+        with pytest.raises(GuestAbort, match="no record touches"):
+            run_batched(genesis, ROUND[1:2], extra, extra_entries)
+        run_batched(genesis, ROUND[1:2], multiproof, entries)
+
+    def test_short_sibling_list(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["siblings"].pop()
+        with pytest.raises(GuestAbort, match="missing a sibling"):
+            run_batched(genesis, ROUND, multiproof, entries)
+
+    def test_long_sibling_list(self, genesis):
+        multiproof, entries = honest_multiproof(genesis, ROUND)
+        multiproof["siblings"].append(EMPTY_ROOTS[0])
+        with pytest.raises(GuestAbort, match="more siblings"):
+            run_batched(genesis, ROUND, multiproof, entries)

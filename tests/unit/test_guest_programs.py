@@ -9,6 +9,7 @@ import pytest
 from repro.commitments import window_digest
 from repro.core.aggregation import (
     Aggregator,
+    BatchedAggregator,
     RouterWindowInput,
     make_receipt_binding,
 )
@@ -20,6 +21,7 @@ from repro.core.guest_programs import (
     VM_MODULES,
     aggregation_guest,
     assume_receipt,
+    batched_aggregation_guest,
     partition_guest,
     query_guest,
     verify_previous_round,
@@ -27,6 +29,7 @@ from repro.core.guest_programs import (
 )
 from repro.core.policy import DEFAULT_POLICY
 from repro.core import query_proof
+from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
 from repro.core.rebuild import RebuildAggregator, rebuild_aggregation_guest
 from repro.core.sketch_proof import (
@@ -50,7 +53,7 @@ from repro.zkvm.guest import (
     _called_helpers,
 )
 
-from ..conftest import make_record
+from ..conftest import make_committed_records, make_record
 from ..counting import count_host_work
 from ..recorder import CallRecorder
 from ..reference import settle_image_ids
@@ -229,7 +232,7 @@ class TestQueryGuest:
 
 # -- the contract the round pipeline must hold --------------------------------
 #
-# One fixed fixture, three ways to prove it.  The values below were
+# One fixed fixture, four ways to prove it.  The values below were
 # captured at the commit *before* Algorithm 1's steps were folded into
 # shared helpers; journals, total cycles, per-category breakdowns and
 # SHA compression counts are the contract, and any refactor of the
@@ -260,6 +263,17 @@ PINNED = {
         "breakdown": {"aggregate": 2880, "base": 10000,
                       "commitment": 12648, "decode": 16606, "io": 11828,
                       "merkle": 32164, "verify": 7736},
+    },
+    # The batched round guest: the update round's journal, byte for
+    # byte, from 14 node hashes where Alg. 1 takes 172.
+    "batched": {
+        "journal": "a046eb28c4717d39b0a99fcdbd0b2a28"
+                   "2c2266dac4b302863d7fc802fe4ec3f3",
+        "total_cycles": 61162,
+        "sha": 371,
+        "breakdown": {"aggregate": 2880, "base": 10000,
+                      "commitment": 12648, "decode": 11616, "io": 8666,
+                      "merkle": 7616, "verify": 7736},
     },
     "rebuild": {
         "journal": "7823d80272c0fa537174850266bdd429"
@@ -327,12 +341,41 @@ class TestPinnedRoundContract:
         assert pin_of(result.receipt.journal, result.info.stats) \
             == PINNED["aggregation"]
 
-    def test_rebuild_round(self, genesis):
-        result = RebuildAggregator().aggregate(
+    def test_batched_round(self, genesis):
+        result = BatchedAggregator().aggregate(
             genesis.new_state, pinned_windows(self.WINDOWS),
             genesis.receipt)
         assert pin_of(result.receipt.journal, result.info.stats) \
-            == PINNED["rebuild"]
+            == PINNED["batched"]
+        assert PINNED["batched"]["journal"] \
+            == PINNED["aggregation"]["journal"]
+
+    def test_batched_round_hashes_each_union_node_once(
+            self, genesis, monkeypatch):
+        """The batched guest's metered node hashes are exactly the
+        internal nodes above the touched slots: once in the old tree
+        (where they hold an occupied slot) and once in the new."""
+        state = genesis.new_state
+        nodes = Counter()
+        hash_node = MeteredMerkleHasher.node
+
+        def counting_node(self, left, right):
+            nodes["node"] += 1
+            return hash_node(self, left, right)
+
+        monkeypatch.setattr(MeteredMerkleHasher, "node", counting_node)
+        result = BatchedAggregator().aggregate(
+            state, pinned_windows(self.WINDOWS), genesis.receipt)
+        touched = {item["s"] for item in result.receipt.journal.decode()[1:]}
+        old_size, old_depth = len(state), state.depth
+        new_depth = result.header.depth
+        old_union = {(h, s >> h) for s in touched if s < 1 << old_depth
+                     for h in range(1, old_depth + 1)
+                     if (s >> h) << h < old_size}
+        new_union = {(h, s >> h) for s in touched
+                     for h in range(1, new_depth + 1)}
+        assert (len(old_union), len(new_union)) == (3, 11)
+        assert nodes["node"] == len(old_union) + len(new_union)
 
     def test_partition_merge_round(self, serial_engine):
         result = serial_engine.prove_round(pinned_windows(self.WINDOWS), 2)
@@ -341,6 +384,25 @@ class TestPinnedRoundContract:
         for index, info in enumerate(result.partition_infos):
             assert pin_of(info.receipt.journal, info.stats) \
                 == PINNED[f"partition{index}"]
+
+
+class TestBatchedRoundWork:
+    """Counted, not timed: on a ``round_bulk``-shaped round (1,000
+    records of 444 new flows in one window, seed 7) the batched guest
+    meters under 0.4x Alg. 1's SHA-256 compressions, for the same
+    journal."""
+
+    def test_bulk_round_compressions(self):
+        store, bulletin, _ = make_committed_records(1_000)
+        inputs = ProverService(store, bulletin).gather_window(0)
+        paper = Aggregator().aggregate(CLogState(), inputs, None)
+        batched = BatchedAggregator().aggregate(CLogState(), inputs, None)
+        assert batched.receipt.journal.data == paper.receipt.journal.data
+        assert len(batched.new_state) == 444
+        compressions = (paper.info.stats.sha_compressions,
+                        batched.info.stats.sha_compressions)
+        assert compressions == (48_207, 13_627)
+        assert compressions[1] <= 0.4 * compressions[0]
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +581,8 @@ PINNED_IMAGES = {
                                 "f267d2a85214695d010fa2063d2f956f",
     "telemetry-aggregation-rebuild-v1": "455371992e828b130b4fd1ad5e7940500"
                                         "ec70c0cdda8f9b0f4ef637354ae85a0",
+    "telemetry-aggregation-batched-v1": "20856bb7dfa6f1760d7a79130a440dcc"
+                                        "8ad27d5cef9de155dcc0bbadbc37000a",
     "telemetry-query-v1": "dcc94b88375c0b48490340417413c3a5"
                           "7555ee03d950d4131dd9cbc1111eb57e",
     "telemetry-partition-v1": "bf02d2b7e46ded9a92b9ee8eb645da0d"
@@ -544,9 +608,10 @@ PINNED_SKETCH_IMAGES = {
 
 
 class TestPinnedImages:
-    def test_round_images_are_update_and_rebuild(self):
+    def test_round_images_are_update_rebuild_and_batched(self):
         assert ROUND_IMAGE_IDS == (aggregation_guest.image_id,
-                                   rebuild_aggregation_guest.image_id)
+                                   rebuild_aggregation_guest.image_id,
+                                   batched_aggregation_guest.image_id)
 
     def test_registered_telemetry_guests_and_image_ids(self):
         # Test modules register their own guests under other prefixes.
@@ -595,6 +660,8 @@ class TestGuestModules:
                                            genesis.receipt),
             lambda: RebuildAggregator().aggregate(
                 genesis.new_state, windows, genesis.receipt),
+            lambda: BatchedAggregator().aggregate(
+                genesis.new_state, windows, genesis.receipt),
             lambda: serial_engine.prove_round(windows, 2),
             lambda: QueryProver().prove_query(
                 self.SQL, proven.new_state, proven.receipt),
@@ -633,6 +700,8 @@ STEP2_CALLERS = {
         Aggregator().aggregate(CLogState(), windows, None),
     "rebuild": lambda engine, windows:
         RebuildAggregator().aggregate(CLogState(), windows, None),
+    "batched": lambda engine, windows:
+        BatchedAggregator().aggregate(CLogState(), windows, None),
     "partition": lambda engine, windows: engine.prove_round(windows),
     "sketch-build": lambda engine, windows:
         SketchTelemetry().build(windows),
@@ -641,12 +710,14 @@ STEP2_CALLERS = {
 STEP1_GUESTS = {
     "aggregation": aggregation_guest,
     "rebuild": rebuild_aggregation_guest,
+    "batched": batched_aggregation_guest,
 }
 
 # The guest each STEP2_CALLERS entry runs step 2 in.
 STEP2_GUESTS = {
     "aggregation": aggregation_guest,
     "rebuild": rebuild_aggregation_guest,
+    "batched": batched_aggregation_guest,
     "partition": partition_guest,
     "sketch-build": sketch_build_guest,
 }
@@ -654,7 +725,8 @@ STEP2_GUESTS = {
 
 def step1_input(guest, genesis, binding=None, **forged):
     """Frames for a round-1 execution that stops after step 1 (no
-    routers, no ops), with the header fields in ``forged`` overridden."""
+    routers, no ops, an empty multiproof), with the header fields in
+    ``forged`` overridden."""
     state = genesis.new_state
     header = {
         "round": 1,
@@ -663,8 +735,10 @@ def step1_input(guest, genesis, binding=None, **forged):
         "prev_size": len(state),
         "num_routers": 0,
     }
-    if guest is not rebuild_aggregation_guest:
+    if guest is aggregation_guest:
         header.update(prev_depth=state.depth, num_ops=0)
+    elif guest is batched_aggregation_guest:
+        header.update(prev_depth=state.depth)
     header.update(forged)
     builder = ExecutorEnvBuilder()
     builder.write(header)
@@ -674,6 +748,8 @@ def step1_input(guest, genesis, binding=None, **forged):
         for entry in state.entries_in_slot_order():
             builder.write({"key": entry.key.pack(),
                            "payload": entry.to_payload()})
+    if guest is batched_aggregation_guest:
+        builder.write({"slots": [], "siblings": []})
     return builder.build()
 
 
@@ -732,7 +808,7 @@ class TestSharedSteps:
         with pytest.raises(GuestAbort, match="claimed prev state"):
             Prover().prove(guest, step1_input(guest, genesis, **forged))
 
-    @pytest.mark.parametrize("name", ["aggregation"])
+    @pytest.mark.parametrize("name", ["aggregation", "batched"])
     def test_wrong_prev_depth_aborts(self, name, genesis):
         guest = STEP1_GUESTS[name]
         with pytest.raises(GuestAbort, match="claimed prev state"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.commitments import BulletinBoard, window_digest
-from repro.errors import SimulationError
+from repro.errors import SimulationError, StorageError
 from repro.netflow import (
     NetFlowSimulator,
     SimClock,
@@ -148,3 +148,24 @@ class TestThreaded:
             blobs = store.window_blobs(commitment.router_id,
                                        commitment.window_index)
             assert window_digest(blobs) == commitment.digest
+
+    def test_router_thread_failure_is_raised(self):
+        """A store that refuses a window kills that router's thread;
+        the run must say so rather than return with the window (and
+        every later one of that router) never stored or committed."""
+
+        class RefusingStore(MemoryLogStore):
+            def append_records(self, router_id, window_index, records):
+                if router_id == "r2":
+                    raise StorageError("disk full")
+                return super().append_records(router_id, window_index,
+                                              records)
+
+        bulletin = BulletinBoard()
+        sim = NetFlowSimulator(
+            RefusingStore(), bulletin, WallClock(),
+            SimulatorConfig(flows_per_tick=3, tick_ms=20,
+                            commit_interval_ms=60))
+        with pytest.raises(StorageError, match="disk full"):
+            sim.run_threaded(duration_ms=300)
+        assert all(c.router_id != "r2" for c in bulletin)

@@ -116,7 +116,7 @@ class TestEndToEndContract:
         with obs.capture() as cap:
             result = service.aggregate_all_committed()[-1]
             reg = cap.registry
-            program = "telemetry-aggregation-v1"
+            program = "telemetry-aggregation-batched-v1"
             assert reg.get("repro_prover_cycles_total").value(
                 program=program) == result.info.stats.total_cycles
             assert reg.get("repro_prover_segments_total").value(

@@ -288,7 +288,7 @@ TEST_ONLY_KEPT: dict[str, tuple[str, ...]] = {
         "repro.storage.sqlite:SqliteLogStore.purge_window",
         "repro.storage.sqlite:SqliteLogStore.replace_window",
     ),
-    "composite receipts and multiproofs: DESIGN.md §2, ROADMAP item 17": (
+    "composite receipts and their openings: DESIGN.md §2": (
         "repro.merkle.proof:InclusionProof.from_wire",
         "repro.merkle.proof:InclusionProof.to_wire",
         "repro.merkle.proof:MultiProof.from_wire",
@@ -333,11 +333,9 @@ TEST_ONLY_KEPT: dict[str, tuple[str, ...]] = {
         "repro.core.query_proof:PartitionedQueryInfo.stats",
         "repro.core.query_proof:QueryResponse.value",
         "repro.merkle.maptree:MerkleMap.expected_leaf",
-        "repro.merkle.maptree:MerkleMap.get",
         "repro.merkle.maptree:MerkleMap.items",
         "repro.merkle.maptree:MerkleMap.keys",
         "repro.merkle.maptree:MerkleMap.leaf_digest",
-        "repro.merkle.maptree:MerkleMap.update_many",
         "repro.merkle.memo:DigestMemo.capacity",
         "repro.merkle.memo:DigestMemo.clear",
         "repro.merkle.memo:clear_memos",

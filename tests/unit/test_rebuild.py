@@ -104,7 +104,7 @@ class TestStrategyInterop:
                 len(records), window * 5000))
         return ProverService(store, bulletin, strategy=strategy)
 
-    @pytest.mark.parametrize("strategy", ["update", "rebuild"])
+    @pytest.mark.parametrize("strategy", ["update", "rebuild", "batched"])
     def test_service_with_strategy(self, strategy):
         service = self.make_service(strategy)
         service.aggregate_window(0)

@@ -181,7 +181,7 @@ def _checkpointed_rounds():
     store; returns the counts and the last checkpoint blob."""
     store, bulletin = MemoryLogStore(), BulletinBoard()
     with count_durable_io() as counts:
-        service = ProverService(store, bulletin, auto_checkpoint=True)
+        service = ProverService(store, bulletin, strategy="update", auto_checkpoint=True)
         for windows in ([0], pinned.TestPinnedRoundContract.WINDOWS):
             service.prove_round(windows, pinned.pinned_windows(windows))
         fresh = ProverService(store, bulletin)

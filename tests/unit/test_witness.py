@@ -2,7 +2,8 @@
 
 from repro.core.clog import CLogEntry, CLogState
 from repro.core.policy import DEFAULT_POLICY
-from repro.core.witness import OP_GROW, OP_INSERT, OP_UPDATE, build_witness
+from repro.core.witness import (OP_GROW, OP_INSERT, OP_UPDATE,
+                                build_batched_witness, build_witness)
 from repro.merkle import MerkleTree
 from repro.merkle.hasher import default_hasher
 from repro.merkle.tree import EMPTY_ROOTS
@@ -200,3 +201,53 @@ class TestHostCostIsPerRecord:
         assert (hasher.leaves, hasher.nodes) == (0, 0)
         assert clone.root == state.root
         assert clone.entry_frames() == state.entry_frames()
+
+
+class TestBatchedHostCost:
+    """The batched builder hashes what the round touches once: a leaf
+    per touched flow, however many records it has, and each touched
+    tree node once, where :func:`build_witness` pays a leaf per record
+    and a path per leaf."""
+
+    def test_each_touched_node_hashed_once(self, monkeypatch):
+        hasher = CountingHasher()
+        state = CLogState(hasher=hasher)
+        for i in range(256):
+            state.set_entry(CLogEntry.fresh(make_record(sport=i)))
+        # Four old flows (two records each) and four new flows, which
+        # grow the full depth-8 tree to depth 9.
+        records = [make_record(sport=i, router_id=router)
+                   for router in ("r2", "r3") for i in (3, 64, 65, 200)] \
+            + [make_record(src="10.9.9.9", sport=i) for i in range(4)]
+        encoded = []
+        write = CLogEntry.to_payload
+        monkeypatch.setattr(
+            CLogEntry, "to_payload",
+            lambda entry: encoded.append(entry.key.pack()) or write(entry))
+        hasher.leaves = hasher.nodes = 0
+        witness = build_batched_witness(state, records, DEFAULT_POLICY)
+        touched = [3, 64, 65, 200, 256, 257, 258, 259]
+        union = {(height, slot >> height) for slot in touched
+                 for height in range(1, 10)}
+        assert len(union) == 31
+        assert (hasher.leaves, hasher.nodes) == (8, len(union))
+        assert len(encoded) == 8
+        assert witness.slots == (3, 64, 65, 200)
+        paper = build_witness(state, records, DEFAULT_POLICY)
+        assert witness.new_root == paper.new_root
+        assert witness.new_state.entry_frames() \
+            == paper.new_state.entry_frames()
+        # The siblings come off the old tree: nothing is hashed for them.
+        hasher.leaves = hasher.nodes = 0
+        assert state.merkle_map.tree.union_siblings(touched[:4]) \
+            == witness.siblings
+        assert (hasher.leaves, hasher.nodes) == (0, 0)
+
+    def test_empty_round(self):
+        state = CLogState()
+        state.set_entry(CLogEntry.fresh(make_record()))
+        witness = build_batched_witness(state, [], DEFAULT_POLICY)
+        assert (witness.slots, witness.entries, witness.siblings) \
+            == ((), (), ())
+        assert witness.new_root == state.root
+        assert witness.new_state.round == state.round + 1
