@@ -341,6 +341,13 @@ class TestPinnedRoundContract:
         assert pin_of(result.receipt.journal, result.info.stats) \
             == PINNED["aggregation"]
 
+    def test_rebuild_round(self, genesis):
+        result = RebuildAggregator().aggregate(
+            genesis.new_state, pinned_windows(self.WINDOWS),
+            genesis.receipt)
+        assert pin_of(result.receipt.journal, result.info.stats) \
+            == PINNED["rebuild"]
+
     def test_batched_round(self, genesis):
         result = BatchedAggregator().aggregate(
             genesis.new_state, pinned_windows(self.WINDOWS),
