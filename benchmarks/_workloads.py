@@ -8,6 +8,8 @@ ready for aggregation and querying.
 from __future__ import annotations
 
 from repro.commitments import BulletinBoard, Commitment, window_digest
+from repro.core.aggregation import AggregationResult, Aggregator
+from repro.core.clog import CLogState
 from repro.core.prover_service import ProverService
 from repro.netflow import NetworkTopology, TrafficGenerator
 from repro.netflow.generator import TrafficConfig
@@ -75,12 +77,19 @@ def committed_workload(num_records: int, seed: int = 7,
     return store, bulletin
 
 
-def aggregated_service(num_records: int, seed: int = 7,
-                       strategy: str = "batched") -> ProverService:
+def aggregated_service(num_records: int, seed: int = 7) -> ProverService:
     """A prover service with one proven aggregation round over
-    ``num_records``.  The paper's figures pass ``strategy="update"``:
-    Alg. 1 as laid out, the guest the cost model is calibrated on."""
+    ``num_records``."""
     store, bulletin = committed_workload(num_records, seed)
-    service = ProverService(store, bulletin, strategy=strategy)
+    service = ProverService(store, bulletin)
     service.aggregate_window(0)
     return service
+
+
+def paper_round(service: ProverService) -> AggregationResult:
+    """Alg. 1 as laid out (``telemetry-aggregation-v1``, the guest the
+    cost model is calibrated on) over ``service``'s window 0, from the
+    empty CLog.  The service's own state is not touched; its rounds are
+    batched, with byte-identical journals."""
+    return Aggregator().aggregate(CLogState(), service.gather_window(0),
+                                  None)

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.prover_service import ProverService
 from repro.zkvm.costmodel import CostModel, ProverBackend
 
-from _workloads import aggregated_service
+from _workloads import committed_workload, paper_round
 
 MODEL = CostModel()
 
 
 @pytest.fixture(scope="module")
 def agg_3000():
-    service = aggregated_service(3000, strategy="update")
-    return service.last_prove_info.stats
+    return paper_round(ProverService(*committed_workload(3000))).info.stats
 
 
 def test_hash_count_matches_paper_estimate(agg_3000, report):

@@ -1,17 +1,13 @@
-"""Design-choice ablation — update-path vs full-rebuild aggregation.
+"""Design-choice ablation — Alg. 1's per-record path updates vs the
+batched round update.
 
-DESIGN.md commits to per-record verified Merkle path updates (the
-access pattern the paper profiles).  The alternative is shipping the
-whole previous CLog into the guest and rebuilding the tree.  Analysis
-(src/repro/core/rebuild.py): update costs ≈ records × 2·depth hashes,
-rebuild ≈ 2 × (3·size + records); rebuild wins for batch-heavy rounds,
-update wins for incremental rounds over a large dataset.  This bench
-measures the crossover empirically from metered cycles.
-
-A third column is the batched round guest (the service's default):
-step 3 over one multiproof, each touched node hashed once per root.
-Whether it is at or below rebuild at every batch is the evidence for
-retiring the rebuild guest.
+DESIGN.md commits to verified Merkle path updates (the access pattern
+the paper profiles).  Alg. 1 hashes every record's old and new path,
+≈ records × 2·depth hashes; the batched round guest (the one the
+service proves with) checks and recomputes one multiproof, hashing each
+touched node once per root.  This bench meters both over a standing
+CLog at growing batch sizes; batched must be at or below Alg. 1 at
+every batch.
 """
 
 from __future__ import annotations
@@ -20,8 +16,7 @@ import pytest
 
 from repro.commitments import window_digest
 from repro.core.aggregation import Aggregator, BatchedAggregator, RouterWindowInput
-from repro.core.clog import CLogEntry, CLogState
-from repro.core.rebuild import RebuildAggregator
+from repro.core.clog import CLogState
 from repro.netflow.records import FlowKey, NetFlowRecord
 from repro.zkvm.costmodel import CostModel
 from repro.zkvm.prover import ProveStats
@@ -40,15 +35,6 @@ def record_for(index: int) -> NetFlowRecord:
         hop_count=2, lost_packets=1, rtt_us=5000, jitter_us=100)
 
 
-def base_state(size: int) -> CLogState:
-    state = CLogState()
-    for index in range(size):
-        state.set_entry(CLogEntry.fresh(record_for(index)))
-    state.round = 1  # pretend a prior round exists? round 0 needed.
-    state.round = 0
-    return state
-
-
 def batch_inputs(start: int, count: int,
                  window: int) -> list[RouterWindowInput]:
     records = [record_for(start + i) for i in range(count)]
@@ -58,18 +44,17 @@ def batch_inputs(start: int, count: int,
         commitment=window_digest(list(blobs)), blobs=blobs)]
 
 
-def round_stats(strategy: str, state_size: int, batch: int) -> ProveStats:
-    """Metered stats of one round of `batch` fresh records over an
-    existing CLog of `state_size` entries."""
+def round_stats(aggregator: type[Aggregator], state_size: int,
+                batch: int) -> ProveStats:
+    """Metered stats of one ``aggregator`` round of `batch` fresh
+    records over an existing CLog of `state_size` entries."""
     # Build the base state through a real round-0 proof so the chain
     # binding is available for round 1.
     genesis_inputs = batch_inputs(0, state_size, window=0)
     genesis = Aggregator().aggregate(CLogState(), genesis_inputs, None)
     inputs = batch_inputs(state_size, batch, window=1)
-    aggregator = {"update": Aggregator, "batched": BatchedAggregator,
-                  "rebuild": RebuildAggregator}[strategy]()
-    result = aggregator.aggregate(genesis.new_state, inputs,
-                                  genesis.receipt)
+    result = aggregator().aggregate(genesis.new_state, inputs,
+                                    genesis.receipt)
     return result.info.stats
 
 
@@ -77,46 +62,20 @@ BATCHES = (16, 64, 256, 1024)
 
 
 @pytest.mark.parametrize("batch", BATCHES)
-def test_strategy_crossover_point(benchmark, report, batch):
-    update = round_stats("update", STATE_SIZE, batch)
-    batched = round_stats("batched", STATE_SIZE, batch)
-    rebuild = benchmark.pedantic(
-        lambda: round_stats("rebuild", STATE_SIZE, batch),
+def test_batched_at_or_below_update(benchmark, report, batch):
+    update = round_stats(Aggregator, STATE_SIZE, batch)
+    batched = benchmark.pedantic(
+        lambda: round_stats(BatchedAggregator, STATE_SIZE, batch),
         rounds=1, iterations=1, warmup_rounds=0)
-    winner = "update" if update.total_cycles < rebuild.total_cycles \
-        else "rebuild"
     report.table(
         "ablate-strategy",
-        f"Update-path vs full-rebuild vs batched over a {STATE_SIZE}-entry "
+        f"Alg. 1 vs batched round update over a {STATE_SIZE}-entry "
         "CLog (metered guest cycles per round)",
-        ["batch", "update_cycles", "rebuild_cycles", "winner",
-         "update_min", "rebuild_min", "batched_cycles", "batched_min",
-         "batched<=rebuild"],
+        ["batch", "update_cycles", "update_min", "batched_cycles",
+         "batched_min", "batched<=update"],
     )
     report.row("ablate-strategy", batch, update.total_cycles,
-               rebuild.total_cycles, winner,
-               MODEL.estimate(update).minutes,
-               MODEL.estimate(rebuild).minutes,
-               batched.total_cycles, MODEL.estimate(batched).minutes,
-               batched.total_cycles <= rebuild.total_cycles)
-    assert batched.total_cycles < update.total_cycles
-
-
-def test_crossover_falls_where_analysis_predicts(report):
-    """Crossover ≈ where records × 2·depth = rebuild's size-dependent
-    term — for a 512-entry CLog (depth 10) that's a few hundred
-    records.  Assert update wins at 16 and rebuild wins at 1024."""
-    small_update = round_stats("update", STATE_SIZE, 16).total_cycles
-    small_rebuild = round_stats("rebuild", STATE_SIZE, 16).total_cycles
-    large_update = round_stats("update", STATE_SIZE, 1024).total_cycles
-    large_rebuild = round_stats("rebuild", STATE_SIZE,
-                                1024).total_cycles
-    report.table("ablate-strategy-verdict",
-                 "Strategy crossover verdict",
-                 ["batch", "update_wins"])
-    report.row("ablate-strategy-verdict", 16,
-               small_update < small_rebuild)
-    report.row("ablate-strategy-verdict", 1024,
-               large_update < large_rebuild)
-    assert small_update < small_rebuild
-    assert large_rebuild < large_update
+               MODEL.estimate(update).minutes, batched.total_cycles,
+               MODEL.estimate(batched).minutes,
+               batched.total_cycles <= update.total_cycles)
+    assert batched.total_cycles <= update.total_cycles

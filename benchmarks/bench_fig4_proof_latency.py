@@ -6,10 +6,12 @@ zkVM"), reaching ≈87 min at 3,000 entries; query proofs follow the same
 trend at ≈16 min.  We measure real wall-clock for the simulated prover
 (pytest-benchmark) and report the calibrated modeled latency per point.
 
-The curve is Alg. 1 as the paper lays it out (``strategy="update"``),
-the guest the cost model is calibrated on.  Each point also reports the
-batched round guest — the service's default, byte-identical journal —
-as a second curve.
+The aggregation curve is Alg. 1 as the paper lays it out
+(:func:`_workloads.paper_round`), the guest the cost model is calibrated
+on.  Each point also reports the batched round guest — the one the
+service proves with, byte-identical journal — as a second curve.  A
+query's cost depends only on the state, which both guests leave the
+same, so the query curve runs on the service's own round.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from _workloads import (
     PAPER_RECORD_COUNTS,
     aggregated_service,
     committed_workload,
+    paper_round,
 )
 
 MODEL = CostModel()
@@ -33,17 +36,12 @@ MODEL = CostModel()
 
 @pytest.mark.parametrize("num_records", PAPER_RECORD_COUNTS)
 def test_fig4_aggregation_latency(benchmark, report, num_records):
-    store, bulletin = committed_workload(num_records)
-
-    def aggregate(strategy):
-        service = ProverService(store, bulletin, strategy=strategy)
-        return service.aggregate_window(0)
-
-    result = benchmark.pedantic(aggregate, args=("update",), rounds=1,
+    service = ProverService(*committed_workload(num_records))
+    result = benchmark.pedantic(paper_round, args=(service,), rounds=1,
                                 iterations=1, warmup_rounds=0)
     stats = result.info.stats
     modeled_min = MODEL.prove_seconds(stats) / 60.0
-    batched = aggregate("batched")
+    batched = service.aggregate_window(0)
     assert batched.receipt.journal.data == result.receipt.journal.data
     batched_stats = batched.info.stats
     report.table(
@@ -66,7 +64,7 @@ def test_fig4_aggregation_latency(benchmark, report, num_records):
 
 @pytest.mark.parametrize("num_records", PAPER_RECORD_COUNTS)
 def test_fig4_query_latency(benchmark, report, num_records):
-    service = aggregated_service(num_records, strategy="update")
+    service = aggregated_service(num_records)
 
     response = benchmark.pedantic(
         lambda: service.answer_query(PAPER_QUERY),
@@ -93,10 +91,10 @@ def test_fig4_query_latency(benchmark, report, num_records):
 
 def test_fig4_latency_grows_linearly(report):
     """The defining shape of Figure 4: latency ∝ input size."""
-    small = aggregated_service(200, strategy="update")
-    large = aggregated_service(2_000, strategy="update")
-    small_min = MODEL.prove_seconds(small.last_prove_info.stats) / 60
-    large_min = MODEL.prove_seconds(large.last_prove_info.stats) / 60
+    small = paper_round(ProverService(*committed_workload(200)))
+    large = paper_round(ProverService(*committed_workload(2_000)))
+    small_min = MODEL.prove_seconds(small.info.stats) / 60
+    large_min = MODEL.prove_seconds(large.info.stats) / 60
     ratio = large_min / small_min
     report.table("fig4-shape", "Figure 4 shape: 10x records",
                  ["records_ratio", "latency_ratio"])
@@ -106,8 +104,7 @@ def test_fig4_latency_grows_linearly(report):
 
 def test_fig4_gpu_backend_order_of_magnitude(report):
     """§7 GPU acceleration: ~10x on the same workload."""
-    service = aggregated_service(1_000, strategy="update")
-    stats = service.last_prove_info.stats
+    stats = paper_round(ProverService(*committed_workload(1_000))).info.stats
     cpu = MODEL.prove_seconds(stats, ProverBackend.CPU_ZKVM)
     gpu = MODEL.prove_seconds(stats, ProverBackend.GPU_ZKVM)
     report.table("fig4-gpu", "GPU backend on the Fig. 4 workload",

@@ -4,8 +4,9 @@ Paper: "Profiling with RISC Zero indicates that the majority of this
 overhead stems from Merkle tree updates performed within the zkVM."
 Our cycle meter attributes every compression to a category; this bench
 reproduces the profile on Alg. 1 as the paper lays it out
-(``strategy="update"``), and reports the batched round guest — the
-service's default, which hashes each touched node once — beside it.
+(:func:`_workloads.paper_round`), and reports the batched round guest —
+the one the service proves with, which hashes each touched node once —
+beside it.
 """
 
 from __future__ import annotations
@@ -16,22 +17,25 @@ from repro.merkle import MerkleTree
 from repro.hashing import sha256
 from repro.zkvm.costmodel import CostModel
 
-from _workloads import PAPER_QUERY, aggregated_service
+from _workloads import PAPER_QUERY, aggregated_service, paper_round
 
 MODEL = CostModel()
 
 
 @pytest.fixture(scope="module")
 def profile():
-    service = aggregated_service(2000, strategy="update")
-    agg = service.last_prove_info.stats
+    """Stats of the Alg. 1 round, the batched round and the paper's
+    query, all over the same 2,000 records."""
+    service = aggregated_service(2000)
+    batched = service.last_prove_info.stats
+    agg = paper_round(service).info.stats
     service.answer_query(PAPER_QUERY)
     query = service.last_prove_info.stats
-    return agg, query
+    return agg, batched, query
 
 
 def test_merkle_dominates_aggregation(profile, report):
-    agg, _query = profile
+    agg, _batched, _query = profile
     breakdown = agg.cycle_breakdown
     merkle_share = breakdown.get("merkle", 0) / agg.total_cycles
     report.table(
@@ -49,8 +53,7 @@ def test_merkle_dominates_aggregation(profile, report):
 def test_batched_aggregation_profile(profile, report):
     """The same round through the batched round guest: the Merkle
     share it leaves, and its cycles and modeled minutes."""
-    agg, _query = profile
-    batched = aggregated_service(2000).last_prove_info.stats
+    agg, batched, _query = profile
     for category, cycles in sorted(batched.cycle_breakdown.items(),
                                    key=lambda kv: -kv[1]):
         report.row("merkle-share", "batched", category, cycles,
@@ -67,7 +70,7 @@ def test_batched_aggregation_profile(profile, report):
 
 
 def test_query_profile_reported(profile, report):
-    _agg, query = profile
+    _agg, _batched, query = profile
     for category, cycles in sorted(query.cycle_breakdown.items(),
                                    key=lambda kv: -kv[1]):
         report.row("merkle-share", "query", category, cycles,

@@ -21,6 +21,7 @@ from _workloads import (
     PAPER_RECORD_COUNTS,
     PAPER_VERIFY_MS,
     aggregated_service,
+    paper_round,
 )
 
 VERIFIER = Verifier()
@@ -30,8 +31,8 @@ VERIFIER = Verifier()
 def receipts():
     out = {}
     for num_records in PAPER_RECORD_COUNTS:
-        service = aggregated_service(num_records, strategy="update")
-        agg = service.chain.latest.receipt
+        service = aggregated_service(num_records)
+        agg = paper_round(service).receipt
         query = service.answer_query(PAPER_QUERY).receipt
         out[num_records] = (agg, query)
     return out

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from ...core.prover_service import STRATEGIES
 from ...zkvm.costmodel import CostModel
 from ..framework import CommandResult, register
 from ..options import add_bulletin, add_db
@@ -23,15 +22,9 @@ class AggregateCommand:
         parser.add_argument("--receipts", type=pathlib.Path,
                             required=True,
                             help="directory for round receipts")
-        parser.add_argument("--strategy",
-                            choices=list(STRATEGIES),
-                            default="batched",
-                            help="round guest: batched (default), update "
-                                 "(Alg. 1, the Fig. 4 path) or rebuild")
 
     def run(self, args: argparse.Namespace) -> CommandResult:
-        service = rebuild_service(args.db, args.bulletin, None,
-                                  strategy=args.strategy)
+        service = rebuild_service(args.db, args.bulletin, None)
         results = service.aggregate_all_committed()
         # Receipts over a chain that skips a window are not written.
         service.require_unquarantined(str(args.db))

@@ -67,7 +67,6 @@ def load_receipts(directory: pathlib.Path) -> list[Receipt]:
 
 def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
                     receipts_dir: pathlib.Path | None,
-                    strategy: str = "batched",
                     auto_checkpoint: bool = False,
                     restore: bool = False,
                     pool_backend: str | None = None,
@@ -85,7 +84,7 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
     """
     store = SqliteLogStore(str(db))
     bulletin = load_bulletin(bulletin_path)
-    service = ProverService(store, bulletin, strategy=strategy,
+    service = ProverService(store, bulletin,
                             auto_checkpoint=auto_checkpoint,
                             pool_backend=pool_backend,
                             prove_workers=prove_workers,

@@ -18,7 +18,6 @@ from .clog import CLogEntry, CLogState
 from .chain import AggregationChain, ChainLink
 from .policy import AggOp, AggregationPolicy, DEFAULT_POLICY
 from .prover_service import ProverService, QueryResponse
-from .rebuild import RebuildAggregator
 from .system import TelemetrySystem, build_paper_eval_system
 from .tamper import (
     TamperKind,
@@ -42,7 +41,6 @@ __all__ = [
     "ChainLink",
     "DEFAULT_POLICY",
     "ProverService",
-    "RebuildAggregator",
     "QueryResponse",
     "TamperKind",
     "TamperOutcome",

@@ -6,16 +6,17 @@ recursion assumption against the previous round's receipt — producing an
 *unconditional* receipt whose journal publicly binds the old root, the
 new root, and the window commitments consumed.
 
-The module also holds the host half of the one round pipeline — window
-order, record decoding, frame writing, the round-input builder and the
-:func:`prove_round` frame — which every strategy calls, not restates.
+The module also holds the host half of the round pipeline — window
+order, record decoding, frame writing and the round-input builder —
+which :class:`BatchedAggregator` shares with Alg. 1, and the sketch and
+partitioned rounds reuse.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..errors import ChainError, ProofError
 from ..hashing import Digest
@@ -68,10 +69,12 @@ def make_receipt_binding(receipt: Receipt) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """Outcome of one proven aggregation round, whatever the strategy.
+    """Outcome of one proven aggregation round, whichever round guest
+    proved it.
 
     ``new_root`` is the root the *host* computed for the round's
-    records; :func:`prove_round` checks the guest's journal agrees.
+    records; :meth:`Aggregator.aggregate` checks the guest's journal
+    agrees.
     """
 
     round: int
@@ -94,8 +97,8 @@ class AggregationResult:
 def order_windows(windows: Iterable[RouterWindowInput]) -> list[RouterWindowInput]:
     """The canonical guest processing order: by window, then router.
 
-    Shared by every round strategy — byte-identity of the final journal
-    depends on all of them walking records identically.
+    Both round guests walk records in it — byte-identity of their
+    journals depends on that.
     """
     return sorted(windows, key=lambda w: (w.window_index, w.router_id))
 
@@ -118,12 +121,6 @@ def write_window_frames(builder: ExecutorEnvBuilder, windows: Iterable[RouterWin
         builder.write(frame)
 
 
-def require_prev_receipt(round_index: int, prev_receipt: Receipt | None) -> None:
-    """Round ``n > 0`` can only be proven on top of receipt ``n - 1``."""
-    if round_index > 0 and prev_receipt is None:
-        raise ChainError(f"round {round_index} requires the round {round_index - 1} receipt")
-
-
 def build_round_input(
     policy: AggregationPolicy,
     round_index: int,
@@ -132,8 +129,7 @@ def build_round_input(
     prev_receipt: Receipt | None,
 ) -> ExecutorInput:
     """Frames for one execution of a witnessed round guest (Alg. 1 or
-    its batched step 3); round ``n > 0`` binds (and requires)
-    ``prev_receipt``."""
+    its batched step 3); round ``n > 0`` binds ``prev_receipt``."""
     header = {
         "round": round_index,
         "policy": policy.to_wire(),
@@ -146,51 +142,11 @@ def build_round_input(
     builder = ExecutorEnvBuilder()
     builder.write(header)
     if round_index > 0:
-        require_prev_receipt(round_index, prev_receipt)
         builder.write(make_receipt_binding(prev_receipt))
     write_window_frames(builder, ordered)
     for frame in witness.frames():
         builder.write(frame)
     return builder.build()
-
-
-def prove_round(
-    strategy: str,
-    state: CLogState,
-    windows: list[RouterWindowInput],
-    prev_receipt: Receipt | None,
-    prove: Callable[[], AggregationResult],
-) -> AggregationResult:
-    """The frame every round strategy proves inside.
-
-    Owns what does not depend on *how* ``prove`` proves the round: round
-    ``n`` needs receipt ``n - 1``, the ``agg.round`` span, the three
-    ``strategy``-labelled metrics, and the check that the guest's
-    journal lands on the root the host computed (``result.new_root``).
-    """
-    require_prev_receipt(state.round, prev_receipt)
-    start = time.perf_counter()
-    with obs.tracer().span(
-        obs_names.SPAN_AGG_ROUND,
-        round=state.round,
-        windows=len(windows),
-        strategy=strategy,
-    ) as span:
-        result = prove()
-        if result.header.new_root != result.new_root:
-            raise ProofError(
-                "guest-computed root diverged from the host state — "
-                "host/guest aggregation logic is out of sync"
-            )
-        span.add_cycles(result.info.stats.total_cycles)
-        span.set("records", result.record_count)
-    elapsed = time.perf_counter() - start
-    registry = obs.registry()
-    labels = {"strategy": strategy}
-    registry.counter(obs_names.AGG_ROUNDS, ("strategy",)).inc(**labels)
-    registry.counter(obs_names.AGG_RECORDS, ("strategy",)).inc(result.record_count, **labels)
-    registry.histogram(obs_names.AGG_SECONDS, ("strategy",)).observe(elapsed, **labels)
-    return result
 
 
 class Aggregator:
@@ -201,11 +157,9 @@ class Aggregator:
     which routes the round through the engine's worker pool and receipt
     cache.  Unset, a direct in-process :class:`Prover` is used.
 
-    A strategy that proves the same round with another witnessed guest
-    (:class:`BatchedAggregator`) overrides ``strategy``, ``guest`` and
-    ``witness_builder``; one that proves it differently altogether
-    (:class:`repro.core.rebuild.RebuildAggregator`) overrides
-    :meth:`_prove`.
+    :class:`BatchedAggregator` proves the same round with another
+    witnessed guest by overriding ``strategy`` (the metrics label),
+    ``guest`` and ``witness_builder``.
     """
 
     strategy = "update"
@@ -229,43 +183,59 @@ class Aggregator:
     ) -> AggregationResult:
         """Prove one round over ``windows`` starting from ``state``.
 
+        Round ``n`` needs receipt ``n - 1``.  The round runs inside the
+        ``agg.round`` span, feeds the three ``strategy``-labelled
+        metrics, and is checked to land the guest's journal on the root
+        the host computed (``result.new_root``).
+
         Raises :class:`~repro.errors.GuestAbort` if any integrity check
         fails inside the guest (tampered logs, broken chain, bad
         witness) — an aborted round produces no receipt and leaves
         ``state`` untouched.
         """
-        return prove_round(
-            self.strategy,
-            state,
-            windows,
-            prev_receipt,
-            lambda: self._prove(state, windows, prev_receipt),
-        )
-
-    def _prove(
-        self,
-        state: CLogState,
-        windows: list[RouterWindowInput],
-        prev_receipt: Receipt | None,
-    ) -> AggregationResult:
-        ordered = order_windows(windows)
-        records = decode_records(ordered)
-        with obs.tracer().span(obs_names.SPAN_AGG_WITNESS, records=len(records)) as witness_span:
-            witness = self.witness_builder(state, records, self.policy)
-            witness_span.set("ops", witness.op_count)
-        env_input = build_round_input(self.policy, state.round, witness, ordered, prev_receipt)
-        info = self._prover.prove(self.guest, env_input)
-        receipt = info.receipt
-        if state.round > 0:
-            receipt = resolve(receipt, prev_receipt)
-        return AggregationResult(
+        if state.round > 0 and prev_receipt is None:
+            raise ChainError(f"round {state.round} requires the round {state.round - 1} receipt")
+        start = time.perf_counter()
+        with obs.tracer().span(
+            obs_names.SPAN_AGG_ROUND,
             round=state.round,
-            receipt=receipt,
-            info=info,
-            new_state=witness.new_state,
-            record_count=len(records),
-            new_root=witness.new_root,
-        )
+            windows=len(windows),
+            strategy=self.strategy,
+        ) as span:
+            ordered = order_windows(windows)
+            records = decode_records(ordered)
+            with obs.tracer().span(
+                obs_names.SPAN_AGG_WITNESS, records=len(records)
+            ) as witness_span:
+                witness = self.witness_builder(state, records, self.policy)
+                witness_span.set("ops", witness.op_count)
+            env_input = build_round_input(self.policy, state.round, witness, ordered, prev_receipt)
+            info = self._prover.prove(self.guest, env_input)
+            receipt = info.receipt
+            if state.round > 0:
+                receipt = resolve(receipt, prev_receipt)
+            result = AggregationResult(
+                round=state.round,
+                receipt=receipt,
+                info=info,
+                new_state=witness.new_state,
+                record_count=len(records),
+                new_root=witness.new_root,
+            )
+            if result.header.new_root != result.new_root:
+                raise ProofError(
+                    "guest-computed root diverged from the host state — "
+                    "host/guest aggregation logic is out of sync"
+                )
+            span.add_cycles(result.info.stats.total_cycles)
+            span.set("records", result.record_count)
+        elapsed = time.perf_counter() - start
+        registry = obs.registry()
+        labels = {"strategy": self.strategy}
+        registry.counter(obs_names.AGG_ROUNDS, ("strategy",)).inc(**labels)
+        registry.counter(obs_names.AGG_RECORDS, ("strategy",)).inc(result.record_count, **labels)
+        registry.histogram(obs_names.AGG_SECONDS, ("strategy",)).observe(elapsed, **labels)
+        return result
 
 
 class BatchedAggregator(Aggregator):

@@ -16,15 +16,12 @@ from ..errors import ChainError
 from ..zkvm import Receipt
 from .guest_programs import aggregation_guest, batched_aggregation_guest
 from .journals import RoundHeader
-from .rebuild import rebuild_aggregation_guest
 
-#: The guests whose receipts are chainable rounds: update-path (Alg. 1),
-#: full-rebuild and batched update are trusted code with
-#: interchangeable journal layouts.  A receipt from any other image is
-#: not a round.
+#: The guests whose receipts are chainable rounds: Alg. 1 and the
+#: batched update are trusted code with byte-identical journals.  A
+#: receipt from any other image is not a round.
 ROUND_IMAGE_IDS = (
     aggregation_guest.image_id,
-    rebuild_aggregation_guest.image_id,
     batched_aggregation_guest.image_id,
 )
 

@@ -30,8 +30,7 @@ evaluation) that the RISC-V instruction stream would incur.
 The module also hosts the **guest registry**: proof jobs cross process
 boundaries as data (:mod:`repro.engine`), so a worker needs to map a
 guest *name* back to the in-process :class:`GuestProgram` object.  All
-guests defined here register themselves, as does the rebuild strategy's
-in :mod:`repro.core.rebuild`.
+guests defined here register themselves.
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def _path_root(hasher: Any, leaf: Digest, index: int,
 
 # -- Algorithm 1, one step each ------------------------------------------------
 #
-# Every round strategy calls these; none restates them.  A verifier check
+# Every round guest calls these; none restates them.  A verifier check
 # that lives in N copies is sound only while all N stay in step.
 
 def verify_previous_round(env: GuestEnv, round_index: int, root: Digest,
@@ -981,8 +980,8 @@ def resolve_guest(name: str) -> GuestProgram:
     """Look up a registered guest by name.
 
     Importing any ``repro.core`` module runs the package, which loads
-    every guest-defining module of the chain (``repro.core.chain`` names
-    the rebuild guest), so the registry is complete before a job runs.
+    this module and so registers every guest it defines before a job
+    runs.
     """
     program = GUEST_REGISTRY.get(name)
     if program is None:
@@ -1024,8 +1023,6 @@ GUEST_MODULES: dict[str, frozenset[str]] = {
     for name, semantics in {
         "telemetry-aggregation-v1": (*_ROUND, "repro.merkle.memo"),
         "telemetry-aggregation-batched-v1": (*_ROUND, "repro.merkle.memo"),
-        "telemetry-aggregation-rebuild-v1": (*_ROUND, *_TREE,
-                                             "repro.core.rebuild"),
         "telemetry-partition-v1": _ROUND,
         "telemetry-merge-v1": (*_ROUND, *_TREE),
         "telemetry-query-v1": _SCAN,

@@ -33,7 +33,6 @@ from ..storage.backend import LogStore
 from ..zkvm import ProveInfo, ProverOpts, Verifier
 from .aggregation import (
     AggregationResult,
-    Aggregator,
     BatchedAggregator,
     RouterWindowInput,
 )
@@ -46,26 +45,17 @@ from .chain import (
 from .clog import CLogEntry, CLogState
 from .policy import DEFAULT_POLICY, AggregationPolicy
 from .query_proof import QueryProver, QueryResponse
-from .rebuild import RebuildAggregator
 
 logger = logging.getLogger(__name__)
 
 #: Version tag inside every checkpoint payload; bump on layout changes
 #: a reader cannot absorb (chain links that still carry copied
-#: ``new_root``/``size``/``record_count`` keys restore: they are ignored).
+#: ``new_root``/``size``/``record_count`` keys, and payloads that still
+#: name a ``strategy``, restore: those keys are ignored).
 CHECKPOINT_VERSION = 1
 
 #: Default checkpoint slot used by auto-checkpointing and restore.
 DEFAULT_CHECKPOINT = "prover-latest"
-
-#: The round strategies a service proves with.  ``"batched"`` is the
-#: default: its journals are byte-identical to Alg. 1's (``"update"``,
-#: the Fig. 4 path) for fewer metered cycles.
-STRATEGIES: dict[str, type[Aggregator]] = {
-    "batched": BatchedAggregator,
-    "update": Aggregator,
-    "rebuild": RebuildAggregator,
-}
 
 
 class ProverService:
@@ -74,7 +64,6 @@ class ProverService:
     def __init__(self, store: LogStore, bulletin: BulletinBoard,
                  policy: AggregationPolicy = DEFAULT_POLICY,
                  prover_opts: ProverOpts | None = None,
-                 strategy: str = "batched",
                  retain_history: bool = False,
                  auto_checkpoint: bool = False,
                  query_cache_size: int = 256,
@@ -86,10 +75,6 @@ class ProverService:
             raise ConfigurationError("query_cache_size must be >= 1")
         if query_partitions is not None and query_partitions < 1:
             raise ConfigurationError("query_partitions must be >= 1")
-        if strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown aggregation strategy {strategy!r}; "
-                f"expected one of {', '.join(map(repr, STRATEGIES))}")
         self.store = store
         self.bulletin = bulletin
         self.policy = policy
@@ -120,11 +105,10 @@ class ProverService:
         prover = self.engine.prover(prover_opts) \
             if self.engine is not None else None
         self.query_partitions = query_partitions
-        # One round prover — every strategy shares ``aggregate(state,
-        # windows, prev_receipt)``.
-        self._aggregator = STRATEGIES[strategy](policy, prover_opts,
-                                                prover=prover)
-        self.strategy = strategy
+        # Every round is proven by the batched guest, whose journals are
+        # byte-identical to Alg. 1's (the Fig. 4 path) for fewer cycles.
+        self._aggregator = BatchedAggregator(policy, prover_opts,
+                                             prover=prover)
         self.auto_checkpoint = auto_checkpoint
         self._query_prover = QueryProver(
             prover_opts, prover=prover, engine=self.engine,
@@ -196,7 +180,6 @@ class ProverService:
         return {
             "rounds": len(self.chain),
             "flows": len(self.state),
-            "strategy": self.strategy,
             "aggregated_windows": sorted(self._aggregated_windows),
             "committed_windows": self.bulletin.windows(),
             "pending_windows": self.pending_windows(),
@@ -473,7 +456,6 @@ class ProverService:
         """
         payload = {
             "version": CHECKPOINT_VERSION,
-            "strategy": self.strategy,
             "state_round": self.state.round,
             "chain": [link.to_wire() for link in self.chain],
             "entries": [entry.to_wire()

@@ -327,8 +327,8 @@ class PooledProver:
     """A :class:`~repro.zkvm.prover.Prover` look-alike over a pool.
 
     Drop-in for the ``prover`` injection points in
-    :class:`~repro.core.aggregation.Aggregator`,
-    :class:`~repro.core.rebuild.RebuildAggregator` and
+    :class:`~repro.core.aggregation.Aggregator` (and so
+    :class:`~repro.core.aggregation.BatchedAggregator`) and
     :class:`~repro.core.query_proof.QueryProver` — sequential call
     sites gain the cache and the fault site without restructuring.
     """

@@ -2,7 +2,7 @@
 
 The host's CLog tree is updated in place and copied structurally, so
 it never re-hashes a leaf it committed.  The *guests* do: the query,
-partition and rebuild guests build the tree from the entry frames on
+query-partition and merge guests build their trees from frames on
 every execution, and between two executions most subtrees are unchanged
 — only the slots touched by new records move.  A tagged Merkle digest
 is a pure function of its content (``leaf(data)``, ``node(l, r)``), so a

@@ -59,25 +59,6 @@ class TestAggregateQueryVerify:
                      "--receipts", str(receipts)]) == 0
         assert "chain of" in capsys.readouterr().out
 
-    def test_rebuild_strategy(self, workspace):
-        db, bulletin, receipts = workspace
-        assert main(["aggregate", "--db", str(db),
-                     "--bulletin", str(bulletin),
-                     "--receipts", str(receipts),
-                     "--strategy", "rebuild"]) == 0
-        assert main(["verify", "--bulletin", str(bulletin),
-                     "--receipts", str(receipts)]) == 0
-
-    def test_paper_path_strategy(self, workspace):
-        """``--strategy update`` proves with Alg. 1 as laid out."""
-        db, bulletin, receipts = workspace
-        assert main(["aggregate", "--db", str(db),
-                     "--bulletin", str(bulletin),
-                     "--receipts", str(receipts),
-                     "--strategy", "update"]) == 0
-        assert main(["verify", "--bulletin", str(bulletin),
-                     "--receipts", str(receipts)]) == 0
-
     def test_aggregate_empty_store(self, tmp_path):
         db = tmp_path / "empty.db"
         bulletin = tmp_path / "bulletin.json"

@@ -2,10 +2,19 @@
 
 import pytest
 
-from repro.commitments import Commitment, window_digest
-from repro.core.prover_service import ProverService
+from repro.commitments import BulletinBoard, Commitment, window_digest
+from repro.core.aggregation import Aggregator, BatchedAggregator
+from repro.core.chain import ChainLink
+from repro.core.clog import CLogState
+from repro.core.guest_programs import aggregation_guest
+from repro.core.prover_service import (
+    CHECKPOINT_VERSION,
+    DEFAULT_CHECKPOINT,
+    ProverService,
+)
+from repro.core.verifier_client import VerifierClient
+from repro.serialization import encode
 from repro.storage import MemoryLogStore
-from repro.commitments import BulletinBoard
 
 from ..conftest import make_record
 
@@ -46,7 +55,6 @@ class TestCrossRoundAggregation:
             commit_window(service.store, service.bulletin, "r1", window,
                           [make_record(sport=1000 + window)])
             service.aggregate_window(window)
-        from repro.core.verifier_client import VerifierClient
         verifier = VerifierClient(service.bulletin)
         verified = verifier.verify_chain(service.chain.receipts())
         assert [v.round for v in verified] == list(range(10))
@@ -85,49 +93,67 @@ class TestCrossRoundAggregation:
             service.aggregate_window(window)
         assert len(service.state) == 31
         assert service.state.depth == 5
-        from repro.core.verifier_client import VerifierClient
         VerifierClient(service.bulletin).verify_chain(
             service.chain.receipts())
 
 
 class TestMixedStrategyChain:
-    """Rounds of the paper-path (Alg. 1), batched and rebuild guests
-    form one history: each round's service restores the previous
-    one's checkpoint and proves with its own strategy, and the chain
-    verifies locally, over the wire, and after a final restore."""
+    """Alg. 1 and batched rounds form one history: each round extends
+    the previous receipt through its own aggregator class, and the
+    chain verifies as one.  A checkpoint naming the round option
+    ``ProverService`` once had, with an Alg. 1 round at its head, still
+    restores and serves."""
 
-    STRATEGIES = ("update", "batched", "rebuild", "update", "batched")
+    AGGREGATORS = (Aggregator, BatchedAggregator, Aggregator,
+                   BatchedAggregator, Aggregator)
 
-    def test_mixed_chain_verifies_everywhere(self):
-        from repro.core.guest_programs import (
-            aggregation_guest, batched_aggregation_guest)
-        from repro.core.rebuild import rebuild_aggregation_guest
-        from repro.core.verifier_client import VerifierClient
-        from repro.net import ProverServer, QueryClient
-
-        guests = {"update": aggregation_guest,
-                  "batched": batched_aggregation_guest,
-                  "rebuild": rebuild_aggregation_guest}
+    @pytest.fixture(scope="class")
+    def mixed(self):
         store, bulletin = MemoryLogStore(), BulletinBoard()
-        for window in range(len(self.STRATEGIES)):
+        for window in range(len(self.AGGREGATORS)):
             # After window 0: three old flows updated, one new flow.
             commit_window(store, bulletin, "r1", window,
                           [make_record(sport=1000 + window + i,
                                        lost_packets=i) for i in range(4)])
-        for window, strategy in enumerate(self.STRATEGIES):
-            service = ProverService(store, bulletin, strategy=strategy,
-                                    auto_checkpoint=True)
-            assert service.restore() == (window > 0)
-            service.aggregate_window(window)
-        receipts = service.chain.receipts()
-        assert [r.claim.image_id for r in receipts] == [
-            guests[strategy].image_id for strategy in self.STRATEGIES]
-        verified = VerifierClient(bulletin).verify_chain(receipts)
-        assert verified[-1].size == len(service.state) == 8
+        gather = ProverService(store, bulletin).gather_window
+        state, prev_receipt, results = CLogState(), None, []
+        for window, aggregator in enumerate(self.AGGREGATORS):
+            result = aggregator().aggregate(state, gather(window),
+                                            prev_receipt)
+            state, prev_receipt = result.new_state, result.receipt
+            results.append(result)
+        return store, bulletin, results
 
+    def test_alternating_guests_form_one_chain(self, mixed):
+        _store, bulletin, results = mixed
+        receipts = [result.receipt for result in results]
+        assert [r.claim.image_id for r in receipts] == [
+            aggregator.guest.image_id for aggregator in self.AGGREGATORS]
+        verified = VerifierClient(bulletin).verify_chain(receipts)
+        assert verified[-1].size == len(results[-1].new_state) == 8
+
+    def test_checkpoint_naming_a_strategy_restores_and_serves(self, mixed):
+        """The layout checkpoints were written in while the service had
+        a ``strategy`` option: the key is ignored, the Alg. 1 head
+        re-verifies, and the restored service answers over the wire."""
+        from repro.net import ProverServer, QueryClient
+
+        store, bulletin, results = mixed
+        head = results[-1]
+        store.put_checkpoint(DEFAULT_CHECKPOINT, encode({
+            "version": CHECKPOINT_VERSION,
+            "strategy": "update",
+            "state_round": head.new_state.round,
+            "chain": [ChainLink(round=r.round, receipt=r.receipt).to_wire()
+                      for r in results],
+            "entries": [entry.to_wire() for entry
+                        in head.new_state.entries_in_slot_order()],
+        }))
         restored = ProverService(store, bulletin)
         assert restored.restore()
-        assert restored.state.root == service.state.root
+        assert restored.chain.latest.receipt.claim.image_id \
+            == aggregation_guest.image_id
+        assert restored.state.root == head.new_root
         server = ProverServer(restored, idle_timeout=5.0)
         server.start_background()
         try:
@@ -137,5 +163,5 @@ class TestMixedStrategyChain:
         finally:
             server.stop_background()
         assert journal.values == response.values
-        assert response.round == len(self.STRATEGIES) - 1
         assert response.values[0] == 8
+        assert response.round == len(results) - 1

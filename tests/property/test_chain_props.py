@@ -34,11 +34,10 @@ def record_for(flow_id: int, router: int, lost: int,
 
 
 class TestChainSoak:
-    @given(round_plans, st.sampled_from(["update", "rebuild", "batched"]))
+    @given(round_plans)
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_any_round_sequence_verifies_and_matches_truth(
-            self, plan, strategy):
+    def test_any_round_sequence_verifies_and_matches_truth(self, plan):
         store = MemoryLogStore()
         bulletin = BulletinBoard()
         truth: dict[FlowKey, CLogEntry] = {}
@@ -65,7 +64,7 @@ class TestChainSoak:
                         existing.merge(record, DEFAULT_POLICY)
                         if existing else CLogEntry.fresh(record))
 
-        service = ProverService(store, bulletin, strategy=strategy)
+        service = ProverService(store, bulletin)
         service.aggregate_all_committed()
 
         # 1. The chain verifies from public material.

@@ -175,9 +175,6 @@ class TestGuestRegistry:
         assert resolve_guest("test/echo") is echo_guest
         assert resolve_guest(aggregation_guest.name) is aggregation_guest
         assert resolve_guest(query_guest.name) is query_guest
-        from repro.core.rebuild import rebuild_aggregation_guest
-        assert resolve_guest(rebuild_aggregation_guest.name) \
-            is rebuild_aggregation_guest
 
     def test_reregister_same_program_idempotent(self):
         assert register_guest(echo_guest) is echo_guest

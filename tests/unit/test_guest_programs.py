@@ -31,7 +31,6 @@ from repro.core.policy import DEFAULT_POLICY
 from repro.core import query_proof
 from repro.core.prover_service import ProverService
 from repro.core.query_proof import QueryProver
-from repro.core.rebuild import RebuildAggregator, rebuild_aggregation_guest
 from repro.core.sketch_proof import (
     SketchTelemetry,
     sketch_build_guest,
@@ -275,15 +274,6 @@ PINNED = {
                       "commitment": 12648, "decode": 11616, "io": 8666,
                       "merkle": 7616, "verify": 7736},
     },
-    "rebuild": {
-        "journal": "7823d80272c0fa537174850266bdd429"
-                   "22e786d0dc30c4f51ca58ff93190db31",
-        "total_cycles": 61102,
-        "sha": 326,
-        "breakdown": {"aggregate": 13152, "base": 10000,
-                      "commitment": 12648, "decode": 4368, "io": 8642,
-                      "merkle": 4556, "verify": 7736},
-    },
     "merge": {
         "journal": "284f9e2000f1125e7fcb39e0afe4110b"
                    "9506c81cc4a7d5bb06c64338127f9cfd",
@@ -340,13 +330,6 @@ class TestPinnedRoundContract:
             genesis.receipt)
         assert pin_of(result.receipt.journal, result.info.stats) \
             == PINNED["aggregation"]
-
-    def test_rebuild_round(self, genesis):
-        result = RebuildAggregator().aggregate(
-            genesis.new_state, pinned_windows(self.WINDOWS),
-            genesis.receipt)
-        assert pin_of(result.receipt.journal, result.info.stats) \
-            == PINNED["rebuild"]
 
     def test_batched_round(self, genesis):
         result = BatchedAggregator().aggregate(
@@ -542,8 +525,6 @@ PINNED_INPUTS = {
                   "e5182b6a53af53bfb183605926c6f49f",
     "federation_totals": "e6d29c337481f95a3a8205d99ec4d8ad"
                          "face8e37fb8b1633bf0bec0dad154b2c",
-    "rebuild": "66d3cb84ffc008d350cd1bfc2f14a7db"
-               "0e08efe8a4e9b7c62a1f902e022f27cd",
 }
 
 
@@ -570,24 +551,17 @@ class TestPinnedInputFrames:
         assert job.env_commitment.hex() \
             == PINNED_INPUTS["federation_totals"]
 
-    def test_rebuild_round(self, genesis):
-        result = RebuildAggregator().aggregate(
-            genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
-        assert result.receipt.claim.input_digest.hex() \
-            == PINNED_INPUTS["rebuild"]
-
 
 # Every guest a receipt can name, with its image id: the trusted code
 # base.  Captured while the streamed round's delta and fold guests were
 # still registered (and ``fold_guest`` was a third round image); their
 # removal moved none of the ids that remain.  The two scanning query
 # guests were re-pinned when their shared ``_read_entry_views`` began
-# reading payloads through the entry-view memo; no other id moved.
+# reading payloads through the entry-view memo; no other id moved.  The
+# full-rebuild round guest's row went with that guest; no id moved.
 PINNED_IMAGES = {
     "telemetry-aggregation-v1": "1e9f5957578049b379824b826de0994e"
                                 "f267d2a85214695d010fa2063d2f956f",
-    "telemetry-aggregation-rebuild-v1": "455371992e828b130b4fd1ad5e7940500"
-                                        "ec70c0cdda8f9b0f4ef637354ae85a0",
     "telemetry-aggregation-batched-v1": "20856bb7dfa6f1760d7a79130a440dcc"
                                         "8ad27d5cef9de155dcc0bbadbc37000a",
     "telemetry-query-v1": "dcc94b88375c0b48490340417413c3a5"
@@ -615,9 +589,8 @@ PINNED_SKETCH_IMAGES = {
 
 
 class TestPinnedImages:
-    def test_round_images_are_update_rebuild_and_batched(self):
+    def test_round_images_are_update_and_batched(self):
         assert ROUND_IMAGE_IDS == (aggregation_guest.image_id,
-                                   rebuild_aggregation_guest.image_id,
                                    batched_aggregation_guest.image_id)
 
     def test_registered_telemetry_guests_and_image_ids(self):
@@ -665,8 +638,6 @@ class TestGuestModules:
         runs = (
             lambda: Aggregator().aggregate(genesis.new_state, windows,
                                            genesis.receipt),
-            lambda: RebuildAggregator().aggregate(
-                genesis.new_state, windows, genesis.receipt),
             lambda: BatchedAggregator().aggregate(
                 genesis.new_state, windows, genesis.receipt),
             lambda: serial_engine.prove_round(windows, 2),
@@ -705,8 +676,6 @@ def tampered(inputs):
 STEP2_CALLERS = {
     "aggregation": lambda engine, windows:
         Aggregator().aggregate(CLogState(), windows, None),
-    "rebuild": lambda engine, windows:
-        RebuildAggregator().aggregate(CLogState(), windows, None),
     "batched": lambda engine, windows:
         BatchedAggregator().aggregate(CLogState(), windows, None),
     "partition": lambda engine, windows: engine.prove_round(windows),
@@ -716,14 +685,12 @@ STEP2_CALLERS = {
 
 STEP1_GUESTS = {
     "aggregation": aggregation_guest,
-    "rebuild": rebuild_aggregation_guest,
     "batched": batched_aggregation_guest,
 }
 
 # The guest each STEP2_CALLERS entry runs step 2 in.
 STEP2_GUESTS = {
     "aggregation": aggregation_guest,
-    "rebuild": rebuild_aggregation_guest,
     "batched": batched_aggregation_guest,
     "partition": partition_guest,
     "sketch-build": sketch_build_guest,
@@ -751,10 +718,6 @@ def step1_input(guest, genesis, binding=None, **forged):
     builder.write(header)
     if header["round"] > 0:
         builder.write(binding or make_receipt_binding(genesis.receipt))
-    if guest is rebuild_aggregation_guest:
-        for entry in state.entries_in_slot_order():
-            builder.write({"key": entry.key.pack(),
-                           "payload": entry.to_payload()})
     if guest is batched_aggregation_guest:
         builder.write({"slots": [], "siblings": []})
     return builder.build()
@@ -815,7 +778,7 @@ class TestSharedSteps:
         with pytest.raises(GuestAbort, match="claimed prev state"):
             Prover().prove(guest, step1_input(guest, genesis, **forged))
 
-    @pytest.mark.parametrize("name", ["aggregation", "batched"])
+    @pytest.mark.parametrize("name", sorted(STEP1_GUESTS))
     def test_wrong_prev_depth_aborts(self, name, genesis):
         guest = STEP1_GUESTS[name]
         with pytest.raises(GuestAbort, match="claimed prev state"):

@@ -13,7 +13,6 @@ from repro.core.clog import CLogState
 from repro.core.guest_programs import query_guest, query_merge_guest
 from repro.core.journals import QueryJournal, RoundHeader
 from repro.core.query_proof import QueryProver
-from repro.core.rebuild import RebuildAggregator
 from repro.engine import ProvingEngine
 from repro.errors import MalformedJournal, VerificationError
 from repro.serialization import decode_stream, encode
@@ -57,11 +56,6 @@ def with_journal(receipt, *values):
 class TestEncodeReproducesGuestBytes:
     def test_update_round(self, proven):
         assert_header_reencodes(proven.receipt)
-
-    def test_rebuild_round(self, genesis):
-        result = RebuildAggregator().aggregate(
-            genesis.new_state, pinned_windows([1, 2, 3]), genesis.receipt)
-        assert_header_reencodes(result.receipt)
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_full_scan_query(self, proven, sql):

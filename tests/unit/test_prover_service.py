@@ -360,12 +360,6 @@ class TestQueries:
         with pytest.raises(ConfigurationError):
             ProverService(store, bulletin, query_cache_size=0)
 
-    def test_unknown_strategy_is_a_configuration_error(self):
-        from repro.errors import ConfigurationError
-        store, bulletin, _ = make_committed_records(5)
-        with pytest.raises(ConfigurationError, match="'bogus'"):
-            ProverService(store, bulletin, strategy="bogus")
-
     def test_stale_round_is_a_cache_miss(self):
         """Regression: the cache key must include the committed root.
 

@@ -97,7 +97,6 @@ REASONS: dict[str, str] = {
     "repro.core.policy": "cli:aggregate",
     "repro.core.prover_service": "cli:aggregate",
     "repro.core.query_proof": "cli:query",
-    "repro.core.rebuild": "experiment:ablate-strategy",
     "repro.core.sketch_proof": "example:sketch_telemetry.py",
     "repro.core.system": "experiment:e2e-setup",
     "repro.core.tamper": "cli:tamper",

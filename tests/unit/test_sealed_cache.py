@@ -176,12 +176,12 @@ def _cold_then_warm(action):
 
 
 def _checkpointed_rounds():
-    """Two auto-checkpointed update rounds (window 0, then the pinned
+    """Two auto-checkpointed rounds (window 0, then the pinned
     round's windows), then ``restore()`` on a fresh service over the same
     store; returns the counts and the last checkpoint blob."""
     store, bulletin = MemoryLogStore(), BulletinBoard()
     with count_durable_io() as counts:
-        service = ProverService(store, bulletin, strategy="update", auto_checkpoint=True)
+        service = ProverService(store, bulletin, auto_checkpoint=True)
         for windows in ([0], pinned.TestPinnedRoundContract.WINDOWS):
             service.prove_round(windows, pinned.pinned_windows(windows))
         fresh = ProverService(store, bulletin)
@@ -228,7 +228,10 @@ class TestCountedDurableIO:
     (7,767 -> 7,566 bytes, new SHA-256) when chain links stopped carrying copies of
     ``new_root``/``size``/``record_count`` beside the receipt whose journal commits them,
     and again (7,566 -> 7,512 bytes) when the checkpoint stopped carrying the
-    aggregated-window list that restore now reads off the round headers.  A default
+    aggregated-window list that restore now reads off the round headers.  It was
+    re-pinned once more (7,512 -> 7,476 bytes, new SHA-256) when ``ProverService`` lost
+    its round option: the rounds are the batched guest's (same sizes, another image id
+    and claim) and the payload no longer carries a ``strategy`` key.  A default
     service's query cache is attached to its own store from construction, so a cold query
     costs the numbers an explicitly attached store used to; once answered, the query is
     served from memory and touches no KV.  A cold query served over the wire read the KV
@@ -237,8 +240,8 @@ class TestCountedDurableIO:
     """
 
     NONE = {"get_checkpoint": 0, "put_checkpoint": 0, "checkpoint_bytes": 0}
-    CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7512}
-    CHECKPOINT_SHA256 = "349f541cb0632b7fbb11b0c297fa01d21591bad2d0a6e9db6c329fd543df9939"
+    CHECKPOINTED = {"get_checkpoint": 1, "put_checkpoint": 2, "checkpoint_bytes": 7476}
+    CHECKPOINT_SHA256 = "8157a1cd164170c9f35864e6bcc436e36cbd7050238accc8c73578a64f97610c"
 
     def test_default_service_query_touches_no_kv(self):
         store, bulletin, _ = make_committed_records(20, seed=3)

@@ -73,6 +73,26 @@ class TestAggregationVerification:
             assert not (seen & set(v.windows))
             seen.update(v.windows)
 
+    def test_untrusted_image_rejected_by_client(self):
+        """A receipt from a non-aggregation guest never enters a
+        chain, even if internally valid."""
+        from repro.commitments import BulletinBoard
+        from repro.core.verifier_client import VerifierClient
+        from repro.hashing import sha256
+        from repro.zkvm import ExecutorEnvBuilder, Prover, guest_program
+
+        @guest_program("rogue-aggregator")
+        def rogue(env):
+            env.commit({"round": 0, "prev_root": sha256(b"x"),
+                        "new_root": sha256(b"y"), "size": 0,
+                        "depth": 0, "windows": [], "policy": sha256(b"p"),
+                        "entries": 0})
+
+        info = Prover().prove(rogue, ExecutorEnvBuilder().build())
+        verifier = VerifierClient(BulletinBoard())
+        with pytest.raises(VerificationError, match="not a trusted"):
+            verifier.verify_aggregation(info.receipt, None)
+
 
 class TestDoubleConsumptionWithinOneRound:
     """A round whose journal lists a (router, window) pair twice proves
